@@ -34,16 +34,16 @@ Commands:
 * ``procpool`` -- multi-process runtime smoke test: run real-kernel apps
   through :class:`~repro.runtime.procpool.ProcessRuntime` over a
   shared-memory store, assert bit-identical parity with the inline
-  runtime, and exercise worker-death recovery (used by the CI procpool
-  job; skips gracefully on single-core hosts unless ``--force``).
+  runtime, and exercise worker-death recovery (used by the CI
+  remote-runtimes job; skips gracefully on single-core hosts unless ``--force``).
 * ``worker`` -- run a :class:`~repro.runtime.cluster.WorkerServer`: a
   compute server a ClusterRuntime parent dispatches task phases to
   (``python -m repro worker --listen tcp://0.0.0.0:7070``; see
   docs/DISTRIBUTED.md).
 * ``cluster`` -- distributed execution over localhost TCP workers:
   ``--selftest`` spawns real worker processes and asserts parity,
-  ``kill -9`` recovery, and a live /metrics scrape (the CI cluster
-  job); ``--addresses`` runs the parity check against workers you
+  ``kill -9`` recovery, and a live /metrics scrape (also in the CI
+  remote-runtimes job); ``--addresses`` runs the parity check against workers you
   started elsewhere.
 * ``validate`` -- structural validation of one benchmark's task graph
   (acyclicity, dependency closure, sink reachability) without running it.

@@ -39,7 +39,6 @@ from repro.comm.frame import (
     encode_message,
     loads,
     pack_frame,
-    pack_frames,
 )
 
 # Importing the backend modules is what registers their schemes.
@@ -67,7 +66,6 @@ __all__ = [
     "encode_message",
     "loads",
     "pack_frame",
-    "pack_frames",
     "PipeComm",
     "pipe_pair",
     "wrap_connection",

@@ -48,9 +48,8 @@ Safety rails, tested on both the encode and decode side:
   severed connection) surfaces as :class:`TruncatedFrameError` from
   :meth:`FrameDecoder.close`, never as a silently short message.
 
-Batching is first-class: :func:`pack_frames` concatenates many frames
-into one buffer for a single ``send``/``write`` syscall, and the decoder
-yields every complete frame it has absorbed.
+The decoder yields every complete frame a ``feed`` has absorbed, however
+many arrived in one chunk.
 """
 
 from __future__ import annotations
@@ -212,15 +211,6 @@ def pack_frame(payload: bytes) -> bytes:
     return _HEADER.pack(len(payload)) + payload
 
 
-def pack_frames(payloads: Iterable[bytes]) -> bytes:
-    """Many frames in one contiguous buffer (one ``sendall`` for a batch)."""
-    parts: list[bytes] = []
-    for p in payloads:
-        parts.append(_HEADER.pack(len(p)))
-        parts.append(p)
-    return b"".join(parts)
-
-
 def pack_frame_oob(meta: bytes, buffers: Iterable[Any]) -> list[Any]:
     """One multi-segment frame as a gather list: ``[header+table, meta,
     *raw buffer views]`` -- ready for ``socket.sendmsg``; nothing is
@@ -234,21 +224,6 @@ def pack_frame_oob(meta: bytes, buffers: Iterable[Any]) -> list[Any]:
         raise FrameError(f"{len(lens)} OOB segments exceed the {MAX_OOB_SEGMENTS} cap")
     head = _HEADER.pack(OOB_FLAG | len(lens)) + b"".join(_HEADER.pack(n) for n in lens)
     return [head, meta, *raws]
-
-
-def unpack_frames(buf: bytes, max_bytes: int = MAX_FRAME_BYTES) -> list[bytes]:
-    """Inverse of :func:`pack_frames`: the payloads of a packed buffer.
-
-    The receive side of a legacy micro-batched ``("jobs", ...)`` dispatch
-    frame: the whole batch arrives as one message, and this splits it
-    back into per-job payloads.  Raises :class:`TruncatedFrameError` on a
-    buffer that ends mid-frame and :class:`OversizedFrameError` on a
-    corrupt length header, exactly like the streaming decoder.
-    """
-    decoder = FrameDecoder(max_bytes)
-    decoder.feed(buf)
-    decoder.close()
-    return list(decoder.frames())
 
 
 class BufferPool:

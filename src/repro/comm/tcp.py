@@ -301,6 +301,9 @@ class TCPListener(Listener):
                 conn, addr = self._sock.accept()
             except OSError:
                 return  # listener closed
+            if self._closed:
+                conn.close()  # raced close(): refuse, never serve
+                return
             comm = TCPComm(conn, peer=f"tcp://{addr[0]}:{addr[1]}")
             threading.Thread(
                 target=self._handler, args=(comm,), daemon=True, name="repro-tcp-serve"
@@ -310,10 +313,18 @@ class TCPListener(Listener):
         if self._closed:
             return
         self._closed = True
+        # close() alone does not stop a thread parked in accept(): the
+        # kernel socket stays listening until that call returns, so the
+        # next connect would still succeed.  shutdown() wakes it.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._sock.close()
         except OSError:
             pass
+        self._accept_thread.join(timeout=5.0)
 
 
 def _parse_hostport(location: str) -> tuple[str, int]:

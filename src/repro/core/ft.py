@@ -89,7 +89,6 @@ class FTScheduler:
         trace: ExecutionTrace | None = None,
         strict_context: bool = True,
         max_recoveries: int = 1_000_000,
-        record_events: bool = False,
         event_log: EventLog | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -101,12 +100,10 @@ class FTScheduler:
         self.trace = trace or ExecutionTrace()
         self.strict_context = strict_context
         self.max_recoveries = max_recoveries
-        if event_log is None and record_events:
-            event_log = EventLog()
         self.log = event_log if event_log is not None else NULL_LOG
         """Structured observability log (:mod:`repro.obs`).  Disabled by
-        default (``NULL_LOG``); pass ``event_log=EventLog()`` -- or the
-        legacy ``record_events=True`` -- to record the run's lifecycle:
+        default (``NULL_LOG``); pass ``event_log=EventLog()`` to record
+        the run's lifecycle:
         every event carries the task key and life number, timestamped and
         worker-attributed by the runtime."""
         # Identity-fast observability guard: NULL_LOG is the one shared

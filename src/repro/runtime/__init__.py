@@ -2,7 +2,7 @@
 
 The scheduler (``repro.core``) is written against a tiny
 :class:`~repro.runtime.api.ExecutionContext` surface -- ``spawn`` a frame,
-``charge`` virtual cost -- and therefore runs unchanged on three runtimes:
+``charge`` virtual cost -- and therefore runs unchanged on every runtime:
 
 * :class:`~repro.runtime.inline.InlineRuntime` -- serial LIFO stack;
   the reference executor for unit tests and P=1 measurements.
@@ -17,17 +17,17 @@ The scheduler (``repro.core``) is written against a tiny
   scheduler's synchronization under genuine interleaving (the GIL
   serializes the pure-Python bookkeeping, so this stresses races, not
   scalability).
-* :class:`~repro.runtime.procpool.ProcessRuntime` -- the threaded
-  runtime with compute phases dispatched to a pool of worker
-  *processes* over a shared-memory block store: GIL-free multicore
-  execution with wall-clock makespans; worker death surfaces as a
-  recoverable compute-phase fault.
-* :class:`~repro.runtime.cluster.ClusterRuntime` -- the same dispatch
-  seam stretched over ``repro.comm`` to remote
+* :class:`~repro.runtime.dispatch.RemoteRuntime` -- the threaded
+  runtime with compute phases dispatched to remote workers running
+  :class:`~repro.runtime.worker.WorkerSession`: GIL-free execution with
+  wall-clock makespans; a lost worker surfaces as a recoverable
+  compute-phase fault.  Two subclasses open its channels:
+  :class:`~repro.runtime.procpool.ProcessRuntime` forks same-host
+  workers over pipes and a shared-memory block store;
+  :class:`~repro.runtime.cluster.ClusterRuntime` dials
   :class:`~repro.runtime.cluster.WorkerServer` processes
-  (``tcp://host:port`` or in-process ``inproc://``): block payloads
-  fetched lazily and cached by version, liveness by heartbeat, and a
-  dead connection recovered through the identical ``WORKER_DOWN`` path.
+  (``tcp://host:port`` or in-process ``inproc://``), which fetch block
+  payloads lazily and cache them by version.
 
 Frames follow the Cilk discipline the paper's pseudocode assumes: a frame
 never blocks; ``spawn`` pushes work to the bottom of the spawning worker's

@@ -1,84 +1,64 @@
 """Cluster runtime: compute phases executed by remote worker servers.
 
-:class:`ClusterRuntime` is :class:`~repro.runtime.procpool.ProcessRuntime`'s
-shape stretched over the comm layer: every piece of scheduler state --
-task map, join counters, recovery table, block store -- stays in the
-**parent**, scheduler frames still run on N parent threads, and only the
-pure compute phase crosses the wire.  Channels to
-:class:`WorkerServer` processes (``python -m repro worker --listen
-tcp://...``) are assigned round-robin over the configured addresses and
-shared by the scheduler threads through per-channel outstanding-job
-windows.
+:class:`ClusterRuntime` is :class:`~repro.runtime.dispatch.RemoteRuntime`
+over dialed channels: each channel is a ``repro.comm`` connection to a
+:class:`WorkerServer` (``python -m repro worker --listen tcp://...``, or
+an ``inproc://`` server in this process), which serves it with the
+shared :class:`~repro.runtime.worker.WorkerSession`.
 
-What changes versus the pipe runtime is *how bytes move*:
+What is specific to a dialed channel:
 
-* **Dispatch by descriptor.**  A job message carries the task key and
-  the declared input references ``(block, version)`` -- never payloads.
-  The parent still reads every input through its own context first (the
-  fault gate: corruption flags, checksum mismatches, and evictions
-  raise *here*, inside the scheduler's recovery path, before anything
-  ships), holding the values for the duration of the dispatch.
-* **Pipelined, micro-batched dispatch** (the fast path of ROADMAP item
-  4, via :class:`~repro.runtime.dispatch.PipelinedDispatchMixin`): up to
-  ``inflight`` jobs ride each channel concurrently, concurrently-ready
-  jobs ship as one ``("jobs", pack_frames([...]))`` frame -- one syscall
-  and one wire round trip for the burst -- and the worker streams one
-  ``("done", jid, ...)``/``("fail", jid, ...)`` reply per job.
-* **Lazy fetch + versioned cache.**  The worker asks for a payload only
-  on the first read of a version it has never seen (``("fetch", jid,
-  block, version)`` -- the job id routes the request to the dispatching
-  thread's held values; ``FETCH`` event parent-side) and caches it in a
-  local byte-bounded LRU keyed by ``(block, version)``.  Store versions
-  are written once and kernels are deterministic, so the versioned key
-  makes the cache trivially coherent -- a re-executed producer after
-  recovery regenerates bit-identical bytes, and an *evicted* version
-  faults parent-side before dispatch, so a stale cache entry can never
-  be asked for a version the store would refuse.
-* **Peer loss is a detected compute-phase fault.**  A dead connection,
-  a refused reconnect, or ``heartbeat_timeout`` seconds of silence from
-  a worker that should be heartbeating collapse into one path: emit
-  ``DISCONNECT`` + one ``WORKER_DOWN``/``WORKER_UP`` pair, dial a
-  replacement channel (``CONNECT``), and raise
-  :class:`~repro.exceptions.WorkerCrashError` for *every* job that was
-  in flight on the lost channel -- the untouched FT scheduler
-  re-executes exactly the unfinished jobs through RECOVERTASKONCE
-  (replies streamed before the loss are never re-run), exactly as it
-  does for a dead pipe worker.
+* **Opening and replacing.**  Channels are assigned round-robin over the
+  configured addresses; a connection counts only once the server has
+  answered a ``ping``.  A lost channel's replacement is dialed at the
+  same address first (its server may have survived a mere sever, or a
+  supervisor restarted it), then the others; ``DISCONNECT``/``CONNECT``
+  events bracket the ``WORKER_DOWN``/``WORKER_UP`` pair.
+* **Silence.**  Workers heartbeat on transports that support it;
+  ``heartbeat_timeout`` seconds without a byte from a worker that owes a
+  reply is peer loss even when the kernel never delivers an RST.
+* **Staging.**  Nothing rides the job message: it carries ``(block,
+  version)`` refs only.  The worker fetches a payload on the first read
+  of a version it has never seen (``FETCH`` event parent-side) and
+  keeps it in its byte-bounded :class:`~repro.runtime.worker.BlockCache`.
+  Store versions are written once and kernels are deterministic, so the
+  versioned key makes the cache trivially coherent -- a re-executed
+  producer regenerates bit-identical bytes, and an *evicted* version
+  faults parent-side before dispatch, so a stale entry can never be
+  asked for a version the store would refuse.
 
-Fault injection mirrors ``die_on``: the first dispatch of a listed key
-makes its worker die *before* computing -- ``os._exit(73)`` on a TCP
-server (genuine process death, indistinguishable from ``kill -9``), a
-connection sever on an in-process server (the yanked-cable case) -- and
-the recovered task's re-dispatch runs normally, even when the death
-lands mid-batch.
+``die_on`` kills the worker *before* it computes: ``os._exit(73)`` on a
+TCP server (genuine process death, indistinguishable from ``kill -9``),
+a connection sever on an in-process server (the yanked-cable case).
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import queue
 import threading
-import time
-from collections import OrderedDict, deque
 from typing import Any, Hashable, Iterable
 
-from repro.comm import frame
 from repro.comm.core import Comm, CommClosedError, connect_with_retry, listen
-from repro.comm.frame import unpack_frames
-from repro.exceptions import SchedulerError, WorkerCrashError
-from repro.graph.taskspec import BlockRef
-from repro.memory.shm import own_payload
+from repro.exceptions import SchedulerError
 from repro.obs.events import NULL_LOG, EventKind, EventLog
 from repro.obs.live import NULL_METRICS, MetricsRegistry
-from repro.runtime.api import RunResult
-from repro.runtime.dispatch import PipelineChannel, PipelinedDispatchMixin
-from repro.runtime.frames import Frame
-from repro.runtime.procpool import CRASH_EXIT_CODE, DEFAULT_INFLIGHT
-from repro.runtime.threadpool import ThreadedRuntime
+from repro.runtime.dispatch import (
+    DEFAULT_ENCODED_CACHE_BYTES,
+    DEFAULT_INFLIGHT,
+    EncodedBlockCache,
+    PipelineChannel,
+    RemoteRuntime,
+)
+from repro.runtime.worker import DEFAULT_CACHE_BYTES, BlockCache, WorkerSession
 
-#: Default worker-side block-cache budget.
-DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
+__all__ = [
+    "DEFAULT_CACHE_BYTES",
+    "DEFAULT_ENCODED_CACHE_BYTES",
+    "DEFAULT_HEARTBEAT_TIMEOUT",
+    "BlockCache",
+    "ClusterRuntime",
+    "EncodedBlockCache",
+    "WorkerServer",
+]
 
 #: Parent-side liveness policy: a worker connection that stays byte-silent
 #: this long while owing a reply is declared dead.  Workers heartbeat
@@ -87,220 +67,9 @@ DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
 DEFAULT_HEARTBEAT_TIMEOUT = 2.0
 
 
-# ---------------------------------------------------------------------------
-# worker-server side
-
-
-class BlockCache:
-    """Byte-bounded LRU of decoded block payloads, keyed by
-    ``(block, version)``.
-
-    Versioned keys are what make this cache coherent with zero
-    invalidation traffic: a version's bytes never change once written
-    (determinism, Theorem 1), so an entry can be stale only by
-    *absence*, never by content.  That guarantee holds *within* a run;
-    across runs the same ``(block, version)`` pair can name different
-    data, so entries are additionally scoped by the dispatching
-    runtime's ``run token`` -- a long-lived server reused by many runs
-    never crosses their payloads.
-    """
-
-    def __init__(self, capacity_bytes: int = DEFAULT_CACHE_BYTES) -> None:
-        self.capacity_bytes = capacity_bytes
-        self._entries: OrderedDict[tuple, tuple[Any, int]] = OrderedDict()
-        self._bytes = 0
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: tuple) -> tuple[bool, Any]:
-        with self._lock:
-            try:
-                value, _ = self._entries[key]
-            except KeyError:
-                self.misses += 1
-                return False, None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return True, value
-
-    def put(self, key: tuple, value: Any, nbytes: int) -> None:
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= old[1]
-            self._entries[key] = (value, nbytes)
-            self._bytes += nbytes
-            while self._bytes > self.capacity_bytes and len(self._entries) > 1:
-                _, (_, evicted) = self._entries.popitem(last=False)
-                self._bytes -= evicted
-
-    @property
-    def nbytes(self) -> int:
-        return self._bytes
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-#: Default send-side encoded-payload budget (see EncodedBlockCache).
-DEFAULT_ENCODED_CACHE_BYTES = 64 * 1024 * 1024
-
-
-class EncodedBlockCache:
-    """Parent-side LRU of *encoded* block payloads, keyed
-    ``(block, version)`` -- the send half of the worker ``BlockCache``.
-
-    A block fetched by W workers used to be pickled W times; this cache
-    makes it ``frame.encode_oob`` once, gather W times (the buffer
-    segments ship straight from the cached :class:`frame.Encoded`'s
-    views, so a hit costs no serialization at all).
-
-    Coherence rides the same versioned-key discipline as the worker
-    cache, with one extra guard for the fault-injection paths that *do*
-    change a version's payload in place in the parent store
-    (``corrupt_data``, re-execution rewrites): a hit additionally
-    requires the stored source object to *be* (``is``) the value about
-    to ship.  Rewrites and mutator-style corruption replace the stored
-    payload object, so they miss by identity and re-encode -- stale
-    encodings are never served across a payload swap.  (For the OOB
-    segments themselves even a same-object in-place mutation cannot go
-    stale: the cached ``Encoded`` holds buffer views over the value's
-    live memory, gathered at send time.)
-    """
-
-    def __init__(self, capacity_bytes: int = DEFAULT_ENCODED_CACHE_BYTES) -> None:
-        self.capacity_bytes = capacity_bytes
-        self._entries: OrderedDict[tuple, tuple[Any, Any, int]] = OrderedDict()
-        self._bytes = 0
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, block: Hashable, version: int, value: Any) -> Any:
-        """The cached encoding of ``value`` for ``(block, version)``, or
-        ``None`` when absent or superseded by a payload swap."""
-        key = (block, version)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[0] is value:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return entry[1]
-            self.misses += 1
-            return None
-
-    def put(self, block: Hashable, version: int, value: Any, encoded: Any) -> None:
-        key = (block, version)
-        nbytes = encoded.nbytes
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= old[2]
-            self._entries[key] = (value, encoded, nbytes)
-            self._bytes += nbytes
-            while self._bytes > self.capacity_bytes and len(self._entries) > 1:
-                _, (_, _, evicted) = self._entries.popitem(last=False)
-                self._bytes -= evicted
-
-    @property
-    def nbytes(self) -> int:
-        return self._bytes
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-class _FetchingContext:
-    """Worker-side compute context: reads hit the local cache or fetch
-    the payload from the parent over the job's comm channel; writes are
-    buffered and applied by the parent (which re-enforces the declared
-    footprint there).
-
-    With pipelined dispatch the parent may interleave new ``jobs`` or
-    ``spec`` frames into the channel while a fetch reply is awaited;
-    anything that is not the awaited ``data`` message goes into the
-    connection's ``backlog`` deque, which the handler loop drains before
-    its next ``recv`` (the handler thread *is* the compute thread, so no
-    locking is needed).
-    """
-
-    __slots__ = ("key", "jid", "_declared", "_comm", "_cache", "_token",
-                 "_backlog", "reads", "writes", "written", "fetch_seconds")
-
-    def __init__(
-        self,
-        key: Hashable,
-        jid: int,
-        declared: frozenset,
-        comm: Comm,
-        cache: BlockCache,
-        token: str,
-        backlog: deque,
-    ) -> None:
-        self.key = key
-        self.jid = jid
-        self._declared = declared
-        self._token = token
-        self._comm = comm
-        self._cache = cache
-        self._backlog = backlog
-        self.reads: list[BlockRef] = []
-        self.writes: list[BlockRef] = []
-        self.written: list[tuple[tuple, Any]] = []
-        self.fetch_seconds = 0.0
-
-    def read(self, ref: BlockRef) -> Any:
-        if type(ref) is not BlockRef:
-            ref = BlockRef(*ref)
-        if (ref.block, ref.version) not in self._declared:
-            raise SchedulerError(
-                f"task {self.key!r} read undeclared input {ref!r} on a cluster worker"
-            )
-        ck = (self._token, ref.block, ref.version)
-        hit, value = self._cache.get(ck)
-        if not hit:
-            t0 = time.perf_counter()
-            self._comm.send(("fetch", self.jid, ref.block, ref.version))
-            tag, block, version, payload = self._await_data()
-            self.fetch_seconds += time.perf_counter() - t0
-            if tag != "data" or payload is None:
-                raise SchedulerError(
-                    f"parent could not serve {ref!r} for task {self.key!r} (reply {tag!r})"
-                )
-            if isinstance(payload, frame.Encoded):
-                # The OOB path: array payloads decode as zero-copy views
-                # over the transport buffer.  The cache outlives the
-                # buffer's loan, so cache an *owning* copy -- the one
-                # copy per fetched block the zero-copy budget allows.
-                nbytes = payload.nbytes
-                value, _ = own_payload(payload.load())
-            else:
-                nbytes = len(payload)
-                value = frame.loads(payload)
-            self._cache.put(ck, value, nbytes)
-        self.reads.append(ref)
-        return value
-
-    def _await_data(self) -> tuple:
-        """The parent's ``data`` reply to our fetch; pipelined frames that
-        arrive first are parked in the connection backlog."""
-        while True:
-            msg = self._comm.recv()
-            if msg[0] == "data":
-                return msg
-            self._backlog.append(msg)
-
-    def write(self, ref: BlockRef, value: Any) -> None:
-        if type(ref) is not BlockRef:
-            ref = BlockRef(*ref)
-        self.writes.append(ref)
-        self.written.append((tuple(ref), value))
-
-
 class WorkerServer:
-    """A compute server: listens on an address, executes shipped compute
-    phases, fetches block payloads lazily, caches them by version.
+    """A compute server: listens on an address and serves every inbound
+    connection with a :class:`~repro.runtime.worker.WorkerSession`.
 
     One server handles any number of parent connections (each on its own
     handler thread); the block cache is shared across them.  Run one per
@@ -360,134 +129,19 @@ class WorkerServer:
         """Block until :meth:`close` (the ``repro worker`` CLI's main loop)."""
         self._stopped.wait()
 
-    # -- per-connection protocol --------------------------------------------
-
     def _serve_connection(self, comm: Comm) -> None:
-        start_hb = getattr(comm, "start_heartbeat", None)
-        if start_hb is not None:
-            start_hb()  # parent-side liveness watches for these beats
-        spec = None
-        token = ""
-        # Frames a fetch wait pulled off the wire ahead of its data reply;
-        # always drained before the next recv.
-        backlog: deque = deque()
-        try:
-            while True:
-                if backlog:
-                    msg = backlog.popleft()
-                else:
-                    try:
-                        msg = comm.recv()
-                    except CommClosedError:
-                        return
-                tag = msg[0]
-                if tag == "ping":
-                    comm.send(("pong",))
-                    continue
-                if tag == "stop":
-                    comm.close()
-                    return
-                if tag == "spec":
-                    spec = pickle.loads(msg[1])
-                    token = msg[2]
-                    continue
-                if tag != "jobs":
-                    comm.send(("fail", None, SchedulerError(f"unknown message tag {tag!r}")))
-                    continue
-                # Two batch shapes: a list of job tuples (the OOB path)
-                # or a legacy packed-frames blob.
-                batch = msg[1]
-                if isinstance(batch, (bytes, bytearray, memoryview)):
-                    batch = [frame.loads(p) for p in unpack_frames(bytes(batch))]
-                for jid, key, refs, die, _life in batch:
-                    if die:
-                        self._die(comm)
-                        return  # unreached on TCP; severed inproc conn is done
-                    self._run_job(comm, spec, jid, key, refs, token, backlog)
-        finally:
-            comm.close()
+        WorkerSession(comm, self.cache, self._job_done).serve()
 
-    def _die(self, comm: Comm) -> None:
-        """Injected worker death (``die_on``): genuine process death on a
-        TCP server, an impolite connection sever on an in-process one --
-        both exercise the parent's peer-loss path.  Jobs batched behind
-        the dying one are lost with it, exactly like a real crash."""
-        sever = getattr(comm, "sever", None)
-        if sever is not None:
-            sever()
-            return
-        os._exit(CRASH_EXIT_CODE)
-
-    def _run_job(
-        self,
-        comm: Comm,
-        spec: Any,
-        jid: int,
-        key: Hashable,
-        refs: list,
-        token: str,
-        backlog: deque,
-    ) -> None:
-        mx = self._mx
-        ctx = _FetchingContext(
-            key, jid, frozenset((b, v) for b, v in refs), comm, self.cache, token, backlog
-        )
-        spans: dict[str, float] = {}
-        try:
-            if spec is None:
-                raise SchedulerError(f"job {key!r} arrived before its task spec")
-            fetched_before = self.cache.misses
-            t_kw = time.perf_counter()
-            t_kc = time.process_time()
-            spec.compute(key, ctx)
-            spans["kernel_cpu"] = time.process_time() - t_kc
-            spans["kernel"] = time.perf_counter() - t_kw
-            spans["fetch"] = ctx.fetch_seconds
-            t_sz = time.perf_counter()
-            blob = frame.encode_oob(ctx.written)
-            spans["serialize"] = time.perf_counter() - t_sz
-            reply = ("done", jid, blob, spans)
-            if mx:
-                self._jobs_counter.inc()
-                fetched = self.cache.misses - fetched_before
-                if fetched:
-                    self._fetch_counter.inc(fetched)
-        except BaseException as exc:
-            reply = ("fail", jid, _portable_exc(exc))
-        try:
-            comm.send_oob(reply)
-        except CommClosedError:
-            return  # parent gone; its liveness policy handles the rest
+    def _job_done(self, fetches: int) -> None:
+        if self._mx:
+            self._jobs_counter.inc()
+            if fetches:
+                self._fetch_counter.inc(fetches)
 
 
-def _portable_exc(exc: BaseException) -> BaseException:
-    """``exc`` if it survives a pickle round-trip, else a summary that does."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return SchedulerError(f"worker exception: {type(exc).__name__}: {exc}")
-
-
-# ---------------------------------------------------------------------------
-# parent side
-
-
-class _RemoteHandle(PipelineChannel):
-    """One worker-server connection plus the shared pipelining state."""
-
-    __slots__ = ("comm", "addr")
-
-    def __init__(self, comm: Comm, addr: str) -> None:
-        super().__init__()
-        self.comm = comm
-        self.addr = addr
-
-
-class ClusterRuntime(PipelinedDispatchMixin, ThreadedRuntime):
+class ClusterRuntime(RemoteRuntime):
     """Work-stealing thread pool whose compute phases run on remote
-    :class:`WorkerServer` processes reached through ``repro.comm``, with
-    pipelined batched dispatch.
+    :class:`WorkerServer` processes reached through ``repro.comm``.
 
     Parameters beyond :class:`ThreadedRuntime`'s:
 
@@ -530,72 +184,19 @@ class ClusterRuntime(PipelinedDispatchMixin, ThreadedRuntime):
         inflight: int = DEFAULT_INFLIGHT,
         encoded_cache_bytes: int = DEFAULT_ENCODED_CACHE_BYTES,
     ) -> None:
-        super().__init__(workers, seed, event_log, metrics=metrics)
-        addrs = list(addresses or ())
-        if not addrs:
+        super().__init__(
+            workers, seed, event_log, metrics, die_on, channels, inflight, encoded_cache_bytes
+        )
+        self._addresses = list(addresses or ())
+        if not self._addresses:
             raise ValueError("ClusterRuntime needs at least one worker address")
-        self._addresses = addrs
-        self._die_on = set(die_on or ())
-        self._die_lock = threading.Lock()
-        self._pool_lock = threading.Lock()
-        self._channels = max(1, workers if channels is None else channels)
-        self._inflight = max(1, inflight)
-        self._handles: list[_RemoteHandle] = []
-        self._idle: queue.Queue[_RemoteHandle] = queue.Queue()
-        self._spec_blobs: dict[int, bytes] = {}
         self._hb_timeout = heartbeat_timeout
         self._connect_attempts = connect_attempts
-        self._crashes = 0
-        # Scopes worker-side cache entries to this runtime: a long-lived
-        # WorkerServer reused across runs must never serve one run's
-        # bytes to another run's identically-named block version.
-        self._run_token = f"{os.getpid():x}.{id(self):x}.{time.monotonic_ns():x}"
-        self._enc_cache = EncodedBlockCache(encoded_cache_bytes)
-        self._dispatch_hist = self._metrics.histogram(
-            "repro_dispatch_seconds",
-            "full remote compute round trip (queue wait + ship + kernel + reply)",
-        )
-        self._crash_counter = self._metrics.counter(
-            "repro_worker_crashes_total",
-            "worker connections lost mid-dispatch and replaced",
-        )
-        self._fetch_counter = self._metrics.counter(
-            "repro_comm_fetches_total", "block payloads served to lazy worker fetches"
-        )
-        self._fetch_bytes = self._metrics.counter(
-            "repro_comm_fetch_bytes_total", "payload bytes served to lazy worker fetches"
-        )
 
-    @property
-    def worker_crashes(self) -> int:
-        """Worker connections lost mid-dispatch (and replaced)."""
-        return self._crashes
+    def _open_channel(self, index: int) -> PipelineChannel:
+        return self._dial(self._addresses[index % len(self._addresses)])
 
-    # -- channel pool lifecycle ----------------------------------------------
-
-    def execute(self, root: Frame) -> RunResult:
-        self._ensure_pool()
-        try:
-            return super().execute(root)
-        finally:
-            self._shutdown_pool()
-
-    def _ensure_pool(self) -> None:
-        if self._handles:
-            return
-        with self._pool_lock:
-            if self._handles:
-                return
-            handles = [
-                self._dial(self._addresses[i % len(self._addresses)])  # verify: ok=blocking-under-lock (cold path: pool is built before any scheduler thread exists to contend)
-                for i in range(self._channels)
-            ]
-            self._handles = handles
-            for h in handles:
-                for _ in range(self._inflight):
-                    self._idle.put(h)
-
-    def _dial(self, addr: str) -> _RemoteHandle:
+    def _dial(self, addr: str) -> PipelineChannel:
         comm = connect_with_retry(addr, attempts=self._connect_attempts)
         # A completed TCP handshake is not proof of a live server: the
         # kernel accepts into a dying process's listen backlog right up
@@ -612,137 +213,26 @@ class ClusterRuntime(PipelinedDispatchMixin, ThreadedRuntime):
             raise CommClosedError(f"worker at {addr} answered ping with {reply!r}")
         if self._log is not NULL_LOG:
             self._log.emit(EventKind.CONNECT, None, 0, addr=addr)
-        return _RemoteHandle(comm, addr)
+        return PipelineChannel(comm, addr, addr=addr)
 
-    def _reconnect(self, dead: _RemoteHandle, reason: str) -> _RemoteHandle:
-        """Replace a lost channel: the dead address first (its server may
-        have survived a mere sever, or a supervisor restarted it), then
-        the other configured addresses.
-
-        Bookkeeping happens under the pool lock; the dial itself must
-        not -- a slow TCP handshake would stall every other scheduler
-        thread that needs the lock, including ones trying to report
-        their own dead handles.
-        """
-        with self._pool_lock:
-            try:
-                self._handles.remove(dead)
-            except ValueError:
-                pass
-            dead.comm.close()
-            self._crashes += 1
-            if self._log is not NULL_LOG:
-                self._log.emit(EventKind.DISCONNECT, None, 0, addr=dead.addr, reason=reason)
-            start = self._addresses.index(dead.addr) if dead.addr in self._addresses else 0
-            order = self._addresses[start:] + self._addresses[:start]
+    def _replace_channel(self, dead: PipelineChannel, reason: str) -> PipelineChannel:
+        dead.info["reason"] = reason
+        if self._log is not NULL_LOG:
+            self._log.emit(EventKind.DISCONNECT, None, 0, addr=dead.peer, reason=reason)
+        start = self._addresses.index(dead.peer)
         last: Exception | None = None
-        for addr in order:
+        for addr in self._addresses[start:] + self._addresses[:start]:
             try:
-                fresh = self._dial(addr)
+                return self._dial(addr)
             except CommClosedError as exc:
                 last = exc
-                continue
-            with self._pool_lock:
-                self._handles.append(fresh)
-            return fresh
-        raise SchedulerError(
-            f"no worker address reachable after losing {dead.addr}: {last}"
-        )
+        raise SchedulerError(f"no worker address reachable after losing {dead.peer}: {last}")
 
-    def _shutdown_pool(self) -> None:
-        with self._pool_lock:
-            handles, self._handles = self._handles, []
-            try:
-                while True:
-                    self._idle.get_nowait()
-            except queue.Empty:
-                pass
-        for h in handles:
-            try:
-                h.comm.send(("stop",))
-            except CommClosedError:
-                pass
-            h.comm.close()
-            if self._log is not NULL_LOG:
-                self._log.emit(EventKind.DISCONNECT, None, 0, addr=h.addr, reason="shutdown")
+    def _retire(self, handle: PipelineChannel) -> None:
+        if self._log is not NULL_LOG:
+            self._log.emit(EventKind.DISCONNECT, None, 0, addr=handle.peer, reason="shutdown")
 
-    # -- the dispatch seam ----------------------------------------------------
-
-    def compute_dispatch(self, spec: Any, key: Hashable, ctx: Any, life: int = 0) -> None:
-        """Run ``spec.compute(key, ...)`` on a remote worker.
-
-        Identical contract to ``ProcessRuntime.compute_dispatch``: the
-        parent-side reads below are the fault gate, and a lost worker
-        surfaces as :class:`WorkerCrashError` on ``key``.
-        """
-        obs = self._log is not NULL_LOG
-        mx = self._mx
-        t0 = self._log.now() if obs else (time.perf_counter() if mx else 0.0)
-        values: dict[tuple, Any] = {}
-        refs: list[tuple] = []
-        for raw in spec.inputs(key):
-            ref = raw if type(raw) is BlockRef else BlockRef(*raw)
-            # Fault gate: corruption flags, checksum mismatches, and
-            # evictions raise here, before anything ships.
-            values[(ref.block, ref.version)] = ctx.read(ref)
-            refs.append((ref.block, ref.version))
-        die = False
-        if self._die_on:
-            with self._die_lock:
-                if key in self._die_on:
-                    self._die_on.discard(key)
-                    die = True
-
-        def build_msg(jid: int, handle: _RemoteHandle) -> tuple:
-            return (jid, key, refs, die, life)
-
-        reply, queued = self._dispatch_job(spec, key, build_msg, die, life, values=values)
-        blob, spans = self._reply_result(reply)
-        # OOB replies arrive pre-decoded as frame.Encoded (result arrays
-        # are views over the transport buffer); a plain bytes blob is the
-        # legacy shape, kept for raw-protocol clients.
-        written = blob.load() if isinstance(blob, frame.Encoded) else pickle.loads(blob)
-        if obs:
-            log = self._log
-            end = log.now()
-            log.emit(EventKind.SPAN, key, life, phase="fetch",
-                     wall=spans.get("fetch", 0.0))
-            log.emit(EventKind.SPAN, key, life, phase="kernel",
-                     wall=spans.get("kernel", 0.0), cpu=spans.get("kernel_cpu", 0.0))
-            log.emit(EventKind.SPAN, key, life, phase="serialize",
-                     wall=spans.get("serialize", 0.0))
-            if queued > 0.0:
-                log.emit(EventKind.SPAN, key, life, phase="queued", wall=queued)
-            log.emit(EventKind.SPAN, key, life, phase="dispatch", wall=end - t0, t0=t0)
-        if mx:
-            self._dispatch_hist.observe(
-                (self._log.now() if obs else time.perf_counter()) - t0
-            )
-        for reftup, value in written:
-            ctx.write(BlockRef(*reftup), value)
-
-    def _spec_blob(self, spec: Any) -> bytes:
-        blob = self._spec_blobs.get(id(spec))
-        if blob is None:
-            blob = pickle.dumps(spec)
-            self._spec_blobs[id(spec)] = blob
-        return blob
-
-    # -- PipelinedDispatchMixin hooks -----------------------------------------
-
-    def _channel_comm(self, handle: _RemoteHandle) -> Comm:
-        return handle.comm
-
-    def _ship_spec(self, handle: _RemoteHandle, spec: Any) -> None:
-        handle.comm.send(("spec", self._spec_blob(spec), self._run_token))
-
-    def _ship_jobs(self, handle: _RemoteHandle, msgs: list[tuple]) -> None:
-        # The batch rides one OOB message: job tuples carry only refs on
-        # this runtime, so the frame is small -- but the shared encoding
-        # keeps the two wire protocols identical.
-        handle.comm.send_oob(("jobs", msgs))
-
-    def _silent_reason(self, handle: _RemoteHandle) -> str | None:
+    def _silent_reason(self, handle: PipelineChannel) -> str | None:
         idle_seconds = getattr(handle.comm, "idle_seconds", None)
         if (
             idle_seconds is not None
@@ -751,52 +241,3 @@ class ClusterRuntime(PipelinedDispatchMixin, ThreadedRuntime):
         ):
             return "heartbeat"
         return None
-
-    def _route_aux(self, handle: _RemoteHandle, msg: tuple) -> None:
-        """Serve a worker's lazy ``fetch`` from the dispatching job's held
-        values (runs on the channel's current drain leader)."""
-        if msg[0] != "fetch":
-            return  # late echo from a replaced channel; never actionable
-        _, jid, block, version = msg
-        with handle.lock:
-            p = handle.pending.get(jid)
-        values = p.values if p is not None and p.values is not None else {}
-        value = values.get((block, version), None)
-        if value is None and (block, version) not in values:
-            payload = None
-        else:
-            # Encode once per version, gather per fetch: the cache hit
-            # ships the same Encoded's buffer views again, zero
-            # serialization work on the repeat.
-            payload = self._enc_cache.get(block, version, value)
-            if payload is None:
-                payload = frame.encode_oob(value)
-                self._enc_cache.put(block, version, value, payload)
-            if self._log is not NULL_LOG and p is not None:
-                self._log.emit(
-                    EventKind.FETCH, p.key, p.life,
-                    block=block, version=version, nbytes=payload.nbytes,
-                )
-            if self._mx:
-                self._fetch_counter.inc()
-                self._fetch_bytes.inc(payload.nbytes)
-        try:
-            with handle.send_lock:
-                handle.comm.send_oob(("data", block, version, payload))  # verify: ok=blocking-under-lock (send_lock exists to serialize wire writes; sending under it is its purpose)
-        except CommClosedError:
-            self._channel_lost(handle, "closed")
-
-    def _replace_channel(
-        self, dead: _RemoteHandle, reason: str, down_key: Hashable | None
-    ) -> _RemoteHandle:
-        dead.death = reason
-        fresh = self._reconnect(dead, reason)
-        if self._log is not NULL_LOG:
-            self._log.emit(EventKind.WORKER_DOWN, down_key, 0, addr=dead.addr, reason=reason)
-            self._log.emit(EventKind.WORKER_UP, None, 0, addr=fresh.addr)
-        if self._mx:
-            self._crash_counter.inc()
-        return fresh
-
-    def _crashed_error(self, key: Hashable, handle: _RemoteHandle) -> WorkerCrashError:
-        return WorkerCrashError(key)

@@ -9,7 +9,7 @@
     each) so a spawner using port 0 can discover them.
 
 ``python -m repro cluster --selftest``
-    The CI cluster job: spawn real localhost-TCP worker processes, then
+    The CI remote-runtimes job runs this: spawn real localhost-TCP worker processes, then
 
     1. assert bit-identical parity (inline vs cluster) for LCS and
        Cholesky, with and without a fault plan;

@@ -1,68 +1,87 @@
-"""Pipelined dispatch: the shared fast path under both remote runtimes.
+"""Parent side of remote dispatch: one runtime over any worker channel.
 
-Before this module, :class:`~repro.runtime.procpool.ProcessRuntime` and
-:class:`~repro.runtime.cluster.ClusterRuntime` dispatched in lock-step:
-one scheduler thread took exclusive ownership of one worker channel,
-shipped one job, and blocked until that job's reply came back.  Every
-task paid a full round trip of wake-up latency, and a worker slept
-between jobs while its parent thread woke, wrote results back, and found
-the next task.  PERFORMANCE.md measured that at ~0.8-1.6 ms per task --
-dwarfing kernel time at fine grain (ROADMAP item 4).
+:class:`RemoteRuntime` keeps every piece of scheduler state -- task map,
+join counters, recovery table, block store -- in the **parent**, exactly
+where :class:`~repro.runtime.threadpool.ThreadedRuntime` keeps it;
+scheduler frames still run on N parent threads with per-worker deques
+and randomized stealing.  Only the *compute phase* (the pure, stateless
+kernels of Theorem 1) crosses a channel to a
+:class:`~repro.runtime.worker.WorkerSession`.  Schedulers probe the
+runtime for :meth:`RemoteRuntime.compute_dispatch` once and call it in
+place of ``spec.compute(key, ctx)``.  Per task it
 
-This module replaces the seam with three cooperating pieces, shared by
-both runtimes through :class:`PipelinedDispatchMixin`:
+1. reads every declared input through the parent-side context -- the
+   **fault gate**: corruption flags, checksum mismatches and evictions
+   raise *here*, inside the scheduler's existing ``except FaultError``
+   recovery path, before anything ships -- and holds the values for the
+   duration of the dispatch, so a worker's lazy ``fetch`` is served from
+   them;
+2. ships a job naming the inputs, with whatever payloads the subclass
+   stages onto the message;
+3. writes the returned outputs back through the parent context, so
+   footprint enforcement, store versioning and fingerprinting stay
+   parent-side and single-owner.
 
-* **Outstanding-job windows.**  A channel is entered into the idle pool
-  ``inflight`` times, so up to K scheduler threads can have jobs in
-  flight on the same worker concurrently.  The worker's inbound buffer
-  stays fed: it moves straight from one job to the next without ever
-  sleeping on an empty pipe, which is where most of the old per-task
-  latency lived.
-* **Micro-batched sends.**  Jobs are not sent directly: a submitting
-  thread appends its wire message to the channel's *outbox* and then
-  flushes under the channel send lock.  Whoever holds the lock ships
-  everything queued meanwhile as one ``("jobs", pack_frames([...]))``
-  frame -- flat combining, so a burst of ready tasks for one worker
-  costs one syscall and one wake-up instead of N.
-* **Leader-drain replies.**  Workers stream one reply per job
-  (``("done", jid, ...)`` / ``("fail", jid, exc)``).  Exactly one of the
-  threads with a job in flight on a channel -- whichever wins the
-  channel recv lock -- drains replies for *all* of them, resolving each
-  submitter's event; the others sleep on their event and wake only when
-  their own result is in hand.  Leadership hands off naturally: when the
-  leader's own job resolves it returns, and the next waiter's
-  try-acquire succeeds within a couple of milliseconds (usually hidden
-  under the worker's next kernel).
+:class:`~repro.runtime.procpool.ProcessRuntime` and
+:class:`~repro.runtime.cluster.ClusterRuntime` are this class plus the
+three things that genuinely differ: how a channel is opened and
+replaced, how its silence is judged, and which inputs are staged.
 
-**Fault tolerance is unchanged by design.**  A lost channel (process
-death, severed connection, heartbeat silence) resolves *every* job in
-flight on it as crashed: each blocked submitter raises
+**Dispatch is pipelined.**
+
+* *Outstanding-job windows.*  A channel is entered into the idle pool
+  ``inflight`` times, so up to K scheduler threads have jobs in flight
+  on one worker and it moves from job to job without sleeping on an
+  empty channel.
+* *Micro-batched sends.*  A submitter appends its job to the channel's
+  outbox and flushes under the send lock; whoever holds the lock ships
+  everything queued meanwhile as one ``("jobs", [...])`` message --
+  flat combining, one syscall and one wake-up per burst.
+* *Leader-drain replies.*  Workers stream one reply per job.  Whichever
+  in-flight submitter wins the channel's recv lock drains replies for
+  *all* of them, resolving each submitter's event; when its own job
+  resolves it returns and the next waiter's try-acquire takes over.
+
+**A lost worker is a detected compute-phase fault**, decided in one
+place (:meth:`RemoteRuntime._channel_lost`): process death, a severed
+connection or heartbeat silence resolves *every* job in flight on the
+channel as crashed; each submitter raises
 :class:`~repro.exceptions.WorkerCrashError` for its own task and the FT
-scheduler re-executes exactly the unfinished jobs -- jobs earlier in the
-batch already streamed their replies and are never re-run.  The channel
-is replaced once per death (one ``WORKER_DOWN``/``WORKER_UP`` pair, one
-crash count), keyed by the ``die_on``-flagged job when the death was
-injected.
+scheduler re-executes exactly the unfinished jobs through
+RECOVERTASKONCE -- replies streamed before the loss are never re-run.
+The channel is replaced once per death (one ``WORKER_DOWN``/``WORKER_UP``
+pair, one crash count), keyed by the ``die_on``-flagged job when the
+death was injected.  The baseline Nabbit scheduler has no recovery path,
+and a crash fails the run (faithful to the paper).
 
-The leader also computes each job's **queued** time parent-side: a
-worker executes its channel's jobs in FIFO order, so job *B* started
-(approximately) when the reply before it arrived.  ``queued = clamp(
-previous_reply_arrival - t_sent, 0, round_trip)`` therefore measures how
-long B sat behind its channel-mates -- deliberate pipelining backlog,
-not dispatch cost -- and overhead attribution subtracts it (see
-``repro.obs.attribution``).
+The leader also computes each job's **queued** time: a worker runs its
+channel's jobs in FIFO order, so job *B* started (approximately) when
+the reply before it arrived.  ``queued = clamp(previous_reply_arrival -
+t_sent, 0, round_trip)`` is how long B sat behind its channel-mates --
+deliberate pipelining backlog, not dispatch cost -- and overhead
+attribution subtracts it (see ``repro.obs.attribution``).
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
 import queue
 import threading
 import time
-from typing import Any, Callable, Hashable
+from collections import OrderedDict
+from typing import Any, Callable, Hashable, Iterable
 
-from repro.comm.core import CommClosedError
-from repro.exceptions import SchedulerError
+from repro.comm import frame
+from repro.comm.core import Comm, CommClosedError
+from repro.exceptions import SchedulerError, WorkerCrashError
+from repro.graph.taskspec import BlockRef
+from repro.obs.events import NULL_LOG, EventKind, EventLog
+from repro.obs.live import MetricsRegistry
+from repro.runtime.api import RunResult
+from repro.runtime.frames import Frame
+from repro.runtime.threadpool import ThreadedRuntime
 
 #: Reply-poll granularity of the drain leader (also each silent-channel
 #: liveness check interval).
@@ -84,6 +103,75 @@ _JIDS = itertools.count(1)
 #: Reply sentinel: the channel died before this job's reply arrived.
 CRASHED = object()
 
+#: Default outstanding-job window per channel.
+DEFAULT_INFLIGHT = 2
+
+#: Default send-side encoded-payload budget (see EncodedBlockCache).
+DEFAULT_ENCODED_CACHE_BYTES = 64 * 1024 * 1024
+
+
+class EncodedBlockCache:
+    """Parent-side LRU of *encoded* block payloads, keyed
+    ``(block, version)`` -- the send half of the worker ``BlockCache``.
+
+    A block fetched by W workers is ``frame.encode_oob``-ed once and
+    gathered W times (the buffer segments ship straight from the cached
+    :class:`frame.Encoded`'s views, so a hit costs no serialization).
+
+    Coherence rides the same versioned-key discipline as the worker
+    cache, with one extra guard for the fault-injection paths that *do*
+    change a version's payload in place in the parent store
+    (``corrupt_data``, re-execution rewrites): a hit additionally
+    requires the stored source object to *be* (``is``) the value about
+    to ship.  Rewrites and mutator-style corruption replace the stored
+    payload object, so they miss by identity and re-encode -- stale
+    encodings are never served across a payload swap.  (For the OOB
+    segments themselves even a same-object in-place mutation cannot go
+    stale: the cached ``Encoded`` holds buffer views over the value's
+    live memory, gathered at send time.)
+    """
+
+    def __init__(self, capacity_bytes: int = DEFAULT_ENCODED_CACHE_BYTES) -> None:
+        self.capacity_bytes = capacity_bytes
+        self._entries: OrderedDict[tuple, tuple[Any, Any, int]] = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, block: Hashable, version: int, value: Any) -> Any:
+        """The cached encoding of ``value`` for ``(block, version)``, or
+        ``None`` when absent or superseded by a payload swap."""
+        key = (block, version)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry[0] is value:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return entry[1]
+            self.misses += 1
+            return None
+
+    def put(self, block: Hashable, version: int, value: Any, encoded: Any) -> None:
+        key = (block, version)
+        nbytes = encoded.nbytes
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._bytes -= old[2]
+            self._entries[key] = (value, encoded, nbytes)
+            self._bytes += nbytes
+            while self._bytes > self.capacity_bytes and len(self._entries) > 1:
+                _, (_, _, evicted) = self._entries.popitem(last=False)
+                self._bytes -= evicted
+
+    @property
+    def nbytes(self) -> int:
+        return self._bytes
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
 
 class PendingJob:
     """One job in flight on a channel: the submitter blocks on ``event``
@@ -93,15 +181,13 @@ class PendingJob:
     __slots__ = ("jid", "key", "life", "die", "values", "event", "reply",
                  "t_sent", "queued")
 
-    def __init__(
-        self, jid: int, key: Hashable, life: int = 0, die: bool = False,
-        values: dict | None = None,
-    ) -> None:
+    def __init__(self, jid: int, key: Hashable, life: int, die: bool, values: dict) -> None:
         self.jid = jid
         self.key = key
         self.life = life
         self.die = die
-        #: Cluster only: the held input payloads lazy fetches are served from.
+        #: The held input payloads, ``(block, version) -> value``: what a
+        #: worker's lazy fetch for this job is served from.
         self.values = values
         self.event = threading.Event()
         self.reply: Any = None
@@ -110,7 +196,7 @@ class PendingJob:
 
 
 class PipelineChannel:
-    """Per-channel pipelining state, embedded in each runtime's handle.
+    """One worker channel: its comm plus the pipelining state.
 
     Lock order (outermost first): ``recv_lock`` > ``send_lock`` >
     ``lock``.  ``lock`` guards the mutable bookkeeping and is never held
@@ -118,10 +204,17 @@ class PipelineChannel:
     ``recv_lock`` elects the drain leader.
     """
 
-    __slots__ = ("lock", "send_lock", "recv_lock", "outbox", "pending",
-                 "pinned", "dead", "spec_id", "last_reply", "death")
+    __slots__ = ("comm", "peer", "info", "lock", "send_lock", "recv_lock",
+                 "outbox", "pending", "pinned", "dead", "spec_id", "last_reply")
 
-    def __init__(self) -> None:
+    def __init__(self, comm: Comm, peer: Any, **info: Any) -> None:
+        self.comm = comm
+        #: What the opener judges and replaces the channel by: the worker
+        #: ``Process`` (pipe runtime) or the dialed address (cluster).
+        self.peer = peer
+        #: The worker's identity as WORKER_DOWN/WORKER_UP report it; the
+        #: replacing runtime adds the cause of death.
+        self.info = info
         self.lock = threading.Lock()
         self.send_lock = threading.Lock()
         self.recv_lock = threading.Lock()
@@ -129,74 +222,249 @@ class PipelineChannel:
         self.outbox: list[tuple[Any, tuple]] = []
         #: jid -> PendingJob for every job sent (or queued) but unresolved.
         self.pending: dict[int, PendingJob] = {}
-        #: Shm segment names this channel's worker has attached (procpool
-        #: descriptor pre-pinning; repeat sends ship a light PinnedRef).
+        #: Shm segment names this channel's worker has attached (repeat
+        #: sends ship a light PinnedRef).
         self.pinned: set[str] = set()
         self.dead = False
         self.spec_id: int | None = None
         #: Parent-clock arrival time of the most recent reply (queued-time
         #: estimation; None until the first reply).
         self.last_reply: float | None = None
-        #: Set by the runtime on replacement: (pid, exitcode) or a reason.
-        self.death: Any = None
 
 
-class PipelinedDispatchMixin:
-    """The submit/flush/drain engine.  Host runtimes provide:
+class RemoteRuntime(ThreadedRuntime):
+    """Work-stealing thread pool whose compute phases run on remote
+    workers, with pipelined batched dispatch.  Subclasses provide:
 
-    * ``self._idle`` -- ``queue.Queue`` of channel tokens (each live
-      channel appears ``self._inflight`` times);
-    * ``self._inflight`` -- the per-channel outstanding-job window K;
-    * ``self._ensure_pool()`` / ``self.aborted()``;
-    * ``_channel_comm(h)``, ``_ship_spec(h, spec)``, ``_ship_jobs(h,
-      msgs)`` -- the wire;
-    * ``_silent_reason(h)`` -- liveness verdict for a channel that owes
-      replies but stays quiet (process death, heartbeat silence);
-    * ``_replace_channel(dead, reason, down_key)`` -- replace the
-      channel, emit WORKER_DOWN/WORKER_UP, return the fresh handle;
-    * ``_crashed_error(key, h)`` -- the WorkerCrashError to raise;
-    * ``_route_aux(h, msg)`` -- side messages in the reply stream
-      (cluster's lazy fetch).
+    * ``_open_channel(index)`` -- open pool channel ``index``;
+    * ``_replace_channel(dead, reason)`` -- record the cause of death in
+      ``dead.info`` and open the replacement;
+    * ``_retire(handle)`` -- runtime-specific farewell at pool shutdown
+      (``stop`` is already sent; the comm is closed afterwards);
+    * ``_silent_reason(handle)`` -- liveness verdict for a channel that
+      owes replies but stays quiet;
+    * ``_stage_inputs(store, values)`` -- optionally, which input
+      payloads ride the job message (default: none, all fetched lazily).
+
+    ``die_on`` is an iterable of task keys; the first dispatch of each
+    makes its worker die *before* computing.  One-shot per key: the
+    recovered task's re-dispatch runs normally.
     """
 
-    # -- submit ---------------------------------------------------------------
+    #: The SPAN phase the worker's input-resolution time is reported as.
+    INPUT_PHASE = "fetch"
+
+    def __init__(
+        self,
+        workers: int,
+        seed: int | None,
+        event_log: EventLog | None,
+        metrics: MetricsRegistry | None,
+        die_on: Iterable[Hashable] | None,
+        channels: int | None,
+        inflight: int,
+        encoded_cache_bytes: int = DEFAULT_ENCODED_CACHE_BYTES,
+    ) -> None:
+        super().__init__(workers, seed, event_log, metrics=metrics)
+        self._die_on = set(die_on or ())
+        self._die_lock = threading.Lock()
+        self._pool_lock = threading.Lock()
+        self._channels = max(1, workers if channels is None else channels)
+        self._inflight = max(1, inflight)
+        self._handles: list[PipelineChannel] = []
+        self._idle: queue.Queue[PipelineChannel] = queue.Queue()
+        self._spec_blobs: dict[int, bytes] = {}
+        self._crashes = 0
+        # Scopes worker-side cache entries to this runtime: a long-lived
+        # worker server reused across runs must never serve one run's
+        # bytes to another run's identically-named block version.
+        self._run_token = f"{os.getpid():x}.{id(self):x}.{time.monotonic_ns():x}"
+        self._enc_cache = EncodedBlockCache(encoded_cache_bytes)
+        # Pre-built instruments: the dispatch hot path must never pay
+        # registry lookup/label work, only a cached-flag test + observe.
+        self._dispatch_hist = self._metrics.histogram(
+            "repro_dispatch_seconds",
+            "full remote compute round trip (queue wait + ship + kernel + reply)",
+        )
+        self._crash_counter = self._metrics.counter(
+            "repro_worker_crashes_total", "workers lost mid-dispatch and replaced"
+        )
+        self._fetch_counter = self._metrics.counter(
+            "repro_comm_fetches_total", "block payloads served to lazy worker fetches"
+        )
+        self._fetch_bytes = self._metrics.counter(
+            "repro_comm_fetch_bytes_total", "payload bytes served to lazy worker fetches"
+        )
+
+    @property
+    def worker_crashes(self) -> int:
+        """Workers lost mid-dispatch (and replaced)."""
+        return self._crashes
+
+    # -- subclass hooks ---------------------------------------------------------
+
+    def _open_channel(self, index: int) -> PipelineChannel:
+        raise NotImplementedError
+
+    def _replace_channel(self, dead: PipelineChannel, reason: str) -> PipelineChannel:
+        raise NotImplementedError
+
+    def _retire(self, handle: PipelineChannel) -> None:
+        raise NotImplementedError
+
+    def _silent_reason(self, handle: PipelineChannel) -> str | None:
+        raise NotImplementedError
+
+    def _stage_inputs(self, store: Any, values: dict) -> Callable[[PipelineChannel], list]:
+        """The job's wire inputs as a function of the channel it lands
+        on (called under the channel lock).  Each input is ``(block,
+        version)`` -- the worker fetches it lazily -- or ``(block,
+        version, payload)``."""
+        refs = list(values)
+        return lambda handle: refs
+
+    # -- pool lifecycle ---------------------------------------------------------
+
+    def execute(self, root: Frame) -> RunResult:
+        # Open the pool while the calling thread is the only live thread:
+        # forking after the scheduler threads exist risks inheriting locks
+        # (import lock, allocator locks) mid-acquisition.
+        self._ensure_pool()
+        try:
+            return super().execute(root)
+        finally:
+            self._shutdown_pool()
+
+    def _ensure_pool(self) -> None:
+        if self._handles:
+            return
+        with self._pool_lock:
+            if self._handles:
+                return
+            handles = [
+                self._open_channel(i)  # verify: ok=blocking-under-lock (cold path: pool is built before any scheduler thread exists to contend)
+                for i in range(self._channels)
+            ]
+            self._handles = handles
+            for h in handles:
+                for _ in range(self._inflight):
+                    self._idle.put(h)
+
+    def _shutdown_pool(self) -> None:
+        with self._pool_lock:
+            handles, self._handles = self._handles, []
+            try:
+                while True:
+                    self._idle.get_nowait()
+            except queue.Empty:
+                pass
+        for h in handles:
+            try:
+                h.comm.send(("stop",))
+            except CommClosedError:
+                pass
+        for h in handles:
+            self._retire(h)
+            h.comm.close()
+
+    # -- the dispatch seam ------------------------------------------------------
+
+    def compute_dispatch(self, spec: Any, key: Hashable, ctx: Any, life: int = 0) -> None:
+        """Run ``spec.compute(key, ...)`` on a remote worker.
+
+        Called by the schedulers in place of a direct ``spec.compute``;
+        raises the same :class:`~repro.exceptions.FaultError` family a
+        local compute would, plus :class:`WorkerCrashError` when the
+        worker is lost mid-task.  ``life`` is the incarnation being
+        computed -- it only attributes telemetry (SPAN events), never
+        scheduling decisions.
+        """
+        obs = self._log is not NULL_LOG
+        mx = self._mx
+        t0 = self._log.now() if obs else (time.perf_counter() if mx else 0.0)
+        values: dict[tuple, Any] = {}
+        for raw in spec.inputs(key):
+            ref = raw if type(raw) is BlockRef else BlockRef(*raw)
+            values[(ref.block, ref.version)] = ctx.read(ref)  # the fault gate
+        die = False
+        if self._die_on:
+            with self._die_lock:
+                if key in self._die_on:
+                    self._die_on.discard(key)
+                    die = True
+        stage = self._stage_inputs(ctx.store, values)
+        reply, queued = self._dispatch_job(
+            spec, PendingJob(next(_JIDS), key, life, die, values), stage
+        )
+        if reply[0] == "fail":
+            raise reply[2]  # FaultError -> scheduler recovery
+        _, _, blob, spans = reply
+        # Result arrays are views over the transport buffer.
+        written = blob.load()
+        if obs:
+            log = self._log
+            end = log.now()
+            # Worker-measured phases (durations only; foreign clock) ...
+            log.emit(EventKind.SPAN, key, life, phase=self.INPUT_PHASE,
+                     wall=spans.get(self.INPUT_PHASE, 0.0))
+            log.emit(EventKind.SPAN, key, life, phase="kernel",
+                     wall=spans.get("kernel", 0.0), cpu=spans.get("kernel_cpu", 0.0))
+            log.emit(EventKind.SPAN, key, life, phase="serialize",
+                     wall=spans.get("serialize", 0.0))
+            # ... the parent-estimated time this job sat behind its
+            # channel-mates (pipelining backlog, not dispatch cost) ...
+            if queued > 0.0:
+                log.emit(EventKind.SPAN, key, life, phase="queued", wall=queued)
+            # ... and the parent-measured full round trip on the log clock.
+            log.emit(EventKind.SPAN, key, life, phase="dispatch", wall=end - t0, t0=t0)
+        if mx:
+            self._dispatch_hist.observe(
+                (self._log.now() if obs else time.perf_counter()) - t0
+            )
+        for reftup, value in written:
+            ctx.write(BlockRef(*reftup), value)
+
+    def _spec_blob(self, spec: Any) -> bytes:
+        blob = self._spec_blobs.get(id(spec))
+        if blob is None:
+            blob = pickle.dumps(spec)
+            self._spec_blobs[id(spec)] = blob
+        return blob
+
+    # -- submit -----------------------------------------------------------------
 
     def _dispatch_job(
-        self,
-        spec: Any,
-        key: Hashable,
-        build_msg: Callable[[int, Any], tuple],
-        die: bool,
-        life: int = 0,
-        values: dict | None = None,
-    ) -> tuple[Any, float]:
+        self, spec: Any, me: PendingJob, stage: Callable[[PipelineChannel], list]
+    ) -> tuple[tuple, float]:
         """Ship one job and block until its reply: ``(reply, queued)``.
 
-        ``build_msg(jid, handle)`` constructs the wire message under the
-        channel lock -- which is what lets the procpool runtime make its
-        pin-or-descriptor decision atomically with enqueue order.
+        ``stage(handle)`` builds the wire inputs under the channel lock,
+        which makes a pin-or-descriptor decision atomic with outbox
+        order: a full descriptor always reaches the worker before any
+        ``PinnedRef`` naming it.
         """
         while True:
             handle = self._acquire_channel()
-            me = PendingJob(next(_JIDS), key, life, die, values)
             with handle.lock:
                 if handle.dead:
                     continue  # token raced the crash; fetch a fresh one
-                msg = build_msg(me.jid, handle)
+                msg = (me.jid, me.key, stage(handle), me.die, me.life)
                 handle.pending[me.jid] = me
                 handle.outbox.append((spec, msg))
             break
         try:
             self._flush_channel(handle)
-            reply = self._await_pipelined(handle, me, key)
+            reply = self._await_pipelined(handle, me)
         finally:
             if not handle.dead:
                 self._idle.put(handle)
         if reply is CRASHED:
-            raise self._crashed_error(key, handle)
+            raise WorkerCrashError(
+                me.key, pid=handle.info.get("pid"), exitcode=handle.info.get("exitcode")
+            )
         return reply, me.queued
 
-    def _acquire_channel(self) -> Any:
+    def _acquire_channel(self) -> PipelineChannel:
         self._ensure_pool()
         deadline = time.perf_counter() + _ACQUIRE_TIMEOUT_SECONDS
         while True:
@@ -212,9 +480,9 @@ class PipelinedDispatchMixin:
                 continue  # stale token of a replaced channel; drop it
             return handle
 
-    # -- the combining send path ----------------------------------------------
+    # -- the combining send path ------------------------------------------------
 
-    def _flush_channel(self, handle: Any) -> None:
+    def _flush_channel(self, handle: PipelineChannel) -> None:
         """Ship everything in the channel outbox, combining with whatever
         other submitters queued while we waited for the send lock.  A
         submitter whose message was already flushed by the previous lock
@@ -232,33 +500,35 @@ class PipelinedDispatchMixin:
                     self._channel_lost(handle, "closed")  # verify: ok=blocking-under-lock (channel already dead; the corpse-join keeps send_lock only against peers that will see handle.dead)
                     return
 
-    def _ship_batch(self, handle: Any, batch: list[tuple[Any, tuple]]) -> None:
+    def _ship_batch(self, handle: PipelineChannel, batch: list[tuple[Any, tuple]]) -> None:
         """Send one flushed outbox: spec announcements interleaved (in
-        order) with micro-batched job frames."""
+        order) with micro-batched job messages."""
         msgs: list[tuple] = []
         for spec, msg in batch:
-            if spec is not None and handle.spec_id != id(spec):
+            if handle.spec_id != id(spec):
                 if msgs:
-                    self._stamp_and_ship(handle, msgs)
+                    self._ship_jobs(handle, msgs)
                     msgs = []
-                self._ship_spec(handle, spec)
+                handle.comm.send(("spec", self._spec_blob(spec), self._run_token))
                 handle.spec_id = id(spec)
             msgs.append(msg)
         if msgs:
-            self._stamp_and_ship(handle, msgs)
+            self._ship_jobs(handle, msgs)
 
-    def _stamp_and_ship(self, handle: Any, msgs: list[tuple]) -> None:
+    def _ship_jobs(self, handle: PipelineChannel, msgs: list[tuple]) -> None:
         now = time.perf_counter()
         with handle.lock:
             for m in msgs:
                 p = handle.pending.get(m[0])
                 if p is not None:
                     p.t_sent = now
-        self._ship_jobs(handle, msgs)
+        # One OOB message per burst: inline payloads in the job tuples
+        # ship as scattered buffer segments, never re-pickled.
+        handle.comm.send_oob(("jobs", msgs))
 
-    # -- the leader-drain receive path ----------------------------------------
+    # -- the leader-drain receive path ------------------------------------------
 
-    def _await_pipelined(self, handle: Any, me: PendingJob, key: Hashable) -> Any:
+    def _await_pipelined(self, handle: PipelineChannel, me: PendingJob) -> Any:
         event = me.event
         while True:
             if event.is_set():
@@ -269,20 +539,22 @@ class PipelinedDispatchMixin:
                         self._drain_channel(handle, me)
                 finally:
                     handle.recv_lock.release()
+                if handle.dead:
+                    self._close_dead(handle)
             else:
                 event.wait(_WAITER_WAKE_SECONDS)
             if self.aborted() and not event.is_set():
                 with handle.lock:
                     handle.pending.pop(me.jid, None)
                 raise SchedulerError(
-                    f"run aborted while task {key!r} awaited a worker reply"
+                    f"run aborted while task {me.key!r} awaited a worker reply"
                 )
 
-    def _drain_channel(self, handle: Any, me: PendingJob) -> None:
+    def _drain_channel(self, handle: PipelineChannel, me: PendingJob) -> None:
         """Drain replies for every job in flight on ``handle`` until our
         own resolves or the channel is lost.  Runs with ``recv_lock``
         held: we are the only reader."""
-        comm = self._channel_comm(handle)
+        comm = handle.comm
         while not me.event.is_set():
             try:
                 if comm.poll(POLL_SECONDS):  # verify: ok=blocking-under-lock (recv_lock is the drain-leader election; blocking here with it held is the design)
@@ -304,35 +576,60 @@ class PipelinedDispatchMixin:
             if self.aborted():
                 return
 
-    def _route_reply(self, handle: Any, msg: tuple) -> None:
+    def _route_reply(self, handle: PipelineChannel, msg: tuple) -> None:
         tag = msg[0]
-        if tag in ("done", "fail"):
-            now = time.perf_counter()
-            with handle.lock:
-                p = handle.pending.pop(msg[1], None)
-                prev, handle.last_reply = handle.last_reply, now
-            if p is None:
-                return  # reply for a job resolved another way (late, post-crash)
-            if prev is not None and p.t_sent:
-                # The worker runs this channel's jobs in FIFO order, so our
-                # job started when the reply before it arrived: everything
-                # between t_sent and then is pipelining backlog, not cost.
-                p.queued = min(max(0.0, prev - p.t_sent), max(0.0, now - p.t_sent))
-            p.reply = msg
-            p.event.set()
+        if tag == "fetch":
+            self._serve_fetch(handle, msg)
             return
-        self._route_aux(handle, msg)
+        if tag not in ("done", "fail"):
+            return  # late echo from a dying worker; never actionable
+        now = time.perf_counter()
+        with handle.lock:
+            p = handle.pending.pop(msg[1], None)
+            prev, handle.last_reply = handle.last_reply, now
+        if p is None:
+            return  # reply for a job resolved another way (late, post-crash)
+        if prev is not None and p.t_sent:
+            # The worker runs this channel's jobs in FIFO order, so our
+            # job started when the reply before it arrived: everything
+            # between t_sent and then is pipelining backlog, not cost.
+            p.queued = min(max(0.0, prev - p.t_sent), max(0.0, now - p.t_sent))
+        p.reply = msg
+        p.event.set()
 
-    def _reply_result(self, reply: tuple) -> tuple[Any, dict]:
-        """Unpack a resolved reply: ``(written_blob, spans)`` or raise the
-        shipped exception (FaultError -> scheduler recovery)."""
-        if reply[0] == "fail":
-            raise reply[2]
-        return reply[2], reply[3]
+    def _serve_fetch(self, handle: PipelineChannel, msg: tuple) -> None:
+        """Serve a worker's lazy ``fetch`` from the dispatching job's held
+        values (runs on the channel's current drain leader)."""
+        _, jid, block, version = msg
+        with handle.lock:
+            p = handle.pending.get(jid)
+        payload = None
+        if p is not None and (block, version) in p.values:
+            value = p.values[(block, version)]
+            # Encode once per version, gather per fetch: the cache hit
+            # ships the same Encoded's buffer views again, zero
+            # serialization work on the repeat.
+            payload = self._enc_cache.get(block, version, value)
+            if payload is None:
+                payload = frame.encode_oob(value)
+                self._enc_cache.put(block, version, value, payload)
+            if self._log is not NULL_LOG:
+                self._log.emit(
+                    EventKind.FETCH, p.key, p.life,
+                    block=block, version=version, nbytes=payload.nbytes,
+                )
+            if self._mx:
+                self._fetch_counter.inc()
+                self._fetch_bytes.inc(payload.nbytes)
+        try:
+            with handle.send_lock:
+                handle.comm.send_oob(("data", block, version, payload))  # verify: ok=blocking-under-lock (send_lock exists to serialize wire writes; sending under it is its purpose)
+        except CommClosedError:
+            self._channel_lost(handle, "closed")
 
-    # -- channel loss ----------------------------------------------------------
+    # -- channel loss -----------------------------------------------------------
 
-    def _channel_lost(self, handle: Any, reason: str) -> None:
+    def _channel_lost(self, handle: PipelineChannel, reason: str) -> None:
         """Exactly-once teardown of a lost channel: replace it, refill the
         token pool, and resolve every in-flight job as crashed so each
         submitter raises WorkerCrashError for its own task."""
@@ -343,22 +640,44 @@ class PipelinedDispatchMixin:
             pending = list(handle.pending.values())
             handle.pending.clear()
             handle.outbox = []
-        down_key = None
-        for p in pending:
-            if p.die:
-                down_key = p.key  # the injected death names its victim
-                break
-        if down_key is None and pending:
-            down_key = pending[0].key
-        fresh = None
+        # The injected death names its victim.
+        down_key = next((p.key for p in pending if p.die),
+                        pending[0].key if pending else None)
+        self._close_dead(handle)
+        with self._pool_lock:
+            if handle in self._handles:
+                self._handles.remove(handle)
+            self._crashes += 1
         try:
-            fresh = self._replace_channel(handle, reason, down_key)
+            # Outside the pool lock: reaping a corpse or dialing can take
+            # seconds, and every other thread that loses a worker
+            # meanwhile must not pile up behind it.
+            fresh = self._replace_channel(handle, reason)
         finally:
             # Resolve even if replacement failed: blocked submitters must
             # not hang on a channel that will never speak again.
             for p in pending:
                 p.reply = CRASHED
                 p.event.set()
-        if fresh is not None:
-            for _ in range(self._inflight):
-                self._idle.put(fresh)
+        with self._pool_lock:
+            self._handles.append(fresh)
+        if self._log is not NULL_LOG:
+            self._log.emit(EventKind.WORKER_DOWN, down_key, 0, **handle.info)
+            self._log.emit(EventKind.WORKER_UP, None, 0, **fresh.info)
+        if self._mx:
+            self._crash_counter.inc()
+        for _ in range(self._inflight):
+            self._idle.put(fresh)
+
+    def _close_dead(self, handle: PipelineChannel) -> None:
+        """Close a dead channel's comm unless a drain leader may still be
+        inside it.  A leader can sit between ``poll()`` and ``recv()``
+        when another thread declares the channel lost; closing then
+        frees the fd number for the replacement's pipe and the leader
+        would block forever on a channel that is not its own.  The
+        leader calls this again once it has released ``recv_lock``."""
+        if handle.recv_lock.acquire(blocking=False):
+            try:
+                handle.comm.close()
+            finally:
+                handle.recv_lock.release()

@@ -1,309 +1,55 @@
 """Process-pool runtime: real multi-core execution of compute phases.
 
-:class:`ProcessRuntime` keeps every piece of scheduler state -- the task
-map, join counters, bit vectors, the recovery table, the block store --
-in the **parent** process, exactly where :class:`ThreadedRuntime` keeps
-it: scheduler frames still run on N parent threads with per-worker
-deques and randomized stealing.  What moves off-process is the *compute
-phase* only: the pure, stateless NumPy kernels (Theorem 1's assumption)
-are dispatched over a pipe to a pool of persistent worker processes, so
-kernels execute on real cores with no GIL in the way.
+:class:`ProcessRuntime` is :class:`~repro.runtime.dispatch.RemoteRuntime`
+over forked same-host workers: each channel is a ``pipe_pair`` whose
+child end runs the shared :class:`~repro.runtime.worker.WorkerSession`,
+so kernels execute on real cores with no GIL in the way.
 
-The dispatch seam is :meth:`compute_dispatch`: schedulers probe the
-runtime for it once (``getattr(runtime, "compute_dispatch", None)``) and
-call it in place of ``spec.compute(key, ctx)``.  Per task it
+What is specific to a same-host channel:
 
-1. reads every declared input through the parent-side context -- fault
-   flags, checksum verification, and eviction all surface *here*, inside
-   the scheduler's existing ``except FaultError`` recovery path;
-2. ships each input either as a zero-copy shared-memory descriptor
-   (:meth:`repro.memory.shm.SharedMemoryBackend.descriptor`) or, for
-   stores without the shm backend, by pickle;
-3. runs ``spec.compute`` in the worker against a read-only context and
-   writes the returned outputs back through the parent context, so
-   strict-footprint enforcement, store versioning, fingerprinting, and
-   shm materialization all stay parent-side and single-owner.
+* **Opening and replacing.**  The pool forks (where available) at the
+  top of ``execute()``, while the calling thread is still the only
+  thread, and is torn down when the run quiesces.  A dead worker is
+  reaped (``WORKER_DOWN`` carries its pid and exit code) and a fresh
+  child forked in its place.
+* **Silence.**  A quiet channel is dead iff its process is.
+* **Staging.**  Every input rides the job message, so a worker never
+  has to fetch: blocks backed by a shared-memory segment ship as a
+  zero-copy :class:`~repro.memory.shm.ShmDescriptor`; small blocks and
+  blocks of stores without the shm backend ship inline.  Hot
+  descriptors are **pre-pinned**: the first dispatch to a worker ships
+  the full descriptor and the worker keeps the segment attached, so
+  every later dispatch sends a tiny
+  :class:`~repro.runtime.worker.PinnedRef`.  Pins are keyed by segment
+  *name*, which is version-unique, so a rewritten or corrupt-reinjected
+  version can never be served from a stale pin.
 
-**Dispatch is pipelined** (the fast path of ROADMAP item 4), through
-:class:`~repro.runtime.dispatch.PipelinedDispatchMixin`:
-
-* each worker process carries an ``inflight``-deep outstanding-job
-  window, so the pipe stays fed and the worker moves between jobs
-  without sleeping on an empty buffer;
-* concurrently-ready jobs for one worker are micro-batched into a
-  single ``("jobs", pack_frames([...]))`` wire frame, one syscall for
-  the burst, with one streamed ``("done", jid, ...)``/``("fail", jid,
-  ...)`` reply per job;
-* hot shm descriptors are **pre-pinned**: the first dispatch ships the
-  full :class:`~repro.memory.shm.ShmDescriptor` and the worker keeps
-  the segment attached, so every later dispatch sends a tiny
-  :class:`PinnedRef` and the worker skips re-attach entirely.  Pins are
-  keyed by segment *name*, which is version-unique, so a rewritten or
-  corrupt-reinjected version can never be served from a stale pin.
-
-**Worker death is a detected compute-phase fault.**  If the worker
-process exits without replying (killed, segfault, ``die_on``-injected
-``os._exit``), the dispatcher starts a replacement worker, emits one
-``WORKER_DOWN``/``WORKER_UP`` pair, and every job that was in flight on
-the dead process raises :class:`~repro.exceptions.WorkerCrashError` --
-whose source is the task itself, so the FT scheduler recovers each
-through RECOVERTASKONCE.  Jobs earlier in a batch that already streamed
-their replies are *not* re-executed: a crash mid-batch costs exactly the
-unfinished jobs.  The baseline Nabbit scheduler has no recovery path,
-and a crash fails the run (faithful to the paper).
-
-Faults injected by parent-side hooks (flag corruption, silent data
-corruption) interact with dispatch exactly as with in-process runtimes,
-because every read and write happens in the parent.
-
-The pool forks (where available) at the top of ``execute()``, while the
-calling thread is still the only thread -- never mid-run -- and is torn
-down when the run quiesces.  ``charge`` stays a no-op: like its parent
-class, this runtime lives on the wall clock.
+``charge`` stays a no-op: this runtime lives on the wall clock.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-import pickle
-import queue
-import threading
-import time
-from typing import Any, Hashable, Iterable, NamedTuple
+from typing import Any, Callable, Hashable, Iterable
 
-from repro.comm import frame
-from repro.comm.core import CommClosedError
-from repro.comm.frame import unpack_frames
-from repro.comm.pipe import PipeComm, pipe_pair, wrap_connection
-from repro.exceptions import OverwrittenError, SchedulerError, WorkerCrashError
+from repro.comm.pipe import pipe_pair, wrap_connection
 from repro.graph.taskspec import BlockRef
-from repro.memory.shm import ShmDescriptor, attach_payload
-from repro.obs.events import NULL_LOG, EventKind, EventLog
-from repro.obs.live import NULL_METRICS, MetricsRegistry
-from repro.runtime.api import RunResult
-from repro.runtime.dispatch import PipelineChannel, PipelinedDispatchMixin
-from repro.runtime.frames import Frame
-from repro.runtime.threadpool import ThreadedRuntime
+from repro.obs.events import EventLog
+from repro.obs.live import MetricsRegistry
+from repro.runtime.dispatch import DEFAULT_INFLIGHT, PipelineChannel, RemoteRuntime
+from repro.runtime.worker import CRASH_EXIT_CODE, BlockCache, PinnedRef, WorkerSession
 
-#: Exit code of a ``die_on``-injected worker death (tests assert on it).
-CRASH_EXIT_CODE = 73
-
-#: Reply-poll granularity (kept as a module name: the cluster runtime
-#: and older call sites import it from here).
-_POLL_SECONDS = 0.05
-
-#: Default outstanding-job window per worker process.
-DEFAULT_INFLIGHT = 2
-
-
-class PinnedRef(NamedTuple):
-    """Wire stand-in for a :class:`ShmDescriptor` the receiving worker
-    has already attached.
-
-    Segment names are version-unique (a rewritten version gets a fresh
-    segment), so the name alone identifies the exact bytes the worker
-    pinned on first sight of the full descriptor.
-    """
-
-    name: str
-    """Segment name (``SharedMemory.name``) of the pinned descriptor."""
-
-
-# ---------------------------------------------------------------------------
-# worker-process side
-
-
-class _WorkerComputeContext:
-    """The compute context a worker hands to ``spec.compute``.
-
-    Reads serve the input snapshot the parent shipped (attempting an
-    unshipped -- i.e. undeclared -- input is the same ``SchedulerError``
-    the strict parent context raises); writes are buffered and applied by
-    the parent, which re-enforces the declared footprint there.
-    """
-
-    __slots__ = ("key", "_values", "reads", "writes", "written")
-
-    def __init__(self, key: Hashable, values: dict) -> None:
-        self.key = key
-        self._values = values
-        self.reads: list[BlockRef] = []
-        self.writes: list[BlockRef] = []
-        self.written: list[tuple[tuple, Any]] = []
-
-    def read(self, ref: BlockRef) -> Any:
-        if type(ref) is not BlockRef:
-            ref = BlockRef(*ref)
-        try:
-            value = self._values[ref]
-        except KeyError:
-            raise SchedulerError(
-                f"task {self.key!r} read undeclared input {ref!r} in a worker process"
-            ) from None
-        self.reads.append(ref)
-        return value
-
-    def write(self, ref: BlockRef, value: Any) -> None:
-        if type(ref) is not BlockRef:
-            ref = BlockRef(*ref)
-        self.writes.append(ref)
-        self.written.append((tuple(ref), value))
-
-
-def _decode_inputs(inputs: list, pins: dict) -> dict:
-    """Input values for one job, attaching new shm segments into the
-    worker's pin cache and serving :class:`PinnedRef` inputs from it."""
-    values: dict = {}
-    for block, version, payload in inputs:
-        if isinstance(payload, PinnedRef):
-            try:
-                value = pins[payload.name][0]
-            except KeyError:
-                # Protocol invariant broken: the parent only sends a ref
-                # after shipping the descriptor on this same connection.
-                raise SchedulerError(
-                    f"input ({block!r}, v{version}) referenced unpinned "
-                    f"segment {payload.name!r}"
-                ) from None
-        elif isinstance(payload, ShmDescriptor):
-            try:
-                value, att = attach_payload(payload)
-            except FileNotFoundError:
-                # The parent unlinked the segment after taking the
-                # descriptor: the version was evicted/rewritten, which is
-                # exactly the memory-reuse fault a parent-side read of an
-                # evicted version raises.
-                raise OverwrittenError(block, version, None) from None
-            pins[payload.name] = (value, att)
-        else:
-            value = payload
-        values[BlockRef(block, version)] = value
-    return values
-
-
-def _portable_exc(exc: BaseException) -> BaseException:
-    """``exc`` if it survives a pickle round-trip, else a summary that
-    does (exception classes with required constructor args often pickle
-    but fail to *unpickle*)."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return SchedulerError(f"worker exception: {type(exc).__name__}: {exc}")
-
-
-def _serve_job(conn: PipeComm, spec: Any, job: tuple, pins: dict) -> None:
-    """Run one job from a batch and stream its reply.
-
-    Worker-side spans: the parent cannot see where time goes inside
-    this process, so the worker measures its own phases -- shm attach,
-    kernel wall + process-CPU, reply serialization -- and ships the
-    numbers back with the result.  Durations only: the two processes do
-    not share a clock epoch.
-
-    The reply ships out-of-band: result arrays are pickled to a tiny
-    meta stream plus buffer views (:func:`frame.encode_oob`) and the
-    transport gathers them straight from the result memory -- the
-    parent-side copy chain of the old ``pickle.dumps`` reply is gone.
-    """
-    jid, key, inputs, die = job
-    if die:
-        os._exit(CRASH_EXIT_CODE)
-    spans: dict[str, float] = {}
-    try:
-        t_at = time.perf_counter()
-        values = _decode_inputs(inputs, pins)
-        spans["attach"] = time.perf_counter() - t_at
-        ctx = _WorkerComputeContext(key, values)
-        t_kw = time.perf_counter()
-        t_kc = time.process_time()
-        spec.compute(key, ctx)
-        spans["kernel_cpu"] = time.process_time() - t_kc
-        spans["kernel"] = time.perf_counter() - t_kw
-        t_sz = time.perf_counter()
-        blob = frame.encode_oob(ctx.written)
-        spans["serialize"] = time.perf_counter() - t_sz
-        reply = ("done", jid, blob, spans)
-    except BaseException as exc:
-        reply = ("fail", jid, _portable_exc(exc))
-    try:
-        conn.send_oob(reply)
-    except CommClosedError:
-        raise
-    except Exception:
-        try:
-            conn.send(
-                ("fail", jid, SchedulerError(f"worker reply for task {key!r} failed to serialize"))
-            )
-        except Exception:
-            os._exit(1)
-    finally:
-        del reply
-        values = ctx = None  # noqa: F841 -- non-pinned view refs drop here
+__all__ = ["CRASH_EXIT_CODE", "DEFAULT_INFLIGHT", "PinnedRef", "ProcessRuntime"]
 
 
 def _worker_main(raw_conn: Any) -> None:
-    """Worker-process loop: receive a spec once, then serve job batches.
-
-    The inherited pipe end is wrapped in a :class:`PipeComm`, so the
-    loop speaks the comm contract: a vanished parent is one
-    ``CommClosedError``, not a zoo of OS-level errnos.  Shm attachments
-    live in ``pins`` for the life of the process (closed on ``stop``),
-    which is what lets repeat dispatches of hot blocks skip re-attach.
-    """
-    conn = wrap_connection(raw_conn, peer="pipe://parent")
-    spec = None
-    pins: dict[str, tuple[Any, Any]] = {}
-    while True:
-        try:
-            msg = conn.recv()
-        except CommClosedError:
-            return
-        tag = msg[0]
-        try:
-            if tag == "stop":
-                for _value, att in pins.values():
-                    att.close()
-                pins.clear()
-                conn.close()
-                return
-            if tag == "spec":
-                spec = pickle.loads(msg[1])
-            elif tag == "jobs":
-                # Two batch shapes: a list of job tuples (the OOB path --
-                # input arrays are zero-copy views over the transport
-                # buffer) or a legacy packed-frames blob.
-                batch = msg[1]
-                if isinstance(batch, (bytes, bytearray, memoryview)):
-                    batch = [frame.loads(p) for p in unpack_frames(bytes(batch))]
-                for job in batch:
-                    _serve_job(conn, spec, job, pins)
-            else:
-                conn.send(("fail", None, SchedulerError(f"unknown message tag {tag!r}")))
-        except CommClosedError:
-            return
+    """Entry point of a worker process: serve the inherited pipe end."""
+    WorkerSession(wrap_connection(raw_conn, peer="pipe://parent"), BlockCache()).serve()
 
 
-# ---------------------------------------------------------------------------
-# parent side
-
-
-class _WorkerHandle(PipelineChannel):
-    """One worker process: its pipe plus the shared pipelining state."""
-
-    __slots__ = ("proc", "conn")
-
-    def __init__(self, proc: Any, conn: PipeComm) -> None:
-        super().__init__()
-        self.proc = proc
-        self.conn = conn
-
-
-class ProcessRuntime(PipelinedDispatchMixin, ThreadedRuntime):
+class ProcessRuntime(RemoteRuntime):
     """Work-stealing thread pool whose compute phases run in a pool of
-    persistent worker processes over shared memory, with pipelined
-    batched dispatch.
+    persistent worker processes over shared memory.
 
     Parameters beyond :class:`ThreadedRuntime`'s:
 
@@ -325,6 +71,8 @@ class ProcessRuntime(PipelinedDispatchMixin, ThreadedRuntime):
         before a dispatching thread must wait for a reply slot).
     """
 
+    INPUT_PHASE = "attach"
+
     def __init__(
         self,
         workers: int = 4,
@@ -336,61 +84,13 @@ class ProcessRuntime(PipelinedDispatchMixin, ThreadedRuntime):
         procs: int | None = None,
         inflight: int = DEFAULT_INFLIGHT,
     ) -> None:
-        super().__init__(workers, seed, event_log, metrics=metrics)
+        super().__init__(workers, seed, event_log, metrics, die_on, procs, inflight)
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
         self._mp = multiprocessing.get_context(start_method)
-        self._die_on = set(die_on or ())
-        self._die_lock = threading.Lock()
-        self._pool_lock = threading.Lock()
-        self._procs = max(1, workers if procs is None else procs)
-        self._inflight = max(1, inflight)
-        self._handles: list[_WorkerHandle] = []
-        self._idle: queue.Queue[_WorkerHandle] = queue.Queue()
-        self._spec_blobs: dict[int, bytes] = {}
-        self._crashes = 0
-        # Pre-built instruments: the dispatch hot path must never pay
-        # registry lookup/label work, only a cached-flag test + observe.
-        self._dispatch_hist = self._metrics.histogram(
-            "repro_dispatch_seconds",
-            "full remote compute round trip (queue wait + ship + kernel + reply)",
-        )
-        self._crash_counter = self._metrics.counter(
-            "repro_worker_crashes_total",
-            "compute worker processes that died mid-dispatch and were replaced",
-        )
 
-    @property
-    def worker_crashes(self) -> int:
-        """Worker processes that died mid-dispatch (and were replaced)."""
-        return self._crashes
-
-    # -- pool lifecycle -----------------------------------------------------
-
-    def execute(self, root: Frame) -> RunResult:
-        # Start the pool while the calling thread is the only live thread:
-        # forking after the scheduler threads exist risks inheriting locks
-        # (import lock, allocator locks) mid-acquisition.
-        self._ensure_pool()
-        try:
-            return super().execute(root)
-        finally:
-            self._shutdown_pool()
-
-    def _ensure_pool(self) -> None:
-        if self._handles:
-            return
-        with self._pool_lock:
-            if self._handles:
-                return
-            handles = [self._start_worker() for _ in range(self._procs)]
-            self._handles = handles
-            for h in handles:
-                for _ in range(self._inflight):
-                    self._idle.put(h)
-
-    def _start_worker(self) -> _WorkerHandle:
+    def _open_channel(self, index: int = 0) -> PipelineChannel:
         parent_comm, child_comm = pipe_pair(self._mp)
         proc = self._mp.Process(
             target=_worker_main,
@@ -400,165 +100,41 @@ class ProcessRuntime(PipelinedDispatchMixin, ThreadedRuntime):
         )
         proc.start()
         child_comm.close()
-        return _WorkerHandle(proc, parent_comm)
+        return PipelineChannel(parent_comm, proc, pid=proc.pid)
 
-    def _shutdown_pool(self) -> None:
-        with self._pool_lock:
-            handles, self._handles = self._handles, []
-            try:
-                while True:
-                    self._idle.get_nowait()
-            except queue.Empty:
-                pass
-        for h in handles:
-            try:
-                h.conn.send(("stop",))
-            except CommClosedError:
-                pass
-        for h in handles:
-            h.proc.join(timeout=5.0)
-            if h.proc.is_alive():  # pragma: no cover - stuck worker
-                h.proc.terminate()
-                h.proc.join(timeout=1.0)
-            h.conn.close()
+    def _replace_channel(self, dead: PipelineChannel, reason: str) -> PipelineChannel:
+        dead.peer.join(timeout=1.0)
+        dead.info["exitcode"] = dead.peer.exitcode
+        return self._open_channel()
 
-    # -- the dispatch seam ---------------------------------------------------
+    def _retire(self, handle: PipelineChannel) -> None:
+        proc = handle.peer
+        proc.join(timeout=5.0)
+        if proc.is_alive():  # pragma: no cover - stuck worker
+            proc.terminate()
+            proc.join(timeout=1.0)
 
-    def compute_dispatch(self, spec: Any, key: Hashable, ctx: Any, life: int = 0) -> None:
-        """Run ``spec.compute(key, ...)`` in a worker process.
+    def _silent_reason(self, handle: PipelineChannel) -> str | None:
+        return None if handle.peer.is_alive() else "died"
 
-        Called by the schedulers in place of a direct ``spec.compute``;
-        raises the same :class:`~repro.exceptions.FaultError` family a
-        local compute would, plus :class:`WorkerCrashError` when the
-        worker process dies mid-task.  ``life`` is the incarnation being
-        computed -- it only attributes telemetry (SPAN events), never
-        scheduling decisions.
-        """
-        obs = self._log is not NULL_LOG
-        mx = self._mx
-        t0 = self._log.now() if obs else (time.perf_counter() if mx else 0.0)
-        store = ctx.store
+    def _stage_inputs(self, store: Any, values: dict) -> Callable[[PipelineChannel], list]:
         describe = getattr(store, "descriptor", None)
-        staged = []
-        for raw in spec.inputs(key):
-            ref = raw if type(raw) is BlockRef else BlockRef(*raw)
-            # The parent-side read is the fault gate: corruption flags,
-            # checksum mismatches, and evictions raise here, inside the
-            # scheduler's recovery path, before any bytes ship.
-            value = ctx.read(ref)
-            desc = describe(ref) if describe is not None else None
-            staged.append((ref.block, ref.version, desc, value))
-        die = False
-        if self._die_on:
-            with self._die_lock:
-                if key in self._die_on:
-                    self._die_on.discard(key)
-                    die = True
+        staged = [
+            (block, version, value,
+             describe(BlockRef(block, version)) if describe is not None else None)
+            for (block, version), value in values.items()
+        ]
 
-        def build_msg(jid: int, handle: _WorkerHandle) -> tuple:
-            # Runs under handle.lock: the pin-or-descriptor decision is
-            # atomic with outbox order, so a full descriptor always
-            # reaches the worker before any PinnedRef naming it.
+        def stage(handle: PipelineChannel) -> list:
             inputs = []
-            for block, version, desc, value in staged:
-                if desc is None:
-                    payload: Any = value
-                elif desc.name in handle.pinned:
-                    payload = PinnedRef(desc.name)
-                else:
-                    handle.pinned.add(desc.name)
-                    payload = desc
+            for block, version, payload, desc in staged:
+                if desc is not None:
+                    if desc.name in handle.pinned:
+                        payload = PinnedRef(desc.name)
+                    else:
+                        handle.pinned.add(desc.name)
+                        payload = desc
                 inputs.append((block, version, payload))
-            return (jid, key, inputs, die)
+            return inputs
 
-        reply, queued = self._dispatch_job(spec, key, build_msg, die, life)
-        blob, spans = self._reply_result(reply)
-        # OOB replies arrive pre-decoded as frame.Encoded (result arrays
-        # are views over the transport buffer); a plain bytes blob is the
-        # legacy shape, kept for raw-protocol clients.
-        written = blob.load() if isinstance(blob, frame.Encoded) else pickle.loads(blob)
-        if obs:
-            log = self._log
-            end = log.now()
-            # Worker-measured phases (durations only; foreign clock) ...
-            log.emit(EventKind.SPAN, key, life, phase="attach",
-                     wall=spans.get("attach", 0.0))
-            log.emit(EventKind.SPAN, key, life, phase="kernel",
-                     wall=spans.get("kernel", 0.0), cpu=spans.get("kernel_cpu", 0.0))
-            log.emit(EventKind.SPAN, key, life, phase="serialize",
-                     wall=spans.get("serialize", 0.0))
-            # ... the parent-estimated time this job sat behind its
-            # channel-mates (pipelining backlog, not dispatch cost) ...
-            if queued > 0.0:
-                log.emit(EventKind.SPAN, key, life, phase="queued", wall=queued)
-            # ... and the parent-measured full round trip on the log clock.
-            log.emit(EventKind.SPAN, key, life, phase="dispatch", wall=end - t0, t0=t0)
-        if mx:
-            self._dispatch_hist.observe(
-                (self._log.now() if obs else time.perf_counter()) - t0
-            )
-        for reftup, value in written:
-            ctx.write(BlockRef(*reftup), value)
-
-    def _spec_blob(self, spec: Any) -> bytes:
-        blob = self._spec_blobs.get(id(spec))
-        if blob is None:
-            blob = pickle.dumps(spec)
-            self._spec_blobs[id(spec)] = blob
-        return blob
-
-    # -- PipelinedDispatchMixin hooks -----------------------------------------
-
-    def _channel_comm(self, handle: _WorkerHandle) -> PipeComm:
-        return handle.conn
-
-    def _ship_spec(self, handle: _WorkerHandle, spec: Any) -> None:
-        handle.conn.send(("spec", self._spec_blob(spec)))
-
-    def _ship_jobs(self, handle: _WorkerHandle, msgs: list[tuple]) -> None:
-        # The batch rides one OOB message: inline small-block values in
-        # the job tuples ship as scattered buffer segments instead of
-        # being pickled into an intermediate packed-frames blob.
-        handle.conn.send_oob(("jobs", msgs))
-
-    def _silent_reason(self, handle: _WorkerHandle) -> str | None:
-        return None if handle.proc.is_alive() else "died"
-
-    def _route_aux(self, handle: _WorkerHandle, msg: tuple) -> None:
-        # Workers send nothing but per-job replies; anything else is
-        # dropped (a late echo from a dying process, never actionable).
-        return None
-
-    def _replace_channel(
-        self, dead: _WorkerHandle, reason: str, down_key: Hashable | None
-    ) -> _WorkerHandle:
-        # Reap the corpse outside the pool lock: join() can wait its full
-        # timeout on a wedged child, and every other dispatch thread that
-        # loses a worker meanwhile would pile up behind the lock.
-        dead.conn.close()
-        dead.proc.join(timeout=1.0)
-        dead.death = (dead.proc.pid, dead.proc.exitcode)
-        with self._pool_lock:
-            try:
-                self._handles.remove(dead)
-            except ValueError:
-                pass
-            self._crashes += 1
-            fresh = self._start_worker()
-            self._handles.append(fresh)
-        if self._log is not NULL_LOG:
-            self._log.emit(
-                EventKind.WORKER_DOWN,
-                down_key,
-                0,
-                pid=dead.proc.pid,
-                exitcode=dead.proc.exitcode,
-            )
-            self._log.emit(EventKind.WORKER_UP, None, 0, pid=fresh.proc.pid)
-        if self._mx:
-            self._crash_counter.inc()
-        return fresh
-
-    def _crashed_error(self, key: Hashable, handle: _WorkerHandle) -> WorkerCrashError:
-        pid, exitcode = handle.death if handle.death else (handle.proc.pid, None)
-        return WorkerCrashError(key, pid=pid, exitcode=exitcode)
+        return stage

@@ -1,0 +1,326 @@
+"""Worker side of remote dispatch: one serve loop, one compute context.
+
+:class:`WorkerSession` is the whole worker half of the job protocol
+(docs/DISTRIBUTED.md has the message table).  It runs unchanged in a
+forked pipe child of ``ProcessRuntime`` and on every connection a
+:class:`~repro.runtime.cluster.WorkerServer` accepts: what the comm can
+do decides the two things that differ -- a comm that offers
+``start_heartbeat`` beats, and an injected death severs a comm that
+offers ``sever`` and otherwise exits the process.
+
+A job names its inputs as ``(block, version)`` or ``(block, version,
+payload)``.  :class:`WorkerContext` resolves a read from the payload
+that rode the job message (an inline value, a
+:class:`~repro.memory.shm.ShmDescriptor` to attach, a
+:class:`PinnedRef` to a segment attached earlier on this connection),
+else from the versioned :class:`BlockCache`, else by a lazy ``fetch``
+round trip to the parent.  Writes are buffered and applied by the
+parent, which re-enforces the declared footprint there.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+import threading
+import time
+from collections import OrderedDict, deque
+from typing import Any, Callable, Hashable, NamedTuple
+
+from repro.comm import frame
+from repro.comm.core import Comm, CommClosedError
+from repro.exceptions import OverwrittenError, SchedulerError
+from repro.graph.taskspec import BlockRef
+from repro.memory.shm import ShmDescriptor, attach_payload, own_payload
+
+#: Exit code of a ``die_on``-injected worker death (tests assert on it).
+CRASH_EXIT_CODE = 73
+
+#: Default worker-side block-cache budget.
+DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
+
+#: Input-table marker: declared, but no payload rode the job message.
+#: (A shipped payload may itself be ``None``, so ``None`` cannot mark it.)
+_LAZY = object()
+
+
+class PinnedRef(NamedTuple):
+    """Wire stand-in for a :class:`ShmDescriptor` the receiving worker
+    has already attached.
+
+    Segment names are version-unique (a rewritten version gets a fresh
+    segment), so the name alone identifies the exact bytes the worker
+    pinned on first sight of the full descriptor.
+    """
+
+    name: str
+    """Segment name (``SharedMemory.name``) of the pinned descriptor."""
+
+
+class BlockCache:
+    """Byte-bounded LRU of decoded block payloads, keyed by
+    ``(run_token, block, version)``.
+
+    Versioned keys are what make this cache coherent with zero
+    invalidation traffic: a version's bytes never change once written
+    (determinism, Theorem 1), so an entry can be stale only by
+    *absence*, never by content.  That guarantee holds *within* a run;
+    across runs the same ``(block, version)`` pair can name different
+    data, so entries are additionally scoped by the dispatching
+    runtime's ``run token`` -- a long-lived server reused by many runs
+    never crosses their payloads.
+    """
+
+    def __init__(self, capacity_bytes: int = DEFAULT_CACHE_BYTES) -> None:
+        self.capacity_bytes = capacity_bytes
+        self._entries: OrderedDict[tuple, tuple[Any, int]] = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key: tuple) -> tuple[bool, Any]:
+        with self._lock:
+            try:
+                value, _ = self._entries[key]
+            except KeyError:
+                self.misses += 1
+                return False, None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return True, value
+
+    def put(self, key: tuple, value: Any, nbytes: int) -> None:
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._bytes -= old[1]
+            self._entries[key] = (value, nbytes)
+            self._bytes += nbytes
+            while self._bytes > self.capacity_bytes and len(self._entries) > 1:
+                _, (_, evicted) = self._entries.popitem(last=False)
+                self._bytes -= evicted
+
+    @property
+    def nbytes(self) -> int:
+        return self._bytes
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def _portable_exc(exc: BaseException) -> BaseException:
+    """``exc`` if it survives a pickle round-trip, else a summary that
+    does (exception classes with required constructor args often pickle
+    but fail to *unpickle*)."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return SchedulerError(f"worker exception: {type(exc).__name__}: {exc}")
+
+
+class WorkerContext:
+    """The compute context a worker hands to ``spec.compute``."""
+
+    __slots__ = ("key", "jid", "_inputs", "_session", "written", "fetches",
+                 "fetch_seconds")
+
+    def __init__(self, session: "WorkerSession", key: Hashable, jid: int, inputs: dict) -> None:
+        self.key = key
+        self.jid = jid
+        self._inputs = inputs
+        self._session = session
+        self.written: list[tuple[tuple, Any]] = []
+        self.fetches = 0
+        self.fetch_seconds = 0.0
+
+    def read(self, ref: BlockRef) -> Any:
+        if type(ref) is not BlockRef:
+            ref = BlockRef(*ref)
+        try:
+            value = self._inputs[ref]
+        except KeyError:
+            raise SchedulerError(
+                f"task {self.key!r} read undeclared input {ref!r} on a worker"
+            ) from None
+        if value is _LAZY:
+            value = self._cached_or_fetched(ref)
+        return value
+
+    def _cached_or_fetched(self, ref: BlockRef) -> Any:
+        s = self._session
+        ck = (s.token, ref.block, ref.version)
+        hit, value = s.cache.get(ck)
+        if hit:
+            return value
+        t0 = time.perf_counter()
+        s.comm.send(("fetch", self.jid, ref.block, ref.version))
+        # The parent may pipeline new ``jobs``/``spec`` frames ahead of
+        # the ``data`` reply; they wait in the session backlog, which
+        # the serve loop drains before its next recv.
+        while True:
+            msg = s.comm.recv()
+            if msg[0] == "data":
+                break
+            s.backlog.append(msg)
+        self.fetches += 1
+        self.fetch_seconds += time.perf_counter() - t0
+        payload = msg[3]
+        if payload is None:
+            raise SchedulerError(f"parent could not serve {ref!r} for task {self.key!r}")
+        # Array payloads decode as zero-copy views over the transport
+        # buffer.  The cache outlives the buffer's loan, so cache an
+        # *owning* copy -- the one copy per fetched block the zero-copy
+        # budget allows.
+        value, _ = own_payload(payload.load())
+        s.cache.put(ck, value, payload.nbytes)
+        return value
+
+    def write(self, ref: BlockRef, value: Any) -> None:
+        self.written.append((tuple(ref), value))
+
+
+class WorkerSession:
+    """One parent connection served to the end: a spec, then job batches,
+    one streamed ``done``/``fail`` reply per job, until ``stop`` or peer
+    loss.  The serving thread *is* the compute thread, so none of the
+    session state needs a lock.
+
+    ``job_done(fetches)`` is called after each successful job (the
+    worker server's metrics hook).
+    """
+
+    def __init__(
+        self,
+        comm: Comm,
+        cache: BlockCache,
+        job_done: Callable[[int], None] | None = None,
+    ) -> None:
+        self.comm = comm
+        self.cache = cache
+        self.token = ""
+        self._job_done = job_done
+        self._spec: Any = None
+        #: Frames a fetch wait pulled off the wire ahead of its data reply.
+        self.backlog: deque = deque()
+        #: Shm attachments by segment name, kept for the life of the
+        #: connection so repeat dispatches of hot blocks skip re-attach.
+        self._pins: dict[str, tuple[Any, Any]] = {}
+
+    def serve(self) -> None:
+        comm = self.comm
+        start_heartbeat = getattr(comm, "start_heartbeat", None)
+        if start_heartbeat is not None:
+            start_heartbeat()  # parent-side liveness watches for these beats
+        try:
+            while True:
+                msg = self.backlog.popleft() if self.backlog else comm.recv()
+                tag = msg[0]
+                if tag == "stop":
+                    return
+                if tag == "ping":
+                    comm.send(("pong",))
+                elif tag == "spec":
+                    self._spec, self.token = pickle.loads(msg[1]), msg[2]
+                elif tag == "jobs":
+                    for jid, key, inputs, die, _life in msg[1]:
+                        if die:
+                            self._die()
+                            return  # a severed connection is done
+                        self._run_job(jid, key, inputs)
+                else:
+                    comm.send(("fail", None, SchedulerError(f"unknown message tag {tag!r}")))
+        except CommClosedError:
+            return  # parent gone; its liveness policy handles the rest
+        finally:
+            for _value, attachment in self._pins.values():
+                attachment.close()
+            comm.close()
+
+    def _die(self) -> None:
+        """Injected worker death (``die_on``): an impolite sever where the
+        transport can (an in-process server has no process of its own to
+        kill), genuine process death otherwise.  Jobs batched behind the
+        dying one are lost with it, exactly like a real crash."""
+        sever = getattr(self.comm, "sever", None)
+        if sever is None:
+            os._exit(CRASH_EXIT_CODE)
+        sever()
+
+    def _attach_inputs(self, inputs: list) -> dict:
+        """The job's input table: shipped payloads resolved (new shm
+        segments attached and pinned, :class:`PinnedRef` served from the
+        pins), bare refs left :data:`_LAZY`."""
+        table: dict = {}
+        for block, version, *shipped in inputs:
+            if not shipped:
+                table[(block, version)] = _LAZY
+                continue
+            value = shipped[0]
+            if isinstance(value, PinnedRef):
+                try:
+                    value = self._pins[value.name][0]
+                except KeyError:
+                    # Protocol invariant broken: the parent only sends a ref
+                    # after shipping the descriptor on this same connection.
+                    raise SchedulerError(
+                        f"input ({block!r}, v{version}) referenced unpinned "
+                        f"segment {value.name!r}"
+                    ) from None
+            elif isinstance(value, ShmDescriptor):
+                desc = value
+                try:
+                    value, attachment = attach_payload(desc)
+                except FileNotFoundError:
+                    # The parent unlinked the segment after taking the
+                    # descriptor: the version was evicted/rewritten, which is
+                    # exactly the memory-reuse fault a parent-side read of an
+                    # evicted version raises.
+                    raise OverwrittenError(block, version, None) from None
+                self._pins[desc.name] = (value, attachment)
+            table[(block, version)] = value
+        return table
+
+    def _run_job(self, jid: int, key: Hashable, inputs: list) -> None:
+        """Run one job and stream its reply.
+
+        The parent cannot see where time goes on this side, so the
+        worker measures its own phases -- input attach, lazy fetches,
+        kernel wall + process-CPU, reply serialization -- and ships the
+        numbers back with the result.  Durations only: the two sides do
+        not share a clock epoch.  The reply ships out-of-band: the
+        transport gathers result arrays straight from their memory.
+        """
+        spans: dict[str, float] = {}
+        try:
+            if self._spec is None:
+                raise SchedulerError(f"job {key!r} arrived before its task spec")
+            t_at = time.perf_counter()
+            ctx = WorkerContext(self, key, jid, self._attach_inputs(inputs))
+            spans["attach"] = time.perf_counter() - t_at
+            t_kw = time.perf_counter()
+            t_kc = time.process_time()
+            self._spec.compute(key, ctx)
+            spans["kernel_cpu"] = time.process_time() - t_kc
+            spans["kernel"] = time.perf_counter() - t_kw
+            spans["fetch"] = ctx.fetch_seconds
+            t_sz = time.perf_counter()
+            blob = frame.encode_oob(ctx.written)
+            spans["serialize"] = time.perf_counter() - t_sz
+            reply: tuple = ("done", jid, blob, spans)
+            if self._job_done is not None:
+                self._job_done(ctx.fetches)
+        except Exception as exc:
+            reply = ("fail", jid, _portable_exc(exc))
+        try:
+            self.comm.send_oob(reply)
+        except CommClosedError:
+            raise
+        except Exception:
+            # Unpicklable result: say so instead of dying.  If even this
+            # cannot ship, the error ends the session and the parent's
+            # peer-loss path takes over.
+            self.comm.send(
+                ("fail", jid, SchedulerError(f"worker reply for task {key!r} failed to serialize"))
+            )

@@ -20,7 +20,7 @@ implementation *relies on* but which no test can establish exhaustively:
   exception path can leak a held lock.
 * ``emit-guard`` -- every telemetry publication in ``core/`` and the
   hot-path runtime modules (``runtime/threadpool.py``,
-  ``runtime/procpool.py``) -- ``.emit()`` / ``.emit_at()`` on the event
+  ``runtime/dispatch.py``) -- ``.emit()`` / ``.emit_at()`` on the event
   log, ``.inc()`` / ``.observe()`` on push metric instruments -- must
   sit inside an ``if`` guarded by a cached ``_obs`` / ``_mx`` flag or a
   direct ``log is (not) NULL_LOG`` / ``metrics is (not) NULL_METRICS``
@@ -457,6 +457,7 @@ def _is_obs_guard(test: ast.AST) -> bool:
 EMIT_GUARD_PREFIXES: tuple[str, ...] = (
     "core/",
     "runtime/threadpool.py",
+    "runtime/dispatch.py",
     "runtime/procpool.py",
     "runtime/cluster.py",
 )

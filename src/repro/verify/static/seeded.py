@@ -244,16 +244,15 @@ SEEDED: tuple[SeededCase, ...] = (
         relpath="runtime/_seed_p3.py",
         source="""
             from repro.comm.core import Comm
-            from repro.comm.frame import dumps, pack_frames
 
             class SeedBatchingRuntime:
                 def ship(self, comm: Comm, msgs: list) -> None:
-                    comm.send(("jobs", pack_frames([dumps(m) for m in msgs])))
+                    comm.send_oob(("jobs", msgs))
 
                 def ping(self, comm: Comm) -> None:
                     comm.send(("ping",))
 
-            class SeedLegacyWorker:
+            class SeedPerJobWorker:
                 def serve(self, comm: Comm) -> None:
                     while True:
                         msg = comm.recv()
@@ -269,7 +268,7 @@ SEEDED: tuple[SeededCase, ...] = (
                 name="seed-p3",
                 modules=("runtime/_seed_p3.py",),
                 parent=ProtocolSide("parent", classes=("SeedBatchingRuntime",)),
-                worker=ProtocolSide("worker", classes=("SeedLegacyWorker",)),
+                worker=ProtocolSide("worker", classes=("SeedPerJobWorker",)),
             ),
         ),
     ),

@@ -11,9 +11,9 @@ attribute loads) pass, because the runtime payloads they carry are
 guarded dynamically by the frame codec.  This mirrors the analyzer-wide
 bias: miss a finding before inventing one.
 
-``protocol-exhaustive`` checks both directions of the two runtime
-message protocols (cluster parent <-> :class:`WorkerServer`, procpool
-parent <-> ``_worker_main``): every tag one side sends must have a
+``protocol-exhaustive`` checks both directions of the remote-dispatch
+message protocol (:class:`RemoteRuntime` and its two subclasses <->
+:class:`WorkerSession`): every tag one side sends must have a
 matching handler comparison on the other side, and every handler must
 correspond to a tag the peer actually sends (dead handlers hide protocol
 drift).  Sent tags are the leading string constants of tuples passed to
@@ -47,8 +47,7 @@ _SAFE_TYPE_NAMES = frozenset(
 _SAFE_CALL_NAMES = frozenset(
     {"len", "str", "repr", "bytes", "int", "float", "bool", "abs", "round",
      "min", "max", "sum", "sorted", "dumps", "encode_message", "pack_frame",
-     "pack_frames", "perf_counter", "process_time", "monotonic", "time",
-     "format", "encode_oob"}
+     "perf_counter", "process_time", "monotonic", "time", "format", "encode_oob"}
 )
 
 #: Constructors that are never picklable -- except through the OOB API
@@ -315,27 +314,24 @@ class ProtocolSpec:
     worker: ProtocolSide
 
 
-#: The two runtime message protocols.  Sides are matched by class (every
+#: The runtime message protocol.  Sides are matched by class (every
 #: method) or by module-level function name (nested helpers included),
-#: within any of the protocol's modules -- the pipelined dispatch mixin
-#: lives in ``runtime/dispatch.py`` and handles the streamed per-job
-#: replies (``done``/``fail``) for both runtimes.
+#: within any of the protocol's modules.  The parent side is the shared
+#: :class:`RemoteRuntime` plus whatever its two channel-opening
+#: subclasses say themselves (the cluster's dial-time ``ping``).
 PROTOCOLS: tuple[ProtocolSpec, ...] = (
     ProtocolSpec(
-        name="cluster",
-        modules=("runtime/cluster.py", "runtime/dispatch.py"),
-        parent=ProtocolSide(
-            "parent", classes=("ClusterRuntime", "PipelinedDispatchMixin")
+        name="remote-dispatch",
+        modules=(
+            "runtime/dispatch.py",
+            "runtime/procpool.py",
+            "runtime/cluster.py",
+            "runtime/worker.py",
         ),
-        worker=ProtocolSide("worker", classes=("WorkerServer", "_FetchingContext")),
-    ),
-    ProtocolSpec(
-        name="procpool",
-        modules=("runtime/procpool.py", "runtime/dispatch.py"),
         parent=ProtocolSide(
-            "parent", classes=("ProcessRuntime", "PipelinedDispatchMixin")
+            "parent", classes=("RemoteRuntime", "ProcessRuntime", "ClusterRuntime")
         ),
-        worker=ProtocolSide("worker", functions=("_worker_main", "_serve_job")),
+        worker=ProtocolSide("worker", classes=("WorkerSession", "WorkerContext")),
     ),
 )
 

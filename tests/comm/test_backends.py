@@ -108,20 +108,18 @@ class TestPeerLoss:
             comm.connect("inproc://nobody-home")
 
     def test_tcp_connect_refused(self):
-        # A bound-then-closed listener guarantees a dead port.  The
-        # kernel can very rarely self-connect (ephemeral source port ==
-        # destination port), so discard such accidents and retry.
-        for _ in range(5):
-            lis = comm.listen("tcp://127.0.0.1:0", _echo_handler)
-            addr = lis.address
-            lis.close()
-            time.sleep(0.05)
-            try:
-                c = comm.connect(addr)
-            except comm.CommClosedError:
-                return  # the expected outcome
-            c.close()
-        pytest.fail("connect to a closed port kept succeeding")
+        # close() must stop a listener whose accept thread is already
+        # parked in accept(): closing the fd alone leaves the kernel
+        # socket listening until that call returns, and the next
+        # connect would be accepted and served.
+        served = []
+        lis = comm.listen("tcp://127.0.0.1:0", served.append)
+        time.sleep(0.1)  # let the accept thread reach accept()
+        lis.close()
+        with pytest.raises(comm.CommClosedError):
+            comm.connect(lis.address)
+        time.sleep(0.05)
+        assert not served
 
     def test_tcp_peer_close_surfaces_on_recv(self):
         def close_handler(c):

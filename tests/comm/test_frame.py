@@ -1,4 +1,4 @@
-"""Frame codec: framing round trips, batching, and both error rails."""
+"""Frame codec: framing round trips and both error rails."""
 
 import pytest
 
@@ -34,20 +34,14 @@ class TestFraming:
         assert list(d.frames()) == [b"abc", b"", b"xyz"]
         d.close()
 
-    def test_pack_frames_batches_identically(self):
-        payloads = [frame.dumps(i) for i in range(10)]
-        batched = frame.pack_frames(payloads)
-        assert batched == b"".join(frame.pack_frame(p) for p in payloads)
-        d = frame.FrameDecoder()
-        d.feed(batched)
-        assert [frame.loads(p) for p in d.frames()] == list(range(10))
-
     def test_pending_counts_ready_frames(self):
         d = frame.FrameDecoder()
-        d.feed(frame.pack_frames([b"a", b"b", b"c"]))
+        # Many frames in one feed: all ready at once, in order.
+        d.feed(b"".join(frame.pack_frame(p) for p in (b"a", b"b", b"c")))
         assert d.pending == 3
-        d.next_frame()
+        assert d.next_frame() == b"a"
         assert d.pending == 2
+        assert list(d.frames()) == [b"b", b"c"]
 
     def test_encode_message_is_full_stream_encoding(self):
         d = frame.FrameDecoder()

@@ -5,6 +5,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultPlan
 from repro.graph.builders import chain_graph, diamond_graph
 from repro.memory.blockstore import BlockStore
+from repro.obs.events import EventLog
 from repro.runtime import InlineRuntime, SimulatedRuntime
 from repro.runtime.tracing import ExecutionTrace
 
@@ -15,7 +16,7 @@ def run_recorded(spec, plan, runtime=None):
     injector = FaultInjector(plan, spec, store, trace) if plan else None
     sched = FTScheduler(
         spec, runtime or InlineRuntime(), store=store, hooks=injector,
-        trace=trace, record_events=True,
+        trace=trace, event_log=EventLog(),
     )
     sched.run()
     return sched

@@ -22,6 +22,7 @@ from repro.graph.taskspec import BlockRef, Key, TaskSpecBase
 from repro.graph.validate import validate_spec
 from repro.memory.allocator import Reuse
 from repro.memory.blockstore import BlockStore
+from repro.obs.events import EventLog
 from repro.runtime import InlineRuntime
 from repro.runtime.tracing import ExecutionTrace
 
@@ -94,7 +95,7 @@ class TestFigure1Narrative:
         injector = FaultInjector(FaultPlan.single("B", phase), self.spec, store, trace)
         sched = FTScheduler(
             self.spec, InlineRuntime(), store=store, hooks=injector,
-            trace=trace, record_events=True,
+            trace=trace, event_log=EventLog(),
         )
         sched.run()
         return sched, store, trace

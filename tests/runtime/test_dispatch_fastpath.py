@@ -2,31 +2,34 @@
 
 Three layers:
 
-* **frame codec** -- ``unpack_frames`` is the exact inverse of
-  ``pack_frames`` and convicts truncated/corrupt batch buffers;
-* **wire protocol** -- a raw worker process driven directly over its
-  pipe: multiple jobs in one ``("jobs", ...)`` frame stream one reply
-  each, a ``die``-flagged job kills the process mid-batch after the
-  earlier jobs' replies have been sent, and descriptor pre-pinning
-  serves repeat reads through a :class:`PinnedRef` without re-shipping
-  the segment;
+* **wire protocol** -- a raw worker driven directly over its comm, once
+  as a forked pipe child and once as an ``inproc://`` ``WorkerServer``
+  connection (the same ``WorkerSession`` serves both): multiple jobs in
+  one ``("jobs", [...])`` message stream one reply each, a
+  ``die``-flagged job kills the worker mid-batch after the earlier
+  jobs' replies have been sent, descriptor pre-pinning serves repeat
+  reads through a :class:`PinnedRef` without re-shipping the segment,
+  and one job may mix inline payloads with lazily fetched refs;
+* **channel loss** -- a dead channel's comm is never closed under a
+  drain leader that is still inside it (the fd-reuse hang);
 * **runtime integration** -- pipelined configurations (fewer processes
   than scheduler threads, inflight windows > 1) keep bit-identical
   parity with and without fault plans, a crash mid-pipeline re-executes
   only unfinished jobs through one WORKER_DOWN/WORKER_UP pair, and the
-  new ``queued`` spans keep attribution tiling.
+  ``queued`` spans keep attribution tiling.
 """
 
 import itertools
 import pickle
+import threading
 
 import numpy as np
 import pytest
 
+from repro import comm
 from repro.apps import make_app
 from repro.comm import frame
 from repro.comm.core import CommClosedError
-from repro.comm.frame import TruncatedFrameError, pack_frames, unpack_frames
 from repro.core import FTScheduler
 from repro.faults import FaultInjector, plan_faults
 from repro.graph.taskspec import BlockRef
@@ -34,6 +37,7 @@ from repro.memory.shm import materialize_segment
 from repro.obs.attribution import attribute_run
 from repro.obs.events import EventKind, EventLog
 from repro.runtime import ClusterRuntime, InlineRuntime, ProcessRuntime, WorkerServer
+from repro.runtime.dispatch import CRASHED, PendingJob, PipelineChannel, RemoteRuntime
 from repro.runtime.procpool import CRASH_EXIT_CODE, PinnedRef
 from repro.runtime.tracing import ExecutionTrace
 
@@ -41,29 +45,7 @@ _ids = itertools.count()
 
 
 # ---------------------------------------------------------------------------
-# frame codec
-
-
-class TestUnpackFrames:
-    def test_inverse_of_pack_frames(self):
-        payloads = [b"", b"x", b"hello" * 100, frame.dumps(("jobs", 1, None))]
-        assert unpack_frames(pack_frames(payloads)) == payloads
-
-    def test_empty_batch(self):
-        assert unpack_frames(b"") == []
-
-    def test_truncated_buffer_convicted(self):
-        buf = pack_frames([b"abc", b"defgh"])
-        with pytest.raises(TruncatedFrameError):
-            unpack_frames(buf[:-2])
-
-    def test_garbage_header_convicted(self):
-        with pytest.raises(frame.OversizedFrameError):
-            unpack_frames(b"\xff" * 16)
-
-
-# ---------------------------------------------------------------------------
-# wire protocol, against a raw worker process
+# wire protocol, against a raw worker
 
 
 class _NoInputSpec:
@@ -87,96 +69,244 @@ class _SumSpec:
         ctx.write(BlockRef("out", 0), float(np.asarray(value).sum()))
 
 
-def _raw_worker():
-    rt = ProcessRuntime(workers=1, seed=0)
-    handle = rt._start_worker()
-    return handle
+class _MixedSpec:
+    """Picklable spec reading three blocks: the sum of two, and the
+    third passed through untouched."""
+
+    def inputs(self, key):
+        return [BlockRef("a", 0), BlockRef("b", 0), BlockRef("c", 0)]
+
+    def compute(self, key, ctx):
+        a, b, c = (ctx.read(BlockRef(name, 0)) for name in "abc")
+        ctx.write(BlockRef("out", 0), (float(np.sum(a) + np.sum(b)), c))
 
 
-def _job_frame(jobs):
-    return ("jobs", pack_frames([frame.dumps(j) for j in jobs]))
+class _PipeWorker:
+    """A forked ``ProcessRuntime`` worker, driven by hand."""
+
+    def __init__(self):
+        self.handle = ProcessRuntime(workers=1, seed=0)._open_channel()
+        self.comm = self.handle.comm
+
+    def assert_died(self):
+        self.handle.peer.join(timeout=5.0)
+        assert self.handle.peer.exitcode == CRASH_EXIT_CODE
+
+    def close(self):
+        self.handle.peer.join(timeout=5.0)
+        assert not self.handle.peer.is_alive()
 
 
-def _written(reply):
-    assert reply[0] == "done", reply
-    blob = reply[2]
-    # Workers reply out-of-band (frame.Encoded); the legacy bytes blob
-    # shape is still asserted decodable for raw-protocol clients.
-    if isinstance(blob, frame.Encoded):
-        return dict(blob.load())
-    return dict(pickle.loads(blob))
+class _ServerWorker:
+    """One connection to an in-process ``WorkerServer``, driven by hand."""
+
+    def __init__(self):
+        self.server = WorkerServer(f"inproc://raw-{next(_ids)}").start()
+        self.comm = comm.connect(self.server.address)
+
+    def assert_died(self):
+        pass  # a severed connection leaves no corpse to examine
+
+    def close(self):
+        with pytest.raises(CommClosedError):  # the session has ended
+            self.comm.recv(timeout=5.0)
+        self.server.close()
 
 
 class TestJobsProtocol:
-    def test_batch_streams_one_reply_per_job(self):
-        h = _raw_worker()
-        try:
-            h.conn.send(("spec", pickle.dumps(_NoInputSpec())))
-            h.conn.send(_job_frame([(j, f"k{j}", [], False) for j in (1, 2, 3)]))
-            for jid in (1, 2, 3):  # FIFO within the channel
-                reply = h.conn.recv()
-                assert reply[1] == jid
-                assert _written(reply)[("out", 0)] == f"k{jid}"
-        finally:
-            h.conn.send(("stop",))
-            h.proc.join(timeout=5.0)
+    """The job protocol against a forked pipe worker; the subclass below
+    runs the same cases against a ``WorkerServer`` connection."""
 
-    def test_die_mid_batch_kills_after_earlier_replies(self):
-        h = _raw_worker()
-        try:
-            h.conn.send(("spec", pickle.dumps(_NoInputSpec())))
-            h.conn.send(_job_frame([
-                (1, "a", [], False),
-                (2, "b", [], True),   # injected death, mid-frame
-                (3, "c", [], False),  # never executes
-            ]))
-            first = h.conn.recv()
-            assert first[0] == "done" and first[1] == 1
-            # The remaining jobs die with the process: the pipe reports
-            # peer loss (EOF) instead of replies 2 and 3.
-            with pytest.raises(CommClosedError):
-                h.conn.recv()
-        finally:
-            h.proc.join(timeout=5.0)
-            h.conn.close()
-        assert h.proc.exitcode == CRASH_EXIT_CODE
+    worker_kind = _PipeWorker
 
-    def test_pinned_ref_serves_repeat_reads_without_reattach(self):
+    @pytest.fixture
+    def worker(self):
+        w = self.worker_kind()
+        yield w
+        try:
+            w.comm.send(("stop",))
+        except CommClosedError:
+            pass
+        w.close()
+        w.comm.close()
+
+    @staticmethod
+    def start(worker, spec):
+        worker.comm.send(("spec", pickle.dumps(spec), "run-token"))
+
+    @staticmethod
+    def submit(worker, *jobs):
+        """Ship ``(jid, key, inputs[, die])`` jobs as one batch."""
+        worker.comm.send_oob(
+            ("jobs", [(jid, key, inputs, bool(die), 1) for jid, key, inputs, *die in jobs])
+        )
+
+    @staticmethod
+    def written(reply):
+        assert reply[0] == "done", reply
+        return dict(reply[2].load())
+
+    def test_batch_streams_one_reply_per_job(self, worker):
+        self.start(worker, _NoInputSpec())
+        self.submit(worker, *[(j, f"k{j}", []) for j in (1, 2, 3)])
+        for jid in (1, 2, 3):  # FIFO within the channel
+            reply = worker.comm.recv(timeout=10)
+            assert reply[1] == jid
+            assert self.written(reply)[("out", 0)] == f"k{jid}"
+
+    def test_die_mid_batch_kills_after_earlier_replies(self, worker):
+        self.start(worker, _NoInputSpec())
+        self.submit(
+            worker,
+            (1, "a", []),
+            (2, "b", [], True),  # injected death, mid-batch
+            (3, "c", []),        # never executes
+        )
+        first = worker.comm.recv(timeout=10)
+        assert first[0] == "done" and first[1] == 1
+        # The remaining jobs die with the worker: the channel reports
+        # peer loss instead of replies 2 and 3.
+        with pytest.raises(CommClosedError):
+            worker.comm.recv(timeout=10)
+        worker.assert_died()
+
+    def test_pinned_ref_serves_repeat_reads_without_reattach(self, worker):
         data = np.arange(64, dtype=np.float64)
-        payload, seg = materialize_segment(data)
+        _payload, seg = materialize_segment(data)
         assert seg is not None
         desc = seg.descriptor
-        h = _raw_worker()
         try:
-            h.conn.send(("spec", pickle.dumps(_SumSpec())))
+            self.start(worker, _SumSpec())
             # First dispatch ships the full descriptor (worker attaches
             # and pins); every later one only names the pinned segment.
-            h.conn.send(_job_frame([(1, "k1", [("in", 0, desc)], False)]))
-            assert _written(h.conn.recv())[("out", 0)] == float(data.sum())
-            h.conn.send(_job_frame([
-                (2, "k2", [("in", 0, PinnedRef(desc.name))], False),
-                (3, "k3", [("in", 0, PinnedRef(desc.name))], False),
-            ]))
-            assert _written(h.conn.recv())[("out", 0)] == float(data.sum())
-            assert _written(h.conn.recv())[("out", 0)] == float(data.sum())
+            self.submit(worker, (1, "k1", [("in", 0, desc)]))
+            assert self.written(worker.comm.recv(timeout=10))[("out", 0)] == float(data.sum())
+            self.submit(
+                worker,
+                (2, "k2", [("in", 0, PinnedRef(desc.name))]),
+                (3, "k3", [("in", 0, PinnedRef(desc.name))]),
+            )
+            assert self.written(worker.comm.recv(timeout=10))[("out", 0)] == float(data.sum())
+            assert self.written(worker.comm.recv(timeout=10))[("out", 0)] == float(data.sum())
         finally:
-            h.conn.send(("stop",))
-            h.proc.join(timeout=5.0)
+            worker.comm.send(("stop",))  # detach before the segment goes
+            worker.close()
             seg.dispose()
 
-    def test_unpinned_ref_is_a_scheduler_error(self):
-        h = _raw_worker()
+    def test_unpinned_ref_is_a_scheduler_error(self, worker):
+        self.start(worker, _SumSpec())
+        self.submit(worker, (1, "k1", [("in", 0, PinnedRef("never-shipped"))]))
+        reply = worker.comm.recv(timeout=10)
+        assert reply[0] == "fail" and reply[1] == 1
+        assert "unpinned" in str(reply[2])
+
+    def test_inline_and_lazily_fetched_inputs_mix_in_one_job(self, worker):
+        a, b = np.arange(8.0), np.arange(2048.0)
+        self.start(worker, _MixedSpec())
+        # "a" rides the job inline, "b" is a bare ref the worker must
+        # fetch, and "c" is an inline None -- shipped, so never fetched.
+        inputs = [("a", 0, a), ("b", 0), ("c", 0, None)]
+        self.submit(worker, (1, "k1", inputs))
+        assert worker.comm.recv(timeout=10) == ("fetch", 1, "b", 0)
+        worker.comm.send_oob(("data", "b", 0, frame.encode_oob(b)))
+        want = (float(a.sum() + b.sum()), None)
+        assert self.written(worker.comm.recv(timeout=10))[("out", 0)] == want
+        # The fetched version is cached under the run token: a second
+        # job naming the same ref replies without another fetch.
+        self.submit(worker, (2, "k2", inputs))
+        reply = worker.comm.recv(timeout=10)
+        assert reply[1] == 2 and self.written(reply)[("out", 0)] == want
+
+
+class TestJobsProtocolOverWorkerServer(TestJobsProtocol):
+    worker_kind = _ServerWorker
+
+
+# ---------------------------------------------------------------------------
+# channel loss
+
+
+class _RendezvousComm:
+    """A comm whose reader can be parked between ``poll()`` and the end
+    of ``recv()`` while another thread declares the channel lost."""
+
+    def __init__(self):
+        self.in_recv = threading.Event()
+        self.release = threading.Event()
+        self.reader_inside = False
+        self.closes = []  # per close(): was the reader still inside?
+
+    def poll(self, timeout=0.0):
+        return True
+
+    def recv(self, timeout=None):
+        self.reader_inside = True
         try:
-            h.conn.send(("spec", pickle.dumps(_SumSpec())))
-            h.conn.send(_job_frame([
-                (1, "k1", [("in", 0, PinnedRef("never-shipped"))], False)
-            ]))
-            reply = h.conn.recv()
-            assert reply[0] == "fail" and reply[1] == 1
-            assert "unpinned" in str(reply[2])
+            self.in_recv.set()
+            assert self.release.wait(10.0)
+            raise CommClosedError("peer gone")
         finally:
-            h.conn.send(("stop",))
-            h.proc.join(timeout=5.0)
+            self.reader_inside = False
+
+    def close(self):
+        self.closes.append(self.reader_inside)
+
+
+class _CountingEvent(threading.Event):
+    def __init__(self):
+        super().__init__()
+        self.sets = 0
+
+    def set(self):
+        self.sets += 1
+        super().set()
+
+
+class _StubRuntime(RemoteRuntime):
+    def __init__(self):
+        super().__init__(2, 0, None, None, None, 1, 2)
+
+    def _open_channel(self, index=0):
+        return PipelineChannel(_RendezvousComm(), None)
+
+    def _replace_channel(self, dead, reason):
+        return self._open_channel()
+
+    def _silent_reason(self, handle):
+        return None
+
+
+class TestChannelLoss:
+    def test_dead_comm_is_not_closed_under_its_drain_leader(self):
+        # The fd-reuse hang: thread A finds the channel broken while
+        # flushing and replaces it; the drain leader B sits between
+        # poll() and recv() on the same comm.  Closing the comm under B
+        # frees its fd number for the replacement's pipe, and B would
+        # then block forever on a channel that is not its own.
+        rt = _StubRuntime()
+        handle = rt._open_channel()
+        jobs = [PendingJob(jid, f"k{jid}", 1, False, {}) for jid in (1, 2)]
+        for p in jobs:
+            p.event = _CountingEvent()
+            handle.pending[p.jid] = p
+        got = []
+        leader = threading.Thread(
+            target=lambda: got.append(rt._await_pipelined(handle, jobs[0]))
+        )
+        leader.start()
+        assert handle.comm.in_recv.wait(10.0)
+        rt._channel_lost(handle, "closed")  # thread A, leader still inside recv()
+        assert handle.dead and handle.comm.closes == []
+        handle.comm.release.set()
+        leader.join(10.0)
+        assert not leader.is_alive()
+        # The leader closed it on its way out, and nobody closed it twice
+        # while a reader was inside.
+        assert handle.comm.closes == [False]
+        assert got == [CRASHED]
+        assert [(p.reply is CRASHED, p.event.sets) for p in jobs] == [(True, 1)] * 2
+        assert rt.worker_crashes == 1
+        assert rt._idle.qsize() == 2  # the replacement's two window slots
 
 
 # ---------------------------------------------------------------------------
