@@ -198,30 +198,6 @@ class FTScheduler:
         if register is not None:
             register(self.metrics)
 
-    @property
-    def events(self) -> list[tuple]:
-        """Recovery-path narrative as legacy tuples, derived from the
-        structured log: ``("compute_fault", key, life, exc_type, source)``,
-        ``("recovery", key, new_life)``, ``("recovery_skipped", key,
-        life)``, ``("reset", key, life)``, ``("reinit", key, successor)``,
-        ``("stale_frame", key, life)``.  Prefer ``self.log.events`` (full
-        structured stream) for new code."""
-        out: list[tuple] = []
-        for e in self.log.events:
-            if e.kind is EventKind.COMPUTE_FAULT:
-                out.append(("compute_fault", e.key, e.life, e.data["exc"], e.data["source"]))
-            elif e.kind is EventKind.RECOVERY:
-                out.append(("recovery", e.key, e.life))
-            elif e.kind is EventKind.RECOVERY_SKIPPED:
-                out.append(("recovery_skipped", e.key, e.life))
-            elif e.kind is EventKind.RESET:
-                out.append(("reset", e.key, e.life))
-            elif e.kind is EventKind.REINIT:
-                out.append(("reinit", e.key, e.data["successor"]))
-            elif e.kind is EventKind.STALE_FRAME:
-                out.append(("stale_frame", e.key, e.life))
-        return out
-
     # -- public API -------------------------------------------------------------------
 
     def run(self) -> SchedulerResult:

@@ -14,16 +14,25 @@ Design constraints:
   :data:`NULL_LOG` by default and guard every emission with a cached
   ``log is not NULL_LOG`` identity check, so a fault-free benchmark run
   pays one local boolean test per would-be event.
+* **Cheap when on: the hot path records, the read path decodes.**  An
+  emission appends one fixed-width flat record ``(seq, t, worker, kind,
+  key, life, data-or-None)`` to a list with a single ``list.extend`` --
+  no :class:`Event`, no lock, and for an event without ``data`` no
+  surviving allocation the cyclic collector would have to traverse.
+  ``extend`` is one C-level call, atomic under the GIL, so a reader
+  never sees part of a record.  :class:`Event` objects are built once,
+  incrementally, when the log is *read*: each read decodes only the
+  records appended since the previous one and releases them as it goes.
 * **Low contention when on.**  An unbounded log appends to *per-thread
-  buffers* (no lock on the emission path); ordering comes from a shared
-  sequence counter whose ``next()`` is a single GIL-atomic operation.
-  The buffers are merged back into one totally-ordered sequence -- by
-  that counter, never by timestamp (the simulator emits with
-  non-monotone virtual times) -- when the log is *read*, which analysis
-  and replay only do at quiescence.  The merged order is exactly the
-  order a single-lock log would have recorded: the counter linearizes
-  emissions, and any cross-thread happens-before edge (lock release ->
-  acquire on a task record) orders the corresponding ``next()`` calls.
+  buffers*; ordering comes from a shared sequence counter whose
+  ``next()`` is a single GIL-atomic operation.  The buffers are merged
+  back into one totally-ordered sequence -- by that counter, never by
+  timestamp (the simulator emits with non-monotone virtual times) --
+  when the log is read, which analysis and replay only do at
+  quiescence.  The merged order is exactly the order a single-lock log
+  would have recorded: the counter linearizes emissions, and any
+  cross-thread happens-before edge (lock release -> acquire on a task
+  record) orders the corresponding ``next()`` calls.
 * **Worker attribution and timestamps come from the runtime.**  Each
   runtime exposes ``obs_now()`` (virtual time on the simulator,
   wall-clock seconds since ``execute()`` on the threaded runtime,
@@ -34,17 +43,20 @@ Design constraints:
   incarnation never aliases its first.
 * **Bounded memory on demand.**  ``EventLog(capacity=n)`` keeps only the
   most recent ``n`` events in a ring buffer (``dropped`` counts the
-  rest); eviction needs a global view, so capacity logs keep the classic
-  single-lock append path.  The default is unbounded, which is what the
-  replay/consistency machinery in :mod:`repro.obs.replay` requires.
-  ``EventLog(buffered=False)`` forces the single-lock path on an
-  unbounded log -- the reference implementation that the buffered-log
-  parity tests compare against.
+  rest; between reads up to ``n`` undecoded records sit beside the
+  ``n`` decoded events); eviction needs a global view, so capacity logs
+  append their records to one shared ring under a lock.  The default is
+  unbounded, which is what the replay/consistency machinery in
+  :mod:`repro.obs.replay` requires.  ``EventLog(buffered=False)`` forces
+  the single-lock append on an unbounded log -- the reference that the
+  buffered-log parity tests compare against.  All three modes write the
+  same record format and are read through the same decoder.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import threading
 import time
 from collections import deque
@@ -150,9 +162,15 @@ class EventKind(str, Enum):
     spans add ``data['cpu']`` (worker process-CPU seconds)."""
 
 
-@dataclass(slots=True, frozen=True)
+@dataclass(slots=True, init=False)
 class Event:
-    """One timestamped, worker-attributed lifecycle event."""
+    """One timestamped, worker-attributed lifecycle event.
+
+    Events are built by the log's decoder when it is read, never on the
+    emission path, and construction is seven plain slot stores.  They
+    are values: nothing assigns to their fields or edits ``data`` after
+    construction (the ``event-immutable`` lint rule holds the package's
+    event consumers to that)."""
 
     seq: int
     """Global emission order (total, gap-free for an unbounded log)."""
@@ -168,7 +186,26 @@ class Event:
     """Incarnation number of ``key`` at emission (0 = not task-scoped)."""
     data: dict[str, Any] = field(default_factory=dict)
     """Kind-specific extras: fault source, exception type, successor key,
-    victim worker, deque depth, phase ..."""
+    victim worker, deque depth, phase ...  Empty (and private to this
+    event) when the emission carried none."""
+
+    def __init__(
+        self,
+        seq: int,
+        t: float,
+        worker: int,
+        kind: EventKind,
+        key: Hashable = None,
+        life: int = 0,
+        data: dict[str, Any] | None = None,
+    ) -> None:
+        self.seq = seq
+        self.t = t
+        self.worker = worker
+        self.kind = kind
+        self.key = key
+        self.life = life
+        self.data = {} if data is None else data
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe flat dict (keys stringified via repr when needed)."""
@@ -198,8 +235,33 @@ def _json_key(key: Any) -> Any:
     return repr(key)
 
 
-def _seq_of(event: Event) -> int:
-    return event.seq
+_seq_of = operator.attrgetter("seq")
+_first_slot = operator.itemgetter(0)
+
+#: Slots per raw record: ``(seq, t, worker, kind, key, life, data-or-None)``
+#: -- the positional signature of :class:`Event`.
+_WIDTH = 7
+
+
+def _decode(buf: list[Any], todo: int) -> list[Event]:
+    """Consume the first ``todo`` slots of ``buf`` (whole records) and
+    return them as :class:`Event` objects, in order.
+
+    Safe on a buffer its owner thread is still extending: only the slots
+    counted before the call are read, and each decoded block leaves the
+    front of the list in one atomic slice deletion.  Decoding in eight
+    blocks keeps at most an eighth of a long buffer alive in both forms
+    at once -- raw records are released as their events come to life,
+    not after."""
+    events: list[Event] = []
+    block = max(todo // (8 * _WIDTH), 1024) * _WIDTH
+    while todo:
+        n = min(block, todo)
+        slots = itertools.islice(buf, n)
+        events.extend(map(Event, slots, slots, slots, slots, slots, slots, slots))
+        del buf[:n]
+        todo -= n
+    return events
 
 
 class LateEmitError(RuntimeError):
@@ -220,14 +282,16 @@ class SealedLogError(RuntimeError):
 class EventLog:
     """Append-only, thread-safe event collector bound to a runtime clock.
 
-    Unbounded logs (the default) take the *buffered* emission path: each
-    emitting thread appends to its own list, and the only shared state an
-    emission touches is ``next()`` on an :func:`itertools.count` -- a
-    single C-level call that is atomic under the GIL and therefore a
-    linearization point.  Merging the buffers by that sequence number at
-    read time reconstructs exactly the total order a single-lock log
-    would have produced (see the module docstring for the argument).
-    Capacity-bounded logs and ``buffered=False`` use the single lock.
+    Every emission appends one flat record (see the module docstring);
+    :class:`Event` objects exist only once the log has been read.
+    Unbounded logs (the default) are *buffered*: each emitting thread
+    extends its own list, and the only shared state an emission touches
+    is ``next()`` on an :func:`itertools.count` -- a single C-level call
+    that is atomic under the GIL and therefore a linearization point.
+    Merging the buffers by that sequence number at read time
+    reconstructs exactly the total order a single-lock log would have
+    produced.  Capacity-bounded logs and ``buffered=False`` extend one
+    shared buffer under the lock instead.
     """
 
     enabled = True
@@ -240,14 +304,19 @@ class EventLog:
             raise ValueError("capacity must be >= 1 (or None for unbounded)")
         self.capacity = capacity
         self._buffered = buffered and capacity is None
-        self._events: deque[Event] | list[Event]
-        self._events = deque(maxlen=capacity) if capacity is not None else []
         self._lock = threading.Lock()
-        self._seq = 0
         self._count = itertools.count()
+        self._seq = 0
         self._local = threading.local()
-        self._buffers: list[list[Event]] = []
-        self._merged: list[Event] = []
+        # Raw records not yet decoded.  Buffered: one list per emitting
+        # thread, registered on its first emission.  Otherwise the one
+        # shared buffer -- a ring of ``capacity`` records when bounded.
+        self._shared: deque[Any] | list[Any]
+        self._shared = deque(maxlen=capacity * _WIDTH) if capacity is not None else []
+        self._buffers: list[Any] = [] if self._buffered else [self._shared]
+        # Decoded events in emission order; only ``_drain`` appends.
+        self._merged: deque[Event] | list[Event]
+        self._merged = deque(maxlen=capacity) if capacity is not None else []
         self._clock: Callable[[], float] = time.perf_counter
         self._worker: Callable[[], int] = _zero
         self._epoch = time.perf_counter()
@@ -277,13 +346,13 @@ class EventLog:
 
     # -- emission ----------------------------------------------------------------
 
-    def _thread_buffer(self) -> list[Event]:
-        """This thread's append buffer, created and registered on first use.
+    def _thread_buffer(self) -> list[Any]:
+        """This thread's record buffer, created and registered on first use.
 
         Registration takes a lock once per (thread, log) pair -- never per
-        event.  The registry holds strong references, so events survive
+        event.  The registry holds strong references, so records survive
         their emitting worker thread."""
-        buf: list[Event] = []
+        buf: list[Any] = []
         with self._lock:
             self._buffers.append(buf)
         self._local.buf = buf
@@ -304,8 +373,8 @@ class EventLog:
                 buf = self._local.buf
             except AttributeError:
                 buf = self._thread_buffer()
-            buf.append(
-                Event(next(self._count), self._clock(), self._worker(), kind, key, life, data)
+            buf.extend(
+                (next(self._count), self._clock(), self._worker(), kind, key, life, data or None)
             )
             return
         self.emit_at(kind, self._clock(), self._worker(), key, life, **data)
@@ -328,63 +397,64 @@ class EventLog:
                 buf = self._local.buf
             except AttributeError:
                 buf = self._thread_buffer()
-            buf.append(Event(next(self._count), t, worker, kind, key, life, data))
+            buf.extend((next(self._count), t, worker, kind, key, life, data or None))
             return
         with self._lock:
-            seq = self._seq
+            self._shared.extend((self._seq, t, worker, kind, key, life, data or None))
             self._seq += 1
-            self._events.append(Event(seq, t, worker, kind, key, life, data))
 
     # -- inspection ---------------------------------------------------------------
 
-    def _drain(self) -> list[Event]:
-        """Merged view of every thread buffer, ordered by sequence number.
+    def _drain(self) -> deque[Event] | list[Event]:
+        """Decode whatever was recorded since the last drain onto the end
+        of the merged order and return it.  The caller holds ``_lock``.
 
-        Memoized by total event count: buffers are append-only, so an
-        unchanged total means an unchanged merge.  Safe to call while
-        workers are still emitting (list snapshots are atomic under the
-        GIL); the result is simply the events emitted so far."""
-        with self._lock:
-            snap = [list(b) for b in self._buffers]
-        total = 0
-        for b in snap:
-            total += len(b)
-        if len(self._merged) != total:
-            merged = sorted((e for b in snap for e in b), key=_seq_of)
-            prev = self._merged
-            # Deterministic-merge guard (late worker-span delivery):
-            # new events whose seq extends the previously drained prefix
-            # append in order; an event whose seq falls *inside* that
-            # prefix would silently rewrite history for anyone who
-            # already read it, so it raises instead.  The L-th smallest
-            # seq of old-union-new equals the old maximum iff no new
-            # event interleaves below it.
-            if prev and merged[len(prev) - 1].seq != prev[-1].seq:
-                known = {e.seq for e in prev}
-                late = [e for e in merged if e.seq < prev[-1].seq and e.seq not in known]
+        A log nobody emitted into since the last drain answers from the
+        merged events without copying or sorting anything.  Safe to call
+        while workers are still emitting (each buffer is cut at a whole
+        record); the result is simply the events delivered so far."""
+        merged = self._merged
+        pending = [buf for buf in self._buffers if buf]
+        if not pending:
+            return merged
+        if self.capacity is not None:
+            # The ring cannot drop a prefix in place, and it is bounded.
+            pending = [list(self._shared)]
+            self._shared.clear()
+        # Cut every buffer first, decode after: emitters keep running, and
+        # the narrower the cut the fewer cross-thread stragglers.
+        cuts = [len(buf) for buf in pending]
+        if merged:
+            # Deterministic-merge guard (late worker-span delivery).  New
+            # events must extend the drained order; one whose seq falls
+            # *inside* it would silently rewrite history for anyone who
+            # already read it.  Each buffer is in seq order, so its first
+            # pending record decides -- checked before anything is
+            # consumed, so the offender stays put and every later read
+            # raises too.
+            first = min(pending, key=_first_slot)
+            if first[0] < merged[-1].seq:
                 raise LateEmitError(
-                    f"{len(merged) - len(prev)} event(s) emitted after the merged "
+                    f"{sum(cuts) // _WIDTH} event(s) emitted after the merged "
                     f"order was observed would reorder the drained prefix "
-                    f"(first offender: {late[0].kind.value} seq={late[0].seq}, "
-                    f"drained max seq={prev[-1].seq})"
+                    f"(first offender: {first[3].value} seq={first[0]}, "
+                    f"drained max seq={merged[-1].seq})"
                 )
-            self._merged = merged
-        return self._merged
+        runs = [_decode(buf, cut) for buf, cut in zip(pending, cuts)]
+        merged.extend(runs[0] if len(runs) == 1 else sorted(itertools.chain(*runs), key=_seq_of))
+        return merged
 
     @property
     def events(self) -> list[Event]:
         """Snapshot of retained events in emission order."""
-        if self._buffered:
-            return list(self._drain())
         with self._lock:
-            return list(self._events)
+            return list(self._drain())
 
     @property
     def total_emitted(self) -> int:
-        if self._buffered:
-            with self._lock:
-                return sum(len(b) for b in self._buffers)
         with self._lock:
+            if self._buffered:
+                return len(self._merged) + sum(map(len, self._buffers)) // _WIDTH
             return self._seq
 
     @property
@@ -395,10 +465,9 @@ class EventLog:
     @property
     def dropped(self) -> int:
         """Events lost to the ring buffer (0 for an unbounded log)."""
-        if self._buffered:
+        if self.capacity is None:
             return 0
-        with self._lock:
-            return self._seq - len(self._events)
+        return max(0, self.total_emitted - self.capacity)
 
     def seal(self) -> None:
         """Close the log: drain once more, then make any further emission
@@ -406,7 +475,7 @@ class EventLog:
         :class:`LateEmitError` at the next drain).  Opt-in -- schedulers
         never seal automatically because legitimate post-run emitters
         exist (e.g. ``repro.detect`` escape accounting)."""
-        if self._buffered:
+        with self._lock:
             self._drain()
         self._sealed = True
 
@@ -418,17 +487,13 @@ class EventLog:
         with self._lock:
             for buf in self._buffers:
                 buf.clear()
-            self._merged = []
+            self._merged.clear()
             self._count = itertools.count()
-            self._events.clear()
             self._seq = 0
             self._sealed = False
 
     def __len__(self) -> int:
-        if self._buffered:
-            return self.total_emitted
-        with self._lock:
-            return len(self._events)
+        return self.total_emitted - self.dropped
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
@@ -469,4 +534,4 @@ NULL_LOG = NullEventLog()
 
 def events_in_order(events: Iterable[Event]) -> list[Event]:
     """Events sorted by global sequence number (emission order)."""
-    return sorted(events, key=lambda e: e.seq)
+    return sorted(events, key=_seq_of)

@@ -231,6 +231,11 @@ _SEEDED_VIOLATIONS: dict[str, tuple[str, str]] = {
         "class EventKind(str, Enum):\n"
         "    PHANTOM = 'phantom'\n",
     ),
+    "event-immutable": (
+        "obs/seeded.py",
+        "def f(events):\n"
+        "    events[0].life += 1\n",
+    ),
 }
 
 

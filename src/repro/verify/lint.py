@@ -46,6 +46,14 @@ implementation *relies on* but which no test can establish exhaustively:
   must be real ``ExecutionTrace`` counters.  This keeps the event log,
   the counters, and the replay derivation from drifting apart (the
   "one source of truth" contract of :mod:`repro.obs`).
+* ``event-immutable`` -- :class:`~repro.obs.events.Event` is built on the
+  log's read path with plain slot stores (a frozen dataclass cost more
+  to construct than the rest of an emission), so nothing in the language
+  stops a consumer from editing one.  In the modules that consume events
+  (``obs/``, ``verify/``, ``harness/``) no statement may assign to,
+  augment or delete an ``Event`` field on anything but ``self``, nor
+  store into or call a mutator on a ``.data`` mapping: every reader of
+  a log shares the same decoded objects.
 
 A finding can be waived line-by-line with an inline pragma naming the
 rule, e.g. ``x = rec.status  # verify: ok=lock-discipline (reason)``;
@@ -60,9 +68,11 @@ job.  Every rule has a seeded-violation fixture in
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from repro.obs.events import Event
 from repro.verify.report import (  # noqa: F401 - re-exported for compat
     PRAGMA as _PRAGMA,
     Finding,
@@ -679,6 +689,71 @@ class EventKindCoverageRule(ProjectRule):
 
 
 # ---------------------------------------------------------------------------
+# event-immutable
+
+EVENT_FIELDS = frozenset(f.name for f in dataclasses.fields(Event))
+
+#: Modules that read decoded events and so share them with every other reader.
+EVENT_CONSUMER_PREFIXES: tuple[str, ...] = ("obs/", "verify/", "harness/")
+
+_DICT_MUTATORS = frozenset({"update", "pop", "popitem", "setdefault", "clear"})
+_DATA = frozenset({"data"})
+
+
+def _foreign_attr(node: ast.AST, names: frozenset[str]) -> str | None:
+    """``"x.attr"`` if ``node`` is ``x.attr`` with ``attr`` in ``names`` on
+    a receiver other than ``self``/``cls`` (an object's own fields are
+    its own business), else ``None``."""
+    if not (isinstance(node, ast.Attribute) and node.attr in names):
+        return None
+    if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
+        return None
+    return f"{ast.unparse(node.value)}.{node.attr}"
+
+
+class EventImmutableRule(Rule):
+    """Event consumers never write to an event."""
+
+    name = "event-immutable"
+    description = (
+        "in obs/, verify/ and harness/, no assignment to / deletion of an "
+        "Event field (seq, t, worker, kind, key, life, data) on a non-self "
+        "receiver and no mutation of a `.data` mapping -- decoded events "
+        "are shared by every reader of the log"
+    )
+
+    def __init__(self, prefixes: tuple[str, ...] = EVENT_CONSUMER_PREFIXES) -> None:
+        self.prefixes = prefixes
+
+    def check(self, module: Module) -> list[Finding]:
+        if not module.relpath.startswith(self.prefixes) or module.relpath == "obs/events.py":
+            return []
+        findings: list[Finding] = []
+        for node in ast.walk(module.tree):
+            hit = None
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+                hit = _foreign_attr(node, EVENT_FIELDS)
+            elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                hit = _foreign_attr(node.value, _DATA)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _DICT_MUTATORS
+            ):
+                hit = _foreign_attr(node.func.value, _DATA)
+            if hit is not None:
+                findings.extend(
+                    self._finding(
+                        module,
+                        node,
+                        f"`{hit}` is written: Event fields and their `data` "
+                        "are read-only outside obs/events.py",
+                    )
+                )
+        return findings
+
+
+# ---------------------------------------------------------------------------
 # driver
 
 ALL_RULES: tuple[Rule, ...] = (
@@ -689,6 +764,7 @@ ALL_RULES: tuple[Rule, ...] = (
     RawSocketRule(),
     EmitGuardRule(),
     EventKindCoverageRule(),
+    EventImmutableRule(),
 )
 
 

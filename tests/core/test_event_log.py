@@ -5,9 +5,20 @@ from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultPlan
 from repro.graph.builders import chain_graph, diamond_graph
 from repro.memory.blockstore import BlockStore
-from repro.obs.events import EventLog
+from repro.obs.events import NULL_LOG, EventKind, EventLog
 from repro.runtime import InlineRuntime, SimulatedRuntime
 from repro.runtime.tracing import ExecutionTrace
+
+
+#: The recovery path's vocabulary: what a fault-free run never emits.
+RECOVERY_PATH = (
+    EventKind.COMPUTE_FAULT,
+    EventKind.RECOVERY,
+    EventKind.RECOVERY_SKIPPED,
+    EventKind.RESET,
+    EventKind.REINIT,
+    EventKind.STALE_FRAME,
+)
 
 
 def run_recorded(spec, plan, runtime=None):
@@ -25,7 +36,7 @@ def run_recorded(spec, plan, runtime=None):
 class TestEventLog:
     def test_fault_free_run_has_no_events(self):
         sched = run_recorded(chain_graph(5), None)
-        assert sched.events == []
+        assert sched.log.by_kind(*RECOVERY_PATH) == []
 
     def test_off_by_default(self):
         spec = chain_graph(5)
@@ -34,23 +45,24 @@ class TestEventLog:
         injector = FaultInjector(FaultPlan.single(2, "after_compute"), spec, store, trace)
         sched = FTScheduler(spec, InlineRuntime(), store=store, hooks=injector, trace=trace)
         sched.run()
-        assert sched.events == []
+        assert sched.log is NULL_LOG
+        assert sched.log.events == []
 
     def test_after_notify_narrative(self):
         # The canonical sequence: consumer's compute faults -> consumer
         # resets -> producer recovered -> consumer re-enqueued.
         sched = run_recorded(chain_graph(5), FaultPlan.single(2, "after_notify"))
-        kinds = [e[0] for e in sched.events]
-        assert kinds.index("compute_fault") < kinds.index("reset")
-        assert "recovery" in kinds
-        assert ("reinit", 2, 3) in sched.events
+        kinds = [e.kind for e in sched.log.by_kind(*RECOVERY_PATH)]
+        assert kinds.index(EventKind.COMPUTE_FAULT) < kinds.index(EventKind.RESET)
+        assert EventKind.RECOVERY in kinds
+        reinits = [(e.key, e.data["successor"]) for e in sched.log.by_kind(EventKind.REINIT)]
+        assert (2, 3) in reinits
 
     def test_compute_fault_names_source(self):
         sched = run_recorded(chain_graph(5), FaultPlan.single(2, "after_notify"))
-        fault = next(e for e in sched.events if e[0] == "compute_fault")
-        # (kind, key, life, exc_type, source)
-        assert fault[1] == 3          # the consumer observed it
-        assert fault[4] == 2          # ... and attributed it to the producer
+        fault = sched.log.by_kind(EventKind.COMPUTE_FAULT)[0]
+        assert fault.key == 3                # the consumer observed it
+        assert fault.data["source"] == 2     # ... and attributed it to the producer
 
     def test_duplicate_suppression_logged(self):
         spec = diamond_graph(width=8)
@@ -58,12 +70,11 @@ class TestEventLog:
             spec, FaultPlan.single("src", "after_compute"),
             runtime=SimulatedRuntime(workers=8, seed=1),
         )
-        kinds = [e[0] for e in sched.events]
-        assert kinds.count("recovery") == 1
+        assert len(sched.log.by_kind(EventKind.RECOVERY)) == 1
 
     def test_counts_match_trace(self):
         sched = run_recorded(chain_graph(6), FaultPlan.single(3, "before_compute"))
-        kinds = [e[0] for e in sched.events]
-        assert kinds.count("recovery") == sched.trace.total_recoveries
-        assert kinds.count("reset") == sched.trace.resets
-        assert kinds.count("stale_frame") == sched.trace.stale_frames
+        log = sched.log
+        assert len(log.by_kind(EventKind.RECOVERY)) == sched.trace.total_recoveries
+        assert len(log.by_kind(EventKind.RESET)) == sched.trace.resets
+        assert len(log.by_kind(EventKind.STALE_FRAME)) == sched.trace.stale_frames

@@ -22,7 +22,7 @@ from repro.graph.taskspec import BlockRef, Key, TaskSpecBase
 from repro.graph.validate import validate_spec
 from repro.memory.allocator import Reuse
 from repro.memory.blockstore import BlockStore
-from repro.obs.events import EventLog
+from repro.obs.events import EventKind, EventLog
 from repro.runtime import InlineRuntime
 from repro.runtime.tracing import ExecutionTrace
 
@@ -131,7 +131,7 @@ class TestFigure1Narrative:
 
     def test_event_narrative_orders_a_after_b(self):
         sched, _, _ = self.run_b_failure("after_notify")
-        kinds = [(e[0], e[1]) for e in sched.events if e[0] == "recovery"]
-        assert ("recovery", "B") in kinds
-        assert ("recovery", "A") in kinds
-        assert kinds.index(("recovery", "B")) < kinds.index(("recovery", "A"))
+        recovered = [e.key for e in sched.log.by_kind(EventKind.RECOVERY)]
+        assert "B" in recovered
+        assert "A" in recovered
+        assert recovered.index("B") < recovered.index("A")

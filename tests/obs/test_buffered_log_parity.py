@@ -15,7 +15,7 @@ from repro.core import FTScheduler
 from repro.faults import FaultInjector, plan_faults
 from repro.graph.builders import chain_graph, grid_graph
 from repro.obs import EventLog, replay_summary, verify_consistency
-from repro.obs.events import NULL_LOG
+from repro.obs.events import NULL_LOG, EventKind
 from repro.runtime import InlineRuntime, SimulatedRuntime, ThreadedRuntime
 from repro.runtime.tracing import ExecutionTrace
 from repro.verify.invariants import check_events
@@ -65,6 +65,45 @@ class TestBufferedMatchesLockedReference:
         assert (replay_summary(logs["buffered"].events)
                 == replay_summary(logs["locked"].events))
 
+    def test_three_storage_modes_decode_to_equal_events(self):
+        """One record format, one decoder: the per-thread buffers, the
+        locked list and the ring read back event-for-event equal on a
+        deterministic inline run that recovers from faults, and a ring
+        too small for the run holds exactly its tail."""
+        app = make_app("lu", scale="tiny")
+        plan = plan_faults(app, phase="after_notify", task_type="v=rand",
+                           count=3, seed=4)
+        logs = {"buffered": EventLog(), "locked": EventLog(buffered=False),
+                "ring": EventLog(capacity=100_000), "small": EventLog(capacity=50)}
+        for log in logs.values():
+            trace = run_traced(app, InlineRuntime(), log, plan=plan,
+                               store=app.make_store(True), app=app)
+            assert trace.total_recoveries >= 1
+        reference = logs["locked"].events
+        assert len(reference) > 50
+        assert logs["buffered"].events == reference
+        assert logs["ring"].events == reference
+        assert logs["small"].events == reference[-50:]
+        assert logs["small"].dropped == len(reference) - 50
+        assert len(logs["small"]) == 50
+        for log in logs.values():
+            assert log.total_emitted == len(reference)
+
+    def test_dataless_events_read_back_private_empty_dicts(self):
+        """An emission without ``data`` records ``None``; the decoder
+        gives each such event its own empty dict, so a caller scribbling
+        on one cannot leak into another."""
+        for log in (EventLog(), EventLog(buffered=False), EventLog(capacity=8)):
+            log.emit(EventKind.COMPUTE_BEGIN, "a", 1)
+            log.emit(EventKind.COMPUTE_END, "a", 1)
+            log.emit(EventKind.NOTIFY, "b", 1, src="a")
+            first, second, third = log.events
+            assert first.data == {} and second.data == {}
+            assert third.data == {"src": "a"}
+            first.data["scribble"] = 1
+            assert second.data == {}
+            assert log.events[1].data == {}
+
     def test_buffered_log_is_gap_free_and_replays_on_real_threads(self):
         """Under genuine interleavings the two modes need not emit in the
         same global order, but the buffered merge must still yield a
@@ -89,6 +128,9 @@ class TestBufferedMatchesLockedReference:
         run_traced(chain_graph(6), InlineRuntime(), log)
         first = log.events
         assert log.events == first  # memoized drain is stable
+        # ... and decodes nothing twice: same Event objects, new list.
+        assert all(a is b for a, b in zip(log.events, first))
+        assert log.events is not first
         again = EventLog()
         run_traced(chain_graph(6), InlineRuntime(), again)
         assert again.events == first  # and deterministic across runs

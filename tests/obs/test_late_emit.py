@@ -4,16 +4,43 @@ either extend the drained prefix deterministically, raise
 :class:`SealedLogError` once the log is sealed."""
 
 import threading
+from contextlib import contextmanager
 
 import pytest
 
 from repro.obs.events import (
-    Event,
     EventKind,
     EventLog,
     LateEmitError,
     SealedLogError,
 )
+
+
+@contextmanager
+def stalled_emit(log):
+    """A worker thread preempted mid-``emit``: it has taken its sequence
+    number and is stuck reading the clock, so its record lands only when
+    the ``with`` block ends.  The bound clock is the seam -- an emission
+    reserves its seq, then asks the runtime for the time."""
+    in_clock, go = threading.Event(), threading.Event()
+    worker = threading.Thread(target=log.emit, args=(EventKind.SPAN, "late"))
+
+    class StallingClock:
+        def obs_now(self):
+            if threading.current_thread() is worker:
+                in_clock.set()
+                assert go.wait(5.0)
+            return 0.0
+
+    log.bind_runtime(StallingClock())
+    worker.start()
+    assert in_clock.wait(5.0)
+    try:
+        yield
+    finally:
+        go.set()
+        worker.join(5.0)
+    assert not worker.is_alive()
 
 
 class TestSeal:
@@ -71,33 +98,25 @@ class TestLateMerge:
     def test_interleaving_late_emit_raises(self):
         """A worker that reserved a sequence number before quiescence but
         delivered its event after a drain would silently rewrite the
-        drained prefix -- the next drain must refuse.  The stall is
-        simulated by reserving a seq and appending the event later, which
-        is exactly the state a thread preempted mid-``emit`` leaves."""
+        drained prefix -- the next drain must refuse, and keep refusing."""
         log = EventLog()
-        log.emit(EventKind.NOTIFY, "a", 1)
-        stalled_seq = next(log._count)  # worker grabs seq 1, then stalls
-        log.emit(EventKind.NOTIFY, "b", 1)  # seq 2
-        assert [e.seq for e in log.events] == [0, 2]  # drained prefix
-
-        # The stalled worker finally delivers seq 1 -- inside the prefix.
-        log._local.buf.append(
-            Event(stalled_seq, 0.0, 1, EventKind.SPAN, None, 0, {})
-        )
-        with pytest.raises(LateEmitError, match="reorder the drained prefix"):
-            _ = log.events
+        log.emit(EventKind.NOTIFY, "a", 1)  # seq 0
+        with stalled_emit(log):  # a worker reserves seq 1, then stalls
+            log.emit(EventKind.NOTIFY, "b", 1)  # seq 2
+            assert [e.seq for e in log.events] == [0, 2]  # drained prefix
+        # The stalled worker has now delivered seq 1 -- inside the prefix.
+        for _ in range(2):
+            with pytest.raises(LateEmitError, match="reorder the drained prefix"):
+                _ = log.events
 
     def test_undrained_log_accepts_any_interleaving(self):
         """The guard protects *observed* order only: if nobody drained,
         out-of-order buffer delivery is simply merged."""
         log = EventLog()
-        reserved = next(log._count)
-        log.emit(EventKind.NOTIFY, "b", 1)
-        log._thread_buffer()  # ensure the local buffer exists
-        log._local.buf.append(
-            Event(reserved, 0.0, 0, EventKind.NOTIFY, "a", 1, {})
-        )
-        assert [e.key for e in log.events] == ["a", "b"]
+        log.emit(EventKind.NOTIFY, "a", 1)
+        with stalled_emit(log):
+            log.emit(EventKind.NOTIFY, "b", 1)
+        assert [(e.seq, e.key) for e in log.events] == [(0, "a"), (1, "late"), (2, "b")]
 
 
 class TestClear:

@@ -116,6 +116,34 @@ class TestSeededViolations:
         src = "def f(self):\n    self.gauge.set(1)\n    self._stop.set()\n"
         assert not lint_source(src, "runtime/threadpool.py", "emit-guard")
 
+    def test_event_immutable_fires_on_field_and_data_writes(self):
+        src = (
+            "def f(events, e):\n"
+            "    e.kind = None\n"
+            "    events[0].life += 1\n"
+            "    del e.key\n"
+            "    e.data['wall'] = 0.0\n"
+            "    e.data.update(wall=0.0)\n"
+        )
+        for path in ("obs/seeded.py", "verify/seeded.py", "harness/seeded.py"):
+            findings = lint_source(src, path, "event-immutable")
+            assert [f.line for f in findings] == [2, 3, 4, 5, 6]
+
+    def test_event_immutable_allows_reads_own_fields_and_other_layers(self):
+        src = (
+            "class Span:\n"
+            "    def __init__(self, e, cache):\n"
+            "        self.key = e.key\n"
+            "        self.data = dict(e.data)\n"
+            "        self.data['life'] = e.life\n"
+            "        cache[e.key] = e.data.get('wall')\n"
+        )
+        assert not lint_source(src, "obs/seeded.py", "event-immutable")
+        # Other layers have their own `.data` (block entries) and the
+        # log itself builds events.
+        assert not lint_source("def f(x):\n    x.data = 1\n", "memory/seeded.py", "event-immutable")
+        assert not lint_source("def f(x):\n    x.data = 1\n", "obs/events.py", "event-immutable")
+
     def test_raw_multiprocessing_fires_outside_runtime(self):
         src = "import multiprocessing\np = multiprocessing.Pool()\n"
         assert lint_source(src, "apps/seeded.py", "raw-multiprocessing")
