@@ -1,0 +1,75 @@
+"""Per-task cost ledger, FT vs NABBIT, on the warm no-op 48x48 grid.
+
+    PYTHONPATH=src python benchmarks/ledger.py [rows cols]
+
+Regenerates the table in docs/PERFORMANCE.md section 2.  Counts are
+exact and host-independent (``cProfile`` call counts over one run on
+``InlineRuntime``, divided by the task count); only the last column is a
+timing (best of 15 unprofiled runs).  Point PYTHONPATH at another
+checkout's ``src`` to get that revision's ledger.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import pstats
+import sys
+import time
+
+from repro import BlockRef, BlockStore, FTScheduler, NabbitScheduler, grid_graph
+from repro.runtime import InlineRuntime
+
+#: Ledger column -> the profiled functions it sums ((file suffix, name);
+#: an empty suffix matches builtins by name).
+COLUMNS = {
+    "lock acq": [("", "<method '__exit__' of '_thread.lock' objects>")],
+    "spec calls": [("explicit.py", n) for n in ("predecessors", "successors", "producer")]
+    + [("taskspec.py", n) for n in ("inputs", "outputs")],
+    "map.get/_stale": [("taskmap.py", "get"), ("ft.py", "_stale")],
+    "bit calls": [("records.py", "try_unset_bit"), ("taskspec.py", "pred_index")],
+    "BlockRef()": [("<string>", "<lambda>")],
+}
+
+
+def _noop(key, ctx):
+    ctx.write(BlockRef(key, 0), 0)
+
+
+def ledger(scheduler, spec, tasks: int) -> dict[str, float]:
+    def run():
+        return scheduler(spec, InlineRuntime(), store=BlockStore()).run()
+
+    run()  # warm: plans built, caches filled
+    prof = cProfile.Profile()
+    prof.runcall(run)
+    stats = pstats.Stats(prof).stats  # (file, line, name) -> (cc, nc, tt, ct, callers)
+    row = {"calls": sum(v[1] for v in stats.values()) / tasks}
+    for column, wanted in COLUMNS.items():
+        row[column] = sum(
+            v[1] for (path, _, name), v in stats.items()
+            if any(path.endswith(suffix) and name == fn for suffix, fn in wanted)
+        ) / tasks
+    best = min(_timed(run) for _ in range(15))
+    row["us"] = best / tasks * 1e6
+    return row
+
+
+def _timed(run) -> float:
+    t0 = time.perf_counter()
+    run()
+    return time.perf_counter() - t0
+
+
+def main(argv: list[str]) -> None:
+    rows, cols = (int(argv[0]), int(argv[1])) if len(argv) == 2 else (48, 48)
+    spec = grid_graph(rows, cols, compute=_noop)
+    table = {s.name: ledger(s, spec, rows * cols) for s in (FTScheduler, NabbitScheduler)}
+    names = list(table["ft"])
+    print(f"{'per task':<10}" + "".join(f"{n:>16}" for n in names))
+    for sched, row in table.items():
+        print(f"{sched:<10}" + "".join(f"{row[n]:>16.2f}" for n in names))
+    print(f"{'ft-nabbit':<10}" + "".join(f"{table['ft'][n] - table['nabbit'][n]:>16.2f}" for n in names))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -60,6 +60,7 @@ from repro.exceptions import (
     TaskCorruptionError,
     WorkerCrashError,
 )
+from repro.graph.plan import plans_of
 from repro.graph.taskspec import BlockRef, TaskGraphSpec
 from repro.memory.blockstore import BlockStore
 from repro.memory.context import StoreComputeContext
@@ -143,8 +144,17 @@ class FTScheduler:
             # Detectors bump SDC_* trace counters; keep them paired with
             # the events they emit into the shared log (replay parity).
             self.hooks.trace = self.trace
-        self.map = TaskMap(lambda k: len(tuple(spec.predecessors(k))))
+        # key -> TaskPlan: the spec's static per-task facts (predecessors
+        # and their bit masks, footprint, producer -> refs), compiled once
+        # per spec rather than per run.
+        self._plans = plans_of(spec)
+        self.map = TaskMap(self._plans.n_preds)
         self.recovery_table = RecoveryTable()
+        # One-way flag, set by the first RECOVERTASK or RESETNODE.  Until
+        # then no record has been replaced or re-armed, so the incarnation
+        # gates (_stale, the stale-traversal bit read) cannot fire and are
+        # skipped; docs/ALGORITHM.md section 7 has the argument.
+        self._disturbed = False
         self._compute_factor = self.cost_model.compute_factor(self.store.policy.keep)
         # The cost model is frozen; hoist the per-charge constants the hot
         # paths read on every task out of the attribute chain.
@@ -155,14 +165,6 @@ class FTScheduler:
         self._c_notify = cm.atomic_cost + cm.ft_notify_cost
         self._c_recovery = cm.recovery_table_cost
         self._c_reinit = cm.reinit_scan_cost
-        # consumer key -> {producer key -> [BlockRefs consumed from it]},
-        # built lazily; the spec's footprint is immutable, so the scan in
-        # _ensure_outputs_available only ever needs to happen once per key.
-        self._needs_cache: dict[Key, dict[Key, list[BlockRef]]] = {}
-        # key -> (inputs, outputs) as frozensets, shared between compute
-        # contexts and the needs scan above so each task's footprint is
-        # pulled from the spec at most once per run.
-        self._fp_cache: dict[Key, tuple[frozenset, frozenset]] = {}
         self.metrics = metrics if metrics is not None else NULL_METRICS
         """Live metrics registry (:mod:`repro.obs.live`).  Disabled by
         default (``NULL_METRICS``); pass ``metrics=MetricsRegistry()`` to
@@ -228,22 +230,24 @@ class FTScheduler:
         The *before compute* injection point sits after the traversal is
         issued: the task now waits for notifications (Section VI.B).
         """
-        if self._stale(A, key, life):
+        if self._disturbed and self._stale(A, key, life):
             return
         self.runtime.charge(self._c_init)
-        for pkey in self.spec.predecessors(key):
+        plan = self._plans[key]
+        for pkey, mask in zip(plan.preds, plan.masks):
             self.runtime.spawn(
-                lambda pk=pkey: self._try_init_compute(A, key, life, pk),
+                lambda pk=pkey, m=mask: self._try_init_compute(A, key, life, pk, m),
                 label=f"try:{key!r}<-{pkey!r}" if self._lbl else "",
             )
         if self._hooked:
             self.hooks.on_task_waiting(A)
-        self._notify_once(A, key, key, life)
+        self._notify_once(A, key, key, life, plan.bit_of[key])
 
-    def _try_init_compute(self, A: TaskRecord, key: Key, life: int, pkey: Key) -> None:
-        """TRYINITCOMPUTE: visit predecessor ``pkey``; register for
-        notification, notify immediately, or detect its failure."""
-        if self._stale(A, key, life):
+    def _try_init_compute(self, A: TaskRecord, key: Key, life: int, pkey: Key, mask: int) -> None:
+        """TRYINITCOMPUTE: visit predecessor ``pkey`` (A's notification bit
+        ``mask``); register for notification, notify immediately, or
+        detect its failure."""
+        if self._disturbed and self._stale(A, key, life):
             return
         B, blife, inserted = self.map.insert_if_absent(pkey)
         if inserted:
@@ -261,15 +265,18 @@ class FTScheduler:
             # has no outstanding need for B's outputs.  Re-examining B here
             # would misread a *legal* post-consumption overwrite of its
             # outputs as a failure and trigger a spurious recovery cascade.
-            ind = self.spec.pred_index(key, pkey)
+            # Until the first recovery or reset only this frame's own
+            # notification can clear the bit: nothing to read (the charge
+            # stays -- virtual time does not depend on the flag).
             self.runtime.charge(self._c_lock)
-            with A.lock:
-                waiting = bool(A.bit_vector & (1 << ind))
-            if not waiting:
-                self.trace.count_stale_notification()
-                if self._obs:
-                    self.log.emit(EventKind.NOTIFY_STALE, key, life, src=pkey)
-                return
+            if self._disturbed:
+                with A.lock:
+                    waiting = A.bit_vector & mask
+                if not waiting:
+                    self.trace.count_stale_notification()
+                    if self._obs:
+                        self.log.emit(EventKind.NOTIFY_STALE, key, life, src=pkey)
+                    return
             # check() raises iff corrupted; testing the flag first keeps
             # the fault-free path to one attribute load per observation.
             if B.corrupted:
@@ -291,19 +298,20 @@ class FTScheduler:
             finished = False
             self._recover_task_once(pkey, blife)
         if finished:
-            self._notify_once(A, key, pkey, life)
+            self._notify_once(A, key, pkey, life, mask)
 
-    def _notify_once(self, A: TaskRecord, key: Key, pkey: Key, life: int) -> None:
-        """NOTIFYONCE: decrement the join counter only if ``pkey``'s bit in
-        the notification bit vector was still set (Guarantee 3)."""
+    def _notify_once(self, A: TaskRecord, key: Key, pkey: Key, life: int, mask: int) -> None:
+        """NOTIFYONCE: decrement the join counter only if ``pkey``'s bit
+        (``mask``) in the notification bit vector was still set
+        (Guarantee 3; the locked test-and-clear is ATOMICBITUNSET)."""
         try:
             if A.corrupted:
                 A.check()
-            ind = self.spec.pred_index(key, pkey)
             self.runtime.charge(self._c_notify)
             with A.lock:
-                success = A.try_unset_bit(ind)
+                success = A.bit_vector & mask
                 if success:
+                    A.bit_vector ^= mask
                     A.join -= 1
                     val = A.join
             if success:
@@ -340,13 +348,8 @@ class FTScheduler:
             if self._obs:
                 self.log.emit(EventKind.COMPUTE_BEGIN, key, life)
             self.runtime.charge(float(self.spec.cost(key)) * self._compute_factor)
-            fp = self._fp_cache.get(key)
-            if fp is None:
-                fp = (frozenset(self.spec.inputs(key)), frozenset(self.spec.outputs(key)))
-                self._fp_cache[key] = fp
-            ctx = StoreComputeContext(
-                self.spec, self.store, key, strict=self.strict_context, footprint=fp
-            )
+            fp = self._plans[key].footprint
+            ctx = StoreComputeContext(self.spec, self.store, key, self.strict_context, fp)
             if self._dispatch is not None:
                 self._dispatch(self.spec, key, ctx, life)
             else:
@@ -377,11 +380,10 @@ class FTScheduler:
         later reader of the task or its data, and may never be (the paper:
         "a failed task whose successors already have been computed is not
         recovered")."""
-        cm = self.cost_model
         try:
             if A.corrupted:
                 A.check()
-            self.runtime.charge(cm.atomic_cost)
+            self.runtime.charge(self._c_atomic)
             with A.lock:
                 A.status = TaskStatus.COMPUTED
             if self._obs:
@@ -396,7 +398,7 @@ class FTScheduler:
                         label=f"notify:{key!r}->{skey!r}" if self._lbl else "",
                     )
                 notified += len(batch)
-                self.runtime.charge(cm.lock_cost)
+                self.runtime.charge(self._c_lock)
                 with A.lock:
                     if len(A.notify_array) == notified:
                         A.status = TaskStatus.COMPLETED
@@ -417,7 +419,7 @@ class FTScheduler:
         S, slife = self.map.get(skey)
         if S is None:
             raise SchedulerError(f"notify target {skey!r} vanished from the task map")
-        self._notify_once(S, skey, key, slife)
+        self._notify_once(S, skey, key, slife, self._plans[skey].bit_of[key])
 
     # -- Figure 3 recovery routines -------------------------------------------------------
 
@@ -449,6 +451,7 @@ class FTScheduler:
         from its successors' bit vectors, and re-execute it as if newly
         created.  Failures during recovery retry with the next incarnation
         (Guarantee 6)."""
+        self._disturbed = True
         while True:
             T, life = self.map.replace(key)
             T.recovery = True
@@ -496,12 +499,12 @@ class FTScheduler:
         self.runtime.charge(self._c_reinit)
         try:
             S.check()
-            ind = self.spec.pred_index(skey, key)
+            mask = self._plans[skey].bit_of[key]
             with S.lock:
                 # Ignore Computed and Completed successors; peeking the
                 # status under the same lock as the bit keeps the pair
                 # coherent (a successor cannot publish between the two).
-                waiting = S.status is TaskStatus.VISITED and bool(S.bit_vector & (1 << ind))
+                waiting = S.status is TaskStatus.VISITED and S.bit_vector & mask
             if waiting:
                 with T.lock:
                     T.notify_array.append(skey)
@@ -522,6 +525,7 @@ class FTScheduler:
         computed; re-arm A's join counter and bit vector and replay its
         predecessor traversal, which will find and recover the failed
         producer (Guarantee 5)."""
+        self._disturbed = True
         try:
             A.check()
             self.runtime.charge(self._c_lock)
@@ -591,16 +595,7 @@ class FTScheduler:
     def _ensure_outputs_available(self, consumer: Key, pkey: Key) -> None:
         """Raise if any block version ``consumer`` needs from predecessor
         ``pkey`` is corrupted or no longer resident."""
-        needs = self._needs_cache.get(consumer)
-        if needs is None:
-            fp = self._fp_cache.get(consumer)
-            raws = fp[0] if fp is not None else self.spec.inputs(consumer)
-            needs = {}
-            for raw in raws:
-                ref = raw if type(raw) is BlockRef else BlockRef(*raw)
-                needs.setdefault(self.spec.producer(ref), []).append(ref)
-            self._needs_cache[consumer] = needs
-        for ref in needs.get(pkey, ()):
+        for ref in self._plans[consumer].needs.get(pkey, ()):
             status = self.store.status_of(ref)
             if status == "ok":
                 continue

@@ -35,6 +35,7 @@ from repro.core.result import SchedulerResult
 from repro.core.status import TaskStatus
 from repro.core.taskmap import TaskMap
 from repro.exceptions import SchedulerError
+from repro.graph.plan import plans_of
 from repro.graph.taskspec import TaskGraphSpec
 from repro.memory.blockstore import BlockStore
 from repro.memory.context import StoreComputeContext
@@ -108,7 +109,9 @@ class NabbitScheduler:
             self.store.trace = self.trace
         if getattr(self.hooks, "trace", False) is None:
             self.hooks.trace = self.trace
-        self.map = TaskMap(lambda k: len(tuple(spec.predecessors(k))))
+        # key -> TaskPlan, shared with FTScheduler; see FTScheduler.__init__.
+        self._plans = plans_of(spec)
+        self.map = TaskMap(self._plans.n_preds)
         self._compute_factor = self.cost_model.compute_factor(self.store.policy.keep)
         # The cost model is frozen; hoist the per-charge constants.
         self._c_lock = self.cost_model.lock_cost
@@ -167,7 +170,7 @@ class NabbitScheduler:
 
     def _init_and_compute(self, A: TaskRecord, key: Key) -> None:
         """INITANDCOMPUTE: explore predecessors, then self-notify."""
-        for pkey in self.spec.predecessors(key):
+        for pkey in self._plans[key].preds:
             self.runtime.spawn(
                 lambda pk=pkey: self._try_init_compute(A, key, pk),
                 label=f"try:{key!r}<-{pkey!r}" if self._lbl else "",
@@ -216,7 +219,8 @@ class NabbitScheduler:
         if self._obs:
             self.log.emit(EventKind.COMPUTE_BEGIN, key, 1)
         self.runtime.charge(float(self.spec.cost(key)) * self._compute_factor)
-        ctx = StoreComputeContext(self.spec, self.store, key, strict=self.strict_context)
+        fp = self._plans[key].footprint
+        ctx = StoreComputeContext(self.spec, self.store, key, self.strict_context, fp)
         if self._dispatch is not None:
             self._dispatch(self.spec, key, ctx, 1)
         else:
@@ -233,8 +237,7 @@ class NabbitScheduler:
     def _publish_and_notify(self, A: TaskRecord, key: Key) -> None:
         """COMPUTEANDNOTIFY, second half: publish Computed status and drain
         the notify array until it is stable, then mark Completed."""
-        cm = self.cost_model
-        self.runtime.charge(cm.atomic_cost)
+        self.runtime.charge(self._c_atomic)
         with A.lock:
             A.status = TaskStatus.COMPUTED
         if self._obs:
@@ -249,7 +252,7 @@ class NabbitScheduler:
                     label=f"notify:{key!r}->{skey!r}" if self._lbl else "",
                 )
             notified += len(batch)
-            self.runtime.charge(cm.lock_cost)
+            self.runtime.charge(self._c_lock)
             with A.lock:
                 done = len(A.notify_array) == notified
                 if done:

@@ -15,6 +15,7 @@ for structure analytics such as Table I of the paper.
 """
 
 from repro.graph.taskspec import BlockRef, ComputeContext, TaskGraphSpec, TaskSpecBase
+from repro.graph.plan import PlanTable, TaskPlan, plans_of
 from repro.graph.explicit import ExplicitTaskGraph
 from repro.graph.validate import GraphValidationError, validate_spec
 from repro.graph.analysis import (
@@ -39,6 +40,9 @@ __all__ = [
     "ComputeContext",
     "TaskGraphSpec",
     "TaskSpecBase",
+    "PlanTable",
+    "TaskPlan",
+    "plans_of",
     "ExplicitTaskGraph",
     "GraphValidationError",
     "validate_spec",

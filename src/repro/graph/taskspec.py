@@ -20,7 +20,10 @@ memory subsystem can track overwrites of reused buffers, and a virtual
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Iterator, NamedTuple, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator, NamedTuple, Protocol, Sequence, runtime_checkable
+
+if TYPE_CHECKING:
+    from repro.graph.plan import PlanTable
 
 Key = Hashable
 
@@ -109,7 +112,7 @@ class TaskSpecBase:
         raise NotImplementedError
 
     def inputs(self, key: Key) -> Sequence[BlockRef]:
-        return tuple(BlockRef(p, 0) for p in self.predecessors(key))
+        return tuple([BlockRef(p, 0) for p in self.predecessors(key)])
 
     def outputs(self, key: Key) -> Sequence[BlockRef]:
         return (BlockRef(key, 0),)
@@ -130,36 +133,32 @@ class TaskSpecBase:
         """
         return ref.block
 
-    def pred_index(self, key: Key, pkey: Key) -> int:
-        """Index of ``pkey`` in ``key``'s ordered predecessor list.
-
-        By convention (mirroring CONVERTPREDKEYTOINDEX in the paper) a
-        task's *own* key maps to the extra self-notification slot at index
-        ``len(predecessors)``; see the scheduler's join-counter protocol.
-        """
+    @property
+    def plans(self) -> "PlanTable":
+        """This spec's :class:`~repro.graph.plan.PlanTable`: each task's
+        static facts, derived on first use and kept for the spec's
+        lifetime (a spec is immutable once built)."""
         try:
-            cache = self._pred_index_cache
-        except AttributeError:
-            # Lazily attached so subclasses need no cooperation.  Benign
-            # under concurrency: a creation race installs one of two empty
-            # dicts, an entry race computes the same value twice -- the
-            # predecessor list of a key is immutable for a spec's lifetime
-            # (the paper's graphs are *discovered* dynamically, never
-            # rewired), so every write is idempotent.
-            cache = self._pred_index_cache = {}
-        index = cache.get(key)
-        if index is None:
-            preds = self.predecessors(key)
-            index = {}
-            for i, p in enumerate(preds):
-                if p not in index:  # first occurrence wins, as the scan did
-                    index[p] = i
-            index[key] = len(preds)  # self-notification slot
-            cache[key] = index
-        try:
-            return index[pkey]
+            return self.__dict__["_plans"]
         except KeyError:
-            raise KeyError(f"{pkey!r} is not a predecessor of {key!r}") from None
+            from repro.graph.plan import PlanTable
+
+            # setdefault is one GIL-atomic step: racing first readers
+            # all end up with the same table.
+            return self.__dict__.setdefault("_plans", PlanTable(self))
+
+    def __getstate__(self) -> dict:
+        # The plan table is derived state that scheduler threads may be
+        # filling while a remote runtime pickles the spec.
+        state = self.__dict__.copy()
+        state.pop("_plans", None)
+        return state
+
+    def pred_index(self, key: Key, pkey: Key) -> int:
+        """Index of ``pkey`` in ``key``'s ordered predecessor list (first
+        occurrence); the task's *own* key maps to the self-notification
+        slot at index ``len(predecessors)``.  Read off the task's plan."""
+        return self.plans[key].bit_of[pkey].bit_length() - 1
 
     def walk_from_sink(self) -> Iterator[Key]:
         """Yield every task reachable backward from the sink (BFS order)."""

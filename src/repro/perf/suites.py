@@ -44,6 +44,7 @@ every workload so the whole suite (and CI) finishes in seconds.
 
 from __future__ import annotations
 
+import gc
 import itertools
 from typing import Callable, Sequence
 
@@ -211,14 +212,20 @@ def _bench_notify_bits(n_preds: int, rounds: int) -> Callable[[], Callable[[], i
 # scheduler / runtimes / e2e
 
 
-def _bench_sched(n: int, traced: bool) -> Callable[[], Callable[[], int]]:
-    spec = _noop_grid_spec(n)
+def _bench_sched(n: int, traced: bool, cold: bool = False) -> Callable[[], Callable[[], int]]:
+    """``cold`` builds a fresh spec per batch (in ``make``, untimed), so
+    the batch also compiles every task's plan: the run-once user's cost."""
+    shared = None if cold else _noop_grid_spec(n)
 
     def make():
         from repro.obs.events import EventLog
         from repro.runtime.inline import InlineRuntime
 
         log = EventLog() if traced else None
+        spec = shared
+        if spec is None:
+            spec = _noop_grid_spec(n)
+            gc.collect()  # the edge lists above are not the batch's garbage
 
         def batch() -> int:
             return _run_ft(spec, InlineRuntime(), event_log=log)
@@ -678,6 +685,12 @@ def benchmarks(scale: str = "default") -> list[Benchmark]:
             "sched_tasks_per_sec_tracing_off", "scheduler", _bench_sched(grid, traced=False),
             unit="tasks/s",
             description="FTScheduler + InlineRuntime on a no-op grid, NULL_LOG",
+        ),
+        Benchmark(
+            "sched_tasks_per_sec_cold_spec", "scheduler",
+            _bench_sched(grid, traced=False, cold=True),
+            unit="tasks/s",
+            description="same, but every batch gets a fresh spec: plan compilation included",
         ),
         Benchmark(
             "sched_tasks_per_sec_traced", "scheduler", _bench_sched(grid, traced=True),

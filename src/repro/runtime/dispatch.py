@@ -382,10 +382,13 @@ class RemoteRuntime(ThreadedRuntime):
         obs = self._log is not NULL_LOG
         mx = self._mx
         t0 = self._log.now() if obs else (time.perf_counter() if mx else 0.0)
-        values: dict[tuple, Any] = {}
-        for raw in spec.inputs(key):
-            ref = raw if type(raw) is BlockRef else BlockRef(*raw)
-            values[(ref.block, ref.version)] = ctx.read(ref)  # the fault gate
+        plans = getattr(spec, "plans", None)
+        if plans is not None:
+            refs = plans[key].inputs
+        else:  # a bare spec (inputs + compute only), driven without a scheduler
+            refs = [r if type(r) is BlockRef else BlockRef(*r) for r in spec.inputs(key)]
+        # Every read goes through the fault gate.
+        values = {(ref.block, ref.version): ctx.read(ref) for ref in refs}
         die = False
         if self._die_on:
             with self._die_lock:

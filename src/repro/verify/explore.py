@@ -27,7 +27,7 @@ exactly two degrees of freedom, and the explorer drives both:
 known protocol bugs into subclassed schedulers, and
 :func:`mutation_study` asserts the explorer convicts them.
 
-* ``double_decrement`` drops the ``try_unset_bit`` CAS gate of NOTIFYONCE
+* ``double_decrement`` drops the ATOMICBITUNSET gate of NOTIFYONCE
   (Guarantee 3): every notification decrements the join counter, gated or
   not.  Caught whenever a schedule exercises a stale notification -- the
   seed sweep reaches such schedules reliably (duplicate NOTIFY /
@@ -386,13 +386,12 @@ class DoubleDecrementScheduler(FTScheduler):
 
     name = "ft-mutant-double-decrement"
 
-    def _notify_once(self, A: TaskRecord, key, pkey, life: int) -> None:
+    def _notify_once(self, A: TaskRecord, key, pkey, life: int, mask: int) -> None:
         try:
             A.check()
-            self.spec.pred_index(key, pkey)
             self.runtime.charge(self.cost_model.atomic_cost + self.cost_model.ft_notify_cost)
             with A.lock:
-                A.join -= 1  # BUG: no try_unset_bit gate
+                A.join -= 1  # BUG: the bit under ``mask`` is neither tested nor cleared
                 val = A.join
             self.trace.count_notification()
             if self._obs:

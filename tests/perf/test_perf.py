@@ -200,6 +200,19 @@ class TestSuiteRegistry:
         names = {b.name for b in benchmarks("default")}
         assert "sim_events_per_sec" in names
         assert "sched_tasks_per_sec_tracing_off" in names
+        assert "sched_tasks_per_sec_cold_spec" in names
+
+    def test_cold_spec_benchmark_builds_its_spec_per_batch(self, monkeypatch):
+        from repro.perf import suites
+
+        built = []
+        real = suites._noop_grid_spec
+        monkeypatch.setattr(suites, "_noop_grid_spec", lambda n: built.append(n) or real(n))
+        for cold, per_make in ((True, 1), (False, 0)):
+            make = suites._bench_sched(4, traced=False, cold=cold)
+            del built[:]
+            assert make()() == make()() == 16
+            assert len(built) == 2 * per_make
 
     def test_groups_partition_the_suite(self):
         benches = benchmarks("selftest")
