@@ -145,10 +145,14 @@ class EventKind(str, Enum):
     ``data['reason']`` says how it died.  Usually followed by a
     WORKER_DOWN for the task the connection was carrying."""
     FETCH = "fetch"
-    """A remote worker lazily fetched a block payload over the comm
-    (ClusterRuntime); ``data['block']``/``data['version']`` identify the
-    version and ``data['nbytes']`` its shipped size.  Absence of a FETCH
-    for a dispatched input means the worker's versioned cache hit."""
+    """A block payload crossed the comm to a remote worker
+    (ClusterRuntime): ``data['mode']`` is ``"push"`` (it rode the job
+    message because the channel's residency table did not hold it) or
+    ``"fetch"`` (the worker asked for it lazily);
+    ``data['block']``/``data['version']`` identify the version,
+    ``data['nbytes']`` its shipped size and ``data['addr']`` the channel.
+    Absence of a FETCH for a dispatched input means the worker already
+    held it."""
 
     # -- telemetry -----------------------------------------------------------
     SPAN = "span"

@@ -200,7 +200,7 @@ def parse_prometheus(text: str) -> list[Sample]:
 _REMOTE_RATES = (
     ("repro_trace_total_computes", "tasks/s"),
     ("repro_worker_jobs_total", "jobs/s"),
-    ("repro_comm_fetches_total", "fetches/s"),
+    ("repro_comm_fetches_total", "payloads/s"),
 )
 
 
@@ -219,7 +219,7 @@ def render_remote_dashboard(
             counters.append(f"{label} {int(v)}")
     for name, label in (
         ("repro_worker_jobs_total", "jobs"),
-        ("repro_comm_fetches_total", "fetches"),
+        ("repro_comm_fetches_total", "payloads"),
         ("repro_worker_crashes_total", "worker-crashes"),
     ):
         v = _scalar(samples, name, float("nan"))
@@ -252,10 +252,10 @@ def render_remote_dashboard(
     cache_bytes = _scalar(samples, "repro_worker_cache_bytes", float("nan"))
     if cache_bytes == cache_bytes:
         entries = int(_scalar(samples, "repro_worker_cache_entries"))
-        fetched = _scalar(samples, "repro_comm_fetch_bytes_total")
+        shipped = _scalar(samples, "repro_comm_fetch_bytes_total")
         lines.append(
             f"  cache: {cache_bytes / 1e6:.1f} MB in {entries} entries, "
-            f"{fetched / 1e6:.1f} MB fetched over comm"
+            f"{shipped / 1e6:.1f} MB shipped over comm (pushed + fetched)"
         )
     return "\n".join(lines)
 

@@ -26,8 +26,9 @@ The scheduler (``repro.core``) is written against a tiny
   workers over pipes and a shared-memory block store;
   :class:`~repro.runtime.cluster.ClusterRuntime` dials
   :class:`~repro.runtime.cluster.WorkerServer` processes
-  (``tcp://host:port`` or in-process ``inproc://``), which fetch block
-  payloads lazily and cache them by version.
+  (``tcp://host:port`` or in-process ``inproc://``), which keep the
+  block payloads they are pushed and the outputs they compute, cached
+  by version, so a block crosses a channel at most once.
 
 Frames follow the Cilk discipline the paper's pseudocode assumes: a frame
 never blocks; ``spawn`` pushes work to the bottom of the spawning worker's

@@ -17,15 +17,18 @@ What is specific to a dialed channel:
 * **Silence.**  Workers heartbeat on transports that support it;
   ``heartbeat_timeout`` seconds without a byte from a worker that owes a
   reply is peer loss even when the kernel never delivers an RST.
-* **Staging.**  Nothing rides the job message: it carries ``(block,
-  version)`` refs only.  The worker fetches a payload on the first read
-  of a version it has never seen (``FETCH`` event parent-side) and
-  keeps it in its byte-bounded :class:`~repro.runtime.worker.BlockCache`.
-  Store versions are written once and kernels are deterministic, so the
-  versioned key makes the cache trivially coherent -- a re-executed
-  producer regenerates bit-identical bytes, and an *evicted* version
-  faults parent-side before dispatch, so a stale entry can never be
-  asked for a version the store would refuse.
+* **Staging.**  Worker servers keep blocks, so every dialed channel
+  carries a residency table: an input its worker does not hold rides
+  the job message (``FETCH`` event, ``mode="push"``), one it was pushed
+  before or computed itself is a bare ``(block, version)`` ref read
+  from its byte-bounded :class:`~repro.runtime.worker.BlockCache`, and
+  a ref it has since evicted is fetched lazily (``mode="fetch"``), the
+  one blocking round trip left in the data plane.  Store versions are
+  written once and kernels are deterministic, so the versioned key
+  makes the cache trivially coherent -- a re-executed producer
+  regenerates bit-identical bytes, and an *evicted* version faults
+  parent-side before dispatch, so a stale entry can never be asked for
+  a version the store would refuse.
 
 ``die_on`` kills the worker *before* it computes: ``os._exit(73)`` on a
 TCP server (genuine process death, indistinguishable from ``kill -9``),
@@ -90,10 +93,10 @@ class WorkerServer:
             "repro_worker_jobs_total", "compute phases executed by this worker server"
         )
         self._fetch_counter = self._metrics.counter(
-            "repro_comm_fetches_total", "block payloads fetched from the parent"
+            "repro_comm_fetches_total", "block payloads received, pushed or fetched"
         )
         self._fetch_bytes = self._metrics.counter(
-            "repro_comm_fetch_bytes_total", "payload bytes fetched from the parent"
+            "repro_comm_fetch_bytes_total", "payload bytes received, pushed or fetched"
         )
         self._listener: Any = None
         self._stopped = threading.Event()
@@ -130,13 +133,14 @@ class WorkerServer:
         self._stopped.wait()
 
     def _serve_connection(self, comm: Comm) -> None:
-        WorkerSession(comm, self.cache, self._job_done).serve()
+        WorkerSession(comm, self.cache, self._job_done, keep=True).serve()
 
-    def _job_done(self, fetches: int) -> None:
+    def _job_done(self, payloads: int, nbytes: int) -> None:
         if self._mx:
             self._jobs_counter.inc()
-            if fetches:
-                self._fetch_counter.inc(fetches)
+            if payloads:
+                self._fetch_counter.inc(payloads)
+                self._fetch_bytes.inc(nbytes)
 
 
 class ClusterRuntime(RemoteRuntime):
@@ -166,8 +170,8 @@ class ClusterRuntime(RemoteRuntime):
         dispatching thread must wait for a reply slot).
     ``encoded_cache_bytes``
         Budget for the send-side :class:`EncodedBlockCache`: a block
-        fetched by W workers is encoded once and gathered W times.
-        ``0`` disables reuse (every fetch re-encodes).
+        lazily fetched by W workers is encoded once and gathered W
+        times.  ``0`` disables reuse (every fetch re-encodes).
     """
 
     def __init__(
@@ -213,7 +217,7 @@ class ClusterRuntime(RemoteRuntime):
             raise CommClosedError(f"worker at {addr} answered ping with {reply!r}")
         if self._log is not NULL_LOG:
             self._log.emit(EventKind.CONNECT, None, 0, addr=addr)
-        return PipelineChannel(comm, addr, addr=addr)
+        return PipelineChannel(comm, addr, BlockCache(DEFAULT_CACHE_BYTES), addr=addr)
 
     def _replace_channel(self, dead: PipelineChannel, reason: str) -> PipelineChannel:
         dead.info["reason"] = reason

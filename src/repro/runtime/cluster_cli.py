@@ -252,18 +252,18 @@ def _check_metrics_scrape() -> None:
         assert w.metrics_url is not None
         with urllib.request.urlopen(w.metrics_url, timeout=10.0) as resp:
             text = resp.read().decode("utf-8", "replace")
+        # A served run must have *moved* each family: one that is merely
+        # present can be one nobody feeds.
+        seen = []
         for family in ("repro_worker_jobs_total", "repro_comm_fetches_total",
-                       "repro_worker_cache_bytes"):
-            if family not in text:
-                raise AssertionError(f"/metrics scrape is missing {family}")
-        jobs = [
-            float(line.rsplit(None, 1)[1])
-            for line in text.splitlines()
-            if line.startswith("repro_worker_jobs_total")
-        ]
-        if not jobs or jobs[0] <= 0:
-            raise AssertionError(f"worker served a run but reports {jobs!r} jobs")
-        print(f"  scrape    [ok]  /metrics live ({jobs[0]:.0f} jobs, fetch+cache families present)")
+                       "repro_comm_fetch_bytes_total", "repro_worker_cache_bytes"):
+            values = [float(line.rsplit(None, 1)[1]) for line in text.splitlines()
+                      if line.startswith(family)]
+            if not values or values[0] <= 0:
+                raise AssertionError(f"worker served a run but reports {family} {values!r}")
+            seen.append(values[0])
+        print("  scrape    [ok]  /metrics live ({:.0f} jobs; {:.0f} payloads, {:.0f} bytes "
+              "received; {:.0f} bytes cached)".format(*seen))
     finally:
         w.stop()
 

@@ -16,16 +16,31 @@ place of ``spec.compute(key, ctx)``.  Per task it
    recovery path, before anything ships -- and holds the values for the
    duration of the dispatch, so a worker's lazy ``fetch`` is served from
    them;
-2. ships a job naming the inputs, with whatever payloads the subclass
-   stages onto the message;
+2. ships a job naming the inputs, with the payloads the staging policy
+   puts on the message;
 3. writes the returned outputs back through the parent context, so
    footprint enforcement, store versioning and fingerprinting stay
    parent-side and single-owner.
 
+**Staging: push what is not resident.**  A channel whose worker keeps
+blocks carries a byte-bounded *residency table* ``(block, version) ->
+value`` of what that worker was pushed or computed.  Staging (under the
+channel lock, so atomic with outbox order) ships ``(block, version,
+payload)`` for an input the table does not hold *by identity* and the
+bare ``(block, version)`` otherwise: a block crosses a channel at most
+once, with the job that needs it.  Versions are written once by
+deterministic kernels (Theorem 1), so a worker-held copy is stale only
+by absence; ``corrupt_data`` and re-execution rewrites swap the stored
+object, miss by identity and are pushed again.  The table is a hint: a
+worker that evicted an entry, or whose job failed before attaching,
+resolves the bare ref by the lazy ``fetch`` round trip; a replaced
+channel starts with an empty table.
+
 :class:`~repro.runtime.procpool.ProcessRuntime` and
 :class:`~repro.runtime.cluster.ClusterRuntime` are this class plus the
 three things that genuinely differ: how a channel is opened and
-replaced, how its silence is judged, and which inputs are staged.
+replaced, how its silence is judged, and whether its worker keeps
+blocks (the pipe runtime re-ships every input instead).
 
 **Dispatch is pipelined.**
 
@@ -70,7 +85,6 @@ import pickle
 import queue
 import threading
 import time
-from collections import OrderedDict
 from typing import Any, Callable, Hashable, Iterable
 
 from repro.comm import frame
@@ -82,6 +96,7 @@ from repro.obs.live import MetricsRegistry
 from repro.runtime.api import RunResult
 from repro.runtime.frames import Frame
 from repro.runtime.threadpool import ThreadedRuntime
+from repro.runtime.worker import BlockCache, payload_nbytes
 
 #: Reply-poll granularity of the drain leader (also each silent-channel
 #: liveness check interval).
@@ -110,7 +125,7 @@ DEFAULT_INFLIGHT = 2
 DEFAULT_ENCODED_CACHE_BYTES = 64 * 1024 * 1024
 
 
-class EncodedBlockCache:
+class EncodedBlockCache(BlockCache):
     """Parent-side LRU of *encoded* block payloads, keyed
     ``(block, version)`` -- the send half of the worker ``BlockCache``.
 
@@ -132,45 +147,23 @@ class EncodedBlockCache:
     """
 
     def __init__(self, capacity_bytes: int = DEFAULT_ENCODED_CACHE_BYTES) -> None:
-        self.capacity_bytes = capacity_bytes
-        self._entries: OrderedDict[tuple, tuple[Any, Any, int]] = OrderedDict()
-        self._bytes = 0
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
+        super().__init__(capacity_bytes)
 
-    def get(self, block: Hashable, version: int, value: Any) -> Any:
+    def get(self, block: Hashable, version: int, value: Any) -> Any:  # type: ignore[override]
         """The cached encoding of ``value`` for ``(block, version)``, or
         ``None`` when absent or superseded by a payload swap."""
         key = (block, version)
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and entry[0] is value:
+            if entry is not None and entry[0][0] is value:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                return entry[1]
+                return entry[0][1]
             self.misses += 1
             return None
 
-    def put(self, block: Hashable, version: int, value: Any, encoded: Any) -> None:
-        key = (block, version)
-        nbytes = encoded.nbytes
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= old[2]
-            self._entries[key] = (value, encoded, nbytes)
-            self._bytes += nbytes
-            while self._bytes > self.capacity_bytes and len(self._entries) > 1:
-                _, (_, _, evicted) = self._entries.popitem(last=False)
-                self._bytes -= evicted
-
-    @property
-    def nbytes(self) -> int:
-        return self._bytes
-
-    def __len__(self) -> int:
-        return len(self._entries)
+    def put(self, block: Hashable, version: int, value: Any, encoded: Any) -> None:  # type: ignore[override]
+        super().put((block, version), (value, encoded), encoded.nbytes)
 
 
 class PendingJob:
@@ -205,9 +198,11 @@ class PipelineChannel:
     """
 
     __slots__ = ("comm", "peer", "info", "lock", "send_lock", "recv_lock",
-                 "outbox", "pending", "pinned", "dead", "spec_id", "last_reply")
+                 "outbox", "pending", "pinned", "resident", "dead", "spec", "last_reply")
 
-    def __init__(self, comm: Comm, peer: Any, **info: Any) -> None:
+    def __init__(
+        self, comm: Comm, peer: Any, resident: BlockCache | None = None, **info: Any
+    ) -> None:
         self.comm = comm
         #: What the opener judges and replaces the channel by: the worker
         #: ``Process`` (pipe runtime) or the dialed address (cluster).
@@ -225,8 +220,12 @@ class PipelineChannel:
         #: Shm segment names this channel's worker has attached (repeat
         #: sends ship a light PinnedRef).
         self.pinned: set[str] = set()
+        #: What a block-keeping worker was pushed or computed, ``(block,
+        #: version) -> value`` (a hint: it may have evicted); else None.
+        self.resident = resident
         self.dead = False
-        self.spec_id: int | None = None
+        #: The spec last sent (held: its identity cannot be recycled).
+        self.spec: Any = None
         #: Parent-clock arrival time of the most recent reply (queued-time
         #: estimation; None until the first reply).
         self.last_reply: float | None = None
@@ -244,7 +243,8 @@ class RemoteRuntime(ThreadedRuntime):
     * ``_silent_reason(handle)`` -- liveness verdict for a channel that
       owes replies but stays quiet;
     * ``_stage_inputs(store, values)`` -- optionally, which input
-      payloads ride the job message (default: none, all fetched lazily).
+      payloads ride the job message (default: those the channel's
+      residency table does not hold).
 
     ``die_on`` is an iterable of task keys; the first dispatch of each
     makes its worker die *before* computing.  One-shot per key: the
@@ -273,12 +273,13 @@ class RemoteRuntime(ThreadedRuntime):
         self._inflight = max(1, inflight)
         self._handles: list[PipelineChannel] = []
         self._idle: queue.Queue[PipelineChannel] = queue.Queue()
-        self._spec_blobs: dict[int, bytes] = {}
+        #: ``(spec, pickle)``, matched by identity: an ``id()`` is reused.
+        self._spec_pickled: tuple[Any, bytes] | None = None
         self._crashes = 0
-        # Scopes worker-side cache entries to this runtime: a long-lived
-        # worker server reused across runs must never serve one run's
-        # bytes to another run's identically-named block version.
-        self._run_token = f"{os.getpid():x}.{id(self):x}.{time.monotonic_ns():x}"
+        # Scopes worker-side cache entries to one pool (one run): a
+        # long-lived worker server must never serve one run's bytes to
+        # another run's identically-named block version.
+        self._run_token = ""
         self._enc_cache = EncodedBlockCache(encoded_cache_bytes)
         # Pre-built instruments: the dispatch hot path must never pay
         # registry lookup/label work, only a cached-flag test + observe.
@@ -290,10 +291,10 @@ class RemoteRuntime(ThreadedRuntime):
             "repro_worker_crashes_total", "workers lost mid-dispatch and replaced"
         )
         self._fetch_counter = self._metrics.counter(
-            "repro_comm_fetches_total", "block payloads served to lazy worker fetches"
+            "repro_comm_fetches_total", "block payloads shipped, pushed or fetched"
         )
         self._fetch_bytes = self._metrics.counter(
-            "repro_comm_fetch_bytes_total", "payload bytes served to lazy worker fetches"
+            "repro_comm_fetch_bytes_total", "payload bytes shipped, pushed or fetched"
         )
 
     @property
@@ -318,10 +319,25 @@ class RemoteRuntime(ThreadedRuntime):
     def _stage_inputs(self, store: Any, values: dict) -> Callable[[PipelineChannel], list]:
         """The job's wire inputs as a function of the channel it lands
         on (called under the channel lock).  Each input is ``(block,
-        version)`` -- the worker fetches it lazily -- or ``(block,
-        version, payload)``."""
-        refs = list(values)
-        return lambda handle: refs
+        version)`` -- the worker holds it, or fetches it lazily -- or
+        ``(block, version, payload)``.  Default: push what the channel's
+        residency table does not hold by identity, and enter it."""
+
+        def stage(handle: PipelineChannel) -> list:
+            resident = handle.resident
+            if resident is None:
+                return list(values)
+            inputs: list[tuple] = []
+            for ref, value in values.items():
+                hit, held = resident.get(ref)
+                if hit and held is value:
+                    inputs.append(ref)
+                else:
+                    resident.put(ref, value, payload_nbytes(value))
+                    inputs.append((*ref, value))
+            return inputs
+
+        return stage
 
     # -- pool lifecycle ---------------------------------------------------------
 
@@ -341,6 +357,7 @@ class RemoteRuntime(ThreadedRuntime):
         with self._pool_lock:
             if self._handles:
                 return
+            self._run_token = f"{os.getpid():x}.{id(self):x}.{time.monotonic_ns():x}"
             handles = [
                 self._open_channel(i)  # verify: ok=blocking-under-lock (cold path: pool is built before any scheduler thread exists to contend)
                 for i in range(self._channels)
@@ -353,6 +370,7 @@ class RemoteRuntime(ThreadedRuntime):
     def _shutdown_pool(self) -> None:
         with self._pool_lock:
             handles, self._handles = self._handles, []
+            self._spec_pickled = None
             try:
                 while True:
                     self._idle.get_nowait()
@@ -395,10 +413,8 @@ class RemoteRuntime(ThreadedRuntime):
                 if key in self._die_on:
                     self._die_on.discard(key)
                     die = True
-        stage = self._stage_inputs(ctx.store, values)
-        reply, queued = self._dispatch_job(
-            spec, PendingJob(next(_JIDS), key, life, die, values), stage
-        )
+        job = PendingJob(next(_JIDS), key, life, die, values)
+        handle, reply = self._dispatch_job(spec, job, self._stage_inputs(ctx.store, values))
         if reply[0] == "fail":
             raise reply[2]  # FaultError -> scheduler recovery
         _, _, blob, spans = reply
@@ -416,8 +432,8 @@ class RemoteRuntime(ThreadedRuntime):
                      wall=spans.get("serialize", 0.0))
             # ... the parent-estimated time this job sat behind its
             # channel-mates (pipelining backlog, not dispatch cost) ...
-            if queued > 0.0:
-                log.emit(EventKind.SPAN, key, life, phase="queued", wall=queued)
+            if job.queued > 0.0:
+                log.emit(EventKind.SPAN, key, life, phase="queued", wall=job.queued)
             # ... and the parent-measured full round trip on the log clock.
             log.emit(EventKind.SPAN, key, life, phase="dispatch", wall=end - t0, t0=t0)
         if mx:
@@ -426,35 +442,52 @@ class RemoteRuntime(ThreadedRuntime):
             )
         for reftup, value in written:
             ctx.write(BlockRef(*reftup), value)
+        if handle.resident is not None:  # the worker kept what it computed
+            for reftup, value in written:
+                handle.resident.put(reftup, value, payload_nbytes(value))
 
     def _spec_blob(self, spec: Any) -> bytes:
-        blob = self._spec_blobs.get(id(spec))
-        if blob is None:
-            blob = pickle.dumps(spec)
-            self._spec_blobs[id(spec)] = blob
-        return blob
+        held = self._spec_pickled
+        if held is None or held[0] is not spec:
+            held = self._spec_pickled = (spec, pickle.dumps(spec))
+        return held[1]
+
+    def _shipped(self, handle: PipelineChannel, job: PendingJob, block: Hashable,
+                 version: int, nbytes: int, mode: str) -> None:
+        """Account one payload put on the wire, pushed with its job or
+        served to a fetch (absence of a FETCH for a read is the hit)."""
+        if self._log is not NULL_LOG:
+            self._log.emit(EventKind.FETCH, job.key, job.life, block=block,
+                           version=version, nbytes=nbytes, mode=mode, **handle.info)
+        if self._mx:
+            self._fetch_counter.inc()
+            self._fetch_bytes.inc(nbytes)
 
     # -- submit -----------------------------------------------------------------
 
     def _dispatch_job(
         self, spec: Any, me: PendingJob, stage: Callable[[PipelineChannel], list]
-    ) -> tuple[tuple, float]:
-        """Ship one job and block until its reply: ``(reply, queued)``.
+    ) -> tuple[PipelineChannel, Any]:
+        """Ship one job and block until its reply: ``(channel, reply)``.
 
         ``stage(handle)`` builds the wire inputs under the channel lock,
-        which makes a pin-or-descriptor decision atomic with outbox
-        order: a full descriptor always reaches the worker before any
-        ``PinnedRef`` naming it.
+        which makes a push-or-ref (pin-or-descriptor) decision atomic
+        with outbox order: a payload or descriptor always reaches the
+        worker before any bare ref or ``PinnedRef`` naming it.
         """
         while True:
             handle = self._acquire_channel()
             with handle.lock:
                 if handle.dead:
                     continue  # token raced the crash; fetch a fresh one
-                msg = (me.jid, me.key, stage(handle), me.die, me.life)
+                inputs = stage(handle)
                 handle.pending[me.jid] = me
-                handle.outbox.append((spec, msg))
+                handle.outbox.append((spec, (me.jid, me.key, inputs, me.die, me.life)))
             break
+        if handle.resident is not None and (self._mx or self._log is not NULL_LOG):
+            for block, version, *pushed in inputs:
+                if pushed:
+                    self._shipped(handle, me, block, version, payload_nbytes(pushed[0]), "push")
         try:
             self._flush_channel(handle)
             reply = self._await_pipelined(handle, me)
@@ -465,7 +498,7 @@ class RemoteRuntime(ThreadedRuntime):
             raise WorkerCrashError(
                 me.key, pid=handle.info.get("pid"), exitcode=handle.info.get("exitcode")
             )
-        return reply, me.queued
+        return handle, reply
 
     def _acquire_channel(self) -> PipelineChannel:
         self._ensure_pool()
@@ -508,12 +541,12 @@ class RemoteRuntime(ThreadedRuntime):
         order) with micro-batched job messages."""
         msgs: list[tuple] = []
         for spec, msg in batch:
-            if handle.spec_id != id(spec):
+            if handle.spec is not spec:
                 if msgs:
                     self._ship_jobs(handle, msgs)
                     msgs = []
                 handle.comm.send(("spec", self._spec_blob(spec), self._run_token))
-                handle.spec_id = id(spec)
+                handle.spec = spec
             msgs.append(msg)
         if msgs:
             self._ship_jobs(handle, msgs)
@@ -616,14 +649,7 @@ class RemoteRuntime(ThreadedRuntime):
             if payload is None:
                 payload = frame.encode_oob(value)
                 self._enc_cache.put(block, version, value, payload)
-            if self._log is not NULL_LOG:
-                self._log.emit(
-                    EventKind.FETCH, p.key, p.life,
-                    block=block, version=version, nbytes=payload.nbytes,
-                )
-            if self._mx:
-                self._fetch_counter.inc()
-                self._fetch_bytes.inc(payload.nbytes)
+            self._shipped(handle, p, block, version, payload.nbytes, "fetch")
         try:
             with handle.send_lock:
                 handle.comm.send_oob(("data", block, version, payload))  # verify: ok=blocking-under-lock (send_lock exists to serialize wire writes; sending under it is its purpose)

@@ -16,12 +16,19 @@ that rode the job message (an inline value, a
 else from the versioned :class:`BlockCache`, else by a lazy ``fetch``
 round trip to the parent.  Writes are buffered and applied by the
 parent, which re-enforces the declared footprint there.
+
+A session that **keeps** (a :class:`~repro.runtime.cluster.WorkerServer`
+connection) also caches the inline payloads it is shipped and the
+outputs it computes, so the parent names them by a bare ref from then
+on (``runtime/dispatch.py``, "Staging").  The forked pipe child keeps
+nothing: its parent re-ships every input.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import sys
 import threading
 import time
 from collections import OrderedDict, deque
@@ -42,6 +49,16 @@ DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
 #: Input-table marker: declared, but no payload rode the job message.
 #: (A shipped payload may itself be ``None``, so ``None`` cannot mark it.)
 _LAZY = object()
+
+
+def payload_nbytes(value: Any) -> int:
+    """Size of a block payload for cache accounting: array data bytes,
+    ``sys.getsizeof`` for any other leaf."""
+    if isinstance(value, dict):
+        value = tuple(value.values())
+    if isinstance(value, (tuple, list)):
+        return sum(map(payload_nbytes, value))
+    return getattr(value, "nbytes", None) or sys.getsizeof(value)
 
 
 class PinnedRef(NamedTuple):
@@ -124,7 +141,7 @@ class WorkerContext:
     """The compute context a worker hands to ``spec.compute``."""
 
     __slots__ = ("key", "jid", "_inputs", "_session", "written", "fetches",
-                 "fetch_seconds")
+                 "fetch_seconds", "fetch_bytes")
 
     def __init__(self, session: "WorkerSession", key: Hashable, jid: int, inputs: dict) -> None:
         self.key = key
@@ -134,6 +151,7 @@ class WorkerContext:
         self.written: list[tuple[tuple, Any]] = []
         self.fetches = 0
         self.fetch_seconds = 0.0
+        self.fetch_bytes = 0
 
     def read(self, ref: BlockRef) -> Any:
         if type(ref) is not BlockRef:
@@ -173,8 +191,8 @@ class WorkerContext:
         # buffer.  The cache outlives the buffer's loan, so cache an
         # *owning* copy -- the one copy per fetched block the zero-copy
         # budget allows.
-        value, _ = own_payload(payload.load())
-        s.cache.put(ck, value, payload.nbytes)
+        value, nbytes = s.kept(ref.block, ref.version, payload.load())
+        self.fetch_bytes += nbytes
         return value
 
     def write(self, ref: BlockRef, value: Any) -> None:
@@ -187,20 +205,23 @@ class WorkerSession:
     loss.  The serving thread *is* the compute thread, so none of the
     session state needs a lock.
 
-    ``job_done(fetches)`` is called after each successful job (the
-    worker server's metrics hook).
+    ``job_done(payloads, nbytes)`` is called after each successful job
+    with what it received, pushed or fetched (the worker server's
+    metrics hook); ``keep``: see the module docstring.
     """
 
     def __init__(
         self,
         comm: Comm,
         cache: BlockCache,
-        job_done: Callable[[int], None] | None = None,
+        job_done: Callable[[int, int], None] | None = None,
+        keep: bool = False,
     ) -> None:
         self.comm = comm
         self.cache = cache
         self.token = ""
         self._job_done = job_done
+        self._keep = keep
         self._spec: Any = None
         #: Frames a fetch wait pulled off the wire ahead of its data reply.
         self.backlog: deque = deque()
@@ -282,6 +303,27 @@ class WorkerSession:
             table[(block, version)] = value
         return table
 
+    def kept(self, block: Hashable, version: int, value: Any) -> tuple[Any, int]:
+        """Cache ``value`` under the run token: ``(cached, nbytes)``.  The
+        cache outlives a transport buffer's loan and accounts what it
+        holds, so an array that does not own its memory (a decoded view,
+        a slice of a kernel temporary) is copied -- once per block."""
+        value, _ = own_payload(value)
+        nbytes = payload_nbytes(value)
+        self.cache.put((self.token, block, version), value, nbytes)
+        return value, nbytes
+
+    def _keep_pushed(self, inputs: list, table: dict) -> tuple[int, int]:
+        """Keep every payload that rode the job message inline:
+        ``(payloads, bytes)`` received."""
+        count = nbytes = 0
+        for block, version, *shipped in inputs:
+            if shipped and not isinstance(shipped[0], (PinnedRef, ShmDescriptor)):
+                table[(block, version)], n = self.kept(block, version, shipped[0])
+                count += 1
+                nbytes += n
+        return count, nbytes
+
     def _run_job(self, jid: int, key: Hashable, inputs: list) -> None:
         """Run one job and stream its reply.
 
@@ -297,7 +339,9 @@ class WorkerSession:
             if self._spec is None:
                 raise SchedulerError(f"job {key!r} arrived before its task spec")
             t_at = time.perf_counter()
-            ctx = WorkerContext(self, key, jid, self._attach_inputs(inputs))
+            table = self._attach_inputs(inputs)
+            pushed, pushed_bytes = self._keep_pushed(inputs, table) if self._keep else (0, 0)
+            ctx = WorkerContext(self, key, jid, table)
             spans["attach"] = time.perf_counter() - t_at
             t_kw = time.perf_counter()
             t_kc = time.process_time()
@@ -310,7 +354,10 @@ class WorkerSession:
             spans["serialize"] = time.perf_counter() - t_sz
             reply: tuple = ("done", jid, blob, spans)
             if self._job_done is not None:
-                self._job_done(ctx.fetches)
+                self._job_done(ctx.fetches + pushed, ctx.fetch_bytes + pushed_bytes)
+            if self._keep:  # a consumer placed here reads it without a transfer
+                for (block, version), value in ctx.written:
+                    self.kept(block, version, value)
         except Exception as exc:
             reply = ("fail", jid, _portable_exc(exc))
         try:

@@ -22,7 +22,7 @@ from repro.detect.silent import SilentFaultInjector, plan_silent_faults
 from repro.exceptions import WorkerCrashError
 from repro.faults import FaultInjector, plan_faults
 from repro.obs.events import EventKind, EventLog
-from repro.runtime import InlineRuntime, ProcessRuntime
+from repro.runtime import InlineRuntime, ProcessRuntime, dispatch
 from repro.runtime.tracing import ExecutionTrace
 
 APPS = ("lcs", "cholesky")
@@ -213,6 +213,23 @@ class TestRuntimeSurface:
         rt = ProcessRuntime(workers=2, seed=0)
         for _ in range(2):
             app = make_app("lcs", scale="tiny")
+            store = app.make_store(True, shared=True)
+            FTScheduler(app, rt, store=store).run()
+            try:
+                app.verify(store)
+            finally:
+                store.close()
+
+    def test_reused_runtime_never_ships_a_freed_specs_pickle(self, monkeypatch):
+        # A spec freed between two execute() calls can hand its address
+        # to the next one.  Force that collision (every id() the dispatch
+        # module takes is the same) instead of waiting for the allocator:
+        # a pickle table keyed by id(spec) then serves run 1's spec --
+        # and its input strings -- to run 2's workers, silently.
+        monkeypatch.setattr(dispatch, "id", lambda obj: 7, raising=False)
+        rt = ProcessRuntime(workers=2, seed=0)
+        for seed in (1, 2):
+            app = make_app("lcs", config=AppConfig(n=64, block=8, seed=seed))
             store = app.make_store(True, shared=True)
             FTScheduler(app, rt, store=store).run()
             try:

@@ -151,17 +151,26 @@ class TestClusterZeroCopy:
         assert t0.total_recoveries > 0 and t1.total_recoveries > 0
 
     def test_send_side_cache_encodes_once_per_version(self):
-        # Two *separate* servers, so their block caches cannot shadow the
-        # parent: a block both workers read is requested twice, and the
-        # second ship must reuse the cached encoding instead of
-        # re-pickling.
-        servers = [WorkerServer(f"inproc://zc-{next(_ids)}").start() for _ in range(2)]
+        # Two servers whose block caches hold a single tile: nearly every
+        # bare ref the parent sends on the strength of its residency
+        # table has been evicted by the time it is read, so the workers
+        # fall back to lazy fetches -- and a version fetched more than
+        # once must reuse the cached encoding instead of re-pickling.
+        cfg = AppConfig(n=256, block=64)
+        tile = 64 * 64 * 8
+        servers = [
+            WorkerServer(f"inproc://zc-{next(_ids)}", cache_bytes=tile).start()
+            for _ in range(2)
+        ]
         try:
-            app = make_app("lcs", scale="tiny")
+            app = make_app("cholesky", config=cfg)
+            want, _ = run_ft(app, InlineRuntime())
             rt = ClusterRuntime(
                 workers=2, seed=0, addresses=[s.address for s in servers]
             )
-            run_ft(app, rt)
+            got, _ = run_ft(app, rt)
+            assert got.dtype == want.dtype and (got == want).all()
+            assert sum(s.cache.misses for s in servers) > 0  # fallback fetches
             assert rt._enc_cache.hits > 0
             assert rt._enc_cache.nbytes <= rt._enc_cache.capacity_bytes
         finally:
