@@ -9,6 +9,7 @@ memory policies the paper evaluates for it (baseline vs fault-tolerant).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -43,6 +44,14 @@ class AppConfig:
         return self.n // self.block
 
 
+class generated(cached_property):
+    """A generated bulk input (``a0``, ``d0``): a pure function of
+    ``config``, hence derived state exactly like ``plans`` -- built on
+    first use, kept for the instance's lifetime and left out of its
+    pickle.  What crosses a wire to a worker is what ``compute`` needs;
+    a copy that does touch the input regenerates it from the seed."""
+
+
 class Application(TaskSpecBase):
     """A benchmark: a TaskGraphSpec plus its experiment-facing surface.
 
@@ -67,6 +76,14 @@ class Application(TaskSpecBase):
     def __init__(self, config: AppConfig, light: bool = False) -> None:
         self.config = config
         self.light = light
+
+    def __getstate__(self) -> dict:
+        cls = type(self)
+        return {
+            name: value
+            for name, value in super().__getstate__().items()
+            if not isinstance(getattr(cls, name, None), generated)
+        }
 
     # -- compute dispatch -------------------------------------------------------------
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.apps.base import AppConfig, Application
+from repro.apps.base import AppConfig, Application, generated
 from repro.apps.kernels import chol_potrf, chol_trsm, chol_update
 from repro.graph.taskspec import BlockRef, ComputeContext, Key
 from repro.memory.allocator import Reuse
@@ -46,9 +46,12 @@ class CholeskyApp(Application):
 
     def __init__(self, config: AppConfig) -> None:
         super().__init__(config)
-        self.a0 = random_spd_matrix(config.n, config.seed + 4)
         self._b = config.block
         self._B = config.blocks
+
+    @generated
+    def a0(self) -> np.ndarray:
+        return random_spd_matrix(self.config.n, self.config.seed + 4)
 
     @staticmethod
     def blk(i: int, j: int) -> tuple:

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.apps.base import AppConfig, Application
+from repro.apps.base import AppConfig, Application, generated
 from repro.apps.kernels import fw_diag, fw_minplus, fw_panel_col, fw_panel_row
 from repro.graph.taskspec import BlockRef, ComputeContext, Key
 from repro.memory.allocator import Reuse, TwoVersion
@@ -65,9 +65,12 @@ class FloydWarshallApp(Application):
 
     def __init__(self, config: AppConfig) -> None:
         super().__init__(config)
-        self.d0 = random_distance_matrix(config.n, config.seed + 2)
         self._b = config.block
         self._B = config.blocks
+
+    @generated
+    def d0(self) -> np.ndarray:
+        return random_distance_matrix(self.config.n, self.config.seed + 2)
 
     @staticmethod
     def blk(i: int, j: int) -> tuple:

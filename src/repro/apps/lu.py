@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.apps.base import AppConfig, Application
+from repro.apps.base import AppConfig, Application, generated
 from repro.apps.kernels import gemm_update, lu_getrf, lu_trsm_col, lu_trsm_row
 from repro.graph.taskspec import BlockRef, ComputeContext, Key
 from repro.memory.allocator import Reuse
@@ -49,9 +49,12 @@ class LUApp(Application):
 
     def __init__(self, config: AppConfig) -> None:
         super().__init__(config)
-        self.a0 = random_dd_matrix(config.n, config.seed + 3)
         self._b = config.block
         self._B = config.blocks
+
+    @generated
+    def a0(self) -> np.ndarray:
+        return random_dd_matrix(self.config.n, self.config.seed + 3)
 
     @staticmethod
     def blk(i: int, j: int) -> tuple:

@@ -168,9 +168,9 @@ class TCPComm(Comm):
             if deadline is None:
                 wait: float | None = None
             else:
-                wait = deadline - time.monotonic()
-                if wait <= 0:
-                    return
+                # Past the deadline the select is non-blocking: poll(0)
+                # must still see bytes that are already in the socket.
+                wait = max(0.0, deadline - time.monotonic())
             try:
                 readable, _, _ = select.select([self._sock], [], [], wait)
             except (OSError, ValueError):  # socket closed under us

@@ -257,6 +257,9 @@ def render_remote_dashboard(
             f"  cache: {cache_bytes / 1e6:.1f} MB in {entries} entries, "
             f"{shipped / 1e6:.1f} MB shipped over comm (pushed + fetched)"
         )
+    spec_bytes = _scalar(samples, "repro_comm_spec_bytes_total", float("nan"))
+    if spec_bytes == spec_bytes:
+        lines.append(f"  control: {spec_bytes / 1e3:.1f} kB of spec announced over comm")
     return "\n".join(lines)
 
 

@@ -140,13 +140,20 @@ def _assert_same(got: object, want: object, label: str) -> None:
 def _check_parity(addresses: list[str], workers: int) -> None:
     from repro.apps import make_app
     from repro.faults import plan_faults
+    from repro.obs.live import MetricsRegistry
     from repro.runtime import ClusterRuntime, InlineRuntime
 
     for name in ("lcs", "cholesky"):
         app = make_app(name, scale="tiny")
         want, _ = _run_ft(app, InlineRuntime())
-        got, _ = _run_ft(app, ClusterRuntime(workers=workers, seed=0, addresses=addresses))
+        metrics = MetricsRegistry()
+        rt = ClusterRuntime(workers=workers, seed=0, addresses=addresses, metrics=metrics)
+        got, _ = _run_ft(app, rt)
         _assert_same(got, want, name)
+        # The spec is control plane, O(config): inputs travel as blocks.
+        spec_bytes = metrics.counter("repro_comm_spec_bytes_total").value / workers
+        if not 0 < spec_bytes < 4096:
+            raise AssertionError(f"{name}: {spec_bytes:.0f} spec bytes per channel")
 
         plan = plan_faults(app, phase="after_compute", task_type="v=rand", count=2, seed=3)
         want_f, t0 = _run_ft(app, InlineRuntime(), plan=plan)

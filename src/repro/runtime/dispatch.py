@@ -44,10 +44,12 @@ blocks (the pipe runtime re-ships every input instead).
 
 **Dispatch is pipelined.**
 
-* *Outstanding-job windows.*  A channel is entered into the idle pool
-  ``inflight`` times, so up to K scheduler threads have jobs in flight
-  on one worker and it moves from job to job without sleeping on an
-  empty channel.
+* *Outstanding-job windows, placed.*  Up to ``inflight`` jobs are in
+  flight on one channel, so its worker moves from job to job without
+  sleeping on an empty channel.  :class:`ChannelPool` owns the windows
+  and picks, among live channels with a free slot, the fewest jobs in
+  flight, then the fewest input bytes the residency table does not
+  hold, then the channel idle longest.
 * *Micro-batched sends.*  A submitter appends its job to the channel's
   outbox and flushes under the send lock; whoever holds the lock ships
   everything queued meanwhile as one ``("jobs", [...])`` message --
@@ -82,7 +84,6 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
-import queue
 import threading
 import time
 from typing import Any, Callable, Hashable, Iterable
@@ -107,7 +108,7 @@ POLL_SECONDS = 0.05
 #: take over quickly or replies sit unread in the channel buffer.
 _WAITER_WAKE_SECONDS = 0.002
 
-#: Submit gives up if no channel token frees up for this long (pool
+#: Submit gives up if no window slot frees up for this long (pool
 #: accounting bug, or every channel wedged without dying).
 _ACQUIRE_TIMEOUT_SECONDS = 60.0
 
@@ -197,8 +198,8 @@ class PipelineChannel:
     ``recv_lock`` elects the drain leader.
     """
 
-    __slots__ = ("comm", "peer", "info", "lock", "send_lock", "recv_lock",
-                 "outbox", "pending", "pinned", "resident", "dead", "spec", "last_reply")
+    __slots__ = ("comm", "peer", "info", "lock", "send_lock", "recv_lock", "outbox",
+                 "pending", "pinned", "resident", "dead", "spec", "last_reply", "load", "freed")
 
     def __init__(
         self, comm: Comm, peer: Any, resident: BlockCache | None = None, **info: Any
@@ -229,6 +230,59 @@ class PipelineChannel:
         #: Parent-clock arrival time of the most recent reply (queued-time
         #: estimation; None until the first reply).
         self.last_reply: float | None = None
+        self.load = self.freed = 0  #: jobs in flight / time of last release (the pool's)
+
+
+class ChannelPool:
+    """The live channels and their outstanding-job windows, under one
+    condition: where a job runs is a decision, not an accident of reply
+    order.  Load comes before locality -- a worker holding every input
+    is still one worker, and placing by missing bytes first serialises
+    any graph whose kernels outlast its transfers."""
+
+    def __init__(self, window: int) -> None:
+        self.window = window
+        self.channels: list[PipelineChannel] = []
+        self._cond = threading.Condition()
+
+    def add(self, handle: PipelineChannel) -> None:
+        with self._cond:
+            self.channels.append(handle)
+            self._cond.notify(self.window)
+
+    def remove(self, handle: PipelineChannel) -> None:
+        with self._cond:
+            if handle in self.channels:
+                self.channels.remove(handle)
+
+    def acquire(self, values: dict, aborted: Callable[[], bool]) -> PipelineChannel:
+        """Take a window slot for a job reading ``values``, waiting for one."""
+        deadline = time.perf_counter() + _ACQUIRE_TIMEOUT_SECONDS
+        with self._cond:
+            while not (free := [h for h in self.channels if h.load < self.window and not h.dead]):
+                if aborted():
+                    raise SchedulerError("run aborted while waiting for a worker channel")
+                if time.perf_counter() > deadline:  # pragma: no cover - pool accounting bug
+                    raise SchedulerError("no worker channel became available within 60s")
+                self._cond.wait(0.25)
+            best = min(free, key=lambda h: (h.load, _missing_bytes(h, values), h.freed))
+            best.load += 1
+            return best
+
+    def release(self, handle: PipelineChannel) -> None:
+        with self._cond:
+            handle.load -= 1
+            handle.freed = time.perf_counter()
+            self._cond.notify()
+
+
+def _missing_bytes(handle: PipelineChannel, values: dict) -> int:
+    """What staging a job reading ``values`` there would push: bytes
+    the channel's residency table does not hold by identity."""
+    table = handle.resident
+    if table is None:
+        return 0
+    return sum(payload_nbytes(v) for ref, v in values.items() if table.peek(ref) is not v)
 
 
 class RemoteRuntime(ThreadedRuntime):
@@ -270,9 +324,7 @@ class RemoteRuntime(ThreadedRuntime):
         self._die_lock = threading.Lock()
         self._pool_lock = threading.Lock()
         self._channels = max(1, workers if channels is None else channels)
-        self._inflight = max(1, inflight)
-        self._handles: list[PipelineChannel] = []
-        self._idle: queue.Queue[PipelineChannel] = queue.Queue()
+        self._pool = ChannelPool(max(1, inflight))
         #: ``(spec, pickle)``, matched by identity: an ``id()`` is reused.
         self._spec_pickled: tuple[Any, bytes] | None = None
         self._crashes = 0
@@ -296,6 +348,7 @@ class RemoteRuntime(ThreadedRuntime):
         self._fetch_bytes = self._metrics.counter(
             "repro_comm_fetch_bytes_total", "payload bytes shipped, pushed or fetched"
         )
+        self._spec_bytes = self._metrics.counter("repro_comm_spec_bytes_total", "spec bytes sent")
 
     @property
     def worker_crashes(self) -> int:
@@ -352,30 +405,23 @@ class RemoteRuntime(ThreadedRuntime):
             self._shutdown_pool()
 
     def _ensure_pool(self) -> None:
-        if self._handles:
+        if self._pool.channels:
             return
         with self._pool_lock:
-            if self._handles:
+            if self._pool.channels:
                 return
             self._run_token = f"{os.getpid():x}.{id(self):x}.{time.monotonic_ns():x}"
             handles = [
                 self._open_channel(i)  # verify: ok=blocking-under-lock (cold path: pool is built before any scheduler thread exists to contend)
                 for i in range(self._channels)
             ]
-            self._handles = handles
             for h in handles:
-                for _ in range(self._inflight):
-                    self._idle.put(h)
+                self._pool.add(h)
 
     def _shutdown_pool(self) -> None:
         with self._pool_lock:
-            handles, self._handles = self._handles, []
+            handles, self._pool = self._pool.channels, ChannelPool(self._pool.window)
             self._spec_pickled = None
-            try:
-                while True:
-                    self._idle.get_nowait()
-            except queue.Empty:
-                pass
         for h in handles:
             try:
                 h.comm.send(("stop",))
@@ -450,6 +496,8 @@ class RemoteRuntime(ThreadedRuntime):
         held = self._spec_pickled
         if held is None or held[0] is not spec:
             held = self._spec_pickled = (spec, pickle.dumps(spec))
+        if self._mx:  # one call, one announcement
+            self._spec_bytes.inc(len(held[1]))
         return held[1]
 
     def _shipped(self, handle: PipelineChannel, job: PendingJob, block: Hashable,
@@ -475,46 +523,28 @@ class RemoteRuntime(ThreadedRuntime):
         with outbox order: a payload or descriptor always reaches the
         worker before any bare ref or ``PinnedRef`` naming it.
         """
-        while True:
-            handle = self._acquire_channel()
-            with handle.lock:
-                if handle.dead:
-                    continue  # token raced the crash; fetch a fresh one
-                inputs = stage(handle)
-                handle.pending[me.jid] = me
-                handle.outbox.append((spec, (me.jid, me.key, inputs, me.die, me.life)))
-            break
-        if handle.resident is not None and (self._mx or self._log is not NULL_LOG):
-            for block, version, *pushed in inputs:
-                if pushed:
-                    self._shipped(handle, me, block, version, payload_nbytes(pushed[0]), "push")
-        try:
-            self._flush_channel(handle)
-            reply = self._await_pipelined(handle, me)
-        finally:
-            if not handle.dead:
-                self._idle.put(handle)
-        if reply is CRASHED:
-            raise WorkerCrashError(
-                me.key, pid=handle.info.get("pid"), exitcode=handle.info.get("exitcode")
-            )
-        return handle, reply
-
-    def _acquire_channel(self) -> PipelineChannel:
         self._ensure_pool()
-        deadline = time.perf_counter() + _ACQUIRE_TIMEOUT_SECONDS
         while True:
+            handle = self._pool.acquire(me.values, self.aborted)
             try:
-                handle = self._idle.get(timeout=0.25)
-            except queue.Empty:
-                if self.aborted():
-                    raise SchedulerError("run aborted while waiting for a worker channel")
-                if time.perf_counter() > deadline:  # pragma: no cover - pool accounting bug
-                    raise SchedulerError("no worker channel became available within 60s")
-                continue
-            if handle.dead:
-                continue  # stale token of a replaced channel; drop it
-            return handle
+                with handle.lock:
+                    if handle.dead:
+                        continue  # it died since the pick: pick again
+                    inputs = stage(handle)
+                    handle.pending[me.jid] = me
+                    handle.outbox.append((spec, (me.jid, me.key, inputs, me.die, me.life)))
+                if handle.resident is not None and (self._mx or self._log is not NULL_LOG):
+                    for block, version, value in (i for i in inputs if len(i) == 3):
+                        self._shipped(handle, me, block, version, payload_nbytes(value), "push")
+                self._flush_channel(handle)
+                reply = self._await_pipelined(handle, me)
+            finally:
+                self._pool.release(handle)
+            if reply is CRASHED:
+                raise WorkerCrashError(
+                    me.key, pid=handle.info.get("pid"), exitcode=handle.info.get("exitcode")
+                )
+            return handle, reply
 
     # -- the combining send path ------------------------------------------------
 
@@ -659,8 +689,8 @@ class RemoteRuntime(ThreadedRuntime):
     # -- channel loss -----------------------------------------------------------
 
     def _channel_lost(self, handle: PipelineChannel, reason: str) -> None:
-        """Exactly-once teardown of a lost channel: replace it, refill the
-        token pool, and resolve every in-flight job as crashed so each
+        """Exactly-once teardown of a lost channel: replace it in the
+        pool and resolve every in-flight job as crashed so each
         submitter raises WorkerCrashError for its own task."""
         with handle.lock:
             if handle.dead:
@@ -673,9 +703,8 @@ class RemoteRuntime(ThreadedRuntime):
         down_key = next((p.key for p in pending if p.die),
                         pending[0].key if pending else None)
         self._close_dead(handle)
+        self._pool.remove(handle)
         with self._pool_lock:
-            if handle in self._handles:
-                self._handles.remove(handle)
             self._crashes += 1
         try:
             # Outside the pool lock: reaping a corpse or dialing can take
@@ -688,15 +717,12 @@ class RemoteRuntime(ThreadedRuntime):
             for p in pending:
                 p.reply = CRASHED
                 p.event.set()
-        with self._pool_lock:
-            self._handles.append(fresh)
+        self._pool.add(fresh)
         if self._log is not NULL_LOG:
             self._log.emit(EventKind.WORKER_DOWN, down_key, 0, **handle.info)
             self._log.emit(EventKind.WORKER_UP, None, 0, **fresh.info)
         if self._mx:
             self._crash_counter.inc()
-        for _ in range(self._inflight):
-            self._idle.put(fresh)
 
     def _close_dead(self, handle: PipelineChannel) -> None:
         """Close a dead channel's comm unless a drain leader may still be

@@ -107,6 +107,11 @@ class BlockCache:
             self.hits += 1
             return True, value
 
+    def peek(self, key: tuple) -> Any:
+        """The held value or ``None``; not a use (no recency, no counts)."""
+        entry = self._entries.get(key)
+        return None if entry is None else entry[0]
+
     def put(self, key: tuple, value: Any, nbytes: int) -> None:
         with self._lock:
             old = self._entries.pop(key, None)

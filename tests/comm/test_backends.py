@@ -102,6 +102,50 @@ class TestRoundTrips:
             assert c.recv(timeout=5) == ("echo", 1)
 
 
+def _pair(kind):
+    """A connected ``(sender, receiver, cleanup)`` on transport ``kind``."""
+    if kind == "pipe":
+        a, b = pipe_pair()
+        return a, b, lambda: (a.close(), b.close())
+    accepted = []
+    parked = threading.Event()
+
+    def handler(c):
+        accepted.append(c)
+        parked.wait(10.0)  # keep the server end open, and never read it
+
+    addr = "tcp://127.0.0.1:0" if kind == "tcp" else f"inproc://poll0-{next(_ids)}"
+    lis = comm.listen(addr, handler)
+    client = comm.connect(lis.address)
+    deadline = time.monotonic() + 5.0
+    while not accepted and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return accepted[0], client, lambda: (parked.set(), client.close(), lis.close())
+
+
+@pytest.mark.parametrize("kind", ("tcp", "pipe", "inproc"))
+class TestPollZero:
+    """``poll(0)`` (the default timeout) must look at the transport: a
+    message that has arrived is reported without any ``recv`` having
+    decoded it first.  ``_drain_channel`` relies on it to keep a reply
+    that raced a liveness verdict."""
+
+    def test_poll_zero_sees_an_arrived_message(self, kind):
+        sender, receiver, cleanup = _pair(kind)
+        try:
+            assert not receiver.poll(0)
+            assert not receiver.poll()
+            sender.send(("done", 1))
+            deadline = time.monotonic() + 5.0
+            while not receiver.poll(0) and time.monotonic() < deadline:
+                time.sleep(0.001)  # loopback delivery is not instantaneous
+            assert receiver.poll(0) and receiver.poll()
+            assert receiver.recv(timeout=5) == ("done", 1)
+            assert not receiver.poll(0)
+        finally:
+            cleanup()
+
+
 class TestPeerLoss:
     def test_inproc_connect_to_nobody(self):
         with pytest.raises(comm.CommClosedError):

@@ -210,6 +210,32 @@ class TestLazyFetchAndCache:
         assert len({key[0] for key in server.cache._entries}) == 2
 
 
+class TestControlPlaneBytes:
+    def test_spec_bytes_are_counted_and_independent_of_n(self, server):
+        # The spec announcement is in no span or event; the counter is
+        # what makes it visible.  One announcement per used channel,
+        # O(config): the input matrix travels as blocks, not in the spec.
+        import pickle
+
+        from repro.obs.live import MetricsRegistry
+        from repro.obs.top import parse_prometheus, render_remote_dashboard
+
+        per_channel = []
+        for n in (64, 256):
+            app = make_app("cholesky", config=AppConfig(n=n, block=32))
+            metrics = MetricsRegistry()
+            rt = ClusterRuntime(workers=2, seed=0, addresses=[server.address],
+                                metrics=metrics)
+            run_ft(app, rt)
+            total = metrics.counter("repro_comm_spec_bytes_total").value
+            blob = len(pickle.dumps(app))
+            assert total in (blob, 2 * blob)  # a channel no job reached got no spec
+            per_channel.append(blob)
+        assert 0 < per_channel[0] < 4096 and abs(per_channel[1] - per_channel[0]) <= 16
+        frame = render_remote_dashboard(parse_prometheus(metrics.render_prometheus()), "t")
+        assert f"control: {total / 1e3:.1f} kB of spec announced over comm" in frame
+
+
 class TestBlockCache:
     def test_hit_miss_accounting(self):
         c = BlockCache(capacity_bytes=1000)

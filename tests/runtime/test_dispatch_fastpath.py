@@ -21,6 +21,7 @@ Three layers:
 
 import itertools
 import pickle
+import sys
 import threading
 
 import numpy as np
@@ -31,13 +32,21 @@ from repro.apps import make_app
 from repro.comm import frame
 from repro.comm.core import CommClosedError
 from repro.core import FTScheduler
+from repro.exceptions import SchedulerError
 from repro.faults import FaultInjector, plan_faults
 from repro.graph.taskspec import BlockRef
 from repro.memory.shm import materialize_segment
 from repro.obs.attribution import attribute_run
 from repro.obs.events import EventKind, EventLog
 from repro.runtime import ClusterRuntime, InlineRuntime, ProcessRuntime, WorkerServer
-from repro.runtime.dispatch import CRASHED, PendingJob, PipelineChannel, RemoteRuntime
+from repro.runtime.dispatch import (
+    CRASHED,
+    ChannelPool,
+    PendingJob,
+    PipelineChannel,
+    RemoteRuntime,
+)
+from repro.runtime.worker import BlockCache
 from repro.runtime.procpool import CRASH_EXIT_CODE, PinnedRef
 from repro.runtime.tracing import ExecutionTrace
 
@@ -306,7 +315,144 @@ class TestChannelLoss:
         assert got == [CRASHED]
         assert [(p.reply is CRASHED, p.event.sets) for p in jobs] == [(True, 1)] * 2
         assert rt.worker_crashes == 1
-        assert rt._idle.qsize() == 2  # the replacement's two window slots
+        # The replacement is in the pool with its whole window free: two
+        # jobs can be placed on it, with no refill step, and not a third.
+        (fresh,) = rt._pool.channels
+        assert fresh is not handle and not fresh.dead
+        assert [_place(rt._pool) for _ in range(3)] == [fresh, fresh, None]
+
+
+# ---------------------------------------------------------------------------
+# placement
+
+
+def _channel(resident=False):
+    return PipelineChannel(_RendezvousComm(), None, BlockCache() if resident else None)
+
+
+def _place(pool, values=None):
+    """The channel the pool picks right now; ``None`` when no slot is free."""
+    try:
+        return pool.acquire(values or {}, lambda: True)
+    except SchedulerError:
+        return None
+
+
+def _pool(channels, window=2):
+    pool = ChannelPool(window)
+    for h in channels:
+        pool.add(h)
+    return pool
+
+
+class _PoolRuntime(_StubRuntime):
+    """Stub runtime over ``channels`` idle stub channels."""
+
+    def __init__(self, channels, inflight):
+        RemoteRuntime.__init__(self, 2, 0, None, None, None, channels, inflight)
+        self._ensure_pool()
+
+
+class TestPlacement:
+    def test_two_submitters_on_two_idle_channels_land_apart(self):
+        a, b = _channel(), _channel()
+        pool = _pool([a, b])
+        assert {_place(pool), _place(pool)} == {a, b}
+        # ... and only then does anyone share a worker.
+        assert {_place(pool), _place(pool)} == {a, b}
+        assert _place(pool) is None
+
+    def test_equal_load_goes_to_the_channel_idle_longest(self):
+        a, b = _channel(), _channel()
+        pool = _pool([a, b])
+        for h in (a, b):
+            assert _place(pool) is h
+        pool.release(b)
+        pool.release(a)
+        assert [_place(pool) for _ in range(2)] == [b, a]
+
+    def test_equal_load_goes_to_the_channel_holding_the_inputs(self):
+        a, b = _channel(resident=True), _channel(resident=True)
+        pool = _pool([a, b])
+        tile, other = np.ones(64), np.ones(8)
+        b.resident.put(("t", 0), tile, tile.nbytes)
+        a.resident.put(("o", 0), other, other.nbytes)
+        values = {("t", 0): tile, ("o", 0): other}
+        hits = (b.resident.hits, b.resident.misses)
+        assert _place(pool, values) is b  # b misses 64 B, a 512 B
+        assert (b.resident.hits, b.resident.misses) == hits  # a score is not a use
+        # Load still comes first: b is busy now, so a gets the next one.
+        assert _place(pool, values) is a
+
+    def test_a_swapped_payload_does_not_count_as_held(self):
+        # corrupt_data / a re-execution rewrite replace the stored
+        # object: the worker's copy is of the old one.
+        a, b = _channel(resident=True), _channel(resident=True)
+        pool = _pool([a, b])
+        tile = np.ones(64)
+        a.resident.put(("t", 0), tile, tile.nbytes)
+        swapped = tile.copy()
+        b.resident.put(("u", 0), swapped, 8)  # unrelated entry
+        assert _place(pool, {("t", 0): tile}) is a
+        pool.release(a)
+        # a was freed last; with nothing held anywhere the tie goes to b.
+        assert _place(pool, {("t", 0): swapped}) is b
+
+    def test_a_channel_never_exceeds_its_window(self):
+        channels = [_channel(), _channel()]
+        pool = _pool(channels, window=2)
+        over, placed = [], itertools.count()
+
+        def submit():
+            for _ in range(300):
+                h = pool.acquire({}, lambda: False)
+                if not 1 <= h.load <= 2:
+                    over.append(h.load)
+                next(placed)
+                pool.release(h)
+
+        # Six submitters for four slots, switching threads every 10 us.
+        threads = [threading.Thread(target=submit) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not over and next(placed) == 1800
+        assert [h.load for h in channels] == [0, 0]
+
+    def test_dead_channel_is_never_picked_and_its_replacement_needs_no_refill(self):
+        rt = _PoolRuntime(channels=2, inflight=2)
+        dead, live = rt._pool.channels
+        assert rt._pool.acquire({}, rt.aborted) is dead  # one job in flight on it
+        rt._channel_lost(dead, "closed")
+        fresh = next(h for h in rt._pool.channels if h is not live)
+        assert fresh is not dead and dead not in rt._pool.channels
+        rt._pool.release(dead)  # the crashed job's submitter unwinds
+        picks = [_place(rt._pool) for _ in range(5)]
+        assert picks.count(live) == 2 and picks.count(fresh) == 2 and picks[4] is None
+        assert (live.load, fresh.load, rt.worker_crashes) == (2, 2, 1)
+
+    def test_waiter_gets_the_slot_a_replacement_brings(self):
+        # One channel, one slot, taken: the only way a slot appears is
+        # the channel dying and being replaced.
+        rt = _PoolRuntime(channels=1, inflight=1)
+        (only,) = rt._pool.channels
+        assert rt._pool.acquire({}, rt.aborted) is only
+        got = []
+        waiter = threading.Thread(target=lambda: got.append(rt._pool.acquire({}, rt.aborted)))
+        waiter.start()
+        waiter.join(0.1)
+        assert waiter.is_alive() and not got
+        rt._channel_lost(only, "closed")
+        waiter.join(10.0)
+        assert not waiter.is_alive()
+        assert got == rt._pool.channels and got[0] is not only and got[0].load == 1
 
 
 # ---------------------------------------------------------------------------

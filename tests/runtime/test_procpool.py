@@ -115,6 +115,34 @@ class TestWorkerDeath:
         store.close()
 
 
+#: Worker deaths the soak injects: a bounded slice in tier-1, the full
+#: 2 000 in CI (``REPRO_SOAK_DEATHS=2000``, remote-runtimes job).
+SOAK_DEATHS = int(os.environ.get("REPRO_SOAK_DEATHS", "160"))
+
+
+def test_die_on_soak_with_two_jobs_in_flight():
+    # Every death at inflight=2 takes the pool through remove/replace/
+    # add with submitters parked on the window condition; a lost slot
+    # or waiter shows up as a hang or a wrong crash count.  The die
+    # keys form a dependence chain (the diagonal), so no two are ever in
+    # flight together and each kills exactly one worker.
+    app = make_app("lcs", config=AppConfig(n=64, block=8, seed=5))
+    want = app.reference()
+    diagonal = [(i, i) for i in range(app.config.blocks)]
+    crashes = 0
+    while crashes < SOAK_DEATHS:
+        store = app.make_store(True, shared=True)
+        rt = ProcessRuntime(workers=2, seed=crashes, die_on=diagonal, inflight=2)
+        try:
+            FTScheduler(app, rt, store=store).run()
+            assert app.extract(store) == want
+        finally:
+            store.close()
+        assert rt.worker_crashes == len(diagonal)
+        crashes += rt.worker_crashes
+    assert crashes == SOAK_DEATHS
+
+
 def app_keys(app):
     """All task keys, in a deterministic (reverse-BFS) order."""
     seen = []
