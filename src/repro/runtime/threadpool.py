@@ -42,16 +42,11 @@ from repro.runtime.api import RunResult
 from repro.runtime.deque import WorkDeque
 from repro.runtime.frames import Frame
 
-#: Idle-sleep bounds: a worker that finds nothing to run or steal sleeps
-#: ``_PARK_MIN_SECONDS`` on the first miss and doubles the sleep on every
-#: consecutive miss up to ``_PARK_MAX_SECONDS`` (capped exponential
-#: backoff).  Short first sleeps keep steal latency low when work is about
-#: to appear; the cap keeps long-idle workers from hammering the GIL and
-#: the deque locks with futile probes.  The backoff resets the moment a
-#: frame is found, and one idle episode still emits exactly one PARK and
-#: (when work reappears) one UNPARK regardless of how many sleeps it took.
-_PARK_MIN_SECONDS = 20e-6
-_PARK_MAX_SECONDS = 1e-3
+#: Safety net of an idle worker's wait.  Every event that ends an idle
+#: episode notifies (a spawn, the last frame, a failure), so this bounds
+#: only what a lost wake-up could cost: it degrades to polling, never to
+#: a hang.
+_PARK_TIMEOUT_SECONDS = 0.05
 
 
 class ThreadedRuntime:
@@ -85,6 +80,10 @@ class ThreadedRuntime:
         self._failure: BaseException | None = None
         self._failure_lock = threading.Lock()
         self._stop = threading.Event()
+        #: Idle workers wait here; ``_parked`` (written under it) is how
+        #: many, so ``spawn`` pays one int test when nobody does.
+        self._cond = threading.Condition()
+        self._parked = 0
         self._running = False
         self._steals = 0
         self._frames = 0
@@ -122,6 +121,9 @@ class ThreadedRuntime:
         with self._count_lock:
             self._outstanding += 1
         self._deques[wid].push_bottom(Frame(fn, base_cost, label))
+        if self._parked:
+            with self._cond:
+                self._cond.notify()
 
     def charge(self, amount: float) -> None:
         """Virtual cost is meaningless on the wall clock; ignored."""
@@ -230,6 +232,10 @@ class ThreadedRuntime:
                 worker=w,
             )
 
+    def _wake_all(self) -> None:
+        with self._cond:
+            self._cond.notify_all()
+
     def _worker(self, wid: int) -> None:
         self._local.wid = wid
         rng = random.Random(None if self._seed is None else self._seed * 0x9E3779B1 + wid)
@@ -244,7 +250,6 @@ class ThreadedRuntime:
         local_parks = 0
         local_busy = 0.0
         idle = False
-        park_delay = _PARK_MIN_SECONDS
         # Worker-loop span: everything between here and loop exit is the
         # worker either running frames (busy), parked, or *finding work*
         # (pop/steal probes, count checks, GIL waits between frames).
@@ -255,14 +260,15 @@ class ThreadedRuntime:
             while not self._stop.is_set():
                 frame = my.pop_bottom()
                 if frame is None and self._workers > 1:
-                    victim = rng.randrange(self._workers)
-                    if victim != wid:
-                        vdeque = self._deques[victim]
-                        frame = vdeque.steal_top()
-                        if frame is not None:
-                            local_steals += 1
-                            if obs:
-                                log.emit(EventKind.STEAL, victim=victim, depth=len(vdeque))
+                    victim = rng.randrange(self._workers - 1)
+                    if victim >= wid:  # uniform over the *other* workers
+                        victim += 1
+                    vdeque = self._deques[victim]
+                    frame = vdeque.steal_top()
+                    if frame is not None:
+                        local_steals += 1
+                        if obs:
+                            log.emit(EventKind.STEAL, victim=victim, depth=len(vdeque))
                 if frame is None:
                     with self._count_lock:
                         if self._outstanding == 0:
@@ -272,14 +278,19 @@ class ThreadedRuntime:
                         local_parks += 1
                         if obs:
                             log.emit(EventKind.PARK)
-                    time.sleep(park_delay)
-                    park_delay = min(park_delay * 2.0, _PARK_MAX_SECONDS)
+                    with self._cond:
+                        self._parked += 1
+                        # A spawner that read ``_parked`` as 0 pushed before
+                        # the increment above, so this check sees its frame.
+                        if not (self._stop.is_set() or self._outstanding == 0
+                                or any(self._deques)):
+                            self._cond.wait(_PARK_TIMEOUT_SECONDS)
+                        self._parked -= 1
                     continue
                 if idle:
                     idle = False
                     if obs:
                         log.emit(EventKind.UNPARK)
-                park_delay = _PARK_MIN_SECONDS
                 started = time.perf_counter()
                 try:
                     frame.fn()
@@ -295,12 +306,13 @@ class ThreadedRuntime:
                         self._outstanding -= 1
                         done = self._outstanding == 0
                     if done:
-                        pass  # other workers observe outstanding == 0 and exit
+                        self._wake_all()  # parked workers see outstanding == 0 and exit
         except BaseException as exc:  # scheduler bug: fail the whole run
             with self._failure_lock:
                 if self._failure is None:
                     self._failure = exc
             self._stop.set()
+            self._wake_all()
         finally:
             if obs:
                 log.emit(EventKind.SPAN, phase="worker_loop",

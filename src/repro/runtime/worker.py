@@ -86,15 +86,44 @@ class BlockCache:
     data, so entries are additionally scoped by the dispatching
     runtime's ``run token`` -- a long-lived server reused by many runs
     never crosses their payloads.
+
+    Each session holds its run token from :meth:`retain` to
+    :meth:`release`; the entries of a token nobody holds are *dead* (no
+    session will present it again) and are the first victims of
+    :meth:`put`, one per arriving block -- so a server holds its live
+    runs, not its history, and a buffer freed is one the next block
+    reuses.  A cache nobody retains on is a plain LRU.
     """
 
     def __init__(self, capacity_bytes: int = DEFAULT_CACHE_BYTES) -> None:
         self.capacity_bytes = capacity_bytes
         self._entries: OrderedDict[tuple, tuple[Any, int]] = OrderedDict()
+        #: Entries of released tokens, oldest release first.
+        self._dead: OrderedDict[tuple, tuple[Any, int]] = OrderedDict()
+        #: Sessions holding each token (channels of one run share a server).
+        self._holders: dict[str, int] = {}
         self._bytes = 0
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+
+    def retain(self, token: str) -> None:
+        """One more session presents ``token``; entries it left dead (a
+        channel replaced mid-run) are live again."""
+        with self._lock:
+            held = self._holders.get(token, 0)
+            self._holders[token] = held + 1
+            if not held:
+                _move_scope(token, self._dead, self._entries)
+
+    def release(self, token: str) -> None:
+        """A session holding ``token`` ended; the last one out leaves the
+        token's entries dead."""
+        with self._lock:
+            self._holders[token] -= 1
+            if not self._holders[token]:
+                del self._holders[token]
+                _move_scope(token, self._entries, self._dead)
 
     def get(self, key: tuple) -> tuple[bool, Any]:
         with self._lock:
@@ -119,16 +148,23 @@ class BlockCache:
                 self._bytes -= old[1]
             self._entries[key] = (value, nbytes)
             self._bytes += nbytes
-            while self._bytes > self.capacity_bytes and len(self._entries) > 1:
-                _, (_, evicted) = self._entries.popitem(last=False)
+            reclaim = bool(self._dead)  # one dead entry per put, budget or no
+            while reclaim or (self._bytes > self.capacity_bytes and len(self) > 1):
+                _, (_, evicted) = (self._dead or self._entries).popitem(last=False)
                 self._bytes -= evicted
+                reclaim = False
 
     @property
     def nbytes(self) -> int:
         return self._bytes
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries) + len(self._dead)
+
+
+def _move_scope(token: str, src: OrderedDict, dst: OrderedDict) -> None:
+    for key in [k for k in src if k[0] == token]:
+        dst[key] = src.pop(key)
 
 
 def _portable_exc(exc: BaseException) -> BaseException:
@@ -248,7 +284,8 @@ class WorkerSession:
                 if tag == "ping":
                     comm.send(("pong",))
                 elif tag == "spec":
-                    self._spec, self.token = pickle.loads(msg[1]), msg[2]
+                    self._spec = pickle.loads(msg[1])
+                    self._hold(msg[2])
                 elif tag == "jobs":
                     for jid, key, inputs, die, _life in msg[1]:
                         if die:
@@ -260,9 +297,19 @@ class WorkerSession:
         except CommClosedError:
             return  # parent gone; its liveness policy handles the rest
         finally:
+            self._hold("")
             for _value, attachment in self._pins.values():
                 attachment.close()
             comm.close()
+
+    def _hold(self, token: str) -> None:
+        """Make ``token`` the session's cache scope (``""``: none)."""
+        if token != self.token:
+            if token:
+                self.cache.retain(token)
+            if self.token:
+                self.cache.release(self.token)
+            self.token = token
 
     def _die(self) -> None:
         """Injected worker death (``die_on``): an impolite sever where the

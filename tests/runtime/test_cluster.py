@@ -11,6 +11,7 @@ the full multi-process story, including ``kill -9``, lives in
 """
 
 import itertools
+import threading
 import time
 
 import numpy as np
@@ -23,7 +24,7 @@ from repro.core import FTScheduler
 from repro.faults import FaultInjector, plan_faults
 from repro.obs.events import EventKind, EventLog
 from repro.runtime import ClusterRuntime, InlineRuntime, WorkerServer
-from repro.runtime.cluster import BlockCache
+from repro.runtime.cluster import BlockCache, EncodedBlockCache
 from repro.runtime.tracing import ExecutionTrace
 
 APPS = ("lcs", "cholesky")
@@ -58,6 +59,19 @@ def tcp_server():
     srv = WorkerServer("tcp://127.0.0.1:0").start()
     yield srv
     srv.close()
+
+
+def settle(server, timeout=10.0):
+    """Wait until every session of ``server`` has ended (a handler thread
+    sees its ``stop`` a moment after the parent's run returns)."""
+    deadline = time.monotonic() + timeout
+    while server.cache._holders:
+        assert time.monotonic() < deadline, "worker sessions never released their token"
+        time.sleep(0.001)
+
+
+def cache_tokens(cache):
+    return {key[0] for key in (*cache._entries, *cache._dead)}
 
 
 def assert_identical(got, want):
@@ -196,18 +210,25 @@ class TestLazyFetchAndCache:
         assert 0 < len(shipped) < declared
 
     def test_run_token_scopes_cache_across_runs(self, server):
-        # Two runs reusing the same (block, version) names must never
-        # share cache entries: same server, two runtimes, so the second
-        # run keeps its own copy of its full working set even though
-        # run 1 left identically-named entries behind.
-        app = make_app("lcs", scale="tiny")
-        run_ft(app, ClusterRuntime(workers=2, seed=0, addresses=[server.address]))
+        # Two runs reusing the same (block, version) names for different
+        # data: run 2 presents its own token, so run 1's identically
+        # named entries can never serve it -- they are dead, and are
+        # what run 2's own blocks displace.
+        run_ft(make_app("lcs", config=AppConfig(n=64, block=8, seed=1)),
+               ClusterRuntime(workers=2, seed=0, addresses=[server.address]))
+        settle(server)
         working_set = len(server.cache)
-        first_tokens = {key[0] for key in server.cache._entries}
+        first_tokens = cache_tokens(server.cache)
         assert working_set > 0 and len(first_tokens) == 1
-        run_ft(app, ClusterRuntime(workers=2, seed=0, addresses=[server.address]))
-        assert len(server.cache) == 2 * working_set
-        assert len({key[0] for key in server.cache._entries}) == 2
+        app = make_app("lcs", config=AppConfig(n=64, block=8, seed=2))
+        store = app.make_store(True)
+        FTScheduler(app, ClusterRuntime(workers=2, seed=0, addresses=[server.address]),
+                    store=store).run()
+        app.verify(store)  # a hit on a run-1 entry would be run 1's data
+        settle(server)
+        second_tokens = cache_tokens(server.cache)
+        assert len(second_tokens) == 1 and second_tokens != first_tokens
+        assert len(server.cache) <= working_set
 
 
 class TestControlPlaneBytes:
@@ -267,6 +288,127 @@ class TestBlockCache:
         c = BlockCache(capacity_bytes=10)
         c.put(("t", "a", 0), "big", 500)
         assert c.get(("t", "a", 0)) == (True, "big")
+
+
+class TestCacheScopes:
+    """A token is live while a session holds it; dead entries are the
+    first victims of ``put``, one per arriving block."""
+
+    def test_entries_stay_live_until_the_last_holder_releases(self):
+        c = BlockCache(capacity_bytes=1000)
+        c.retain("t")
+        c.retain("t")  # a second channel of the same run
+        c.put(("t", "a", 0), "va", 100)
+        c.release("t")
+        assert c.get(("t", "a", 0)) == (True, "va")
+        c.put(("t", "b", 0), "vb", 100)  # nothing dead: nothing reclaimed
+        assert len(c) == 2
+        c.release("t")
+        assert c.get(("t", "a", 0)) == (False, None)
+        assert len(c) == 2 and c.nbytes == 200  # dead, not yet displaced
+
+    def test_retaining_a_released_token_revives_its_entries(self):
+        c = BlockCache(capacity_bytes=1000)
+        c.retain("t")
+        c.put(("t", "a", 0), "va", 100)
+        c.release("t")  # the run's only channel was lost ...
+        assert c.get(("t", "a", 0)) == (False, None)
+        c.retain("t")  # ... and its replacement announces the same run
+        assert c.get(("t", "a", 0)) == (True, "va")
+        c.put(("t", "b", 0), "vb", 100)
+        assert len(c) == 2 and c.nbytes == 200
+
+    def test_dead_entries_are_reclaimed_one_per_put(self):
+        c = BlockCache(capacity_bytes=10_000)  # no budget pressure at all
+        c.retain("old")
+        for name in "abc":
+            c.put(("old", name, 0), name, 100)
+        c.release("old")
+        c.retain("new")
+        for i, held in enumerate((3, 3, 3, 4, 5)):  # one out per block in
+            c.put(("new", i, 0), i, 100)
+            assert len(c) == held
+        assert cache_tokens(c) == {"new"}
+
+    def test_dead_entries_go_before_any_live_one_under_pressure(self):
+        c = BlockCache(capacity_bytes=300)
+        c.retain("live")
+        c.retain("old")
+        c.put(("live", "x", 0), "vx", 100)  # least recent of all
+        c.put(("old", "a", 0), "va", 100)
+        c.put(("old", "b", 0), "vb", 100)
+        c.release("old")
+        c.put(("live", "y", 0), "vy", 100)
+        c.put(("live", "z", 0), "vz", 100)
+        assert c.peek(("live", "x", 0)) == "vx" and cache_tokens(c) == {"live"}
+        c.put(("live", "w", 0), "vw", 100)  # nothing dead left: plain LRU
+        assert c.peek(("live", "x", 0)) is None and c.nbytes == 300
+
+    def test_unscoped_tables_are_plain_lru(self):
+        # The residency table and the encoded cache key (block, version)
+        # and never retain: nothing there is ever dead, whatever a block
+        # is called -- even the name of a token released elsewhere.
+        worker = BlockCache(1000)
+        worker.retain("t")
+        worker.release("t")
+        table = BlockCache(capacity_bytes=250)
+        table.put(("t", 0), "v0", 100)
+        table.put(("u", 0), "v1", 100)
+        assert len(table) == 2 and table.peek(("t", 0)) == "v0"
+        table.put(("v", 0), "v2", 100)
+        assert table.peek(("t", 0)) is None and len(table) == 2
+        enc = EncodedBlockCache(capacity_bytes=250)
+        encoded = type("Enc", (), {"nbytes": 100})()
+        value = object()
+        for name in "tuv":
+            enc.put(name, 0, value, encoded)
+        assert enc.get("t", 0, value) is None and enc.get("v", 0, value) is encoded
+        assert len(enc) == 2
+
+    def test_severed_session_releases_its_token(self, server):
+        app = make_app("lcs", scale="tiny")
+        store = app.make_store(True)
+        rt = ClusterRuntime(workers=2, seed=0, addresses=[server.address], die_on=[(1, 1)])
+        FTScheduler(app, rt, store=store).run()
+        app.verify(store)
+        assert rt.worker_crashes == 1
+        settle(server)  # the severed session and both survivors let go
+        assert not server.cache._entries
+
+    @pytest.mark.parametrize("transport", ["server", "tcp_server"])
+    def test_thirty_runs_hold_one_runs_blocks(self, transport, request):
+        srv = request.getfixturevalue(transport)
+        app = make_app("cholesky", scale="tiny")
+        want, _ = run_ft(app, InlineRuntime())
+        one_run = 0
+        for _ in range(30):
+            got, _ = run_ft(app, ClusterRuntime(workers=2, seed=0, addresses=[srv.address]))
+            assert_identical(got, want)
+            settle(srv)
+            one_run = one_run or srv.cache.nbytes
+            assert 0 < srv.cache.nbytes <= 2 * one_run
+
+    def test_concurrent_runs_on_one_server_share_no_hit(self, server):
+        # Same block names, different data, same cache, at the same time.
+        failures = []
+
+        def runs(seed):
+            try:
+                for _ in range(3):
+                    app = make_app("lcs", config=AppConfig(n=64, block=8, seed=seed))
+                    store = app.make_store(True)
+                    rt = ClusterRuntime(workers=2, seed=0, addresses=[server.address])
+                    FTScheduler(app, rt, store=store).run()
+                    app.verify(store)
+            except BaseException as exc:
+                failures.append(exc)
+
+        threads = [threading.Thread(target=runs, args=(seed,)) for seed in (1, 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+        assert not any(t.is_alive() for t in threads) and not failures
 
 
 class TestRuntimeSurface:

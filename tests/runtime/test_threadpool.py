@@ -1,9 +1,12 @@
 """Unit tests for the real-thread work-stealing runtime."""
 
+import sys
 import threading
+import time
 
 import pytest
 
+from repro.runtime import threadpool
 from repro.runtime.frames import Frame
 from repro.runtime.threadpool import ThreadedRuntime
 
@@ -142,9 +145,9 @@ class TestRunResultCounters:
 
 class TestParkSymmetry:
     """One idle episode = exactly one PARK, and one UNPARK if work ever
-    reappeared for that worker -- regardless of how many capped
-    exponential sleeps the episode took (regression: the backoff loop
-    must not re-emit PARK per sleep)."""
+    reappeared for that worker -- regardless of how many waits the
+    episode took (regression: the idle loop must not re-emit PARK per
+    wait)."""
 
     @staticmethod
     def _per_worker_kinds(log):
@@ -187,6 +190,88 @@ class TestParkSymmetry:
             1 for e in log.events if e.kind is EventKind.PARK
         )
         assert total_parks == res.parks
+
+
+class TestParking:
+    """Idle workers wait on the pool's condition: everything that ends
+    an idle episode must notify.  The safety timeout is raised out of
+    reach so a lost wake-up shows as a missed deadline, not as polling."""
+
+    @pytest.fixture(autouse=True)
+    def no_safety_net(self, monkeypatch):
+        monkeypatch.setattr(threadpool, "_PARK_TIMEOUT_SECONDS", 120.0)
+
+    @staticmethod
+    def _finishes(fn, deadline):
+        outcome = []
+
+        def target():
+            try:
+                outcome.append(fn())
+            except BaseException as exc:
+                outcome.append(exc)
+
+        t = threading.Thread(target=target, daemon=True)
+        t.start()
+        t.join(timeout=deadline)
+        assert not t.is_alive(), f"still running after {deadline}s (lost wake-up?)"
+        return outcome[0]
+
+    def test_many_tiny_graphs_never_lose_a_wakeup(self):
+        rt = ThreadedRuntime(workers=4, seed=7)
+        ran = [0]
+        lock = threading.Lock()
+
+        def leaf():
+            with lock:
+                ran[0] += 1
+
+        def root():
+            for _ in range(3):
+                rt.spawn(lambda: rt.spawn(leaf))
+
+        def graphs():
+            for _ in range(1000):
+                assert rt.execute(Frame(root)).frames == 7
+
+        before = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            self._finishes(graphs, deadline=90.0)
+        finally:
+            sys.setswitchinterval(before)
+        assert ran[0] == 3000
+
+    def test_failure_while_another_worker_is_parked_ends_the_run(self):
+        rt = ThreadedRuntime(workers=2, seed=8)
+
+        def root():
+            deadline = time.monotonic() + 30.0
+            while not rt._parked and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert rt._parked == 1
+            raise ValueError("boom")
+
+        outcome = self._finishes(lambda: rt.execute(Frame(root)), deadline=30.0)
+        assert isinstance(outcome, ValueError) and rt.aborted()
+
+    def test_thief_never_probes_its_own_deque(self, monkeypatch):
+        probes = []
+
+        class Watched(threadpool.WorkDeque):
+            def steal_top(self):
+                probes.append((rt.obs_worker(), rt._deques.index(self)))
+                return super().steal_top()
+
+        monkeypatch.setattr(threadpool, "WorkDeque", Watched)
+        rt = ThreadedRuntime(workers=2, seed=9)
+
+        def root():
+            for _ in range(50):
+                rt.spawn(lambda: time.sleep(0.0002))
+
+        rt.execute(Frame(root))
+        assert probes and all(thief != victim for thief, victim in probes)
 
 
 class TestFailure:
