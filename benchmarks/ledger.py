@@ -1,12 +1,16 @@
 """Per-task cost ledger, FT vs NABBIT, on the warm no-op 48x48 grid.
 
     PYTHONPATH=src python benchmarks/ledger.py [rows cols]
+    PYTHONPATH=src python benchmarks/ledger.py --check
 
 Regenerates the table in docs/PERFORMANCE.md section 2.  Counts are
 exact and host-independent (``cProfile`` call counts over one run on
 ``InlineRuntime``, divided by the task count); only the last column is a
 timing (best of 15 unprofiled runs).  Point PYTHONPATH at another
 checkout's ``src`` to get that revision's ledger.
+
+``--check`` is the gate tier-1 and CI run: counts only (no timing
+column) on the 48x48 grid, exit status 1 if any is over its ceiling.
 """
 
 from __future__ import annotations
@@ -31,11 +35,20 @@ COLUMNS = {
 }
 
 
+#: ``--check`` ceilings, profiled calls per task on the 48x48 grid: each
+#: scheduler's own, and FT's surcharge over the baseline.  The columns in
+#: ZERO_GAP must read the same for both (FT adds no lock acquisition and
+#: neither scheduler calls back into the spec or the bit helpers).
+MAX_CALLS = {"ft": 120.4, "nabbit": 103.9}
+MAX_GAP = 16.5
+ZERO_GAP = ("lock acq", "spec calls", "bit calls")
+
+
 def _noop(key, ctx):
     ctx.write(BlockRef(key, 0), 0)
 
 
-def ledger(scheduler, spec, tasks: int) -> dict[str, float]:
+def ledger(scheduler, spec, tasks: int, timed: bool = True) -> dict[str, float]:
     def run():
         return scheduler(spec, InlineRuntime(), store=BlockStore()).run()
 
@@ -49,8 +62,8 @@ def ledger(scheduler, spec, tasks: int) -> dict[str, float]:
             v[1] for (path, _, name), v in stats.items()
             if any(path.endswith(suffix) and name == fn for suffix, fn in wanted)
         ) / tasks
-    best = min(_timed(run) for _ in range(15))
-    row["us"] = best / tasks * 1e6
+    if timed:
+        row["us"] = min(_timed(run) for _ in range(15)) / tasks * 1e6
     return row
 
 
@@ -60,16 +73,41 @@ def _timed(run) -> float:
     return time.perf_counter() - t0
 
 
-def main(argv: list[str]) -> None:
+def over_budget(table: dict[str, dict[str, float]]) -> list[str]:
+    """The ``--check`` verdict: one line per ceiling exceeded."""
+    ft, nabbit = table["ft"], table["nabbit"]
+    failures = [
+        f"{sched}: {table[sched]['calls']:.2f} calls per task > {limit}"
+        for sched, limit in MAX_CALLS.items() if table[sched]["calls"] > limit
+    ]
+    gap = ft["calls"] - nabbit["calls"]
+    if gap > MAX_GAP:
+        failures.append(f"ft-nabbit: {gap:.2f} calls per task > {MAX_GAP}")
+    failures += [
+        f"ft-nabbit: {column!r} differs ({ft[column]:.2f} vs {nabbit[column]:.2f})"
+        for column in ZERO_GAP if ft[column] != nabbit[column]
+    ]
+    return failures
+
+
+def main(argv: list[str]) -> int:
+    check = argv == ["--check"]
     rows, cols = (int(argv[0]), int(argv[1])) if len(argv) == 2 else (48, 48)
     spec = grid_graph(rows, cols, compute=_noop)
-    table = {s.name: ledger(s, spec, rows * cols) for s in (FTScheduler, NabbitScheduler)}
+    table = {
+        s.name: ledger(s, spec, rows * cols, timed=not check)
+        for s in (FTScheduler, NabbitScheduler)
+    }
     names = list(table["ft"])
     print(f"{'per task':<10}" + "".join(f"{n:>16}" for n in names))
     for sched, row in table.items():
         print(f"{sched:<10}" + "".join(f"{row[n]:>16.2f}" for n in names))
     print(f"{'ft-nabbit':<10}" + "".join(f"{table['ft'][n] - table['nabbit'][n]:>16.2f}" for n in names))
+    failures = over_budget(table) if check else []
+    for line in failures:
+        print(f"ledger check FAILED: {line}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

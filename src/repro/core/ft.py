@@ -1,7 +1,11 @@
 """The fault-tolerant dynamic task-graph scheduler (Section IV).
 
-This implements the *shaded* algorithm of Figures 2 and 3 on top of the
-same frame structure as :class:`~repro.core.nabbit.NabbitScheduler`:
+:class:`FTScheduler` is :class:`~repro.core.nabbit.NabbitScheduler` plus
+the *shaded* lines of Figures 2 and 3, and nothing else: the constructor
+scaffold, ``run``, the metrics gauges, COMPUTE(A) and the status /
+notify-array loop are inherited.  With no fault (every N(A)=1) what is
+left here is gates that never fire: Section V's reduction to NABBIT, as a
+class hierarchy.  The shaded lines:
 
 * every access to a task record or data block sits inside a
   ``try/except FaultError`` whose handler routes recovery to the failing
@@ -20,38 +24,41 @@ same frame structure as :class:`~repro.core.nabbit.NabbitScheduler`:
 * recovery routines are themselves guarded, so failures during recovery
   replace the incarnation and start over (Guarantee 6).
 
-Routine mapping (paper -> method):
+Routine mapping (paper -> method, Guarantees carried), naming every method
+of this class.  The per-edge routines replace the baseline's whole (their
+shaded lines sit inside a lock or between map insert and registration);
+the COMPUTEANDNOTIFY halves wrap an inherited body in ``try`` / gate / ``catch``:
 
-====================  =============================
-INITANDCOMPUTE        :meth:`FTScheduler._init_and_compute`
-TRYINITCOMPUTE        :meth:`FTScheduler._try_init_compute`
-NOTIFYONCE            :meth:`FTScheduler._notify_once`
-COMPUTEANDNOTIFY      :meth:`FTScheduler._compute_and_notify` +
+====================  ===========================================  ======
+INITANDCOMPUTE        :meth:`FTScheduler._init_and_compute`        G1, G2
+TRYINITCOMPUTE        :meth:`FTScheduler._try_init_compute`        G1, G5
+NOTIFYONCE            :meth:`FTScheduler._notify_once`             G3
+COMPUTEANDNOTIFY      :meth:`FTScheduler._compute_and_notify` +    G5
                       :meth:`FTScheduler._publish_and_notify`
-NOTIFYSUCCESSOR       :meth:`FTScheduler._notify_successor`
-RECOVERTASKONCE       :meth:`FTScheduler._recover_task_once`
+NOTIFYSUCCESSOR       :meth:`FTScheduler._notify_successor`        G1
+RECOVERTASKONCE       :meth:`FTScheduler._recover_task_once`       G1
 ISRECOVERING          :meth:`RecoveryTable.check_and_claim` (negated)
-RECOVERTASK           :meth:`FTScheduler._recover_task`
-REINITNOTIFYENTRY     :meth:`FTScheduler._reinit_notify_entry`
-RESETNODE             :meth:`FTScheduler._reset_node`
-====================  =============================
-
-The paper's ``B.overwritten`` test in TRYINITCOMPUTE is realized as an
-availability check of exactly the block versions the consumer needs from
-that predecessor (:meth:`FTScheduler._ensure_outputs_available`), covering
-both eviction under memory reuse and data corruption.
+RECOVERTASK           :meth:`FTScheduler._recover_task`            G2, G6
+REINITNOTIFYENTRY     :meth:`FTScheduler._reinit_notify_entry`     G4
+RESETNODE             :meth:`FTScheduler._reset_node`              G5
+the ``catch`` blocks  :meth:`FTScheduler._fault_observed`,         G5
+                      :meth:`FTScheduler._handle_compute_fault`,
+                      :meth:`FTScheduler._fault_source`
+dead-frame gate       :meth:`FTScheduler._stale`                   G1
+``B.overwritten``     :meth:`FTScheduler._ensure_outputs_available`
+life-carrying root    :meth:`FTScheduler._root` (and FT state in ``__init__``)
+====================  ===========================================  ======
 """
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import Callable
 
-from repro.core.hooks import NULL_HOOKS, SchedulerHooks
+from repro.core.hooks import SchedulerHooks
+from repro.core.nabbit import Key, NabbitScheduler
 from repro.core.records import TaskRecord
 from repro.core.recovery_table import RecoveryTable
-from repro.core.result import SchedulerResult
 from repro.core.status import TaskStatus
-from repro.core.taskmap import TaskMap
 from repro.exceptions import (
     DataCorruptionError,
     FaultError,
@@ -60,21 +67,16 @@ from repro.exceptions import (
     TaskCorruptionError,
     WorkerCrashError,
 )
-from repro.graph.plan import plans_of
 from repro.graph.taskspec import BlockRef, TaskGraphSpec
 from repro.memory.blockstore import BlockStore
-from repro.memory.context import StoreComputeContext
-from repro.obs.events import NULL_LOG, EventKind, EventLog
-from repro.obs.live import NULL_METRICS, MetricsRegistry
+from repro.obs.events import EventKind, EventLog
+from repro.obs.live import MetricsRegistry
 from repro.runtime.api import Runtime
 from repro.runtime.costmodel import CostModel
-from repro.runtime.frames import Frame
 from repro.runtime.tracing import ExecutionTrace
 
-Key = Hashable
 
-
-class FTScheduler:
+class FTScheduler(NabbitScheduler):
     """Work-stealing task-graph scheduler with selective, localized
     recovery from detected soft faults."""
 
@@ -93,143 +95,33 @@ class FTScheduler:
         event_log: EventLog | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        self.spec = spec
-        self.runtime = runtime
-        self.store = store if store is not None else BlockStore()
-        self.cost_model = cost_model or CostModel()
-        self.hooks = hooks if hooks is not None else NULL_HOOKS
-        self.trace = trace or ExecutionTrace()
-        self.strict_context = strict_context
+        super().__init__(
+            spec, runtime, store, cost_model, hooks, trace, strict_context, event_log, metrics
+        )
         self.max_recoveries = max_recoveries
-        self.log = event_log if event_log is not None else NULL_LOG
-        """Structured observability log (:mod:`repro.obs`).  Disabled by
-        default (``NULL_LOG``); pass ``event_log=EventLog()`` to record
-        the run's lifecycle:
-        every event carries the task key and life number, timestamped and
-        worker-attributed by the runtime."""
-        # Identity-fast observability guard: NULL_LOG is the one shared
-        # disabled log, so `is not NULL_LOG` short-circuits without even a
-        # class-attribute read; `enabled` still covers custom disabled logs.
-        self._obs = self.log is not NULL_LOG and self.log.enabled
-        # Same idiom for the two other per-task overheads nobody pays for
-        # by default: hook dispatch (NULL_HOOKS is the shared no-op) and
-        # frame-label formatting, whose f-strings repr task keys on every
-        # spawn but are only ever read by timeline-recording runtimes.
-        self._hooked = self.hooks is not NULL_HOOKS
-        self._lbl = bool(getattr(runtime, "record_timeline", False))
-        # Compute-phase dispatch seam: process-pool runtimes expose
-        # compute_dispatch(spec, key, ctx, life) to run the (pure,
-        # stateless) kernel off-process (life only attributes telemetry);
-        # every other runtime computes in place.
-        self._dispatch = getattr(runtime, "compute_dispatch", None)
-        # Serial runtimes (inline, simulated) execute frames one at a
-        # time, so trace-counter bumps need no lock; threaded runtimes
-        # re-arm it.  Unknown runtimes default to the safe locked path.
-        if getattr(runtime, "concurrent_frames", True):
-            self.trace.assume_concurrent()
-        else:
-            self.trace.assume_serial()
-        self.log.bind_runtime(runtime)
-        if self._obs and getattr(self.hooks, "event_log", False) is None:
-            # Fault injectors accept an event_log; share ours unless the
-            # caller wired their own.
-            hooks.event_log = self.log
-        if self._obs and getattr(self.store, "event_log", False) is None:
-            # Detection-capable stores (repro.detect.ChecksumStore) emit
-            # SDC_DETECTED; share the run's log the same way.
-            self.store.event_log = self.log
-        if getattr(self.store, "trace", False) is None:
-            self.store.trace = self.trace
-        if getattr(self.hooks, "trace", False) is None:
-            # Detectors bump SDC_* trace counters; keep them paired with
-            # the events they emit into the shared log (replay parity).
-            self.hooks.trace = self.trace
-        # key -> TaskPlan: the spec's static per-task facts (predecessors
-        # and their bit masks, footprint, producer -> refs), compiled once
-        # per spec rather than per run.
-        self._plans = plans_of(spec)
-        self.map = TaskMap(self._plans.n_preds)
         self.recovery_table = RecoveryTable()
         # One-way flag, set by the first RECOVERTASK or RESETNODE.  Until
         # then no record has been replaced or re-armed, so the incarnation
         # gates (_stale, the stale-traversal bit read) cannot fire and are
         # skipped; docs/ALGORITHM.md section 7 has the argument.
         self._disturbed = False
-        self._compute_factor = self.cost_model.compute_factor(self.store.policy.keep)
-        # The cost model is frozen; hoist the per-charge constants the hot
-        # paths read on every task out of the attribute chain.
         cm = self.cost_model
         self._c_init = cm.ft_init_cost
-        self._c_lock = cm.lock_cost
-        self._c_atomic = cm.atomic_cost
         self._c_notify = cm.atomic_cost + cm.ft_notify_cost
         self._c_recovery = cm.recovery_table_cost
         self._c_reinit = cm.reinit_scan_cost
-        self.metrics = metrics if metrics is not None else NULL_METRICS
-        """Live metrics registry (:mod:`repro.obs.live`).  Disabled by
-        default (``NULL_METRICS``); pass ``metrics=MetricsRegistry()`` to
-        publish pull-based gauges over the run's trace counters and the
-        block store's occupancy (the scheduler hot paths are never taxed
-        -- gauges are read only when sampled)."""
-        self._mx = self.metrics is not NULL_METRICS
-        if self._mx:
-            self._register_metrics()
 
-    def _register_metrics(self) -> None:
-        """Expose the live :class:`ExecutionTrace` counters (and the block
-        store's occupancy) as callback gauges: the counters already exist
-        and already update on the hot path, so live visibility costs one
-        ``getattr`` per counter per collector tick."""
-        trace = self.trace
-        self.metrics.gauge(
-            "repro_scheduler_info", "constant 1, labelled by scheduler", scheduler=self.name
-        ).set(1)
-        for name in sorted(ExecutionTrace.SCALAR_COUNTERS):
-            self.metrics.callback_gauge(
-                f"repro_trace_{name}",
-                lambda n=name: getattr(trace, n),
-                f"live ExecutionTrace counter {name}",
-            )
-        for name in ("total_computes", "total_recoveries", "tasks_computed"):
-            self.metrics.callback_gauge(
-                f"repro_trace_{name}",
-                lambda n=name: getattr(trace, n),
-                f"live ExecutionTrace aggregate {name}",
-            )
-        register = getattr(self.store, "register_metrics", None)
-        if register is not None:
-            register(self.metrics)
-
-    # -- public API -------------------------------------------------------------------
-
-    def run(self) -> SchedulerResult:
-        """Execute the graph to completion (recovering any faults) and
-        return the result bundle."""
-        skey = self.spec.sink_key()
-        sink, life, inserted = self.map.insert_if_absent(skey)
-        if not inserted:
-            raise SchedulerError("scheduler instances are single-use; create a new one")
-        if self._obs:
-            self.log.emit(EventKind.TASK_CREATED, skey, life)
-        root = Frame(lambda: self._init_and_compute(sink, skey, life), label=f"init:{skey!r}")
-        run = self.runtime.execute(root)
-        final, _ = self.map.get(skey)
-        status = final.status if final is not None else None  # verify: ok=lock-discipline (post-quiescence read; every worker has drained)
-        if status is not TaskStatus.COMPLETED:
-            raise SchedulerError(
-                f"execution quiesced but sink {skey!r} is "
-                f"{status.name if status else 'missing'} -- hung task graph"
-            )
-        return SchedulerResult(run=run, trace=self.trace, store=self.store, scheduler=self.name)
+    def _root(self, sink: TaskRecord, skey: Key, life: int) -> Callable[[], None]:
+        """The root frame's body, carrying the sink's life number."""
+        return lambda: self._init_and_compute(sink, skey, life)
 
     # -- Figure 2 routines (with shaded additions) ---------------------------------------
 
-    def _init_and_compute(self, A: TaskRecord, key: Key, life: int) -> None:
+    def _init_and_compute(self, A: TaskRecord, key: Key, life: int) -> None:  # type: ignore[override]
         """INITANDCOMPUTE: explore predecessors, then self-notify.
 
         The *before compute* injection point sits after the traversal is
-        issued: the task now waits for notifications (Section VI.B).
-        """
+        issued: the task now waits for notifications (Section VI.B)."""
         if self._disturbed and self._stale(A, key, life):
             return
         self.runtime.charge(self._c_init)
@@ -243,7 +135,7 @@ class FTScheduler:
             self.hooks.on_task_waiting(A)
         self._notify_once(A, key, key, life, plan.bit_of[key])
 
-    def _try_init_compute(self, A: TaskRecord, key: Key, life: int, pkey: Key, mask: int) -> None:
+    def _try_init_compute(self, A: TaskRecord, key: Key, life: int, pkey: Key, mask: int) -> None:  # type: ignore[override]
         """TRYINITCOMPUTE: visit predecessor ``pkey`` (A's notification bit
         ``mask``); register for notification, notify immediately, or
         detect its failure."""
@@ -267,7 +159,7 @@ class FTScheduler:
             # outputs as a failure and trigger a spurious recovery cascade.
             # Until the first recovery or reset only this frame's own
             # notification can clear the bit: nothing to read (the charge
-            # stays -- virtual time does not depend on the flag).
+            # stays: virtual time must not depend on the flag).
             self.runtime.charge(self._c_lock)
             if self._disturbed:
                 with A.lock:
@@ -292,15 +184,13 @@ class FTScheduler:
                 # but are the versions A needs still resident and clean?
                 self._ensure_outputs_available(key, pkey)
         except FaultError as exc:
-            self.trace.count_fault_observed()
-            if self._obs:
-                self.log.emit(EventKind.FAULT_OBSERVED, pkey, blife, exc=type(exc).__name__)
+            self._fault_observed(pkey, blife, exc)
             finished = False
             self._recover_task_once(pkey, blife)
         if finished:
             self._notify_once(A, key, pkey, life, mask)
 
-    def _notify_once(self, A: TaskRecord, key: Key, pkey: Key, life: int, mask: int) -> None:
+    def _notify_once(self, A: TaskRecord, key: Key, pkey: Key, life: int, mask: int) -> None:  # type: ignore[override]
         """NOTIFYONCE: decrement the join counter only if ``pkey``'s bit
         (``mask``) in the notification bit vector was still set
         (Guarantee 3; the locked test-and-clear is ATOMICBITUNSET)."""
@@ -327,35 +217,21 @@ class FTScheduler:
                 if self._obs:
                     self.log.emit(EventKind.NOTIFY_STALE, key, life, src=pkey)
         except FaultError as exc:
-            self.trace.count_fault_observed()
-            if self._obs:
-                self.log.emit(EventKind.FAULT_OBSERVED, key, life, exc=type(exc).__name__)
+            self._fault_observed(key, life, exc)
             self._recover_task_once(key, life)
 
-    def _compute_and_notify(self, A: TaskRecord, key: Key, life: int) -> None:
-        """COMPUTEANDNOTIFY, first half: run the user COMPUTE function.
+    def _compute_and_notify(self, A: TaskRecord, key: Key, life: int) -> None:  # type: ignore[override]
+        """COMPUTEANDNOTIFY, first half: COMPUTE(A) between two gates.
 
         The *after compute* injection point fires between COMPUTE's return
         and the status publication, and is observed immediately by the
-        computing thread (the Figure 1 narrative: "task B fails right
-        after its computation, and the failure is detected by the thread
-        operating on task B").
-        """
+        computing thread (Figure 1: "task B fails right after its
+        computation, and the failure is detected by the thread operating
+        on task B")."""
         try:
             if A.corrupted:
                 A.check()
-            self.trace.count_compute(key)
-            if self._obs:
-                self.log.emit(EventKind.COMPUTE_BEGIN, key, life)
-            self.runtime.charge(float(self.spec.cost(key)) * self._compute_factor)
-            fp = self._plans[key].footprint
-            ctx = StoreComputeContext(self.spec, self.store, key, self.strict_context, fp)
-            if self._dispatch is not None:
-                self._dispatch(self.spec, key, ctx, life)
-            else:
-                self.spec.compute(key, ctx)
-            if self._hooked:
-                self.hooks.on_after_compute(A)
+            self._compute(A, key, life)
             if A.corrupted:
                 A.check()
             if self._obs:
@@ -366,14 +242,11 @@ class FTScheduler:
             )
         except FaultError as exc:
             self.trace.count_compute_failure(key)
-            self.trace.count_fault_observed()
-            if self._obs:
-                self.log.emit(EventKind.FAULT_OBSERVED, key, life, exc=type(exc).__name__)
+            self._fault_observed(key, life, exc)
             self._handle_compute_fault(A, key, life, exc)
 
     def _publish_and_notify(self, A: TaskRecord, key: Key, life: int) -> None:
-        """COMPUTEANDNOTIFY, second half: publish Computed, drain the
-        notify array to stability, mark Completed.
+        """COMPUTEANDNOTIFY, second half: the gated publish.
 
         The *after notify* injection point fires once the task has
         finished notifying -- such a fault is only ever observed by a
@@ -383,34 +256,9 @@ class FTScheduler:
         try:
             if A.corrupted:
                 A.check()
-            self.runtime.charge(self._c_atomic)
-            with A.lock:
-                A.status = TaskStatus.COMPUTED
-            if self._obs:
-                self.log.emit(EventKind.TASK_COMPUTED, key, life)
-            notified = 0
-            while True:
-                with A.lock:
-                    batch = A.notify_array[notified:]
-                for skey in batch:
-                    self.runtime.spawn(
-                        lambda sk=skey: self._notify_successor(key, sk),
-                        label=f"notify:{key!r}->{skey!r}" if self._lbl else "",
-                    )
-                notified += len(batch)
-                self.runtime.charge(self._c_lock)
-                with A.lock:
-                    if len(A.notify_array) == notified:
-                        A.status = TaskStatus.COMPLETED
-                        break
-            if self._obs:
-                self.log.emit(EventKind.TASK_COMPLETED, key, life)
-            if self._hooked:
-                self.hooks.on_after_notify(A)
+            self._publish(A, key, life)
         except FaultError as exc:
-            self.trace.count_fault_observed()
-            if self._obs:
-                self.log.emit(EventKind.FAULT_OBSERVED, key, life, exc=type(exc).__name__)
+            self._fault_observed(key, life, exc)
             self._recover_task_once(key, life)
 
     def _notify_successor(self, key: Key, skey: Key) -> None:
@@ -427,24 +275,19 @@ class FTScheduler:
         """RECOVERTASKONCE: recover ``(key, life)`` unless some thread
         already owns that incarnation's recovery (Guarantee 1)."""
         self.runtime.charge(self._c_recovery)
-        if self.recovery_table.check_and_claim(key, life):
-            if self._obs:
-                # Time the whole recovery routine (incarnation install +
-                # successor rescan + re-spawn) as a worker-attributed span
-                # so the attribution report can price the paper's
-                # localized-recovery claim on real runs.
-                t0 = self.log.now()
-                self._recover_task(key)
-                self.log.emit(
-                    EventKind.SPAN, key, life, phase="recovery",
-                    wall=self.log.now() - t0, t0=t0,
-                )
-            else:
-                self._recover_task(key)
-        else:
+        if not self.recovery_table.check_and_claim(key, life):
             self.trace.count_recovery_skip()
             if self._obs:
                 self.log.emit(EventKind.RECOVERY_SKIPPED, key, life)
+            return
+        # Traced runs time the routine (install + successor rescan + re-spawn)
+        # as a span, so attribution can price the localized-recovery claim.
+        t0 = self.log.now() if self._obs else 0.0
+        self._recover_task(key)
+        if self._obs:
+            self.log.emit(
+                EventKind.SPAN, key, life, phase="recovery", wall=self.log.now() - t0, t0=t0
+            )
 
     def _recover_task(self, key: Key) -> None:
         """RECOVERTASK: install a new incarnation, rebuild its notify array
@@ -469,20 +312,17 @@ class FTScheduler:
                     if self._obs:
                         self.log.emit(EventKind.REINIT_SCAN, key, life, successor=skey)
                     S, slife = self.map.get(skey)
-                    if S is None:
-                        # Successor not yet expanded; when it is created it
-                        # will traverse this (fresh) incarnation normally.
-                        continue
-                    self._reinit_notify_entry(T, key, S, skey, slife)
+                    # A successor not yet expanded will traverse this
+                    # (fresh) incarnation normally when it is created.
+                    if S is not None:
+                        self._reinit_notify_entry(T, key, S, skey, slife)
                 self.runtime.spawn(
                     lambda: self._init_and_compute(T, key, life),
                     label=f"recover:{key!r}#{life}" if self._lbl else "",
                 )
                 return
             except FaultError as exc:
-                self.trace.count_fault_observed()
-                if self._obs:
-                    self.log.emit(EventKind.FAULT_OBSERVED, key, life, exc=type(exc).__name__)
+                self._fault_observed(key, life, exc)
                 if not self.recovery_table.check_and_claim(key, life):
                     # Another thread owns the newer incarnation's recovery.
                     self.trace.count_recovery_skip()
@@ -511,20 +351,16 @@ class FTScheduler:
                 self.trace.count_notify_reinit()
                 if self._obs:
                     self.log.emit(EventKind.REINIT, key, T.life, successor=skey)
-        except FaultError as exc:
-            if isinstance(exc, TaskCorruptionError) and exc.key == skey:
-                self.trace.count_fault_observed()
-                if self._obs:
-                    self.log.emit(EventKind.FAULT_OBSERVED, skey, slife, exc=type(exc).__name__)
-                self._recover_task_once(skey, slife)
-            else:
+        except TaskCorruptionError as exc:
+            if exc.key != skey:
                 raise
+            self._fault_observed(skey, slife, exc)
+            self._recover_task_once(skey, slife)
 
     def _reset_node(self, A: TaskRecord, key: Key, life: int) -> None:
         """RESETNODE: a fault in one of A's *inputs* was observed while A
         computed; re-arm A's join counter and bit vector and replay its
-        predecessor traversal, which will find and recover the failed
-        producer (Guarantee 5)."""
+        traversal, which finds and recovers the failed producer (G5)."""
         self._disturbed = True
         try:
             A.check()
@@ -536,25 +372,27 @@ class FTScheduler:
                 self.log.emit(EventKind.RESET, key, life)
             self._init_and_compute(A, key, life)
         except FaultError as exc:
-            self.trace.count_fault_observed()
-            if self._obs:
-                self.log.emit(EventKind.FAULT_OBSERVED, key, life, exc=type(exc).__name__)
+            self._fault_observed(key, life, exc)
             self._recover_task_once(key, life)
 
     # -- fault routing helpers --------------------------------------------------------------
 
+    def _fault_observed(self, key: Key, life: int, exc: FaultError) -> None:
+        """Count and log one caught fault, attributed to ``(key, life)``."""
+        self.trace.count_fault_observed()
+        if self._obs:
+            self.log.emit(EventKind.FAULT_OBSERVED, key, life, exc=type(exc).__name__)
+
     def _stale(self, A: TaskRecord, key: Key, life: int) -> bool:
         """True iff this frame belongs to a replaced (dead) incarnation.
 
-        This is the purpose of threading life numbers through the call
-        stack (Guarantee 1's machinery): frames spawned for an incarnation
-        that recovery has since replaced must not act -- in particular
-        they must not re-examine predecessor outputs that the *live*
-        incarnation already consumed and legally overwrote, which would
-        cascade into spurious recoveries.  The live incarnation re-runs
-        the whole traversal itself (Guarantee 2), so dropping stale frames
-        loses nothing.
-        """
+        This is why life numbers are threaded through the call stack
+        (Guarantee 1): frames spawned for an incarnation that recovery has
+        since replaced must not act -- in particular not re-examine
+        predecessor outputs the *live* incarnation already consumed and
+        legally overwrote, which would cascade into spurious recoveries.
+        The live incarnation re-runs the whole traversal itself (Guarantee
+        2), so dropping stale frames loses nothing."""
         current, cur_life = self.map.get(key)
         if current is A and cur_life == life:
             return False
@@ -579,12 +417,10 @@ class FTScheduler:
 
     def _fault_source(self, exc: FaultError) -> Key | None:
         """Identify the task whose failure caused ``exc``."""
-        if isinstance(exc, TaskCorruptionError):
-            return exc.key
-        if isinstance(exc, WorkerCrashError):
-            # The worker process died mid-compute: the parent-side inputs
-            # and bookkeeping are intact, so the failed work is the task's
-            # own compute phase -- recover the task, not a producer.
+        if isinstance(exc, (TaskCorruptionError, WorkerCrashError)):
+            # A crashed worker died mid-compute with the parent-side inputs
+            # and bookkeeping intact, so the failed work is the task's own
+            # compute phase -- recover the task, not a producer.
             return exc.key
         if isinstance(exc, (DataCorruptionError, OverwrittenError)):
             if exc.producer is not None:
@@ -593,8 +429,9 @@ class FTScheduler:
         return None
 
     def _ensure_outputs_available(self, consumer: Key, pkey: Key) -> None:
-        """Raise if any block version ``consumer`` needs from predecessor
-        ``pkey`` is corrupted or no longer resident."""
+        """The paper's ``B.overwritten`` test: raise if any block version
+        ``consumer`` needs from predecessor ``pkey`` is corrupted or no
+        longer resident (evicted under memory reuse)."""
         for ref in self._plans[consumer].needs.get(pkey, ()):
             status = self.store.status_of(ref)
             if status == "ok":

@@ -4,18 +4,22 @@ This is the *non-shaded* algorithm of Figure 2: work-stealing execution of
 a dynamic task graph with join counters and notify arrays, and **no**
 fault-tolerance machinery -- no life numbers, no bit vectors, no recovery
 table, no try/catch.  It is the paper's ``baseline`` configuration in
-Figure 4 and the overhead reference for everything else.
+Figure 4, the overhead reference for everything else, and the base class
+of :class:`~repro.core.ft.FTScheduler`, which adds the shaded lines.
 
-Routine mapping (paper -> method):
+Routine mapping (paper -> method).  ``FTScheduler`` inherits the *shared*
+rows (and ``__init__``, ``run``) unchanged and replaces the others; the
+shared bodies take the life number as an argument, here always 1:
 
-====================  =============================
+====================  ===========================================
 INITANDCOMPUTE        :meth:`NabbitScheduler._init_and_compute`
 TRYINITCOMPUTE        :meth:`NabbitScheduler._try_init_compute`
 NOTIFYONCE            :meth:`NabbitScheduler._notify_once`
-COMPUTEANDNOTIFY      :meth:`NabbitScheduler._compute_and_notify` +
-                      :meth:`NabbitScheduler._publish_and_notify`
+COMPUTEANDNOTIFY      :meth:`NabbitScheduler._compute_and_notify`
+  COMPUTE(A)          :meth:`NabbitScheduler._compute` (shared)
+  status + notify     :meth:`NabbitScheduler._publish` (shared)
 NOTIFYSUCCESSOR       :meth:`NabbitScheduler._notify_successor`
-====================  =============================
+====================  ===========================================
 
 COMPUTEANDNOTIFY is split at the point between ``COMPUTE(A)`` and
 ``A.status = Computed``: the publication half runs as a separately spawned
@@ -27,7 +31,7 @@ compute cost has elapsed, so successor start times respect dependences.
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import Callable, Hashable
 
 from repro.core.hooks import NULL_HOOKS, SchedulerHooks
 from repro.core.records import TaskRecord
@@ -72,26 +76,31 @@ class NabbitScheduler:
         self.cost_model = cost_model or CostModel()
         self.hooks = hooks if hooks is not None else NULL_HOOKS
         """Lifecycle hooks (:mod:`repro.core.hooks`).  The baseline has no
-        recovery path, so hooks here serve *measurement*: a silent-fault
+        recovery path, so here they serve *measurement*: a silent-fault
         injector or detector (:mod:`repro.detect`) can attach to quantify
-        what an unprotected scheduler lets through.  Any corruption a
-        hook marks will surface as an uncaught fault -- honest behavior
-        for a fault-oblivious scheduler."""
+        what an unprotected scheduler lets through, and any corruption a
+        hook marks surfaces as an uncaught fault."""
         self.trace = trace or ExecutionTrace()
         self.strict_context = strict_context
         self.log = event_log if event_log is not None else NULL_LOG
-        """Structured observability log (:mod:`repro.obs`); the baseline
-        emits the task-lifecycle subset (created / compute / computed /
-        completed / notify) -- it has no fault path."""
-        # Identity-fast observability guard; see FTScheduler.__init__.
+        """Structured observability log (:mod:`repro.obs`), disabled by
+        default (``NULL_LOG``); pass ``event_log=EventLog()`` to record
+        the run's lifecycle.  Every event carries the task key and life
+        number, timestamped and worker-attributed by the runtime; the
+        baseline emits the lifecycle subset -- it has no fault path."""
+        # Identity-fast observability guard: NULL_LOG is the one shared
+        # disabled log, so `is not NULL_LOG` short-circuits without even a
+        # class-attribute read; `enabled` still covers custom disabled logs.
         self._obs = self.log is not NULL_LOG and self.log.enabled
-        # Hot-path guards, mirroring FTScheduler: skip no-op hook dispatch
-        # and build frame labels only for timeline-recording runtimes.
+        # Same idiom for hook dispatch (NULL_HOOKS is the shared no-op) and
+        # for frame labels, whose f-strings repr task keys on every spawn
+        # but are only ever read by timeline-recording runtimes.
         self._hooked = self.hooks is not NULL_HOOKS
         self._lbl = bool(getattr(runtime, "record_timeline", False))
-        # Same compute-phase dispatch seam as FTScheduler: process-pool
-        # runtimes run the kernel off-process.  The baseline has no
-        # recovery path, so a WorkerCrashError fails the run.
+        # Compute-phase dispatch seam: remote runtimes expose
+        # compute_dispatch(spec, key, ctx, life) to run the (pure,
+        # stateless) kernel off-process (life only attributes telemetry);
+        # the rest compute in place.  A WorkerCrashError fails a baseline run.
         self._dispatch = getattr(runtime, "compute_dispatch", None)
         # Serial runtimes (inline, simulated) execute frames one at a
         # time, so trace-counter bumps need no lock; threaded runtimes
@@ -101,6 +110,8 @@ class NabbitScheduler:
         else:
             self.trace.assume_serial()
         self.log.bind_runtime(runtime)
+        # Fault injectors and detection-capable stores (repro.detect) emit
+        # into an event_log; share ours unless the caller wired their own.
         if self._obs and getattr(self.hooks, "event_log", False) is None:
             hooks.event_log = self.log
         if self._obs and getattr(self.store, "event_log", False) is None:
@@ -108,39 +119,45 @@ class NabbitScheduler:
         if getattr(self.store, "trace", False) is None:
             self.store.trace = self.trace
         if getattr(self.hooks, "trace", False) is None:
+            # Detectors bump SDC_* trace counters; keep them paired with
+            # the events they emit into the shared log (replay parity).
             self.hooks.trace = self.trace
-        # key -> TaskPlan, shared with FTScheduler; see FTScheduler.__init__.
+        # key -> TaskPlan: the spec's static per-task facts (predecessors and
+        # their bit masks, footprint, producer -> refs), compiled once per spec.
         self._plans = plans_of(spec)
         self.map = TaskMap(self._plans.n_preds)
         self._compute_factor = self.cost_model.compute_factor(self.store.policy.keep)
-        # The cost model is frozen; hoist the per-charge constants.
+        # The cost model is frozen; hoist the per-charge constants the hot
+        # paths read on every task out of the attribute chain.
         self._c_lock = self.cost_model.lock_cost
         self._c_atomic = self.cost_model.atomic_cost
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        """Live metrics registry; see :attr:`FTScheduler.metrics`."""
+        """Live metrics registry (:mod:`repro.obs.live`), disabled by
+        default (``NULL_METRICS``); pass ``metrics=MetricsRegistry()`` to
+        publish pull-based gauges over the run's trace counters and the
+        store's occupancy (read only when sampled: no hot-path cost)."""
         self._mx = self.metrics is not NULL_METRICS
         if self._mx:
             self._register_metrics()
 
     def _register_metrics(self) -> None:
-        """Pull-based gauges over the live trace counters and the store;
-        mirrors :meth:`FTScheduler._register_metrics`."""
+        """Expose the live :class:`ExecutionTrace` counters (and the block
+        store's occupancy) as callback gauges: the counters already exist
+        and already update on the hot path, so live visibility costs one
+        ``getattr`` per counter per collector tick."""
         trace = self.trace
         self.metrics.gauge(
             "repro_scheduler_info", "constant 1, labelled by scheduler", scheduler=self.name
         ).set(1)
-        for name in sorted(ExecutionTrace.SCALAR_COUNTERS):
-            self.metrics.callback_gauge(
-                f"repro_trace_{name}",
-                lambda n=name: getattr(trace, n),
-                f"live ExecutionTrace counter {name}",
-            )
-        for name in ("total_computes", "total_recoveries", "tasks_computed"):
-            self.metrics.callback_gauge(
-                f"repro_trace_{name}",
-                lambda n=name: getattr(trace, n),
-                f"live ExecutionTrace aggregate {name}",
-            )
+        aggregates = ("total_computes", "total_recoveries", "tasks_computed")
+        kinds = ("counter", sorted(ExecutionTrace.SCALAR_COUNTERS)), ("aggregate", aggregates)
+        for kind, names in kinds:
+            for name in names:
+                self.metrics.callback_gauge(
+                    f"repro_trace_{name}",
+                    lambda n=name: getattr(trace, n),
+                    f"live ExecutionTrace {kind} {name}",
+                )
         register = getattr(self.store, "register_metrics", None)
         if register is not None:
             register(self.metrics)
@@ -150,12 +167,12 @@ class NabbitScheduler:
     def run(self) -> SchedulerResult:
         """Execute the graph to completion and return the result bundle."""
         skey = self.spec.sink_key()
-        sink, _, inserted = self.map.insert_if_absent(skey)
+        sink, life, inserted = self.map.insert_if_absent(skey)
         if not inserted:
             raise SchedulerError("scheduler instances are single-use; create a new one")
         if self._obs:
-            self.log.emit(EventKind.TASK_CREATED, skey, 1)
-        root = Frame(lambda: self._init_and_compute(sink, skey), label=f"init:{skey!r}")
+            self.log.emit(EventKind.TASK_CREATED, skey, life)
+        root = Frame(self._root(sink, skey, life), label=f"init:{skey!r}")
         run = self.runtime.execute(root)
         final, _ = self.map.get(skey)
         status = final.status if final is not None else None  # verify: ok=lock-discipline (post-quiescence read; every worker has drained)
@@ -165,6 +182,10 @@ class NabbitScheduler:
                 f"{status.name if status else 'missing'} -- hung task graph"
             )
         return SchedulerResult(run=run, trace=self.trace, store=self.store, scheduler=self.name)
+
+    def _root(self, sink: TaskRecord, skey: Key, life: int) -> Callable[[], None]:
+        """The root frame's body: INITANDCOMPUTE on the sink."""
+        return lambda: self._init_and_compute(sink, skey)
 
     # -- scheduler routines (Figure 2, non-shaded) --------------------------------------
 
@@ -214,34 +235,39 @@ class NabbitScheduler:
             self._compute_and_notify(A, key)
 
     def _compute_and_notify(self, A: TaskRecord, key: Key) -> None:
-        """COMPUTEANDNOTIFY, first half: run the user COMPUTE function."""
+        """COMPUTEANDNOTIFY: COMPUTE(A), then publish in a spawned frame."""
+        self._compute(A, key, 1)
+        if self._obs:
+            self.log.emit(EventKind.COMPUTE_END, key, 1)
+        self.runtime.spawn(
+            lambda: self._publish(A, key, 1),
+            label=f"publish:{key!r}" if self._lbl else "",
+        )
+
+    def _compute(self, A: TaskRecord, key: Key, life: int) -> None:
+        """COMPUTE(A), unguarded: run the user COMPUTE function for
+        incarnation ``life`` of ``key``, in place or off-process."""
         self.trace.count_compute(key)
         if self._obs:
-            self.log.emit(EventKind.COMPUTE_BEGIN, key, 1)
+            self.log.emit(EventKind.COMPUTE_BEGIN, key, life)
         self.runtime.charge(float(self.spec.cost(key)) * self._compute_factor)
         fp = self._plans[key].footprint
         ctx = StoreComputeContext(self.spec, self.store, key, self.strict_context, fp)
         if self._dispatch is not None:
-            self._dispatch(self.spec, key, ctx, 1)
+            self._dispatch(self.spec, key, ctx, life)
         else:
             self.spec.compute(key, ctx)
         if self._hooked:
             self.hooks.on_after_compute(A)
-        if self._obs:
-            self.log.emit(EventKind.COMPUTE_END, key, 1)
-        self.runtime.spawn(
-            lambda: self._publish_and_notify(A, key),
-            label=f"publish:{key!r}" if self._lbl else "",
-        )
 
-    def _publish_and_notify(self, A: TaskRecord, key: Key) -> None:
-        """COMPUTEANDNOTIFY, second half: publish Computed status and drain
-        the notify array until it is stable, then mark Completed."""
+    def _publish(self, A: TaskRecord, key: Key, life: int) -> None:
+        """COMPUTEANDNOTIFY's second half, unguarded: publish Computed,
+        drain the notify array until it is stable, mark Completed."""
         self.runtime.charge(self._c_atomic)
         with A.lock:
             A.status = TaskStatus.COMPUTED
         if self._obs:
-            self.log.emit(EventKind.TASK_COMPUTED, key, 1)
+            self.log.emit(EventKind.TASK_COMPUTED, key, life)
         notified = 0
         while True:
             with A.lock:
@@ -254,15 +280,13 @@ class NabbitScheduler:
             notified += len(batch)
             self.runtime.charge(self._c_lock)
             with A.lock:
-                done = len(A.notify_array) == notified
-                if done:
+                if len(A.notify_array) == notified:
                     A.status = TaskStatus.COMPLETED
-            if done:
-                if self._obs:
-                    self.log.emit(EventKind.TASK_COMPLETED, key, 1)
-                if self._hooked:
-                    self.hooks.on_after_notify(A)
-                return
+                    break
+        if self._obs:
+            self.log.emit(EventKind.TASK_COMPLETED, key, life)
+        if self._hooked:
+            self.hooks.on_after_notify(A)
 
     def _notify_successor(self, key: Key, skey: Key) -> None:
         """NOTIFYSUCCESSOR: forward a completion notification."""

@@ -325,7 +325,13 @@ class MetricsRegistry:
     def callback_gauge(
         self, name: str, fn: Callable[[], float], help: str = "", **labels: Any
     ) -> CallbackGauge:
-        return self._get(CallbackGauge, name, help, labels, fn=fn)
+        """Get-or-create, and (re)bind ``fn``: the latest registration
+        wins, so a registry that outlives its subjects (run after run on
+        one ``/metrics`` endpoint) reads the current one and does not pin
+        the earlier ones through their closures."""
+        gauge = self._get(CallbackGauge, name, help, labels, fn=fn)
+        gauge._fn = fn
+        return gauge
 
     def histogram(
         self,

@@ -45,9 +45,7 @@ from repro.exceptions import SchedulerError
 from repro.obs.events import NULL_LOG, EventKind, EventLog
 from repro.obs.live import NULL_METRICS, MetricsRegistry
 from repro.runtime.dispatch import (
-    DEFAULT_ENCODED_CACHE_BYTES,
     DEFAULT_INFLIGHT,
-    EncodedBlockCache,
     PipelineChannel,
     RemoteRuntime,
 )
@@ -55,11 +53,9 @@ from repro.runtime.worker import DEFAULT_CACHE_BYTES, BlockCache, WorkerSession
 
 __all__ = [
     "DEFAULT_CACHE_BYTES",
-    "DEFAULT_ENCODED_CACHE_BYTES",
     "DEFAULT_HEARTBEAT_TIMEOUT",
     "BlockCache",
     "ClusterRuntime",
-    "EncodedBlockCache",
     "WorkerServer",
 ]
 
@@ -168,10 +164,6 @@ class ClusterRuntime(RemoteRuntime):
     ``inflight``
         Outstanding-job window per channel (K jobs in flight before a
         dispatching thread must wait for a reply slot).
-    ``encoded_cache_bytes``
-        Budget for the send-side :class:`EncodedBlockCache`: a block
-        lazily fetched by W workers is encoded once and gathered W
-        times.  ``0`` disables reuse (every fetch re-encodes).
     """
 
     def __init__(
@@ -186,11 +178,8 @@ class ClusterRuntime(RemoteRuntime):
         connect_attempts: int = 8,
         channels: int | None = None,
         inflight: int = DEFAULT_INFLIGHT,
-        encoded_cache_bytes: int = DEFAULT_ENCODED_CACHE_BYTES,
     ) -> None:
-        super().__init__(
-            workers, seed, event_log, metrics, die_on, channels, inflight, encoded_cache_bytes
-        )
+        super().__init__(workers, seed, event_log, metrics, die_on, channels, inflight)
         self._addresses = list(addresses or ())
         if not self._addresses:
             raise ValueError("ClusterRuntime needs at least one worker address")

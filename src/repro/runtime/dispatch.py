@@ -122,50 +122,6 @@ CRASHED = object()
 #: Default outstanding-job window per channel.
 DEFAULT_INFLIGHT = 2
 
-#: Default send-side encoded-payload budget (see EncodedBlockCache).
-DEFAULT_ENCODED_CACHE_BYTES = 64 * 1024 * 1024
-
-
-class EncodedBlockCache(BlockCache):
-    """Parent-side LRU of *encoded* block payloads, keyed
-    ``(block, version)`` -- the send half of the worker ``BlockCache``.
-
-    A block fetched by W workers is ``frame.encode_oob``-ed once and
-    gathered W times (the buffer segments ship straight from the cached
-    :class:`frame.Encoded`'s views, so a hit costs no serialization).
-
-    Coherence rides the same versioned-key discipline as the worker
-    cache, with one extra guard for the fault-injection paths that *do*
-    change a version's payload in place in the parent store
-    (``corrupt_data``, re-execution rewrites): a hit additionally
-    requires the stored source object to *be* (``is``) the value about
-    to ship.  Rewrites and mutator-style corruption replace the stored
-    payload object, so they miss by identity and re-encode -- stale
-    encodings are never served across a payload swap.  (For the OOB
-    segments themselves even a same-object in-place mutation cannot go
-    stale: the cached ``Encoded`` holds buffer views over the value's
-    live memory, gathered at send time.)
-    """
-
-    def __init__(self, capacity_bytes: int = DEFAULT_ENCODED_CACHE_BYTES) -> None:
-        super().__init__(capacity_bytes)
-
-    def get(self, block: Hashable, version: int, value: Any) -> Any:  # type: ignore[override]
-        """The cached encoding of ``value`` for ``(block, version)``, or
-        ``None`` when absent or superseded by a payload swap."""
-        key = (block, version)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[0][0] is value:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return entry[0][1]
-            self.misses += 1
-            return None
-
-    def put(self, block: Hashable, version: int, value: Any, encoded: Any) -> None:  # type: ignore[override]
-        super().put((block, version), (value, encoded), encoded.nbytes)
-
 
 class PendingJob:
     """One job in flight on a channel: the submitter blocks on ``event``
@@ -317,7 +273,6 @@ class RemoteRuntime(ThreadedRuntime):
         die_on: Iterable[Hashable] | None,
         channels: int | None,
         inflight: int,
-        encoded_cache_bytes: int = DEFAULT_ENCODED_CACHE_BYTES,
     ) -> None:
         super().__init__(workers, seed, event_log, metrics=metrics)
         self._die_on = set(die_on or ())
@@ -332,7 +287,6 @@ class RemoteRuntime(ThreadedRuntime):
         # long-lived worker server must never serve one run's bytes to
         # another run's identically-named block version.
         self._run_token = ""
-        self._enc_cache = EncodedBlockCache(encoded_cache_bytes)
         # Pre-built instruments: the dispatch hot path must never pay
         # registry lookup/label work, only a cached-flag test + observe.
         self._dispatch_hist = self._metrics.histogram(
@@ -671,14 +625,7 @@ class RemoteRuntime(ThreadedRuntime):
             p = handle.pending.get(jid)
         payload = None
         if p is not None and (block, version) in p.values:
-            value = p.values[(block, version)]
-            # Encode once per version, gather per fetch: the cache hit
-            # ships the same Encoded's buffer views again, zero
-            # serialization work on the repeat.
-            payload = self._enc_cache.get(block, version, value)
-            if payload is None:
-                payload = frame.encode_oob(value)
-                self._enc_cache.put(block, version, value, payload)
+            payload = frame.encode_oob(p.values[(block, version)])
             self._shipped(handle, p, block, version, payload.nbytes, "fetch")
         try:
             with handle.send_lock:

@@ -24,7 +24,7 @@ from repro.core import FTScheduler
 from repro.faults import FaultInjector, plan_faults
 from repro.obs.events import EventKind, EventLog
 from repro.runtime import ClusterRuntime, InlineRuntime, WorkerServer
-from repro.runtime.cluster import BlockCache, EncodedBlockCache
+from repro.runtime.cluster import BlockCache
 from repro.runtime.tracing import ExecutionTrace
 
 APPS = ("lcs", "cholesky")
@@ -345,9 +345,9 @@ class TestCacheScopes:
         assert c.peek(("live", "x", 0)) is None and c.nbytes == 300
 
     def test_unscoped_tables_are_plain_lru(self):
-        # The residency table and the encoded cache key (block, version)
-        # and never retain: nothing there is ever dead, whatever a block
-        # is called -- even the name of a token released elsewhere.
+        # The residency table keys (block, version) and never retains:
+        # nothing there is ever dead, whatever a block is called -- even
+        # the name of a token released elsewhere.
         worker = BlockCache(1000)
         worker.retain("t")
         worker.release("t")
@@ -357,13 +357,6 @@ class TestCacheScopes:
         assert len(table) == 2 and table.peek(("t", 0)) == "v0"
         table.put(("v", 0), "v2", 100)
         assert table.peek(("t", 0)) is None and len(table) == 2
-        enc = EncodedBlockCache(capacity_bytes=250)
-        encoded = type("Enc", (), {"nbytes": 100})()
-        value = object()
-        for name in "tuv":
-            enc.put(name, 0, value, encoded)
-        assert enc.get("t", 0, value) is None and enc.get("v", 0, value) is encoded
-        assert len(enc) == 2
 
     def test_severed_session_releases_its_token(self, server):
         app = make_app("lcs", scale="tiny")

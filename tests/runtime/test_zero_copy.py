@@ -1,8 +1,7 @@
-"""The runtime half of the zero-copy data plane: the parent's
-send-side :class:`EncodedBlockCache` (encode once, gather W times, with
-versioned-key + identity coherence), :func:`own_payload` (the single
-allowed copy, spent only on worker cache insert), and end-to-end parity
-on a cluster graph whose blocks are multiple MiB each."""
+"""The runtime half of the zero-copy data plane: :func:`own_payload`
+(the single allowed copy, spent only on worker cache insert) and
+end-to-end parity on a cluster graph whose blocks are multiple MiB each,
+including through the fallback-fetch path."""
 
 import itertools
 
@@ -11,12 +10,10 @@ import pytest
 
 from repro.apps import make_app
 from repro.apps.base import AppConfig
-from repro.comm import frame
 from repro.core import FTScheduler
 from repro.faults import FaultInjector, plan_faults
 from repro.memory.shm import own_payload
 from repro.runtime import ClusterRuntime, InlineRuntime, WorkerServer
-from repro.runtime.cluster import EncodedBlockCache
 from repro.runtime.tracing import ExecutionTrace
 
 _ids = itertools.count()
@@ -42,56 +39,6 @@ def run_ft(app, runtime, plan=None):
     hooks = FaultInjector(plan, app, store, trace) if plan is not None else None
     FTScheduler(app, runtime, store=store, hooks=hooks, trace=trace).run()
     return app.extract(store), trace
-
-
-class TestEncodedBlockCache:
-    def test_hit_requires_same_key_and_same_object(self):
-        c = EncodedBlockCache(capacity_bytes=1 << 20)
-        v = np.arange(8.0)
-        enc = frame.encode_oob(v)
-        assert c.get("b", 0, v) is None
-        c.put("b", 0, v, enc)
-        assert c.get("b", 0, v) is enc
-        # A new version misses even with the same object...
-        assert c.get("b", 1, v) is None
-        # ...and a payload swap (rewrite / mutator corruption replaces
-        # the stored object) misses even with the same version.
-        assert c.get("b", 0, v.copy()) is None
-        assert c.hits == 1 and c.misses == 3
-
-    def test_replacement_does_not_double_count(self):
-        c = EncodedBlockCache(capacity_bytes=1 << 20)
-        v = np.arange(1024.0)
-        c.put("b", 0, v, frame.encode_oob(v))
-        n = c.nbytes
-        c.put("b", 0, v, frame.encode_oob(v))
-        assert c.nbytes == n and len(c) == 1
-
-    def test_lru_eviction_under_byte_bound(self):
-        v = np.arange(1024.0)  # 8 KiB
-        enc = frame.encode_oob(v)
-        c = EncodedBlockCache(capacity_bytes=int(enc.nbytes * 2.5))
-        c.put("a", 0, v, enc)
-        c.put("b", 0, v, enc)
-        assert c.get("a", 0, v) is enc  # refresh a: b is now least-recent
-        c.put("c", 0, v, enc)
-        assert c.get("b", 0, v) is None
-        assert c.get("a", 0, v) is enc and c.get("c", 0, v) is enc
-        assert c.nbytes <= c.capacity_bytes
-
-    def test_single_oversized_entry_is_kept(self):
-        v = np.arange(1024.0)
-        enc = frame.encode_oob(v)
-        c = EncodedBlockCache(capacity_bytes=16)
-        c.put("a", 0, v, enc)
-        assert c.get("a", 0, v) is enc
-
-    def test_zero_capacity_disables_reuse(self):
-        v = np.arange(1024.0)
-        c = EncodedBlockCache(capacity_bytes=0)
-        c.put("a", 0, v, frame.encode_oob(v))
-        c.put("b", 0, v, frame.encode_oob(v))
-        assert len(c) == 1  # only the single-entry floor survives
 
 
 class TestOwnPayload:
@@ -150,12 +97,11 @@ class TestClusterZeroCopy:
         assert got.dtype == want.dtype and (got == want).all()
         assert t0.total_recoveries > 0 and t1.total_recoveries > 0
 
-    def test_send_side_cache_encodes_once_per_version(self):
+    def test_fallback_fetches_bit_identical(self):
         # Two servers whose block caches hold a single tile: nearly every
         # bare ref the parent sends on the strength of its residency
         # table has been evicted by the time it is read, so the workers
-        # fall back to lazy fetches -- and a version fetched more than
-        # once must reuse the cached encoding instead of re-pickling.
+        # fall back to lazy fetches, which must serve the same bytes.
         cfg = AppConfig(n=256, block=64)
         tile = 64 * 64 * 8
         servers = [
@@ -171,8 +117,6 @@ class TestClusterZeroCopy:
             got, _ = run_ft(app, rt)
             assert got.dtype == want.dtype and (got == want).all()
             assert sum(s.cache.misses for s in servers) > 0  # fallback fetches
-            assert rt._enc_cache.hits > 0
-            assert rt._enc_cache.nbytes <= rt._enc_cache.capacity_bytes
         finally:
             for s in servers:
                 s.close()
