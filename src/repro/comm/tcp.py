@@ -94,7 +94,7 @@ class TCPComm(Comm):
         views = [memoryview(p) for p in parts if len(p)]
         while views:
             try:
-                sent = self._sock.sendmsg(views[:_IOV_CAP])  # verify: ok=blocking-under-lock (write serialization is this lock's whole job; nothing else is ever taken under it)
+                sent = self._sock.sendmsg(views[:_IOV_CAP])
             except OSError as exc:
                 self._eof = True
                 raise CommClosedError(f"tcp peer {self.peer} gone during send: {exc}") from exc

@@ -46,11 +46,9 @@ _PER_KEY_KINDS = frozenset(
 )
 
 #: Kinds deliberately *not* replayed into any counter.  Each entry is a
-#: conscious decision, enforced two ways: statically by the
-#: ``eventkind-coverage`` lint (``python -m repro verify lint``) and at
-#: test time by ``tests/obs/test_replay_parity.py`` -- a new EventKind
-#: member must be routed into a counter here or listed below, or both
-#: checks fail.
+#: conscious decision, enforced at test time by
+#: ``tests/obs/test_replay_parity.py`` -- a new EventKind member must be
+#: routed into a counter here or listed below, or that test fails.
 #:
 #: * TASK_CREATED / COMPUTE_END / TASK_COMPUTED / TASK_COMPLETED are
 #:   lifecycle *milestones*: their counts are implied by the counters

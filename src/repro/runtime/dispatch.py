@@ -577,7 +577,7 @@ class RemoteRuntime(ThreadedRuntime):
         comm = handle.comm
         while not me.event.is_set():
             try:
-                if comm.poll(POLL_SECONDS):  # verify: ok=blocking-under-lock (recv_lock is the drain-leader election; blocking here with it held is the design)
+                if comm.poll(POLL_SECONDS):
                     self._route_reply(handle, comm.recv())
                     continue
             except CommClosedError:

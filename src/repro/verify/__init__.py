@@ -6,14 +6,14 @@ implementation relies on (every ``TaskRecord`` mutation under its lock;
 every lock acquisition accounted in the cost model).  Tests exercise
 happy paths; this package checks the *rules*:
 
-* :mod:`repro.verify.lint` -- AST lints run over ``src/repro`` itself:
-  lock discipline, cost-accounting discipline, raw-threading bans, and
-  EventKind <-> replay coverage.
-* :mod:`repro.verify.static` -- whole-program static analysis over the
-  concurrency-bearing subsystems: lock-order deadlock cycles, blocking
-  operations reachable under a held lock, wire-safety of everything
-  sent through a :class:`~repro.comm.core.Comm`, message-protocol
-  exhaustiveness, and lock/resource leaks on exception paths.
+* :mod:`repro.verify.static` -- the static analyzer: one program model
+  over ``src/repro`` and one registry of rules, from per-module
+  disciplines (record locking, charged locks, confined threading /
+  process / socket primitives, guarded telemetry, read-only events,
+  emitted event kinds) to whole-program ones (lock-order deadlock
+  cycles, blocking operations reachable under a held lock, wire-safety
+  of everything sent through a :class:`~repro.comm.core.Comm`,
+  message-protocol exhaustiveness, lock/resource leaks).
 * :mod:`repro.verify.invariants` -- replays a structured event log
   (:mod:`repro.obs`) and asserts Guarantees 1-4 as trace invariants.
 * :mod:`repro.verify.explore` -- bounded schedule exploration on the
@@ -22,13 +22,12 @@ happy paths; this package checks the *rules*:
   explored schedule; its mutation mode seeds known protocol bugs and
   must catch them.
 
-CLI: ``python -m repro verify [lint|static|invariants|explore] [--selftest]``.
+CLI: ``python -m repro verify [static|invariants|explore] [--selftest]``.
 """
 
 from repro.verify.invariants import INVARIANTS, Violation, check_events
-from repro.verify.lint import Finding, run_lint
 from repro.verify.explore import ExplorationReport, explore, explore_app, mutation_study
-from repro.verify.report import findings_to_json, github_annotations, sort_findings
+from repro.verify.report import Finding, findings_to_json, github_annotations, sort_findings
 from repro.verify.static import STATIC_RULES, run_static
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "Violation",
     "check_events",
     "Finding",
-    "run_lint",
     "ExplorationReport",
     "explore",
     "explore_app",

@@ -2,14 +2,14 @@
 
 Subcommands:
 
-* ``lint`` -- run the concurrency lints (:mod:`repro.verify.lint`) over
-  ``src/repro``; exit 1 on any finding.
-* ``static`` -- run the whole-program static analyzer
-  (:mod:`repro.verify.static`): lock-order deadlock cycles, blocking
-  operations under held locks, wire safety, protocol exhaustiveness,
-  lock/resource leaks.  ``--json`` for machine-readable output,
-  ``--annotate`` for GitHub Actions annotations, ``--selftest`` for the
-  seeded-violation self-conviction suite.
+* ``static`` -- run the static analyzer (:mod:`repro.verify.static`)
+  over ``src/repro``: every registered rule, from the per-module
+  disciplines (record locking, charged locks, confined primitives,
+  guarded telemetry) to the whole-program ones (lock-order deadlock
+  cycles, blocking operations under held locks, wire safety, protocol
+  exhaustiveness, lock/resource leaks), plus stale waivers; exit 1 on
+  any finding.  ``--json`` for machine-readable output, ``--annotate``
+  for GitHub Actions annotations.
 * ``invariants`` -- execute one benchmark under fault injection with
   event tracing and assert Guarantees 1-4 on the trace
   (:mod:`repro.verify.invariants`); or check a recorded ``--jsonl`` dump
@@ -21,10 +21,10 @@ Subcommands:
   unless every mutant is convicted.
 
 ``--selftest`` (the CI entry point) runs all three layers end to end:
-the lints must pass on the package and each rule must fire on a seeded
-violation fixture; the invariant checker must pass every benchmark under
-fault injection; and the explorer's mutation mode must detect both
-seeded protocol bugs.
+the analyzer must pass on the package and convict every seeded
+violation at its line; the invariant checker must pass every benchmark
+under fault injection; and the explorer's mutation mode must detect
+both seeded protocol bugs.
 """
 
 from __future__ import annotations
@@ -46,31 +46,11 @@ from repro.verify.invariants import (
     events_from_jsonl,
     summarize,
 )
-from repro.verify.lint import ALL_RULES, Module, run_lint
 from repro.verify.report import findings_to_json, github_annotations
-from repro.verify.static import STATIC_RULES, run_static
+from repro.verify.static import RULE_NAMES, run_static
+from repro.verify.static.seeded import SEEDED, run_selftest
 
 _BENCHMARKS = ("lcs", "sw", "fw", "lu", "cholesky")
-
-
-# ---------------------------------------------------------------------------
-# lint
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    root = Path(args.root) if args.root else None
-    findings = run_lint(root=root)
-    if args.json:
-        print(findings_to_json(findings))
-        return 1 if findings else 0
-    for f in findings:
-        print(f)
-    rules = ", ".join(r.name for r in ALL_RULES)
-    if findings:
-        print(f"verify lint: {len(findings)} finding(s) ({rules})")
-        return 1
-    print(f"verify lint: clean ({rules})")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -78,15 +58,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_static(args: argparse.Namespace) -> int:
-    if args.selftest:
-        from repro.verify.static.seeded import SEEDED, run_selftest
-
-        print(f"verify static selftest ({len(SEEDED)} seeded violations):")
-        failures = run_selftest(verbose=True)
-        for f in failures:
-            print(f"  FAIL: {f}")
-        print(f"verify static selftest {'passed' if not failures else 'FAILED'}")
-        return 1 if failures else 0
     root = Path(args.root) if args.root else None
     findings = run_static(root=root)
     if args.json:
@@ -98,7 +69,7 @@ def _cmd_static(args: argparse.Namespace) -> int:
     else:
         for f in findings:
             print(f)
-    rules = ", ".join(r.name for r in STATIC_RULES)
+    rules = ", ".join(RULE_NAMES)
     if findings:
         print(f"verify static: {len(findings)} finding(s) ({rules})")
         return 1
@@ -192,53 +163,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # selftest
 
-#: rule name -> (fake relpath, source that must trigger exactly that rule).
-_SEEDED_VIOLATIONS: dict[str, tuple[str, str]] = {
-    # lock-discipline audits the scheduler modules by path, so the seeded
-    # source masquerades as one of them.
-    "lock-discipline": (
-        "core/ft.py",
-        "def f(rec, runtime):\n"
-        "    runtime.charge(1.0)\n"
-        "    rec.join -= 1\n",
-    ),
-    "charge-discipline": (
-        "core/seeded.py",
-        "def f(rec):\n"
-        "    with rec.lock:\n"
-        "        pass\n",
-    ),
-    "raw-threading": (
-        "apps/seeded.py",
-        "import threading\n"
-        "t = threading.Thread(target=print)\n",
-    ),
-    "raw-multiprocessing": (
-        "core/seeded.py",
-        "import multiprocessing\n",
-    ),
-    "raw-socket": (
-        "core/seeded.py",
-        "import socket\n",
-    ),
-    "emit-guard": (
-        "core/seeded.py",
-        "def f(self, key, life):\n"
-        "    self.log.emit(EventKind.NOTIFY, key, life)\n",
-    ),
-    "eventkind-coverage": (
-        "obs/events.py",
-        "class EventKind(str, Enum):\n"
-        "    PHANTOM = 'phantom'\n",
-    ),
-    "event-immutable": (
-        "obs/seeded.py",
-        "def f(events):\n"
-        "    events[0].life += 1\n",
-    ),
-}
-
-
 def _selftest(args: argparse.Namespace) -> int:
     failures = 0
     t0 = time.time()
@@ -249,20 +173,17 @@ def _selftest(args: argparse.Namespace) -> int:
             failures += 1
         print(f"  {label:<52} [{'ok' if ok else 'FAIL'}]{' ' + detail if detail else ''}")
 
-    # 1. The package itself passes the lints.
-    findings = run_lint()
-    check("lint clean on src/repro", not findings,
+    # 1. The package itself passes the analyzer.
+    findings = run_static()
+    check("static analysis clean on src/repro", not findings,
           f"{len(findings)} finding(s)" if findings else "")
 
-    # 2. Each rule fires on its seeded-violation fixture.
-    for rule in ALL_RULES:
-        relpath, source = _SEEDED_VIOLATIONS[rule.name]
-        modules = [Module.from_source(source, relpath)]
-        if rule.name == "eventkind-coverage":
-            # The coverage rule needs a replay module to diff against.
-            modules.append(Module.from_source("_SCALAR_KINDS = {}\n", "obs/replay.py"))
-        seeded = [f for f in run_lint(rules=[rule], modules=modules) if f.rule == rule.name]
-        check(f"rule {rule.name} fires on seeded violation", bool(seeded))
+    # 2. Every seeded violation is convicted at its line.
+    escaped = run_selftest(verbose=True)
+    for e in escaped:
+        print(f"  FAIL: {e}")
+    check(f"{len(SEEDED)} seeded violations convicted", not escaped,
+          f"{len(escaped)} escaped" if escaped else "")
 
     # 3. Guarantees 1-4 hold on every benchmark's fault-injected trace.
     for app_name in _BENCHMARKS:
@@ -308,22 +229,14 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seed", type=int, default=0, help="base seed for selftest runs")
     sub = ap.add_subparsers(dest="command")
 
-    p_lint = sub.add_parser("lint", help="run the concurrency lints over src/repro")
-    p_lint.add_argument("--root", type=str, default=None,
-                        help="package root to lint (default: the imported repro package)")
-    p_lint.add_argument("--json", action="store_true",
-                        help="machine-readable findings report on stdout")
-
     p_static = sub.add_parser(
-        "static", help="whole-program static analysis (deadlocks, wire safety, ...)")
+        "static", help="static analysis: every rule over src/repro (locks, wire, ...)")
     p_static.add_argument("--root", type=str, default=None,
                           help="package root to analyze (default: the imported repro package)")
     p_static.add_argument("--json", action="store_true",
                           help="machine-readable findings report on stdout")
     p_static.add_argument("--annotate", action="store_true",
                           help="emit GitHub Actions ::error annotations instead of plain lines")
-    p_static.add_argument("--selftest", action="store_true",
-                          help="run the seeded-violation self-conviction suite")
 
     p_inv = sub.add_parser("invariants",
                            help="check Guarantees 1-4 on a traced execution")
@@ -353,10 +266,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="run the seeded-bug study instead (exit 1 unless all detected)")
 
     args = ap.parse_args(argv)
-    # Subcommand dispatch first: `verify static --selftest` is the static
-    # analyzer's own selftest, not the top-level one.
-    if args.command == "lint":
-        return _cmd_lint(args)
     if args.command == "static":
         return _cmd_static(args)
     if args.command == "invariants":

@@ -1,22 +1,23 @@
-"""Shared reporting plumbing for the verification toolkit.
+"""Shared reporting plumbing for the static analyzer.
 
-Both the per-module concurrency lints (:mod:`repro.verify.lint`) and the
-whole-program static analyzer (:mod:`repro.verify.static`) produce the
-same currency: a :class:`Finding` anchored at a source line, waivable by
-an inline ``# verify: ok=<rule>`` pragma on that line.  This module owns
-that currency -- the finding type, the parsed-module handle that knows
-its own waivers, deterministic ordering, and the machine-readable output
-formats (``--json`` and GitHub Actions problem-matcher annotations) --
-so every verification layer reports identically and CI diffs are stable
-across runs.
+Every rule of :mod:`repro.verify.static` produces the same currency: a
+:class:`Finding` anchored at a source line, waivable by an inline
+``# verify: ok=<rule>`` pragma in a comment on that line.  This module
+owns that currency -- the finding type, the parsed-module handle that
+knows its own waivers, deterministic ordering, and the machine-readable
+output formats (``--json`` and GitHub Actions problem-matcher
+annotations) -- so CI diffs are stable across runs.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import json
 import re
-from dataclasses import dataclass, field
+import tokenize
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -38,12 +39,21 @@ class Finding:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "message": self.message,
-        }
+        return asdict(self)
+
+
+def _waivers(source: str) -> dict[int, str]:
+    """Line -> waived rule, for pragmas written in comment tokens only: a
+    pragma inside a string literal waives nothing."""
+    if "verify:" not in source:
+        return {}
+    out: dict[int, str] = {}
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            m = PRAGMA.search(tok.string)
+            if m:
+                out[tok.start[0]] = m.group(1)
+    return out
 
 
 @dataclass
@@ -52,23 +62,25 @@ class Module:
 
     relpath: str
     tree: ast.Module
-    lines: list[str] = field(default_factory=list)
+    waivers: dict[int, str] = field(default_factory=dict)
 
     @classmethod
     def from_source(cls, source: str, relpath: str) -> "Module":
-        return cls(relpath=relpath, tree=ast.parse(source), lines=source.splitlines())
+        return cls(relpath=relpath, tree=ast.parse(source), waivers=_waivers(source))
 
     @classmethod
     def from_path(cls, path: Path, root: Path) -> "Module":
         return cls.from_source(path.read_text(), path.relative_to(root).as_posix())
 
+    @cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node of the tree in ``ast.walk`` order, walked once and
+        shared by every rule that scans whole modules."""
+        return list(ast.walk(self.tree))
+
     def waived(self, line: int, rule: str) -> bool:
         """True iff ``line`` carries a pragma waiving ``rule``."""
-        if 1 <= line <= len(self.lines):
-            m = PRAGMA.search(self.lines[line - 1])
-            if m and m.group(1) == rule:
-                return True
-        return False
+        return self.waivers.get(line) == rule
 
 
 def package_root() -> Path:

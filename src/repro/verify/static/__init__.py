@@ -1,25 +1,16 @@
-"""Whole-program static analyzer for the concurrency-bearing subsystems.
+"""The static analyzer: every rule ``repro.verify`` holds the source to.
 
 ``python -m repro verify static`` builds one
-:class:`~repro.verify.static.callgraph.Program` over the package --
-cross-module call graph, lock-acquisition-order graph, light type
-inference -- and runs the five rules against it:
+:class:`~repro.verify.static.callgraph.Program` over the package (every
+parsed module, plus call graph, lock-order graph and light type
+inference over the concurrency-bearing subsystems) and runs each rule of
+:data:`STATIC_RULES` against it; each rule is documented on its class.
 
-* ``deadlock-cycle`` -- the lock-order graph is acyclic (witness chains
-  for every edge of a cycle);
-* ``blocking-under-lock`` -- no comm/socket I/O, sleep, join or wait is
-  reachable while a lock is held;
-* ``lock-leak`` -- no bare ``.acquire()`` or comm open without a
-  ``with``/``finally`` release on exception paths;
-* ``wire-safety`` -- everything constructed into a frame or
-  ``Comm.send`` resolves to the picklable wire set;
-* ``protocol-exhaustive`` -- every message tag one protocol side sends
-  has a handler branch on the other, and no dead handlers.
-
-Findings are waivable with ``# verify: ok=<rule>`` on the offending
-line; waivers are applied centrally here, after all rules ran.  The
-seeded-violation suite (:mod:`repro.verify.static.seeded`) proves each
-rule convicts the bug it exists for.
+Findings are waivable with ``# verify: ok=<rule>`` in a comment on the
+offending line.  :func:`run_static` applies waivers in one place, after
+every rule ran.  The seeded-violation suite
+(:mod:`repro.verify.static.seeded`) proves each name convicts the bug it
+exists for.
 """
 
 from __future__ import annotations
@@ -29,6 +20,14 @@ from typing import Iterable, Sequence
 
 from repro.verify.report import Finding, Module, load_modules, sort_findings
 from repro.verify.static.callgraph import ANALYZED_PREFIXES, Program, StaticRule
+from repro.verify.static.lint import (
+    ChargeDisciplineRule,
+    ConfinementRule,
+    EmitGuardRule,
+    EventImmutableRule,
+    EventKindCoverageRule,
+    LockDisciplineRule,
+)
 from repro.verify.static.locks import (
     BlockingUnderLockRule,
     DeadlockCycleRule,
@@ -42,6 +41,21 @@ STATIC_RULES: tuple[StaticRule, ...] = (
     LockLeakRule(),
     WireSafetyRule(),
     ProtocolExhaustiveRule(),
+    LockDisciplineRule(),
+    ChargeDisciplineRule(),
+    ConfinementRule(),
+    EmitGuardRule(),
+    EventKindCoverageRule(),
+    EventImmutableRule(),
+)
+
+#: The waiver pass's own finding name.
+STALE_WAIVER = "stale-waiver"
+
+#: Every name a finding can carry.
+RULE_NAMES: tuple[str, ...] = (
+    *(name for rule in STATIC_RULES for name in rule.names),
+    STALE_WAIVER,
 )
 
 
@@ -51,25 +65,36 @@ def run_static(
     modules: Sequence[Module] | None = None,
     prefixes: Iterable[str] = ANALYZED_PREFIXES,
 ) -> list[Finding]:
-    """Build the program model and run every static rule; returns the
-    deterministically-ordered findings that survive inline waivers."""
+    """Build the program model, run ``rules`` and return the
+    deterministically-ordered findings that survive inline waivers, plus
+    one ``stale-waiver`` finding per waiver that names no registered rule
+    or, for a rule that ran, suppresses no finding (the waiver pass always
+    runs, so a waiver naming ``stale-waiver`` is itself stale)."""
     if modules is None:
         modules = load_modules(root)
     program = Program.build(modules, prefixes)
-    by_path = {m.relpath: m for m in modules}
-    findings: list[Finding] = []
-    for rule in rules:
-        for f in rule.check(program):
-            mod = by_path.get(f.path)
-            if mod is not None and mod.waived(f.line, f.rule):
-                continue
-            findings.append(f)
+    raw = [f for rule in rules for f in rule.check(program)]
+    ran = {STALE_WAIVER, *(name for rule in rules for name in rule.names)}
+    waivers = {
+        (m.relpath, line, rule) for m in program.modules for line, rule in m.waivers.items()
+    }
+    found = {(f.path, f.line, f.rule) for f in raw}
+    findings = [f for f in raw if (f.path, f.line, f.rule) not in waivers]
+    for path, line, rule in waivers - found:
+        if rule not in RULE_NAMES:
+            findings.append(Finding(
+                STALE_WAIVER, path, line, f"waiver names no registered rule {rule!r}"))
+        elif rule in ran:
+            findings.append(Finding(
+                STALE_WAIVER, path, line, f"waiver for {rule} suppresses no finding"))
     return sort_findings(findings)
 
 
 __all__ = [
     "ANALYZED_PREFIXES",
     "Program",
+    "RULE_NAMES",
+    "STALE_WAIVER",
     "STATIC_RULES",
     "StaticRule",
     "run_static",

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from repro.verify.report import Finding, Module
@@ -111,6 +112,25 @@ class FunctionInfo:
     @property
     def label(self) -> str:
         return f"{self.module.relpath}:{self.qualname}"
+
+    @cached_property
+    def nodes(self) -> list[ast.AST]:
+        """``ast.walk`` of the whole definition, nested bodies included."""
+        return list(ast.walk(self.node))
+
+    @cached_property
+    def body(self) -> list[ast.AST]:
+        """Every node of the body, excluding nested function/class bodies
+        (those are analyzed as functions in their own right) and lambda
+        bodies (which execute later, elsewhere)."""
+        out: list[ast.AST] = []
+        stack: list[ast.AST] = list(self.node.body)
+        while stack:
+            n = stack.pop()
+            out.append(n)
+            if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+                stack.extend(ast.iter_child_nodes(n))
+        return out
 
 
 @dataclass(eq=False)
@@ -301,24 +321,17 @@ def _blocking_desc(call: ast.Call) -> str | None:
     return None
 
 
-def own_nodes(fn_node: ast.AST) -> Iterable[ast.AST]:
-    """Every AST node of a function body, excluding nested function/class
-    bodies (those are analyzed as functions in their own right) and
-    lambda bodies (which execute later, elsewhere)."""
-    stack: list[ast.AST] = list(getattr(fn_node, "body", []))
-    while stack:
-        n = stack.pop()
-        yield n
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(n))
-
-
 class StaticRule:
-    """A whole-program rule over a built :class:`Program`."""
+    """A rule over a built :class:`Program`.  Whole-program rules read its
+    call and lock tables; per-module rules iterate ``program.modules`` and
+    scope themselves by relpath."""
 
     name: str = ""
-    description: str = ""
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """Every rule name this rule's findings can carry."""
+        return (self.name,)
 
     def check(self, program: "Program") -> list[Finding]:  # pragma: no cover
         raise NotImplementedError
@@ -382,6 +395,7 @@ class Program:
             fn = FunctionInfo(module=module, qualname=qualname, node=node, cls=ci)
             if analyzed:
                 self.functions.append(fn)
+                self._collect_nested(fn)
             return fn
 
         for node in module.tree.body:
@@ -393,17 +407,11 @@ class Program:
                 )
                 for stmt in node.body:
                     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        fn = add_function(stmt, f"{node.name}.{stmt.name}", ci)
-                        ci.methods[stmt.name] = fn
-                        for inner in stmt.body:
-                            self._collect_nested(inner, f"{node.name}.{stmt.name}", ci, module, analyzed)
+                        ci.methods[stmt.name] = add_function(stmt, f"{node.name}.{stmt.name}", ci)
                 self.classes.setdefault(node.name, []).append(ci)
                 scope[node.name] = ci
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                fn = add_function(node, node.name, None)
-                scope[node.name] = fn
-                for inner in node.body:
-                    self._collect_nested(inner, node.name, None, module, analyzed)
+                scope[node.name] = add_function(node, node.name, None)
             elif isinstance(node, ast.Assign) and len(node.targets) == 1:
                 t = node.targets[0]
                 if isinstance(t, ast.Name):
@@ -411,28 +419,25 @@ class Program:
                     if _contains_lock_ctor(node.value):
                         locks.add(t.id)
 
-    def _collect_nested(
-        self, node: ast.stmt, parent_qual: str, ci: ClassInfo | None,
-        module: Module, analyzed: bool,
-    ) -> None:
-        """Collect function defs nested one statement-level down (loop and
+    def _collect_nested(self, parent: FunctionInfo) -> None:
+        """Collect function defs nested anywhere in ``parent`` (loop and
         conditional bodies included) as independently-analyzed functions:
         their bodies run later, on some other thread, never with the
         definer's locks held."""
-        for child in ast.walk(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                fn = FunctionInfo(
-                    module=module,
-                    qualname=f"{parent_qual}.{child.name}",
+        for child in parent.nodes:
+            if child is not parent.node and isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                self.functions.append(FunctionInfo(
+                    module=parent.module,
+                    qualname=f"{parent.qualname}.{child.name}",
                     node=child,
-                    cls=ci,
-                )
-                if analyzed:
-                    self.functions.append(fn)
+                    cls=parent.cls,
+                ))
 
     def _collect_imports(self, module: Module) -> None:
         scope = self.module_scope[module.relpath]
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     rel = _relpath_of_import(alias.name)
@@ -493,7 +498,7 @@ class Program:
                 continue
             for meth in ci.methods.values():
                 env = self._param_env(meth)
-                for stmt in ast.walk(meth.node):
+                for stmt in meth.nodes:
                     target = None
                     value = None
                     ann = None
@@ -550,7 +555,7 @@ class Program:
         env = self._param_env(fn)
         module = fn.module
         for _ in range(2):
-            for stmt in ast.walk(fn.node):
+            for stmt in fn.nodes:
                 if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
                     names = _annotation_names(stmt.annotation)
                     if names:

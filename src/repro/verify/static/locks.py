@@ -15,12 +15,7 @@ from __future__ import annotations
 import ast
 
 from repro.verify.report import Finding
-from repro.verify.static.callgraph import (
-    LockId,
-    Program,
-    StaticRule,
-    own_nodes,
-)
+from repro.verify.static.callgraph import LockId, Program, StaticRule
 
 
 def _fmt_held(held: tuple[LockId, ...]) -> str:
@@ -41,10 +36,6 @@ class BlockingUnderLockRule(StaticRule):
     """
 
     name = "blocking-under-lock"
-    description = (
-        "no sleep/join/wait/comm-I/O/blocking-get is reachable while a "
-        "lock is held (witness chain reported at the holding call site)"
-    )
 
     def check(self, program: Program) -> list[Finding]:
         findings: list[Finding] = []
@@ -98,10 +89,6 @@ class DeadlockCycleRule(StaticRule):
     """
 
     name = "deadlock-cycle"
-    description = (
-        "the cross-module lock-acquisition-order graph has no cycles "
-        "(each participating edge reported with a witness call chain)"
-    )
 
     def check(self, program: Program) -> list[Finding]:
         edges: dict[tuple[LockId, LockId], tuple[str, int, str]] = {}
@@ -211,10 +198,6 @@ class LockLeakRule(StaticRule):
     """
 
     name = "lock-leak"
-    description = (
-        "no bare .acquire() without a finally release; every non-escaping "
-        "comm/socket open is closed via with/finally"
-    )
 
     def check(self, program: Program) -> list[Finding]:
         findings: list[Finding] = []
@@ -225,7 +208,7 @@ class LockLeakRule(StaticRule):
 
     def _check_acquires(self, program: Program, fn) -> list[Finding]:
         released: set[str] = set()
-        for node in own_nodes(fn.node):
+        for node in fn.body:
             if isinstance(node, ast.Try):
                 for f in node.finalbody:
                     for c in ast.walk(f):
@@ -236,7 +219,7 @@ class LockLeakRule(StaticRule):
                         ):
                             released.add(ast.unparse(c.func.value))
         out: list[Finding] = []
-        for node in own_nodes(fn.node):
+        for node in fn.body:
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -268,7 +251,7 @@ class LockLeakRule(StaticRule):
                 if _is_open_call(c):
                     safe_calls.add(id(c))
 
-        for node in own_nodes(fn.node):
+        for node in fn.body:
             if isinstance(node, (ast.With, ast.AsyncWith)):
                 for item in node.items:
                     mark_safe_opens(item.context_expr)
@@ -322,7 +305,7 @@ class LockLeakRule(StaticRule):
                     "close in a finally",
                 )
             )
-        for node in own_nodes(fn.node):
+        for node in fn.body:
             if (
                 isinstance(node, ast.Expr)
                 and _is_open_call(node.value)

@@ -2,20 +2,28 @@
 
 Each :class:`SeededCase` is a small synthetic module carrying exactly the
 bug one rule exists to catch.  ``run_selftest`` analyzes each fixture
-(together with the real package, so imports/types resolve) and demands
-the expected rule convicts it at the expected line -- proof that a clean
-HEAD means the rules *looked and found nothing*, not that they are
-blind.  CI runs this next to the real scan; a rule change that silently
-stops convicting its fixture fails the build.
+together with the real package (so imports and types resolve; a fixture
+whose relpath names a real module replaces it) and demands the expected
+rule convicts it at the expected line with the expected message -- proof
+that a clean HEAD means the rules *looked and found nothing*, not that
+they are blind.  ``python -m repro verify --selftest`` runs it; a rule
+change that silently stops convicting its fixture fails the build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from textwrap import dedent
+from typing import Sequence
 
-from repro.verify.report import Module
-from repro.verify.static.wire import ProtocolSide, ProtocolSpec
+from repro.verify.report import Finding, Module, load_modules
+from repro.verify.static import STATIC_RULES, run_static
+from repro.verify.static.wire import (
+    PROTOCOLS,
+    ProtocolExhaustiveRule,
+    ProtocolSide,
+    ProtocolSpec,
+)
 
 
 @dataclass(frozen=True)
@@ -26,6 +34,8 @@ class SeededCase:
     rule: str
     relpath: str  # where the fixture pretends to live (drives prefixes)
     source: str
+    #: line of the fixture the conviction must be anchored at
+    line: int
     #: substring that must appear in the conviction message
     expect: str
     #: protocol specs to register for this fixture (protocol rule only)
@@ -33,6 +43,14 @@ class SeededCase:
 
     def module(self) -> Module:
         return Module.from_source(dedent(self.source), self.relpath)
+
+    def convicts(self, f: Finding) -> bool:
+        return (
+            f.path == self.relpath
+            and f.rule == self.rule
+            and f.line == self.line
+            and self.expect in f.message
+        )
 
 
 SEEDED: tuple[SeededCase, ...] = (
@@ -58,6 +76,7 @@ SEEDED: tuple[SeededCase, ...] = (
                         with self._a:
                             pass
         """,
+        line=11,
         expect="lock-order cycle between S._a and S._b",
     ),
     SeededCase(
@@ -88,6 +107,7 @@ SEEDED: tuple[SeededCase, ...] = (
                     with self._y:
                         self.take_x()
         """,
+        line=19,
         expect="lock-order cycle between T._x and T._y",
     ),
     SeededCase(
@@ -106,6 +126,7 @@ SEEDED: tuple[SeededCase, ...] = (
                     with self._lock:
                         time.sleep(0.01)
         """,
+        line=11,
         expect="sleep() in Pumper.nap while holding Pumper._lock",
     ),
     SeededCase(
@@ -128,6 +149,7 @@ SEEDED: tuple[SeededCase, ...] = (
                     with self._lock:
                         return self._pump(comm)
         """,
+        line=15,
         expect="`self._pump(...)` can block while holding Fetcher._lock",
     ),
     SeededCase(
@@ -142,6 +164,7 @@ SEEDED: tuple[SeededCase, ...] = (
             def ship(comm: Comm) -> None:
                 comm.send(("job", threading.Lock()))
         """,
+        line=7,
         expect="threading.Lock() objects do not pickle",
     ),
     SeededCase(
@@ -158,6 +181,7 @@ SEEDED: tuple[SeededCase, ...] = (
             def ship(comm: Comm) -> None:
                 comm.send(("result", NotWireSafe()))
         """,
+        line=9,
         expect="constructs NotWireSafe, which is not in the wire set",
     ),
     SeededCase(
@@ -170,6 +194,7 @@ SEEDED: tuple[SeededCase, ...] = (
             def ship(payload: bytearray) -> bytes:
                 return frame.dumps(("data", memoryview(payload)))
         """,
+        line=5,
         expect="ship raw buffers through the out-of-band API",
     ),
     SeededCase(
@@ -194,6 +219,7 @@ SEEDED: tuple[SeededCase, ...] = (
                         if tag == "ping":
                             comm.send(("pong",))
         """,
+        line=6,
         expect="tag 'evict' sent by parent has no matching handler",
         extra_protocols=(
             ProtocolSpec(
@@ -228,6 +254,7 @@ SEEDED: tuple[SeededCase, ...] = (
                     else:
                         comm.send(("weird", tag))
         """,
+        line=19,
         expect="tag 'weird' sent by worker has no matching handler",
         extra_protocols=(
             ProtocolSpec(
@@ -262,6 +289,7 @@ SEEDED: tuple[SeededCase, ...] = (
                         elif tag == "job":
                             comm.send(("done", msg[1]))
         """,
+        line=6,
         expect="tag 'jobs' sent by parent has no matching handler",
         extra_protocols=(
             ProtocolSpec(
@@ -287,6 +315,7 @@ SEEDED: tuple[SeededCase, ...] = (
                     raise ValueError(value)
                 LOCK.release()
         """,
+        line=7,
         expect="`LOCK.acquire()` in unsafe_update has no `LOCK.release()` in a finally",
     ),
     SeededCase(
@@ -302,41 +331,158 @@ SEEDED: tuple[SeededCase, ...] = (
                 c.recv()
                 c.close()
         """,
+        line=5,
         expect="closed (if at all) only on the straight-line path",
     ),
+    SeededCase(
+        name="record-field-outside-lock",
+        rule="lock-discipline",
+        relpath="core/ft.py",
+        source="""
+            def f(rec, runtime):
+                runtime.charge(1.0)
+                rec.join -= 1
+        """,
+        line=4,
+        expect="`rec.join` accessed outside `with rec.lock`",
+    ),
+    SeededCase(
+        name="uncharged-lock",
+        rule="charge-discipline",
+        relpath="core/_seed_charge.py",
+        source="""
+            def f(rec):
+                with rec.lock:
+                    pass
+        """,
+        line=3,
+        expect="`with rec.lock` in f() has no preceding runtime.charge()",
+    ),
+    SeededCase(
+        name="thread-outside-runtime",
+        rule="raw-threading",
+        relpath="apps/_seed_thread.py",
+        source="""
+            import threading
+            t = threading.Thread(target=print)
+        """,
+        line=3,
+        expect="`threading.Thread` outside runtime/ and comm/",
+    ),
+    SeededCase(
+        name="multiprocessing-outside-runtime",
+        rule="raw-multiprocessing",
+        relpath="core/_seed_mp.py",
+        source="import multiprocessing\n",
+        line=1,
+        expect="`import multiprocessing` outside runtime/ and comm/",
+    ),
+    SeededCase(
+        name="futures-from-import",
+        rule="raw-multiprocessing",
+        relpath="apps/_seed_futures.py",
+        source="from concurrent import futures\n",
+        line=1,
+        expect="`from concurrent import futures` outside runtime/ and comm/",
+    ),
+    SeededCase(
+        name="socket-outside-comm",
+        rule="raw-socket",
+        relpath="core/_seed_socket.py",
+        source="import socket\n",
+        line=1,
+        expect="`import socket` outside comm/",
+    ),
+    SeededCase(
+        name="unguarded-emit",
+        rule="emit-guard",
+        relpath="core/_seed_emit.py",
+        source="""
+            def f(self, key, life):
+                self.log.emit(EventKind.NOTIFY, key, life)
+        """,
+        line=3,
+        expect="`.emit()` not guarded by a cached `_obs`/`_mx` flag",
+    ),
+    SeededCase(
+        name="eventkind-never-emitted",
+        rule="eventkind-coverage",
+        relpath="obs/events.py",
+        source="""
+            class EventKind(str, Enum):
+                PHANTOM = 'phantom'
+        """,
+        line=0,
+        expect="EventKind.PHANTOM is never emitted",
+    ),
+    SeededCase(
+        name="event-field-written",
+        rule="event-immutable",
+        relpath="obs/_seed_event.py",
+        source="""
+            def f(events):
+                events[0].life += 1
+        """,
+        line=3,
+        expect="`events[0].life` is written",
+    ),
+    SeededCase(
+        name="pragma-in-string-literal",
+        rule="raw-socket",
+        relpath="apps/_seed_pragma.py",
+        source='import socket; _ = "# verify: ok=raw-socket"\n',
+        line=1,
+        expect="`import socket` outside comm/",
+    ),
+    SeededCase(
+        name="waiver-suppressing-nothing",
+        rule="stale-waiver",
+        relpath="apps/_seed_stale.py",
+        source="""
+            import threading
+            LOCK = threading.Lock()  # verify: ok=raw-threading (Lock is allowed)
+        """,
+        line=3,
+        expect="waiver for raw-threading suppresses no finding",
+    ),
+    SeededCase(
+        name="waiver-naming-no-rule",
+        rule="stale-waiver",
+        relpath="apps/_seed_unknown.py",
+        source="x = 1  # verify: ok=no-such-rule\n",
+        line=1,
+        expect="waiver names no registered rule 'no-such-rule'",
+    ),
 )
+
+
+def analyze_case(case: SeededCase, base: Sequence[Module]) -> list[Finding]:
+    """Every rule's findings in ``case``'s fixture, analyzed with the
+    ``base`` package and in place of the module at its relpath."""
+    rules = STATIC_RULES
+    if case.extra_protocols:
+        rules = tuple(
+            ProtocolExhaustiveRule(PROTOCOLS + case.extra_protocols)
+            if isinstance(r, ProtocolExhaustiveRule)
+            else r
+            for r in STATIC_RULES
+        )
+    modules = [m for m in base if m.relpath != case.relpath] + [case.module()]
+    return [f for f in run_static(modules=modules, rules=rules) if f.path == case.relpath]
 
 
 def run_selftest(verbose: bool = False) -> list[str]:
     """Run every seeded case; return a list of failure descriptions
     (empty means every rule convicted its planted bug)."""
-    from repro.verify.report import load_modules
-    from repro.verify.static import STATIC_RULES, run_static
-    from repro.verify.static.wire import PROTOCOLS, ProtocolExhaustiveRule
-
     base = load_modules()
     failures: list[str] = []
     for case in SEEDED:
-        fixture = case.module()
-        rules = STATIC_RULES
-        if case.extra_protocols:
-            rules = tuple(
-                ProtocolExhaustiveRule(PROTOCOLS + case.extra_protocols)
-                if isinstance(r, ProtocolExhaustiveRule)
-                else r
-                for r in STATIC_RULES
-            )
-        findings = run_static(modules=[*base, fixture], rules=rules)
-        hits = [
-            f
-            for f in findings
-            if f.path == case.relpath and f.rule == case.rule and case.expect in f.message
-        ]
+        findings = analyze_case(case, base)
+        hits = [f for f in findings if case.convicts(f)]
         if not hits:
-            near = [f for f in findings if f.path == case.relpath]
             failures.append(
-                f"{case.name}: expected [{case.rule}] containing {case.expect!r}; "
-                f"got {[str(f) for f in near] or 'no findings in fixture'}"
+                f"{case.name}: expected [{case.rule}] at line {case.line} containing "
+                f"{case.expect!r}; got {[str(f) for f in findings] or 'no findings in fixture'}"
             )
         elif verbose:
             print(f"  convicted {case.name}: {hits[0]}")

@@ -29,7 +29,7 @@ import ast
 from dataclasses import dataclass
 
 from repro.verify.report import Finding
-from repro.verify.static.callgraph import Program, StaticRule, own_nodes
+from repro.verify.static.callgraph import Program, StaticRule
 
 #: Non-exception classes blessed onto the wire.
 WIRE_SAFE_CLASSES = frozenset(
@@ -79,7 +79,7 @@ def _fold(verdicts: list[tuple[str, str]]) -> tuple[str, str]:
 
 def _local_assigns(fn) -> dict[str, list[ast.expr]]:
     out: dict[str, list[ast.expr]] = {}
-    for node in own_nodes(fn.node):
+    for node in fn.body:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             t = node.targets[0]
             if isinstance(t, ast.Name):
@@ -94,18 +94,12 @@ class WireSafetyRule(StaticRule):
     """Everything constructed into a frame must be in the wire set."""
 
     name = "wire-safety"
-    description = (
-        "every expression sent through Comm.send/frame.dumps statically "
-        "resolves to the picklable wire set (exceptions, BlockRef, "
-        "ShmDescriptor, plain containers); provably-unpicklable "
-        "constructions are convicted"
-    )
 
     def check(self, program: Program) -> list[Finding]:
         findings: list[Finding] = []
         for fn in program.functions:
             assigns = _local_assigns(fn)
-            for node in own_nodes(fn.node):
+            for node in fn.body:
                 if not isinstance(node, ast.Call):
                     continue
                 f = node.func
@@ -340,11 +334,6 @@ class ProtocolExhaustiveRule(StaticRule):
     """Every sent tag has a peer handler; every handler has a sender."""
 
     name = "protocol-exhaustive"
-    description = (
-        "for each runtime message protocol, every tag one side sends has "
-        "a matching handler branch on the other side, and no side keeps "
-        "a handler for a tag its peer never sends"
-    )
 
     def __init__(self, protocols: tuple[ProtocolSpec, ...] = PROTOCOLS) -> None:
         self.protocols = protocols
@@ -412,7 +401,7 @@ class ProtocolExhaustiveRule(StaticRule):
         for fn in fns:
             assigns = _local_assigns(fn)
             consts = program.module_consts.get(fn.module.relpath, {})
-            for node in own_nodes(fn.node):
+            for node in fn.body:
                 if not (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
@@ -455,7 +444,7 @@ class ProtocolExhaustiveRule(StaticRule):
         for fn in fns:
             tagvars: set[str] = set()
             msgvars: set[str] = set()
-            for node in own_nodes(fn.node):
+            for node in fn.body:
                 if isinstance(node, ast.Assign) and len(node.targets) == 1:
                     t, v = node.targets[0], node.value
                     is_recv = (
@@ -488,7 +477,7 @@ class ProtocolExhaustiveRule(StaticRule):
             def is_msg_side(e: ast.expr) -> bool:
                 return isinstance(e, ast.Name) and e.id in msgvars
 
-            for node in own_nodes(fn.node):
+            for node in fn.body:
                 if not isinstance(node, ast.Compare):
                     continue
                 if not all(

@@ -1,14 +1,19 @@
-"""Each concurrency lint fires on a seeded violation and stays quiet
-otherwise; the shipped package itself must be clean."""
+"""Each per-module rule of the static analyzer fires on a seeded
+violation and stays quiet otherwise; the shipped package itself must be
+clean."""
 
-from repro.verify.lint import ALL_RULES, Module, run_lint
+from repro.verify.report import Module
+from repro.verify.static import STATIC_RULES, run_static
+from repro.verify.static.lint import Confinement, ConfinementRule
 
 
-def lint_source(source, relpath, rule_name, extra=()):
-    rules = [r for r in ALL_RULES if r.name == rule_name]
+def lint_source(source, relpath, rule_name):
+    """Findings named ``rule_name`` when only the rule carrying that name
+    analyzes ``source`` at ``relpath``."""
+    rules = [r for r in STATIC_RULES if rule_name in r.names]
     assert rules, f"no such rule {rule_name}"
-    modules = [Module.from_source(source, relpath), *extra]
-    return [f for f in run_lint(rules=rules, modules=modules) if f.rule == rule_name]
+    modules = [Module.from_source(source, relpath)]
+    return [f for f in run_static(rules=rules, modules=modules) if f.rule == rule_name]
 
 
 class TestSeededViolations:
@@ -156,6 +161,13 @@ class TestSeededViolations:
         src = "from concurrent.futures import ProcessPoolExecutor\n"
         assert lint_source(src, "obs/seeded.py", "raw-multiprocessing")
 
+    def test_raw_multiprocessing_fires_on_from_concurrent_import(self):
+        # Judged by the full dotted name: `from concurrent import futures`
+        # is `concurrent.futures`, not a module called `concurrent`.
+        findings = lint_source("from concurrent import futures\n", "apps/seeded.py",
+                               "raw-multiprocessing")
+        assert [f.line for f in findings] == [1]
+
     def test_raw_multiprocessing_allows_shared_memory_everywhere(self):
         for src in (
             "from multiprocessing import shared_memory\n",
@@ -204,8 +216,22 @@ class TestSeededViolations:
 
     def test_eventkind_coverage_fires_on_unrouted_member(self):
         src = "class EventKind(str, Enum):\n    PHANTOM = 'phantom'\n"
-        replay = Module.from_source("_SCALAR_KINDS = {}\n", "obs/replay.py")
-        assert lint_source(src, "obs/events.py", "eventkind-coverage", extra=[replay])
+        (f,) = lint_source(src, "obs/events.py", "eventkind-coverage")
+        assert "EventKind.PHANTOM is never emitted" in f.message
+
+
+class TestConfinementTable:
+    def test_prefix_is_never_split_into_characters(self):
+        # A home written as a bare string is one layer prefix, not a set
+        # of one-character prefixes.
+        row = Confinement("raw-socket", banned=("socket",), home="comm/")
+        assert row.at_home("comm/tcp.py")
+        for relpath in ("core/seeded.py", "obs/seeded.py", "memory/seeded.py"):
+            assert not row.at_home(relpath)
+        for row in ConfinementRule.TABLE:
+            assert all(isinstance(h, str) and h.endswith("/") for h in row.home)
+        for relpath in ("core/seeded.py", "obs/seeded.py", "memory/seeded.py"):
+            assert lint_source("import socket\n", relpath, "raw-socket")
 
 
 class TestWaivers:
@@ -216,6 +242,19 @@ class TestWaivers:
             "    rec.join -= 1  # verify: ok=lock-discipline (test waiver)\n"
         )
         assert not lint_source(src, "core/ft.py", "lock-discipline")
+
+    def test_pragma_in_string_literal_does_not_waive(self):
+        src = 'import socket; _ = "# verify: ok=raw-socket"\n'
+        assert lint_source(src, "apps/seeded.py", "raw-socket")
+
+    def test_waiver_suppressing_nothing_is_stale(self):
+        src = "import threading\nLOCK = threading.Lock()  # verify: ok=raw-threading\n"
+        mod = Module.from_source(src, "apps/seeded.py")
+        (f,) = run_static(rules=[ConfinementRule()], modules=[mod])
+        assert (f.rule, f.line) == ("stale-waiver", 2)
+        assert "waiver for raw-threading suppresses no finding" in f.message
+        # The waiver is judged only when its rule ran.
+        assert run_static(rules=[], modules=[mod]) == []
 
     def test_pragma_for_other_rule_does_not_waive(self):
         src = (
@@ -228,7 +267,7 @@ class TestWaivers:
 
 class TestRealPackage:
     def test_package_is_clean(self):
-        findings = run_lint()
+        findings = run_static()
         assert not findings, "\n".join(str(f) for f in findings)
 
     def test_finding_str_is_greppable(self):

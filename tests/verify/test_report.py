@@ -41,6 +41,11 @@ class TestPragma:
         assert not mod.waived(1, "wire-safety")
         assert not mod.waived(99, "wire-safety")
 
+    def test_pragma_inside_a_string_literal_is_not_a_waiver(self):
+        src = 'import socket; _ = "# verify: ok=raw-socket"\nb = 2  # verify: ok=lock-leak\n'
+        mod = Module.from_source(src, "apps/x.py")
+        assert mod.waivers == {2: "lock-leak"}
+
 
 class TestSortFindings:
     def test_orders_by_path_line_rule_message(self):

@@ -6,11 +6,18 @@ Three layers: the seeded-violation suite must convict every planted bug
 pass -- the same gate CI holds every PR to.
 """
 
+import functools
+
 import pytest
 
 from repro.verify.report import Module, load_modules
-from repro.verify.static import STATIC_RULES, run_static
-from repro.verify.static.seeded import SEEDED, run_selftest
+from repro.verify.static import RULE_NAMES, STATIC_RULES, run_static
+from repro.verify.static.seeded import SEEDED, analyze_case, run_selftest
+
+
+@functools.cache
+def package_modules() -> tuple[Module, ...]:
+    return tuple(load_modules())
 
 
 def analyze(*sources: tuple[str, str], rules=STATIC_RULES):
@@ -18,7 +25,7 @@ def analyze(*sources: tuple[str, str], rules=STATIC_RULES):
     repro imports resolve) and return only the synthetic findings."""
     fixtures = [Module.from_source(src, rel) for rel, src in sources]
     paths = {m.relpath for m in fixtures}
-    findings = run_static(modules=[*load_modules(), *fixtures], rules=rules)
+    findings = run_static(modules=[*package_modules(), *fixtures], rules=rules)
     return [f for f in findings if f.path in paths]
 
 
@@ -29,30 +36,22 @@ def analyze(*sources: tuple[str, str], rules=STATIC_RULES):
 class TestSeededViolations:
     @pytest.mark.parametrize("case", SEEDED, ids=[c.name for c in SEEDED])
     def test_case_is_convicted(self, case):
-        from repro.verify.static.wire import PROTOCOLS, ProtocolExhaustiveRule
-
-        rules = STATIC_RULES
-        if case.extra_protocols:
-            rules = tuple(
-                ProtocolExhaustiveRule(PROTOCOLS + case.extra_protocols)
-                if isinstance(r, ProtocolExhaustiveRule)
-                else r
-                for r in STATIC_RULES
-            )
-        source = "\n".join(case.module().lines)
-        hits = [
-            f
-            for f in analyze((case.relpath, source), rules=rules)
-            if f.rule == case.rule and case.expect in f.message
-        ]
-        assert hits, f"{case.name}: no [{case.rule}] finding matching {case.expect!r}"
+        findings = analyze_case(case, package_modules())
+        assert any(case.convicts(f) for f in findings), (
+            f"{case.name}: no [{case.rule}] finding at line {case.line} matching "
+            f"{case.expect!r}; got {[str(f) for f in findings]}"
+        )
 
     def test_run_selftest_reports_no_failures(self):
         assert run_selftest() == []
 
     def test_every_rule_has_at_least_one_seeded_case(self):
-        seeded_rules = {c.rule for c in SEEDED}
-        assert {r.name for r in STATIC_RULES} <= seeded_rules
+        # Every registered name: each rule, each confinement row, and the
+        # waiver pass's stale-waiver.
+        assert {"raw-threading", "raw-multiprocessing", "raw-socket", "stale-waiver"} <= set(
+            RULE_NAMES
+        )
+        assert set(RULE_NAMES) <= {c.rule for c in SEEDED}
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +269,13 @@ class P:
             time.sleep(0.01)  # verify: ok=wire-safety (wrong rule)
 """
         found = analyze(("runtime/_wv2.py", src))
-        assert [f.rule for f in found] == ["blocking-under-lock"]
+        # ...and the misdirected waiver is itself reported.
+        assert [f.rule for f in found] == ["blocking-under-lock", "stale-waiver"]
 
 
 class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self):
-        mods = load_modules()
+        mods = list(package_modules())
         a = [str(f) for f in run_static(modules=mods)]
         b = [str(f) for f in run_static(modules=list(reversed(mods)))]
         assert a == b
@@ -291,7 +291,7 @@ class TestRealPackage:
         assert findings == [], "\n".join(str(f) for f in findings)
 
     def test_rule_names_are_unique_and_kebab(self):
-        names = [r.name for r in STATIC_RULES]
+        names = list(RULE_NAMES)
         assert len(names) == len(set(names))
         for n in names:
             assert n == n.lower() and " " not in n
