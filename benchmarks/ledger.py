@@ -6,7 +6,9 @@
 Regenerates the table in docs/PERFORMANCE.md section 2.  Counts are
 exact and host-independent (``cProfile`` call counts over one run on
 ``InlineRuntime``, divided by the task count); only the last column is a
-timing (best of 15 unprofiled runs).  Point PYTHONPATH at another
+timing (best of 15 unprofiled runs).  The ``traced`` rows run the same
+schedulers with a live ``EventLog``: the bill for watching, as a count
+of calls and of events per task.  Point PYTHONPATH at another
 checkout's ``src`` to get that revision's ledger.
 
 ``--check`` is the gate tier-1 and CI run: counts only (no timing
@@ -20,7 +22,7 @@ import pstats
 import sys
 import time
 
-from repro import BlockRef, BlockStore, FTScheduler, NabbitScheduler, grid_graph
+from repro import BlockRef, BlockStore, EventLog, FTScheduler, NabbitScheduler, grid_graph
 from repro.runtime import InlineRuntime
 
 #: Ledger column -> the profiled functions it sums ((file suffix, name);
@@ -35,11 +37,21 @@ COLUMNS = {
 }
 
 
+#: Ledger row -> (scheduler, runs with a live EventLog).
+ROWS = {
+    "ft": (FTScheduler, False),
+    "nabbit": (NabbitScheduler, False),
+    "ft traced": (FTScheduler, True),
+    "nabbit traced": (NabbitScheduler, True),
+}
+
 #: ``--check`` ceilings, profiled calls per task on the 48x48 grid: each
-#: scheduler's own, and FT's surcharge over the baseline.  The columns in
+#: row's own, and FT's untraced surcharge over the baseline; a traced row
+#: may also emit at most MAX_EVENTS events per task.  The columns in
 #: ZERO_GAP must read the same for both (FT adds no lock acquisition and
 #: neither scheduler calls back into the spec or the bit helpers).
-MAX_CALLS = {"ft": 120.4, "nabbit": 103.9}
+MAX_CALLS = {"ft": 120.4, "nabbit": 103.9, "ft traced": 165.0, "nabbit traced": 148.6}
+MAX_EVENTS = 8.92
 MAX_GAP = 16.5
 ZERO_GAP = ("lock acq", "spec calls", "bit calls")
 
@@ -48,13 +60,15 @@ def _noop(key, ctx):
     ctx.write(BlockRef(key, 0), 0)
 
 
-def ledger(scheduler, spec, tasks: int, timed: bool = True) -> dict[str, float]:
+def ledger(scheduler, spec, tasks: int, timed: bool = True, traced: bool = False) -> dict[str, float]:
     def run():
-        return scheduler(spec, InlineRuntime(), store=BlockStore()).run()
+        log = EventLog() if traced else None
+        scheduler(spec, InlineRuntime(), store=BlockStore(), event_log=log).run()
+        return log
 
     run()  # warm: plans built, caches filled
     prof = cProfile.Profile()
-    prof.runcall(run)
+    log = prof.runcall(run)
     stats = pstats.Stats(prof).stats  # (file, line, name) -> (cc, nc, tt, ct, callers)
     row = {"calls": sum(v[1] for v in stats.values()) / tasks}
     for column, wanted in COLUMNS.items():
@@ -62,6 +76,7 @@ def ledger(scheduler, spec, tasks: int, timed: bool = True) -> dict[str, float]:
             v[1] for (path, _, name), v in stats.items()
             if any(path.endswith(suffix) and name == fn for suffix, fn in wanted)
         ) / tasks
+    row["events"] = len(log) / tasks if traced else 0.0
     if timed:
         row["us"] = min(_timed(run) for _ in range(15)) / tasks * 1e6
     return row
@@ -77,8 +92,12 @@ def over_budget(table: dict[str, dict[str, float]]) -> list[str]:
     """The ``--check`` verdict: one line per ceiling exceeded."""
     ft, nabbit = table["ft"], table["nabbit"]
     failures = [
-        f"{sched}: {table[sched]['calls']:.2f} calls per task > {limit}"
-        for sched, limit in MAX_CALLS.items() if table[sched]["calls"] > limit
+        f"{name}: {table[name]['calls']:.2f} calls per task > {limit}"
+        for name, limit in MAX_CALLS.items() if table[name]["calls"] > limit
+    ]
+    failures += [
+        f"{name}: {row['events']:.4f} events per task > {MAX_EVENTS}"
+        for name, row in table.items() if row["events"] > MAX_EVENTS
     ]
     gap = ft["calls"] - nabbit["calls"]
     if gap > MAX_GAP:
@@ -95,14 +114,15 @@ def main(argv: list[str]) -> int:
     rows, cols = (int(argv[0]), int(argv[1])) if len(argv) == 2 else (48, 48)
     spec = grid_graph(rows, cols, compute=_noop)
     table = {
-        s.name: ledger(s, spec, rows * cols, timed=not check)
-        for s in (FTScheduler, NabbitScheduler)
+        name: ledger(sched, spec, rows * cols, timed=not check, traced=traced)
+        for name, (sched, traced) in ROWS.items()
     }
+    table["ft-nabbit"] = {n: v - table["nabbit"][n] for n, v in table["ft"].items()}
     names = list(table["ft"])
-    print(f"{'per task':<10}" + "".join(f"{n:>16}" for n in names))
-    for sched, row in table.items():
-        print(f"{sched:<10}" + "".join(f"{row[n]:>16.2f}" for n in names))
-    print(f"{'ft-nabbit':<10}" + "".join(f"{table['ft'][n] - table['nabbit'][n]:>16.2f}" for n in names))
+    print(f"{'per task':<14}" + "".join(f"{n:>16}" for n in names))
+    for name, row in table.items():
+        print(f"{name:<14}" + "".join(
+            f"{row[n]:>16.4f}" if n == "events" else f"{row[n]:>16.2f}" for n in names))
     failures = over_budget(table) if check else []
     for line in failures:
         print(f"ledger check FAILED: {line}", file=sys.stderr)

@@ -41,9 +41,10 @@ ISRECOVERING          :meth:`RecoveryTable.check_and_claim` (negated)
 RECOVERTASK           :meth:`FTScheduler._recover_task`            G2, G6
 REINITNOTIFYENTRY     :meth:`FTScheduler._reinit_notify_entry`     G4
 RESETNODE             :meth:`FTScheduler._reset_node`              G5
-the ``catch`` blocks  :meth:`FTScheduler._fault_observed`,         G5
-                      :meth:`FTScheduler._handle_compute_fault`,
-                      :meth:`FTScheduler._fault_source`
+the ``catch`` blocks  :meth:`FTScheduler._handle_compute_fault`,   G5
+                      :meth:`FTScheduler._fault_source`; each
+                      notes and emits FAULT_OBSERVED through
+                      :func:`~repro.runtime.tracing.note_and_emit`
 dead-frame gate       :meth:`FTScheduler._stale`                   G1
 ``B.overwritten``     :meth:`FTScheduler._ensure_outputs_available`
 life-carrying root    :meth:`FTScheduler._root` (and FT state in ``__init__``)
@@ -55,7 +56,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.hooks import SchedulerHooks
-from repro.core.nabbit import Key, NabbitScheduler
+from repro.core.nabbit import _NOTIFY, Key, NabbitScheduler
 from repro.core.records import TaskRecord
 from repro.core.recovery_table import RecoveryTable
 from repro.core.status import TaskStatus
@@ -73,7 +74,7 @@ from repro.obs.events import EventKind, EventLog
 from repro.obs.live import MetricsRegistry
 from repro.runtime.api import Runtime
 from repro.runtime.costmodel import CostModel
-from repro.runtime.tracing import ExecutionTrace
+from repro.runtime.tracing import ExecutionTrace, note_and_emit
 
 
 class FTScheduler(NabbitScheduler):
@@ -165,9 +166,7 @@ class FTScheduler(NabbitScheduler):
                 with A.lock:
                     waiting = A.bit_vector & mask
                 if not waiting:
-                    self.trace.count_stale_notification()
-                    if self._obs:
-                        self.log.emit(EventKind.NOTIFY_STALE, key, life, src=pkey)
+                    note_and_emit(self.trace, self.log, EventKind.NOTIFY_STALE, key, life, src=pkey)
                     return
             # check() raises iff corrupted; testing the flag first keeps
             # the fault-free path to one attribute load per observation.
@@ -184,7 +183,8 @@ class FTScheduler(NabbitScheduler):
                 # but are the versions A needs still resident and clean?
                 self._ensure_outputs_available(key, pkey)
         except FaultError as exc:
-            self._fault_observed(pkey, blife, exc)
+            note_and_emit(self.trace, self.log, EventKind.FAULT_OBSERVED, pkey, blife,
+                          exc=type(exc).__name__)
             finished = False
             self._recover_task_once(pkey, blife)
         if finished:
@@ -205,7 +205,7 @@ class FTScheduler(NabbitScheduler):
                     A.join -= 1
                     val = A.join
             if success:
-                self.trace.count_notification()
+                self.trace.note(_NOTIFY)
                 if self._obs:
                     self.log.emit(EventKind.NOTIFY, key, life, src=pkey)
                 if val < 0:
@@ -213,11 +213,10 @@ class FTScheduler(NabbitScheduler):
                 if val == 0:
                     self._compute_and_notify(A, key, life)
             else:
-                self.trace.count_stale_notification()
-                if self._obs:
-                    self.log.emit(EventKind.NOTIFY_STALE, key, life, src=pkey)
+                note_and_emit(self.trace, self.log, EventKind.NOTIFY_STALE, key, life, src=pkey)
         except FaultError as exc:
-            self._fault_observed(key, life, exc)
+            note_and_emit(self.trace, self.log, EventKind.FAULT_OBSERVED, key, life,
+                          exc=type(exc).__name__)
             self._recover_task_once(key, life)
 
     def _compute_and_notify(self, A: TaskRecord, key: Key, life: int) -> None:  # type: ignore[override]
@@ -241,8 +240,8 @@ class FTScheduler(NabbitScheduler):
                 label=f"publish:{key!r}" if self._lbl else "",
             )
         except FaultError as exc:
-            self.trace.count_compute_failure(key)
-            self._fault_observed(key, life, exc)
+            note_and_emit(self.trace, self.log, EventKind.FAULT_OBSERVED, key, life,
+                          exc=type(exc).__name__)
             self._handle_compute_fault(A, key, life, exc)
 
     def _publish_and_notify(self, A: TaskRecord, key: Key, life: int) -> None:
@@ -258,7 +257,8 @@ class FTScheduler(NabbitScheduler):
                 A.check()
             self._publish(A, key, life)
         except FaultError as exc:
-            self._fault_observed(key, life, exc)
+            note_and_emit(self.trace, self.log, EventKind.FAULT_OBSERVED, key, life,
+                          exc=type(exc).__name__)
             self._recover_task_once(key, life)
 
     def _notify_successor(self, key: Key, skey: Key) -> None:
@@ -276,9 +276,7 @@ class FTScheduler(NabbitScheduler):
         already owns that incarnation's recovery (Guarantee 1)."""
         self.runtime.charge(self._c_recovery)
         if not self.recovery_table.check_and_claim(key, life):
-            self.trace.count_recovery_skip()
-            if self._obs:
-                self.log.emit(EventKind.RECOVERY_SKIPPED, key, life)
+            note_and_emit(self.trace, self.log, EventKind.RECOVERY_SKIPPED, key, life)
             return
         # Traced runs time the routine (install + successor rescan + re-spawn)
         # as a span, so attribution can price the localized-recovery claim.
@@ -298,9 +296,7 @@ class FTScheduler(NabbitScheduler):
         while True:
             T, life = self.map.replace(key)
             T.recovery = True
-            self.trace.count_recovery(key)
-            if self._obs:
-                self.log.emit(EventKind.RECOVERY, key, life)
+            note_and_emit(self.trace, self.log, EventKind.RECOVERY, key, life)
             if self.trace.total_recoveries > self.max_recoveries:
                 raise SchedulerError(
                     f"recovery budget exceeded ({self.max_recoveries}); "
@@ -308,9 +304,8 @@ class FTScheduler(NabbitScheduler):
                 )
             try:
                 for skey in self.spec.successors(key):
-                    self.trace.count_reinit_scan()
-                    if self._obs:
-                        self.log.emit(EventKind.REINIT_SCAN, key, life, successor=skey)
+                    note_and_emit(self.trace, self.log, EventKind.REINIT_SCAN, key, life,
+                                  successor=skey)
                     S, slife = self.map.get(skey)
                     # A successor not yet expanded will traverse this
                     # (fresh) incarnation normally when it is created.
@@ -322,12 +317,11 @@ class FTScheduler(NabbitScheduler):
                 )
                 return
             except FaultError as exc:
-                self._fault_observed(key, life, exc)
+                note_and_emit(self.trace, self.log, EventKind.FAULT_OBSERVED, key, life,
+                              exc=type(exc).__name__)
                 if not self.recovery_table.check_and_claim(key, life):
                     # Another thread owns the newer incarnation's recovery.
-                    self.trace.count_recovery_skip()
-                    if self._obs:
-                        self.log.emit(EventKind.RECOVERY_SKIPPED, key, life)
+                    note_and_emit(self.trace, self.log, EventKind.RECOVERY_SKIPPED, key, life)
                     return
                 # else: we own it; loop and retry with a fresh incarnation.
 
@@ -348,13 +342,12 @@ class FTScheduler(NabbitScheduler):
             if waiting:
                 with T.lock:
                     T.notify_array.append(skey)
-                self.trace.count_notify_reinit()
-                if self._obs:
-                    self.log.emit(EventKind.REINIT, key, T.life, successor=skey)
+                note_and_emit(self.trace, self.log, EventKind.REINIT, key, T.life, successor=skey)
         except TaskCorruptionError as exc:
             if exc.key != skey:
                 raise
-            self._fault_observed(skey, slife, exc)
+            note_and_emit(self.trace, self.log, EventKind.FAULT_OBSERVED, skey, slife,
+                          exc=type(exc).__name__)
             self._recover_task_once(skey, slife)
 
     def _reset_node(self, A: TaskRecord, key: Key, life: int) -> None:
@@ -367,21 +360,14 @@ class FTScheduler(NabbitScheduler):
             self.runtime.charge(self._c_lock)
             with A.lock:
                 A.reset_for_reuse()
-            self.trace.count_reset()
-            if self._obs:
-                self.log.emit(EventKind.RESET, key, life)
+            note_and_emit(self.trace, self.log, EventKind.RESET, key, life)
             self._init_and_compute(A, key, life)
         except FaultError as exc:
-            self._fault_observed(key, life, exc)
+            note_and_emit(self.trace, self.log, EventKind.FAULT_OBSERVED, key, life,
+                          exc=type(exc).__name__)
             self._recover_task_once(key, life)
 
     # -- fault routing helpers --------------------------------------------------------------
-
-    def _fault_observed(self, key: Key, life: int, exc: FaultError) -> None:
-        """Count and log one caught fault, attributed to ``(key, life)``."""
-        self.trace.count_fault_observed()
-        if self._obs:
-            self.log.emit(EventKind.FAULT_OBSERVED, key, life, exc=type(exc).__name__)
 
     def _stale(self, A: TaskRecord, key: Key, life: int) -> bool:
         """True iff this frame belongs to a replaced (dead) incarnation.
@@ -396,9 +382,7 @@ class FTScheduler(NabbitScheduler):
         current, cur_life = self.map.get(key)
         if current is A and cur_life == life:
             return False
-        self.trace.count_stale_frame()
-        if self._obs:
-            self.log.emit(EventKind.STALE_FRAME, key, life)
+        note_and_emit(self.trace, self.log, EventKind.STALE_FRAME, key, life)
         return True
 
     def _handle_compute_fault(self, A: TaskRecord, key: Key, life: int, exc: FaultError) -> None:
@@ -406,10 +390,8 @@ class FTScheduler(NabbitScheduler):
         own; otherwise reset A so the replayed traversal repairs the
         failed input's producer."""
         source = self._fault_source(exc)
-        if self._obs:
-            self.log.emit(
-                EventKind.COMPUTE_FAULT, key, life, exc=type(exc).__name__, source=source
-            )
+        note_and_emit(self.trace, self.log, EventKind.COMPUTE_FAULT, key, life,
+                      exc=type(exc).__name__, source=source)
         if source == key or source is None:
             self._recover_task_once(key, life)
         else:

@@ -48,9 +48,13 @@ from repro.obs.live import NULL_METRICS, MetricsRegistry
 from repro.runtime.api import Runtime
 from repro.runtime.costmodel import CostModel
 from repro.runtime.frames import Frame
-from repro.runtime.tracing import ExecutionTrace
+from repro.runtime.tracing import COUNTERS, ExecutionTrace
 
 Key = Hashable
+
+# The per-task and per-edge kinds every run notes, bound once: a module
+# global reads faster than an Enum member on these paths.
+_COMPUTE_BEGIN, _NOTIFY = EventKind.COMPUTE_BEGIN, EventKind.NOTIFY
 
 
 class NabbitScheduler:
@@ -150,7 +154,7 @@ class NabbitScheduler:
             "repro_scheduler_info", "constant 1, labelled by scheduler", scheduler=self.name
         ).set(1)
         aggregates = ("total_computes", "total_recoveries", "tasks_computed")
-        kinds = ("counter", sorted(ExecutionTrace.SCALAR_COUNTERS)), ("aggregate", aggregates)
+        kinds = ("counter", sorted(COUNTERS)), ("aggregate", aggregates)
         for kind, names in kinds:
             for name in names:
                 self.metrics.callback_gauge(
@@ -226,7 +230,7 @@ class NabbitScheduler:
         with A.lock:
             A.join -= 1
             val = A.join
-        self.trace.count_notification()
+        self.trace.note(_NOTIFY)
         if self._obs:
             self.log.emit(EventKind.NOTIFY, key, 1, src=pkey)
         if val < 0:
@@ -247,7 +251,7 @@ class NabbitScheduler:
     def _compute(self, A: TaskRecord, key: Key, life: int) -> None:
         """COMPUTE(A), unguarded: run the user COMPUTE function for
         incarnation ``life`` of ``key``, in place or off-process."""
-        self.trace.count_compute(key)
+        self.trace.note(_COMPUTE_BEGIN, key)
         if self._obs:
             self.log.emit(EventKind.COMPUTE_BEGIN, key, life)
         self.runtime.charge(float(self.spec.cost(key)) * self._compute_factor)

@@ -44,6 +44,7 @@ from repro.memory.allocator import AllocationPolicy
 from repro.memory.blockstore import BlockStore
 from repro.memory.shm import SharedMemoryBackend
 from repro.obs.events import EventKind
+from repro.runtime.tracing import note_and_emit
 
 _MISSING = object()
 
@@ -192,15 +193,8 @@ class ChecksumStore(BlockStore):
             first_detection = (ref.block, ref.version) not in self._detected
             self._detected.add((ref.block, ref.version))
         if first_detection:
-            if self.trace is not None:
-                self.trace.count_sdc_detected()
-            if self.event_log is not None and self.event_log.enabled:
-                self.event_log.emit(
-                    EventKind.SDC_DETECTED,
-                    block=ref.block,
-                    version=ref.version,
-                    method="checksum",
-                )
+            note_and_emit(self.trace, self.event_log, EventKind.SDC_DETECTED,
+                          block=ref.block, version=ref.version, method="checksum")
         return False
 
 

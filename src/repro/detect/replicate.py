@@ -48,7 +48,7 @@ from repro.exceptions import FaultError, SchedulerError
 from repro.graph.taskspec import BlockRef, TaskGraphSpec
 from repro.memory.blockstore import BlockStore
 from repro.obs.events import EventKind, EventLog
-from repro.runtime.tracing import ExecutionTrace
+from repro.runtime.tracing import ExecutionTrace, note_and_emit
 
 _MISSING = object()
 
@@ -164,16 +164,8 @@ class ReplicationDetector:
             record.corrupted = True
             with self._lock:
                 self.detections.append((key, life, condemned))
-            if self.trace is not None:
-                self.trace.count_sdc_detected()
-            if span:
-                log.emit(
-                    EventKind.SDC_DETECTED,
-                    key,
-                    life,
-                    method="replication",
-                    blocks=len(condemned),
-                )
+            note_and_emit(self.trace, log, EventKind.SDC_DETECTED, key, life,
+                          method="replication", blocks=len(condemned))
         finally:
             # Attribution span over the whole detection attempt (replica
             # runs + fingerprint votes), whether it detected, abstained,
@@ -197,12 +189,8 @@ class ReplicationDetector:
             self.spec.compute(record.key, ctx)
         except FaultError:
             return None
-        if self.trace is not None:
-            self.trace.count_replica_run()
-        if self.event_log is not None and self.event_log.enabled:
-            self.event_log.emit(
-                EventKind.REPLICA_RUN, record.key, record.life, replica=index + 1
-            )
+        note_and_emit(self.trace, self.event_log, EventKind.REPLICA_RUN, record.key, record.life,
+                      replica=index + 1)
         missing = [ref for ref in self.spec.outputs(record.key)
                    if BlockRef(*ref) not in ctx.written]
         if missing:

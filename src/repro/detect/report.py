@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from repro.faults.model import FaultEvent
 from repro.obs.events import EventKind, EventLog
-from repro.runtime.tracing import ExecutionTrace
+from repro.runtime.tracing import ExecutionTrace, note_and_emit
 
 
 @dataclass
@@ -76,10 +76,6 @@ def account_escapes(
             continue
         report.escaped += 1
         report.escaped_events.append(fault)
-        if trace is not None:
-            trace.count_sdc_escaped()
-        if log.enabled:
-            log.emit(
-                EventKind.SDC_ESCAPED, fault.key, fault.life, phase=fault.phase.value
-            )
+        note_and_emit(trace, log, EventKind.SDC_ESCAPED, fault.key, fault.life,
+                      phase=fault.phase.value)
     return report

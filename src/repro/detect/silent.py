@@ -33,7 +33,7 @@ from repro.faults.model import FaultEvent, FaultPhase, FaultPlan
 from repro.graph.taskspec import BlockRef, TaskGraphSpec
 from repro.memory.blockstore import BlockStore
 from repro.obs.events import EventKind, EventLog
-from repro.runtime.tracing import ExecutionTrace
+from repro.runtime.tracing import ExecutionTrace, note_and_emit
 
 Mutator = Callable[[Any], Any]
 
@@ -137,16 +137,8 @@ class SilentFaultInjector:
                 hit.append(ref)
         with self._lock:
             self.mutated[event] = tuple(hit)
-        if self.trace is not None:
-            self.trace.count_sdc_injected()
-        if self.event_log is not None and self.event_log.enabled:
-            self.event_log.emit(
-                EventKind.SDC_INJECTED,
-                record.key,
-                record.life,
-                phase=phase.value,
-                blocks=len(hit),
-            )
+        note_and_emit(self.trace, self.event_log, EventKind.SDC_INJECTED, record.key, record.life,
+                      phase=phase.value, blocks=len(hit))
 
     # -- verification ---------------------------------------------------------------
 

@@ -24,7 +24,7 @@ from repro.faults.model import FaultEvent, FaultPhase, FaultPlan
 from repro.graph.taskspec import BlockRef, TaskGraphSpec
 from repro.memory.blockstore import BlockStore
 from repro.obs.events import EventKind, EventLog
-from repro.runtime.tracing import ExecutionTrace
+from repro.runtime.tracing import ExecutionTrace, note_and_emit
 
 
 class FaultInjector:
@@ -83,12 +83,8 @@ class FaultInjector:
         if event.corrupt_outputs:
             for raw in self.spec.outputs(record.key):
                 self.store.mark_corrupted(BlockRef(*raw))
-        if self.trace is not None:
-            self.trace.count_fault_injected()
-        if self.event_log is not None and self.event_log.enabled:
-            self.event_log.emit(
-                EventKind.FAULT_INJECTED, record.key, record.life, phase=phase.value
-            )
+        note_and_emit(self.trace, self.event_log, EventKind.FAULT_INJECTED, record.key, record.life,
+                      phase=phase.value)
 
     # -- verification -----------------------------------------------------------------------
 

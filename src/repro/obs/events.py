@@ -3,10 +3,11 @@
 The paper's Section V bounds and Section VI experiments are all *a
 posteriori* -- they depend on what actually happened at run time: which
 incarnation of which task recovered, when, on which worker, and what the
-recovery scan cost.  :class:`ExecutionTrace` aggregates those facts into
-counters; this module records the *events themselves* so the counters
-(and much more: Chrome traces, worker metrics, recovery timelines) can
-be derived after the fact from one source of truth.
+recovery scan cost.  This module records the *events themselves*;
+:class:`ExecutionTrace`'s counters are a fold of this vocabulary (one
+count per :class:`EventKind`), so they -- and much more: Chrome traces,
+worker metrics, recovery timelines -- can be derived after the fact
+from one source of truth.
 
 Design constraints:
 

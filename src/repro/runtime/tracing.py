@@ -1,14 +1,12 @@
 """Execution tracing: the N(A) accounting the paper's analysis is built on.
 
 Section V's bounds are *a posteriori*: they depend on how many times each
-task actually executed.  :class:`ExecutionTrace` records exactly that --
-per-key compute counts -- plus the recovery-path event counters used by
-the experiment harness (recoveries initiated, duplicate-recovery
-suppressions, node resets, notify-array reconstructions) and by the
-injection-verification step ("we verify the fault injection by ensuring
-that the number of tasks recovered matches the loss of work intended").
-
-Thread-safe: the threaded runtime mutates traces from many workers.
+task actually executed.  :class:`ExecutionTrace` counts that, and every
+fact the harness and the injection check read, as a fold of the event
+vocabulary: one count per :class:`~repro.obs.events.EventKind`, plus
+per-key counts for the kinds N(A) is stated in.  A live run notes each
+event as it happens; :mod:`repro.obs.replay` folds a recorded log
+through the same :meth:`ExecutionTrace.note`.  Thread-safe.
 """
 
 from __future__ import annotations
@@ -16,233 +14,89 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Any, Hashable, Iterable
+
+from repro.obs.events import EventKind
+
+#: Reported counter name -> the event kind it counts, in ``summary()``
+#: order.  Every scalar counter a report, gauge or attribute read names
+#: is a row here; a kind with no row is still counted, just not reported.
+COUNTERS: dict[str, EventKind] = {
+    "recovery_skips": EventKind.RECOVERY_SKIPPED,
+    "resets": EventKind.RESET,
+    "notify_reinits": EventKind.REINIT,
+    "reinit_scans": EventKind.REINIT_SCAN,
+    "notifications": EventKind.NOTIFY,
+    "stale_notifications": EventKind.NOTIFY_STALE,
+    "stale_frames": EventKind.STALE_FRAME,
+    "faults_observed": EventKind.FAULT_OBSERVED,
+    "faults_injected": EventKind.FAULT_INJECTED,
+    "sdc_injected": EventKind.SDC_INJECTED,
+    "sdc_detected": EventKind.SDC_DETECTED,
+    "sdc_escaped": EventKind.SDC_ESCAPED,
+    "replica_runs": EventKind.REPLICA_RUN,
+}
 
 
-@dataclass
+@dataclass(eq=False)
 class ExecutionTrace:
-    """Counters for one task-graph execution."""
+    """Event counts for one task-graph execution."""
 
     computes: Counter = field(default_factory=Counter)
-    """key -> number of times COMPUTE ran for the task."""
+    """key -> COMPUTE_BEGIN events: times COMPUTE ran for the task."""
 
     compute_failures: Counter = field(default_factory=Counter)
-    """key -> COMPUTE invocations that raised a detected fault."""
+    """key -> COMPUTE_FAULT events: invocations that raised a detected fault."""
 
     recoveries: Counter = field(default_factory=Counter)
-    """key -> recoveries performed (REPLACETASK incarnations beyond the first)."""
+    """key -> RECOVERY events: REPLACETASK incarnations beyond the first."""
 
-    recovery_skips: int = 0
-    """RECOVERTASKONCE calls suppressed because the incarnation was already
-    being recovered (Guarantee 1 at work)."""
-
-    resets: int = 0
-    """RESETNODE invocations (consumer saw a faulty input during compute)."""
-
-    notify_reinits: int = 0
-    """Successors re-enqueued by REINITNOTIFYENTRY during recoveries."""
-
-    reinit_scans: int = 0
-    """Successor records examined while rebuilding notify arrays (the
-    REINITNOTIFYENTRY scan cost: proportional to out-degree)."""
-
-    notifications: int = 0
-    """Join-counter decrements performed (successful bit unsets)."""
-
-    stale_notifications: int = 0
-    """Notifications dropped because the bit was already clear."""
-
-    stale_frames: int = 0
-    """Frames abandoned because their incarnation had been replaced
-    (life-number mismatch against the task map)."""
-
-    faults_observed: int = 0
-    """Detected-fault exceptions caught by scheduler catch blocks."""
-
-    faults_injected: int = 0
-    """Fault events actually fired by the injector."""
-
-    sdc_injected: int = 0
-    """Silent corruptions injected (block payloads mutated, no flag set)."""
-
-    sdc_detected: int = 0
-    """Silent corruptions surfaced by a detector (checksum or replication)
-    and handed to the ordinary detected-fault recovery path."""
-
-    sdc_escaped: int = 0
-    """Injected silent corruptions never caught by any detector (post-run
-    accounting; the result may be wrong)."""
-
-    replica_runs: int = 0
-    """Detector-issued duplicate executions (replication overhead)."""
+    counts: dict = field(default_factory=dict.fromkeys(EventKind, 0).copy)
+    """kind -> events of that kind noted (every kind, reported or not)."""
 
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     _serial: bool = field(default=False, repr=False)
-    """True when the bound runtime executes frames on a single thread
-    (``concurrent_frames = False``): counter bumps skip the lock."""
+    """True when frames run on one thread at a time: notes skip the lock."""
 
-    #: The scalar counters ``bump`` may touch.  A typo'd name must fail
-    #: loudly instead of silently creating a new attribute that no report
-    #: ever reads.
-    SCALAR_COUNTERS = frozenset(
-        {
-            "recovery_skips",
-            "resets",
-            "notify_reinits",
-            "reinit_scans",
-            "notifications",
-            "stale_notifications",
-            "stale_frames",
-            "faults_observed",
-            "faults_injected",
-            "sdc_injected",
-            "sdc_detected",
-            "sdc_escaped",
-            "replica_runs",
+    SCALAR_COUNTERS = frozenset(COUNTERS)
+
+    def __post_init__(self) -> None:
+        self._by_key = {
+            EventKind.COMPUTE_BEGIN: self.computes,
+            EventKind.COMPUTE_FAULT: self.compute_failures,
+            EventKind.RECOVERY: self.recoveries,
         }
-    )
 
     # -- mutation (scheduler side) -------------------------------------------------
 
     def assume_serial(self) -> None:
-        """Declare that all future bumps come from one thread at a time.
-
-        Called by schedulers whose runtime advertises
-        ``concurrent_frames = False`` (inline, simulated): frames run
-        serially in the driver thread, so the per-bump lock round-trip is
-        pure overhead on the hottest scheduler paths."""
+        """Declare that all future notes come from one thread at a time
+        (runtimes with ``concurrent_frames = False``: inline, simulated)."""
         self._serial = True
 
     def assume_concurrent(self) -> None:
         """Re-arm the lock (a threaded runtime is about to mutate)."""
         self._serial = False
 
-    def count_compute(self, key: Hashable) -> None:
+    def note(self, kind: EventKind, key: Hashable = None) -> None:
+        """Count one event of ``kind``; a per-key kind also against its ``key``
+        (tested last: the per-edge NOTIFY site passes none)."""
         if self._serial:
-            self.computes[key] += 1
+            self.counts[kind] += 1
+            if key is not None and kind in self._by_key:
+                self._by_key[kind][key] += 1
             return
         with self._lock:
-            self.computes[key] += 1
+            self.counts[kind] += 1
+            if key is not None and kind in self._by_key:
+                self._by_key[kind][key] += 1
 
-    def count_compute_failure(self, key: Hashable) -> None:
-        if self._serial:
-            self.compute_failures[key] += 1
-            return
-        with self._lock:
-            self.compute_failures[key] += 1
-
-    def count_recovery(self, key: Hashable) -> None:
-        if self._serial:
-            self.recoveries[key] += 1
-            return
-        with self._lock:
-            self.recoveries[key] += 1
-
-    def bump(self, field_name: str, amount: int = 1) -> None:
-        """Increment a scalar counter by name (validated; see the typed
-        ``count_*`` methods for the preferred call style)."""
-        if field_name not in self.SCALAR_COUNTERS:
-            raise ValueError(
-                f"unknown ExecutionTrace counter {field_name!r}; "
-                f"expected one of {sorted(self.SCALAR_COUNTERS)}"
-            )
-        with self._lock:
-            setattr(self, field_name, getattr(self, field_name) + amount)
-
-    # Typed increments: one per scalar counter, so scheduler call sites
-    # are checked at import time rather than string-matched at run time.
-
-    def count_recovery_skip(self) -> None:
-        if self._serial:
-            self.recovery_skips += 1
-            return
-        with self._lock:
-            self.recovery_skips += 1
-
-    def count_reset(self) -> None:
-        if self._serial:
-            self.resets += 1
-            return
-        with self._lock:
-            self.resets += 1
-
-    def count_notify_reinit(self) -> None:
-        if self._serial:
-            self.notify_reinits += 1
-            return
-        with self._lock:
-            self.notify_reinits += 1
-
-    def count_reinit_scan(self, amount: int = 1) -> None:
-        if self._serial:
-            self.reinit_scans += amount
-            return
-        with self._lock:
-            self.reinit_scans += amount
-
-    def count_notification(self) -> None:
-        if self._serial:
-            self.notifications += 1
-            return
-        with self._lock:
-            self.notifications += 1
-
-    def count_stale_notification(self) -> None:
-        if self._serial:
-            self.stale_notifications += 1
-            return
-        with self._lock:
-            self.stale_notifications += 1
-
-    def count_stale_frame(self) -> None:
-        if self._serial:
-            self.stale_frames += 1
-            return
-        with self._lock:
-            self.stale_frames += 1
-
-    def count_fault_observed(self) -> None:
-        if self._serial:
-            self.faults_observed += 1
-            return
-        with self._lock:
-            self.faults_observed += 1
-
-    def count_fault_injected(self) -> None:
-        if self._serial:
-            self.faults_injected += 1
-            return
-        with self._lock:
-            self.faults_injected += 1
-
-    def count_sdc_injected(self) -> None:
-        if self._serial:
-            self.sdc_injected += 1
-            return
-        with self._lock:
-            self.sdc_injected += 1
-
-    def count_sdc_detected(self) -> None:
-        if self._serial:
-            self.sdc_detected += 1
-            return
-        with self._lock:
-            self.sdc_detected += 1
-
-    def count_sdc_escaped(self) -> None:
-        if self._serial:
-            self.sdc_escaped += 1
-            return
-        with self._lock:
-            self.sdc_escaped += 1
-
-    def count_replica_run(self) -> None:
-        if self._serial:
-            self.replica_runs += 1
-            return
-        with self._lock:
-            self.replica_runs += 1
+    def fold(self, events: Iterable[Any]) -> ExecutionTrace:
+        """Note every event (anything with ``kind`` and ``key``); returns self."""
+        for event in events:
+            self.note(event.kind, event.key)
+        return self
 
     # -- analysis (harness side) ---------------------------------------------------
 
@@ -281,17 +135,22 @@ class ExecutionTrace:
             "reexecutions": self.reexecutions,
             "max_executions": self.max_executions,
             "recoveries": self.total_recoveries,
-            "recovery_skips": self.recovery_skips,
-            "resets": self.resets,
-            "notify_reinits": self.notify_reinits,
-            "reinit_scans": self.reinit_scans,
-            "notifications": self.notifications,
-            "stale_notifications": self.stale_notifications,
-            "stale_frames": self.stale_frames,
-            "faults_observed": self.faults_observed,
-            "faults_injected": self.faults_injected,
-            "sdc_injected": self.sdc_injected,
-            "sdc_detected": self.sdc_detected,
-            "sdc_escaped": self.sdc_escaped,
-            "replica_runs": self.replica_runs,
+            **{name: self.counts[kind] for name, kind in COUNTERS.items()},
         }
+
+
+# ``trace.resets`` and friends: a read-only view of the table's rows.
+for _name, _kind in COUNTERS.items():
+    setattr(ExecutionTrace, _name, property(lambda self, k=_kind: self.counts[k]))
+del _name, _kind
+
+
+def note_and_emit(trace: ExecutionTrace | None, log: Any, kind: EventKind,
+                  key: Hashable = None, life: int = 0, **data: Any) -> None:
+    """Note one event on ``trace`` and emit it into ``log`` if live (either
+    may be ``None``): the fault-path sites.  The per-task and per-edge
+    sites keep two statements, the emit behind the caller's cached guard."""
+    if trace is not None:
+        trace.note(kind, key)
+    if log is not None and log.enabled:
+        log.emit(kind, key, life, **data)

@@ -59,6 +59,7 @@ from repro.exceptions import FaultError, SchedulerError
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs.events import EventKind, EventLog
 from repro.runtime.simulator import SimulatedRuntime
+from repro.runtime.tracing import note_and_emit
 from repro.verify.invariants import Violation, check_events
 
 
@@ -393,15 +394,14 @@ class DoubleDecrementScheduler(FTScheduler):
             with A.lock:
                 A.join -= 1  # BUG: the bit under ``mask`` is neither tested nor cleared
                 val = A.join
-            self.trace.count_notification()
+            self.trace.note(EventKind.NOTIFY)
             if self._obs:
                 self.log.emit(EventKind.NOTIFY, key, life, src=pkey)
             if val == 0:
                 self._compute_and_notify(A, key, life)
         except FaultError as exc:
-            self.trace.count_fault_observed()
-            if self._obs:
-                self.log.emit(EventKind.FAULT_OBSERVED, key, life, exc=type(exc).__name__)
+            note_and_emit(self.trace, self.log, EventKind.FAULT_OBSERVED, key, life,
+                          exc=type(exc).__name__)
             self._recover_task_once(key, life)
 
 

@@ -361,13 +361,14 @@ def _eventkind_attrs(node: ast.AST) -> set[str]:
 
 class EventKindCoverageRule(StaticRule):
     """Every :class:`~repro.obs.events.EventKind` member is emitted
-    somewhere in the package: a member nothing emits is a promise the
-    event log never keeps.  (That each member is replayed into a counter
-    or deliberately ignored is checked at test time by
-    ``tests/obs/test_replay_parity.py``.)"""
+    somewhere in the package -- by ``.emit()``/``.emit_at()`` or through
+    :func:`~repro.runtime.tracing.note_and_emit`: a member nothing emits
+    is a promise the event log never keeps.  (Replay needs no such
+    check: a trace counts every kind it is handed.)"""
 
     name = "eventkind-coverage"
     EVENTS_MODULE = "obs/events.py"
+    EMITTERS = frozenset({"emit", "emit_at", "note_and_emit"})
 
     def check(self, program: Program) -> list[Finding]:
         events_mod = program.by_path.get(self.EVENTS_MODULE)
@@ -386,11 +387,9 @@ class EventKindCoverageRule(StaticRule):
         emitted: set[str] = set()
         for m in program.modules:
             for node in m.nodes:
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("emit", "emit_at")
-                ):
+                if isinstance(node, ast.Call) and (
+                    getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                ) in self.EMITTERS:
                     for arg in node.args:
                         emitted |= _eventkind_attrs(arg)
         return [

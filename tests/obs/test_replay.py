@@ -11,7 +11,7 @@ from repro.faults import FaultInjector, plan_faults
 from repro.faults.model import FaultPlan
 from repro.graph.builders import chain_graph, diamond_graph, grid_graph
 from repro.memory.blockstore import BlockStore
-from repro.obs import EventLog, assert_consistent, replay_summary, verify_consistency
+from repro.obs import EventKind, EventLog, assert_consistent, replay_summary, verify_consistency
 from repro.runtime import InlineRuntime, SimulatedRuntime, ThreadedRuntime
 from repro.runtime.tracing import ExecutionTrace
 
@@ -79,15 +79,37 @@ class TestReplayMatchesTrace:
 class TestConsistencyDiagnostics:
     def test_verify_reports_mismatch(self):
         _, trace, log = run_ft(chain_graph(4), InlineRuntime())
-        trace.count_reset()  # poison the live trace
+        trace.note(EventKind.RESET)  # poison the live trace
         diff = verify_consistency(log.events, trace)
         assert "resets" in diff
         assert diff["resets"] == (0, 1)
 
     def test_assert_consistent_raises_with_detail(self):
         _, trace, log = run_ft(chain_graph(4), InlineRuntime())
-        trace.count_stale_frame()
+        trace.note(EventKind.STALE_FRAME)
         with pytest.raises(AssertionError, match="stale_frames"):
+            assert_consistent(log, trace)
+
+    def test_poisoned_compute_failures_are_reported(self):
+        """Regression: the per-key fault counts were never compared."""
+        _, trace, log = run_ft(chain_graph(8), InlineRuntime(),
+                               plan=FaultPlan.single(2, "after_compute"))
+        assert verify_consistency(log.events, trace) == {}
+        failures = trace.compute_failures[2]
+        trace.compute_failures[2] += 5
+        assert verify_consistency(log.events, trace) == {
+            "compute_failures[2]": (failures, failures + 5)
+        }
+
+    def test_a_compute_moved_between_keys_names_the_key(self):
+        """Regression: equal totals hid a per-key mismatch ("executions:
+        events=7 trace=7"); the first differing key is named instead."""
+        _, trace, log = run_ft(chain_graph(7), InlineRuntime())
+        trace.computes[3] -= 1
+        trace.computes[4] += 1
+        diff = verify_consistency(log.events, trace)
+        assert diff == {"max_executions": (1, 2), "computes[3]": (1, 0)}
+        with pytest.raises(AssertionError, match=r"computes\[3\]: events=1 trace=0"):
             assert_consistent(log, trace)
 
     def test_assert_consistent_refuses_lossy_ring_buffer(self):

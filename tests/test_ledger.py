@@ -1,12 +1,20 @@
 """The FT-vs-NABBIT call ledger as a gate: ``benchmarks/ledger.py --check``
 runs as a subprocess and must find every per-task count under its ceiling."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _ledger_module():
+    spec = importlib.util.spec_from_file_location("ledger", ROOT / "benchmarks" / "ledger.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_ledger_check_passes():
@@ -17,3 +25,31 @@ def test_ledger_check_passes():
     )
     assert proc.returncode == 0, f"ledger over budget:\n{proc.stdout}\n{proc.stderr}"
     assert "ft-nabbit" in proc.stdout
+    rows = {line.split("  ")[0]: line.split() for line in proc.stdout.splitlines()}
+    for name in ("ft traced", "nabbit traced"):
+        events = float(rows[name][-1])
+        assert 0 < events <= 8.92, f"{name}: {events} events per task"
+
+
+def _table(ledger, overrides=()):
+    """A table at the ceilings' safe side, with ``(row, column) -> value`` overrides."""
+    columns = ("calls", "events", *ledger.COLUMNS)
+    table = {name: dict.fromkeys(columns, 0.0) for name in ledger.ROWS}
+    for name in ledger.ROWS:
+        table[name]["calls"] = ledger.MAX_CALLS[name] - 1
+    for name in ("ft traced", "nabbit traced"):
+        table[name]["events"] = ledger.MAX_EVENTS
+    for (name, column), value in dict(overrides).items():
+        table[name][column] = value
+    return table
+
+
+def test_traced_rows_are_gated_on_calls_and_events():
+    ledger = _ledger_module()
+    assert ledger.over_budget(_table(ledger)) == []
+    over_calls = _table(ledger, {("ft traced", "calls"): 165.01})
+    assert ledger.over_budget(over_calls) == ["ft traced: 165.01 calls per task > 165.0"]
+    over_events = _table(ledger, {("nabbit traced", "events"): 8.9201})
+    assert ledger.over_budget(over_events) == [
+        "nabbit traced: 8.9201 events per task > 8.92"
+    ]
