@@ -10,8 +10,8 @@ One substrate, many views:
   :class:`MetricsCollector`, and a Prometheus-text
   :class:`MetricsServer` (``NULL_METRICS`` keeps unmetered runs free).
 * :mod:`repro.obs.spans` -- worker-attributed measured intervals
-  decoded from ``SPAN`` events (kernel, shm attach, serialization,
-  dispatch round trips, recovery, detection).
+  decoded from ``SPAN`` events (kernel, input attach, lazy fetch,
+  serialization, dispatch round trips, recovery, detection).
 * :mod:`repro.obs.attribution` -- fold events + spans into a wall-clock
   budget: where every worker-second of the makespan went.
 * :mod:`repro.obs.replay` -- derive :class:`ExecutionTrace` counters

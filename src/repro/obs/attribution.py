@@ -8,7 +8,7 @@ every worker-second of ``makespan x workers`` is assigned to one of
                 runtimes, the COMPUTE bracket minus detection time)
 ``dispatch``    remote-compute overhead: the parent-side dispatch round
                 trip minus the kernel and queued time inside it (input
-                ship, shm attach, output serialization, pipe latency)
+                push and attach, output serialization, wire latency)
 ``queued``      pipelining backlog: time a dispatched job sat behind its
                 channel-mates in the worker's inbound window (a
                 deliberate throughput/latency trade, not dispatch cost)

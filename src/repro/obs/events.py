@@ -159,7 +159,7 @@ class EventKind(str, Enum):
     SPAN = "span"
     """A measured interval, attributed to the emitting worker.
     ``data['phase']`` names what was measured (``kernel``, ``attach``,
-    ``serialize``, ``dispatch``, ``recovery``, ``detect``) and
+    ``fetch``, ``serialize``, ``dispatch``, ``recovery``, ``detect``) and
     ``data['wall']`` is its duration in seconds.  Spans measured in the
     *parent* process (dispatch, recovery, detect) add ``data['t0']``,
     their start on the log's clock; worker-process spans ship durations

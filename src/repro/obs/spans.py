@@ -6,7 +6,10 @@ named *phase* and its wall-clock duration, attributed to the worker that
 spent the time.  Phases currently emitted:
 
 ==============  ======================================================
-``attach``      worker-side shm attach + input decode (ProcessRuntime)
+``attach``      worker-side resolution of pushed inputs: caching
+                values, attaching shm descriptors (both remote runtimes)
+``fetch``       worker-side wait in lazy fetches of bare refs it did
+                not hold; measured *inside* ``kernel``
 ``kernel``      ``spec.compute`` wall time inside the worker process;
                 ``cpu`` carries the worker's process-CPU seconds
 ``serialize``   worker-side pickling of the output payload

@@ -28,7 +28,7 @@ Four layers, mirroring the hot-path inventory in docs/PERFORMANCE.md:
   localhost ``tcp://`` (the latency floor every remote dispatch pays).
 * ``procpool`` -- FTScheduler + :class:`~repro.runtime.procpool.
   ProcessRuntime` on real-kernel apps over a shared-memory store: pool
-  spin-up, descriptor shipping, the IPC round trip, and worker attach
+  spin-up, input pushes, the IPC round trip, and worker attach
   are all on the measured path (this is the dispatch-overhead number,
   not a speedup claim -- tiny graphs are bookkeeping-bound by design).
 * ``finegrain`` -- the dispatch-overhead regime isolated: an LCS grid of
@@ -375,33 +375,23 @@ class _NoopDispatchSpec:
         ctx.write(("out", 0), key)
 
 
-class _DispatchBenchContext:
-    """The minimal parent-side context ``compute_dispatch`` touches: no
-    store (inputs would ship by pickle; there are none), writes dropped."""
-
-    store = None
-
-    def read(self, ref):
-        raise AssertionError("noop spec declares no inputs")
-
-    def write(self, ref, value):
-        pass
-
-
 def _bench_dispatch_overhead(n_jobs: int) -> Callable[[], Callable[[], int]]:
     """Bare ``compute_dispatch`` round trips against a persistent one-
-    process pool: no scheduler, no store, no kernel -- the per-job cost
+    process pool: no scheduler, no inputs, no kernel -- the per-job cost
     of the pipelined wire path itself (jid framing, batch pack/unpack,
-    reply routing).  The inverse of this score is the ms/task floor the
-    e2e fine-grain benchmarks pay per dispatch."""
+    reply routing, the one-block write-back).  The inverse of this score
+    is the ms/task floor the e2e fine-grain benchmarks pay per dispatch."""
 
     def make():
+        from repro.memory.blockstore import BlockStore
+        from repro.memory.context import StoreComputeContext
         from repro.runtime.procpool import ProcessRuntime
 
         rt = ProcessRuntime(workers=1, seed=1, procs=1)
         rt._ensure_pool()
         spec = _NoopDispatchSpec()
-        ctx = _DispatchBenchContext()
+        ctx = StoreComputeContext(spec, BlockStore(), -1, strict=False,
+                                  footprint=(frozenset(), frozenset()))
         rt.compute_dispatch(spec, -1, ctx)  # ship the spec; warm the pipe
         # The pool is deliberately not torn down per batch: steady-state
         # dispatch is the measurand.  Workers are daemonic; the handful

@@ -17,13 +17,13 @@ What is specific to a dialed channel:
 * **Silence.**  Workers heartbeat on transports that support it;
   ``heartbeat_timeout`` seconds without a byte from a worker that owes a
   reply is peer loss even when the kernel never delivers an RST.
-* **Staging.**  Worker servers keep blocks, so every dialed channel
-  carries a residency table: an input its worker does not hold rides
-  the job message (``FETCH`` event, ``mode="push"``), one it was pushed
-  before or computed itself is a bare ``(block, version)`` ref read
-  from its byte-bounded :class:`~repro.runtime.worker.BlockCache`, and
-  a ref it has since evicted is fetched lazily (``mode="fetch"``), the
-  one blocking round trip left in the data plane.  Store versions are
+* **Staging.**  Exactly the pipe runtime's, minus shared memory: an
+  input its worker does not hold rides the job message by value
+  (``FETCH`` event, ``mode="push"``), one it was pushed before or
+  computed itself is a bare ``(block, version)`` ref read from its
+  byte-bounded :class:`~repro.runtime.worker.BlockCache`, and a ref it
+  has since evicted is fetched lazily (``mode="fetch"``), the one
+  blocking round trip left in the data plane.  Store versions are
   written once and kernels are deterministic, so the versioned key
   makes the cache trivially coherent -- a re-executed producer
   regenerates bit-identical bytes, and an *evicted* version faults
@@ -129,7 +129,7 @@ class WorkerServer:
         self._stopped.wait()
 
     def _serve_connection(self, comm: Comm) -> None:
-        WorkerSession(comm, self.cache, self._job_done, keep=True).serve()
+        WorkerSession(comm, self.cache, self._job_done).serve()
 
     def _job_done(self, payloads: int, nbytes: int) -> None:
         if self._mx:
@@ -206,7 +206,7 @@ class ClusterRuntime(RemoteRuntime):
             raise CommClosedError(f"worker at {addr} answered ping with {reply!r}")
         if self._log is not NULL_LOG:
             self._log.emit(EventKind.CONNECT, None, 0, addr=addr)
-        return PipelineChannel(comm, addr, BlockCache(DEFAULT_CACHE_BYTES), addr=addr)
+        return PipelineChannel(comm, addr, addr=addr)
 
     def _replace_channel(self, dead: PipelineChannel, reason: str) -> PipelineChannel:
         dead.info["reason"] = reason

@@ -22,25 +22,27 @@ place of ``spec.compute(key, ctx)``.  Per task it
    footprint enforcement, store versioning and fingerprinting stay
    parent-side and single-owner.
 
-**Staging: push what is not resident.**  A channel whose worker keeps
-blocks carries a byte-bounded *residency table* ``(block, version) ->
-value`` of what that worker was pushed or computed.  Staging (under the
-channel lock, so atomic with outbox order) ships ``(block, version,
-payload)`` for an input the table does not hold *by identity* and the
-bare ``(block, version)`` otherwise: a block crosses a channel at most
-once, with the job that needs it.  Versions are written once by
-deterministic kernels (Theorem 1), so a worker-held copy is stale only
-by absence; ``corrupt_data`` and re-execution rewrites swap the stored
-object, miss by identity and are pushed again.  The table is a hint: a
-worker that evicted an entry, or whose job failed before attaching,
-resolves the bare ref by the lazy ``fetch`` round trip; a replaced
-channel starts with an empty table.
+**Staging: push what is not resident.**  Every channel carries a
+byte-bounded *residency table* ``(block, version) -> value`` of what its
+worker was pushed or computed (every worker session keeps both).
+:func:`stage` (under the channel lock, so atomic with outbox order)
+ships ``(block, version, payload)`` for an input the table does not hold
+*by identity* and the bare ``(block, version)`` otherwise: a block
+crosses a channel at most once, with the job that needs it.  Where
+workers share the parent's memory, a segment-backed payload travels as
+its :class:`~repro.memory.shm.ShmDescriptor`.  Versions are written once
+by deterministic kernels (Theorem 1), so a worker-held copy is stale
+only by absence; ``corrupt_data`` and re-execution rewrites swap the
+stored object, miss by identity and are pushed again.  The table is a
+hint: a worker that evicted an entry, or whose job failed before
+attaching, resolves the bare ref by the lazy ``fetch`` round trip; a
+replaced channel starts with an empty table.
 
 :class:`~repro.runtime.procpool.ProcessRuntime` and
 :class:`~repro.runtime.cluster.ClusterRuntime` are this class plus the
 three things that genuinely differ: how a channel is opened and
-replaced, how its silence is judged, and whether its worker keeps
-blocks (the pipe runtime re-ships every input instead).
+replaced, how its silence is judged, and whether its workers share the
+parent's memory (:attr:`RemoteRuntime.SHARES_MEMORY`).
 
 **Dispatch is pipelined.**
 
@@ -155,11 +157,9 @@ class PipelineChannel:
     """
 
     __slots__ = ("comm", "peer", "info", "lock", "send_lock", "recv_lock", "outbox",
-                 "pending", "pinned", "resident", "dead", "spec", "last_reply", "load", "freed")
+                 "pending", "resident", "dead", "spec", "last_reply", "load", "freed")
 
-    def __init__(
-        self, comm: Comm, peer: Any, resident: BlockCache | None = None, **info: Any
-    ) -> None:
+    def __init__(self, comm: Comm, peer: Any, **info: Any) -> None:
         self.comm = comm
         #: What the opener judges and replaces the channel by: the worker
         #: ``Process`` (pipe runtime) or the dialed address (cluster).
@@ -174,12 +174,9 @@ class PipelineChannel:
         self.outbox: list[tuple[Any, tuple]] = []
         #: jid -> PendingJob for every job sent (or queued) but unresolved.
         self.pending: dict[int, PendingJob] = {}
-        #: Shm segment names this channel's worker has attached (repeat
-        #: sends ship a light PinnedRef).
-        self.pinned: set[str] = set()
-        #: What a block-keeping worker was pushed or computed, ``(block,
-        #: version) -> value`` (a hint: it may have evicted); else None.
-        self.resident = resident
+        #: What the worker was pushed or computed, ``(block, version) ->
+        #: value`` (a hint: it may have evicted).
+        self.resident = BlockCache()
         self.dead = False
         #: The spec last sent (held: its identity cannot be recycled).
         self.spec: Any = None
@@ -236,9 +233,25 @@ def _missing_bytes(handle: PipelineChannel, values: dict) -> int:
     """What staging a job reading ``values`` there would push: bytes
     the channel's residency table does not hold by identity."""
     table = handle.resident
-    if table is None:
-        return 0
     return sum(payload_nbytes(v) for ref, v in values.items() if table.peek(ref) is not v)
+
+
+def stage(handle: PipelineChannel, values: dict, describe: Callable | None = None) -> list:
+    """A job's wire inputs on ``handle`` (call under its lock): the bare
+    ``(block, version)`` for an input the residency table holds by
+    identity, else ``(block, version, payload)``, entered into the table;
+    the payload is ``describe(ref)`` (a shm descriptor) or the value."""
+    table = handle.resident
+    inputs: list[tuple] = []
+    for ref, value in values.items():
+        hit, held = table.get(ref)
+        if hit and held is value:
+            inputs.append(ref)
+            continue
+        table.put(ref, value, payload_nbytes(value))
+        desc = describe(BlockRef(*ref)) if describe is not None else None
+        inputs.append((*ref, value if desc is None else desc))
+    return inputs
 
 
 class RemoteRuntime(ThreadedRuntime):
@@ -251,18 +264,17 @@ class RemoteRuntime(ThreadedRuntime):
     * ``_retire(handle)`` -- runtime-specific farewell at pool shutdown
       (``stop`` is already sent; the comm is closed afterwards);
     * ``_silent_reason(handle)`` -- liveness verdict for a channel that
-      owes replies but stays quiet;
-    * ``_stage_inputs(store, values)`` -- optionally, which input
-      payloads ride the job message (default: those the channel's
-      residency table does not hold).
+      owes replies but stays quiet.
 
     ``die_on`` is an iterable of task keys; the first dispatch of each
     makes its worker die *before* computing.  One-shot per key: the
     recovered task's re-dispatch runs normally.
     """
 
-    #: The SPAN phase the worker's input-resolution time is reported as.
-    INPUT_PHASE = "fetch"
+    #: Whether workers map the parent's shm segments (push descriptors).
+    #: Never on a dialed channel: a worker on another host cannot attach,
+    #: and its ``FileNotFoundError`` would read as a memory-reuse fault.
+    SHARES_MEMORY = False
 
     def __init__(
         self,
@@ -322,29 +334,6 @@ class RemoteRuntime(ThreadedRuntime):
 
     def _silent_reason(self, handle: PipelineChannel) -> str | None:
         raise NotImplementedError
-
-    def _stage_inputs(self, store: Any, values: dict) -> Callable[[PipelineChannel], list]:
-        """The job's wire inputs as a function of the channel it lands
-        on (called under the channel lock).  Each input is ``(block,
-        version)`` -- the worker holds it, or fetches it lazily -- or
-        ``(block, version, payload)``.  Default: push what the channel's
-        residency table does not hold by identity, and enter it."""
-
-        def stage(handle: PipelineChannel) -> list:
-            resident = handle.resident
-            if resident is None:
-                return list(values)
-            inputs: list[tuple] = []
-            for ref, value in values.items():
-                hit, held = resident.get(ref)
-                if hit and held is value:
-                    inputs.append(ref)
-                else:
-                    resident.put(ref, value, payload_nbytes(value))
-                    inputs.append((*ref, value))
-            return inputs
-
-        return stage
 
     # -- pool lifecycle ---------------------------------------------------------
 
@@ -414,7 +403,9 @@ class RemoteRuntime(ThreadedRuntime):
                     self._die_on.discard(key)
                     die = True
         job = PendingJob(next(_JIDS), key, life, die, values)
-        handle, reply = self._dispatch_job(spec, job, self._stage_inputs(ctx.store, values))
+        store = ctx.store
+        describe = getattr(store, "descriptor", None) if self.SHARES_MEMORY else None
+        handle, reply = self._dispatch_job(spec, job, describe)
         if reply[0] == "fail":
             raise reply[2]  # FaultError -> scheduler recovery
         _, _, blob, spans = reply
@@ -423,9 +414,10 @@ class RemoteRuntime(ThreadedRuntime):
         if obs:
             log = self._log
             end = log.now()
-            # Worker-measured phases (durations only; foreign clock) ...
-            log.emit(EventKind.SPAN, key, life, phase=self.INPUT_PHASE,
-                     wall=spans.get(self.INPUT_PHASE, 0.0))
+            # Worker-measured phases (durations only; foreign clock); the
+            # lazy fetches are inside the kernel ...
+            log.emit(EventKind.SPAN, key, life, phase="attach", wall=spans.get("attach", 0.0))
+            log.emit(EventKind.SPAN, key, life, phase="fetch", wall=spans.get("fetch", 0.0))
             log.emit(EventKind.SPAN, key, life, phase="kernel",
                      wall=spans.get("kernel", 0.0), cpu=spans.get("kernel_cpu", 0.0))
             log.emit(EventKind.SPAN, key, life, phase="serialize",
@@ -440,11 +432,13 @@ class RemoteRuntime(ThreadedRuntime):
             self._dispatch_hist.observe(
                 (self._log.now() if obs else time.perf_counter()) - t0
             )
+        # The worker kept its outputs; the table holds what the store now
+        # does (a shm store rebuilds it over a fresh segment), not the reply.
         for reftup, value in written:
-            ctx.write(BlockRef(*reftup), value)
-        if handle.resident is not None:  # the worker kept what it computed
-            for reftup, value in written:
-                handle.resident.put(reftup, value, payload_nbytes(value))
+            ref = BlockRef(*reftup)
+            ctx.write(ref, value)
+            held = store.peek(ref)
+            handle.resident.put(reftup, held, payload_nbytes(held))
 
     def _spec_blob(self, spec: Any) -> bytes:
         held = self._spec_pickled
@@ -468,14 +462,14 @@ class RemoteRuntime(ThreadedRuntime):
     # -- submit -----------------------------------------------------------------
 
     def _dispatch_job(
-        self, spec: Any, me: PendingJob, stage: Callable[[PipelineChannel], list]
+        self, spec: Any, me: PendingJob, describe: Callable | None
     ) -> tuple[PipelineChannel, Any]:
         """Ship one job and block until its reply: ``(channel, reply)``.
 
-        ``stage(handle)`` builds the wire inputs under the channel lock,
-        which makes a push-or-ref (pin-or-descriptor) decision atomic
-        with outbox order: a payload or descriptor always reaches the
-        worker before any bare ref or ``PinnedRef`` naming it.
+        :func:`stage` builds the wire inputs under the channel lock,
+        which makes the push-or-ref decision atomic with outbox order: a
+        payload or descriptor always reaches the worker before any bare
+        ref naming it.
         """
         self._ensure_pool()
         while True:
@@ -484,12 +478,12 @@ class RemoteRuntime(ThreadedRuntime):
                 with handle.lock:
                     if handle.dead:
                         continue  # it died since the pick: pick again
-                    inputs = stage(handle)
+                    inputs = stage(handle, me.values, describe)
                     handle.pending[me.jid] = me
                     handle.outbox.append((spec, (me.jid, me.key, inputs, me.die, me.life)))
-                if handle.resident is not None and (self._mx or self._log is not NULL_LOG):
-                    for block, version, value in (i for i in inputs if len(i) == 3):
-                        self._shipped(handle, me, block, version, payload_nbytes(value), "push")
+                if self._mx or self._log is not NULL_LOG:
+                    for block, version, payload in (i for i in inputs if len(i) == 3):
+                        self._shipped(handle, me, block, version, payload_nbytes(payload), "push")
                 self._flush_channel(handle)
                 reply = self._await_pipelined(handle, me)
             finally:

@@ -13,16 +13,14 @@ What is specific to a same-host channel:
   reaped (``WORKER_DOWN`` carries its pid and exit code) and a fresh
   child forked in its place.
 * **Silence.**  A quiet channel is dead iff its process is.
-* **Staging.**  Every input rides the job message, so a worker never
-  has to fetch: blocks backed by a shared-memory segment ship as a
-  zero-copy :class:`~repro.memory.shm.ShmDescriptor`; small blocks and
-  blocks of stores without the shm backend ship inline.  Hot
-  descriptors are **pre-pinned**: the first dispatch to a worker ships
-  the full descriptor and the worker keeps the segment attached, so
-  every later dispatch sends a tiny
-  :class:`~repro.runtime.worker.PinnedRef`.  Pins are keyed by segment
-  *name*, which is version-unique, so a rewritten or corrupt-reinjected
-  version can never be served from a stale pin.
+* **Staging.**  A worker shares the parent's memory
+  (:attr:`ProcessRuntime.SHARES_MEMORY`), so an input backed by a
+  shared-memory segment is pushed as its zero-copy
+  :class:`~repro.memory.shm.ShmDescriptor`, which the worker attaches
+  once and keeps; small blocks and blocks of stores without the shm
+  backend are pushed by value.  Either way a block is pushed to a
+  worker at most once and named by a bare ref from then on, exactly as
+  on a cluster channel (``runtime/dispatch.py``, "Staging").
 
 ``charge`` stays a no-op: this runtime lives on the wall clock.
 """
@@ -30,16 +28,15 @@ What is specific to a same-host channel:
 from __future__ import annotations
 
 import multiprocessing
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Hashable, Iterable
 
 from repro.comm.pipe import pipe_pair, wrap_connection
-from repro.graph.taskspec import BlockRef
 from repro.obs.events import EventLog
 from repro.obs.live import MetricsRegistry
 from repro.runtime.dispatch import DEFAULT_INFLIGHT, PipelineChannel, RemoteRuntime
-from repro.runtime.worker import CRASH_EXIT_CODE, BlockCache, PinnedRef, WorkerSession
+from repro.runtime.worker import CRASH_EXIT_CODE, BlockCache, WorkerSession
 
-__all__ = ["CRASH_EXIT_CODE", "DEFAULT_INFLIGHT", "PinnedRef", "ProcessRuntime"]
+__all__ = ["CRASH_EXIT_CODE", "DEFAULT_INFLIGHT", "ProcessRuntime"]
 
 
 def _worker_main(raw_conn: Any) -> None:
@@ -71,7 +68,7 @@ class ProcessRuntime(RemoteRuntime):
         before a dispatching thread must wait for a reply slot).
     """
 
-    INPUT_PHASE = "attach"
+    SHARES_MEMORY = True
 
     def __init__(
         self,
@@ -116,25 +113,3 @@ class ProcessRuntime(RemoteRuntime):
 
     def _silent_reason(self, handle: PipelineChannel) -> str | None:
         return None if handle.peer.is_alive() else "died"
-
-    def _stage_inputs(self, store: Any, values: dict) -> Callable[[PipelineChannel], list]:
-        describe = getattr(store, "descriptor", None)
-        staged = [
-            (block, version, value,
-             describe(BlockRef(block, version)) if describe is not None else None)
-            for (block, version), value in values.items()
-        ]
-
-        def stage(handle: PipelineChannel) -> list:
-            inputs = []
-            for block, version, payload, desc in staged:
-                if desc is not None:
-                    if desc.name in handle.pinned:
-                        payload = PinnedRef(desc.name)
-                    else:
-                        handle.pinned.add(desc.name)
-                        payload = desc
-                inputs.append((block, version, payload))
-            return inputs
-
-        return stage

@@ -9,19 +9,14 @@ do decides the two things that differ -- a comm that offers
 offers ``sever`` and otherwise exits the process.
 
 A job names its inputs as ``(block, version)`` or ``(block, version,
-payload)``.  :class:`WorkerContext` resolves a read from the payload
-that rode the job message (an inline value, a
-:class:`~repro.memory.shm.ShmDescriptor` to attach, a
-:class:`PinnedRef` to a segment attached earlier on this connection),
-else from the versioned :class:`BlockCache`, else by a lazy ``fetch``
-round trip to the parent.  Writes are buffered and applied by the
-parent, which re-enforces the declared footprint there.
-
-A session that **keeps** (a :class:`~repro.runtime.cluster.WorkerServer`
-connection) also caches the inline payloads it is shipped and the
-outputs it computes, so the parent names them by a bare ref from then
-on (``runtime/dispatch.py``, "Staging").  The forked pipe child keeps
-nothing: its parent re-ships every input.
+payload)``.  Every session **keeps** what it is pushed -- a value as its
+one owning copy, a :class:`~repro.memory.shm.ShmDescriptor` as the view
+of a segment attached once -- and the outputs it computes, in the
+versioned :class:`BlockCache`, so the parent names them by a bare ref
+from then on (``runtime/dispatch.py``, "Staging").  A bare ref the cache
+misses is resolved by a lazy ``fetch`` round trip to the parent.  Writes
+are buffered and applied by the parent, which re-enforces the declared
+footprint there.
 """
 
 from __future__ import annotations
@@ -32,13 +27,13 @@ import sys
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Any, Callable, Hashable, NamedTuple
+from typing import Any, Callable, Hashable
 
 from repro.comm import frame
 from repro.comm.core import Comm, CommClosedError
 from repro.exceptions import OverwrittenError, SchedulerError
 from repro.graph.taskspec import BlockRef
-from repro.memory.shm import ShmDescriptor, attach_payload, own_payload
+from repro.memory.shm import Attachment, ShmDescriptor, attach_payload, own_payload
 
 #: Exit code of a ``die_on``-injected worker death (tests assert on it).
 CRASH_EXIT_CODE = 73
@@ -59,19 +54,6 @@ def payload_nbytes(value: Any) -> int:
     if isinstance(value, (tuple, list)):
         return sum(map(payload_nbytes, value))
     return getattr(value, "nbytes", None) or sys.getsizeof(value)
-
-
-class PinnedRef(NamedTuple):
-    """Wire stand-in for a :class:`ShmDescriptor` the receiving worker
-    has already attached.
-
-    Segment names are version-unique (a rewritten version gets a fresh
-    segment), so the name alone identifies the exact bytes the worker
-    pinned on first sight of the full descriptor.
-    """
-
-    name: str
-    """Segment name (``SharedMemory.name``) of the pinned descriptor."""
 
 
 class BlockCache:
@@ -248,7 +230,7 @@ class WorkerSession:
 
     ``job_done(payloads, nbytes)`` is called after each successful job
     with what it received, pushed or fetched (the worker server's
-    metrics hook); ``keep``: see the module docstring.
+    metrics hook).
     """
 
     def __init__(
@@ -256,19 +238,16 @@ class WorkerSession:
         comm: Comm,
         cache: BlockCache,
         job_done: Callable[[int, int], None] | None = None,
-        keep: bool = False,
     ) -> None:
         self.comm = comm
         self.cache = cache
         self.token = ""
         self._job_done = job_done
-        self._keep = keep
         self._spec: Any = None
         #: Frames a fetch wait pulled off the wire ahead of its data reply.
         self.backlog: deque = deque()
-        #: Shm attachments by segment name, kept for the life of the
-        #: connection so repeat dispatches of hot blocks skip re-attach.
-        self._pins: dict[str, tuple[Any, Any]] = {}
+        #: Shm segments attached for cached views, open until the session ends.
+        self._attachments: list[Attachment] = []
 
     def serve(self) -> None:
         comm = self.comm
@@ -298,7 +277,7 @@ class WorkerSession:
             return  # parent gone; its liveness policy handles the rest
         finally:
             self._hold("")
-            for _value, attachment in self._pins.values():
+            for attachment in self._attachments:
                 attachment.close()
             comm.close()
 
@@ -321,39 +300,33 @@ class WorkerSession:
             os._exit(CRASH_EXIT_CODE)
         sever()
 
-    def _attach_inputs(self, inputs: list) -> dict:
-        """The job's input table: shipped payloads resolved (new shm
-        segments attached and pinned, :class:`PinnedRef` served from the
-        pins), bare refs left :data:`_LAZY`."""
+    def _receive(self, inputs: list) -> tuple[dict, int, int]:
+        """The job's input table, keeping every pushed payload -- a value
+        :meth:`kept`, a descriptor's view cached uncopied -- with bare
+        refs left :data:`_LAZY`: ``(table, payloads, bytes)``."""
         table: dict = {}
+        count = nbytes = 0
         for block, version, *shipped in inputs:
             if not shipped:
                 table[(block, version)] = _LAZY
                 continue
             value = shipped[0]
-            if isinstance(value, PinnedRef):
+            if isinstance(value, ShmDescriptor):
                 try:
-                    value = self._pins[value.name][0]
-                except KeyError:
-                    # Protocol invariant broken: the parent only sends a ref
-                    # after shipping the descriptor on this same connection.
-                    raise SchedulerError(
-                        f"input ({block!r}, v{version}) referenced unpinned "
-                        f"segment {value.name!r}"
-                    ) from None
-            elif isinstance(value, ShmDescriptor):
-                desc = value
-                try:
-                    value, attachment = attach_payload(desc)
+                    value, attachment = attach_payload(value)
                 except FileNotFoundError:
-                    # The parent unlinked the segment after taking the
-                    # descriptor: the version was evicted/rewritten, which is
-                    # exactly the memory-reuse fault a parent-side read of an
-                    # evicted version raises.
+                    # Unlinked since the descriptor was taken (evicted or
+                    # rewritten): the memory-reuse fault of a parent-side read.
                     raise OverwrittenError(block, version, None) from None
-                self._pins[desc.name] = (value, attachment)
+                self._attachments.append(attachment)
+                n = payload_nbytes(value)
+                self.cache.put((self.token, block, version), value, n)
+            else:
+                value, n = self.kept(block, version, value)
             table[(block, version)] = value
-        return table
+            count += 1
+            nbytes += n
+        return table, count, nbytes
 
     def kept(self, block: Hashable, version: int, value: Any) -> tuple[Any, int]:
         """Cache ``value`` under the run token: ``(cached, nbytes)``.  The
@@ -364,17 +337,6 @@ class WorkerSession:
         nbytes = payload_nbytes(value)
         self.cache.put((self.token, block, version), value, nbytes)
         return value, nbytes
-
-    def _keep_pushed(self, inputs: list, table: dict) -> tuple[int, int]:
-        """Keep every payload that rode the job message inline:
-        ``(payloads, bytes)`` received."""
-        count = nbytes = 0
-        for block, version, *shipped in inputs:
-            if shipped and not isinstance(shipped[0], (PinnedRef, ShmDescriptor)):
-                table[(block, version)], n = self.kept(block, version, shipped[0])
-                count += 1
-                nbytes += n
-        return count, nbytes
 
     def _run_job(self, jid: int, key: Hashable, inputs: list) -> None:
         """Run one job and stream its reply.
@@ -391,8 +353,7 @@ class WorkerSession:
             if self._spec is None:
                 raise SchedulerError(f"job {key!r} arrived before its task spec")
             t_at = time.perf_counter()
-            table = self._attach_inputs(inputs)
-            pushed, pushed_bytes = self._keep_pushed(inputs, table) if self._keep else (0, 0)
+            table, pushed, pushed_bytes = self._receive(inputs)
             ctx = WorkerContext(self, key, jid, table)
             spans["attach"] = time.perf_counter() - t_at
             t_kw = time.perf_counter()
@@ -407,9 +368,9 @@ class WorkerSession:
             reply: tuple = ("done", jid, blob, spans)
             if self._job_done is not None:
                 self._job_done(ctx.fetches + pushed, ctx.fetch_bytes + pushed_bytes)
-            if self._keep:  # a consumer placed here reads it without a transfer
-                for (block, version), value in ctx.written:
-                    self.kept(block, version, value)
+            # A consumer placed here reads these without a transfer.
+            for (block, version), value in ctx.written:
+                self.kept(block, version, value)
         except Exception as exc:
             reply = ("fail", jid, _portable_exc(exc))
         try:

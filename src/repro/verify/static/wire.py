@@ -32,9 +32,7 @@ from repro.verify.report import Finding
 from repro.verify.static.callgraph import Program, StaticRule
 
 #: Non-exception classes blessed onto the wire.
-WIRE_SAFE_CLASSES = frozenset(
-    {"BlockRef", "ShmDescriptor", "Address", "PinnedRef", "Encoded"}
-)
+WIRE_SAFE_CLASSES = frozenset({"BlockRef", "ShmDescriptor", "Address", "Encoded"})
 
 #: Scalar/container type names that are trivially picklable.
 _SAFE_TYPE_NAMES = frozenset(

@@ -7,9 +7,11 @@ Three layers:
   connection (the same ``WorkerSession`` serves both): multiple jobs in
   one ``("jobs", [...])`` message stream one reply each, a
   ``die``-flagged job kills the worker mid-batch after the earlier
-  jobs' replies have been sent, descriptor pre-pinning serves repeat
-  reads through a :class:`PinnedRef` without re-shipping the segment,
-  and one job may mix inline payloads with lazily fetched refs;
+  jobs' replies have been sent, a pushed shm descriptor is attached
+  once and kept, so bare refs to it read the cache, a bare ref the
+  worker does not hold is fetched (and fails the job if the parent
+  cannot serve it), and one job may mix inline payloads with lazily
+  fetched refs;
 * **channel loss** -- a dead channel's comm is never closed under a
   drain leader that is still inside it (the fd-reuse hang);
 * **runtime integration** -- pipelined configurations (fewer processes
@@ -46,8 +48,7 @@ from repro.runtime.dispatch import (
     PipelineChannel,
     RemoteRuntime,
 )
-from repro.runtime.worker import BlockCache
-from repro.runtime.procpool import CRASH_EXIT_CODE, PinnedRef
+from repro.runtime.procpool import CRASH_EXIT_CODE
 from repro.runtime.tracing import ExecutionTrace
 
 _ids = itertools.count()
@@ -68,14 +69,16 @@ class _NoInputSpec:
 
 
 class _SumSpec:
-    """Picklable spec reading one block: writes the input's sum."""
+    """Picklable spec reading one version of block ``in``: writes its sum."""
+
+    def __init__(self, version=0):
+        self.ref = BlockRef("in", version)
 
     def inputs(self, key):
-        return [BlockRef("in", 0)]
+        return [self.ref]
 
     def compute(self, key, ctx):
-        value = ctx.read(BlockRef("in", 0))
-        ctx.write(BlockRef("out", 0), float(np.asarray(value).sum()))
+        ctx.write(BlockRef("out", 0), float(np.asarray(ctx.read(self.ref)).sum()))
 
 
 class _MixedSpec:
@@ -180,34 +183,42 @@ class TestJobsProtocol:
         worker.assert_died()
 
     def test_pinned_ref_serves_repeat_reads_without_reattach(self, worker):
+        # A pushed descriptor is attached once and its view kept for the
+        # session: later bare refs to it read that view.
         data = np.arange(64, dtype=np.float64)
-        _payload, seg = materialize_segment(data)
-        assert seg is not None
-        desc = seg.descriptor
+        total = float(data.sum())
+        seg = materialize_segment(data)[1]
         try:
             self.start(worker, _SumSpec())
-            # First dispatch ships the full descriptor (worker attaches
-            # and pins); every later one only names the pinned segment.
-            self.submit(worker, (1, "k1", [("in", 0, desc)]))
-            assert self.written(worker.comm.recv(timeout=10))[("out", 0)] == float(data.sum())
-            self.submit(
-                worker,
-                (2, "k2", [("in", 0, PinnedRef(desc.name))]),
-                (3, "k3", [("in", 0, PinnedRef(desc.name))]),
-            )
-            assert self.written(worker.comm.recv(timeout=10))[("out", 0)] == float(data.sum())
-            assert self.written(worker.comm.recv(timeout=10))[("out", 0)] == float(data.sum())
+            self.submit(worker, (1, "k1", [("in", 0, seg.descriptor)]))
+            assert self.written(worker.comm.recv(timeout=10))[("out", 0)] == total
+            # Unlinked: a second attach would fail, so bare refs can only
+            # be served from the view the worker kept -- without a fetch.
+            seg.dispose()
+            self.submit(worker, (2, "k2", [("in", 0)]), (3, "k3", [("in", 0)]))
+            for jid in (2, 3):
+                reply = worker.comm.recv(timeout=10)
+                assert reply[1] == jid and self.written(reply)[("out", 0)] == total
         finally:
-            worker.comm.send(("stop",))  # detach before the segment goes
-            worker.close()
             seg.dispose()
 
     def test_unpinned_ref_is_a_scheduler_error(self, worker):
-        self.start(worker, _SumSpec())
-        self.submit(worker, (1, "k1", [("in", 0, PinnedRef("never-shipped"))]))
+        # A bare ref the worker was never pushed falls back to a fetch ...
+        data = np.arange(64, dtype=np.float64)
+        self.start(worker, _SumSpec(1))
+        self.submit(worker, (1, "k1", [("in", 1)]))
+        assert worker.comm.recv(timeout=10) == ("fetch", 1, "in", 1)
+        worker.comm.send_oob(("data", "in", 1, frame.encode_oob(data)))
+        assert self.written(worker.comm.recv(timeout=10))[("out", 0)] == float(data.sum())
+        # ... and one the parent cannot serve either fails the job.
+        self.start(worker, _SumSpec(2))
+        self.submit(worker, (2, "k2", [("in", 2)]))
+        assert worker.comm.recv(timeout=10) == ("fetch", 2, "in", 2)
+        worker.comm.send_oob(("data", "in", 2, None))
         reply = worker.comm.recv(timeout=10)
-        assert reply[0] == "fail" and reply[1] == 1
-        assert "unpinned" in str(reply[2])
+        assert reply[0] == "fail" and reply[1] == 2
+        assert isinstance(reply[2], SchedulerError)
+        assert "could not serve" in str(reply[2])
 
     def test_inline_and_lazily_fetched_inputs_mix_in_one_job(self, worker):
         a, b = np.arange(8.0), np.arange(2048.0)
@@ -326,8 +337,8 @@ class TestChannelLoss:
 # placement
 
 
-def _channel(resident=False):
-    return PipelineChannel(_RendezvousComm(), None, BlockCache() if resident else None)
+def _channel():
+    return PipelineChannel(_RendezvousComm(), None)
 
 
 def _place(pool, values=None):
@@ -372,7 +383,7 @@ class TestPlacement:
         assert [_place(pool) for _ in range(2)] == [b, a]
 
     def test_equal_load_goes_to_the_channel_holding_the_inputs(self):
-        a, b = _channel(resident=True), _channel(resident=True)
+        a, b = _channel(), _channel()
         pool = _pool([a, b])
         tile, other = np.ones(64), np.ones(8)
         b.resident.put(("t", 0), tile, tile.nbytes)
@@ -387,7 +398,7 @@ class TestPlacement:
     def test_a_swapped_payload_does_not_count_as_held(self):
         # corrupt_data / a re-execution rewrite replace the stored
         # object: the worker's copy is of the old one.
-        a, b = _channel(resident=True), _channel(resident=True)
+        a, b = _channel(), _channel()
         pool = _pool([a, b])
         tile = np.ones(64)
         a.resident.put(("t", 0), tile, tile.nbytes)

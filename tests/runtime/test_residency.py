@@ -1,13 +1,15 @@
-"""The cluster data plane's traffic shape: a block crosses a channel at
+"""The remote data plane's traffic shape: a block crosses a channel at
 most once, and with the job that needs it.
 
-A dialed channel carries a residency table of what its worker holds
+Every channel carries a residency table of what its worker holds
 (pushed payloads, kept outputs); staging pushes an input the table does
 not hold *by identity* and names it by a bare ref otherwise; the lazy
 ``fetch`` is the fallback that makes the table a hint.  Every payload
 that crosses the wire is one ``FETCH`` event (``mode`` ``push`` or
-``fetch``, plus the channel's ``addr``), which is what these tests
-count.  In-process servers, no timing.
+``fetch``, plus the channel's ``addr`` or ``pid``), which is what these
+tests count.  On ``ProcessRuntime`` over a shared store a segment-backed
+push is the version's ``ShmDescriptor``; a cluster channel never carries
+one.  In-process servers, no timing.
 """
 
 import itertools
@@ -20,15 +22,19 @@ import pytest
 from repro.apps import make_app
 from repro.apps.base import AppConfig
 from repro.core import FTScheduler
-from repro.detect.checksum import ChecksumStore
+from repro.detect.checksum import ChecksumStore, SharedMemoryChecksumStore
+from repro.detect.silent import SilentFaultInjector, plan_silent_faults
 from repro.exceptions import DataCorruptionError
+from repro.faults import FaultInjector, plan_faults
 from repro.graph.taskspec import BlockRef
 from repro.memory.blockstore import BlockStore
 from repro.memory.context import StoreComputeContext
+from repro.memory.shm import ShmDescriptor
 from repro.obs.events import EventKind, EventLog
 from repro.obs.replay import assert_consistent
-from repro.runtime import ClusterRuntime, InlineRuntime, WorkerServer
-from repro.runtime.dispatch import PipelineChannel
+from repro.runtime import ClusterRuntime, InlineRuntime, ProcessRuntime, WorkerServer
+from repro.runtime.dispatch import PipelineChannel, stage
+from repro.runtime.tracing import ExecutionTrace
 from repro.runtime.worker import BlockCache
 from repro.verify.invariants import check_log
 
@@ -37,6 +43,10 @@ _ids = itertools.count()
 #: 4x4 tiles of 32 KiB: 20 tasks, 40 declared inputs.
 CFG = AppConfig(n=256, block=64)
 TILE_BYTES = 64 * 64 * 8
+
+#: 4x4 tiles of 72 KiB: above ``SMALL_BLOCK_BYTES``, so a shared store
+#: backs every tile with a segment.
+SHM_CFG = AppConfig(n=384, block=96)
 
 
 def start_server(**kwargs):
@@ -212,28 +222,130 @@ class TestIdentityGuard:
 
 class TestStaging:
     def test_back_to_back_jobs_ship_a_shared_input_once(self):
-        rt = ClusterRuntime(workers=1, seed=0, addresses=["inproc://never-dialed"])
-        handle = PipelineChannel(None, None, BlockCache(1 << 20))
+        handle = PipelineChannel(None, None)
         shared, own = np.arange(64.0), np.arange(8.0)
-        first = rt._stage_inputs(None, {("s", 0): shared, ("a", 0): own})
-        second = rt._stage_inputs(None, {("s", 0): shared})
         with handle.lock:  # staged back to back, before either is flushed
-            one, two = first(handle), second(handle)
+            one = stage(handle, {("s", 0): shared, ("a", 0): own})
+            two = stage(handle, {("s", 0): shared})
         assert [i[:2] for i in one] == [("s", 0), ("a", 0)]
         assert one[0][2] is shared and one[1][2] is own
         assert two == [("s", 0)]
         # Same version, different object (a rewrite): shipped again.
         rewritten = shared.copy()
-        (again,) = rt._stage_inputs(None, {("s", 0): rewritten})(handle)
+        (again,) = stage(handle, {("s", 0): rewritten})
         assert again[2] is rewritten
-        assert rt._stage_inputs(None, {("s", 0): rewritten})(handle) == [("s", 0)]
+        assert stage(handle, {("s", 0): rewritten}) == [("s", 0)]
 
     def test_table_is_byte_bounded(self):
-        rt = ClusterRuntime(workers=1, seed=0, addresses=["inproc://never-dialed"])
         tile = np.zeros(1024)
-        handle = PipelineChannel(None, None, BlockCache(2 * tile.nbytes))
+        handle = PipelineChannel(None, None)
+        handle.resident = BlockCache(2 * tile.nbytes)
         for name in "abc":
-            rt._stage_inputs(None, {(name, 0): tile})(handle)
+            stage(handle, {(name, 0): tile})
         assert handle.resident.nbytes <= 2 * tile.nbytes
-        (evicted,) = rt._stage_inputs(None, {("a", 0): tile})(handle)
+        (evicted,) = stage(handle, {("a", 0): tile})
         assert len(evicted) == 3  # "a" fell out of the table: pushed again
+
+
+class _Recording:
+    """Remote-runtime mixin: every job message shipped, as ``(channel,
+    key, inputs)`` -- what went on the wire, payload kinds included."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.jobs = []
+
+    def _ship_jobs(self, handle, msgs):
+        self.jobs.extend((handle, key, inputs) for _, key, inputs, *_ in msgs)
+        super()._ship_jobs(handle, msgs)
+
+
+class RecordingProcessRuntime(_Recording, ProcessRuntime):
+    pass
+
+
+class RecordingClusterRuntime(_Recording, ClusterRuntime):
+    pass
+
+
+def pushed_payloads(jobs):
+    return [i[2] for _, _, inputs in jobs for i in inputs if len(i) == 3]
+
+
+class TestDescriptorStaging:
+    """``ProcessRuntime`` over a shared store stages like a cluster
+    channel; the payload of a segment-backed push is its descriptor."""
+
+    def run_shared(self, app, store, hooks=None, trace=None):
+        log = EventLog()
+        rt = RecordingProcessRuntime(workers=2, seed=0, event_log=log)
+        FTScheduler(app, rt, store=store, hooks=hooks, trace=trace, event_log=log).run()
+        try:
+            got = app.extract(store)
+        finally:
+            store.close()
+        assert store.shm_stats.segments_created >= 1
+        pushed = pushed_payloads(rt.jobs)
+        assert any(isinstance(p, ShmDescriptor) for p in pushed)
+        # Every push, descriptor or value, is one FETCH event.
+        assert len(pushed) == len([e for e in shipped(log) if e.data["mode"] == "push"])
+        return got, rt, log
+
+    def test_fault_free_pushes_each_version_once_per_worker(self):
+        app = make_app("cholesky", config=SHM_CFG)
+        want, _ = run(app, InlineRuntime())
+        got, rt, log = self.run_shared(app, app.make_store(True, shared=True))
+        assert got.dtype == want.dtype and (got == want).all()
+        events = shipped(log)
+        assert {e.data["mode"] for e in events} == {"push"}
+        per_worker = Counter((e.data["pid"], e.data["block"], e.data["version"]) for e in events)
+        assert max(per_worker.values()) == 1
+        # A consumer placed on the channel that computed its input names
+        # it by a bare ref: the table holds the store's object, not the
+        # reply the worker sent.
+        computed_on, local = {}, 0
+        for handle, key, inputs in rt.jobs:
+            for block, version, *payload in inputs:
+                if computed_on.get((block, version)) is handle:
+                    assert not payload, (key, block, version)
+                    local += 1
+            for ref in app.outputs(key):
+                computed_on[tuple(ref)] = handle
+        assert local >= 1
+
+    def test_after_compute_faults_keep_parity(self):
+        app = make_app("cholesky", config=SHM_CFG)
+        want, _ = run(app, InlineRuntime())
+        plan = plan_faults(app, phase="after_compute", task_type="v=rand", count=2, seed=3)
+        store, trace = app.make_store(True, shared=True), ExecutionTrace()
+        got, _, _ = self.run_shared(
+            app, store, hooks=FaultInjector(plan, app, store, trace), trace=trace)
+        assert (got == want).all()
+        assert trace.total_recoveries > 0
+
+    def test_silent_in_place_corruption_is_caught_and_recovered(self):
+        app = make_app("cholesky", config=SHM_CFG)
+        want, _ = run(app, InlineRuntime())
+        store, trace = SharedMemoryChecksumStore(app.ft_policy), ExecutionTrace()
+        app.seed_store(store)
+        injector = SilentFaultInjector(plan_silent_faults(app, count=2, seed=13), app, store,
+                                       trace=trace)
+        got, _, _ = self.run_shared(app, store, hooks=injector, trace=trace)
+        assert (got == want).all()
+        assert injector.fired and store.detection.mismatches >= 1
+        assert trace.total_recoveries >= 1
+
+    def test_cluster_never_ships_a_descriptor(self, servers):
+        # A worker on another host cannot attach the parent's segment.
+        app = make_app("cholesky", config=SHM_CFG)
+        want, _ = run(app, InlineRuntime())
+        store = app.make_store(True, shared=True)
+        rt = RecordingClusterRuntime(workers=2, seed=0, addresses=[s.address for s in servers])
+        FTScheduler(app, rt, store=store).run()
+        try:
+            got = app.extract(store)
+        finally:
+            store.close()
+        assert (got == want).all() and store.shm_stats.segments_created >= 1
+        pushed = pushed_payloads(rt.jobs)
+        assert pushed and not any(isinstance(p, ShmDescriptor) for p in pushed)
