@@ -6,7 +6,7 @@ One contract (:class:`~repro.comm.core.Comm` /
 transports resolved by address scheme:
 
 * ``inproc://name`` -- loopback queues (tests, the explorer);
-* ``pipe://`` -- ``multiprocessing`` pipes (what
+* ``pipe://`` -- socketpairs handed to forked children (what
   :class:`~repro.runtime.procpool.ProcessRuntime` dispatches over);
 * ``tcp://host:port`` -- sockets with connect timeout, jittered
   retry/backoff, and heartbeat liveness (what
@@ -45,7 +45,7 @@ from repro.comm.frame import (
 from repro.comm import inproc as _inproc  # noqa: F401,E402
 from repro.comm import pipe as _pipe  # noqa: F401,E402
 from repro.comm import tcp as _tcp  # noqa: F401,E402
-from repro.comm.pipe import PipeComm, pipe_pair, wrap_connection
+from repro.comm.pipe import pipe_pair, wrap_connection
 
 __all__ = [
     "Address",
@@ -66,7 +66,6 @@ __all__ = [
     "encode_message",
     "loads",
     "pack_frame",
-    "PipeComm",
     "pipe_pair",
     "wrap_connection",
 ]

@@ -6,7 +6,7 @@ An *address* is ``scheme://location``; the scheme picks a backend:
 scheme     transport                                             location
 ========== ===================================================== ===========
 inproc     in-process loopback queues (tests, the explorer)      any token
-pipe       ``multiprocessing.connection`` pipe (ProcessRuntime)  (unused)
+pipe       socketpair + frame codec (ProcessRuntime)             (unused)
 tcp        sockets + frame codec + heartbeats (ClusterRuntime)   host:port
 ========== ===================================================== ===========
 

@@ -2,11 +2,11 @@
 
 A *frame* is ``8-byte little-endian unsigned length`` + ``payload``.  A
 *payload* is a pickled message (protocol ``HIGHEST_PROTOCOL``), produced
-by :func:`dumps` and consumed by :func:`loads`.  Stream transports (TCP)
-run the full codec; datagram-ish transports that already preserve
-message boundaries (``multiprocessing`` pipes, the in-process loopback)
-reuse only the payload layer, so a message that round-trips on one
-backend round-trips bit-identically on all of them -- which is what the
+by :func:`dumps` and consumed by :func:`loads`.  Every byte that leaves
+a process -- ``tcp://`` connections and ``pipe://`` socketpairs alike --
+runs the full codec; the in-process loopback moves no bytes and reuses
+only the payload layer, so a message that round-trips on one backend
+round-trips bit-identically on all of them -- which is what the
 wire-safety tests in ``tests/comm/`` pin down for the exception
 hierarchy and the shared-memory descriptors.
 

@@ -1,203 +1,41 @@
-"""Pipe backend: ``pipe://`` over ``multiprocessing.connection``.
+"""Pipe backend: ``pipe://``, a socketpair speaking the stream codec.
 
-This wraps the exact transport :class:`~repro.runtime.procpool.ProcessRuntime`
-used before the comm layer existed -- a ``multiprocessing.Pipe``
-connection pair -- behind the :class:`~repro.comm.core.Comm` contract,
-so the procpool dispatch loop speaks the same interface as the cluster
-runtime while its bytes move exactly as before (``Connection.send`` /
-``recv``, which already preserve message boundaries: no length-prefix
-framing needed, the OS pipe *is* the frame).
+A pipe is the transport whose two ends are made together: the parent
+builds the pair and a child process inherits one end at fork/spawn, so
+there is no dial step.  Both ends are a
+:class:`~repro.comm.tcp.SocketComm` over one ``socket.socketpair()``
+(what ``multiprocessing.Pipe()`` builds on Linux as well), so a pipe
+speaks the ``tcp://`` wire format, frame rails and out-of-band path.
 
-Because a pipe's two ends are created together by the parent and one is
-inherited by the child at fork/spawn, there is no dial step:
-``pipe_pair()`` replaces ``multiprocessing.Pipe()`` and
-:func:`wrap_connection` adapts an existing ``Connection`` (the child's
-inherited end).  ``connect``/``listen`` by address string are
-deliberately unsupported -- a pipe has no address space -- and raise
-``ValueError`` pointing callers at ``pipe_pair``.
-
-**Full-duplex under pipelined dispatch.**  The pair is a socketpair
-underneath, so the two directions are independent: one thread may block
-in ``send`` (the flat-combining flusher shipping a ``jobs`` batch) while
-another blocks in ``poll``/``recv`` (the drain leader collecting
-streamed replies) on the *same* end, concurrently and safely.  What the
-:class:`~repro.comm.core.Comm` contract still requires -- and the
-pipelined dispatch layer enforces with its per-channel send/recv locks
--- is at most one sender and one receiver at a time.
+:func:`pipe_pair` makes the pair; a comm's ``connection`` is what the
+parent hands to ``Process(args=...)``, and :func:`wrap_connection`
+adapts the end the child inherited.  The parent then closes its copy
+of the child end, and ``close()`` on a socketpair end is a plain
+descriptor close: the child's copy stays open.  ``connect``/``listen`` by address raise
+``ValueError`` pointing at ``pipe_pair`` -- a pipe has no address space.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
-import struct
+import socket
 from typing import Any, Callable
 
-from repro.comm import frame
-from repro.comm.core import Comm, CommClosedError, Listener, register_backend
-
-#: The errors a multiprocessing Connection raises once the peer is gone.
-_DEAD_PEER = (BrokenPipeError, EOFError, ConnectionResetError, OSError)
-
-#: First byte of a multi-segment (OOB) message group.  A pickle stream
-#: (protocol >= 2) always opens with the PROTO opcode ``0x80``, so one
-#: byte discriminates the two message kinds unambiguously.
-_OOB_MAGIC = 0xB5
-
-#: How many transport buffers a PipeComm keeps an eye on for recycling
-#: before abandoning the oldest to its consumers.
-_MAX_LENT = 64
+from repro.comm.core import Comm, Listener, register_backend
+from repro.comm.tcp import SocketComm
 
 
-class PipeComm(Comm):
-    """A :class:`Comm` over one end of a ``multiprocessing`` pipe."""
-
-    __slots__ = ("_conn", "_closed", "peer", "_pool", "_lent")
-
-    def __init__(self, conn: Any, peer: str = "pipe://") -> None:
-        self._conn = conn
-        self._closed = False
-        self.peer = peer
-        self._pool = frame.BufferPool()
-        self._lent: list[frame.OOBFrame] = []
-
-    def send(self, message: Any) -> None:
-        if self._closed:
-            raise CommClosedError(f"send on closed pipe comm ({self.peer})")
-        self._sweep_lent()
-        try:
-            self._conn.send(message)
-        except _DEAD_PEER as exc:
-            raise CommClosedError(f"pipe peer gone during send: {exc}") from exc
-
-    def send_oob(self, message: Any) -> None:
-        """Ship with out-of-band buffers: a magic-prefixed length table,
-        then the meta stream and every buffer as its own pipe message --
-        the Connection writes each straight from the source memory, no
-        join and no intermediate pickle copy."""
-        if self._closed:
-            raise CommClosedError(f"send on closed pipe comm ({self.peer})")
-        self._sweep_lent()
-        meta, buffers = frame.dumps_oob(message)
-        try:
-            if not buffers:
-                self._conn.send_bytes(meta)
-                return
-            raws = [b.raw() for b in buffers]
-            lens = [len(meta)] + [r.nbytes for r in raws]
-            table = struct.pack(f"<BI{len(lens)}Q", _OOB_MAGIC, len(lens), *lens)
-            self._conn.send_bytes(table)
-            self._conn.send_bytes(meta)
-            for raw in raws:
-                self._conn.send_bytes(raw)
-        except _DEAD_PEER as exc:
-            raise CommClosedError(f"pipe peer gone during send: {exc}") from exc
-
-    def _recv_oob(self, table: bytes) -> Any:
-        """Reassemble one multi-segment group into a pooled buffer and
-        decode it as zero-copy views (the OOBFrame ownership rule)."""
-        (nsegs,) = struct.unpack_from("<I", table, 1)
-        lens = struct.unpack_from(f"<{nsegs}Q", table, 5)
-        total = sum(lens)
-        if total > frame.MAX_FRAME_BYTES:
-            raise frame.OversizedFrameError(total, frame.MAX_FRAME_BYTES)
-        buf = self._pool.lease(total)
-        with memoryview(buf) as mv:
-            off = 0
-            for n in lens:
-                got = self._conn.recv_bytes_into(mv[off : off + n])
-                if got != n:
-                    raise frame.FrameError(
-                        f"OOB segment size mismatch: expected {n}, got {got}"
-                    )
-                off += n
-        meta = bytes(memoryview(buf)[: lens[0]])
-        views = []
-        off = lens[0]
-        for n in lens[1:]:
-            views.append(memoryview(buf)[off : off + n].toreadonly())
-            off += n
-        oob = frame.OOBFrame(meta, tuple(views), buf, self._pool)
-        message = oob.load()
-        if not oob.try_recycle():
-            self._lent.append(oob)
-        return message
-
-    def _sweep_lent(self) -> None:
-        """Retry recycling transport buffers whose consumers have let go."""
-        if self._lent:
-            self._lent = [f for f in self._lent if not f.try_recycle()]
-            del self._lent[:-_MAX_LENT]
-
-    def recv(self, timeout: float | None = None) -> Any:
-        if self._closed:
-            raise CommClosedError(f"recv on closed pipe comm ({self.peer})")
-        self._sweep_lent()
-        try:
-            if timeout is not None and not self._conn.poll(timeout):
-                raise TimeoutError(f"no message within {timeout}s on {self.peer}")
-            data = self._conn.recv_bytes()
-            if data[:1] == bytes([_OOB_MAGIC]):
-                return self._recv_oob(data)
-            # A plain message: Connection.send pickled it, recv_bytes
-            # handed us the identical payload -- decode it ourselves.
-            return pickle.loads(data)
-        except _DEAD_PEER as exc:
-            raise CommClosedError(f"pipe peer gone during recv: {exc}") from exc
-
-    def poll(self, timeout: float = 0.0) -> bool:
-        if self._closed:
-            return True
-        try:
-            return self._conn.poll(timeout)
-        except _DEAD_PEER:
-            return True  # the pending "message" is CommClosedError
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def fileno(self) -> int:
-        """Underlying descriptor (procpool's liveness poll wants it)."""
-        return self._conn.fileno()
-
-    @property
-    def connection(self) -> Any:
-        """The raw ``multiprocessing`` Connection -- what a parent hands
-        to ``Process(args=...)`` so the child can inherit this end."""
-        return self._conn
+def wrap_connection(conn: socket.socket, peer: str = "pipe://") -> SocketComm:
+    """The comm over an inherited pipe end (a comm's ``connection``)."""
+    return SocketComm(conn, peer)
 
 
-def wrap_connection(conn: Any, peer: str = "pipe://") -> PipeComm:
-    """Adapt an existing ``multiprocessing`` Connection (e.g. the end a
-    worker process inherited) into a :class:`PipeComm`."""
-    return PipeComm(conn, peer)
+def pipe_pair(ctx: Any | None = None) -> tuple[SocketComm, SocketComm]:
+    """A connected ``(parent_comm, child_comm)`` pair.
 
-
-def pipe_pair(ctx: Any | None = None) -> tuple[PipeComm, PipeComm]:
-    """A connected (parent_comm, child_comm) pair -- the comm-layer
-    replacement for ``multiprocessing.Pipe()``.
-
-    ``ctx`` is a multiprocessing context (for start-method control);
-    the child end's underlying connection is reachable as ``._conn``
-    for inheritance across the process boundary.
-    """
-    mp = ctx if ctx is not None else multiprocessing
-    parent_conn, child_conn = mp.Pipe()
-    return (
-        PipeComm(parent_conn, peer="pipe://child"),
-        PipeComm(child_conn, peer="pipe://parent"),
-    )
+    ``ctx`` (a ``multiprocessing`` context) is unused: any start method
+    can hand a socket to a child."""
+    parent, child = socket.socketpair()
+    return SocketComm(parent, peer="pipe://child"), SocketComm(child, peer="pipe://parent")
 
 
 def _no_connect(location: str) -> Comm:

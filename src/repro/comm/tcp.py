@@ -1,27 +1,34 @@
-"""TCP backend: ``tcp://host:port`` -- sockets, frames, heartbeats.
+"""Stream-socket backend: ``tcp://host:port``, and the comm ``pipe://`` pairs run on.
 
-The one backend that crosses a machine boundary, and therefore the one
-that has to *detect* peer loss rather than be told about it:
+:class:`SocketComm` drives one connected stream socket -- a TCP
+connection, or one end of the ``socket.socketpair()`` a
+:func:`~repro.comm.pipe.pipe_pair` builds -- so both remote runtimes
+speak one wire format through one set of frame rails:
 
-* **Framing.**  TCP is a byte stream, so every message rides the
-  length-prefixed codec from :mod:`repro.comm.frame`; a
+* **Framing.**  A stream has no message boundaries, so every message
+  rides the length-prefixed codec from :mod:`repro.comm.frame`; a
   :class:`~repro.comm.frame.FrameDecoder` per connection reassembles
   chunks into payloads and enforces the oversize ceiling before
-  buffering.
+  buffering.  A peer that dies mid-frame is peer loss
+  (``CommClosedError``) caused by the decoder's ``TruncatedFrameError``.
+* **Waiting.**  Each comm registers its socket once with a
+  ``select.poll`` object, which has no ceiling on descriptor numbers.
 * **Connect timeout.**  ``connect`` bounds the dial
   (:data:`CONNECT_TIMEOUT_SECONDS`); retry/backoff policy lives one
   level up in :func:`repro.comm.core.connect_with_retry`.
-* **Heartbeat liveness.**  :meth:`TCPComm.start_heartbeat` sends a tiny
-  protocol-level frame every ``interval`` seconds from a dedicated
-  thread.  The receiving side swallows heartbeats transparently (they
-  never surface from ``recv``) and timestamps *every* inbound byte, so
-  :meth:`TCPComm.idle_seconds` measures true peer silence: a parent
+* **Heartbeat liveness.**  :meth:`SocketComm.start_heartbeat` sends a
+  tiny protocol-level frame every ``interval`` seconds from a dedicated
+  thread; whether to beat is the serving side's decision (a worker
+  server beats, a forked pipe child does not).  The receiving side
+  swallows heartbeats transparently (they never surface from ``recv``)
+  and timestamps *every* inbound byte, so
+  :meth:`SocketComm.idle_seconds` measures true peer silence: a parent
   that sees ``idle_seconds() > timeout`` on a connection whose worker
   should be heartbeating declares the worker dead even when the kernel
   never delivers an RST (the powered-off-node case).
 
-``TCP_NODELAY`` is set on every connection: dispatch messages are small
-and latency-bound, and Nagle would batch them against us.
+``TCP_NODELAY`` is set on every inet connection: dispatch messages are
+small and latency-bound, and Nagle would batch them against us.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ _DIRECT_RECV_MIN = 1 << 14
 #: (the kernel's IOV_MAX is typically 1024; Python does not expose it).
 _IOV_CAP = 512
 
-#: How many receive buffers a TCPComm keeps an eye on for recycling
+#: How many receive buffers a SocketComm keeps an eye on for recycling
 #: before abandoning the oldest to its consumers.
 _MAX_LENT = 64
 
@@ -63,16 +70,17 @@ _MAX_LENT = 64
 _HEARTBEAT = ("__hb__",)
 
 
-class TCPComm(Comm):
-    """A :class:`Comm` over one connected TCP socket."""
+class SocketComm(Comm):
+    """A :class:`Comm` over one connected stream socket."""
 
     def __init__(self, sock: socket.socket, peer: str) -> None:
         sock.setblocking(True)
-        try:
+        self._inet = sock.family in (socket.AF_INET, socket.AF_INET6)
+        if self._inet:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:  # pragma: no cover - exotic transports only
-            pass
         self._sock = sock
+        self._poller = select.poll()
+        self._poller.register(sock, select.POLLIN)
         self._pool = frame.BufferPool()
         self._decoder = frame.FrameDecoder(pool=self._pool)
         self._inbox: deque[Any] = deque()
@@ -97,7 +105,7 @@ class TCPComm(Comm):
                 sent = self._sock.sendmsg(views[:_IOV_CAP])
             except OSError as exc:
                 self._eof = True
-                raise CommClosedError(f"tcp peer {self.peer} gone during send: {exc}") from exc
+                raise CommClosedError(f"peer {self.peer} gone during send: {exc}") from exc
             while sent:
                 head = views[0]
                 if head.nbytes <= sent:
@@ -111,7 +119,7 @@ class TCPComm(Comm):
         payload = frame.dumps(message)
         with self._send_lock:
             if self._closed:
-                raise CommClosedError(f"send on closed tcp comm to {self.peer}")
+                raise CommClosedError(f"send on closed comm to {self.peer}")
             self._sendmsg_all([frame._HEADER.pack(len(payload)), payload])  # verify: ok=blocking-under-lock (send_lock exists to serialize wire writes; sending under it is its purpose)
 
     def send_oob(self, message: Any) -> None:
@@ -122,7 +130,7 @@ class TCPComm(Comm):
         parts = frame.encode_message_oob(message)
         with self._send_lock:
             if self._closed:
-                raise CommClosedError(f"send on closed tcp comm to {self.peer}")
+                raise CommClosedError(f"send on closed comm to {self.peer}")
             self._sendmsg_all(parts)  # verify: ok=blocking-under-lock (send_lock exists to serialize wire writes; sending under it is its purpose)
 
     def _try_send(self, message: Any) -> bool:
@@ -135,7 +143,7 @@ class TCPComm(Comm):
             return False
         try:
             if self._closed:
-                raise CommClosedError(f"send on closed tcp comm to {self.peer}")
+                raise CommClosedError(f"send on closed comm to {self.peer}")
             self._sendmsg_all([frame._HEADER.pack(len(payload)), payload])
         finally:
             self._send_lock.release()
@@ -166,17 +174,12 @@ class TCPComm(Comm):
         self._sweep_lent()
         while not self._inbox and not self._eof and not self._closed:
             if deadline is None:
-                wait: float | None = None
+                wait_ms: float | None = None
             else:
-                # Past the deadline the select is non-blocking: poll(0)
+                # Past the deadline the wait is non-blocking: poll(0)
                 # must still see bytes that are already in the socket.
-                wait = max(0.0, deadline - time.monotonic())
-            try:
-                readable, _, _ = select.select([self._sock], [], [], wait)
-            except (OSError, ValueError):  # socket closed under us
-                self._eof = True
-                return
-            if not readable:
+                wait_ms = max(0.0, deadline - time.monotonic()) * 1000.0
+            if not self._poller.poll(wait_ms):
                 return
             dest = self._decoder.direct_destination()
             try:
@@ -210,7 +213,11 @@ class TCPComm(Comm):
             if self._inbox:
                 return self._inbox.popleft()
             if self._closed or self._eof:
-                raise CommClosedError(f"tcp peer {self.peer} is gone")
+                try:
+                    self._decoder.close()
+                except frame.TruncatedFrameError as exc:
+                    raise CommClosedError(f"peer {self.peer} is gone mid-frame: {exc}") from exc
+                raise CommClosedError(f"peer {self.peer} is gone")
             self._pump(deadline)
             if not self._inbox and not self._eof:
                 if deadline is not None and time.monotonic() >= deadline:
@@ -262,10 +269,14 @@ class TCPComm(Comm):
         self._closed = True
         if self._hb_stop is not None:
             self._hb_stop.set()
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
+        if self._inet:
+            # Wakes a thread of ours parked on the socket.  Never on a
+            # socketpair end: a forked child shares that socket, and
+            # shutdown() would sever the child too.
+            try:
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
         try:
             self._sock.close()
         except OSError:
@@ -274,6 +285,12 @@ class TCPComm(Comm):
     @property
     def closed(self) -> bool:
         return self._closed or self._eof
+
+    @property
+    def connection(self) -> socket.socket:
+        """The raw socket -- what a parent hands to ``Process(args=...)``
+        so a child inherits this end (see :func:`repro.comm.pipe.wrap_connection`)."""
+        return self._sock
 
 
 class TCPListener(Listener):
@@ -304,7 +321,7 @@ class TCPListener(Listener):
             if self._closed:
                 conn.close()  # raced close(): refuse, never serve
                 return
-            comm = TCPComm(conn, peer=f"tcp://{addr[0]}:{addr[1]}")
+            comm = SocketComm(conn, peer=f"tcp://{addr[0]}:{addr[1]}")
             threading.Thread(
                 target=self._handler, args=(comm,), daemon=True, name="repro-tcp-serve"
             ).start()
@@ -341,7 +358,7 @@ def _connect(location: str) -> Comm:
     except OSError as exc:
         raise CommClosedError(f"connect to tcp://{host}:{port} failed: {exc}") from exc
     sock.settimeout(None)
-    return TCPComm(sock, peer=f"tcp://{host}:{port}")
+    return SocketComm(sock, peer=f"tcp://{host}:{port}")
 
 
 def _listen(location: str, handler: Callable[[Comm], None]) -> Listener:

@@ -129,6 +129,7 @@ class WorkerServer:
         self._stopped.wait()
 
     def _serve_connection(self, comm: Comm) -> None:
+        getattr(comm, "start_heartbeat", lambda: None)()  # the parent watches for these beats
         WorkerSession(comm, self.cache, self._job_done).serve()
 
     def _job_done(self, payloads: int, nbytes: int) -> None:

@@ -3,10 +3,9 @@
 :class:`WorkerSession` is the whole worker half of the job protocol
 (docs/DISTRIBUTED.md has the message table).  It runs unchanged in a
 forked pipe child of ``ProcessRuntime`` and on every connection a
-:class:`~repro.runtime.cluster.WorkerServer` accepts: what the comm can
-do decides the two things that differ -- a comm that offers
-``start_heartbeat`` beats, and an injected death severs a comm that
-offers ``sever`` and otherwise exits the process.
+:class:`~repro.runtime.cluster.WorkerServer` accepts (the server, not
+the session, decides to heartbeat).  An injected death severs a comm
+that offers ``sever`` and otherwise exits the process.
 
 A job names its inputs as ``(block, version)`` or ``(block, version,
 payload)``.  Every session **keeps** what it is pushed -- a value as its
@@ -251,9 +250,6 @@ class WorkerSession:
 
     def serve(self) -> None:
         comm = self.comm
-        start_heartbeat = getattr(comm, "start_heartbeat", None)
-        if start_heartbeat is not None:
-            start_heartbeat()  # parent-side liveness watches for these beats
         try:
             while True:
                 msg = self.backlog.popleft() if self.backlog else comm.recv()

@@ -193,12 +193,14 @@ class ConfinementRule(StaticRule):
       paper's atomics) but nothing that can block, signal or spawn, and
       never calls ``.acquire()`` / ``.release()`` directly: all lock use
       goes through ``with`` so no exception path can leak a held lock.
-    * ``raw-multiprocessing`` -- outside ``runtime/`` and ``comm/``, no
+    * ``raw-multiprocessing`` -- outside ``runtime/``, no
       :mod:`multiprocessing` or :mod:`concurrent.futures`.  Process
-      lifecycle -- fork timing, pipe protocol, crash surfacing -- is the
-      runtime layer's contract; a stray pool elsewhere would bypass the
-      fault model entirely.  ``multiprocessing.shared_memory`` is exempt:
-      the memory layer owns segments but never processes.
+      lifecycle -- fork timing, crash surfacing -- is the runtime
+      layer's contract; a stray pool elsewhere would bypass the fault
+      model entirely, and ``comm/`` moves bytes over sockets, never
+      through ``multiprocessing``'s own wire format.
+      ``multiprocessing.shared_memory`` is exempt: the memory layer owns
+      segments but never processes.
     * ``raw-socket`` -- only ``comm/`` touches :mod:`socket`,
       :mod:`select` or :mod:`selectors`.  Every byte that crosses a
       process or machine boundary rides a :class:`~repro.comm.core.Comm`,
@@ -223,7 +225,7 @@ class ConfinementRule(StaticRule):
         Confinement(
             "raw-multiprocessing",
             banned=("multiprocessing", "concurrent.futures"),
-            home=("runtime/", "comm/"),
+            home=("runtime/",),
             exempt=("multiprocessing.shared_memory",),
         ),
         Confinement("raw-socket", banned=("socket", "select", "selectors"), home=("comm/",)),

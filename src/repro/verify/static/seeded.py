@@ -375,7 +375,15 @@ SEEDED: tuple[SeededCase, ...] = (
         relpath="core/_seed_mp.py",
         source="import multiprocessing\n",
         line=1,
-        expect="`import multiprocessing` outside runtime/ and comm/",
+        expect="`import multiprocessing` outside runtime/",
+    ),
+    SeededCase(
+        name="multiprocessing-in-comm",
+        rule="raw-multiprocessing",
+        relpath="comm/_seed_mp.py",
+        source="import multiprocessing\n",
+        line=1,
+        expect="`import multiprocessing` outside runtime/",
     ),
     SeededCase(
         name="futures-from-import",
@@ -383,7 +391,7 @@ SEEDED: tuple[SeededCase, ...] = (
         relpath="apps/_seed_futures.py",
         source="from concurrent import futures\n",
         line=1,
-        expect="`from concurrent import futures` outside runtime/ and comm/",
+        expect="`from concurrent import futures` outside runtime/",
     ),
     SeededCase(
         name="socket-outside-comm",

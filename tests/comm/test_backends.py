@@ -2,13 +2,17 @@
 and peer loss on every transport collapses into CommClosedError."""
 
 import itertools
+import multiprocessing
+import os
+import resource
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro import comm
-from repro.comm.pipe import pipe_pair
+from repro.comm.pipe import pipe_pair, wrap_connection
 
 _ids = itertools.count()
 
@@ -144,6 +148,78 @@ class TestPollZero:
             assert not receiver.poll(0)
         finally:
             cleanup()
+
+
+@pytest.fixture
+def fds_past_1024():
+    """Hold 1 100 descriptors open, so the next sockets land past
+    ``select()``'s FD_SETSIZE.  A parent gets there for real: every live
+    shm segment keeps a descriptor open."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    want = 1200
+    if hard != resource.RLIM_INFINITY and hard < want:
+        pytest.skip(f"RLIMIT_NOFILE hard limit {hard} < {want}")
+    if soft != resource.RLIM_INFINITY and soft < want:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (want, hard))
+    held = []
+    try:
+        held.extend(os.open(os.devnull, os.O_RDONLY) for _ in range(1100))
+        yield
+    finally:
+        for fd in held:
+            os.close(fd)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+
+
+@pytest.mark.parametrize("kind", ("tcp", "pipe"))
+def test_round_trip_on_a_descriptor_past_1024(fds_past_1024, kind):
+    # select.select raises ValueError on such a descriptor; a comm that
+    # read that as EOF declared a live peer dead with a message waiting.
+    sender, receiver, cleanup = _pair(kind)
+    try:
+        assert receiver.connection.fileno() >= 1024
+        sender.send(("done", 1))
+        assert receiver.poll(5.0)
+        assert not receiver.closed
+        assert receiver.recv(timeout=5) == ("done", 1)
+    finally:
+        cleanup()
+
+
+def _echo_until_stop(raw):
+    """A forked peer on an inherited pipe end: echo every message out of
+    band until ``stop``."""
+    c = wrap_connection(raw, peer="pipe://parent")
+    while (msg := c.recv()) != "stop":
+        c.send_oob(("echo", msg))
+    c.close()
+
+
+def test_pipe_round_trips_after_parent_closes_the_handed_off_end():
+    # ProcessRuntime's channel-opening sequence: fork a peer on the child
+    # end, then close the parent's copy.  That close must be a plain
+    # descriptor close -- shutdown() acts on the one socket both
+    # processes share and would sever the peer.
+    mp = multiprocessing.get_context("fork")
+    chan, child = pipe_pair(mp)
+    proc = mp.Process(target=_echo_until_stop, args=(child.connection,), daemon=True)
+    proc.start()
+    child.close()
+    try:
+        chan.send("plain")
+        assert chan.recv(timeout=10) == ("echo", "plain")
+        arr = np.arange(64 * 1024, dtype=np.float64)  # 512 KiB: rides out of band
+        chan.send_oob(("data", arr))
+        tag, (tag2, out) = chan.recv(timeout=10)
+        assert (tag, tag2) == ("echo", "data")
+        np.testing.assert_array_equal(out, arr)
+        chan.send("stop")
+        proc.join(timeout=10)
+        assert proc.exitcode == 0
+    finally:
+        if proc.is_alive():
+            proc.terminate()
+        chan.close()
 
 
 class TestPeerLoss:

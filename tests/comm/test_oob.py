@@ -101,28 +101,54 @@ class TestMultiSegmentFraming:
         np.testing.assert_array_equal(got[1].load()[1], arr)
         assert frame.loads(got[2]) == "after"
 
+    # The rails below hold on both receivers: a bare decoder, and a
+    # pipe_pair() end fed the same raw bytes through its socket.
+
     def test_runaway_segment_count_rejected_from_header(self):
-        d = frame.FrameDecoder()
         header = frame._HEADER.pack(frame.OOB_FLAG | (frame.MAX_OOB_SEGMENTS + 1))
-        with pytest.raises(frame.OversizedFrameError):
-            d.feed(header)
+        for err in _rail_errors(header):
+            assert isinstance(err, frame.OversizedFrameError)
 
     def test_oob_total_over_ceiling_rejected_from_table(self):
-        d = frame.FrameDecoder(max_bytes=1024)
         header = frame._HEADER.pack(frame.OOB_FLAG | 2)
-        table = frame._HEADER.pack(100) + frame._HEADER.pack(2048)
-        with pytest.raises(frame.OversizedFrameError) as ei:
-            d.feed(header + table)
-        assert ei.value.nbytes == 2148
+        table = frame._HEADER.pack(100) + frame._HEADER.pack(frame.MAX_FRAME_BYTES)
+        for err in _rail_errors(header + table):
+            assert isinstance(err, frame.OversizedFrameError)
+            assert err.nbytes == frame.MAX_FRAME_BYTES + 100
 
     def test_truncated_mid_segment(self):
         wire = b"".join(
             bytes(p) for p in frame.encode_message_oob(("data", _array(8)))
         )
-        d = frame.FrameDecoder()
-        d.feed(wire[:-100])
-        with pytest.raises(frame.TruncatedFrameError):
-            d.close()
+        decoder, pipe = _rail_errors(wire[:-100])
+        assert isinstance(decoder, frame.TruncatedFrameError)
+        # A stream cut mid-frame is peer loss, the runtimes' one failure
+        # signal, and the rail that saw it is its cause.
+        assert isinstance(pipe, comm.CommClosedError)
+        assert isinstance(pipe.__cause__, frame.TruncatedFrameError)
+
+
+def _rail_errors(wire: bytes) -> tuple[Exception, Exception]:
+    """What ``wire`` and then end-of-stream raise on a ``FrameDecoder``
+    and on the far end of a ``pipe_pair()``."""
+    errors = []
+    d = frame.FrameDecoder()
+    try:
+        d.feed(wire)
+        d.close()
+    except frame.FrameError as exc:
+        errors.append(exc)
+    a, b = pipe_pair()
+    try:
+        a.connection.sendall(wire)
+        a.close()
+        b.recv(timeout=5)
+    except (frame.FrameError, comm.CommClosedError) as exc:
+        errors.append(exc)
+    finally:
+        b.close()
+    assert len(errors) == 2, f"a receiver accepted {wire[:16]!r}..."
+    return errors[0], errors[1]
 
 
 class TestBufferLifetime:

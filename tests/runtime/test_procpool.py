@@ -268,3 +268,25 @@ class TestRuntimeSurface:
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
             ProcessRuntime(workers=0)
+
+    def test_spawn_start_method_bit_identical(self):
+        # A spawned child gets its pipe end as a socket the parent passes
+        # across exec, not as inherited memory.
+        app = make_app("lcs", scale="tiny")
+        want, _ = run_ft(app, InlineRuntime(), shared=False)
+        rt = ProcessRuntime(workers=2, seed=0, start_method="spawn")
+        got, _ = run_ft(app, rt, shared=True)
+        assert_identical(got, want)
+
+    def test_idle_channel_stays_byte_silent(self):
+        # Heartbeats are a worker server's decision: a forked worker's
+        # comm could beat, but the session must not start it.
+        rt = ProcessRuntime(workers=1, seed=0)
+        handle = rt._open_channel()
+        try:
+            assert not handle.comm.poll(0.7)  # pumps (and timestamps) any beat
+            assert handle.comm.idle_seconds() > 0.5
+        finally:
+            handle.comm.send(("stop",))
+            rt._retire(handle)
+            handle.comm.close()

@@ -180,9 +180,10 @@ class TestSeededViolations:
         src = "from multiprocessing import Pipe, Process\n"
         assert not lint_source(src, "runtime/seeded.py", "raw-multiprocessing")
 
-    def test_raw_multiprocessing_allows_comm_modules(self):
+    def test_raw_multiprocessing_fires_in_comm_modules(self):
+        # comm/ moves bytes over sockets, never multiprocessing's wire.
         src = "import multiprocessing\n"
-        assert not lint_source(src, "comm/seeded.py", "raw-multiprocessing")
+        assert lint_source(src, "comm/seeded.py", "raw-multiprocessing")
 
     def test_raw_threading_allows_comm_modules(self):
         src = "import threading\nt = threading.Thread(target=print)\n"
