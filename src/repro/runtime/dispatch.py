@@ -56,10 +56,10 @@ parent's memory (:attr:`RemoteRuntime.SHARES_MEMORY`).
   outbox and flushes under the send lock; whoever holds the lock ships
   everything queued meanwhile as one ``("jobs", [...])`` message --
   flat combining, one syscall and one wake-up per burst.
-* *Leader-drain replies.*  Workers stream one reply per job.  Whichever
-  in-flight submitter wins the channel's recv lock drains replies for
-  *all* of them, resolving each submitter's event; when its own job
-  resolves it returns and the next waiter's try-acquire takes over.
+* *One reader per channel.*  Workers stream one reply per job.  The
+  submitter that takes the channel's free ``reader`` slot reads replies
+  for *all* its channel-mates, resolving each under the channel lock;
+  the others wait on the channel's condition until theirs lands.
 
 **A lost worker is a detected compute-phase fault**, decided in one
 place (:meth:`RemoteRuntime._channel_lost`): process death, a severed
@@ -73,7 +73,7 @@ pair, one crash count), keyed by the ``die_on``-flagged job when the
 death was injected.  The baseline Nabbit scheduler has no recovery path,
 and a crash fails the run (faithful to the paper).
 
-The leader also computes each job's **queued** time: a worker runs its
+The reader also computes each job's **queued** time: a worker runs its
 channel's jobs in FIFO order, so job *B* started (approximately) when
 the reply before it arrived.  ``queued = clamp(previous_reply_arrival -
 t_sent, 0, round_trip)`` is how long B sat behind its channel-mates --
@@ -101,14 +101,9 @@ from repro.runtime.frames import Frame
 from repro.runtime.threadpool import ThreadedRuntime
 from repro.runtime.worker import BlockCache, payload_nbytes
 
-#: Reply-poll granularity of the drain leader (also each silent-channel
-#: liveness check interval).
+#: Reply-poll granularity of a channel's reader (also each silent-channel
+#: liveness check and waiting submitter's abort check interval).
 POLL_SECONDS = 0.05
-
-#: How long a non-leader submitter sleeps on its event between
-#: leadership probes.  Small: on leader hand-off the next waiter must
-#: take over quickly or replies sit unread in the channel buffer.
-_WAITER_WAKE_SECONDS = 0.002
 
 #: Submit gives up if no window slot frees up for this long (pool
 #: accounting bug, or every channel wedged without dying).
@@ -126,12 +121,11 @@ DEFAULT_INFLIGHT = 2
 
 
 class PendingJob:
-    """One job in flight on a channel: the submitter blocks on ``event``
-    until the drain leader fills ``reply`` (or the channel dies and it
-    becomes :data:`CRASHED`)."""
+    """One job in flight on a channel: ``reply`` stays ``None`` until the
+    channel's reader fills it (or the channel dies and it becomes
+    :data:`CRASHED`), always under the channel lock."""
 
-    __slots__ = ("jid", "key", "life", "die", "values", "event", "reply",
-                 "t_sent", "queued")
+    __slots__ = ("jid", "key", "life", "die", "values", "reply", "t_sent", "queued")
 
     def __init__(self, jid: int, key: Hashable, life: int, die: bool, values: dict) -> None:
         self.jid = jid
@@ -141,7 +135,6 @@ class PendingJob:
         #: The held input payloads, ``(block, version) -> value``: what a
         #: worker's lazy fetch for this job is served from.
         self.values = values
-        self.event = threading.Event()
         self.reply: Any = None
         self.t_sent = 0.0
         self.queued = 0.0
@@ -150,13 +143,13 @@ class PendingJob:
 class PipelineChannel:
     """One worker channel: its comm plus the pipelining state.
 
-    Lock order (outermost first): ``recv_lock`` > ``send_lock`` >
-    ``lock``.  ``lock`` guards the mutable bookkeeping and is never held
-    across a blocking call; ``send_lock`` serializes wire writes;
-    ``recv_lock`` elects the drain leader.
+    Lock order (outermost first): ``send_lock`` > ``lock``.  ``lock``
+    (and ``cond``, built on it) guards the mutable bookkeeping, the
+    ``reader`` slot included, and is never held across a blocking call;
+    ``send_lock`` serializes wire writes.
     """
 
-    __slots__ = ("comm", "peer", "info", "lock", "send_lock", "recv_lock", "outbox",
+    __slots__ = ("comm", "peer", "info", "lock", "cond", "send_lock", "reader", "outbox",
                  "pending", "resident", "dead", "spec", "last_reply", "load", "freed")
 
     def __init__(self, comm: Comm, peer: Any, **info: Any) -> None:
@@ -168,8 +161,10 @@ class PipelineChannel:
         #: replacing runtime adds the cause of death.
         self.info = info
         self.lock = threading.Lock()
+        self.cond = threading.Condition(self.lock)
         self.send_lock = threading.Lock()
-        self.recv_lock = threading.Lock()
+        #: The one submitter allowed inside ``comm.poll``/``recv``, or None.
+        self.reader: PendingJob | None = None
         #: Wire messages queued for the next flush: ``(spec, msg)`` pairs.
         self.outbox: list[tuple[Any, tuple]] = []
         #: jid -> PendingJob for every job sent (or queued) but unresolved.
@@ -511,8 +506,8 @@ class RemoteRuntime(ThreadedRuntime):
                 try:
                     self._ship_batch(handle, batch)  # verify: ok=blocking-under-lock (send_lock exists to serialize wire writes; sending under it is its purpose)
                 except CommClosedError:
-                    self._channel_lost(handle, "closed")  # verify: ok=blocking-under-lock (channel already dead; the corpse-join keeps send_lock only against peers that will see handle.dead)
-                    return
+                    break
+        self._channel_lost(handle, "closed")
 
     def _ship_batch(self, handle: PipelineChannel, batch: list[tuple[Any, tuple]]) -> None:
         """Send one flushed outbox: spec announcements interleaved (in
@@ -540,36 +535,41 @@ class RemoteRuntime(ThreadedRuntime):
         # ship as scattered buffer segments, never re-pickled.
         handle.comm.send_oob(("jobs", msgs))
 
-    # -- the leader-drain receive path ------------------------------------------
+    # -- the receive path: one reader per channel -------------------------------
 
     def _await_pipelined(self, handle: PipelineChannel, me: PendingJob) -> Any:
-        event = me.event
+        """Block until ``me`` resolves, reading the channel whenever its
+        reader slot is free; a reader leaving a dead channel closes it."""
         while True:
-            if event.is_set():
-                return me.reply
-            if handle.recv_lock.acquire(blocking=False):
-                try:
-                    if not event.is_set():
-                        self._drain_channel(handle, me)
-                finally:
-                    handle.recv_lock.release()
-                if handle.dead:
-                    self._close_dead(handle)
-            else:
-                event.wait(_WAITER_WAKE_SECONDS)
-            if self.aborted() and not event.is_set():
+            with handle.cond:
+                while me.reply is None:
+                    if self.aborted():
+                        handle.pending.pop(me.jid, None)
+                        raise SchedulerError(
+                            f"run aborted while task {me.key!r} awaited a worker reply"
+                        )
+                    if handle.reader is None and not handle.dead:
+                        handle.reader = me
+                        break
+                    handle.cond.wait(POLL_SECONDS)
+                else:
+                    return me.reply
+            try:
+                self._read_channel(handle, me)
+            finally:
                 with handle.lock:
-                    handle.pending.pop(me.jid, None)
-                raise SchedulerError(
-                    f"run aborted while task {me.key!r} awaited a worker reply"
-                )
+                    handle.reader = None
+                    dead = handle.dead
+                    handle.cond.notify_all()
+                if dead:
+                    handle.comm.close()
 
-    def _drain_channel(self, handle: PipelineChannel, me: PendingJob) -> None:
-        """Drain replies for every job in flight on ``handle`` until our
-        own resolves or the channel is lost.  Runs with ``recv_lock``
-        held: we are the only reader."""
+    def _read_channel(self, handle: PipelineChannel, me: PendingJob) -> None:
+        """Read replies for every job in flight on ``handle`` until our
+        own resolves or the channel is lost.  Runs in the reader slot and
+        outside every lock: we are the only thread inside the comm."""
         comm = handle.comm
-        while not me.event.is_set():
+        while me.reply is None and not handle.dead:
             try:
                 if comm.poll(POLL_SECONDS):
                     self._route_reply(handle, comm.recv())
@@ -601,19 +601,20 @@ class RemoteRuntime(ThreadedRuntime):
         with handle.lock:
             p = handle.pending.pop(msg[1], None)
             prev, handle.last_reply = handle.last_reply, now
-        if p is None:
-            return  # reply for a job resolved another way (late, post-crash)
-        if prev is not None and p.t_sent:
-            # The worker runs this channel's jobs in FIFO order, so our
-            # job started when the reply before it arrived: everything
-            # between t_sent and then is pipelining backlog, not cost.
-            p.queued = min(max(0.0, prev - p.t_sent), max(0.0, now - p.t_sent))
-        p.reply = msg
-        p.event.set()
+            if p is None:
+                return  # reply for a job resolved another way (late, post-crash)
+            if prev is not None and p.t_sent:
+                # The worker runs this channel's jobs in FIFO order, so our
+                # job started when the reply before it arrived: everything
+                # between t_sent and then is pipelining backlog, not cost.
+                p.queued = min(max(0.0, prev - p.t_sent), max(0.0, now - p.t_sent))
+            p.reply = msg
+            if p is not handle.reader:  # the reader sees its own reply unwoken
+                handle.cond.notify_all()
 
     def _serve_fetch(self, handle: PipelineChannel, msg: tuple) -> None:
         """Serve a worker's lazy ``fetch`` from the dispatching job's held
-        values (runs on the channel's current drain leader)."""
+        values (runs in the channel's reader)."""
         _, jid, block, version = msg
         with handle.lock:
             p = handle.pending.get(jid)
@@ -632,7 +633,9 @@ class RemoteRuntime(ThreadedRuntime):
     def _channel_lost(self, handle: PipelineChannel, reason: str) -> None:
         """Exactly-once teardown of a lost channel: replace it in the
         pool and resolve every in-flight job as crashed so each
-        submitter raises WorkerCrashError for its own task."""
+        submitter raises WorkerCrashError for its own task.  One closer:
+        closing under a reader would free its descriptor for the
+        replacement, and it would block on a channel not its own."""
         with handle.lock:
             if handle.dead:
                 return
@@ -640,10 +643,12 @@ class RemoteRuntime(ThreadedRuntime):
             pending = list(handle.pending.values())
             handle.pending.clear()
             handle.outbox = []
+            unread = handle.reader is None
+        if unread:  # else the reader closes it as it leaves the slot
+            handle.comm.close()
         # The injected death names its victim.
         down_key = next((p.key for p in pending if p.die),
                         pending[0].key if pending else None)
-        self._close_dead(handle)
         self._pool.remove(handle)
         with self._pool_lock:
             self._crashes += 1
@@ -652,28 +657,18 @@ class RemoteRuntime(ThreadedRuntime):
             # seconds, and every other thread that loses a worker
             # meanwhile must not pile up behind it.
             fresh = self._replace_channel(handle, reason)
+            # Logged before a crashed submitter resumes (the finally) or
+            # anyone can place a job on ``fresh`` (the pool add).
+            if self._log is not NULL_LOG:
+                self._log.emit(EventKind.WORKER_DOWN, down_key, 0, **handle.info)
+                self._log.emit(EventKind.WORKER_UP, None, 0, **fresh.info)
         finally:
             # Resolve even if replacement failed: blocked submitters must
             # not hang on a channel that will never speak again.
-            for p in pending:
-                p.reply = CRASHED
-                p.event.set()
+            with handle.lock:
+                for p in pending:
+                    p.reply = CRASHED
+                handle.cond.notify_all()
         self._pool.add(fresh)
-        if self._log is not NULL_LOG:
-            self._log.emit(EventKind.WORKER_DOWN, down_key, 0, **handle.info)
-            self._log.emit(EventKind.WORKER_UP, None, 0, **fresh.info)
         if self._mx:
             self._crash_counter.inc()
-
-    def _close_dead(self, handle: PipelineChannel) -> None:
-        """Close a dead channel's comm unless a drain leader may still be
-        inside it.  A leader can sit between ``poll()`` and ``recv()``
-        when another thread declares the channel lost; closing then
-        frees the fd number for the replacement's pipe and the leader
-        would block forever on a channel that is not its own.  The
-        leader calls this again once it has released ``recv_lock``."""
-        if handle.recv_lock.acquire(blocking=False):
-            try:
-                handle.comm.close()
-            finally:
-                handle.recv_lock.release()

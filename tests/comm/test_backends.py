@@ -131,7 +131,7 @@ def _pair(kind):
 class TestPollZero:
     """``poll(0)`` (the default timeout) must look at the transport: a
     message that has arrived is reported without any ``recv`` having
-    decoded it first.  ``_drain_channel`` relies on it to keep a reply
+    decoded it first.  ``_read_channel`` relies on it to keep a reply
     that raced a liveness verdict."""
 
     def test_poll_zero_sees_an_arrived_message(self, kind):

@@ -11,6 +11,7 @@ the full multi-process story, including ``kill -9``, lives in
 """
 
 import itertools
+import os
 import threading
 import time
 
@@ -185,6 +186,31 @@ class TestWorkerDeath:
             assert [e.data["reason"] for e in downs] == ["heartbeat"]
         finally:
             lis.close()
+
+
+#: Worker deaths the soak injects: a bounded slice in tier-1, the full
+#: 2 000 in CI (``REPRO_SOAK_DEATHS=2000``, remote-runtimes job).
+SOAK_DEATHS = int(os.environ.get("REPRO_SOAK_DEATHS", "160"))
+
+
+def test_die_on_soak_with_two_jobs_in_flight(server):
+    # The sibling of the ProcessRuntime soak: here a death is a sever of
+    # an inproc connection, with no fork and no corpse.  A reader may be
+    # inside the comm when another submitter declares it lost on any
+    # transport; the diagonal die keys kill exactly one worker each.
+    app = make_app("lcs", config=AppConfig(n=64, block=8, seed=5))
+    want = app.reference()
+    diagonal = [(i, i) for i in range(app.config.blocks)]
+    crashes = 0
+    while crashes < SOAK_DEATHS:
+        store = app.make_store(True)
+        rt = ClusterRuntime(workers=2, seed=crashes, addresses=[server.address],
+                            die_on=diagonal, inflight=2)
+        FTScheduler(app, rt, store=store).run()
+        assert app.extract(store) == want
+        assert rt.worker_crashes == len(diagonal)
+        crashes += rt.worker_crashes
+    assert crashes == SOAK_DEATHS
 
 
 class TestLazyFetchAndCache:

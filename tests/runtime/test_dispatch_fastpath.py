@@ -12,8 +12,10 @@ Three layers:
   worker does not hold is fetched (and fails the job if the parent
   cannot serve it), and one job may mix inline payloads with lazily
   fetched refs;
-* **channel loss** -- a dead channel's comm is never closed under a
-  drain leader that is still inside it (the fd-reuse hang);
+* **channel loss** -- one submitter at a time reads a channel, and a
+  dead channel's comm is closed once, never under that reader (the
+  fd-reuse hang); a replacement's ``WORKER_UP`` precedes any event
+  naming it;
 * **runtime integration** -- pipelined configurations (fewer processes
   than scheduler threads, inflight windows > 1) keep bit-identical
   parity with and without fault plans, a crash mid-pipeline re-executes
@@ -23,8 +25,10 @@ Three layers:
 
 import itertools
 import pickle
+import random
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -272,22 +276,98 @@ class _RendezvousComm:
         self.closes.append(self.reader_inside)
 
 
-class _CountingEvent(threading.Event):
-    def __init__(self):
-        super().__init__()
-        self.sets = 0
+class _ShuffledComm:
+    """Delivers a ``done`` reply for each of ``jids`` in random order,
+    counting any second thread inside ``poll``/``recv`` and any use
+    after ``close``."""
 
-    def set(self):
-        self.sets += 1
-        super().set()
+    def __init__(self, jids, rng):
+        self.replies = [("done", jid) for jid in rng.sample(jids, len(jids))]
+        self.handle = None
+        self.inside = self.overlaps = self.used_after_close = 0
+        self.closes = []  # per close(): (threads inside, reader slot)
+        self._guard = threading.Lock()
+
+    def _enter(self):
+        with self._guard:
+            self.inside += 1
+            self.overlaps += self.inside > 1
+            self.used_after_close += bool(self.closes)
+
+    def _leave(self):
+        with self._guard:
+            self.inside -= 1
+
+    def poll(self, timeout=0.0):
+        self._enter()
+        try:
+            time.sleep(0 if self.replies else min(timeout, 0.001))
+            return bool(self.replies)
+        finally:
+            self._leave()
+
+    def recv(self, timeout=None):
+        self._enter()
+        try:
+            time.sleep(0)
+            return self.replies.pop()
+        finally:
+            self._leave()
+
+    def close(self):
+        self.closes.append((self.inside, self.handle.reader))
+
+
+class _EchoComm:
+    """Fails every shipped job at once, and signals the first shipment."""
+
+    def __init__(self):
+        self.replies = []
+        self.shipped = threading.Event()
+
+    def send(self, msg):
+        pass
+
+    def send_oob(self, msg):
+        self.replies += [("fail", m[0], None) for m in msg[1]]
+        self.shipped.set()
+
+    def poll(self, timeout=0.0):
+        return bool(self.replies)
+
+    def recv(self, timeout=None):
+        return self.replies.pop(0)
+
+    def close(self):
+        pass
+
+
+class _CountingJob(PendingJob):
+    """A job that counts how often it is resolved."""
+
+    def __init__(self, jid):
+        self.sets = 0
+        super().__init__(jid, f"k{jid}", 1, False, {})
+
+    @property
+    def reply(self):
+        return self._reply
+
+    @reply.setter
+    def reply(self, value):
+        self.sets += value is not None
+        self._reply = value
 
 
 class _StubRuntime(RemoteRuntime):
-    def __init__(self):
-        super().__init__(2, 0, None, None, None, 1, 2)
+    comm_kind = _RendezvousComm
+
+    def __init__(self, channels=1, inflight=2, event_log=None):
+        super().__init__(2, 0, event_log, None, None, channels, inflight)
+        self._opened = itertools.count(1)
 
     def _open_channel(self, index=0):
-        return PipelineChannel(_RendezvousComm(), None)
+        return PipelineChannel(self.comm_kind(), None, worker=next(self._opened))
 
     def _replace_channel(self, dead, reason):
         return self._open_channel()
@@ -299,38 +379,118 @@ class _StubRuntime(RemoteRuntime):
 class TestChannelLoss:
     def test_dead_comm_is_not_closed_under_its_drain_leader(self):
         # The fd-reuse hang: thread A finds the channel broken while
-        # flushing and replaces it; the drain leader B sits between
-        # poll() and recv() on the same comm.  Closing the comm under B
-        # frees its fd number for the replacement's pipe, and B would
-        # then block forever on a channel that is not its own.
+        # flushing and replaces it; the reader B sits between poll() and
+        # recv() on the same comm.  Closing the comm under B frees its
+        # fd number for the replacement's pipe, and B would then block
+        # forever on a channel that is not its own.
         rt = _StubRuntime()
         handle = rt._open_channel()
-        jobs = [PendingJob(jid, f"k{jid}", 1, False, {}) for jid in (1, 2)]
+        jobs = [_CountingJob(jid) for jid in (1, 2)]
         for p in jobs:
-            p.event = _CountingEvent()
             handle.pending[p.jid] = p
         got = []
-        leader = threading.Thread(
+        reader = threading.Thread(
             target=lambda: got.append(rt._await_pipelined(handle, jobs[0]))
         )
-        leader.start()
+        reader.start()
         assert handle.comm.in_recv.wait(10.0)
-        rt._channel_lost(handle, "closed")  # thread A, leader still inside recv()
+        rt._channel_lost(handle, "closed")  # thread A, reader still inside recv()
         assert handle.dead and handle.comm.closes == []
         handle.comm.release.set()
-        leader.join(10.0)
-        assert not leader.is_alive()
-        # The leader closed it on its way out, and nobody closed it twice
+        reader.join(10.0)
+        assert not reader.is_alive()
+        # The reader closed it on its way out, and nobody closed it twice
         # while a reader was inside.
         assert handle.comm.closes == [False]
         assert got == [CRASHED]
-        assert [(p.reply is CRASHED, p.event.sets) for p in jobs] == [(True, 1)] * 2
+        assert [(p.reply is CRASHED, p.sets) for p in jobs] == [(True, 1)] * 2
         assert rt.worker_crashes == 1
         # The replacement is in the pool with its whole window free: two
         # jobs can be placed on it, with no refill step, and not a third.
         (fresh,) = rt._pool.channels
         assert fresh is not handle and not fresh.dead
         assert [_place(rt._pool) for _ in range(3)] == [fresh, fresh, None]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_one_reader_and_one_close_under_a_racing_teardown(self, seed):
+        # K submitters on one channel, replies in random order, and a
+        # thread that is no reader declaring the channel lost after a
+        # random number of them, with threads switching every microsecond.
+        rng = random.Random(seed)
+        rt = _StubRuntime()
+        jobs = [_CountingJob(jid) for jid in range(1, 5)]
+        comm = _ShuffledComm([p.jid for p in jobs], rng)
+        handle = comm.handle = PipelineChannel(comm, None)
+        handle.pending.update((p.jid, p) for p in jobs)
+        got = {}
+
+        def submit(p):
+            got[p.jid] = rt._await_pipelined(handle, p)
+
+        def kill():  # once all but ``left`` replies are out
+            left, deadline = rng.randint(0, len(jobs)), time.monotonic() + 10.0
+            while len(comm.replies) > left and time.monotonic() < deadline:
+                time.sleep(0)
+            rt._channel_lost(handle, "closed")
+
+        threads = [threading.Thread(target=submit, args=(p,), daemon=True) for p in jobs]
+        threads.append(threading.Thread(target=kill, daemon=True))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert comm.overlaps == 0
+        for p in jobs:
+            assert p.sets == 1 and got[p.jid] is p.reply
+            assert p.reply is CRASHED or p.reply == ("done", p.jid)
+        # One close, with nobody inside the comm or holding the slot, and
+        # nobody entering it afterwards.
+        assert comm.closes == [(0, None)] and comm.used_after_close == 0
+        assert rt.worker_crashes == 1
+
+    def test_worker_up_precedes_every_event_on_the_replacement(self):
+        # A submitter parked on a full pool gets the replacement's slot
+        # the moment the pool adds it; the pool below lets it run until
+        # it has pushed a payload there before the add returns.
+        class YieldingPool(ChannelPool):
+            armed = False
+
+            def add(self, handle):
+                super().add(handle)
+                if self.armed:
+                    assert handle.comm.shipped.wait(10.0)
+
+        log = EventLog()
+        rt = _StubRuntime(channels=1, inflight=1, event_log=log)
+        rt.comm_kind = _EchoComm
+        rt._pool = YieldingPool(1)
+        rt._ensure_pool()
+        (only,) = rt._pool.channels
+        assert rt._pool.acquire({}, rt.aborted) is only  # the window is full
+        job = PendingJob(1, "k1", 1, False, {("b", 0): np.ones(4)})
+        got = []
+        submitter = threading.Thread(
+            target=lambda: got.append(rt._dispatch_job(_NoInputSpec(), job, None)), daemon=True
+        )
+        submitter.start()
+        submitter.join(0.1)
+        assert submitter.is_alive() and not got  # parked in acquire
+        rt._pool.armed = True
+        rt._channel_lost(only, "closed")
+        submitter.join(10.0)
+        assert not submitter.is_alive()
+        (fresh,) = rt._pool.channels
+        assert got == [(fresh, ("fail", 1, None))]
+        worker = fresh.info["worker"]
+        named = [e for e in log.events if e.data.get("worker") == worker]
+        assert [e.kind for e in named] == [EventKind.WORKER_UP, EventKind.FETCH]
+        assert named[1].data["mode"] == "push"
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +520,7 @@ class _PoolRuntime(_StubRuntime):
     """Stub runtime over ``channels`` idle stub channels."""
 
     def __init__(self, channels, inflight):
-        RemoteRuntime.__init__(self, 2, 0, None, None, None, channels, inflight)
+        super().__init__(channels, inflight)
         self._ensure_pool()
 
 
