@@ -14,15 +14,17 @@ Cholesky       right-looking tiles, lower                  reuse
 
 ``make_app(name, scale=...)`` instantiates any of them at test (``tiny``),
 experiment (``default``) or Table I (``paper``) scale.
+
+Apps load on demand: importing this package loads no app module, and
+``make_app`` imports only the one it builds -- a grid, LCS, SW or FW run
+never loads scipy, which only LU and Cholesky need.  Every other name in
+``__all__`` resolves on first access by importing the module it lives in.
 """
 
+import importlib
+
 from repro.apps.base import AppConfig, Application, ordered_preds
-from repro.apps.cholesky import CholeskyApp, random_spd_matrix
-from repro.apps.floyd_warshall import FloydWarshallApp, fw_reference, random_distance_matrix
-from repro.apps.lcs import LCSApp, lcs_reference, random_sequences
-from repro.apps.lu import LUApp, random_dd_matrix
 from repro.apps.registry import (
-    APP_CLASSES,
     APP_NAMES,
     DEFAULT_CONFIGS,
     LARGE_CONFIGS,
@@ -31,7 +33,31 @@ from repro.apps.registry import (
     make_app,
     scaled_loss,
 )
-from repro.apps.smith_waterman import SmithWatermanApp, sw_reference
+
+#: Lazily resolved names and the submodule each lives in.
+_LAZY: dict[str, str] = {
+    "LCSApp": "lcs",
+    "lcs_reference": "lcs",
+    "random_sequences": "lcs",
+    "SmithWatermanApp": "smith_waterman",
+    "sw_reference": "smith_waterman",
+    "FloydWarshallApp": "floyd_warshall",
+    "fw_reference": "floyd_warshall",
+    "random_distance_matrix": "floyd_warshall",
+    "LUApp": "lu",
+    "random_dd_matrix": "lu",
+    "CholeskyApp": "cholesky",
+    "random_spd_matrix": "cholesky",
+    "APP_CLASSES": "registry",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
 
 __all__ = [
     "AppConfig",

@@ -22,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.apps.base import AppConfig, Application, generated
-from repro.apps.kernels import chol_potrf, chol_trsm, chol_update
+from repro.apps.kernels import chol_potrf, chol_update
+from repro.apps.trsm import chol_trsm
 from repro.graph.taskspec import BlockRef, ComputeContext, Key
 from repro.memory.allocator import Reuse
 from repro.memory.blockstore import BlockStore

@@ -6,12 +6,14 @@ loop-carried dependence), and the linear-algebra kernels are expressed as
 tile-level BLAS-like operations.  Each kernel is pure: inputs in,
 fresh outputs out -- tasks must be stateless for re-execution to be safe
 (Theorem 1's assumption).
+
+The triangular solves of LU and Cholesky live in :mod:`repro.apps.trsm`,
+the one module that imports scipy: only those two apps load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 
 # -- dynamic-programming wavefront kernels --------------------------------------------
@@ -138,16 +140,6 @@ def lu_getrf(a: np.ndarray) -> np.ndarray:
     return lu
 
 
-def lu_trsm_row(lu_kk: np.ndarray, a_kj: np.ndarray) -> np.ndarray:
-    """U-panel solve: ``L(k,k)^-1 @ A(k,j)`` with unit-lower L."""
-    return solve_triangular(lu_kk, a_kj, lower=True, unit_diagonal=True)
-
-
-def lu_trsm_col(lu_kk: np.ndarray, a_ik: np.ndarray) -> np.ndarray:
-    """L-panel solve: ``A(i,k) @ U(k,k)^-1``."""
-    return solve_triangular(lu_kk, a_ik.T, lower=False, trans="T").T
-
-
 def gemm_update(a_ij: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Trailing update ``A(i,j) - left @ right``."""
     return a_ij - left @ right
@@ -159,11 +151,6 @@ def gemm_update(a_ij: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.nda
 def chol_potrf(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of one SPD tile."""
     return np.linalg.cholesky(a)
-
-
-def chol_trsm(l_kk: np.ndarray, a_ik: np.ndarray) -> np.ndarray:
-    """Panel solve: ``A(i,k) @ L(k,k)^-T``."""
-    return solve_triangular(l_kk, a_ik.T, lower=True).T
 
 
 def chol_update(a_ij: np.ndarray, l_ik: np.ndarray, l_jk: np.ndarray) -> np.ndarray:

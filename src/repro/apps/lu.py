@@ -26,7 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.apps.base import AppConfig, Application, generated
-from repro.apps.kernels import gemm_update, lu_getrf, lu_trsm_col, lu_trsm_row
+from repro.apps.kernels import gemm_update, lu_getrf
+from repro.apps.trsm import lu_trsm_col, lu_trsm_row
 from repro.graph.taskspec import BlockRef, ComputeContext, Key
 from repro.memory.allocator import Reuse
 from repro.memory.blockstore import BlockStore

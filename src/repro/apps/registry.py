@@ -10,22 +10,36 @@ seconds.  ``scaled_loss`` converts the paper's absolute loss sizes (1, 8,
 
 from __future__ import annotations
 
-from repro.apps.base import AppConfig, Application
-from repro.apps.cholesky import CholeskyApp
-from repro.apps.floyd_warshall import FloydWarshallApp
-from repro.apps.lcs import LCSApp
-from repro.apps.lu import LUApp
-from repro.apps.smith_waterman import SmithWatermanApp
+import importlib
 
-APP_CLASSES: dict[str, type[Application]] = {
-    "lcs": LCSApp,
-    "sw": SmithWatermanApp,
-    "fw": FloydWarshallApp,
-    "lu": LUApp,
-    "cholesky": CholeskyApp,
+from repro.apps.base import AppConfig, Application
+
+#: Where each app's class lives.  ``make_app`` imports only the module of
+#: the app it builds, so a process never loads a kernel (or scipy, which
+#: only LU and Cholesky need) that its run does not use.
+_APP_MODULES: dict[str, tuple[str, str]] = {
+    "lcs": ("repro.apps.lcs", "LCSApp"),
+    "sw": ("repro.apps.smith_waterman", "SmithWatermanApp"),
+    "fw": ("repro.apps.floyd_warshall", "FloydWarshallApp"),
+    "lu": ("repro.apps.lu", "LUApp"),
+    "cholesky": ("repro.apps.cholesky", "CholeskyApp"),
 }
 
-APP_NAMES: tuple[str, ...] = tuple(APP_CLASSES)
+APP_NAMES: tuple[str, ...] = tuple(_APP_MODULES)
+
+
+def _app_class(name: str) -> type[Application]:
+    module, cls = _APP_MODULES[name]
+    return getattr(importlib.import_module(module), cls)
+
+
+def __getattr__(name: str) -> dict[str, type[Application]]:
+    # ``APP_CLASSES`` (name -> class) imports every app, so it is built
+    # only when asked for.
+    if name == "APP_CLASSES":
+        return {app: _app_class(app) for app in APP_NAMES}
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: Table I instances (paper scale).  SW's exact decomposition in the paper
 #: follows a BSP strip scheme we could not reconstruct from the text; we
@@ -82,7 +96,7 @@ def make_app(
     is virtual anyway.
     """
     name = name.strip().lower()
-    if name not in APP_CLASSES:
+    if name not in _APP_MODULES:
         raise ValueError(f"unknown app {name!r}; expected one of {APP_NAMES}")
     if config is None:
         table = {"default": DEFAULT_CONFIGS, "tiny": TINY_CONFIGS,
@@ -90,7 +104,7 @@ def make_app(
         if scale not in table:
             raise ValueError(f"unknown scale {scale!r}; expected default/tiny/large/paper")
         config = table[scale][name]
-    app = APP_CLASSES[name](config)
+    app = _app_class(name)(config)
     app.light = light
     return app
 

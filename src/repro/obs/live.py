@@ -41,7 +41,6 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 __all__ = [
@@ -589,35 +588,6 @@ class MetricsCollector:
 # HTTP endpoint
 
 
-class _MetricsHandler(BaseHTTPRequestHandler):
-    server_version = "repro-metrics/1.0"
-
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        registry: MetricsRegistry = self.server.registry  # type: ignore[attr-defined]
-        if self.path.split("?", 1)[0] in ("/metrics", "/"):
-            if self.path.startswith("/metrics"):
-                body = render_prometheus(registry).encode()
-                ctype = "text/plain; version=0.0.4; charset=utf-8"
-            else:
-                payload = {
-                    f"{s.name}{_fmt_labels(s.labels)}": s.value
-                    for s in registry.collect()
-                    if s.value == s.value  # NaN-free JSON
-                }
-                body = json.dumps(payload, indent=2).encode()
-                ctype = "application/json"
-            self.send_response(200)
-            self.send_header("Content-Type", ctype)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        else:
-            self.send_error(404)
-
-    def log_message(self, fmt: str, *args: Any) -> None:
-        return None  # scrapes must not spam the run's stdout
-
-
 class MetricsServer:
     """Prometheus text-exposition endpoint for one registry.
 
@@ -628,10 +598,40 @@ class MetricsServer:
     """
 
     def __init__(self, registry: MetricsRegistry, port: int = 0, host: str = "127.0.0.1") -> None:
+        # Imported here, by the one class that serves HTTP: http.server
+        # (and ssl under it) is a cost only a process with an endpoint pays.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        class Handler(BaseHTTPRequestHandler):
+            server_version = "repro-metrics/1.0"
+
+            def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+                if self.path.split("?", 1)[0] in ("/metrics", "/"):
+                    if self.path.startswith("/metrics"):
+                        body = render_prometheus(registry).encode()
+                        ctype = "text/plain; version=0.0.4; charset=utf-8"
+                    else:
+                        payload = {
+                            f"{s.name}{_fmt_labels(s.labels)}": s.value
+                            for s in registry.collect()
+                            if s.value == s.value  # NaN-free JSON
+                        }
+                        body = json.dumps(payload, indent=2).encode()
+                        ctype = "application/json"
+                    self.send_response(200)
+                    self.send_header("Content-Type", ctype)
+                    self.send_header("Content-Length", str(len(body)))
+                    self.end_headers()
+                    self.wfile.write(body)
+                else:
+                    self.send_error(404)
+
+            def log_message(self, fmt: str, *args: Any) -> None:
+                return None  # scrapes must not spam the run's stdout
+
         self.registry = registry
-        self._httpd = ThreadingHTTPServer((host, port), _MetricsHandler)
+        self._httpd = ThreadingHTTPServer((host, port), Handler)
         self._httpd.daemon_threads = True
-        self._httpd.registry = registry  # type: ignore[attr-defined]
         self._thread = threading.Thread(  # verify: ok=raw-threading (HTTP serving daemon; isolated from scheduler state)
             target=self._httpd.serve_forever,
             name="repro-metrics-server",

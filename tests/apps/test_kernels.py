@@ -6,7 +6,6 @@ from scipy.linalg import solve_triangular
 
 from repro.apps.kernels import (
     chol_potrf,
-    chol_trsm,
     chol_update,
     fw_diag,
     fw_minplus,
@@ -15,10 +14,9 @@ from repro.apps.kernels import (
     gemm_update,
     lcs_block,
     lu_getrf,
-    lu_trsm_col,
-    lu_trsm_row,
     sw_block,
 )
+from repro.apps.trsm import chol_trsm, lu_trsm_col, lu_trsm_row
 
 RNG = np.random.default_rng(42)
 

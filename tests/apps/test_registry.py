@@ -2,6 +2,9 @@
 
 import pytest
 
+import repro
+import repro.apps
+from repro.apps import registry
 from repro.apps.registry import (
     APP_NAMES,
     DEFAULT_CONFIGS,
@@ -39,6 +42,34 @@ class TestMakeApp:
 
         app = make_app("lcs", AppConfig(n=64, block=32))
         assert app.config.blocks == 2
+
+
+class TestLazyNames:
+    @pytest.mark.parametrize("name", repro.apps.__all__)
+    def test_every_exported_name_resolves(self, name):
+        assert getattr(repro.apps, name) is not None
+
+    @pytest.mark.parametrize("module", [repro.apps, registry])
+    def test_unknown_attribute_raises(self, module):
+        with pytest.raises(AttributeError, match="no attribute 'quantum'"):
+            module.quantum
+
+    def test_app_classes_maps_every_app(self):
+        classes = repro.apps.APP_CLASSES
+        assert tuple(classes) == APP_NAMES
+        for name, cls in classes.items():
+            assert isinstance(make_app(name, scale="tiny"), cls)
+
+    def test_make_app_imports_only_its_own_module(self, fresh_python):
+        loaded = fresh_python(
+            "import sys\n"
+            "from repro.apps import make_app\n"
+            "make_app('lcs')\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.apps.')))\n"
+        ).splitlines()[-1]
+        assert "'repro.apps.lcs'" in loaded
+        for other in ("lu", "cholesky", "trsm", "smith_waterman", "floyd_warshall"):
+            assert f"'repro.apps.{other}'" not in loaded
 
 
 class TestTaskCountFormulas:

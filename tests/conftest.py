@@ -2,12 +2,37 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.apps import APP_NAMES, make_app
 from repro.core import FTScheduler, NabbitScheduler
 from repro.runtime import InlineRuntime, SimulatedRuntime
 from repro.runtime.tracing import ExecutionTrace
+
+
+@pytest.fixture
+def src_env():
+    """The environment for a child interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+@pytest.fixture
+def fresh_python(src_env):
+    """Run a script in a new interpreter (this one imported everything
+    long ago) against this checkout; returns its stdout."""
+    def run(script: str) -> str:
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=src_env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        return out.stdout
+    return run
 
 
 @pytest.fixture(params=APP_NAMES)

@@ -10,6 +10,11 @@ so a single-core CI lane still exercises the full dispatch path.
 """
 
 import os
+import select
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -290,3 +295,45 @@ class TestRuntimeSurface:
             handle.comm.send(("stop",))
             rt._retire(handle)
             handle.comm.close()
+
+
+def _alive(pid):
+    """Whether ``pid`` still runs (a zombie awaiting its reaper does not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc/<pid>/stat")
+def test_workers_exit_when_the_parent_is_killed(src_env):
+    # A worker learns of its parent's death only as EOF on its channel,
+    # which never comes while any process -- the worker itself, or a
+    # worker forked after it -- still holds the channel's parent end.
+    parent = subprocess.Popen(
+        [sys.executable, "-c", textwrap.dedent("""
+            import time
+            from repro.runtime import ProcessRuntime
+            rt = ProcessRuntime(workers=2)
+            rt._ensure_pool()
+            print(*(h.info["pid"] for h in rt._pool.channels), flush=True)
+            time.sleep(60)
+        """)],
+        stdout=subprocess.PIPE, text=True, env=src_env,
+    )
+    try:
+        ready, _, _ = select.select([parent.stdout], [], [], 60.0)
+        pids = [int(p) for p in parent.stdout.readline().split()] if ready else []
+    finally:
+        parent.send_signal(signal.SIGKILL)
+        parent.wait()
+        parent.stdout.close()
+    assert len(pids) == 2
+    deadline = time.monotonic() + 5.0
+    while any(map(_alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    survivors = [pid for pid in pids if _alive(pid)]
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)
+    assert not survivors, f"workers {survivors} outlived their killed parent"
