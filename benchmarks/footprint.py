@@ -1,12 +1,12 @@
 """What importing the end-to-end harness costs a process, and its forks.
 
-    python benchmarks/footprint.py --tree DIR [--forks N]
+    python benchmarks/footprint.py --tree DIR
 
 Imports ``DIR/benchmarks/e2e/child.py`` against ``DIR/src`` in this
 (fresh) process, exactly as a benchmark child starts, and prints one
 JSON line: the import's wall time, the process's peak RSS and module
 count after it, whether scipy and ``http.server`` were loaded, and the
-median over ``N`` forks of the parent's ``os.fork()`` call and of a
+median over ``FORKS`` forks of the parent's ``os.fork()`` call and of a
 whole fork + child ``_exit`` + reap -- what ``ProcessRuntime`` pays per
 worker it starts.  Run it in a new process per sample: a process
 imports a module only once.
@@ -22,11 +22,13 @@ import statistics
 import sys
 from time import perf_counter
 
+FORKS = 50
 
-def fork_costs(n: int) -> tuple[float, float]:
+
+def fork_costs() -> tuple[float, float]:
     """Median ms of the parent's ``os.fork()`` and of fork + exit + reap."""
     forks, rounds = [], []
-    for _ in range(n):
+    for _ in range(FORKS):
         t0 = perf_counter()
         pid = os.fork()
         if pid == 0:
@@ -43,7 +45,6 @@ def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--tree", required=True, help="checkout whose harness and src to import")
-    ap.add_argument("--forks", type=int, default=50)
     args = ap.parse_args(argv)
     sys.path[:0] = [os.path.join(args.tree, "src"), os.path.join(args.tree, "benchmarks", "e2e")]
     before = len(sys.modules)
@@ -51,7 +52,7 @@ def main(argv: list[str]) -> int:
     import child  # noqa: F401 - the import is the measurement
 
     import_ms = 1e3 * (perf_counter() - t0)
-    fork_ms, fork_exit_reap_ms = fork_costs(args.forks)
+    fork_ms, fork_exit_reap_ms = fork_costs()
     print(json.dumps({
         "import_ms": round(import_ms, 1),
         "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),

@@ -1,13 +1,12 @@
 """Alternating parent/change pairs of the end-to-end benchmark.
 
-    python benchmarks/pairs.py --root DIR --parent REV [--change REV]
-        --workload W[:N] [--workload W[:N] ...] [--pairs N] [--seed S]
-        [--out BENCH_e2e_<n>.json]
+    python benchmarks/pairs.py --root DIR --parent REV
+        --workload W:N [--workload W:N ...] [--seed S] [--out BENCH_e2e_<n>.json]
 
-Exports both trees under one ``--root`` (``git archive`` of a revision;
-``--change`` defaults to the files ``git ls-files`` lists, as they are in
-the working tree), because a tree's location alone moves timings by a
-few per cent.  ``W:N`` runs ``N`` pairs of ``W`` (default ``--pairs``).
+The change is the working tree: the files ``git ls-files`` lists, as
+they are now; the parent is ``git archive REV``.  Both trees are
+exported under one ``--root``, because a tree's location alone moves
+timings by a few per cent.  ``W:N`` runs ``N`` pairs of ``W``.
 Pair ``i`` runs ``benchmarks/e2e/run.py --workload W --seed S+i --out
 ...`` in each tree, parent first on even ``i`` and change first on odd
 ``i``; each run is the timed arm plus the traced arm of that tree's own
@@ -38,7 +37,7 @@ ROOT = os.path.dirname(HERE)
 
 
 def export(rev: str | None, dest: str) -> str:
-    """``rev`` (or the listed working-tree files) as a fresh tree at ``dest``."""
+    """``rev`` (``None``: the listed working-tree files) as a fresh tree at ``dest``."""
     os.makedirs(dest)
     if rev is None:
         files = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, check=True,
@@ -141,27 +140,32 @@ def summarise(pairs: list[dict], spec: dict) -> list[dict]:
     return rows
 
 
+def workload_pairs(item: str) -> tuple[str, int]:
+    """``W:N`` as ``(W, N)``."""
+    workload, sep, count = item.partition(":")
+    if not sep or not count.isdigit() or int(count) < 1:
+        raise argparse.ArgumentTypeError(f"expected W:N with N >= 1, got {item!r}")
+    return workload, int(count)
+
+
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--root", required=True, help="empty scratch directory for both trees")
     ap.add_argument("--parent", required=True, help="git revision of the parent")
-    ap.add_argument("--change", default=None,
-                    help="git revision of the change (default: the working tree)")
-    ap.add_argument("--workload", action="append", required=True, help="W or W:pairs")
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--workload", action="append", required=True, type=workload_pairs,
+                    help="W:N, N pairs of workload W")
     ap.add_argument("--seed", type=int, default=int(time.time()) % 100000)
     ap.add_argument("--out", default=None, help="write the pairs JSON here")
     args = ap.parse_args(argv)
 
     trees = {"parent": export(args.parent, os.path.join(args.root, "parent")),
-             "change": export(args.change, os.path.join(args.root, "change"))}
+             "change": export(None, os.path.join(args.root, "change"))}
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     pairs = []
-    for item in args.workload:
-        workload, _, count = item.partition(":")
-        for i in range(int(count or args.pairs)):
+    for workload, count in args.workload:
+        for i in range(count):
             seed = args.seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"workload": workload, "seed": seed, "order": list(order)}
@@ -185,7 +189,7 @@ def main(argv: list[str]) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"benchmark": "benchmarks/e2e", "parent": args.parent,
-                       "change": args.change or "working tree", "base_seed": args.seed,
+                       "change": "working tree", "base_seed": args.seed,
                        "pairs": pairs, "summary": rows, "failed_runs": failed}, fh, indent=1)
     return 1 if failed or any(r.get("worse_beyond_bound") for r in rows) else 0
 

@@ -18,7 +18,8 @@ experiment (``default``) or Table I (``paper``) scale.
 Apps load on demand: importing this package loads no app module, and
 ``make_app`` imports only the one it builds -- a grid, LCS, SW or FW run
 never loads scipy, which only LU and Cholesky need.  Every other name in
-``__all__`` resolves on first access by importing the module it lives in.
+``__all__`` resolves on first access by importing the module it lives in:
+an app class through the registry's table of app modules.
 """
 
 import importlib
@@ -30,29 +31,29 @@ from repro.apps.registry import (
     LARGE_CONFIGS,
     PAPER_CONFIGS,
     TINY_CONFIGS,
+    _APP_MODULES,
+    _app_class,
     make_app,
     scaled_loss,
 )
 
-#: Lazily resolved names and the submodule each lives in.
+#: Lazily resolved helpers (not app classes) and the submodule each lives in.
 _LAZY: dict[str, str] = {
-    "LCSApp": "lcs",
     "lcs_reference": "lcs",
     "random_sequences": "lcs",
-    "SmithWatermanApp": "smith_waterman",
     "sw_reference": "smith_waterman",
-    "FloydWarshallApp": "floyd_warshall",
     "fw_reference": "floyd_warshall",
     "random_distance_matrix": "floyd_warshall",
-    "LUApp": "lu",
     "random_dd_matrix": "lu",
-    "CholeskyApp": "cholesky",
     "random_spd_matrix": "cholesky",
     "APP_CLASSES": "registry",
 }
 
 
 def __getattr__(name: str):
+    for app, (_, cls) in _APP_MODULES.items():
+        if cls == name:
+            return _app_class(app)
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
