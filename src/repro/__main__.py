@@ -26,11 +26,12 @@ Commands:
   checker, and bounded schedule exploration with seeded-bug mutation
   testing (``python -m repro verify --selftest``; see
   docs/VERIFICATION.md).
-* ``perf`` -- the statistical microbenchmark suite: scheduler structure
-  ops, tracing-on/off throughput, threaded contention, simulator
-  events/sec, end-to-end runs; writes ``BENCH_<n>.json`` and gates
-  against a committed baseline (``python -m repro perf --baseline
-  BENCH_seed.json``; see docs/PERFORMANCE.md).
+* ``perf`` -- the statistical micro suite (end-to-end runs are
+  ``benchmarks/e2e``'s): scheduler structure ops, tracing-on/off
+  throughput, simulator events/sec, telemetry and wire costs, the bare
+  dispatch round trip; gates against a committed baseline
+  (``python -m repro perf --baseline BENCH_seed.json``; see
+  docs/PERFORMANCE.md).
 * ``procpool`` -- multi-process runtime smoke test: run real-kernel apps
   through :class:`~repro.runtime.procpool.ProcessRuntime` over a
   shared-memory store, assert bit-identical parity with the inline

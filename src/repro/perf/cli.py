@@ -1,45 +1,40 @@
-"""``python -m repro perf`` -- measure the hot paths and defend them.
+"""``python -m repro perf`` -- time the hot-path layers one at a time.
 
-Modes:
+End-to-end claims are measured by ``benchmarks/e2e/run.py`` in pairs
+(``benchmarks/pairs.py`` -> ``BENCH_e2e_<n>.json``).  This command runs
+the micro cells of :mod:`repro.perf.suites` and prints per-group tables:
 
-* default -- run the benchmark suite at default scale, print per-group
-  tables, and write the next ``BENCH_<n>.json`` at the repo root.
-* ``--baseline PATH`` -- additionally compare (calibrated) against a
-  previous BENCH file and **exit 1** if any benchmark regressed by more
-  than ``--gate-threshold`` (default 15%) or disappeared.
-* ``--selftest`` -- CI install check: run every benchmark at a shrunken
-  scale, verify the JSON round-trip, and prove the regression gate both
-  passes on identical runs and fires on a synthetically slowed copy.
-  Writes nothing; deterministic pass/fail, no timing thresholds.
+* ``--out PATH`` -- also write the run as a BENCH json.
+* ``--baseline PATH`` -- compare (calibrated) against a previous BENCH
+  file and **exit 1** if a catalogue cell regressed by more than 15% or
+  disappeared; baseline cells the catalogue no longer defines are
+  listed as retired, not compared.
+* ``--quick`` -- every cell at shrunken scale and sampling, in seconds;
+  exercises the whole catalogue, numbers not comparable.
 
 Examples::
 
-    python -m repro perf
     python -m repro perf --baseline BENCH_seed.json
     python -m repro perf --only scheduler --repeats 7
-    python -m repro perf --selftest
+    python -m repro perf --quick
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
-import json
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 from repro.perf.bench import BenchResult, RunnerConfig, calibrate, run_suite
 from repro.perf.compare import (
+    THRESHOLD,
     bench_payload,
     compare_runs,
     load_bench_json,
-    next_bench_path,
-    repo_root,
     write_bench_json,
 )
-from repro.perf.suites import benchmarks, groups
+from repro.perf.suites import SUITE, benchmarks, groups
 
 
 def _fmt_result(r: BenchResult) -> str:
@@ -62,10 +57,8 @@ def _run(args: argparse.Namespace) -> int:
         if not benches:
             print("selection matched no benchmarks")
             return 2
-    cfg = RunnerConfig(repeats=args.repeats, k=args.k, warmup=args.warmup)
-    if args.quick:
-        cfg = cfg.scaled_down()
-    print(f"calibrating reference loop ...", flush=True)
+    cfg = RunnerConfig().scaled_down() if args.quick else RunnerConfig(repeats=args.repeats)
+    print("calibrating reference loop ...", flush=True)
     cal = calibrate()
     print(f"calibration: {cal:,.0f} iter/s")
     t0 = time.time()
@@ -81,26 +74,28 @@ def _run(args: argparse.Namespace) -> int:
         results,
         calibration=cal,
         config={"scale": scale, "repeats": cfg.repeats, "k": cfg.k, "warmup": cfg.warmup},
-        label=args.label,
     )
-    if not args.no_write:
-        root = repo_root()
-        out = Path(args.out) if args.out else next_bench_path(root)
-        write_bench_json(payload, out)
-        print(f"wrote {out}")
-
+    if args.out:
+        print(f"wrote {write_bench_json(payload, Path(args.out))}")
     if args.baseline:
-        return _gate(load_bench_json(args.baseline), payload, args.gate_threshold)
+        return _gate(load_bench_json(args.baseline), payload)
     return 0
 
 
-def _gate(baseline: dict, current: dict, threshold: float) -> int:
-    deltas, missing = compare_runs(baseline, current, threshold=threshold)
-    print(f"\nregression gate vs baseline ({threshold:.0%} threshold, calibrated):")
+def _gate(baseline: dict, current: dict) -> int:
+    """Gate ``current`` on the baseline cells the catalogue still
+    defines; the others are listed as retired, never as missing."""
+    results = baseline.get("results", {})
+    retired = [name for name in results if name not in SUITE]
+    kept = {**baseline, "results": {n: r for n, r in results.items() if n in SUITE}}
+    deltas, missing = compare_runs(kept, current)
+    print(f"\nregression gate vs baseline ({THRESHOLD:.0%} threshold, calibrated):")
     for d in deltas:
         print("  " + d.describe())
     for name in missing:
         print(f"  {name:<34} MISSING from current run")
+    for name in retired:
+        print(f"  {name:<34} retired from the catalogue, not compared")
     bad = [d for d in deltas if d.regressed]
     if bad or missing:
         print(f"perf gate: FAILED ({len(bad)} regression(s), {len(missing)} missing)")
@@ -109,99 +104,22 @@ def _gate(baseline: dict, current: dict, threshold: float) -> int:
     return 0
 
 
-def _selftest(args: argparse.Namespace) -> int:
-    failures = 0
-    t0 = time.time()
-
-    def check(label: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        if not ok:
-            failures += 1
-        print(f"  {label:<52} [{'ok' if ok else 'FAIL'}]{' ' + detail if detail else ''}")
-
-    cfg = RunnerConfig().scaled_down()
-    benches = benchmarks("selftest")
-    cal = calibrate(loops=50_000, k=1)
-    check("calibration positive", cal > 0, f"{cal:,.0f} iter/s")
-
-    results = run_suite(benches, cfg)
-    for b in benches:
-        r = results.get(b.name)
-        ok = (
-            r is not None
-            and len(r.samples) == cfg.repeats
-            and r.median > 0
-            and r.ci_lo <= r.median <= r.ci_hi
-            and r.ops_per_batch > 0
-        )
-        check(f"bench {b.name} runs and measures", ok)
-
-    payload = bench_payload(results, cal, {"scale": "selftest"}, label="selftest")
-    with tempfile.TemporaryDirectory() as tmp:
-        path = write_bench_json(payload, Path(tmp) / "BENCH_selftest.json")
-        reloaded = load_bench_json(path)
-        check("BENCH json round-trips", reloaded["results"].keys() == payload["results"].keys())
-
-    deltas, missing = compare_runs(payload, payload)
-    check(
-        "gate passes on identical runs",
-        not missing and all(not d.regressed for d in deltas),
-    )
-
-    slowed = copy.deepcopy(payload)
-    victim = benches[0].name
-    for field in ("median", "ci_lo", "ci_hi"):
-        slowed["results"][victim][field] = payload["results"][victim][field] * 0.5
-    deltas, _ = compare_runs(payload, slowed, threshold=0.15)
-    check(
-        "gate fires on a 2x slowdown",
-        any(d.name == victim and d.regressed for d in deltas),
-    )
-
-    dropped = copy.deepcopy(payload)
-    del dropped["results"][victim]
-    _, missing = compare_runs(payload, dropped)
-    check("gate flags a dropped benchmark", missing == [victim])
-
-    seed = repo_root() / "BENCH_seed.json"
-    if seed.exists():
-        try:
-            load_bench_json(seed)
-            check("committed BENCH_seed.json loads", True)
-        except (ValueError, json.JSONDecodeError) as exc:
-            check("committed BENCH_seed.json loads", False, str(exc))
-
-    print(f"perf selftest {'passed' if not failures else 'FAILED'} in {time.time() - t0:.1f}s")
-    return 1 if failures else 0
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="python -m repro perf",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    ap.add_argument("--selftest", action="store_true",
-                    help="deterministic CI install check (no BENCH file written)")
     ap.add_argument("--baseline", type=str, default=None,
-                    help="BENCH json to gate against (exit 1 on >threshold regression)")
-    ap.add_argument("--gate-threshold", type=float, default=0.15,
-                    help="relative slowdown that fails the gate (default 0.15)")
+                    help="BENCH json to gate against (exit 1 on a >15%% regression)")
     ap.add_argument("--only", action="append", default=None,
                     help="benchmark or group name (repeatable)")
     ap.add_argument("--out", type=str, default=None,
-                    help="output path (default: next BENCH_<n>.json at the repo root)")
-    ap.add_argument("--no-write", action="store_true", help="do not write a BENCH file")
-    ap.add_argument("--label", type=str, default="", help="free-form label stored in the json")
+                    help="also write the run as a BENCH json at this path")
     ap.add_argument("--repeats", type=int, default=5, help="retained samples per benchmark")
-    ap.add_argument("--k", type=int, default=3, help="timings per sample (min is kept)")
-    ap.add_argument("--warmup", type=int, default=1, help="discarded leading invocations")
     ap.add_argument("--quick", action="store_true",
                     help="shrunken workloads and sampling (not for BENCH numbers)")
-    args = ap.parse_args(argv)
-    if args.selftest:
-        return _selftest(args)
-    return _run(args)
+    return _run(ap.parse_args(argv))
 
 
 if __name__ == "__main__":

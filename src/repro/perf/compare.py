@@ -1,10 +1,10 @@
-"""BENCH JSON files: serialization, numbering, and the regression gate.
+"""BENCH JSON files: serialization and the regression gate.
 
 A BENCH file is one suite run: per-benchmark median + bootstrap CI +
 raw samples, plus the in-process calibration score that makes scores
 comparable across machines.  ``BENCH_seed.json`` at the repo root is the
-committed baseline; ``python -m repro perf`` emits ``BENCH_<n>.json``
-siblings, growing the repo's performance trajectory one PR at a time.
+committed baseline; the numbered ``BENCH_<n>.json`` beside it are the
+micro suite's history (``python -m repro perf --out PATH`` writes one).
 
 The gate compares **calibrated** scores (score / reference-loop score):
 raw ops/s on a laptop and on a throttled CI container differ 3x for
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import platform
-import re
 import sys
 import time
 from dataclasses import dataclass
@@ -41,19 +40,18 @@ from typing import Mapping
 from repro.perf.bench import BenchResult
 
 SCHEMA_VERSION = 1
-_BENCH_RE = re.compile(r"^BENCH_(\d+)\.json$")
+#: Calibrated relative slowdown that fails the gate.
+THRESHOLD = 0.15
 
 
 def bench_payload(
     results: Mapping[str, BenchResult],
     calibration: float,
     config: Mapping[str, object],
-    label: str = "",
 ) -> dict:
     """The JSON document for one suite run."""
     return {
         "schema": SCHEMA_VERSION,
-        "label": label,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "host": {
             "python": sys.version.split()[0],
@@ -76,29 +74,6 @@ def load_bench_json(path: Path | str) -> dict:
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported BENCH schema {data.get('schema')!r}")
     return data
-
-
-def next_bench_path(root: Path) -> Path:
-    """First free ``BENCH_<n>.json`` under ``root`` (seed excluded)."""
-    taken = set()
-    for p in root.glob("BENCH_*.json"):
-        m = _BENCH_RE.match(p.name)
-        if m:
-            taken.add(int(m.group(1)))
-    n = 1
-    while n in taken:
-        n += 1
-    return root / f"BENCH_{n}.json"
-
-
-def repo_root(start: Path | None = None) -> Path:
-    """Nearest ancestor holding pyproject.toml (fallback: cwd) -- BENCH
-    files live at the repo root regardless of where the CLI runs."""
-    here = (start or Path.cwd()).resolve()
-    for candidate in (here, *here.parents):
-        if (candidate / "pyproject.toml").exists():
-            return candidate
-    return here
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +111,15 @@ class Delta:
 
 
 def compare_runs(
-    baseline: dict, current: dict, threshold: float = 0.15
+    baseline: dict, current: dict, threshold: float = THRESHOLD
 ) -> tuple[list[Delta], list[str]]:
     """Compare two BENCH documents; returns ``(deltas, missing)``.
 
     ``missing`` lists benchmarks present in the baseline but absent from
     the current run (a silently-dropped benchmark must fail the gate too,
-    otherwise deleting a slow benchmark "fixes" its regression).
+    otherwise deleting a slow benchmark "fixes" its regression).  A
+    current median that is not positive is a regression for the same
+    reason.
     """
     base_cal = float(baseline.get("calibration") or 1.0)
     cur_cal = float(current.get("calibration") or 1.0)
@@ -159,15 +136,18 @@ def compare_runs(
         b_raw, c_raw = float(base["median"]), float(cur["median"])
         b = b_raw / base_cal
         c = c_raw / cur_cal
-        if b <= 0 or c <= 0:
+        if b <= 0:
             continue
-        ratio = (c / b) if hib else (b / c)
-        raw_ratio = (c_raw / b_raw) if hib else (b_raw / c_raw)
+        if c > 0:
+            ratio = (c / b) if hib else (b / c)
+            raw_ratio = (c_raw / b_raw) if hib else (b_raw / c_raw)
+        else:
+            ratio = raw_ratio = 0.0
         b_lo, b_hi = float(base["ci_lo"]) / base_cal, float(base["ci_hi"]) / base_cal
         c_lo, c_hi = float(cur["ci_lo"]) / cur_cal, float(cur["ci_hi"]) / cur_cal
         resolvable = c_hi < b_lo or c_lo > b_hi
         bar = 1.0 - threshold
-        regressed = resolvable and ratio < bar and raw_ratio < bar
+        regressed = c <= 0 or (resolvable and ratio < bar and raw_ratio < bar)
         deltas.append(
             Delta(
                 name=name,

@@ -1,6 +1,11 @@
-"""The benchmark catalogue: what "fast" means for this scheduler.
+"""The benchmark catalogue: the micro cells no end-to-end workload isolates.
 
-Four layers, mirroring the hot-path inventory in docs/PERFORMANCE.md:
+End-to-end throughput is measured by ``benchmarks/e2e`` (its workloads
+and per-layer probes, run in alternating pairs by
+``benchmarks/pairs.py``).  This catalogue times the layers underneath
+one at a time, mirroring the hot-path inventory in
+docs/PERFORMANCE.md, so a regression the end-to-end numbers show can be
+located:
 
 * ``structs`` -- the shared concurrent structures every scheduler
   operation funnels through: :class:`~repro.core.taskmap.TaskMap`
@@ -11,13 +16,8 @@ Four layers, mirroring the hot-path inventory in docs/PERFORMANCE.md:
   graph, where bookkeeping *is* the workload: with tracing off (the
   number the paper's <5% overhead claim lives or dies by) and with a
   live :class:`~repro.obs.events.EventLog` attached.
-* ``threaded`` / ``simulator`` -- the two parallel runtimes:
-  real-thread contention at 1/4/8 workers, and the discrete-event loop's
-  events/sec (every figure harness executes it millions of times).
-* ``e2e`` -- tiny real-kernel LCS and Floyd-Warshall runs through the
-  full FT stack, so a regression that hides between layers still shows;
-  plus a kernel-bound Cholesky instance where NumPy compute, not
-  bookkeeping, dominates (the regime ProcessRuntime targets).
+* ``simulator`` -- the discrete-event loop's events/sec (every figure
+  harness executes it millions of times).
 * ``obs`` -- the live-telemetry layer (:mod:`repro.obs.live`): push
   instrument costs (``Counter.inc``, ``Histogram.observe``), the cached
   ``_mx`` guard a telemetry-off run pays per would-be publication, and
@@ -26,15 +26,7 @@ Four layers, mirroring the hot-path inventory in docs/PERFORMANCE.md:
   ClusterRuntime`: the frame codec's encode/decode round trip at small
   and block-sized payloads, and ping-pong RTT over ``inproc://`` and
   localhost ``tcp://`` (the latency floor every remote dispatch pays).
-* ``procpool`` -- FTScheduler + :class:`~repro.runtime.procpool.
-  ProcessRuntime` on real-kernel apps over a shared-memory store: pool
-  spin-up, input pushes, the IPC round trip, and worker attach
-  are all on the measured path (this is the dispatch-overhead number,
-  not a speedup claim -- tiny graphs are bookkeeping-bound by design).
-* ``finegrain`` -- the dispatch-overhead regime isolated: an LCS grid of
-  many 16-element tiles through ProcessRuntime (per-task overhead, not
-  kernels, dominates -- the workload the pipelined batched dispatch path
-  exists for), plus a bare ``compute_dispatch`` microbenchmark against a
+* ``finegrain`` -- a bare ``compute_dispatch`` microbenchmark against a
   persistent one-process pool, whose inverse score is the ms/job wire
   floor under every fine-grain task.
 
@@ -74,14 +66,6 @@ def _noop_grid_spec(n: int):
             if j:
                 edges.append(((i, j - 1), (i, j)))
     return ExplicitTaskGraph(edges, compute=noop)
-
-
-def _run_ft(spec, runtime, event_log=None) -> int:
-    from repro.core.ft import FTScheduler
-
-    sched = FTScheduler(spec, runtime, event_log=event_log)
-    sched.run()
-    return sched.trace.total_computes
 
 
 def _spawn_tree_root(runtime, depth: int):
@@ -209,7 +193,7 @@ def _bench_notify_bits(n_preds: int, rounds: int) -> Callable[[], Callable[[], i
 
 
 # ---------------------------------------------------------------------------
-# scheduler / runtimes / e2e
+# scheduler / simulator / dispatch
 
 
 def _bench_sched(n: int, traced: bool, cold: bool = False) -> Callable[[], Callable[[], int]]:
@@ -218,6 +202,7 @@ def _bench_sched(n: int, traced: bool, cold: bool = False) -> Callable[[], Calla
     shared = None if cold else _noop_grid_spec(n)
 
     def make():
+        from repro.core.ft import FTScheduler
         from repro.obs.events import EventLog
         from repro.runtime.inline import InlineRuntime
 
@@ -228,21 +213,9 @@ def _bench_sched(n: int, traced: bool, cold: bool = False) -> Callable[[], Calla
             gc.collect()  # the edge lists above are not the batch's garbage
 
         def batch() -> int:
-            return _run_ft(spec, InlineRuntime(), event_log=log)
-
-        return batch
-
-    return make
-
-
-def _bench_threaded(n: int, workers: int) -> Callable[[], Callable[[], int]]:
-    spec = _noop_grid_spec(n)
-
-    def make():
-        from repro.runtime.threadpool import ThreadedRuntime
-
-        def batch() -> int:
-            return _run_ft(spec, ThreadedRuntime(workers=workers, seed=1))
+            sched = FTScheduler(spec, InlineRuntime(), event_log=log)
+            sched.run()
+            return sched.trace.total_computes
 
         return batch
 
@@ -256,108 +229,6 @@ def _bench_simulator(depth: int, workers: int) -> Callable[[], Callable[[], int]
         def batch() -> int:
             rt = SimulatedRuntime(workers=workers, seed=1)
             return rt.execute(_spawn_tree_root(rt, depth)).frames
-
-        return batch
-
-    return make
-
-
-def _bench_e2e(app_name: str) -> Callable[[], Callable[[], int]]:
-    def make():
-        from repro.apps import make_app
-        from repro.runtime.simulator import SimulatedRuntime
-
-        app = make_app(app_name, scale="tiny")
-
-        def batch() -> int:
-            from repro.core.ft import FTScheduler
-
-            store = app.make_store(True)
-            sched = FTScheduler(app, SimulatedRuntime(workers=4, seed=1), store=store)
-            sched.run()
-            app.verify(store)
-            return sched.trace.total_computes
-
-        return batch
-
-    return make
-
-
-def _bench_e2e_kernel(app_name: str, n: int, block: int) -> Callable[[], Callable[[], int]]:
-    """Kernel-bound e2e: few, fat tasks -- compute dominates bookkeeping."""
-
-    def make():
-        from repro.apps import AppConfig, make_app
-        from repro.runtime.inline import InlineRuntime
-
-        app = make_app(app_name, config=AppConfig(n=n, block=block))
-
-        def batch() -> int:
-            from repro.core.ft import FTScheduler
-
-            store = app.make_store(True)
-            sched = FTScheduler(app, InlineRuntime(), store=store)
-            sched.run()
-            app.verify(store)
-            return sched.trace.total_computes
-
-        return batch
-
-    return make
-
-
-def _bench_procpool(app_name: str, workers: int) -> Callable[[], Callable[[], int]]:
-    """Full multi-process dispatch path on a tiny real-kernel app.
-
-    Closures are unpicklable, so this group must use registry apps (the
-    spec is shipped to workers by pickle once per pool); the no-op grid
-    specs above cannot run here.
-    """
-
-    def make():
-        from repro.apps import make_app
-        from repro.runtime.procpool import ProcessRuntime
-
-        app = make_app(app_name, scale="tiny")
-
-        def batch() -> int:
-            from repro.core.ft import FTScheduler
-
-            store = app.make_store(True, shared=True)
-            rt = ProcessRuntime(workers=workers, seed=1)
-            sched = FTScheduler(app, rt, store=store)
-            sched.run()
-            app.verify(store)
-            store.close()
-            return sched.trace.total_computes
-
-        return batch
-
-    return make
-
-
-def _bench_finegrain_lcs(n: int, block: int, workers: int) -> Callable[[], Callable[[], int]]:
-    """Fine-grain e2e: an LCS grid of many *tiny* tiles through the full
-    multi-process FT stack, so per-task dispatch overhead -- not kernel
-    time -- dominates the score.  This is the workload the pipelined
-    batched dispatch path (ROADMAP item 4) exists for."""
-
-    def make():
-        from repro.apps import AppConfig, make_app
-        from repro.runtime.procpool import ProcessRuntime
-
-        app = make_app("lcs", config=AppConfig(n=n, block=block))
-
-        def batch() -> int:
-            from repro.core.ft import FTScheduler
-
-            store = app.make_store(True, shared=True)
-            rt = ProcessRuntime(workers=workers, seed=1)
-            sched = FTScheduler(app, rt, store=store)
-            sched.run()
-            app.verify(store)
-            store.close()
-            return sched.trace.total_computes
 
         return batch
 
@@ -380,7 +251,7 @@ def _bench_dispatch_overhead(n_jobs: int) -> Callable[[], Callable[[], int]]:
     process pool: no scheduler, no inputs, no kernel -- the per-job cost
     of the pipelined wire path itself (jid framing, batch pack/unpack,
     reply routing, the one-block write-back).  The inverse of this score
-    is the ms/task floor the e2e fine-grain benchmarks pay per dispatch."""
+    is the ms/task floor every fine-grain task pays per dispatch."""
 
     def make():
         from repro.memory.blockstore import BlockStore
@@ -645,7 +516,6 @@ def benchmarks(scale: str = "default") -> list[Benchmark]:
         raise ValueError(f"unknown perf scale {scale!r}")
     tiny = scale == "selftest"
     grid = 10 if tiny else 32
-    tgrid = 8 if tiny else 20
     depth = 8 if tiny else 14
     keys = 512 if tiny else 4096
     rounds = 2 if tiny else 8
@@ -688,18 +558,6 @@ def benchmarks(scale: str = "default") -> list[Benchmark]:
             description="same grid with a live EventLog attached",
         ),
         Benchmark(
-            "threaded_tasks_per_sec_w1", "threaded", _bench_threaded(tgrid, 1),
-            unit="tasks/s", description="FTScheduler + ThreadedRuntime, 1 worker",
-        ),
-        Benchmark(
-            "threaded_tasks_per_sec_w4", "threaded", _bench_threaded(tgrid, 4),
-            unit="tasks/s", description="FTScheduler + ThreadedRuntime, 4 workers",
-        ),
-        Benchmark(
-            "threaded_tasks_per_sec_w8", "threaded", _bench_threaded(tgrid, 8),
-            unit="tasks/s", description="FTScheduler + ThreadedRuntime, 8 workers",
-        ),
-        Benchmark(
             "sim_events_per_sec", "simulator", _bench_simulator(depth, 8),
             unit="frames/s",
             description="SimulatedRuntime inner loop on a trivial binary spawn tree",
@@ -708,20 +566,6 @@ def benchmarks(scale: str = "default") -> list[Benchmark]:
             "sim_park_storm", "simulator", _bench_simulator(max(4, depth - 4), 32),
             unit="frames/s",
             description="32 workers on a shallow tree: park/unpark and steal-probe storms",
-        ),
-        Benchmark(
-            "e2e_lcs", "e2e", _bench_e2e("lcs"), unit="tasks/s",
-            description="full FT stack, real LCS kernels, simulator @ 4 workers",
-        ),
-        Benchmark(
-            "e2e_fw", "e2e", _bench_e2e("fw"), unit="tasks/s",
-            description="full FT stack, real Floyd-Warshall kernels, simulator @ 4 workers",
-        ),
-        Benchmark(
-            "e2e_cholesky_kernel_bound", "e2e",
-            _bench_e2e_kernel("cholesky", n=96 if tiny else 384, block=32 if tiny else 96),
-            unit="tasks/s",
-            description="kernel-bound Cholesky (few fat tiles), inline: compute dominates",
         ),
         Benchmark(
             "metrics_counter_inc", "obs", _bench_metrics_counter(keys * 4),
@@ -819,32 +663,16 @@ def benchmarks(scale: str = "default") -> list[Benchmark]:
             description="1 MiB block-fetch RTT over localhost tcp://",
         ),
         Benchmark(
-            "finegrain_lcs_w2", "finegrain",
-            _bench_finegrain_lcs(n=64 if tiny else 256, block=16, workers=2),
-            unit="tasks/s",
-            description="fine-grain LCS (16-elem tiles) through ProcessRuntime: dispatch-bound e2e",
-        ),
-        Benchmark(
             "dispatch_overhead", "finegrain",
             _bench_dispatch_overhead(64 if tiny else 512),
             unit="jobs/s",
             description="bare compute_dispatch round trips on a persistent 1-proc pool",
         ),
-        Benchmark(
-            "procpool_lcs_w2", "procpool", _bench_procpool("lcs", 2),
-            unit="tasks/s",
-            description="FTScheduler + ProcessRuntime(2) on tiny LCS over shm store",
-        ),
-        Benchmark(
-            "procpool_cholesky_w2", "procpool", _bench_procpool("cholesky", 2),
-            unit="tasks/s",
-            description="FTScheduler + ProcessRuntime(2) on tiny Cholesky over shm store",
-        ),
     ]
 
 
-#: Default-scale suite (built lazily on first use by the CLI; importing
-#: this module never imports numpy-heavy app code).
+#: Every cell's name, the same at both scales: the catalogue a baseline
+#: is gated against (importing this module never imports app code).
 SUITE: tuple[str, ...] = tuple(b.name for b in benchmarks("selftest"))
 
 

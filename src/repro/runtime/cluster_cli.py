@@ -33,7 +33,6 @@ import subprocess
 import sys
 import threading
 import time
-import urllib.request
 
 
 def worker_main(argv: list[str]) -> int:
@@ -247,6 +246,8 @@ def _check_kill9(make_workers: int = 2) -> None:
 
 
 def _check_metrics_scrape() -> None:
+    import urllib.request
+
     from repro.apps import make_app
     from repro.runtime import ClusterRuntime, InlineRuntime
 

@@ -1,8 +1,10 @@
 """Unit tests for the repro.perf benchmark toolkit: the statistical
-runner, the BENCH JSON round-trip/numbering, and the calibrated
-regression gate (including its CI-overlap noise guard)."""
+runner, the BENCH JSON round trip, the calibrated regression gate
+(including its CI-overlap noise guard), and the CLI gate's catalogue
+filter against the committed BENCH files."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,10 +21,18 @@ from repro.perf.compare import (
     bench_payload,
     compare_runs,
     load_bench_json,
-    next_bench_path,
     write_bench_json,
 )
-from repro.perf.suites import benchmarks, groups
+from repro.perf.cli import _gate
+from repro.perf.suites import SUITE, benchmarks, groups
+
+#: The committed BENCH files: ``BENCH_seed.json`` and the micro suite's
+#: numbered history (``BENCH_e2e_*`` are the e2e benchmark's, another
+#: schema).
+COMMITTED = sorted(
+    p for p in (Path(__file__).resolve().parents[2]).glob("BENCH_*.json")
+    if not p.name.startswith("BENCH_e2e_")
+)
 
 
 def counting_bench(name="toy", group="g", ops=100):
@@ -83,8 +93,7 @@ class TestRunner:
 class TestBenchJson:
     def _payload(self):
         results = run_suite([counting_bench()], RunnerConfig().scaled_down())
-        return bench_payload(results, calibration=1e6,
-                             config={"scale": "selftest"}, label="unit")
+        return bench_payload(results, calibration=1e6, config={"scale": "selftest"})
 
     def test_round_trip(self, tmp_path):
         payload = self._payload()
@@ -97,14 +106,6 @@ class TestBenchJson:
         p.write_text(json.dumps({"schema": 999}))
         with pytest.raises(ValueError, match="schema"):
             load_bench_json(p)
-
-    def test_next_bench_path_skips_taken_and_seed(self, tmp_path):
-        assert next_bench_path(tmp_path).name == "BENCH_1.json"
-        (tmp_path / "BENCH_1.json").write_text("{}")
-        (tmp_path / "BENCH_seed.json").write_text("{}")  # never counted
-        assert next_bench_path(tmp_path).name == "BENCH_2.json"
-        (tmp_path / "BENCH_3.json").write_text("{}")
-        assert next_bench_path(tmp_path).name == "BENCH_2.json"
 
 
 def delta_payload(median, lo, hi, calibration=1.0, hib=True):
@@ -186,6 +187,53 @@ class TestRegressionGate:
         deltas, missing = compare_runs(base, cur)
         assert missing == ["bench"]
         assert not deltas
+
+    @pytest.mark.parametrize("hib", [True, False])
+    def test_cell_that_measured_nothing_regresses(self, hib):
+        """A current median of zero is no faster than anything: it must
+        fail the gate, not slip past as neither regressed nor missing."""
+        base = delta_payload(100.0, 99.0, 101.0, hib=hib)
+        cur = delta_payload(0.0, 0.0, 0.0, hib=hib)
+        (d,), missing = compare_runs(base, cur)
+        assert d.regressed and not missing
+
+
+def gate_doc(*names, median=100.0):
+    return {
+        "schema": 1,
+        "calibration": 1.0,
+        "results": {
+            name: {"unit": "ops/s", "higher_is_better": True,
+                   "median": median, "ci_lo": median - 1, "ci_hi": median + 1}
+            for name in names
+        },
+    }
+
+
+class TestCatalogueGate:
+    def test_committed_bench_files_exist(self):
+        assert "BENCH_seed.json" in {p.name for p in COMMITTED}
+
+    @pytest.mark.parametrize("path", COMMITTED, ids=lambda p: p.name)
+    def test_committed_bench_file_gates_against_itself(self, path, capsys):
+        doc = load_bench_json(path)
+        assert _gate(doc, doc) == 0
+        out = capsys.readouterr().out
+        assert "MISSING" not in out
+        for name in doc["results"]:
+            assert (f"{name:<34} retired from the catalogue" in out) == (name not in SUITE)
+
+    def test_retired_cell_is_listed_and_catalogue_cell_still_missing(self, capsys):
+        kept, gone = SUITE[0], "cell_no_longer_in_the_catalogue"
+        baseline = gate_doc(kept, gone)
+        assert _gate(baseline, gate_doc(kept)) == 0
+        out = capsys.readouterr().out
+        assert "MISSING" not in out
+        assert f"{gone:<34} retired from the catalogue" in out
+        assert _gate(baseline, gate_doc()) == 1
+        out = capsys.readouterr().out
+        assert f"{kept:<34} MISSING from current run" in out
+        assert f"{gone:<34} MISSING" not in out
 
 
 class TestSuiteRegistry:

@@ -407,6 +407,28 @@ class TestCacheScopes:
             one_run = one_run or srv.cache.nbytes
             assert 0 < srv.cache.nbytes <= 2 * one_run
 
+    def test_cache_gauges_stay_at_one_runs_worth(self):
+        # What a scrape of a worker's /metrics reads: the gauges, not the
+        # cache object.  Growth with the run count is the cache keeping
+        # history again.
+        from repro.obs.live import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        srv = WorkerServer(f"inproc://worker-{next(_ids)}", metrics=metrics).start()
+        app = make_app("cholesky", config=AppConfig(n=512, block=64))
+        held = []
+        try:
+            for _ in range(12):
+                run_ft(app, ClusterRuntime(workers=2, seed=0, addresses=[srv.address]))
+                settle(srv)
+                held.append((metrics.value("repro_worker_cache_bytes"),
+                             metrics.value("repro_worker_cache_entries")))
+        finally:
+            srv.close()
+        (bytes0, entries0) = held[0]
+        assert bytes0 > 0 and entries0 > 0
+        assert all(b <= 2 * bytes0 and n <= 2 * entries0 for b, n in held), held
+
     def test_concurrent_runs_on_one_server_share_no_hit(self, server):
         # Same block names, different data, same cache, at the same time.
         failures = []

@@ -13,6 +13,7 @@ one.  In-process servers, no timing.
 """
 
 import itertools
+import statistics
 import sys
 from collections import Counter
 
@@ -33,7 +34,7 @@ from repro.memory.shm import ShmDescriptor
 from repro.obs.events import EventKind, EventLog
 from repro.obs.replay import assert_consistent
 from repro.runtime import ClusterRuntime, InlineRuntime, ProcessRuntime, WorkerServer
-from repro.runtime.dispatch import PipelineChannel, stage
+from repro.runtime.dispatch import ChannelPool, PipelineChannel, stage
 from repro.runtime.tracing import ExecutionTrace
 from repro.runtime.worker import BlockCache
 from repro.verify.invariants import check_log
@@ -43,6 +44,13 @@ _ids = itertools.count()
 #: 4x4 tiles of 32 KiB: 20 tasks, 40 declared inputs.
 CFG = AppConfig(n=256, block=64)
 TILE_BYTES = 64 * 64 * 8
+
+#: 8x8 tiles of 32 KiB: 120 tasks, enough jobs for placement to matter.
+#: FIFO-token placement pushed 107-122 payloads a run; placement that
+#: weighs what a channel already holds pushes 65-109 (thread timing
+#: decides a run, so the ceiling bounds the median of several).
+WIRE_CFG = AppConfig(n=512, block=64)
+PUSH_CEILING = 107
 
 #: 4x4 tiles of 72 KiB: above ``SMALL_BLOCK_BYTES``, so a shared store
 #: backs every tile with a segment.
@@ -89,6 +97,42 @@ class TestTrafficShape:
         assert max(per_channel.values()) == 1
         # No lazy fetch means no worker cache miss either.
         assert [s.cache.misses for s in servers] == [0, 0]
+
+    def test_pushes_stay_under_the_ceiling_and_no_job_waits_behind_an_idle_channel(
+        self, servers, monkeypatch
+    ):
+        # Placement is checked at the pick, under the pool's own
+        # (reentrant) condition: a job must never go behind another while
+        # a live channel has nothing in flight.
+        piled = []
+        pick = ChannelPool.acquire
+
+        def watched(pool, values, aborted):
+            with pool._cond:
+                best = pick(pool, values, aborted)
+                piled.append(best.load > 1 and any(
+                    h.load == 0 and not h.dead for h in pool.channels))
+                return best
+
+        monkeypatch.setattr(ChannelPool, "acquire", watched)
+        app = make_app("cholesky", config=WIRE_CFG)
+        pushes = []
+        for seed in range(8):
+            log = EventLog()
+            store = app.make_store(True)
+            rt = ClusterRuntime(workers=2, seed=seed, event_log=log,
+                                addresses=[s.address for s in servers])
+            FTScheduler(app, rt, store=store, event_log=log).run()
+            app.verify(store)
+            events = shipped(log)
+            assert events and {e.data["mode"] for e in events} == {"push"}
+            per_channel = Counter(
+                (e.data["addr"], e.data["block"], e.data["version"]) for e in events
+            )
+            assert max(per_channel.values()) == 1
+            pushes.append(len(events))
+        assert statistics.median(pushes) <= PUSH_CEILING, pushes
+        assert piled and not any(piled)
 
     def test_contended_table_still_ships_each_version_once(self, servers):
         # Four scheduler threads staging onto one channel's table (and

@@ -4,7 +4,9 @@ Each case runs in a fresh interpreter.  A grid, LCS, SW or FW process
 must never load scipy (only LU and Cholesky need it) nor
 ``http.server`` (only a ``MetricsServer`` does); an LU or Cholesky
 process must have scipy loaded by the time its app is built, so a
-forked worker inherits it and no kernel imports on a task's path.
+forked worker inherits it and no kernel imports on a task's path.  A
+``python -m repro worker`` process loads no HTTP client
+(``urllib.request``).
 """
 
 import json
@@ -63,4 +65,12 @@ def test_building_a_lapack_app_loads_scipy_before_any_kernel(loaded_after, name)
     """
     assert loaded_after(body, ("scipy.linalg", "http.server")) == {
         "scipy.linalg": True, "http.server": False,
+    }
+
+
+def test_the_worker_entry_point_loads_no_http_client(loaded_after):
+    # Every ``python -m repro worker`` imports this module; only the
+    # cluster selftest's scrape needs an HTTP client.
+    assert loaded_after("import repro.runtime.cluster_cli\n", ("urllib.request",)) == {
+        "urllib.request": False,
     }
