@@ -56,7 +56,14 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.hooks import SchedulerHooks
-from repro.core.nabbit import _NOTIFY, Key, NabbitScheduler
+from repro.core.nabbit import (
+    _COMPUTE_END,
+    _COMPUTED,
+    _NOTIFY,
+    _TASK_CREATED,
+    Key,
+    NabbitScheduler,
+)
 from repro.core.records import TaskRecord
 from repro.core.recovery_table import RecoveryTable
 from repro.core.status import TaskStatus
@@ -145,7 +152,9 @@ class FTScheduler(NabbitScheduler):
         B, blife, inserted = self.map.insert_if_absent(pkey)
         if inserted:
             if self._obs:
-                self.log.emit(EventKind.TASK_CREATED, pkey, blife)
+                self.log.rec.put(
+                    (next(self._seq), self._now(), self._wid(), _TASK_CREATED, pkey, blife, None)
+                )
             self.runtime.spawn(
                 lambda: self._init_and_compute(B, pkey, blife),
                 label=f"init:{pkey!r}" if self._lbl else "",
@@ -174,7 +183,7 @@ class FTScheduler(NabbitScheduler):
                 B.check()
             self.runtime.charge(self._c_lock)
             with B.lock:
-                if B.status < TaskStatus.COMPUTED:
+                if B.status < _COMPUTED:
                     # B must notify A once computed.
                     B.notify_array.append(key)
                     finished = False
@@ -207,7 +216,8 @@ class FTScheduler(NabbitScheduler):
             if success:
                 self.trace.note(_NOTIFY)
                 if self._obs:
-                    self.log.emit(EventKind.NOTIFY, key, life, src=pkey)
+                    self.log.rec.put((next(self._seq), self._now(), self._wid(),
+                                      _NOTIFY, key, life, {"src": pkey}))
                 if val < 0:
                     raise SchedulerError(f"join underflow on {key!r} via {pkey!r}")
                 if val == 0:
@@ -234,7 +244,9 @@ class FTScheduler(NabbitScheduler):
             if A.corrupted:
                 A.check()
             if self._obs:
-                self.log.emit(EventKind.COMPUTE_END, key, life)
+                self.log.rec.put(
+                    (next(self._seq), self._now(), self._wid(), _COMPUTE_END, key, life, None)
+                )
             self.runtime.spawn(
                 lambda: self._publish_and_notify(A, key, life),
                 label=f"publish:{key!r}" if self._lbl else "",

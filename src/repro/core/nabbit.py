@@ -52,9 +52,12 @@ from repro.runtime.tracing import COUNTERS, ExecutionTrace
 
 Key = Hashable
 
-# The per-task and per-edge kinds every run notes, bound once: a module
-# global reads faster than an Enum member on these paths.
-_COMPUTE_BEGIN, _NOTIFY = EventKind.COMPUTE_BEGIN, EventKind.NOTIFY
+# The statuses and lifecycle kinds the per-task and per-edge paths read,
+# bound once: a module global loads several times faster than an Enum member.
+_COMPUTED, _COMPLETED = TaskStatus.COMPUTED, TaskStatus.COMPLETED
+_TASK_CREATED, _NOTIFY = EventKind.TASK_CREATED, EventKind.NOTIFY
+_COMPUTE_BEGIN, _COMPUTE_END = EventKind.COMPUTE_BEGIN, EventKind.COMPUTE_END
+_TASK_COMPUTED, _TASK_COMPLETED = EventKind.TASK_COMPUTED, EventKind.TASK_COMPLETED
 
 
 class NabbitScheduler:
@@ -114,6 +117,9 @@ class NabbitScheduler:
         else:
             self.trace.assume_serial()
         self.log.bind_runtime(runtime)
+        # Lifecycle sites write their records through `log.rec` with these
+        # stamps, bound once: no emit() frame, no kwargs dict per event.
+        self._seq, self._now, self._wid = self.log.stamps()
         # Fault injectors and detection-capable stores (repro.detect) emit
         # into an event_log; share ours unless the caller wired their own.
         if self._obs and getattr(self.hooks, "event_log", False) is None:
@@ -175,12 +181,14 @@ class NabbitScheduler:
         if not inserted:
             raise SchedulerError("scheduler instances are single-use; create a new one")
         if self._obs:
-            self.log.emit(EventKind.TASK_CREATED, skey, life)
+            self.log.rec.put(
+                (next(self._seq), self._now(), self._wid(), _TASK_CREATED, skey, life, None)
+            )
         root = Frame(self._root(sink, skey, life), label=f"init:{skey!r}")
         run = self.runtime.execute(root)
         final, _ = self.map.get(skey)
         status = final.status if final is not None else None  # verify: ok=lock-discipline (post-quiescence read; every worker has drained)
-        if status is not TaskStatus.COMPLETED:
+        if status is not _COMPLETED:
             raise SchedulerError(
                 f"execution quiesced but sink {skey!r} is "
                 f"{status.name if status else 'missing'} -- hung task graph"
@@ -210,7 +218,9 @@ class NabbitScheduler:
         B, _, inserted = self.map.insert_if_absent(pkey)
         if inserted:
             if self._obs:
-                self.log.emit(EventKind.TASK_CREATED, pkey, 1)
+                self.log.rec.put(
+                    (next(self._seq), self._now(), self._wid(), _TASK_CREATED, pkey, 1, None)
+                )
             self.runtime.spawn(
                 lambda: self._init_and_compute(B, pkey),
                 label=f"init:{pkey!r}" if self._lbl else "",
@@ -218,7 +228,7 @@ class NabbitScheduler:
         self.runtime.charge(self._c_lock)
         finished = True
         with B.lock:
-            if B.status < TaskStatus.COMPUTED:
+            if B.status < _COMPUTED:
                 B.notify_array.append(key)
                 finished = False
         if finished:
@@ -232,7 +242,9 @@ class NabbitScheduler:
             val = A.join
         self.trace.note(_NOTIFY)
         if self._obs:
-            self.log.emit(EventKind.NOTIFY, key, 1, src=pkey)
+            self.log.rec.put(
+                (next(self._seq), self._now(), self._wid(), _NOTIFY, key, 1, {"src": pkey})
+            )
         if val < 0:
             raise SchedulerError(f"join counter underflow on {key!r} (notified by {pkey!r})")
         if val == 0:
@@ -242,7 +254,9 @@ class NabbitScheduler:
         """COMPUTEANDNOTIFY: COMPUTE(A), then publish in a spawned frame."""
         self._compute(A, key, 1)
         if self._obs:
-            self.log.emit(EventKind.COMPUTE_END, key, 1)
+            self.log.rec.put(
+                (next(self._seq), self._now(), self._wid(), _COMPUTE_END, key, 1, None)
+            )
         self.runtime.spawn(
             lambda: self._publish(A, key, 1),
             label=f"publish:{key!r}" if self._lbl else "",
@@ -253,7 +267,9 @@ class NabbitScheduler:
         incarnation ``life`` of ``key``, in place or off-process."""
         self.trace.note(_COMPUTE_BEGIN, key)
         if self._obs:
-            self.log.emit(EventKind.COMPUTE_BEGIN, key, life)
+            self.log.rec.put(
+                (next(self._seq), self._now(), self._wid(), _COMPUTE_BEGIN, key, life, None)
+            )
         self.runtime.charge(float(self.spec.cost(key)) * self._compute_factor)
         fp = self._plans[key].footprint
         ctx = StoreComputeContext(self.spec, self.store, key, self.strict_context, fp)
@@ -269,9 +285,11 @@ class NabbitScheduler:
         drain the notify array until it is stable, mark Completed."""
         self.runtime.charge(self._c_atomic)
         with A.lock:
-            A.status = TaskStatus.COMPUTED
+            A.status = _COMPUTED
         if self._obs:
-            self.log.emit(EventKind.TASK_COMPUTED, key, life)
+            self.log.rec.put(
+                (next(self._seq), self._now(), self._wid(), _TASK_COMPUTED, key, life, None)
+            )
         notified = 0
         while True:
             with A.lock:
@@ -285,10 +303,12 @@ class NabbitScheduler:
             self.runtime.charge(self._c_lock)
             with A.lock:
                 if len(A.notify_array) == notified:
-                    A.status = TaskStatus.COMPLETED
+                    A.status = _COMPLETED
                     break
         if self._obs:
-            self.log.emit(EventKind.TASK_COMPLETED, key, life)
+            self.log.rec.put(
+                (next(self._seq), self._now(), self._wid(), _TASK_COMPLETED, key, life, None)
+            )
         if self._hooked:
             self.hooks.on_after_notify(A)
 

@@ -32,6 +32,10 @@ from typing import Hashable, List
 from repro.core.status import TaskStatus
 from repro.exceptions import TaskCorruptionError
 
+# Every task insert and recovery builds a record: read the initial status
+# as a module global, not an Enum member.
+_VISITED = TaskStatus.VISITED
+
 
 class TaskRecord:
     """Mutable runtime state for one incarnation of one task."""
@@ -58,7 +62,7 @@ class TaskRecord:
         self.join = n_preds + 1
         self.bit_vector = (1 << (n_preds + 1)) - 1
         self.notify_array: List[Hashable] = []
-        self.status = TaskStatus.VISITED
+        self.status = _VISITED
         self.corrupted = False
         self.recovery = False
         self.lock = threading.Lock()

@@ -26,6 +26,12 @@ from repro.memory.blockstore import BlockStore
 from repro.obs.events import EventKind, EventLog
 from repro.runtime.tracing import ExecutionTrace, note_and_emit
 
+# The hooks run on every task of a faulted run: read the phases as module
+# globals, not Enum members.
+_BEFORE_COMPUTE = FaultPhase.BEFORE_COMPUTE
+_AFTER_COMPUTE = FaultPhase.AFTER_COMPUTE
+_AFTER_NOTIFY = FaultPhase.AFTER_NOTIFY
+
 
 class FaultInjector:
     """SchedulerHooks implementation driven by a :class:`FaultPlan`."""
@@ -58,13 +64,13 @@ class FaultInjector:
     # -- hook dispatch -----------------------------------------------------------------
 
     def on_task_waiting(self, record: TaskRecord) -> None:
-        self._maybe_fire(record, FaultPhase.BEFORE_COMPUTE)
+        self._maybe_fire(record, _BEFORE_COMPUTE)
 
     def on_after_compute(self, record: TaskRecord) -> None:
-        self._maybe_fire(record, FaultPhase.AFTER_COMPUTE)
+        self._maybe_fire(record, _AFTER_COMPUTE)
 
     def on_after_notify(self, record: TaskRecord) -> None:
-        self._maybe_fire(record, FaultPhase.AFTER_NOTIFY)
+        self._maybe_fire(record, _AFTER_NOTIFY)
 
     # -- internals ----------------------------------------------------------------------
 

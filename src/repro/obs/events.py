@@ -24,6 +24,23 @@ Design constraints:
   never sees part of a record.  :class:`Event` objects are built once,
   incrementally, when the log is *read*: each read decodes only the
   records appended since the previous one and releases them as it goes.
+* **One way in: the recorder.**  Every record enters through
+  ``log.rec.put(record)``.  For a buffered log ``rec`` is a
+  :class:`threading.local` subclass whose ``__init__`` runs once per
+  thread: it registers a fresh buffer and binds ``put`` to that
+  buffer's ``extend``, so there is no per-event thread lookup.  It is
+  given the buffer registry and the lock, never the log: a
+  ``threading.local`` keeps its constructor arguments, and a log ->
+  recorder -> log cycle would keep each run's decoded events alive
+  until a full collection.  ``emit``/``emit_at`` are one-liners over
+  ``rec.put``; the schedulers' per-task and per-edge sites skip even
+  that frame and its kwargs dict: they bind ``(seq, clock, worker)``
+  from :meth:`EventLog.stamps` once and write the record themselves,
+  the kind a module constant (an ``Enum`` member read costs several
+  global loads) -- four C or Python calls per event instead of five.
+  :meth:`EventLog.seal` swaps in a recorder whose ``put`` raises, so
+  the sealed check costs nothing per event, and :meth:`EventLog.clear`
+  restarts numbering without replacing the counter a site bound.
 * **Low contention when on.**  An unbounded log appends to *per-thread
   buffers*; ordering comes from a shared sequence counter whose
   ``next()`` is a single GIL-atomic operation.  The buffers are merged
@@ -63,6 +80,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from types import SimpleNamespace
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
 
@@ -248,9 +266,10 @@ _first_slot = operator.itemgetter(0)
 _WIDTH = 7
 
 
-def _decode(buf: list[Any], todo: int) -> list[Event]:
+def _decode(buf: list[Any], todo: int, base: int = 0) -> list[Event]:
     """Consume the first ``todo`` slots of ``buf`` (whole records) and
-    return them as :class:`Event` objects, in order.
+    return them as :class:`Event` objects, in order, their seq counted
+    from ``base``.
 
     Safe on a buffer its owner thread is still extending: only the slots
     counted before the call are read, and each decoded block leaves the
@@ -259,6 +278,8 @@ def _decode(buf: list[Any], todo: int) -> list[Event]:
     at once -- raw records are released as their events come to life,
     not after."""
     events: list[Event] = []
+    if base:
+        buf[0:todo:_WIDTH] = [seq - base for seq in itertools.islice(buf, 0, todo, _WIDTH)]
     block = max(todo // (8 * _WIDTH), 1024) * _WIDTH
     while todo:
         n = min(block, todo)
@@ -284,19 +305,60 @@ class SealedLogError(RuntimeError):
     """An emission arrived after :meth:`EventLog.seal` closed the log."""
 
 
+class _Recorder(threading.local):
+    """A buffered log's recorder: ``put`` is this thread's buffer's
+    ``extend``.  ``__init__`` runs once per thread and takes the lock only
+    to register the buffer; the registry keeps records alive past their
+    thread.  Never give it the log (see the module docstring: no cycle)."""
+
+    def __init__(self, buffers: list[Any], lock: threading.Lock) -> None:
+        buf: list[Any] = []
+        with lock:
+            buffers.append(buf)
+        self.put = buf.extend
+
+
+class _LockedSink:
+    """The recorder of a capacity-bounded or ``buffered=False`` log: one
+    shared buffer, extended under the log's lock.  ``put`` renumbers the
+    record's seq in lock order, so readers (and the ring's eviction) see
+    exactly the order in which records landed."""
+
+    __slots__ = ("buf", "lock", "n")
+
+    def __init__(self, buf: deque[Any] | list[Any], lock: threading.Lock) -> None:
+        self.buf = buf
+        self.lock = lock
+        self.n = 0
+        """Records put since the log was opened or cleared (drops included)."""
+
+    def put(self, record: tuple[Any, ...]) -> None:
+        with self.lock:
+            self.buf.extend((self.n, *record[1:]))
+            self.n += 1
+
+
+def _refuse(record: tuple[Any, ...]) -> None:
+    raise SealedLogError(f"emit({record[3].value}) on a sealed EventLog")
+
+
+#: The recorder :meth:`EventLog.seal` swaps in: every ``put`` raises.
+_SEALED = SimpleNamespace(put=_refuse)
+
+
 class EventLog:
     """Append-only, thread-safe event collector bound to a runtime clock.
 
-    Every emission appends one flat record (see the module docstring);
-    :class:`Event` objects exist only once the log has been read.
-    Unbounded logs (the default) are *buffered*: each emitting thread
-    extends its own list, and the only shared state an emission touches
-    is ``next()`` on an :func:`itertools.count` -- a single C-level call
-    that is atomic under the GIL and therefore a linearization point.
-    Merging the buffers by that sequence number at read time
-    reconstructs exactly the total order a single-lock log would have
-    produced.  Capacity-bounded logs and ``buffered=False`` extend one
-    shared buffer under the lock instead.
+    Every emission appends one flat record (see the module docstring)
+    through :attr:`rec`; :class:`Event` objects exist only once the log
+    has been read.  Unbounded logs (the default) are *buffered*: each
+    emitting thread extends its own list, and the only shared state an
+    emission touches is ``next()`` on an :func:`itertools.count` -- a
+    single C-level call that is atomic under the GIL and therefore a
+    linearization point.  Merging the buffers by that sequence number at
+    read time reconstructs exactly the total order a single-lock log
+    would have produced.  Capacity-bounded logs and ``buffered=False``
+    extend one shared buffer under the lock instead.
     """
 
     enabled = True
@@ -304,28 +366,46 @@ class EventLog:
     this flag) before building an event.  Always True here; the
     :class:`NullEventLog` overrides it."""
 
+    rec: Any
+    """The recorder: ``rec.put((seq, t, worker, kind, key, life,
+    data-or-None))`` records one event.  Read it off the log at every
+    emission: ``seal`` and ``clear`` replace it."""
+
     def __init__(self, capacity: int | None = None, buffered: bool = True) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be >= 1 (or None for unbounded)")
         self.capacity = capacity
         self._buffered = buffered and capacity is None
         self._lock = threading.Lock()
+        # One counter for the log's lifetime, so a site that bound it
+        # never strands: ``clear`` restarts numbering by moving ``_base``,
+        # the seq the decoder reads back as 0 (buffered logs only; the
+        # locked sink numbers records itself).
         self._count = itertools.count()
-        self._seq = 0
-        self._local = threading.local()
+        self._base = 0
         # Raw records not yet decoded.  Buffered: one list per emitting
-        # thread, registered on its first emission.  Otherwise the one
-        # shared buffer -- a ring of ``capacity`` records when bounded.
+        # thread, registered by the recorder.  Otherwise the one shared
+        # buffer -- a ring of ``capacity`` records when bounded.
         self._shared: deque[Any] | list[Any]
         self._shared = deque(maxlen=capacity * _WIDTH) if capacity is not None else []
-        self._buffers: list[Any] = [] if self._buffered else [self._shared]
+        self._buffers: list[Any]
         # Decoded events in emission order; only ``_drain`` appends.
         self._merged: deque[Event] | list[Event]
         self._merged = deque(maxlen=capacity) if capacity is not None else []
         self._clock: Callable[[], float] = time.perf_counter
         self._worker: Callable[[], int] = _zero
         self._epoch = time.perf_counter()
-        self._sealed = False
+        self._open()
+
+    def _open(self) -> None:
+        """Install a fresh recorder over empty buffers."""
+        if self._buffered:
+            self._buffers = []
+            self.rec = _Recorder(self._buffers, self._lock)
+        else:
+            self._buffers = [self._shared]
+            self._sink = _LockedSink(self._shared, self._lock)
+            self.rec = self._sink
 
     # -- binding -----------------------------------------------------------------
 
@@ -349,19 +429,15 @@ class EventLog:
         the same axis as every other event timestamp."""
         return self._clock()
 
+    def stamps(self) -> tuple[Iterator[int], Callable[[], float], Callable[[], int]]:
+        """``(seq, clock, worker)`` for a site that writes through
+        :attr:`rec` itself: ``rec.put((next(seq), clock(), worker(),
+        kind, key, life, data))`` records what ``emit`` would.  Bind them
+        after :meth:`bind_runtime`; ``seq`` stays valid across
+        :meth:`clear`."""
+        return self._count, self._clock, self._worker
+
     # -- emission ----------------------------------------------------------------
-
-    def _thread_buffer(self) -> list[Any]:
-        """This thread's record buffer, created and registered on first use.
-
-        Registration takes a lock once per (thread, log) pair -- never per
-        event.  The registry holds strong references, so records survive
-        their emitting worker thread."""
-        buf: list[Any] = []
-        with self._lock:
-            self._buffers.append(buf)
-        self._local.buf = buf
-        return buf
 
     def emit(
         self,
@@ -371,18 +447,9 @@ class EventLog:
         **data: Any,
     ) -> None:
         """Record one event at the bound runtime's current time/worker."""
-        if self._buffered:
-            if self._sealed:
-                raise SealedLogError(f"emit({kind.value}) on a sealed EventLog")
-            try:
-                buf = self._local.buf
-            except AttributeError:
-                buf = self._thread_buffer()
-            buf.extend(
-                (next(self._count), self._clock(), self._worker(), kind, key, life, data or None)
-            )
-            return
-        self.emit_at(kind, self._clock(), self._worker(), key, life, **data)
+        self.rec.put(
+            (next(self._count), self._clock(), self._worker(), kind, key, life, data or None)
+        )
 
     def emit_at(
         self,
@@ -395,18 +462,7 @@ class EventLog:
     ) -> None:
         """Record one event with explicit attribution (used by the
         simulator's driver loop, which acts *for* a virtual worker)."""
-        if self._sealed:
-            raise SealedLogError(f"emit({kind.value}) on a sealed EventLog")
-        if self._buffered:
-            try:
-                buf = self._local.buf
-            except AttributeError:
-                buf = self._thread_buffer()
-            buf.extend((next(self._count), t, worker, kind, key, life, data or None))
-            return
-        with self._lock:
-            self._shared.extend((self._seq, t, worker, kind, key, life, data or None))
-            self._seq += 1
+        self.rec.put((next(self._count), t, worker, kind, key, life, data or None))
 
     # -- inspection ---------------------------------------------------------------
 
@@ -438,14 +494,14 @@ class EventLog:
             # consumed, so the offender stays put and every later read
             # raises too.
             first = min(pending, key=_first_slot)
-            if first[0] < merged[-1].seq:
+            if first[0] - self._base < merged[-1].seq:
                 raise LateEmitError(
                     f"{sum(cuts) // _WIDTH} event(s) emitted after the merged "
                     f"order was observed would reorder the drained prefix "
-                    f"(first offender: {first[3].value} seq={first[0]}, "
+                    f"(first offender: {first[3].value} seq={first[0] - self._base}, "
                     f"drained max seq={merged[-1].seq})"
                 )
-        runs = [_decode(buf, cut) for buf, cut in zip(pending, cuts)]
+        runs = [_decode(buf, cut, self._base) for buf, cut in zip(pending, cuts)]
         merged.extend(runs[0] if len(runs) == 1 else sorted(itertools.chain(*runs), key=_seq_of))
         return merged
 
@@ -460,7 +516,7 @@ class EventLog:
         with self._lock:
             if self._buffered:
                 return len(self._merged) + sum(map(len, self._buffers)) // _WIDTH
-            return self._seq
+            return self._sink.n
 
     @property
     def buffered(self) -> bool:
@@ -482,20 +538,23 @@ class EventLog:
         exist (e.g. ``repro.detect`` escape accounting)."""
         with self._lock:
             self._drain()
-        self._sealed = True
+        self.rec = _SEALED
 
     @property
     def sealed(self) -> bool:
-        return self._sealed
+        return self.rec is _SEALED
 
     def clear(self) -> None:
+        """Forget every event, unseal, and restart numbering at seq 0."""
         with self._lock:
             for buf in self._buffers:
                 buf.clear()
             self._merged.clear()
-            self._count = itertools.count()
-            self._seq = 0
-            self._sealed = False
+            if self._buffered:
+                self._base = next(self._count) + 1
+        # Outside the lock: a fresh recorder registers this thread's
+        # buffer under it.
+        self._open()
 
     def __len__(self) -> int:
         return self.total_emitted - self.dropped

@@ -17,7 +17,7 @@ from typing import Iterator
 
 from repro.obs.events import Event
 from repro.verify.report import Finding
-from repro.verify.static.callgraph import Program, StaticRule
+from repro.verify.static.callgraph import Program, StaticRule, _relpath_of_import
 
 # ---------------------------------------------------------------------------
 # lock-discipline
@@ -284,14 +284,26 @@ def _is_obs_guard(test: ast.AST) -> bool:
     return False
 
 
+def _is_rec_put(call: ast.Call) -> bool:
+    """True iff ``call`` is ``….rec.put(...)``: a record written straight
+    through an :class:`~repro.obs.events.EventLog`'s recorder."""
+    func = call.func
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr == "put"
+        and isinstance(func.value, ast.Attribute)
+        and func.value.attr == "rec"
+    )
+
+
 class EmitGuardRule(StaticRule):
     """Every telemetry publication in the audited modules sits under a
     cached liveness guard.
 
     The schedulers' fault-free hot path must cost one cached boolean test
     per would-be event or sample, not an attribute chain plus a no-op
-    method call: every ``.emit()``/``.emit_at()`` (event log) and every
-    ``.inc()``/``.observe()`` (push metrics) must be inside an ``if``
+    method call: every ``.emit()``/``.emit_at()``/``.rec.put()`` (event
+    log) and every ``.inc()``/``.observe()`` (push metrics) must be inside an ``if``
     whose condition references a cached ``_obs`` / ``_mx`` flag (each
     derived from a ``log is not NULL_LOG`` / ``metrics is not
     NULL_METRICS`` identity check) or performs the identity check
@@ -333,11 +345,12 @@ class EmitGuardRule(StaticRule):
             not guarded
             and isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in self.CALLS
+            and (node.func.attr in self.CALLS or _is_rec_put(node))
         ):
+            call = "rec.put" if _is_rec_put(node) else node.func.attr
             findings.append(Finding(
                 self.name, path, node.lineno,
-                f"`.{node.func.attr}()` not guarded by a cached `_obs`/`_mx` "
+                f"`.{call}()` not guarded by a cached `_obs`/`_mx` "
                 "flag or NULL_LOG/NULL_METRICS identity check -- "
                 "unconditional per-publication overhead on the "
                 "telemetry-off hot path",
@@ -350,21 +363,62 @@ class EmitGuardRule(StaticRule):
 # eventkind-coverage
 
 
-def _eventkind_attrs(node: ast.AST) -> set[str]:
-    """EventKind member names referenced anywhere under ``node``."""
-    return {
-        n.attr
-        for n in ast.walk(node)
-        if isinstance(n, ast.Attribute)
-        and isinstance(n.value, ast.Name)
-        and n.value.id == "EventKind"
-    }
+def _eventkind_member(node: ast.AST) -> str | None:
+    """``X`` if ``node`` is ``EventKind.X``."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "EventKind"
+    ):
+        return node.attr
+    return None
+
+
+def _eventkind_attrs(node: ast.AST, consts: dict[str, str]) -> set[str]:
+    """EventKind member names referenced anywhere under ``node``, directly
+    or through a module constant in ``consts``."""
+    names: set[str] = set()
+    for n in ast.walk(node):
+        name = _eventkind_member(n) or (consts.get(n.id) if isinstance(n, ast.Name) else None)
+        if name:
+            names.add(name)
+    return names
+
+
+def _eventkind_constants(program: Program) -> dict[str, dict[str, str]]:
+    """Per module, the globals bound to one EventKind member -- the
+    hot-path idiom ``_NOTIFY = EventKind.NOTIFY`` (tuple unpacking
+    included) -- plus those imported by name from another module's."""
+    consts: dict[str, dict[str, str]] = {}
+    for m in program.modules:
+        table = consts[m.relpath] = {}
+        for stmt in m.tree.body:
+            if not isinstance(stmt, ast.Assign):
+                continue
+            for target in stmt.targets:
+                pairs = [(target, stmt.value)]
+                if isinstance(target, ast.Tuple) and isinstance(stmt.value, ast.Tuple):
+                    pairs = list(zip(target.elts, stmt.value.elts))
+                for name, value in pairs:
+                    member = _eventkind_member(value)
+                    if member and isinstance(name, ast.Name):
+                        table[name.id] = member
+    for m in program.modules:
+        for node in m.nodes:
+            if isinstance(node, ast.ImportFrom):
+                source = consts.get(_relpath_of_import(node.module) or "", {})
+                for alias in node.names:
+                    if alias.name in source:
+                        consts[m.relpath][alias.asname or alias.name] = source[alias.name]
+    return consts
 
 
 class EventKindCoverageRule(StaticRule):
     """Every :class:`~repro.obs.events.EventKind` member is emitted
-    somewhere in the package -- by ``.emit()``/``.emit_at()`` or through
-    :func:`~repro.runtime.tracing.note_and_emit`: a member nothing emits
+    somewhere in the package -- by ``.emit()``/``.emit_at()``, through
+    :func:`~repro.runtime.tracing.note_and_emit`, or as a record written
+    through ``.rec.put()`` -- named as ``EventKind.X`` or as a module
+    constant bound to it: a member nothing emits
     is a promise the event log never keeps.  (Replay needs no such
     check: a trace counts every kind it is handed.)"""
 
@@ -387,13 +441,16 @@ class EventKindCoverageRule(StaticRule):
                 }
                 break
         emitted: set[str] = set()
+        constants = _eventkind_constants(program)
         for m in program.modules:
             for node in m.nodes:
                 if isinstance(node, ast.Call) and (
-                    getattr(node.func, "attr", None) or getattr(node.func, "id", None)
-                ) in self.EMITTERS:
+                    (getattr(node.func, "attr", None) or getattr(node.func, "id", None))
+                    in self.EMITTERS
+                    or _is_rec_put(node)
+                ):
                     for arg in node.args:
-                        emitted |= _eventkind_attrs(arg)
+                        emitted |= _eventkind_attrs(arg, constants[m.relpath])
         return [
             Finding(self.name, self.EVENTS_MODULE, 0,
                     f"EventKind.{name} is never emitted anywhere in the package")

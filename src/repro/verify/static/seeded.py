@@ -40,6 +40,9 @@ class SeededCase:
     expect: str
     #: protocol specs to register for this fixture (protocol rule only)
     extra_protocols: tuple[ProtocolSpec, ...] = ()
+    #: substring no finding of ``rule`` may contain: a shape next to the
+    #: planted bug that the rule must accept
+    spares: str | None = None
 
     def module(self) -> Module:
         return Module.from_source(dedent(self.source), self.relpath)
@@ -51,6 +54,13 @@ class SeededCase:
             and f.line == self.line
             and self.expect in f.message
         )
+
+    def wrongly_convicted(self, findings: Sequence[Finding]) -> list[Finding]:
+        """The findings of ``rule`` that hit the shape it must spare."""
+        return [
+            f for f in findings
+            if self.spares is not None and f.rule == self.rule and self.spares in f.message
+        ]
 
 
 SEEDED: tuple[SeededCase, ...] = (
@@ -413,6 +423,17 @@ SEEDED: tuple[SeededCase, ...] = (
         expect="`.emit()` not guarded by a cached `_obs`/`_mx` flag",
     ),
     SeededCase(
+        name="unguarded-put",
+        rule="emit-guard",
+        relpath="core/_seed_put.py",
+        source="""
+            def f(self, key, life):
+                self.log.rec.put((next(self._seq), self._now(), self._wid(), _NOTIFY, key, life, None))
+        """,
+        line=3,
+        expect="`.rec.put()` not guarded by a cached `_obs`/`_mx` flag",
+    ),
+    SeededCase(
         name="eventkind-never-emitted",
         rule="eventkind-coverage",
         relpath="obs/events.py",
@@ -422,6 +443,25 @@ SEEDED: tuple[SeededCase, ...] = (
         """,
         line=0,
         expect="EventKind.PHANTOM is never emitted",
+    ),
+    SeededCase(
+        name="eventkind-emitted-by-put",
+        rule="eventkind-coverage",
+        relpath="obs/events.py",
+        source="""
+            class EventKind(str, Enum):
+                PHANTOM = 'phantom'
+                WRITTEN = 'written'
+
+            _WRITTEN = EventKind.WRITTEN
+
+            def record(log, seq, now, worker):
+                if log is not NULL_LOG:
+                    log.rec.put((next(seq), now(), worker(), _WRITTEN, None, 0, None))
+        """,
+        line=0,
+        expect="EventKind.PHANTOM is never emitted",
+        spares="EventKind.WRITTEN",
     ),
     SeededCase(
         name="event-field-written",
@@ -494,4 +534,6 @@ def run_selftest(verbose: bool = False) -> list[str]:
             )
         elif verbose:
             print(f"  convicted {case.name}: {hits[0]}")
+        for f in case.wrongly_convicted(findings):
+            failures.append(f"{case.name}: [{case.rule}] must spare {case.spares!r}; got {f}")
     return failures

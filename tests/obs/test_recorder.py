@@ -1,0 +1,108 @@
+"""The scheduler's seam into the event log: lifecycle sites write their
+records through ``log.rec`` with stamps bound at construction, and must
+record exactly what ``emit`` would -- in every storage mode, under a
+seal, from many threads, and without keeping a finished log alive."""
+
+import gc
+import weakref
+
+import pytest
+
+from repro.core import FTScheduler
+from repro.graph.builders import grid_graph
+from repro.obs.events import EventKind, EventLog, SealedLogError
+from repro.runtime import InlineRuntime, ThreadedRuntime
+from repro.verify.invariants import check_log
+
+
+def _ft_run(log, spec=None, runtime=None):
+    spec = spec if spec is not None else grid_graph(6, 6)
+    FTScheduler(spec, runtime or InlineRuntime(), event_log=log).run()
+    return log.events
+
+
+def _shape(events):
+    return [(e.kind, e.key, e.life, e.data) for e in events]
+
+
+class TestStorageModes:
+    def test_buffered_locked_and_ring_decode_to_the_same_stream(self):
+        streams = {
+            name: _ft_run(log)
+            for name, log in (
+                ("buffered", EventLog()),
+                ("locked", EventLog(buffered=False)),
+                ("ring", EventLog(capacity=10_000)),
+            )
+        }
+        reference = _shape(streams["buffered"])
+        assert len(reference) > 6 * 6 * 8
+        for name, events in streams.items():
+            assert _shape(events) == reference, name
+            assert [e.seq for e in events] == list(range(len(events))), name
+
+    def test_notify_keeps_its_source(self):
+        events = _ft_run(EventLog())
+        notifies = [e for e in events if e.kind is EventKind.NOTIFY]
+        assert notifies and all(set(e.data) == {"src"} for e in notifies)
+        assert all(e.data is not notifies[0].data for e in notifies[1:])
+
+    def test_clear_does_not_strand_a_scheduler_built_before_it(self):
+        """The scheduler binds ``seq`` at construction; ``clear`` restarts
+        numbering at 0 without replacing the counter it bound."""
+        log = EventLog()
+        log.emit(EventKind.PARK)
+        _ = log.events
+        scheduler = FTScheduler(grid_graph(3, 3), InlineRuntime(), event_log=log)
+        log.clear()
+        scheduler.run()
+        log.emit(EventKind.PARK)
+        events = log.events
+        assert [e.seq for e in events] == list(range(len(events)))
+        assert events[0].kind is EventKind.TASK_CREATED
+        assert events[-1].kind is EventKind.PARK
+
+
+class TestSeal:
+    def test_a_scheduler_site_raises_once_the_log_is_sealed(self):
+        log = EventLog()
+        scheduler = FTScheduler(grid_graph(3, 3), InlineRuntime(), event_log=log)
+        log.seal()
+        with pytest.raises(SealedLogError, match="task_created"):
+            scheduler.run()
+        assert log.events == []
+
+    def test_clear_reopens_a_sealed_log(self):
+        log = EventLog()
+        log.seal()
+        log.clear()
+        assert not log.sealed
+        assert len(_ft_run(log, grid_graph(2, 2))) > 0
+
+
+class TestThreads:
+    def test_threaded_run_is_invariant_clean_and_attributed(self):
+        spec = grid_graph(8, 8)
+        log = EventLog()
+        runtime = ThreadedRuntime(workers=4, seed=1, event_log=log)
+        FTScheduler(spec, runtime, event_log=log).run()
+        assert check_log(log, spec) == []
+        events = log.events
+        assert [e.seq for e in events] == list(range(len(events)))
+        assert {e.worker for e in events} <= set(range(4))
+
+
+class TestNoCycle:
+    def test_a_finished_runs_log_dies_with_its_last_reference(self):
+        """The recorder holds the buffer registry and the lock, never the
+        log, so reference counting alone frees a log after its run."""
+        gc.collect()
+        gc.disable()
+        try:
+            log = EventLog()
+            _ft_run(log)
+            dead = weakref.ref(log)
+            del log
+            assert dead() is None
+        finally:
+            gc.enable()

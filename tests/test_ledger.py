@@ -32,13 +32,15 @@ def test_ledger_check_passes():
 
 
 def _table(ledger, overrides=()):
-    """A table at the ceilings' safe side, with ``(row, column) -> value`` overrides."""
+    """A table at the ceilings' safe side, with ``(row, column) -> value`` overrides:
+    untraced rows a call under their ceilings, traced rows at the per-event one."""
     columns = ("calls", "events", *ledger.COLUMNS)
     table = {name: dict.fromkeys(columns, 0.0) for name in ledger.ROWS}
-    for name in ledger.ROWS:
+    for name in ("ft", "nabbit"):
         table[name]["calls"] = ledger.MAX_CALLS[name] - 1
-    for name in ("ft traced", "nabbit traced"):
-        table[name]["events"] = ledger.MAX_EVENTS
+        traced = table[f"{name} traced"]
+        traced["events"] = ledger.MAX_EVENTS
+        traced["calls"] = table[name]["calls"] + ledger.MAX_PER_EVENT * ledger.MAX_EVENTS
     for (name, column), value in dict(overrides).items():
         table[name][column] = value
     return table
@@ -47,9 +49,23 @@ def _table(ledger, overrides=()):
 def test_traced_rows_are_gated_on_calls_and_events():
     ledger = _ledger_module()
     assert ledger.over_budget(_table(ledger)) == []
-    over_calls = _table(ledger, {("ft traced", "calls"): 165.01})
-    assert ledger.over_budget(over_calls) == ["ft traced: 165.01 calls per task > 165.0"]
+    over_calls = _table(ledger, {("ft traced", "calls"): 156.01})
+    assert ledger.over_budget(over_calls) == [
+        "ft traced: 156.01 calls per task > 156.0",
+        "ft traced: 4.10 calls per event > 4.0",
+    ]
     over_events = _table(ledger, {("nabbit traced", "events"): 8.9201})
     assert ledger.over_budget(over_events) == [
         "nabbit traced: 8.9201 events per task > 8.92"
     ]
+
+
+def test_an_emit_frame_per_event_fails_the_check_under_every_row_ceiling():
+    """Five calls per event (an emit() frame back on the record path) fails
+    even when every row is under its own ceiling."""
+    ledger = _ledger_module()
+    table = _table(ledger)
+    traced = table["ft traced"]
+    table["ft"]["calls"] = traced["calls"] - 5 * traced["events"]
+    assert traced["calls"] < ledger.MAX_CALLS["ft traced"]
+    assert ledger.over_budget(table) == ["ft traced: 5.00 calls per event > 4.0"]

@@ -41,6 +41,7 @@ class TestSeededViolations:
             f"{case.name}: no [{case.rule}] finding at line {case.line} matching "
             f"{case.expect!r}; got {[str(f) for f in findings]}"
         )
+        assert not case.wrongly_convicted(findings)
 
     def test_run_selftest_reports_no_failures(self):
         assert run_selftest() == []
