@@ -5,7 +5,7 @@ through the payload codec (:func:`repro.comm.frame.dumps` /
 :func:`~repro.comm.frame.loads`), so anything that is not wire-safe
 fails here too, in a plain single-process test, before it ever reaches
 a pipe or a socket.  This is the backend the comm tests and the cluster
-selftest's connection-sever path run on.
+tests' connection-sever path run on.
 
 Listeners live in a process-local registry keyed by name; ``connect``
 performs a rendezvous: it builds the queue pair, hands the server side

@@ -55,7 +55,12 @@ from repro.detect.policy import (
 )
 from repro.detect.replicate import ReplicaContext, ReplicationDetector
 from repro.detect.report import DetectionReport, account_escapes
-from repro.detect.silent import SilentFaultInjector, default_mutator, plan_silent_faults
+from repro.detect.silent import (
+    SilentFaultInjector,
+    default_mutator,
+    plan_silent_faults,
+    plan_sink_fault,
+)
 
 __all__ = [
     "ChecksumStore",
@@ -77,6 +82,7 @@ __all__ = [
     "SilentFaultInjector",
     "default_mutator",
     "plan_silent_faults",
+    "plan_sink_fault",
     "DetectionReport",
     "account_escapes",
 ]

@@ -1,154 +1,13 @@
 """``python -m repro detect`` -- exercise the silent-fault detectors.
 
-Default run prints the detection-coverage table and the fault-free
-overhead table (the ``--only detect`` harness experiment).
-
-``--selftest`` is the install check the CI job runs: for LCS and
-Cholesky on all three runtimes it injects mid-graph silent faults and
-asserts (a) with a checksummed store every fault is detected, recovered,
-and the final result matches the fault-free reference; (b) replication
-detects the same faults where the memory policy leaves inputs resident;
-and (c) with detection disabled the same plan yields a wrong result and
-is reported as escaped -- the contrast that proves the detectors, not
-luck, produced (a).
+Prints the detection-coverage table and the fault-free overhead table
+(the ``--only detect`` harness experiment).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
-
-from repro.core import CompositeHooks, FTScheduler
-from repro.detect.checksum import ChecksumStore
-from repro.detect.replicate import ReplicationDetector
-from repro.detect.report import account_escapes
-from repro.detect.silent import SilentFaultInjector, plan_silent_faults
-from repro.memory.allocator import KeepK
-from repro.memory.blockstore import BlockStore
-from repro.obs.events import EventLog
-from repro.obs.replay import assert_consistent
-from repro.runtime import InlineRuntime, SimulatedRuntime, ThreadedRuntime
-from repro.runtime.tracing import ExecutionTrace
-
-_SELFTEST_APPS = ("lcs", "cholesky")
-
-
-def _runtimes():
-    return (
-        ("inline", lambda: InlineRuntime()),
-        ("simulated", lambda: SimulatedRuntime(workers=4, seed=1)),
-        ("threaded", lambda: ThreadedRuntime(workers=4, seed=1)),
-    )
-
-
-def _detection_run(app, store, detector, count: int, seed: int, runtime):
-    """One silent-fault run; returns (report, detector, verify_error)."""
-    app.seed_store(store)
-    plan = plan_silent_faults(app, count=count, seed=seed)
-    trace = ExecutionTrace()
-    log = EventLog()
-    injector = SilentFaultInjector(plan, app, store, trace=trace)
-    hooks = CompositeHooks(injector, detector) if detector else injector
-    FTScheduler(
-        app, runtime, store=store, hooks=hooks, trace=trace, event_log=log
-    ).run()
-    report = account_escapes(injector, log, trace)
-    assert_consistent(log, trace)
-    try:
-        app.verify(store)
-        error = None
-    except AssertionError as exc:
-        error = exc
-    return report, error
-
-
-def _selftest(count: int, seed: int) -> int:
-    from repro.apps import make_app
-
-    failures = 0
-    t0 = time.time()
-
-    def check(label: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        if not ok:
-            failures += 1
-        print(f"  {label:<44} [{'ok' if ok else 'FAIL'}]{' ' + detail if detail else ''}")
-
-    for app_name in _SELFTEST_APPS:
-        for rt_name, mk in _runtimes():
-            # (a) checksummed store: detect, recover, correct result.
-            app = make_app(app_name, scale="tiny")
-            report, error = _detection_run(
-                app, ChecksumStore(app.ft_policy), None, count, seed, mk()
-            )
-            check(
-                f"{app_name}/{rt_name} checksum",
-                error is None and report.escaped == 0 and report.detected == report.injected,
-                f"coverage {report.detected}/{report.injected}",
-            )
-
-            # (b) replication: widen single-buffer reuse rings so replicas
-            # can re-read inputs (see docs/DETECTION.md).
-            app = make_app(app_name, scale="tiny")
-            policy = app.ft_policy if (app.ft_policy.keep or 2) >= 2 else KeepK(2)
-            detector = ReplicationDetector(app, BlockStore(policy))
-            report, error = _detection_run(
-                app, detector.store, detector, count, seed, mk()
-            )
-            check(
-                f"{app_name}/{rt_name} replication",
-                error is None and report.escaped == 0 and report.detected == report.injected,
-                f"coverage {report.detected}/{report.injected}",
-            )
-
-        # (c) detection off: the same class of fault escapes and the
-        # result is wrong (sink victim: its output is what verify reads).
-        app = make_app(app_name, scale="tiny")
-        store = BlockStore(app.ft_policy)
-        app.seed_store(store)
-        trace = ExecutionTrace()
-        log = EventLog()
-        injector = SilentFaultInjector(
-            plan_sink_fault(app), app, store, trace=trace
-        )
-        FTScheduler(
-            app, InlineRuntime(), store=store, hooks=injector, trace=trace, event_log=log
-        ).run()
-        report = account_escapes(injector, log, trace)
-        assert_consistent(log, trace)
-        try:
-            app.verify(store)
-            wrong = False
-        except AssertionError:
-            wrong = True
-        check(
-            f"{app_name} no detection -> escape",
-            wrong and report.escaped > 0,
-            f"escaped {report.escaped}/{report.injected}",
-        )
-
-    print(f"detect selftest {'passed' if not failures else 'FAILED'} in {time.time() - t0:.1f}s")
-    return 1 if failures else 0
-
-
-def plan_sink_fault(app):
-    """A one-event silent plan hitting the sink task (whose outputs the
-    verifier reads directly, so an undetected fault is provably visible)."""
-    from repro.faults.model import FaultEvent, FaultPhase, FaultPlan
-
-    return FaultPlan(
-        events=[
-            FaultEvent(
-                app.sink_key(),
-                FaultPhase.AFTER_COMPUTE,
-                corrupt_descriptor=False,
-                corrupt_outputs=True,
-            )
-        ],
-        implied_reexecutions=1,
-        task_type="sink",
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -157,21 +16,15 @@ def main(argv: list[str] | None = None) -> int:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    ap.add_argument("--selftest", action="store_true",
-                    help="run the detection install check (CI entry point)")
     ap.add_argument("--apps", type=str, default=None,
                     help="comma-separated benchmark subset (default: lcs,cholesky)")
     ap.add_argument("--count", type=int, default=2, help="silent faults per run")
     ap.add_argument("--reps", type=int, default=3, help="repetitions per table row")
-    ap.add_argument("--seed", type=int, default=0, help="base victim-selection seed")
     ap.add_argument("--scale", choices=("tiny", "default", "large"), default="tiny",
                     help="benchmark instance scale")
     ap.add_argument("--digest", type=str, default="crc32",
                     help="checksum digest: crc32 | adler32 | blake2b | sha256")
     args = ap.parse_args(argv)
-
-    if args.selftest:
-        return _selftest(args.count, args.seed)
 
     from repro.harness.detection import (
         detection_coverage,

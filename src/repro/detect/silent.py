@@ -188,3 +188,12 @@ def plan_silent_faults(
         for key in victims
     ]
     return FaultPlan(events=events, implied_reexecutions=len(events), task_type=task_type)
+
+
+def plan_sink_fault(spec: TaskGraphSpec) -> FaultPlan:
+    """A one-event silent plan hitting the sink task (whose outputs the
+    verifier reads directly, so an undetected fault is provably visible)."""
+    event = FaultEvent(
+        spec.sink_key(), FaultPhase.AFTER_COMPUTE, corrupt_descriptor=False, corrupt_outputs=True
+    )
+    return FaultPlan(events=[event], implied_reexecutions=1, task_type="sink")

@@ -548,7 +548,7 @@ class MetricsCollector:
     # -- sampling ----------------------------------------------------------------
 
     def sample_once(self) -> dict[tuple[str, LabelSet], float]:
-        """Take one sample synchronously (also used by ``--selftest``)."""
+        """Take one sample synchronously."""
         tick = {s.key: s.value for s in self.registry.collect()}
         self._ring.append((time.time(), tick))
         return tick

@@ -11,10 +11,11 @@ prints the post-mortem: the verified result line and the overhead
 attribution table (:mod:`repro.obs.attribution`) that says where every
 worker-second of the makespan went.
 
-With ``--connect host:port`` the monitor attaches to a *remote* process
+With ``--connect host:port`` the monitor attaches to another process
 instead of launching anything: it scrapes that process's ``GET /metrics``
-endpoint (a ``--serve`` run on another machine, or a cluster worker
-started with ``--metrics-port``) on every tick, parses the Prometheus
+endpoint (a cluster worker started with ``--metrics-port``, from any
+machine that reaches the worker, or a ``--serve`` run on this machine:
+``--serve`` binds loopback only) on every tick, parses the Prometheus
 text back into samples, and renders the same dashboard -- including
 windowed rates computed from consecutive scrapes.  Pure pull: the
 monitored process only ever serves a page it already serves.
@@ -25,8 +26,7 @@ Examples::
     python -m repro top lu --runtime threaded --scale default --interval 0.5
     python -m repro top lcs --crash 2 --faults 2       # kill workers + inject faults
     python -m repro top fw --serve --port 9200         # scrape /metrics while it runs
-    python -m repro top --connect 10.0.0.5:9200        # watch a remote run/worker
-    python -m repro top --selftest                     # deterministic CI check
+    python -m repro top --connect 10.0.0.5:9090        # watch a remote worker
 
 The dashboard reads only *pull-based* state: every value on screen comes
 from ``registry.collect()`` (callback gauges over counters the run
@@ -422,79 +422,6 @@ def run_monitored(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# selftest (CI)
-
-
-def _selftest() -> int:
-    """Deterministic end-to-end check: registry semantics, a tiny
-    instrumented run, one dashboard frame, one HTTP scrape, and the
-    attribution report.  Exit 0 means live telemetry works here."""
-    import urllib.request
-
-    from repro.apps import make_app
-    from repro.core import FTScheduler
-    from repro.obs.attribution import attribute_run, format_attribution
-    from repro.runtime import ThreadedRuntime
-
-    failures: list[str] = []
-
-    def check(label: str, ok: bool) -> None:
-        print(f"  {label:<28} [{'ok' if ok else 'FAIL'}]")
-        if not ok:
-            failures.append(label)
-
-    # 1. Instrument semantics.
-    reg = MetricsRegistry()
-    c = reg.counter("t_total", "things")
-    c.inc()
-    c.inc(2)
-    g = reg.gauge("t_depth", "queue", worker=0)
-    g.set(5)
-    g.dec()
-    h = reg.histogram("t_lat", "latency")
-    for v in (0.001, 0.002, 0.004, 0.008):
-        h.observe(v)
-    check("counter/gauge/histogram", c.value == 3 and g.value == 4 and h.count == 4)
-    check("histogram quantile", 0.0 < h.quantile(0.5) <= 0.0080001)
-    text = reg.render_prometheus()
-    check("prometheus render", "# TYPE t_total counter" in text
-          and 't_depth{worker="0"} 4' in text and "t_lat_bucket" in text)
-
-    # 2. A real (small, threaded) instrumented run.  Default scale, not
-    # tiny: attribution coverage needs a makespan large enough that the
-    # fixed thread-startup skew (which lands in "other") stays small.
-    app = make_app("cholesky", scale="default")
-    log = EventLog()
-    registry = MetricsRegistry()
-    runtime = ThreadedRuntime(workers=2, seed=0, event_log=log, metrics=registry)
-    store = app.make_store(True)
-    result = FTScheduler(app, runtime, store=store,
-                         event_log=log, metrics=registry).run()
-    app.verify(store)
-    collector = MetricsCollector(registry, interval=0.05)
-    collector.sample_once()
-    tasks = registry.value("repro_trace_tasks_computed")
-    check("live trace gauges", tasks is not None and tasks > 0)
-    frame = render_dashboard(registry, collector, "cholesky/default selftest", done=True)
-    check("dashboard renders", "worker" in frame and "tasks" in frame)
-
-    # 3. Scrape the endpoint like a Prometheus server would.
-    with MetricsServer(registry) as server:
-        body = urllib.request.urlopen(server.url, timeout=10).read().decode()
-    check("/metrics scrape", "repro_trace_tasks_computed" in body
-          and "# TYPE repro_workers gauge" in body)
-
-    # 4. Post-run attribution must account for (nearly) all of the budget.
-    log.seal()
-    report = attribute_run(log.events, result.run)
-    check("attribution coverage>=0.95", report.coverage >= 0.95)
-    check("attribution formats", "wall-clock budget" in format_attribution(report))
-
-    print(f"top selftest {'passed' if not failures else 'FAILED'}")
-    return 1 if failures else 0
-
-
-# ---------------------------------------------------------------------------
 # CLI
 
 
@@ -531,15 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
                          "launching a run (cluster worker or --serve run)")
     ap.add_argument("--frames", type=int, default=0, metavar="N",
                     help="with --connect: stop after N frames (0 = until ^C)")
-    ap.add_argument("--selftest", action="store_true",
-                    help="deterministic install check (used by CI)")
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.selftest:
-        return _selftest()
     if args.interval <= 0:
         print("top: --interval must be positive", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ happy paths; this package checks the *rules*:
   explored schedule; its mutation mode seeds known protocol bugs and
   must catch them.
 
-CLI: ``python -m repro verify [static|invariants|explore] [--selftest]``.
+CLI: ``python -m repro verify [static|invariants|explore]``.
 """
 
 from repro.verify.invariants import INVARIANTS, Violation, check_events

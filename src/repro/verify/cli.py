@@ -19,27 +19,15 @@ Subcommands:
   perturbations and DPOR-lite steal branches, checking every schedule's
   trace; ``--mutations`` instead runs the seeded-bug study and exits 1
   unless every mutant is convicted.
-
-``--selftest`` (the CI entry point) runs all three layers end to end:
-the analyzer must pass on the package and convict every seeded
-violation at its line; the invariant checker must pass every benchmark
-under fault injection; and the explorer's mutation mode must detect
-both seeded protocol bugs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
-from repro.verify.explore import (
-    MUTATIONS,
-    explore_app,
-    make_app_case,
-    mutation_study,
-)
+from repro.verify.explore import explore_app, make_app_case, mutation_study
 from repro.verify.invariants import (
     INVARIANTS,
     check_events,
@@ -48,7 +36,6 @@ from repro.verify.invariants import (
 )
 from repro.verify.report import findings_to_json, github_annotations
 from repro.verify.static import RULE_NAMES, run_static
-from repro.verify.static.seeded import SEEDED, run_selftest
 
 _BENCHMARKS = ("lcs", "sw", "fw", "lu", "cholesky")
 
@@ -81,21 +68,6 @@ def _cmd_static(args: argparse.Namespace) -> int:
 # invariants
 
 
-def _check_one_app(app_name: str, phase: str | None, seed: int, workers: int):
-    """Run one traced benchmark execution and check its trace.
-
-    Returns ``(violations, n_events)``.
-    """
-    from repro.verify.explore import Schedule, run_schedule
-
-    case = make_app_case(app_name, fault_phase=phase, fault_count=3)
-    app, plan = case(seed)
-    outcome = run_schedule(app, Schedule(seed=seed, workers=workers), plan=plan)
-    if outcome.error is not None:
-        raise RuntimeError(f"{app_name} run failed: {outcome.error}")
-    return outcome.violations, outcome.events
-
-
 def _cmd_invariants(args: argparse.Namespace) -> int:
     if args.jsonl:
         events = events_from_jsonl(args.jsonl)
@@ -104,8 +76,14 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         n_events = len(events)
         label = args.jsonl
     else:
+        from repro.verify.explore import Schedule, run_schedule
+
         phase = None if args.phase == "none" else args.phase
-        violations, n_events = _check_one_app(args.app, phase, args.seed, args.workers)
+        app, plan = make_app_case(args.app, fault_phase=phase)(args.seed)
+        outcome = run_schedule(app, Schedule(seed=args.seed, workers=args.workers), plan=plan)
+        if outcome.error is not None:
+            raise RuntimeError(f"{args.app} run failed: {outcome.error}")
+        violations, n_events = outcome.violations, outcome.events
         label = f"{args.app} (phase={args.phase}, seed={args.seed}, workers={args.workers})"
     for v in violations:
         print(v)
@@ -161,60 +139,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# selftest
-
-def _selftest(args: argparse.Namespace) -> int:
-    failures = 0
-    t0 = time.time()
-
-    def check(label: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        if not ok:
-            failures += 1
-        print(f"  {label:<52} [{'ok' if ok else 'FAIL'}]{' ' + detail if detail else ''}")
-
-    # 1. The package itself passes the analyzer.
-    findings = run_static()
-    check("static analysis clean on src/repro", not findings,
-          f"{len(findings)} finding(s)" if findings else "")
-
-    # 2. Every seeded violation is convicted at its line.
-    escaped = run_selftest(verbose=True)
-    for e in escaped:
-        print(f"  FAIL: {e}")
-    check(f"{len(SEEDED)} seeded violations convicted", not escaped,
-          f"{len(escaped)} escaped" if escaped else "")
-
-    # 3. Guarantees 1-4 hold on every benchmark's fault-injected trace.
-    for app_name in _BENCHMARKS:
-        violations, n_events = _check_one_app(
-            app_name, "before_compute", seed=args.seed, workers=3
-        )
-        check(f"invariants clean: {app_name} under faults", not violations,
-              f"{n_events} events")
-
-    # 4. The explorer convicts both seeded protocol bugs.
-    case = make_app_case("lcs", fault_phase="before_compute")
-    results = mutation_study(
-        case, seeds=range(4), perturbations=1, branch_budget=8
-    )
-    for name in MUTATIONS:
-        r = results[name]
-        cx = r.first_counterexample
-        detail = ""
-        if r.detected and cx is not None:
-            detail = (
-                "; ".join(sorted({v.invariant for v in cx.violations}))
-                or (cx.error or "")[:40]
-            )
-        check(f"mutation {name} detected", r.detected, detail)
-
-    print(f"verify selftest {'passed' if not failures else 'FAILED'} "
-          f"in {time.time() - t0:.1f}s")
-    return 1 if failures else 0
-
-
-# ---------------------------------------------------------------------------
 # entry point
 
 
@@ -224,9 +148,6 @@ def main(argv: list[str] | None = None) -> int:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    ap.add_argument("--selftest", action="store_true",
-                    help="run the full verification install check (CI entry point)")
-    ap.add_argument("--seed", type=int, default=0, help="base seed for selftest runs")
     sub = ap.add_subparsers(dest="command")
 
     p_static = sub.add_parser(
@@ -272,8 +193,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_invariants(args)
     if args.command == "explore":
         return _cmd_explore(args)
-    if args.selftest:
-        return _selftest(args)
     ap.print_help()
     return 0
 

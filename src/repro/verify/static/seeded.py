@@ -6,8 +6,8 @@ together with the real package (so imports and types resolve; a fixture
 whose relpath names a real module replaces it) and demands the expected
 rule convicts it at the expected line with the expected message -- proof
 that a clean HEAD means the rules *looked and found nothing*, not that
-they are blind.  ``python -m repro verify --selftest`` runs it; a rule
-change that silently stops convicting its fixture fails the build.
+they are blind.  ``tests/verify/test_static.py`` runs it; a rule change
+that silently stops convicting its fixture fails the build.
 """
 
 from __future__ import annotations
@@ -519,7 +519,7 @@ def analyze_case(case: SeededCase, base: Sequence[Module]) -> list[Finding]:
     return [f for f in run_static(modules=modules, rules=rules) if f.path == case.relpath]
 
 
-def run_selftest(verbose: bool = False) -> list[str]:
+def run_selftest() -> list[str]:
     """Run every seeded case; return a list of failure descriptions
     (empty means every rule convicted its planted bug)."""
     base = load_modules()
@@ -532,8 +532,6 @@ def run_selftest(verbose: bool = False) -> list[str]:
                 f"{case.name}: expected [{case.rule}] at line {case.line} containing "
                 f"{case.expect!r}; got {[str(f) for f in findings] or 'no findings in fixture'}"
             )
-        elif verbose:
-            print(f"  convicted {case.name}: {hits[0]}")
         for f in case.wrongly_convicted(findings):
             failures.append(f"{case.name}: [{case.rule}] must spare {case.spares!r}; got {f}")
     return failures

@@ -15,7 +15,7 @@ from repro.runtime import InlineRuntime, SimulatedRuntime
 from repro.runtime.tracing import ExecutionTrace
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def src_env():
     """The environment for a child interpreter that imports this checkout."""
     src = os.path.dirname(os.path.dirname(repro.__file__))

@@ -3,21 +3,6 @@
 from repro.detect.cli import main
 
 
-class TestSelftest:
-    def test_selftest_passes(self, capsys):
-        assert main(["--selftest", "--count", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "detect selftest passed" in out
-        assert "FAIL" not in out
-
-    def test_selftest_covers_apps_and_modes(self, capsys):
-        assert main(["--selftest", "--count", "1", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        for needle in ("lcs/inline checksum", "cholesky/threaded replication",
-                       "lcs no detection -> escape"):
-            assert needle in out
-
-
 class TestDefaultRun:
     def test_tables_printed(self, capsys):
         assert main(["--apps", "lcs", "--reps", "1", "--count", "1"]) == 0

@@ -5,8 +5,8 @@ import pytest
 
 from repro.apps import make_app
 from repro.core import CompositeHooks, FTScheduler
+from repro.detect import plan_sink_fault
 from repro.detect.checksum import ChecksumStore
-from repro.detect.cli import plan_sink_fault
 from repro.detect.replicate import ReplicationDetector
 from repro.detect.report import account_escapes
 from repro.detect.silent import SilentFaultInjector, plan_silent_faults

@@ -1,8 +1,6 @@
 """The ``python -m repro top`` monitor: parser, dashboard rendering,
 and a real monitored run driven through ``main()``."""
 
-import pytest
-
 from repro.apps import make_app
 from repro.obs.live import MetricsCollector, MetricsRegistry
 from repro.obs.top import build_parser, graph_keys, main, render_dashboard
@@ -15,7 +13,7 @@ class TestParser:
         assert args.runtime == "procpool"
         assert args.workers == 4
         assert args.crash == 0 and args.faults == 0
-        assert not args.serve and not args.selftest
+        assert not args.serve and args.connect is None
 
     def test_monitor_flags(self):
         args = build_parser().parse_args(
@@ -77,8 +75,3 @@ class TestMain:
              "--crash", "1", "--plain"]
         )
         assert rc != 0
-
-    @pytest.mark.slow
-    def test_selftest_passes(self, capsys):
-        assert main(["--selftest"]) == 0
-        assert "[ok]" in capsys.readouterr().out

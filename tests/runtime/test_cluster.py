@@ -6,14 +6,19 @@ with and without injected faults -- because only the pure compute phase
 crosses the wire; every piece of scheduler state stays in the parent.
 In-process :class:`WorkerServer` instances stand in for remote nodes
 (``inproc://`` for speed, ``tcp://127.0.0.1`` for the real socket path);
-the full multi-process story, including ``kill -9``, lives in
-``python -m repro cluster --selftest``.
+:class:`TestSpawnedWorkers` runs real ``python -m repro worker``
+processes for what only a process can show: an ``os._exit`` death, a
+``kill -9`` mid-run and a ``/metrics`` scrape.
 """
 
 import itertools
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+import urllib.request
 
 import numpy as np
 import pytest
@@ -25,8 +30,11 @@ from repro.core import FTScheduler
 from repro.faults import FaultInjector, plan_faults
 from repro.obs.events import EventKind, EventLog
 from repro.runtime import ClusterRuntime, InlineRuntime, WorkerServer
+from repro.obs.live import MetricsRegistry
 from repro.runtime.cluster import BlockCache
+from repro.runtime.cluster_cli import cluster_main
 from repro.runtime.tracing import ExecutionTrace
+from repro.runtime.worker import CRASH_EXIT_CODE
 
 APPS = ("lcs", "cholesky")
 
@@ -186,6 +194,147 @@ class TestWorkerDeath:
             assert [e.data["reason"] for e in downs] == ["heartbeat"]
         finally:
             lis.close()
+
+
+class SpawnedWorker:
+    """A ``python -m repro worker`` process and the addresses it printed."""
+
+    def __init__(self, env, listen="tcp://127.0.0.1:0", metrics=False):
+        cmd = [sys.executable, "-m", "repro", "worker", "--listen", listen]
+        if metrics:
+            cmd += ["--metrics-port", "0"]
+        self.proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                                     text=True, env=env)
+        try:
+            self.address = self._printed("listening ")
+            self.metrics_url = self._printed("metrics ") if metrics else None
+        except AssertionError:
+            self.stop()
+            raise
+
+    def _printed(self, prefix):
+        line = self.proc.stdout.readline()
+        assert line.startswith(prefix), f"worker printed {line!r}, not {prefix!r}..."
+        return line[len(prefix):].strip()
+
+    def stop(self):
+        if self.proc.poll() is None:
+            self.proc.kill()
+        self.proc.wait(timeout=10.0)
+        self.proc.stdout.close()
+
+
+class SpawnedPair:
+    """Two worker processes shared by a test class; a test that kills
+    one gets a fresh one from the next :meth:`live`."""
+
+    def __init__(self, env):
+        self.env = env
+        self.workers = [SpawnedWorker(env), SpawnedWorker(env)]
+
+    def live(self):
+        for i, w in enumerate(self.workers):
+            if w.proc.poll() is not None:
+                w.stop()
+                self.workers[i] = SpawnedWorker(self.env)
+        return list(self.workers)
+
+    def close(self):
+        for w in self.workers:
+            w.stop()
+
+
+@pytest.fixture(scope="class")
+def spawned(src_env):
+    pair = SpawnedPair(src_env)
+    yield pair
+    pair.close()
+
+
+class TestSpawnedWorkers:
+    # The runtimes that lose a worker dial each address once: by default
+    # a replacement retries the dead address for ~3 s of backoff before
+    # it moves on to the survivor.
+
+    def test_cluster_command_parity_with_and_without_faults(self, spawned, capsys):
+        # LCS and Cholesky, bit-identical to inline under no plan and
+        # under an after-compute plan, with an O(config) spec per channel.
+        addresses = ",".join(w.address for w in spawned.live())
+        assert cluster_main(["--addresses", addresses]) == 0
+        assert "cluster parity passed" in capsys.readouterr().out
+
+    def test_die_on_exits_the_worker_process(self, spawned):
+        workers = spawned.live()
+        app = make_app("lcs", scale="tiny")
+        store = app.make_store(True)
+        log = EventLog()
+        rt = ClusterRuntime(workers=2, seed=0, addresses=[w.address for w in workers],
+                            die_on=[(1, 1)], event_log=log, connect_attempts=1)
+        sched = FTScheduler(app, rt, store=store, event_log=log)
+        sched.run()
+        app.verify(store)
+        assert rt.worker_crashes == 1
+        assert sched.trace.total_recoveries >= 1
+        downs = [e for e in log.events if e.kind is EventKind.WORKER_DOWN]
+        assert len(downs) == 1 and downs[0].key == (1, 1)
+        deadline = time.monotonic() + 10.0
+        while all(w.proc.poll() is None for w in workers):
+            assert time.monotonic() < deadline, "no worker process exited"
+            time.sleep(0.01)
+        assert sorted(w.proc.poll() or 0 for w in workers) == [0, CRASH_EXIT_CODE]
+
+    def test_kill9_mid_run_recovers(self, spawned):
+        victim, survivor = spawned.live()
+        app = make_app("cholesky", scale="tiny")
+        store = app.make_store(True)
+        metrics = MetricsRegistry()
+        rt = ClusterRuntime(workers=2, seed=0, addresses=[victim.address, survivor.address],
+                            metrics=metrics, heartbeat_timeout=2.0, connect_attempts=1)
+        dispatches = metrics.histogram("repro_dispatch_seconds")
+        done = threading.Event()
+
+        def killer():
+            # Two full round trips in: the run is demonstrably mid-flight.
+            while not done.is_set():
+                if dispatches.count >= 2:
+                    os.kill(victim.proc.pid, signal.SIGKILL)
+                    return
+                time.sleep(0.001)
+
+        kt = threading.Thread(target=killer, daemon=True)
+        kt.start()
+        sched = FTScheduler(app, rt, store=store)
+        sched.run()
+        done.set()
+        kt.join(timeout=5.0)
+        assert not kt.is_alive()
+        app.verify(store)
+        assert victim.proc.wait(timeout=10.0) == -signal.SIGKILL
+        assert rt.worker_crashes >= 1
+        assert sched.trace.total_recoveries >= 1
+
+    def test_metrics_endpoint_serves_on_the_listen_host(self, src_env):
+        worker = SpawnedWorker(src_env, listen="tcp://0.0.0.0:0", metrics=True)
+        try:
+            assert worker.metrics_url.startswith("http://0.0.0.0:")
+            port = worker.address.rpartition(":")[2]
+            app = make_app("lcs", scale="tiny")
+            want, _ = run_ft(app, InlineRuntime())
+            rt = ClusterRuntime(workers=2, seed=0, addresses=[f"tcp://127.0.0.1:{port}"])
+            got, _ = run_ft(app, rt)
+            assert_identical(got, want)
+            url = worker.metrics_url.replace("0.0.0.0", "127.0.0.1", 1)
+            with urllib.request.urlopen(url, timeout=10.0) as resp:
+                text = resp.read().decode()
+        finally:
+            worker.stop()
+        # A served run must have *moved* each family: one that is merely
+        # present can be one nobody feeds.
+        for family in ("repro_worker_jobs_total", "repro_comm_fetches_total",
+                       "repro_comm_fetch_bytes_total", "repro_worker_cache_bytes"):
+            values = [float(line.rsplit(None, 1)[1]) for line in text.splitlines()
+                      if line.startswith(family)]
+            assert values and values[0] > 0, f"{family}: {values!r}"
 
 
 #: Worker deaths the soak injects: a bounded slice in tier-1, the full

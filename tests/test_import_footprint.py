@@ -69,8 +69,8 @@ def test_building_a_lapack_app_loads_scipy_before_any_kernel(loaded_after, name)
 
 
 def test_the_worker_entry_point_loads_no_http_client(loaded_after):
-    # Every ``python -m repro worker`` imports this module; only the
-    # cluster selftest's scrape needs an HTTP client.
+    # Every ``python -m repro worker`` imports this module.  A worker
+    # may serve /metrics, but nothing in it ever fetches a URL.
     assert loaded_after("import repro.runtime.cluster_cli\n", ("urllib.request",)) == {
         "urllib.request": False,
     }

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.apps import APP_NAMES
 from repro.obs.events import Event, EventKind
 from repro.verify.invariants import (
     INVARIANTS,
@@ -59,10 +60,11 @@ class TestCleanTraces:
         )
         assert check_events(events) == []
 
-    def test_real_fault_injected_run_is_clean(self):
+    @pytest.mark.parametrize("app_name", APP_NAMES)
+    def test_real_fault_injected_run_is_clean(self, app_name):
         from repro.verify.explore import Schedule, make_app_case, run_schedule
 
-        case = make_app_case("lcs", fault_phase="before_compute")
+        case = make_app_case(app_name, fault_phase="before_compute")
         app, plan = case(0)
         outcome = run_schedule(app, Schedule(seed=0, workers=3), plan=plan)
         assert outcome.error is None
