@@ -1,4 +1,5 @@
-"""Per-task cost ledger, FT vs NABBIT, on the warm no-op 48x48 grid.
+"""Per-task cost ledger, FT vs NABBIT, on the warm no-op 48x48 grid,
+and per-tile call counts of the wavefront kernels.
 
     PYTHONPATH=src python benchmarks/ledger.py [rows cols]
     PYTHONPATH=src python benchmarks/ledger.py --check
@@ -8,8 +9,10 @@ exact and host-independent (``cProfile`` call counts over one run on
 ``InlineRuntime``, divided by the task count); only the last column is a
 timing (best of 15 unprofiled runs).  The ``traced`` rows run the same
 schedulers with a live ``EventLog``: the bill for watching, as a count
-of calls and of events per task.  Point PYTHONPATH at another
-checkout's ``src`` to get that revision's ledger.
+of calls and of events per task.  The kernel rows profile one
+``lcs_block``/``sw_block`` call on a random b x b tile: the Python-level
+calls it makes, which grow with the number of vectorized sweeps.  Point
+PYTHONPATH at another checkout's ``src`` to get that revision's ledger.
 
 ``--check`` is the gate tier-1 and CI run: counts only (no timing
 column) on the 48x48 grid, exit status 1 if any is over its ceiling.
@@ -22,7 +25,10 @@ import pstats
 import sys
 import time
 
+import numpy as np
+
 from repro import BlockRef, BlockStore, EventLog, FTScheduler, NabbitScheduler, grid_graph
+from repro.apps.kernels import lcs_block, sw_block
 from repro.runtime import InlineRuntime
 
 #: Ledger column -> the profiled functions it sums ((file suffix, name);
@@ -61,6 +67,16 @@ MAX_PER_EVENT = 4.0
 MAX_GAP = 16.5
 ZERO_GAP = ("lock acq", "spec calls", "bit calls")
 
+#: Kernel rows: (kernel, tile side b) -> ``--check`` ceiling in profiled
+#: calls per tile.  A row scan makes one ``accumulate`` per DP row plus a
+#: fixed handful (LCS 15 at b = 8, 71 at b = 64; SW 21 and 77); a sweep
+#: over the 2b - 1 anti-diagonals makes about four per diagonal (LCS 67
+#: and 515).  The slack of one absorbs a numpy wrapper, never a call per row.
+KERNELS = {"lcs_block": lcs_block, "sw_block": sw_block}
+MAX_KERNEL_CALLS = {
+    ("lcs_block", 8): 16, ("lcs_block", 64): 72, ("sw_block", 8): 22, ("sw_block", 64): 78,
+}
+
 
 def _noop(key, ctx):
     ctx.write(BlockRef(key, 0), 0)
@@ -92,6 +108,24 @@ def _timed(run) -> float:
     t0 = time.perf_counter()
     run()
     return time.perf_counter() - t0
+
+
+def kernel_calls(kernel, b: int) -> int:
+    """Profiled calls of one ``kernel`` call on a random b x b tile."""
+    rng = np.random.default_rng(b)
+    xs, ys = rng.integers(0, 4, (2, b)).astype(np.int8)
+    edge = np.zeros(b, np.int32)
+    prof = cProfile.Profile()
+    prof.runcall(kernel, xs, ys, edge, edge, 0)
+    return sum(v[1] for v in pstats.Stats(prof).stats.values())
+
+
+def kernels_over_budget(counts: dict[tuple[str, int], int]) -> list[str]:
+    """The kernel rows' ``--check`` verdict: one line per ceiling exceeded."""
+    return [
+        f"{name} b={b}: {counts[name, b]} calls per tile > {limit}"
+        for (name, b), limit in MAX_KERNEL_CALLS.items() if counts[name, b] > limit
+    ]
 
 
 def over_budget(table: dict[str, dict[str, float]]) -> list[str]:
@@ -136,7 +170,11 @@ def main(argv: list[str]) -> int:
     for name, row in table.items():
         print(f"{name:<14}" + "".join(
             f"{row[n]:>16.4f}" if n == "events" else f"{row[n]:>16.2f}" for n in names))
-    failures = over_budget(table) if check else []
+    counts = {(name, b): kernel_calls(KERNELS[name], b) for name, b in MAX_KERNEL_CALLS}
+    print(f"\n{'per tile':<14}{'calls':>16}")
+    for (name, b), calls in counts.items():
+        print(f"{f'{name} b={b}':<14}{calls:>16}")
+    failures = over_budget(table) + kernels_over_budget(counts) if check else []
     for line in failures:
         print(f"ledger check FAILED: {line}", file=sys.stderr)
     return 1 if failures else 0

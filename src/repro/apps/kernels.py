@@ -1,11 +1,13 @@
 """Numerical block kernels for the five benchmark applications.
 
-All kernels are vectorized with NumPy per the HPC-Python guides: the
-dynamic-programming kernels sweep anti-diagonals (the only axis without a
-loop-carried dependence), and the linear-algebra kernels are expressed as
-tile-level BLAS-like operations.  Each kernel is pure: inputs in,
-fresh outputs out -- tasks must be stateless for re-execution to be safe
-(Theorem 1's assumption).
+All kernels are vectorized with NumPy.  The dynamic-programming kernels
+compute a block one DP row at a time: a row's only loop-carried
+dependence is on its left neighbour through a max, so the row is a
+prefix max (``np.maximum.accumulate``) over terms read from the row
+above by contiguous slices -- one scan per row.  The linear-algebra
+kernels are expressed as tile-level BLAS-like operations.  Each kernel
+is pure: inputs in, fresh outputs out -- tasks must be stateless for
+re-execution to be safe (Theorem 1's assumption).
 
 The triangular solves of LU and Cholesky live in :mod:`repro.apps.trsm`,
 the one module that imports scipy: only those two apps load it.
@@ -33,6 +35,13 @@ def lcs_block(
     row above / column to the left (lengths c and r); ``corner`` is the
     value diagonally above-left.  Returns (bottom_row, right_col) of the
     block, each including the block's own cells only.
+
+    Boundary contract: ``top``, ``left`` and ``corner`` must be values of
+    one LCS table, as the app's neighbouring blocks always are.  Row
+    ``i`` is ``accumulate(max(up, diag + match))`` seeded with
+    ``left[i]``; that equals the textbook recurrence because in such a
+    table ``diag <= up <= diag + 1`` and a cell's left neighbour is at
+    most ``diag + 1``.
     """
     r, c = len(xs), len(ys)
     g = np.empty((r + 1, c + 1), dtype=np.int32)
@@ -40,12 +49,9 @@ def lcs_block(
     g[0, 1:] = top
     g[1:, 0] = left
     match = xs[:, None] == ys[None, :]
-    for d in range(2, r + c + 1):
-        i = np.arange(max(1, d - c), min(r, d - 1) + 1)
-        j = d - i
-        diag = g[i - 1, j - 1] + 1
-        best = np.maximum(g[i - 1, j], g[i, j - 1])
-        g[i, j] = np.where(match[i - 1, j - 1], diag, best)
+    for diag, up, row, body, hit in zip(g[:-1, :-1], g[:-1, 1:], g[1:], g[1:, 1:], match):
+        np.maximum(up, diag + hit, out=body)
+        np.maximum.accumulate(row, out=row)
     return g[r, 1:].copy(), g[1:, c].copy()
 
 
@@ -63,21 +69,28 @@ def sw_block(
 
     Same frame convention as :func:`lcs_block`; additionally returns the
     block's maximum cell value (local alignment score candidates).
+
+    Boundary contract: none -- any ``top``/``left``/``corner`` give the
+    recurrence's exact result.  The scan runs on ``h = g + j*gap``, the
+    table with each column ``j`` lifted by its gap ramp, where the
+    within-row gap chain ``g[i,j-1] - gap`` becomes a plain prefix max.
     """
     r, c = len(xs), len(ys)
-    g = np.empty((r + 1, c + 1), dtype=np.int32)
-    g[0, 0] = corner
-    g[0, 1:] = top
-    g[1:, 0] = left
-    sub = np.where(xs[:, None] == ys[None, :], match_score, -mismatch_penalty).astype(np.int32)
-    for d in range(2, r + c + 1):
-        i = np.arange(max(1, d - c), min(r, d - 1) + 1)
-        j = d - i
-        diag = g[i - 1, j - 1] + sub[i - 1, j - 1]
-        gap = np.maximum(g[i - 1, j], g[i, j - 1]) - gap_penalty
-        g[i, j] = np.maximum(np.maximum(diag, gap), 0)
-    interior = g[1:, 1:]
-    return g[r, 1:].copy(), g[1:, c].copy(), int(interior.max(initial=0))
+    ramp = np.arange(c + 1, dtype=np.int32) * gap_penalty
+    h = np.empty((r + 1, c + 1), dtype=np.int32)
+    h[0, 0] = corner
+    h[0, 1:] = top + ramp[1:]
+    h[1:, 0] = left
+    # The substitution score plus the ramp step a diagonal move skips.
+    step = np.where(
+        xs[:, None] == ys[None, :], match_score + gap_penalty, gap_penalty - mismatch_penalty
+    ).astype(np.int32)
+    for diag, up, row, body, s in zip(h[:-1, :-1], h[:-1, 1:], h[1:], h[1:, 1:], step):
+        np.maximum(diag + s, up - gap_penalty, out=body)
+        np.maximum(body, ramp[1:], out=body)
+        np.maximum.accumulate(row, out=row)
+    h -= ramp
+    return h[r, 1:].copy(), h[1:, c].copy(), int(h[1:, 1:].max(initial=0))
 
 
 # -- Floyd-Warshall tile kernels ---------------------------------------------------------

@@ -213,11 +213,11 @@ class FTScheduler(NabbitScheduler):
                     A.bit_vector ^= mask
                     A.join -= 1
                     val = A.join
+                    if self._obs:  # under the lock, as in NabbitScheduler._notify_once
+                        self.log.rec.put((next(self._seq), self._now(), self._wid(),
+                                          _NOTIFY, key, life, {"src": pkey}))
             if success:
                 self.trace.note(_NOTIFY)
-                if self._obs:
-                    self.log.rec.put((next(self._seq), self._now(), self._wid(),
-                                      _NOTIFY, key, life, {"src": pkey}))
                 if val < 0:
                     raise SchedulerError(f"join underflow on {key!r} via {pkey!r}")
                 if val == 0:

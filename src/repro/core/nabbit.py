@@ -240,11 +240,13 @@ class NabbitScheduler:
         with A.lock:
             A.join -= 1
             val = A.join
+            if self._obs:
+                # Under the lock: the notification that releases A must
+                # not be recorded after the compute it releases.
+                self.log.rec.put(
+                    (next(self._seq), self._now(), self._wid(), _NOTIFY, key, 1, {"src": pkey})
+                )
         self.trace.note(_NOTIFY)
-        if self._obs:
-            self.log.rec.put(
-                (next(self._seq), self._now(), self._wid(), _NOTIFY, key, 1, {"src": pkey})
-            )
         if val < 0:
             raise SchedulerError(f"join counter underflow on {key!r} (notified by {pkey!r})")
         if val == 0:

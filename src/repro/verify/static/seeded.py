@@ -1,13 +1,14 @@
 """Seeded violations: the analyzer's self-conviction suite.
 
 Each :class:`SeededCase` is a small synthetic module carrying exactly the
-bug one rule exists to catch.  ``run_selftest`` analyzes each fixture
+bug one rule exists to catch.  ``analyze_case`` analyzes a fixture
 together with the real package (so imports and types resolve; a fixture
-whose relpath names a real module replaces it) and demands the expected
+whose relpath names a real module replaces it), and
+``tests/verify/test_static.py`` demands, case by case, that the expected
 rule convicts it at the expected line with the expected message -- proof
 that a clean HEAD means the rules *looked and found nothing*, not that
-they are blind.  ``tests/verify/test_static.py`` runs it; a rule change
-that silently stops convicting its fixture fails the build.
+they are blind.  A rule change that silently stops convicting its
+fixture fails the build.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from textwrap import dedent
 from typing import Sequence
 
-from repro.verify.report import Finding, Module, load_modules
+from repro.verify.report import Finding, Module
 from repro.verify.static import STATIC_RULES, run_static
 from repro.verify.static.wire import (
     PROTOCOLS,
@@ -517,21 +518,3 @@ def analyze_case(case: SeededCase, base: Sequence[Module]) -> list[Finding]:
         )
     modules = [m for m in base if m.relpath != case.relpath] + [case.module()]
     return [f for f in run_static(modules=modules, rules=rules) if f.path == case.relpath]
-
-
-def run_selftest() -> list[str]:
-    """Run every seeded case; return a list of failure descriptions
-    (empty means every rule convicted its planted bug)."""
-    base = load_modules()
-    failures: list[str] = []
-    for case in SEEDED:
-        findings = analyze_case(case, base)
-        hits = [f for f in findings if case.convicts(f)]
-        if not hits:
-            failures.append(
-                f"{case.name}: expected [{case.rule}] at line {case.line} containing "
-                f"{case.expect!r}; got {[str(f) for f in findings] or 'no findings in fixture'}"
-            )
-        for f in case.wrongly_convicted(findings):
-            failures.append(f"{case.name}: [{case.rule}] must spare {case.spares!r}; got {f}")
-    return failures

@@ -4,11 +4,12 @@ record exactly what ``emit`` would -- in every storage mode, under a
 seal, from many threads, and without keeping a finished log alive."""
 
 import gc
+import sys
 import weakref
 
 import pytest
 
-from repro.core import FTScheduler
+from repro.core import FTScheduler, NabbitScheduler
 from repro.graph.builders import grid_graph
 from repro.obs.events import EventKind, EventLog, SealedLogError
 from repro.runtime import InlineRuntime, ThreadedRuntime
@@ -90,6 +91,23 @@ class TestThreads:
         events = log.events
         assert [e.seq for e in events] == list(range(len(events)))
         assert {e.worker for e in events} <= set(range(4))
+
+    @pytest.mark.parametrize("scheduler", [FTScheduler, NabbitScheduler])
+    def test_a_releasing_notification_is_recorded_before_the_compute(self, scheduler):
+        """A task's last NOTIFY record precedes its COMPUTE_BEGIN, because
+        the record is written under the join lock.  A short switch
+        interval makes the reversing interleaving common."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(20):
+                spec = grid_graph(8, 8)
+                log = EventLog()
+                runtime = ThreadedRuntime(workers=4, seed=seed, event_log=log)
+                scheduler(spec, runtime, event_log=log).run()
+                assert check_log(log, spec) == [], f"seed {seed}"
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestNoCycle:

@@ -2,12 +2,16 @@
 
 The blocked decompositions are only correct if the kernels compose: the
 DP kernels must give identical boundaries whether a region is processed
-as one block or as two stitched blocks, and the linear-algebra tile
-kernels must agree with whole-matrix factorizations.
+as one block or as two stitched blocks, a block cut anywhere out of the
+per-cell full DP must reproduce that table's cells, and the
+linear-algebra tile kernels must agree with whole-matrix factorizations.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.apps.kernels import (
@@ -79,6 +83,92 @@ class TestSWProperties:
             x, x, np.zeros(len(x), np.int32), np.zeros(len(x), np.int32), 0
         )
         assert mx >= 2 * len(x)  # match score = 2 per position
+
+
+def _naive_dp():
+    """``naive_lcs_full``/``naive_sw_full``: the per-cell full-table DPs of
+    ``tests/apps/test_kernels.py`` (a test module, so loaded by path)."""
+    path = Path(__file__).resolve().parent.parent / "apps" / "test_kernels.py"
+    spec = importlib.util.spec_from_file_location("_naive_dp", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.naive_lcs_full, module.naive_sw_full
+
+
+naive_lcs_full, naive_sw_full = _naive_dp()
+
+
+@st.composite
+def cuts(draw):
+    """Two sequences over a 1-4 symbol alphabet and the row and column
+    spans ``(i0, i1)``, ``(j0, j1)`` of a non-empty block of their table."""
+    symbols = draw(st.integers(1, 4))
+    seq = hnp.arrays(np.int8, st.integers(1, 12), elements=st.integers(0, symbols - 1))
+    x, y = draw(seq), draw(seq)
+    i0 = draw(st.integers(0, len(x) - 1))
+    j0 = draw(st.integers(0, len(y) - 1))
+    return x, y, (i0, draw(st.integers(i0 + 1, len(x)))), (j0, draw(st.integers(j0 + 1, len(y))))
+
+
+def _frame(full, rows, cols):
+    """The block's true ``top``, ``left`` and ``corner`` in ``full``."""
+    (i0, i1), (j0, j1) = rows, cols
+    return (full[i0, j0 + 1 : j1 + 1].astype(np.int32),
+            full[i0 + 1 : i1 + 1, j0].astype(np.int32), int(full[i0, j0]))
+
+
+ONE_SYMBOL_ROW = (np.zeros(5, np.int8), np.zeros(7, np.int8), (2, 3), (1, 7))
+MIXED_COLUMN = (np.array([0, 1, 0, 1, 1], np.int8), np.array([1, 0, 1], np.int8), (0, 5), (1, 2))
+
+
+class TestCutFromFullDP:
+    """Fed its true boundaries, a block reproduces the full table's cells:
+    the bottom row, the right column and (SW) the interior max."""
+
+    @given(cut=cuts())
+    @example(cut=ONE_SYMBOL_ROW)
+    @example(cut=MIXED_COLUMN)
+    @settings(max_examples=200, deadline=None)
+    def test_lcs_block_matches_the_full_table(self, cut):
+        x, y, (i0, i1), (j0, j1) = cut
+        full = naive_lcs_full(x, y)
+        bottom, right = lcs_block(x[i0:i1], y[j0:j1], *_frame(full, (i0, i1), (j0, j1)))
+        np.testing.assert_array_equal(bottom, full[i1, j0 + 1 : j1 + 1])
+        np.testing.assert_array_equal(right, full[i0 + 1 : i1 + 1, j1])
+
+    @given(cut=cuts())
+    @example(cut=ONE_SYMBOL_ROW)
+    @example(cut=MIXED_COLUMN)
+    @settings(max_examples=200, deadline=None)
+    def test_sw_block_matches_the_full_table(self, cut):
+        x, y, (i0, i1), (j0, j1) = cut
+        full = naive_sw_full(x, y)
+        bottom, right, mx = sw_block(x[i0:i1], y[j0:j1], *_frame(full, (i0, i1), (j0, j1)))
+        np.testing.assert_array_equal(bottom, full[i1, j0 + 1 : j1 + 1])
+        np.testing.assert_array_equal(right, full[i0 + 1 : i1 + 1, j1])
+        assert mx == full[i0 + 1 : i1 + 1, j0 + 1 : j1 + 1].max()
+
+    @given(
+        x=seqs(1, 8), y=seqs(1, 8), data=st.data(),
+        scores=st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sw_block_takes_any_boundaries(self, x, y, data, scores):
+        """SW's row scan is exact algebra: boundaries that no table could
+        hold (negative, jagged) still give the per-cell recurrence."""
+        edge = lambda n: data.draw(hnp.arrays(np.int32, n, elements=st.integers(-9, 30)))
+        top, left, corner = edge(len(y)), edge(len(x)), data.draw(st.integers(-9, 30))
+        match, mismatch, gap = scores
+        g = np.zeros((len(x) + 1, len(y) + 1), np.int64)
+        g[0, 0], g[0, 1:], g[1:, 0] = corner, top, left
+        for i in range(1, len(x) + 1):
+            for j in range(1, len(y) + 1):
+                s = match if x[i - 1] == y[j - 1] else -mismatch
+                g[i, j] = max(0, g[i - 1, j - 1] + s, g[i - 1, j] - gap, g[i, j - 1] - gap)
+        bottom, right, mx = sw_block(x, y, top, left, corner, match, mismatch, gap)
+        np.testing.assert_array_equal(bottom, g[-1, 1:])
+        np.testing.assert_array_equal(right, g[1:, -1])
+        assert mx == g[1:, 1:].max()
 
 
 dist_blocks = hnp.arrays(

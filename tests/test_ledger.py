@@ -1,11 +1,13 @@
-"""The FT-vs-NABBIT call ledger as a gate: ``benchmarks/ledger.py --check``
-runs as a subprocess and must find every per-task count under its ceiling."""
+"""The call ledger as a gate: ``benchmarks/ledger.py --check`` runs as a
+subprocess and must find every per-task and per-tile count under its ceiling."""
 
 import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,3 +71,34 @@ def test_an_emit_frame_per_event_fails_the_check_under_every_row_ceiling():
     table["ft"]["calls"] = traced["calls"] - 5 * traced["events"]
     assert traced["calls"] < ledger.MAX_CALLS["ft traced"]
     assert ledger.over_budget(table) == ["ft traced: 5.00 calls per event > 4.0"]
+
+
+def _anti_diagonal_lcs(xs, ys, top, left, corner):
+    """LCS over one block by fancy-indexed anti-diagonal sweeps: the same
+    numbers as ``lcs_block``, four profiled calls per anti-diagonal
+    (``arange``, ``max``, ``min``, ``where``)."""
+    r, c = len(xs), len(ys)
+    g = np.empty((r + 1, c + 1), dtype=np.int32)
+    g[0, 0] = corner
+    g[0, 1:] = top
+    g[1:, 0] = left
+    match = xs[:, None] == ys[None, :]
+    for d in range(2, r + c + 1):
+        i = np.arange(max(1, d - c), min(r, d - 1) + 1)
+        j = d - i
+        best = np.maximum(g[i - 1, j], g[i, j - 1])
+        g[i, j] = np.where(match[i - 1, j - 1], g[i - 1, j - 1] + 1, best)
+    return g[r, 1:].copy(), g[1:, c].copy()
+
+
+def test_a_per_anti_diagonal_kernel_fails_its_ceiling():
+    ledger = _ledger_module()
+    counts = {(name, b): ledger.kernel_calls(ledger.KERNELS[name], b)
+              for name, b in ledger.MAX_KERNEL_CALLS}
+    assert ledger.kernels_over_budget(counts) == []
+    for b in (8, 64):
+        counts["lcs_block", b] = ledger.kernel_calls(_anti_diagonal_lcs, b)
+    assert ledger.kernels_over_budget(counts) == [
+        "lcs_block b=8: 67 calls per tile > 16",
+        "lcs_block b=64: 515 calls per tile > 72",
+    ]

@@ -12,7 +12,7 @@ import pytest
 
 from repro.verify.report import Module, load_modules
 from repro.verify.static import RULE_NAMES, STATIC_RULES, run_static
-from repro.verify.static.seeded import SEEDED, analyze_case, run_selftest
+from repro.verify.static.seeded import SEEDED, analyze_case
 
 
 @functools.cache
@@ -42,9 +42,6 @@ class TestSeededViolations:
             f"{case.expect!r}; got {[str(f) for f in findings]}"
         )
         assert not case.wrongly_convicted(findings)
-
-    def test_run_selftest_reports_no_failures(self):
-        assert run_selftest() == []
 
     def test_every_rule_has_at_least_one_seeded_case(self):
         # Every registered name: each rule, each confinement row, and the
