@@ -1,5 +1,6 @@
 """Per-task cost ledger, FT vs NABBIT, on the warm no-op 48x48 grid,
-and per-tile call counts of the wavefront kernels.
+per-tile call counts of the wavefront kernels, and the parent's cost of
+one remote job.
 
     PYTHONPATH=src python benchmarks/ledger.py [rows cols]
     PYTHONPATH=src python benchmarks/ledger.py --check
@@ -11,7 +12,14 @@ timing (best of 15 unprofiled runs).  The ``traced`` rows run the same
 schedulers with a live ``EventLog``: the bill for watching, as a count
 of calls and of events per task.  The kernel rows profile one
 ``lcs_block``/``sw_block`` call on a random b x b tile: the Python-level
-calls it makes, which grow with the number of vectorized sweeps.  Point
+calls it makes, which grow with the number of vectorized sweeps.  The
+remote rows count what the parent's scheduler thread does per remote
+job, from ``compute_dispatch`` down (``sys.setprofile`` on that thread
+only, so the worker's side is not in them): calls and lock exits, split
+into the layers a job passes through.  ``procpool lcs`` is
+``ProcessRuntime(workers=1)`` on the ``lcs_procpool`` graph (LCS n = 88,
+b = 8) over a shared store; ``cluster inproc grid`` is ``ClusterRuntime``
+over an ``inproc://`` worker server on the no-op 48x48 grid.  Point
 PYTHONPATH at another checkout's ``src`` to get that revision's ledger.
 
 ``--check`` is the gate tier-1 and CI run: counts only (no timing
@@ -23,13 +31,16 @@ from __future__ import annotations
 import cProfile
 import pstats
 import sys
+import threading
 import time
+from collections import Counter
 
 import numpy as np
 
 from repro import BlockRef, BlockStore, EventLog, FTScheduler, NabbitScheduler, grid_graph
+from repro.apps import AppConfig, make_app
 from repro.apps.kernels import lcs_block, sw_block
-from repro.runtime import InlineRuntime
+from repro.runtime import ClusterRuntime, InlineRuntime, ProcessRuntime, WorkerServer
 
 #: Ledger column -> the profiled functions it sums ((file suffix, name);
 #: an empty suffix matches builtins by name).
@@ -78,6 +89,38 @@ MAX_KERNEL_CALLS = {
 }
 
 
+#: Remote rows: the layers of one job, in the order it meets them.  A
+#: call made from one of OWN_FRAMES opens the layer LAYERS names for its
+#: callee (``read``: the fault gate; ``load``: the reply's decode; the
+#: store and residency-table calls after it: the write-back), and every
+#: call beneath it counts there; anything else is the frames' ``own``.
+#: (``_flush_channel`` is the send path's name before the flusher role,
+#: so an older checkout's ledger splits the same way.)
+OWN_FRAMES = ("compute_dispatch", "_dispatch_job")
+LAYERS = {
+    "<dictcomp>": "gate", "read": "gate",
+    "acquire": "place", "release": "place",
+    "stage": "stage",
+    "_flush": "send", "_flush_channel": "send",
+    "_await_pipelined": "await",
+    "load": "decode",
+    "write": "write-back", "peek": "write-back", "put": "write-back",
+}
+LAYER_NAMES = ("gate", "place", "stage", "send", "await", "decode", "write-back", "own")
+LOCK_TYPES = (type(threading.Lock()), type(threading.RLock()))
+
+#: Remote rows' reading per job, (calls, lock exits), and the ``--check``
+#: ceilings: the reading plus REMOTE_SLACK, so one more lock exit per job
+#: fails.  The first committed reading was 228.29 / 23.30 (procpool lcs)
+#: and 194.85 / 21.83 (cluster inproc grid).
+REMOTE_READING = {"procpool lcs": (112.52, 10.65), "cluster inproc grid": (121.59, 11.92)}
+REMOTE_SLACK = 0.5
+MAX_REMOTE = {
+    name: (calls + REMOTE_SLACK, locks + REMOTE_SLACK)
+    for name, (calls, locks) in REMOTE_READING.items()
+}
+
+
 def _noop(key, ctx):
     ctx.write(BlockRef(key, 0), 0)
 
@@ -108,6 +151,94 @@ def _timed(run) -> float:
     t0 = time.perf_counter()
     run()
     return time.perf_counter() - t0
+
+
+class _JobProfile:
+    """A ``sys.setprofile`` hook: calls and lock exits per layer of the
+    jobs it sees, one ``compute_dispatch`` call at a time."""
+
+    def __init__(self) -> None:
+        self.calls: Counter = Counter()
+        self.locks: Counter = Counter()
+        self.jobs = 0
+        self._stack: list[tuple[str, bool]] = []  # (layer, an OWN_FRAMES frame)
+
+    def __call__(self, frame, event, arg) -> None:
+        stack = self._stack
+        if event == "call":
+            if not stack:
+                self.jobs += 1
+                entry = ("own", True)
+            elif stack[-1][1]:
+                name = frame.f_code.co_name
+                entry = ("own", True) if name in OWN_FRAMES else (LAYERS.get(name, "own"), False)
+            else:
+                entry = (stack[-1][0], False)
+            stack.append(entry)
+            self.calls[entry[0]] += 1
+        elif event == "return":
+            if stack:
+                stack.pop()
+        elif event == "c_call" and stack:
+            layer = stack[-1][0]
+            self.calls[layer] += 1
+            if arg.__name__ == "__exit__" and type(getattr(arg, "__self__", None)) in LOCK_TYPES:
+                self.locks[layer] += 1
+
+    def row(self) -> dict[str, dict[str, float]]:
+        return {
+            kind: {layer: counts[layer] / self.jobs for layer in LAYER_NAMES}
+            for kind, counts in (("calls", self.calls), ("locks", self.locks))
+        }
+
+
+def remote_ledger(runtime, spec, make_store) -> dict[str, dict[str, float]]:
+    """Calls and lock exits per job, per layer, on ``runtime``'s
+    scheduler thread, over the second of two runs (the first warms)."""
+    prof = _JobProfile()
+    dispatch = runtime.compute_dispatch
+
+    def profiled(*args):
+        sys.setprofile(prof)
+        try:
+            return dispatch(*args)
+        finally:
+            sys.setprofile(None)
+
+    for warm in (True, False):
+        store = make_store()
+        try:
+            runtime.compute_dispatch = dispatch if warm else profiled
+            FTScheduler(spec, runtime, store=store).run()
+        finally:
+            getattr(store, "close", lambda: None)()
+    return prof.row()
+
+
+def remote_rows(rows: int, cols: int) -> dict[str, dict[str, dict[str, float]]]:
+    lcs = make_app("lcs", config=AppConfig(n=88, block=8, seed=1))
+    table = {"procpool lcs": remote_ledger(
+        ProcessRuntime(workers=1), lcs, lambda: lcs.make_store(True, shared=True))}
+    server = WorkerServer("inproc://ledger").start()
+    try:
+        table["cluster inproc grid"] = remote_ledger(
+            ClusterRuntime(workers=1, addresses=[server.address]),
+            grid_graph(rows, cols, compute=_noop), BlockStore)
+    finally:
+        server.close()
+    return table
+
+
+def remote_over_budget(table: dict[str, dict[str, dict[str, float]]]) -> list[str]:
+    """The remote rows' ``--check`` verdict: one line per ceiling exceeded."""
+    failures = []
+    for name, (max_calls, max_locks) in MAX_REMOTE.items():
+        calls, locks = (sum(table[name][kind].values()) for kind in ("calls", "locks"))
+        if calls > max_calls:
+            failures.append(f"{name}: {calls:.2f} calls per job > {max_calls}")
+        if locks > max_locks:
+            failures.append(f"{name}: {locks:.2f} lock exits per job > {max_locks}")
+    return failures
 
 
 def kernel_calls(kernel, b: int) -> int:
@@ -174,7 +305,14 @@ def main(argv: list[str]) -> int:
     print(f"\n{'per tile':<14}{'calls':>16}")
     for (name, b), calls in counts.items():
         print(f"{f'{name} b={b}':<14}{calls:>16}")
-    failures = over_budget(table) + kernels_over_budget(counts) if check else []
+    remote = remote_rows(rows, cols)
+    print(f"\n{'per job':<26}" + "".join(f"{n:>11}" for n in LAYER_NAMES) + f"{'total':>11}")
+    for name, row in remote.items():
+        for kind, layers in row.items():
+            print(f"{f'{name} {kind}':<26}" + "".join(
+                f"{layers[n]:>11.2f}" for n in LAYER_NAMES) + f"{sum(layers.values()):>11.2f}")
+    failures = (over_budget(table) + kernels_over_budget(counts)
+                + remote_over_budget(remote)) if check else []
     for line in failures:
         print(f"ledger check FAILED: {line}", file=sys.stderr)
     return 1 if failures else 0

@@ -57,7 +57,7 @@ from __future__ import annotations
 import pickle
 import struct
 import threading
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 from repro.exceptions import ReproError
 
@@ -355,8 +355,8 @@ _ST_HEADER, _ST_TABLE, _ST_BODY = 0, 1, 2
 class FrameDecoder:
     """Incremental frame reassembly over an arbitrary chunk stream.
 
-    Feed whatever the transport hands you (``feed``), iterate the
-    complete payloads (``frames``) -- ``bytes`` for plain frames, an
+    Feed whatever the transport hands you (``feed``), take the
+    complete payloads (``drain``) -- ``bytes`` for plain frames, an
     :class:`OOBFrame` for multi-segment ones -- and ``close()`` when the
     stream ends, which raises :class:`TruncatedFrameError` if the peer
     died mid-frame.  Length headers are validated against ``max_bytes``
@@ -527,10 +527,10 @@ class FrameDecoder:
         ``None``."""
         return self._ready.pop(0) if self._ready else None
 
-    def frames(self) -> Iterator[Any]:
-        """Drain every ready payload."""
-        while self._ready:
-            yield self._ready.pop(0)
+    def drain(self) -> list[Any]:
+        """Every ready payload, oldest first, as one list (taken)."""
+        ready, self._ready = self._ready, []
+        return ready
 
     def close(self) -> None:
         """Declare end-of-stream; raises if a frame was left incomplete."""

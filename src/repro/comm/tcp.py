@@ -97,23 +97,26 @@ class SocketComm(Comm):
     def _sendmsg_all(self, parts: list[Any]) -> None:
         """Gather-write every part (header, payload views) with
         ``socket.sendmsg`` -- no concatenation copy -- looping over
-        partial sends and chunking long iovec lists.  Caller holds the
-        send lock."""
-        views = [memoryview(p) for p in parts if len(p)]
-        while views:
-            try:
+        partial sends and chunking long iovec lists (one part: ``sendall``).
+        Caller holds the send lock."""
+        try:
+            if len(parts) == 1:
+                self._sock.sendall(parts[0])
+                return
+            views = [memoryview(p) for p in parts if len(p)]
+            while views:
                 sent = self._sock.sendmsg(views[:_IOV_CAP])
-            except OSError as exc:
-                self._eof = True
-                raise CommClosedError(f"peer {self.peer} gone during send: {exc}") from exc
-            while sent:
-                head = views[0]
-                if head.nbytes <= sent:
-                    sent -= head.nbytes
-                    views.pop(0)
-                else:
-                    views[0] = head[sent:]
-                    sent = 0
+                while sent:
+                    head = views[0]
+                    if head.nbytes <= sent:
+                        sent -= head.nbytes
+                        views.pop(0)
+                    else:
+                        views[0] = head[sent:]
+                        sent = 0
+        except OSError as exc:
+            self._eof = True
+            raise CommClosedError(f"peer {self.peer} gone during send: {exc}") from exc
 
     def send(self, message: Any) -> None:
         payload = frame.dumps(message)
@@ -158,27 +161,25 @@ class SocketComm(Comm):
             del self._lent[:-_MAX_LENT]
 
     def _drain_decoder(self) -> None:
-        for payload in self._decoder.frames():
-            if isinstance(payload, frame.OOBFrame):
-                self._inbox.append(payload.load())
+        inbox = self._inbox
+        for payload in self._decoder.drain():
+            if type(payload) is not bytes:  # an OOBFrame
+                inbox.append(payload.load())
                 if not payload.try_recycle():
                     self._lent.append(payload)
                 continue
             message = frame.loads(payload)
-            if message == _HEARTBEAT:
-                continue  # liveness only; _last_recv already updated
-            self._inbox.append(message)
+            if message != _HEARTBEAT:  # liveness only; _last_recv already updated
+                inbox.append(message)
 
-    def _pump(self, deadline: float | None) -> None:
-        """Read the socket until a data message is buffered, EOF, or deadline."""
+    def _pump(self, timeout: float | None) -> None:
+        """Read the socket until a data message is buffered, EOF, or
+        ``timeout`` seconds (``None``: no limit) have passed."""
         self._sweep_lent()
-        while not self._inbox and not self._eof and not self._closed:
-            if deadline is None:
-                wait_ms: float | None = None
-            else:
-                # Past the deadline the wait is non-blocking: poll(0)
-                # must still see bytes that are already in the socket.
-                wait_ms = max(0.0, deadline - time.monotonic()) * 1000.0
+        inbox = self._inbox
+        wait_ms = None if timeout is None else timeout * 1000.0
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not inbox and not self._eof and not self._closed:
             if not self._poller.poll(wait_ms):
                 return
             dest = self._decoder.direct_destination()
@@ -191,7 +192,7 @@ class SocketComm(Comm):
                     if n == 0:
                         self._eof = True
                         return
-                    self._last_recv = time.monotonic()
+                    now = self._last_recv = time.monotonic()
                     self._decoder.direct_advance(n)
                 else:
                     if dest is not None:
@@ -200,12 +201,16 @@ class SocketComm(Comm):
                     if not chunk:
                         self._eof = True
                         return
-                    self._last_recv = time.monotonic()
+                    now = self._last_recv = time.monotonic()
                     self._decoder.feed(chunk)  # OversizedFrameError propagates: protocol bug
             except OSError:
                 self._eof = True
                 return
             self._drain_decoder()
+            if deadline is not None:
+                # What is left for another round.  Past the deadline the wait is
+                # non-blocking: poll(0) must still see bytes already in the socket.
+                wait_ms = (deadline - now) * 1000.0 if now < deadline else 0.0
 
     def recv(self, timeout: float | None = None) -> Any:
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -218,7 +223,7 @@ class SocketComm(Comm):
                 except frame.TruncatedFrameError as exc:
                     raise CommClosedError(f"peer {self.peer} is gone mid-frame: {exc}") from exc
                 raise CommClosedError(f"peer {self.peer} is gone")
-            self._pump(deadline)
+            self._pump(None if deadline is None else max(0.0, deadline - time.monotonic()))
             if not self._inbox and not self._eof:
                 if deadline is not None and time.monotonic() >= deadline:
                     raise TimeoutError(f"no message within {timeout}s from {self.peer}")
@@ -226,7 +231,7 @@ class SocketComm(Comm):
     def poll(self, timeout: float = 0.0) -> bool:
         if self._inbox or self._closed or self._eof:
             return True
-        self._pump(time.monotonic() + timeout)
+        self._pump(timeout)
         return bool(self._inbox) or self._eof
 
     # -- liveness -----------------------------------------------------------

@@ -69,22 +69,22 @@ class _Slot:
         self.lock = threading.Lock()
 
 
+class _Slots(dict):
+    """block -> :class:`_Slot`, made on first touch."""
+
+    def __missing__(self, block: Hashable) -> _Slot:
+        # setdefault is GIL-atomic: racing first touches share one slot.
+        return self.setdefault(block, _Slot())
+
+
 class BlockStore:
     """Versioned storage for all data blocks of one task-graph execution."""
 
     def __init__(self, policy: AllocationPolicy | None = None) -> None:
         self.policy = policy or SingleAssignment()
         self.stats = StoreStats()
-        self._slots: dict[Hashable, _Slot] = {}
-        self._slots_lock = threading.Lock()
+        self._slots = _Slots()
         self._resident = 0
-
-    def _slot(self, block: Hashable) -> _Slot:
-        slot = self._slots.get(block)
-        if slot is None:
-            with self._slots_lock:
-                slot = self._slots.setdefault(block, _Slot())
-        return slot
 
     # -- producer side ----------------------------------------------------------
 
@@ -94,7 +94,7 @@ class BlockStore:
         Re-writing a resident version refreshes its data in place (and
         clears any corruption mark) without consuming another buffer.
         """
-        slot = self._slot(ref.block)
+        slot = self._slots[ref.block]
         keep = self.policy.keep
         with slot.lock:
             self.stats.writes += 1
@@ -121,14 +121,14 @@ class BlockStore:
         ... made resilient through other means" (Section II): recovery
         chains terminate when they reach pinned version-0 inputs.
         """
-        slot = self._slot(ref.block)
+        slot = self._slots[ref.block]
         with slot.lock:
             slot.pinned[ref.version] = _Entry(data)
 
     def is_pinned(self, ref: BlockRef) -> bool:
         # Lock-free: a single membership probe of a GIL-atomic dict; see
         # status_of for the memory-ordering argument.
-        return ref.version in self._slot(ref.block).pinned
+        return ref.version in self._slots[ref.block].pinned
 
     def _bump_resident(self, delta: int) -> None:
         # Racy under threads but only feeds a statistics high-water mark.
@@ -140,10 +140,10 @@ class BlockStore:
 
     def read(self, ref: BlockRef) -> Any:
         """Return the data for ``ref`` or raise the matching fault error."""
-        slot = self._slot(ref.block)
+        slot = self._slots[ref.block]
         with slot.lock:
             self.stats.reads += 1
-            pinned = slot.pinned.get(ref.version)
+            pinned = slot.pinned.get(ref.version) if slot.pinned else None
             if pinned is not None:
                 return pinned.data
             entry = slot.versions.get(ref.version)
@@ -162,8 +162,8 @@ class BlockStore:
 
         Lock-free; same linearization argument as :meth:`status_of`.  Does
         not bump read statistics, so skipping the lock loses nothing."""
-        slot = self._slot(ref.block)
-        pinned = slot.pinned.get(ref.version)
+        slot = self._slots[ref.block]
+        pinned = slot.pinned.get(ref.version) if slot.pinned else None
         if pinned is not None:
             return pinned.data
         entry = slot.versions.get(ref.version)
@@ -187,7 +187,7 @@ class BlockStore:
         scheduler's availability check) already treat the answer as a hint
         that the subsequent faulting ``read`` re-validates authoritatively.
         """
-        slot = self._slot(ref.block)
+        slot = self._slots[ref.block]
         if ref.version in slot.pinned:
             return "ok"
         entry = slot.versions.get(ref.version)
@@ -197,7 +197,7 @@ class BlockStore:
 
     def newest_resident(self, block: Hashable) -> int | None:
         """Most recently written resident version of ``block`` (or None)."""
-        slot = self._slot(block)
+        slot = self._slots[block]
         with slot.lock:
             return next(reversed(slot.versions)) if slot.versions else None
 
@@ -209,7 +209,7 @@ class BlockStore:
         treated as failed and recovered.
         """
         # Lock-free; see status_of for the memory-ordering argument.
-        slot = self._slot(ref.block)
+        slot = self._slots[ref.block]
         if ref.version in slot.pinned:
             return True
         entry = slot.versions.get(ref.version)
@@ -221,7 +221,7 @@ class BlockStore:
         """Flag ``ref`` as corrupted; returns False if it was not resident
         (nothing left to corrupt -- the buffer already holds another
         version)."""
-        slot = self._slot(ref.block)
+        slot = self._slots[ref.block]
         with slot.lock:
             if ref.version in slot.pinned:
                 return False  # resilient input data cannot be corrupted
@@ -245,7 +245,7 @@ class BlockStore:
         resident.  ``stats.silent_corruptions`` is ground truth for the
         injector, not a detection counter.
         """
-        slot = self._slot(ref.block)
+        slot = self._slots[ref.block]
         with slot.lock:
             if ref.version in slot.pinned:
                 return False
@@ -260,13 +260,12 @@ class BlockStore:
 
     def resident_versions(self, block: Hashable) -> tuple[int, ...]:
         """Versions currently resident for ``block``, oldest write first."""
-        slot = self._slot(block)
+        slot = self._slots[block]
         with slot.lock:
             return tuple(slot.versions)
 
     def blocks(self) -> tuple[Hashable, ...]:
-        with self._slots_lock:
-            return tuple(self._slots)
+        return tuple(self._slots)  # one GIL-atomic copy
 
     def resident_count(self) -> int:
         return sum(len(self._slots[b].versions) for b in self.blocks())

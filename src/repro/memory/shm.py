@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import mmap
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -141,6 +142,19 @@ def _layout(arrays: list[np.ndarray]) -> tuple[list[int], int]:
         offsets.append(total)
         total += a.nbytes
     return offsets, total
+
+
+def payload_nbytes(value: Any) -> int:
+    """Size of a block payload for cache accounting: array data bytes,
+    ``sys.getsizeof`` for any other leaf."""
+    if isinstance(value, (tuple, list)):
+        total = 0
+        for item in value:
+            total += getattr(item, "nbytes", None) or payload_nbytes(item)
+        return total
+    if isinstance(value, dict):
+        return payload_nbytes(tuple(value.values()))
+    return getattr(value, "nbytes", None) or sys.getsizeof(value)
 
 
 def own_payload(value: Any) -> tuple[Any, int]:
@@ -327,6 +341,11 @@ class SharedMemoryBackend:
     # -- producer side ------------------------------------------------------
 
     def write(self, ref: BlockRef, data: Any) -> None:
+        if not self._segments.get(ref.block) and payload_nbytes(data) < self._small_block_bytes:
+            # Below the floor, with no segment to retire or sweep.
+            super().write(ref, data)  # type: ignore[misc]
+            self.shm_stats.pickled_payloads += 1
+            return
         payload, seg = materialize_segment(data, self._small_block_bytes)
         super().write(ref, payload)  # type: ignore[misc]
         self._install_segment(ref, seg)
@@ -416,7 +435,7 @@ class SharedMemoryBackend:
 
     def _sweep_block(self, block: Hashable) -> None:
         """Release segments of versions the policy evicted from ``block``."""
-        slot = self._slot(block)  # type: ignore[attr-defined]
+        slot = self._slots[block]  # type: ignore[attr-defined]
         with slot.lock:
             live = set(slot.versions) | set(slot.pinned)
         dead: list[_Segment] = []

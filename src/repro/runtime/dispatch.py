@@ -10,7 +10,7 @@ kernels of Theorem 1) crosses a channel to a
 runtime for :meth:`RemoteRuntime.compute_dispatch` once and call it in
 place of ``spec.compute(key, ctx)``.  Per task it
 
-1. reads every declared input through the parent-side context -- the
+1. reads every declared input from the parent's store -- the
    **fault gate**: corruption flags, checksum mismatches and evictions
    raise *here*, inside the scheduler's existing ``except FaultError``
    recovery path, before anything ships -- and holds the values for the
@@ -50,16 +50,17 @@ parent's memory (:attr:`RemoteRuntime.SHARES_MEMORY`).
   flight on one channel, so its worker moves from job to job without
   sleeping on an empty channel.  :class:`ChannelPool` owns the windows
   and picks, among live channels with a free slot, the fewest jobs in
-  flight, then the fewest input bytes the residency table does not
-  hold, then the channel idle longest.
+  flight, then (only on a tie) the fewest input bytes the residency
+  table does not hold, then the channel released longest ago.
 * *Micro-batched sends.*  A submitter appends its job to the channel's
-  outbox and flushes under the send lock; whoever holds the lock ships
-  everything queued meanwhile as one ``("jobs", [...])`` message --
-  flat combining, one syscall and one wake-up per burst.
+  outbox; the holder of its flusher role ships everything queued
+  meanwhile as one ``("jobs", [...])`` message -- flat combining.
 * *One reader per channel.*  Workers stream one reply per job.  The
   submitter that takes the channel's free ``reader`` slot reads replies
   for *all* its channel-mates, resolving each under the channel lock;
-  the others wait on the channel's condition until theirs lands.
+  the others wait on the channel's condition until theirs lands.  A
+  flusher takes the slot only after its sends: a send blocked on a full
+  socket must leave a channel-mate free to drain the worker's replies.
 
 **A lost worker is a detected compute-phase fault**, decided in one
 place (:meth:`RemoteRuntime._channel_lost`): process death, a severed
@@ -73,12 +74,12 @@ pair, one crash count), keyed by the ``die_on``-flagged job when the
 death was injected.  The baseline Nabbit scheduler has no recovery path,
 and a crash fails the run (faithful to the paper).
 
-The reader also computes each job's **queued** time: a worker runs its
-channel's jobs in FIFO order, so job *B* started (approximately) when
-the reply before it arrived.  ``queued = clamp(previous_reply_arrival -
-t_sent, 0, round_trip)`` is how long B sat behind its channel-mates --
-deliberate pipelining backlog, not dispatch cost -- and overhead
-attribution subtracts it (see ``repro.obs.attribution``).
+The reader of an observed run also computes each job's **queued**
+time: a worker runs its channel's jobs in FIFO order, so job *B*
+started (approximately) when the reply before it arrived.  ``queued =
+clamp(previous_reply_arrival - t_sent, 0, round_trip)`` is how long B
+sat behind its channel-mates -- deliberate pipelining backlog, not
+dispatch cost -- and attribution subtracts it (``repro.obs.attribution``).
 """
 
 from __future__ import annotations
@@ -94,12 +95,13 @@ from repro.comm import frame
 from repro.comm.core import Comm, CommClosedError
 from repro.exceptions import SchedulerError, WorkerCrashError
 from repro.graph.taskspec import BlockRef
+from repro.memory.shm import payload_nbytes
 from repro.obs.events import NULL_LOG, EventKind, EventLog
 from repro.obs.live import MetricsRegistry
 from repro.runtime.api import RunResult
 from repro.runtime.frames import Frame
 from repro.runtime.threadpool import ThreadedRuntime
-from repro.runtime.worker import BlockCache, payload_nbytes
+from repro.runtime.worker import BlockCache
 
 #: Reply-poll granularity of a channel's reader (also each silent-channel
 #: liveness check and waiting submitter's abort check interval).
@@ -143,14 +145,14 @@ class PendingJob:
 class PipelineChannel:
     """One worker channel: its comm plus the pipelining state.
 
-    Lock order (outermost first): ``send_lock`` > ``lock``.  ``lock``
-    (and ``cond``, built on it) guards the mutable bookkeeping, the
-    ``reader`` slot included, and is never held across a blocking call;
-    ``send_lock`` serializes wire writes.
+    ``lock`` (and ``cond``, built on it) guards the mutable bookkeeping,
+    the ``reader`` slot and ``flushing`` role included, and is never held
+    across a blocking call.  Only the flusher sends jobs; the comm
+    serializes whole messages.
     """
 
-    __slots__ = ("comm", "peer", "info", "lock", "cond", "send_lock", "reader", "outbox",
-                 "pending", "resident", "dead", "spec", "last_reply", "load", "freed")
+    __slots__ = ("comm", "peer", "info", "lock", "cond", "reader", "flushing", "waiting",
+                 "outbox", "pending", "resident", "dead", "spec", "last_reply", "load", "freed")
 
     def __init__(self, comm: Comm, peer: Any, **info: Any) -> None:
         self.comm = comm
@@ -162,11 +164,12 @@ class PipelineChannel:
         self.info = info
         self.lock = threading.Lock()
         self.cond = threading.Condition(self.lock)
-        self.send_lock = threading.Lock()
         #: The one submitter allowed inside ``comm.poll``/``recv``, or None.
         self.reader: PendingJob | None = None
-        #: Wire messages queued for the next flush: ``(spec, msg)`` pairs.
-        self.outbox: list[tuple[Any, tuple]] = []
+        #: A submitter is shipping the outbox / submitters wait on ``cond``.
+        self.flushing, self.waiting = False, 0
+        #: Queued for the next flush: ``(spec, job, msg)`` triples.
+        self.outbox: list[tuple[Any, PendingJob, tuple]] = []
         #: jid -> PendingJob for every job sent (or queued) but unresolved.
         self.pending: dict[int, PendingJob] = {}
         #: What the worker was pushed or computed, ``(block, version) ->
@@ -178,12 +181,12 @@ class PipelineChannel:
         #: Parent-clock arrival time of the most recent reply (queued-time
         #: estimation; None until the first reply).
         self.last_reply: float | None = None
-        self.load = self.freed = 0  #: jobs in flight / time of last release (the pool's)
+        self.load = self.freed = 0  #: jobs in flight / release stamp (the pool's)
 
 
 class ChannelPool:
     """The live channels and their outstanding-job windows, under one
-    condition: where a job runs is a decision, not an accident of reply
+    lock: where a job runs is a decision, not an accident of reply
     order.  Load comes before locality -- a worker holding every input
     is still one worker, and placing by missing bytes first serialises
     any graph whose kernels outlast its transfers."""
@@ -191,37 +194,58 @@ class ChannelPool:
     def __init__(self, window: int) -> None:
         self.window = window
         self.channels: list[PipelineChannel] = []
-        self._cond = threading.Condition()
+        self._lock = threading.RLock()
+        self._cond = threading.Condition(self._lock)
+        self._waiting = self._releases = 0
 
     def add(self, handle: PipelineChannel) -> None:
-        with self._cond:
+        with self._lock:
             self.channels.append(handle)
             self._cond.notify(self.window)
 
     def remove(self, handle: PipelineChannel) -> None:
-        with self._cond:
+        with self._lock:
             if handle in self.channels:
                 self.channels.remove(handle)
 
     def acquire(self, values: dict, aborted: Callable[[], bool]) -> PipelineChannel:
         """Take a window slot for a job reading ``values``, waiting for one."""
-        deadline = time.perf_counter() + _ACQUIRE_TIMEOUT_SECONDS
-        with self._cond:
-            while not (free := [h for h in self.channels if h.load < self.window and not h.dead]):
+        deadline = None
+        with self._lock:
+            while True:
+                best, tied = None, False
+                for h in self.channels:
+                    if h.dead or h.load >= self.window:
+                        continue
+                    if best is None or h.load < best.load:
+                        best, tied = h, False
+                    elif h.load == best.load:
+                        tied = True
+                if best is not None:
+                    break
                 if aborted():
                     raise SchedulerError("run aborted while waiting for a worker channel")
-                if time.perf_counter() > deadline:  # pragma: no cover - pool accounting bug
+                now = time.perf_counter()
+                deadline = deadline or now + _ACQUIRE_TIMEOUT_SECONDS
+                if now > deadline:  # pragma: no cover - pool accounting bug
                     raise SchedulerError("no worker channel became available within 60s")
-                self._cond.wait(0.25)
-            best = min(free, key=lambda h: (h.load, _missing_bytes(h, values), h.freed))
+                self._waiting += 1
+                self._cond.wait(0.25)  # verify: ok=blocking-under-lock (the wait releases _lock, which _cond is built on)
+                self._waiting -= 1
+            if tied:
+                least = best.load
+                best = min((h for h in self.channels if h.load == least and not h.dead),
+                           key=lambda h: (_missing_bytes(h, values), h.freed))
             best.load += 1
             return best
 
     def release(self, handle: PipelineChannel) -> None:
-        with self._cond:
+        with self._lock:
             handle.load -= 1
-            handle.freed = time.perf_counter()
-            self._cond.notify()
+            self._releases += 1
+            handle.freed = self._releases
+            if self._waiting:
+                self._cond.notify()
 
 
 def _missing_bytes(handle: PipelineChannel, values: dict) -> int:
@@ -235,18 +259,17 @@ def stage(handle: PipelineChannel, values: dict, describe: Callable | None = Non
     """A job's wire inputs on ``handle`` (call under its lock): the bare
     ``(block, version)`` for an input the residency table holds by
     identity, else ``(block, version, payload)``, entered into the table;
-    the payload is ``describe(ref)`` (a shm descriptor) or the value."""
-    table = handle.resident
-    inputs: list[tuple] = []
-    for ref, value in values.items():
-        hit, held = table.get(ref)
-        if hit and held is value:
-            inputs.append(ref)
-            continue
-        table.put(ref, value, payload_nbytes(value))
-        desc = describe(BlockRef(*ref)) if describe is not None else None
-        inputs.append((*ref, value if desc is None else desc))
-    return inputs
+    the payload is ``describe(ref)`` (a shm descriptor) or the value.
+    A hit is a use: the table stays LRU, like the worker's cache."""
+    touch = handle.resident.touch
+    return [ref if touch(ref, value) else _push(handle, ref, value, describe)
+            for ref, value in values.items()]
+
+
+def _push(handle: PipelineChannel, ref: tuple, value: Any, describe: Callable | None) -> tuple:
+    handle.resident.put(ref, value, payload_nbytes(value))
+    desc = describe(BlockRef(*ref)) if describe is not None else None
+    return (*ref, value if desc is None else desc)
 
 
 class RemoteRuntime(ThreadedRuntime):
@@ -389,8 +412,10 @@ class RemoteRuntime(ThreadedRuntime):
             refs = plans[key].inputs
         else:  # a bare spec (inputs + compute only), driven without a scheduler
             refs = [r if type(r) is BlockRef else BlockRef(*r) for r in spec.inputs(key)]
-        # Every read goes through the fault gate.
-        values = {(ref.block, ref.version): ctx.read(ref) for ref in refs}
+        # Every read goes through the fault gate (the store's: the refs are declared).
+        store = ctx.store
+        read = store.read
+        values = {(ref.block, ref.version): read(ref) for ref in refs}
         die = False
         if self._die_on:
             with self._die_lock:
@@ -398,7 +423,6 @@ class RemoteRuntime(ThreadedRuntime):
                     self._die_on.discard(key)
                     die = True
         job = PendingJob(next(_JIDS), key, life, die, values)
-        store = ctx.store
         describe = getattr(store, "descriptor", None) if self.SHARES_MEMORY else None
         handle, reply = self._dispatch_job(spec, job, describe)
         if reply[0] == "fail":
@@ -461,10 +485,10 @@ class RemoteRuntime(ThreadedRuntime):
     ) -> tuple[PipelineChannel, Any]:
         """Ship one job and block until its reply: ``(channel, reply)``.
 
-        :func:`stage` builds the wire inputs under the channel lock,
-        which makes the push-or-ref decision atomic with outbox order: a
-        payload or descriptor always reaches the worker before any bare
-        ref naming it.
+        One channel-lock section stages, queues, and takes the flusher role
+        if free, else the reader slot if free: the push-or-ref decision is
+        atomic with outbox order, so a payload or descriptor always reaches
+        the worker before any bare ref naming it.
         """
         self._ensure_pool()
         while True:
@@ -475,11 +499,27 @@ class RemoteRuntime(ThreadedRuntime):
                         continue  # it died since the pick: pick again
                     inputs = stage(handle, me.values, describe)
                     handle.pending[me.jid] = me
-                    handle.outbox.append((spec, (me.jid, me.key, inputs, me.die, me.life)))
-                if self._mx or self._log is not NULL_LOG:
-                    for block, version, payload in (i for i in inputs if len(i) == 3):
-                        self._shipped(handle, me, block, version, payload_nbytes(payload), "push")
-                self._flush_channel(handle)
+                    handle.outbox.append((spec, me, (me.jid, me.key, inputs, me.die, me.life)))
+                    batch = None if handle.flushing else handle.outbox
+                    if batch is not None:
+                        handle.flushing, handle.outbox = True, []
+                    elif handle.reader is None:  # never both roles: see the module doc
+                        handle.reader = me
+                try:
+                    if self._mx or self._log is not NULL_LOG:
+                        for b, v, payload in (i for i in inputs if len(i) == 3):
+                            self._shipped(handle, me, b, v, payload_nbytes(payload), "push")
+                    if batch is not None:
+                        self._flush(handle, batch, me)
+                except BaseException:  # leave no role for later jobs to wait on
+                    with handle.lock:
+                        handle.pending.pop(me.jid, None)
+                        if batch is not None:
+                            handle.flushing = False
+                        if handle.reader is me:
+                            handle.reader = None
+                        handle.cond.notify_all()
+                    raise
                 reply = self._await_pipelined(handle, me)
             finally:
                 self._pool.release(handle)
@@ -491,46 +531,36 @@ class RemoteRuntime(ThreadedRuntime):
 
     # -- the combining send path ------------------------------------------------
 
-    def _flush_channel(self, handle: PipelineChannel) -> None:
-        """Ship everything in the channel outbox, combining with whatever
-        other submitters queued while we waited for the send lock.  A
-        submitter whose message was already flushed by the previous lock
-        holder finds an empty outbox and returns immediately."""
-        with handle.send_lock:
-            while True:
-                with handle.lock:
-                    batch, handle.outbox = handle.outbox, []
-                    dead = handle.dead
-                if dead or not batch:
+    def _flush(self, handle: PipelineChannel, batch: list, me: PendingJob) -> None:
+        """Ship ``batch``, then what was queued meanwhile, holding the flusher
+        role; the section that finds the outbox empty drops the role and
+        takes the reader slot for ``me`` if it is free."""
+        while True:
+            now = time.perf_counter() if self._log is not NULL_LOG else 0.0
+            msgs: list[tuple] = []
+            try:
+                for spec, job, msg in batch:
+                    if handle.spec is not spec:
+                        if msgs:
+                            self._ship_jobs(handle, msgs)
+                            msgs = []
+                        handle.comm.send(("spec", self._spec_blob(spec), self._run_token))
+                        handle.spec = spec
+                    job.t_sent = now
+                    msgs.append(msg)
+                self._ship_jobs(handle, msgs)
+            except CommClosedError:
+                self._channel_lost(handle, "closed")
+                return
+            with handle.lock:
+                batch, handle.outbox = handle.outbox, []
+                if not batch:
+                    handle.flushing = False
+                    if handle.reader is None and me.reply is None and not handle.dead:
+                        handle.reader = me
                     return
-                try:
-                    self._ship_batch(handle, batch)  # verify: ok=blocking-under-lock (send_lock exists to serialize wire writes; sending under it is its purpose)
-                except CommClosedError:
-                    break
-        self._channel_lost(handle, "closed")
-
-    def _ship_batch(self, handle: PipelineChannel, batch: list[tuple[Any, tuple]]) -> None:
-        """Send one flushed outbox: spec announcements interleaved (in
-        order) with micro-batched job messages."""
-        msgs: list[tuple] = []
-        for spec, msg in batch:
-            if handle.spec is not spec:
-                if msgs:
-                    self._ship_jobs(handle, msgs)
-                    msgs = []
-                handle.comm.send(("spec", self._spec_blob(spec), self._run_token))
-                handle.spec = spec
-            msgs.append(msg)
-        if msgs:
-            self._ship_jobs(handle, msgs)
 
     def _ship_jobs(self, handle: PipelineChannel, msgs: list[tuple]) -> None:
-        now = time.perf_counter()
-        with handle.lock:
-            for m in msgs:
-                p = handle.pending.get(m[0])
-                if p is not None:
-                    p.t_sent = now
         # One OOB message per burst: inline payloads in the job tuples
         # ship as scattered buffer segments, never re-pickled.
         handle.comm.send_oob(("jobs", msgs))
@@ -541,28 +571,33 @@ class RemoteRuntime(ThreadedRuntime):
         """Block until ``me`` resolves, reading the channel whenever its
         reader slot is free; a reader leaving a dead channel closes it."""
         while True:
-            with handle.cond:
-                while me.reply is None:
+            if handle.reader is not me:  # only this thread sets or clears its own claim
+                with handle.cond:
+                    if me.reply is not None:
+                        return me.reply
                     if self.aborted():
                         handle.pending.pop(me.jid, None)
                         raise SchedulerError(
                             f"run aborted while task {me.key!r} awaited a worker reply"
                         )
-                    if handle.reader is None and not handle.dead:
-                        handle.reader = me
-                        break
-                    handle.cond.wait(POLL_SECONDS)
-                else:
-                    return me.reply
+                    if handle.reader is not None or handle.dead:
+                        handle.waiting += 1
+                        handle.cond.wait(POLL_SECONDS)
+                        handle.waiting -= 1
+                        continue
+                    handle.reader = me
             try:
                 self._read_channel(handle, me)
             finally:
-                with handle.lock:
-                    handle.reader = None
-                    dead = handle.dead
-                    handle.cond.notify_all()
-                if dead:
-                    handle.comm.close()
+                if handle.reader is me:  # left without its own reply
+                    with handle.lock:
+                        handle.reader = None
+                        dead = handle.dead
+                        handle.cond.notify_all()
+                    if dead:
+                        handle.comm.close()
+            if me.reply is not None:
+                return me.reply
 
     def _read_channel(self, handle: PipelineChannel, me: PendingJob) -> None:
         """Read replies for every job in flight on ``handle`` until our
@@ -597,19 +632,22 @@ class RemoteRuntime(ThreadedRuntime):
             return
         if tag not in ("done", "fail"):
             return  # late echo from a dying worker; never actionable
-        now = time.perf_counter()
         with handle.lock:
             p = handle.pending.pop(msg[1], None)
-            prev, handle.last_reply = handle.last_reply, now
             if p is None:
                 return  # reply for a job resolved another way (late, post-crash)
-            if prev is not None and p.t_sent:
-                # The worker runs this channel's jobs in FIFO order, so our
-                # job started when the reply before it arrived: everything
-                # between t_sent and then is pipelining backlog, not cost.
-                p.queued = min(max(0.0, prev - p.t_sent), max(0.0, now - p.t_sent))
+            if p.t_sent:  # stamped: the run is observed
+                now = time.perf_counter()
+                prev, handle.last_reply = handle.last_reply, now
+                if prev is not None:
+                    # The worker runs this channel's jobs in FIFO order, so this
+                    # job started when the reply before it arrived: everything
+                    # between t_sent and then is pipelining backlog, not cost.
+                    p.queued = min(max(0.0, prev - p.t_sent), now - p.t_sent)
             p.reply = msg
-            if p is not handle.reader:  # the reader sees its own reply unwoken
+            if p is handle.reader:  # the reader leaves with its own reply
+                handle.reader = None
+            if handle.waiting:
                 handle.cond.notify_all()
 
     def _serve_fetch(self, handle: PipelineChannel, msg: tuple) -> None:
@@ -623,8 +661,7 @@ class RemoteRuntime(ThreadedRuntime):
             payload = frame.encode_oob(p.values[(block, version)])
             self._shipped(handle, p, block, version, payload.nbytes, "fetch")
         try:
-            with handle.send_lock:
-                handle.comm.send_oob(("data", block, version, payload))  # verify: ok=blocking-under-lock (send_lock exists to serialize wire writes; sending under it is its purpose)
+            handle.comm.send_oob(("data", block, version, payload))
         except CommClosedError:
             self._channel_lost(handle, "closed")
 

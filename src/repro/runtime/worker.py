@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import sys
 import threading
 import time
 from collections import OrderedDict, deque
@@ -32,7 +31,7 @@ from repro.comm import frame
 from repro.comm.core import Comm, CommClosedError
 from repro.exceptions import OverwrittenError, SchedulerError
 from repro.graph.taskspec import BlockRef
-from repro.memory.shm import Attachment, ShmDescriptor, attach_payload, own_payload
+from repro.memory.shm import Attachment, ShmDescriptor, attach_payload, own_payload, payload_nbytes
 
 #: Exit code of a ``die_on``-injected worker death (tests assert on it).
 CRASH_EXIT_CODE = 73
@@ -43,16 +42,6 @@ DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
 #: Input-table marker: declared, but no payload rode the job message.
 #: (A shipped payload may itself be ``None``, so ``None`` cannot mark it.)
 _LAZY = object()
-
-
-def payload_nbytes(value: Any) -> int:
-    """Size of a block payload for cache accounting: array data bytes,
-    ``sys.getsizeof`` for any other leaf."""
-    if isinstance(value, dict):
-        value = tuple(value.values())
-    if isinstance(value, (tuple, list)):
-        return sum(map(payload_nbytes, value))
-    return getattr(value, "nbytes", None) or sys.getsizeof(value)
 
 
 class BlockCache:
@@ -122,6 +111,17 @@ class BlockCache:
         entry = self._entries.get(key)
         return None if entry is None else entry[0]
 
+    def touch(self, key: tuple, value: Any) -> bool:
+        """Whether ``value`` itself is held at ``key``, whose entry becomes
+        the most recent (a use, not a counted hit).  Lock-free: each step is
+        GIL-atomic, and an entry evicted between them reads as not held."""
+        entries = self._entries
+        try:
+            entries.move_to_end(key)
+            return entries[key][0] is value
+        except KeyError:
+            return False
+
     def put(self, key: tuple, value: Any, nbytes: int) -> None:
         with self._lock:
             old = self._entries.pop(key, None)
@@ -144,7 +144,7 @@ class BlockCache:
 
 
 def _move_scope(token: str, src: OrderedDict, dst: OrderedDict) -> None:
-    for key in [k for k in src if k[0] == token]:
+    for key in [k for k in list(src) if k[0] == token]:  # a lock-free touch may reorder src
         dst[key] = src.pop(key)
 
 

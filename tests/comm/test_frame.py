@@ -31,7 +31,7 @@ class TestFraming:
         d = frame.FrameDecoder()
         for i in range(len(buf)):
             d.feed(buf[i:i + 1])
-        assert list(d.frames()) == [b"abc", b"", b"xyz"]
+        assert d.drain() == [b"abc", b"", b"xyz"]
         d.close()
 
     def test_pending_counts_ready_frames(self):
@@ -41,7 +41,7 @@ class TestFraming:
         assert d.pending == 3
         assert d.next_frame() == b"a"
         assert d.pending == 2
-        assert list(d.frames()) == [b"b", b"c"]
+        assert d.drain() == [b"b", b"c"]
 
     def test_encode_message_is_full_stream_encoding(self):
         d = frame.FrameDecoder()

@@ -96,7 +96,7 @@ class TestMultiSegmentFraming:
         )
         d = frame.FrameDecoder()
         d.feed(wire)
-        got = list(d.frames())
+        got = d.drain()
         assert frame.loads(got[0]) == "before"
         np.testing.assert_array_equal(got[1].load()[1], arr)
         assert frame.loads(got[2]) == "after"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.detect.checksum import SharedMemoryChecksumStore
 from repro.exceptions import DataCorruptionError, OverwrittenError
 from repro.graph.taskspec import BlockRef
 from repro.memory.allocator import Reuse, SingleAssignment
@@ -203,6 +204,70 @@ class TestSmallBlockInline:
         finally:
             del payload
             seg.dispose()
+
+
+class TestBelowFloorWrite:
+    """A below-floor write to a block holding no segment is the plain
+    store's write; anything with a segment to retire still goes the long
+    way round."""
+
+    FLOOR = 1024
+
+    def test_rewrite_of_a_segment_backed_version_retires_its_segment(self):
+        s = SharedMemoryBlockStore(SingleAssignment(), small_block_bytes=self.FLOOR)
+        try:
+            s.write(ref(0), np.zeros(256))  # 2 KiB: a segment
+            assert s.shm_stats.bytes_current == 2048
+            small = np.ones(4)
+            s.write(ref(0), small)
+            st = s.shm_stats
+            assert (st.segments_created, st.segments_released, st.bytes_current) == (1, 1, 0)
+            assert s.descriptor(ref(0)) is None
+            assert s.read(ref(0)) is small
+        finally:
+            s.close()
+
+    def test_eviction_sweep_releases_the_evicted_segment(self):
+        s = SharedMemoryBlockStore(Reuse(), small_block_bytes=self.FLOOR)
+        try:
+            s.write(ref(0), np.zeros(256))  # a segment
+            s.write(ref(1), np.ones(4))  # below the floor; evicts version 0
+            st = s.shm_stats
+            assert (st.segments_created, st.segments_released, st.bytes_current) == (1, 1, 0)
+            with pytest.raises(OverwrittenError):
+                s.read(ref(0))
+            s.write(ref(2), np.zeros(256))  # the block takes segments again
+            s.write(ref(3), np.ones(4))
+            assert (st.segments_created, st.segments_released, st.bytes_current) == (2, 2, 0)
+        finally:
+            s.close()
+
+    def test_makes_no_segment_and_counts_the_payload(self):
+        s = SharedMemoryBlockStore(Reuse(), small_block_bytes=self.FLOOR)
+        try:
+            payloads = [(np.ones(4), np.arange(3)), {"k": np.ones(2)}, None, ("token", 7)]
+            for v, payload in enumerate(payloads):
+                s.write(ref(v, block=v % 2), payload)
+            s.write(ref(3, block=1), payloads[3])  # a rewrite counts too
+            st = s.shm_stats
+            assert (st.pickled_payloads, st.segments_created, st.bytes_current) == (5, 0, 0)
+            assert s.read(ref(2, block=0)) is None
+            assert s.read(ref(3, block=1)) is payloads[3]
+            assert s.descriptor(ref(3, block=1)) is None
+        finally:
+            s.close()
+
+    def test_checksum_store_still_fingerprints_what_it_stores(self):
+        s = SharedMemoryChecksumStore(SingleAssignment())  # default floor: 64 KiB
+        try:
+            s.write(ref(0), np.arange(8.0))
+            assert s.detection.fingerprints == 1 and s.shm_stats.segments_created == 0
+            np.testing.assert_array_equal(s.read(ref(0)), np.arange(8.0))
+            assert s.corrupt_data(ref(0), lambda a: a + 1.0)
+            with pytest.raises(DataCorruptionError):
+                s.read(ref(0))
+        finally:
+            s.close()
 
 
 class TestMaterialize:

@@ -494,6 +494,168 @@ class TestChannelLoss:
 
 
 # ---------------------------------------------------------------------------
+# combining sends
+
+
+class _GatedComm:
+    """Answers every shipped job with ``("done", jid)``; the first jobs
+    message blocks inside ``send_oob`` until ``release`` is set."""
+
+    def __init__(self):
+        self.sent = []  # the jids of each jobs message, in wire order
+        self.replies = []
+        self.entered, self.release = threading.Event(), threading.Event()
+
+    def send(self, msg):
+        pass
+
+    def send_oob(self, msg):
+        if not self.sent:
+            self.entered.set()
+            assert self.release.wait(10.0)
+        self.sent.append([m[0] for m in msg[1]])
+        self.replies += [("done", m[0]) for m in msg[1]]
+
+    def poll(self, timeout=0.0):
+        if not self.replies:
+            time.sleep(min(timeout, 0.001))
+        return bool(self.replies)
+
+    def recv(self, timeout=None):
+        return self.replies.pop(0)
+
+    def close(self):
+        pass
+
+
+class _BackpressureComm:
+    """A single-threaded worker behind full socket buffers: it answers
+    each job in order, and while a reply of its sits unread it reads
+    nothing, so a jobs message sent then blocks until that reply is
+    taken (or 10 s pass)."""
+
+    def __init__(self):
+        self.unread = []
+        self.blocked = threading.Event()
+        self._cond = threading.Condition()
+
+    def send(self, msg):
+        pass
+
+    def send_oob(self, msg):
+        with self._cond:
+            if self.unread:
+                self.blocked.set()
+            assert self._cond.wait_for(lambda: not self.unread, 10.0)
+            self.unread += [("done", m[0]) for m in msg[1]]
+            self._cond.notify_all()
+
+    def poll(self, timeout=0.0):
+        with self._cond:
+            return self._cond.wait_for(lambda: bool(self.unread), timeout)
+
+    def recv(self, timeout=None):
+        with self._cond:
+            self._cond.notify_all()
+            return self.unread.pop(0)
+
+    def close(self):
+        pass
+
+
+class _FailOnceComm(_EchoComm):
+    """Its first jobs message fails to pickle; later ones are answered
+    ``("done", jid)``."""
+
+    def send_oob(self, msg):
+        if not self.shipped.is_set():
+            self.shipped.set()
+            raise pickle.PicklingError("cannot pickle the job")
+        self.replies += [("done", m[0]) for m in msg[1]]
+
+
+class TestCombiningSend:
+    def test_a_job_queued_behind_a_flush_ships_in_the_flushers_next_burst(self):
+        rt = _StubRuntime(channels=1, inflight=2)
+        rt.comm_kind = _GatedComm
+        rt._ensure_pool()
+        (handle,) = rt._pool.channels
+        got = {}
+
+        def submit(jid):
+            job = PendingJob(jid, f"k{jid}", 1, False, {})
+            got[jid] = rt._dispatch_job(_NoInputSpec(), job, None)[1]
+
+        first = threading.Thread(target=submit, args=(1,), daemon=True)
+        first.start()
+        assert handle.comm.entered.wait(10.0)  # job 1's submitter is sending, as flusher
+        second = threading.Thread(target=submit, args=(2,), daemon=True)
+        second.start()
+        deadline = time.monotonic() + 10.0
+        while not handle.outbox and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert handle.flushing and len(handle.outbox) == 1  # job 2 left to the flusher
+        handle.comm.release.set()
+        for t in (first, second):
+            t.join(10.0)
+            assert not t.is_alive()
+        assert handle.comm.sent == [[1], [2]]
+        assert got == {1: ("done", 1), 2: ("done", 2)}
+        assert not handle.flushing and handle.reader is None and handle.outbox == []
+
+
+    def test_a_flusher_blocked_on_a_full_socket_leaves_the_replies_to_a_channel_mate(self):
+        # Job 1's reply is being written and job 2's message cannot go out
+        # until someone reads it: the flusher of job 2 must not also hold
+        # the only slot that reads.
+        rt = _StubRuntime(channels=1, inflight=2)
+        rt.comm_kind = _BackpressureComm
+        rt._ensure_pool()
+        (handle,) = rt._pool.channels
+        mate = PendingJob(1, "k1", 1, False, {})
+        handle.pending[1] = mate
+        handle.comm.unread.append(("done", 1))
+        got = {}
+
+        def submit():
+            job = PendingJob(2, "k2", 1, False, {})
+            got[2] = rt._dispatch_job(_NoInputSpec(), job, None)[1]
+
+        def wait_for_mate():
+            got[1] = rt._await_pipelined(handle, mate)
+
+        flusher = threading.Thread(target=submit, daemon=True)
+        flusher.start()
+        assert handle.comm.blocked.wait(10.0)  # job 2's flusher sits in send_oob
+        reader = threading.Thread(target=wait_for_mate, daemon=True)
+        reader.start()
+        for t in (flusher, reader):
+            t.join(5.0)
+            assert not t.is_alive(), "no thread drained the reply the send waits behind"
+        assert got == {1: ("done", 1), 2: ("done", 2)}
+        assert not handle.flushing and handle.reader is None and not handle.pending
+
+    def test_a_send_that_raises_leaves_no_role_behind(self):
+        rt = _StubRuntime(channels=1, inflight=2)
+        rt.comm_kind = _FailOnceComm
+        rt._ensure_pool()
+        (handle,) = rt._pool.channels
+        with pytest.raises(pickle.PicklingError):
+            rt._dispatch_job(_NoInputSpec(), PendingJob(1, "k1", 1, False, {}), None)
+        assert not handle.flushing and handle.reader is None and not handle.pending
+        got = []
+        second = threading.Thread(
+            target=lambda: got.append(
+                rt._dispatch_job(_NoInputSpec(), PendingJob(2, "k2", 1, False, {}), None)[1]
+            ),
+            daemon=True,
+        )
+        second.start()
+        second.join(5.0)
+        assert not second.is_alive() and got == [("done", 2)]
+
+
+# ---------------------------------------------------------------------------
 # placement
 
 

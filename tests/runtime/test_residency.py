@@ -290,6 +290,20 @@ class TestStaging:
         (evicted,) = stage(handle, {("a", 0): tile})
         assert len(evicted) == 3  # "a" fell out of the table: pushed again
 
+    def test_a_hit_keeps_its_block_in_the_table(self):
+        # The table evicts like the worker's LRU cache: a block staged by
+        # bare ref is recent again, so the next push evicts another one.
+        tile = np.zeros(1024)
+        handle = PipelineChannel(None, None)
+        handle.resident = BlockCache(2 * tile.nbytes)
+        stage(handle, {("a", 0): tile})
+        stage(handle, {("b", 0): tile})
+        assert stage(handle, {("a", 0): tile}) == [("a", 0)]
+        stage(handle, {("c", 0): tile})
+        assert stage(handle, {("a", 0): tile}) == [("a", 0)]
+        (evicted,) = stage(handle, {("b", 0): tile})
+        assert len(evicted) == 3
+
 
 class _Recording:
     """Remote-runtime mixin: every job message shipped, as ``(channel,

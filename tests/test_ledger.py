@@ -31,6 +31,69 @@ def test_ledger_check_passes():
     for name in ("ft traced", "nabbit traced"):
         events = float(rows[name][-1])
         assert 0 < events <= 8.92, f"{name}: {events} events per task"
+    for name in ("procpool lcs", "cluster inproc grid"):
+        for kind in ("calls", "locks"):
+            line = next(line for line in proc.stdout.splitlines()
+                        if line.startswith(f"{name} {kind} "))
+            assert float(line.split()[-1]) > 0, line
+
+
+#: The parent's side of a remote job before the flusher role and the
+#: below-floor shm write (the remote rows' first committed reading):
+#: calls and lock exits per job, per layer.
+PARENT_REMOTE = {
+    "procpool lcs": {
+        "calls": [22.16, 26.29, 12.58, 26.29, 50.98, 9.00, 57.00, 24.00],
+        "locks": [2.64, 2.00, 2.64, 5.01, 4.00, 0.00, 6.00, 1.00],
+    },
+    "cluster inproc grid": {
+        "calls": [24.34, 26.83, 13.67, 30.01, 60.00, 3.00, 21.00, 16.00],
+        "locks": [2.92, 2.00, 2.92, 5.00, 5.00, 0.00, 3.00, 1.00],
+    },
+}
+
+
+def _remote_table(ledger, rows):
+    """``{row: {kind: [per-layer values]}}`` as the ledger tabulates it."""
+    return {
+        name: {kind: dict(zip(ledger.LAYER_NAMES, values)) for kind, values in kinds.items()}
+        for name, kinds in rows.items()
+    }
+
+
+def _at_reading(ledger, extra_locks=0.0):
+    """Each remote row at its committed reading, all in ``own``."""
+    zero = [0.0] * (len(ledger.LAYER_NAMES) - 1)
+    return _remote_table(ledger, {
+        name: {"calls": [*zero, calls], "locks": [*zero, locks + extra_locks]}
+        for name, (calls, locks) in ledger.REMOTE_READING.items()
+    })
+
+
+def test_remote_rows_pass_at_their_reading():
+    ledger = _ledger_module()
+    assert ledger.remote_over_budget(_at_reading(ledger)) == []
+
+
+def test_the_parents_remote_reading_fails_every_remote_ceiling():
+    ledger = _ledger_module()
+    failures = ledger.remote_over_budget(_remote_table(ledger, PARENT_REMOTE))
+    assert failures == [
+        f"{name}: {sum(PARENT_REMOTE[name][kind]):.2f} {what} per job > {limit}"
+        for name, limits in ledger.MAX_REMOTE.items()
+        for kind, what, limit in zip(("calls", "locks"), ("calls", "lock exits"), limits)
+    ]
+    # ... by a margin: the procpool row's ceilings are at most half of it.
+    calls, locks = ledger.MAX_REMOTE["procpool lcs"]
+    assert calls <= sum(PARENT_REMOTE["procpool lcs"]["calls"]) / 2
+    assert locks <= sum(PARENT_REMOTE["procpool lcs"]["locks"]) / 2
+
+
+def test_one_more_lock_exit_per_job_fails_the_check():
+    ledger = _ledger_module()
+    failures = ledger.remote_over_budget(_at_reading(ledger, extra_locks=1.0))
+    assert [line.split(":")[0] for line in failures] == list(ledger.REMOTE_READING)
+    assert all("lock exits per job" in line for line in failures)
 
 
 def _table(ledger, overrides=()):
