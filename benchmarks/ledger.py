@@ -71,11 +71,13 @@ ROWS = {
 #: decimals: the log's construction and binding, a few calls per run,
 #: add ~0.0004 per event.  The columns in ZERO_GAP must read the same for
 #: both (FT adds no lock acquisition and neither scheduler calls back into
-#: the spec or the bit helpers).
-MAX_CALLS = {"ft": 120.4, "nabbit": 103.9, "ft traced": 156.0, "nabbit traced": 139.6}
+#: the spec or the bit helpers).  The call ceilings sit ~0.6 above the
+#: reading (102.64 / 90.04 untraced, 138.31 / 125.71 traced), so one more
+#: Python call per spawned frame (5.92 per task) fails every row.
+MAX_CALLS = {"ft": 103.2, "nabbit": 90.6, "ft traced": 138.9, "nabbit traced": 126.3}
 MAX_EVENTS = 8.92
 MAX_PER_EVENT = 4.0
-MAX_GAP = 16.5
+MAX_GAP = 13.1
 ZERO_GAP = ("lock acq", "spec calls", "bit calls")
 
 #: Kernel rows: (kernel, tile side b) -> ``--check`` ceiling in profiled

@@ -136,7 +136,7 @@ class FTScheduler(NabbitScheduler):
         plan = self._plans[key]
         for pkey, mask in zip(plan.preds, plan.masks):
             self.runtime.spawn(
-                lambda pk=pkey, m=mask: self._try_init_compute(A, key, life, pk, m),
+                self._try_init_compute, A, key, life, pkey, mask,
                 label=f"try:{key!r}<-{pkey!r}" if self._lbl else "",
             )
         if self._hooked:
@@ -156,7 +156,7 @@ class FTScheduler(NabbitScheduler):
                     (next(self._seq), self._now(), self._wid(), _TASK_CREATED, pkey, blife, None)
                 )
             self.runtime.spawn(
-                lambda: self._init_and_compute(B, pkey, blife),
+                self._init_and_compute, B, pkey, blife,
                 label=f"init:{pkey!r}" if self._lbl else "",
             )
         finished = True
@@ -248,7 +248,7 @@ class FTScheduler(NabbitScheduler):
                     (next(self._seq), self._now(), self._wid(), _COMPUTE_END, key, life, None)
                 )
             self.runtime.spawn(
-                lambda: self._publish_and_notify(A, key, life),
+                self._publish_and_notify, A, key, life,
                 label=f"publish:{key!r}" if self._lbl else "",
             )
         except FaultError as exc:
@@ -324,7 +324,7 @@ class FTScheduler(NabbitScheduler):
                     if S is not None:
                         self._reinit_notify_entry(T, key, S, skey, slife)
                 self.runtime.spawn(
-                    lambda: self._init_and_compute(T, key, life),
+                    self._init_and_compute, T, key, life,
                     label=f"recover:{key!r}#{life}" if self._lbl else "",
                 )
                 return

@@ -47,7 +47,6 @@ from repro.obs.events import NULL_LOG, EventKind, EventLog
 from repro.obs.live import NULL_METRICS, MetricsRegistry
 from repro.runtime.api import Runtime
 from repro.runtime.costmodel import CostModel
-from repro.runtime.frames import Frame
 from repro.runtime.tracing import COUNTERS, ExecutionTrace
 
 Key = Hashable
@@ -184,8 +183,7 @@ class NabbitScheduler:
             self.log.rec.put(
                 (next(self._seq), self._now(), self._wid(), _TASK_CREATED, skey, life, None)
             )
-        root = Frame(self._root(sink, skey, life), label=f"init:{skey!r}")
-        run = self.runtime.execute(root)
+        run = self.runtime.execute(self._root(sink, skey, life))
         final, _ = self.map.get(skey)
         status = final.status if final is not None else None  # verify: ok=lock-discipline (post-quiescence read; every worker has drained)
         if status is not _COMPLETED:
@@ -205,7 +203,7 @@ class NabbitScheduler:
         """INITANDCOMPUTE: explore predecessors, then self-notify."""
         for pkey in self._plans[key].preds:
             self.runtime.spawn(
-                lambda pk=pkey: self._try_init_compute(A, key, pk),
+                self._try_init_compute, A, key, pkey,
                 label=f"try:{key!r}<-{pkey!r}" if self._lbl else "",
             )
         if self._hooked:
@@ -222,7 +220,7 @@ class NabbitScheduler:
                     (next(self._seq), self._now(), self._wid(), _TASK_CREATED, pkey, 1, None)
                 )
             self.runtime.spawn(
-                lambda: self._init_and_compute(B, pkey),
+                self._init_and_compute, B, pkey,
                 label=f"init:{pkey!r}" if self._lbl else "",
             )
         self.runtime.charge(self._c_lock)
@@ -260,7 +258,7 @@ class NabbitScheduler:
                 (next(self._seq), self._now(), self._wid(), _COMPUTE_END, key, 1, None)
             )
         self.runtime.spawn(
-            lambda: self._publish(A, key, 1),
+            self._publish, A, key, 1,
             label=f"publish:{key!r}" if self._lbl else "",
         )
 
@@ -298,7 +296,7 @@ class NabbitScheduler:
                 batch = A.notify_array[notified:]
             for skey in batch:
                 self.runtime.spawn(
-                    lambda sk=skey: self._notify_successor(key, sk),
+                    self._notify_successor, key, skey,
                     label=f"notify:{key!r}->{skey!r}" if self._lbl else "",
                 )
             notified += len(batch)

@@ -71,15 +71,14 @@ def _noop_grid_spec(n: int):
 def _spawn_tree_root(runtime, depth: int):
     """Binary spawn tree of trivial frames: the simulator loop's pure
     overhead, undiluted by scheduler or kernel work."""
-    from repro.runtime.frames import Frame
 
     def node(d):
         if d <= 0:
             return
-        runtime.spawn(lambda: node(d - 1))
-        runtime.spawn(lambda: node(d - 1))
+        runtime.spawn(node, d - 1)
+        runtime.spawn(node, d - 1)
 
-    return Frame(lambda: node(depth))
+    return lambda: node(depth)
 
 
 # ---------------------------------------------------------------------------

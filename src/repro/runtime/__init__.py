@@ -31,14 +31,16 @@ The scheduler (``repro.core``) is written against a tiny
   by version, so a block crosses a channel at most once.
 
 Frames follow the Cilk discipline the paper's pseudocode assumes: a frame
-never blocks; ``spawn`` pushes work to the bottom of the spawning worker's
-deque; owners pop bottom (LIFO), thieves steal top (FIFO).
+never blocks; ``spawn(fn, *args)`` pushes the tuple ``(fn, args)`` -- one
+C-level op, no frame object and no closure -- to the bottom of the
+spawning worker's deque, and a worker runs it as ``fn(*args)``; owners
+pop bottom (LIFO), thieves steal top (FIFO).  ``execute(root)`` runs the
+callable ``root()`` as the first frame.
 """
 
 from repro.runtime.api import ExecutionContext, RunResult, Runtime
 from repro.runtime.cluster import ClusterRuntime, WorkerServer
 from repro.runtime.costmodel import CostModel
-from repro.runtime.frames import Frame
 from repro.runtime.deque import WorkDeque
 from repro.runtime.inline import InlineRuntime
 from repro.runtime.procpool import ProcessRuntime
@@ -50,7 +52,6 @@ __all__ = [
     "RunResult",
     "Runtime",
     "CostModel",
-    "Frame",
     "WorkDeque",
     "ClusterRuntime",
     "InlineRuntime",

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, runtime_checkable
-
-from repro.runtime.frames import Frame
+from typing import Any, Callable, Protocol, runtime_checkable
 
 
 @runtime_checkable
@@ -17,8 +15,9 @@ class ExecutionContext(Protocol):
         """Number of workers (the paper's P)."""
         ...
 
-    def spawn(self, fn: Callable[[], None], base_cost: float = 0.0, label: str = "") -> None:
-        """Push a child frame onto the current worker's deque bottom."""
+    def spawn(self, fn: Callable[..., None], *args: Any, label: str = "") -> None:
+        """Push the child frame ``fn(*args)`` onto the current worker's
+        deque bottom.  ``label`` names it on timeline-recording runtimes."""
         ...
 
     def charge(self, amount: float) -> None:
@@ -65,14 +64,14 @@ class RunResult:
 
 
 class Runtime(Protocol):
-    """A frame executor: drives a root frame and its spawned descendants to
-    quiescence, then reports timing."""
+    """A frame executor: calls ``root()``, runs the frames it spawns and
+    their descendants to quiescence, then reports timing."""
 
     @property
     def workers(self) -> int: ...
 
-    def spawn(self, fn: Callable[[], None], base_cost: float = 0.0, label: str = "") -> None: ...
+    def spawn(self, fn: Callable[..., None], *args: Any, label: str = "") -> None: ...
 
     def charge(self, amount: float) -> None: ...
 
-    def execute(self, root: Frame) -> RunResult: ...
+    def execute(self, root: Callable[[], None]) -> RunResult: ...

@@ -99,7 +99,6 @@ from repro.memory.shm import payload_nbytes
 from repro.obs.events import NULL_LOG, EventKind, EventLog
 from repro.obs.live import MetricsRegistry
 from repro.runtime.api import RunResult
-from repro.runtime.frames import Frame
 from repro.runtime.threadpool import ThreadedRuntime
 from repro.runtime.worker import BlockCache
 
@@ -355,7 +354,7 @@ class RemoteRuntime(ThreadedRuntime):
 
     # -- pool lifecycle ---------------------------------------------------------
 
-    def execute(self, root: Frame) -> RunResult:
+    def execute(self, root: Callable[[], None]) -> RunResult:
         # Open the pool while the calling thread is the only live thread:
         # forking after the scheduler threads exist risks inheriting locks
         # (import lock, allocator locks) mid-acquisition.

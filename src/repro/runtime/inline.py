@@ -1,7 +1,8 @@
 """Serial reference executor.
 
-Runs frames depth-first from an explicit LIFO stack -- the schedule a
-single Cilk worker produces -- without touching threads or the event loop.
+Runs frames depth-first from an explicit LIFO stack of ``(fn, args)``
+tuples -- the schedule a single Cilk worker produces -- without touching
+threads or the event loop.
 Virtual charges are still accumulated so ``makespan`` equals total charged
 work, which for one worker coincides with the simulator's result modulo
 steal bookkeeping.  Used by unit tests and as the P=1 oracle.
@@ -9,10 +10,9 @@ steal bookkeeping.  Used by unit tests and as the P=1 oracle.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 from repro.runtime.api import RunResult
-from repro.runtime.frames import Frame
 
 
 class InlineRuntime:
@@ -23,7 +23,7 @@ class InlineRuntime:
     concurrent_frames = False
 
     def __init__(self) -> None:
-        self._stack: list[Frame] = []
+        self._stack: list[tuple[Callable[..., None], tuple]] = []
         self._total = 0.0
         self._frames = 0
         self._running = False
@@ -41,29 +41,28 @@ class InlineRuntime:
     def obs_worker(self) -> int:
         return 0
 
-    def spawn(self, fn: Callable[[], None], base_cost: float = 0.0, label: str = "") -> None:
+    def spawn(self, fn: Callable[..., None], *args: Any, label: str = "") -> None:
         if not self._running:
             raise RuntimeError("spawn called outside execute()")
-        self._stack.append(Frame(fn, base_cost, label))
+        self._stack.append((fn, args))
 
     def charge(self, amount: float) -> None:
         self._total += amount
 
-    def execute(self, root: Frame) -> RunResult:
+    def execute(self, root: Callable[[], None]) -> RunResult:
         if self._running:
             raise RuntimeError("InlineRuntime is not reentrant")
         self._running = True
         self._total = 0.0
         self._frames = 0
-        self._stack = [root]
+        self._stack = [(root, ())]
         stack = self._stack  # spawn() appends to the same list object
         frames = 0
         try:
             while stack:
-                frame = stack.pop()
+                fn, args = stack.pop()
                 frames += 1
-                self._total += frame.base_cost
-                frame.fn()
+                fn(*args)
         finally:
             self._frames = frames
             self._running = False

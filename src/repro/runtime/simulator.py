@@ -36,12 +36,11 @@ import heapq
 import math
 import random
 from collections import deque
-from typing import Callable
+from typing import Any, Callable
 
 from repro.obs.events import NULL_LOG, EventKind, EventLog
 from repro.runtime.api import RunResult
 from repro.runtime.costmodel import CostModel
-from repro.runtime.frames import Frame
 
 _INF = float("inf")
 
@@ -112,7 +111,7 @@ class SimulatedRuntime:
         self._log = event_log if event_log is not None else NULL_LOG
         self._running = False
         self._accum = 0.0
-        self._spawn_buffer: list[tuple] = []  # (fn, base_cost, label)
+        self._spawn_buffer: list[tuple] = []  # (fn, args, label)
         self._spawn_cost = self.cost_model.spawn_cost
         self._pending = 0
         self._current_worker = 0
@@ -146,13 +145,10 @@ class SimulatedRuntime:
 
     # -- ExecutionContext surface (valid only while a frame runs) -----------------
 
-    def spawn(self, fn: Callable[[], None], base_cost: float = 0.0, label: str = "") -> None:
+    def spawn(self, fn: Callable[..., None], *args: Any, label: str = "") -> None:
         if not self._running:
             raise RuntimeError("spawn called outside execute()")
-        # Frames live as bare (fn, base_cost, label) tuples inside the
-        # simulator: tuple packing is a single C-level op, while a Frame
-        # __init__ is a Python call -- measurable at millions of spawns.
-        self._spawn_buffer.append((fn, base_cost, label))
+        self._spawn_buffer.append((fn, args, label))
         self._accum += self._spawn_cost
 
     def charge(self, amount: float) -> None:
@@ -160,7 +156,7 @@ class SimulatedRuntime:
 
     # -- driver --------------------------------------------------------------------
 
-    def execute(self, root: Frame) -> RunResult:
+    def execute(self, root: Callable[[], None]) -> RunResult:
         if self._running:
             raise RuntimeError("SimulatedRuntime is not reentrant")
         self._running = True
@@ -169,7 +165,7 @@ class SimulatedRuntime:
         finally:
             self._running = False
 
-    def _run(self, root: Frame) -> RunResult:
+    def _run(self, root: Callable[[], None]) -> RunResult:
         cm = self.cost_model
         P = self._workers
         log = self._log
@@ -187,11 +183,12 @@ class SimulatedRuntime:
         policy_rr = policy == "round_robin"
         policy_rich = policy == "richest"
         rec_tl = self.record_timeline
-        # Deques hold (publication_time, (fn, base_cost, label)); publication times within a
-        # deque are nondecreasing because the owner pushes at successive
-        # frame-completion instants.
+        # Deques hold (publication_time, (fn, args, label)); publication
+        # times within a deque are nondecreasing because the owner pushes
+        # at successive frame-completion instants.  The root's label is
+        # "root": execute() takes a bare callable.
         deques: list[deque[tuple[float, tuple]]] = [deque() for _ in range(P)]
-        deques[0].append((0.0, (root.fn, root.base_cost, root.label)))
+        deques[0].append((0.0, (root, (), "root")))
         self._pending = 1
         clocks = [0.0] * P
         busy = [0.0] * P
@@ -327,11 +324,11 @@ class SimulatedRuntime:
                 raise AssertionError("single worker idle with pending frames")
 
             # Execute the frame; its spawns are published at completion.
-            fn, base_cost, label = frame
-            self._accum = base_cost + frame_overhead
+            fn, args, label = frame
+            self._accum = frame_overhead
             self._current_worker = w
             self._frame_start = start
-            fn()
+            fn(*args)
             n_spawned = len(buf)
             acc = self._accum
             end = start + acc

@@ -34,13 +34,12 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import Callable
+from typing import Any, Callable
 
 from repro.obs.events import NULL_LOG, EventKind, EventLog
 from repro.obs.live import NULL_METRICS, MetricsRegistry
 from repro.runtime.api import RunResult
 from repro.runtime.deque import WorkDeque
-from repro.runtime.frames import Frame
 
 #: Safety net of an idle worker's wait.  Every event that ends an idle
 #: episode notifies (a spawn, the last frame, a failure), so this bounds
@@ -74,7 +73,7 @@ class ThreadedRuntime:
         self._live_busy: list[float] = []
         self._live_frames: list[int] = []
         self._local = threading.local()
-        self._deques: list[WorkDeque[Frame]] = []
+        self._deques: list[WorkDeque[tuple[Callable[..., None], tuple]]] = []
         self._outstanding = 0
         self._count_lock = threading.Lock()
         self._failure: BaseException | None = None
@@ -114,13 +113,13 @@ class ThreadedRuntime:
 
     # -- ExecutionContext surface ---------------------------------------------------
 
-    def spawn(self, fn: Callable[[], None], base_cost: float = 0.0, label: str = "") -> None:
+    def spawn(self, fn: Callable[..., None], *args: Any, label: str = "") -> None:
         wid = getattr(self._local, "wid", None)
         if wid is None:
             raise RuntimeError("spawn called from outside a worker thread")
         with self._count_lock:
             self._outstanding += 1
-        self._deques[wid].push_bottom(Frame(fn, base_cost, label))
+        self._deques[wid].push_bottom((fn, args))
         if self._parked:
             with self._cond:
                 self._cond.notify()
@@ -140,7 +139,7 @@ class ThreadedRuntime:
 
     # -- driver ----------------------------------------------------------------------
 
-    def execute(self, root: Frame) -> RunResult:
+    def execute(self, root: Callable[[], None]) -> RunResult:
         if self._running:
             raise RuntimeError("ThreadedRuntime is not reentrant")
         self._running = True
@@ -159,7 +158,7 @@ class ThreadedRuntime:
         self._live_frames = [0] * self._workers
         if self._mx:
             self._register_live_gauges()
-        self._deques[0].push_bottom(root)
+        self._deques[0].push_bottom((root, ()))
         started = time.perf_counter()
         threads = [
             threading.Thread(target=self._worker, args=(w,), name=f"repro-worker-{w}", daemon=True)
@@ -291,9 +290,10 @@ class ThreadedRuntime:
                     idle = False
                     if obs:
                         log.emit(EventKind.UNPARK)
+                fn, args = frame
                 started = time.perf_counter()
                 try:
-                    frame.fn()
+                    fn(*args)
                 finally:
                     local_busy += time.perf_counter() - started
                     local_frames += 1

@@ -50,7 +50,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.apps.base import Application
 from repro.core.ft import FTScheduler
@@ -104,8 +104,8 @@ class DecisionRuntime(SimulatedRuntime):
         self.trail.append((n, choice))
         return choice
 
-    def spawn(self, fn: Callable[[], None], base_cost: float = 0.0, label: str = "") -> None:
-        super().spawn(fn, base_cost, label)
+    def spawn(self, fn: Callable[..., None], *args: Any, label: str = "") -> None:
+        super().spawn(fn, *args, label=label)
         if self._perturb_rng is not None and len(self._spawn_buffer) > 1:
             i = self._perturb_rng.randrange(len(self._spawn_buffer))
             self._spawn_buffer[i], self._spawn_buffer[-1] = (

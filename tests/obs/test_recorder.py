@@ -12,7 +12,8 @@ import pytest
 from repro.core import FTScheduler, NabbitScheduler
 from repro.graph.builders import grid_graph
 from repro.obs.events import EventKind, EventLog, SealedLogError
-from repro.runtime import InlineRuntime, ThreadedRuntime
+from repro.obs.replay import assert_consistent
+from repro.runtime import InlineRuntime, SimulatedRuntime, ThreadedRuntime
 from repro.verify.invariants import check_log
 
 
@@ -62,6 +63,66 @@ class TestStorageModes:
         assert [e.seq for e in events] == list(range(len(events)))
         assert events[0].kind is EventKind.TASK_CREATED
         assert events[-1].kind is EventKind.PARK
+
+
+class TestReuseAcrossRuntimes:
+    def test_an_inline_log_reused_on_threads_decodes_in_seq_order(self):
+        """Bound to InlineRuntime by one run, reused for 4-thread runs: the
+        merged stream is what a ``buffered=False`` log records, every seq
+        from 0 in order, and the run is invariant-clean.  A switch interval
+        of 1 us makes a thread switch between ``next(seq)`` and ``put``
+        common: records sharing one buffer would decode out of order."""
+        spec = grid_graph(16, 16)
+        log = EventLog()
+        assert _shape(_ft_run(log, spec)) == _shape(_ft_run(EventLog(buffered=False), spec))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(4):
+                log.clear()
+                runtime = ThreadedRuntime(workers=4, seed=seed, event_log=log)
+                FTScheduler(spec, runtime, event_log=log).run()
+                events = log.events
+                assert [e.seq for e in events] == list(range(len(events))), f"seed {seed}"
+                assert len(events) == log.total_emitted
+                assert check_log(log, spec) == [], f"seed {seed}"
+                log.bind_runtime(InlineRuntime())
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestNotifySource:
+    """A NOTIFY decodes to ``{"src": source}`` on every runtime and every
+    path into the log; one recorded without a source decodes to ``{}``."""
+
+    @pytest.mark.parametrize("runtime", [
+        InlineRuntime, lambda: ThreadedRuntime(workers=2, seed=3),
+        lambda: SimulatedRuntime(workers=4, seed=3),
+    ], ids=["inline", "threaded2", "simulated4"])
+    def test_every_notify_decodes_to_its_predecessor(self, runtime):
+        spec = grid_graph(6, 6)
+        log = EventLog()
+        scheduler = FTScheduler(spec, runtime(), event_log=log)
+        scheduler.run()
+        notifies = log.by_kind(EventKind.NOTIFY)
+        tasks = {e.key for e in log.by_kind(EventKind.TASK_CREATED)}
+        # One per edge, and each task's notification of itself.
+        assert len(notifies) == len(tasks) + sum(len(spec.predecessors(k)) for k in tasks)
+        for e in notifies:
+            src = e.data["src"]
+            assert e.data == {"src": src}
+            assert src == e.key or src in spec.predecessors(e.key), e
+        assert check_log(log, spec) == []
+        assert_consistent(log, scheduler.trace)
+
+    @pytest.mark.parametrize("log", [
+        EventLog, lambda: EventLog(buffered=False), lambda: EventLog(capacity=8),
+    ], ids=["buffered", "locked", "ring"])
+    def test_emit_with_src_and_a_sourceless_record_round_trip(self, log):
+        log = log()
+        log.emit(EventKind.NOTIFY, (1, 1), 1, src=(0, 1))
+        log.rec.put((next(log.stamps()[0]), 0.0, 0, EventKind.NOTIFY, (1, 1), 1, None))
+        assert [e.data for e in log.events] == [{"src": (0, 1)}, {}]
 
 
 class TestSeal:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.runtime.costmodel import CostModel
-from repro.runtime.frames import Frame
 from repro.runtime.simulator import SimulatedRuntime
 
 CM = CostModel(frame_overhead=1.0, spawn_cost=0.0, steal_cost=2.0,
@@ -29,7 +28,7 @@ def build_root(rt, costs, grandchildren):
         for c in costs:
             rt.spawn(lambda c=c: child(c))
 
-    return Frame(root)
+    return root
 
 
 class TestConservationLaws:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.runtime.frames import Frame
 from repro.runtime.inline import InlineRuntime
 
 
@@ -10,7 +9,7 @@ class TestExecution:
     def test_runs_root(self):
         rt = InlineRuntime()
         ran = []
-        rt.execute(Frame(lambda: ran.append("root")))
+        rt.execute(lambda: ran.append("root"))
         assert ran == ["root"]
 
     def test_depth_first_lifo_order(self):
@@ -21,7 +20,7 @@ class TestExecution:
             rt.spawn(lambda: order.append("a"))
             rt.spawn(lambda: order.append("b"))
 
-        rt.execute(Frame(root))
+        rt.execute(root)
         assert order == ["b", "a"]  # LIFO: last spawn runs first
 
     def test_nested_spawns_all_run(self):
@@ -34,7 +33,7 @@ class TestExecution:
                 rt.spawn(lambda: task(depth - 1))
                 rt.spawn(lambda: task(depth - 1))
 
-        res = rt.execute(Frame(lambda: task(5)))
+        res = rt.execute(lambda: task(5))
         assert count[0] == 2 ** 6 - 1
         assert res.frames == 2 ** 6 - 1
 
@@ -47,7 +46,7 @@ class TestExecution:
             if n[0] < 50_000:
                 rt.spawn(step)
 
-        rt.execute(Frame(step))
+        rt.execute(step)
         assert n[0] == 50_000
 
 
@@ -55,11 +54,15 @@ class TestAccounting:
     def test_charges_accumulate_into_makespan(self):
         rt = InlineRuntime()
 
-        def root():
-            rt.charge(10.0)
-            rt.spawn(lambda: rt.charge(5.0), base_cost=2.0)
+        def child(*amounts):
+            for amount in amounts:
+                rt.charge(amount)
 
-        res = rt.execute(Frame(root, base_cost=1.0))
+        def root():
+            child(1.0, 10.0)
+            rt.spawn(child, 2.0, 5.0)
+
+        res = rt.execute(root)
         assert res.makespan == pytest.approx(18.0)
         assert res.busy_time == [pytest.approx(18.0)]
         assert res.utilization == pytest.approx(1.0)
@@ -77,4 +80,4 @@ class TestGuards:
     def test_not_reentrant(self):
         rt = InlineRuntime()
         with pytest.raises(RuntimeError):
-            rt.execute(Frame(lambda: rt.execute(Frame(lambda: None))))
+            rt.execute(lambda: rt.execute(lambda: None))

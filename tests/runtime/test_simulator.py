@@ -3,7 +3,6 @@
 import pytest
 
 from repro.runtime.costmodel import CostModel
-from repro.runtime.frames import Frame
 from repro.runtime.simulator import SimulatedRuntime
 
 CM = CostModel(
@@ -20,14 +19,14 @@ def fan_out(rt, n, cost):
     """Root frame spawning n children of the given charge."""
     def root():
         for _ in range(n):
-            rt.spawn(lambda: rt.charge(cost))
-    return Frame(root)
+            rt.spawn(rt.charge, cost)
+    return root
 
 
 class TestBasics:
     def test_single_frame(self):
         rt = SimulatedRuntime(workers=1, cost_model=CM)
-        res = rt.execute(Frame(lambda: rt.charge(9.0)))
+        res = rt.execute(lambda: rt.charge(9.0))
         assert res.makespan == pytest.approx(10.0)  # 9 + frame_overhead
         assert res.frames == 1
 
@@ -51,7 +50,7 @@ class TestBasics:
     def test_not_reentrant(self):
         rt = SimulatedRuntime()
         with pytest.raises(RuntimeError):
-            rt.execute(Frame(lambda: rt.execute(Frame(lambda: None))))
+            rt.execute(lambda: rt.execute(lambda: None))
 
 
 class TestParallelism:
@@ -74,7 +73,7 @@ class TestParallelism:
                 if n[0] < 40:
                     rt.spawn(step)
 
-            return rt.execute(Frame(step)).makespan
+            return rt.execute(step).makespan
 
         t1, t8 = run(1), run(8)
         # A dependence chain cannot go faster; stealing may add latency.
@@ -115,7 +114,7 @@ class TestCausality:
             for i in range(6):
                 rt.spawn(lambda: rt.charge(10.0), label="child")
 
-        rt.execute(Frame(root, label="root"))
+        rt.execute(root)
         tl = {label: (start, end) for start, end, _, label in rt.timeline}
         root_end = tl["root"][1]
         for start, end, _, label in rt.timeline:
@@ -129,7 +128,7 @@ class TestCausality:
             for _ in range(20):
                 rt.spawn(lambda: rt.charge(7.0))
 
-        rt.execute(Frame(root))
+        rt.execute(root)
         per_worker: dict[int, list[tuple[float, float]]] = {}
         for start, end, w, _ in rt.timeline:
             per_worker.setdefault(w, []).append((start, end))
@@ -145,7 +144,7 @@ class TestCausality:
             for _ in range(9):
                 rt.spawn(lambda: rt.charge(11.0))
 
-        res = rt.execute(Frame(root))
+        res = rt.execute(root)
         assert res.makespan == pytest.approx(max(end for _, end, _, _ in rt.timeline))
 
 

@@ -6,7 +6,6 @@ from repro.core import run_scheduler
 from repro.graph.builders import grid_graph
 from repro.graph.taskspec import BlockRef
 from repro.runtime import CostModel, SimulatedRuntime
-from repro.runtime.frames import Frame
 
 CM = CostModel(frame_overhead=1.0, spawn_cost=0.0, steal_cost=2.0,
                failed_steal_cost=1.0, lock_cost=0.0, atomic_cost=0.0)
@@ -16,7 +15,7 @@ def fan_out(rt, n, cost):
     def root():
         for _ in range(n):
             rt.spawn(lambda: rt.charge(cost))
-    return Frame(root)
+    return root
 
 
 class TestPolicies:

@@ -7,7 +7,6 @@ import time
 import pytest
 
 from repro.runtime import threadpool
-from repro.runtime.frames import Frame
 from repro.runtime.threadpool import ThreadedRuntime
 
 
@@ -24,7 +23,7 @@ class TestExecution:
                         count[0] += 1
                 rt.spawn(child)
 
-        res = rt.execute(Frame(root))
+        res = rt.execute(root)
         assert count[0] == 200
         assert res.frames == 201
 
@@ -37,22 +36,22 @@ class TestExecution:
             with lock:
                 seen.append(tag)
             if depth:
-                rt.spawn(lambda: task(depth - 1, tag + "L"))
-                rt.spawn(lambda: task(depth - 1, tag + "R"))
+                rt.spawn(task, depth - 1, tag + "L")
+                rt.spawn(task, depth - 1, tag + "R")
 
-        rt.execute(Frame(lambda: task(6, "x")))
+        rt.execute(lambda: task(6, "x"))
         assert len(seen) == 2 ** 7 - 1
         assert len(set(seen)) == len(seen)
 
     def test_single_worker(self):
         rt = ThreadedRuntime(workers=1)
         ran = []
-        rt.execute(Frame(lambda: ran.append(1)))
+        rt.execute(lambda: ran.append(1))
         assert ran == [1]
 
     def test_makespan_is_positive_wallclock(self):
         rt = ThreadedRuntime(workers=2, seed=0)
-        res = rt.execute(Frame(lambda: None))
+        res = rt.execute(lambda: None)
         assert res.makespan > 0
         assert res.workers == 2
 
@@ -70,7 +69,7 @@ class TestExecution:
                         tids.add(threading.get_ident())
                 rt.spawn(child)
 
-        rt.execute(Frame(root))
+        rt.execute(root)
         assert len(tids) >= 2  # at least one steal occurred
 
 
@@ -84,7 +83,7 @@ class TestRunResultCounters:
                 rt.spawn(lambda: task(d - 1))
                 rt.spawn(lambda: task(d - 1))
 
-        return Frame(lambda: task(depth))
+        return lambda: task(depth)
 
     def test_per_worker_frames_and_steals_exposed(self):
         rt = ThreadedRuntime(workers=4, seed=11)
@@ -104,7 +103,7 @@ class TestRunResultCounters:
                     time.sleep(0.0005)
                 rt.spawn(child)
 
-        res = rt.execute(Frame(root))
+        res = rt.execute(root)
         assert len(res.busy_time) == 2
         assert sum(res.busy_time) > 0
         # Busy time is spent inside the makespan window.
@@ -116,7 +115,7 @@ class TestRunResultCounters:
         import time
 
         rt = ThreadedRuntime(workers=4, seed=13)
-        res = rt.execute(Frame(lambda: time.sleep(0.02)))
+        res = rt.execute(lambda: time.sleep(0.02))
         assert res.parks >= 1
 
     def test_single_worker_never_steals(self):
@@ -137,7 +136,7 @@ class TestRunResultCounters:
             for i in range(60):
                 rt.spawn(lambda i=i: time.sleep(0.0005 if i % 3 else 0.002))
 
-        res = rt.execute(Frame(root))
+        res = rt.execute(root)
         assert sum(res.worker_frames) == res.frames == 61
         assert sum(res.worker_steals) == res.steals
         assert res.steals >= 1
@@ -174,7 +173,7 @@ class TestParkSymmetry:
                 for _ in range(8):
                     rt.spawn(lambda: time.sleep(0.0005))
 
-        res = rt.execute(Frame(root))
+        res = rt.execute(root)
         per = self._per_worker_kinds(log)
         assert per, "contended run produced no park events"
         for worker, kinds in per.items():
@@ -232,7 +231,7 @@ class TestParking:
 
         def graphs():
             for _ in range(1000):
-                assert rt.execute(Frame(root)).frames == 7
+                assert rt.execute(root).frames == 7
 
         before = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -252,7 +251,7 @@ class TestParking:
             assert rt._parked == 1
             raise ValueError("boom")
 
-        outcome = self._finishes(lambda: rt.execute(Frame(root)), deadline=30.0)
+        outcome = self._finishes(lambda: rt.execute(root), deadline=30.0)
         assert isinstance(outcome, ValueError) and rt.aborted()
 
     def test_thief_never_probes_its_own_deque(self, monkeypatch):
@@ -270,7 +269,7 @@ class TestParking:
             for _ in range(50):
                 rt.spawn(lambda: time.sleep(0.0002))
 
-        rt.execute(Frame(root))
+        rt.execute(root)
         assert probes and all(thief != victim for thief, victim in probes)
 
 
@@ -282,14 +281,14 @@ class TestFailure:
             rt.spawn(lambda: (_ for _ in ()).throw(ValueError("boom")))
 
         with pytest.raises(ValueError, match="boom"):
-            rt.execute(Frame(root))
+            rt.execute(root)
 
     def test_pool_reusable_after_failure(self):
         rt = ThreadedRuntime(workers=2, seed=5)
         with pytest.raises(ValueError):
-            rt.execute(Frame(lambda: (_ for _ in ()).throw(ValueError("x"))))
+            rt.execute(lambda: (_ for _ in ()).throw(ValueError("x")))
         ran = []
-        rt.execute(Frame(lambda: ran.append(1)))
+        rt.execute(lambda: ran.append(1))
         assert ran == [1]
 
 

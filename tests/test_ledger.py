@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.runtime import InlineRuntime
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -114,10 +116,10 @@ def _table(ledger, overrides=()):
 def test_traced_rows_are_gated_on_calls_and_events():
     ledger = _ledger_module()
     assert ledger.over_budget(_table(ledger)) == []
-    over_calls = _table(ledger, {("ft traced", "calls"): 156.01})
+    over_calls = _table(ledger, {("ft traced", "calls"): 138.91})
     assert ledger.over_budget(over_calls) == [
-        "ft traced: 156.01 calls per task > 156.0",
-        "ft traced: 4.10 calls per event > 4.0",
+        "ft traced: 138.91 calls per task > 138.9",
+        "ft traced: 4.12 calls per event > 4.0",
     ]
     over_events = _table(ledger, {("nabbit traced", "events"): 8.9201})
     assert ledger.over_budget(over_events) == [
@@ -134,6 +136,32 @@ def test_an_emit_frame_per_event_fails_the_check_under_every_row_ceiling():
     table["ft"]["calls"] = traced["calls"] - 5 * traced["events"]
     assert traced["calls"] < ledger.MAX_CALLS["ft traced"]
     assert ledger.over_budget(table) == ["ft traced: 5.00 calls per event > 4.0"]
+
+
+class _WrappedFrames(InlineRuntime):
+    """Runs every spawned frame through one more Python call: a closure
+    around ``fn(*args)``, as a frame object around a lambda once did."""
+
+    def spawn(self, fn, *args, label=""):
+        self._stack.append((lambda: fn(*args), ()))
+
+
+def test_one_more_call_per_frame_fails_the_check_under_every_row_ceiling(monkeypatch):
+    """The ceilings sit under one call per spawned frame above the reading:
+    the grid spawns 5.92 frames per task, so wrapping each one fails every
+    row, traced or not, while the per-event and FT-NABBIT gates still pass."""
+    ledger = _ledger_module()
+    monkeypatch.setattr(ledger, "InlineRuntime", _WrappedFrames)
+    spec = ledger.grid_graph(48, 48, compute=ledger._noop)
+    table = {
+        name: ledger.ledger(sched, spec, 48 * 48, timed=False, traced=traced)
+        for name, (sched, traced) in ledger.ROWS.items()
+    }
+    failures = ledger.over_budget(table)
+    assert [line.split(":")[0] for line in failures] == list(ledger.MAX_CALLS)
+    assert all("calls per task" in line for line in failures)
+    for name, limit in ledger.MAX_CALLS.items():
+        assert limit < table[name]["calls"] - 5
 
 
 def _anti_diagonal_lcs(xs, ys, top, left, corner):
