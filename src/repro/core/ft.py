@@ -56,14 +56,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.hooks import SchedulerHooks
-from repro.core.nabbit import (
-    _COMPUTE_END,
-    _COMPUTED,
-    _NOTIFY,
-    _TASK_CREATED,
-    Key,
-    NabbitScheduler,
-)
+from repro.core.nabbit import _COMPUTED, Key, NabbitScheduler
 from repro.core.records import TaskRecord
 from repro.core.recovery_table import RecoveryTable
 from repro.core.status import TaskStatus
@@ -152,9 +145,7 @@ class FTScheduler(NabbitScheduler):
         B, blife, inserted = self.map.insert_if_absent(pkey)
         if inserted:
             if self._obs:
-                self.log.rec.put(
-                    (next(self._seq), self._now(), self._wid(), _TASK_CREATED, pkey, blife, None)
-                )
+                B.created_at = (next(self._seq), self._now(), self._wid())
             self.runtime.spawn(
                 self._init_and_compute, B, pkey, blife,
                 label=f"init:{pkey!r}" if self._lbl else "",
@@ -214,10 +205,8 @@ class FTScheduler(NabbitScheduler):
                     A.join -= 1
                     val = A.join
                     if self._obs:  # under the lock, as in NabbitScheduler._notify_once
-                        self.log.rec.put((next(self._seq), self._now(), self._wid(),
-                                          _NOTIFY, key, life, {"src": pkey}))
+                        A.srcs += (pkey,)
             if success:
-                self.trace.note(_NOTIFY)
                 if val < 0:
                     raise SchedulerError(f"join underflow on {key!r} via {pkey!r}")
                 if val == 0:
@@ -236,22 +225,24 @@ class FTScheduler(NabbitScheduler):
         and the status publication, and is observed immediately by the
         computing thread (Figure 1: "task B fails right after its
         computation, and the failure is detected by the thread operating
-        on task B")."""
+        on task B").  A fault ends this arming of A without completing
+        it, so A hands on what it recorded before the catch block acts."""
+        began = False
         try:
             if A.corrupted:
                 A.check()
+            began = True
             self._compute(A, key, life)
             if A.corrupted:
                 A.check()
             if self._obs:
-                self.log.rec.put(
-                    (next(self._seq), self._now(), self._wid(), _COMPUTE_END, key, life, None)
-                )
+                A.end_at = (next(self._seq), self._now(), self._wid())
             self.runtime.spawn(
                 self._publish_and_notify, A, key, life,
                 label=f"publish:{key!r}" if self._lbl else "",
             )
         except FaultError as exc:
+            self._hand_part(A, began)
             note_and_emit(self.trace, self.log, EventKind.FAULT_OBSERVED, key, life,
                           exc=type(exc).__name__)
             self._handle_compute_fault(A, key, life, exc)
@@ -269,6 +260,7 @@ class FTScheduler(NabbitScheduler):
                 A.check()
             self._publish(A, key, life)
         except FaultError as exc:
+            self._hand_part(A, True)
             note_and_emit(self.trace, self.log, EventKind.FAULT_OBSERVED, key, life,
                           exc=type(exc).__name__)
             self._recover_task_once(key, life)

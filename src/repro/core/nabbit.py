@@ -43,7 +43,7 @@ from repro.graph.plan import plans_of
 from repro.graph.taskspec import TaskGraphSpec
 from repro.memory.blockstore import BlockStore
 from repro.memory.context import StoreComputeContext
-from repro.obs.events import NULL_LOG, EventKind, EventLog
+from repro.obs.events import NULL_LOG, EventLog
 from repro.obs.live import NULL_METRICS, MetricsRegistry
 from repro.runtime.api import Runtime
 from repro.runtime.costmodel import CostModel
@@ -51,12 +51,9 @@ from repro.runtime.tracing import COUNTERS, ExecutionTrace
 
 Key = Hashable
 
-# The statuses and lifecycle kinds the per-task and per-edge paths read,
-# bound once: a module global loads several times faster than an Enum member.
+# The statuses the per-task and per-edge paths read, bound once: a module
+# global loads several times faster than an Enum member.
 _COMPUTED, _COMPLETED = TaskStatus.COMPUTED, TaskStatus.COMPLETED
-_TASK_CREATED, _NOTIFY = EventKind.TASK_CREATED, EventKind.NOTIFY
-_COMPUTE_BEGIN, _COMPUTE_END = EventKind.COMPUTE_BEGIN, EventKind.COMPUTE_END
-_TASK_COMPUTED, _TASK_COMPLETED = EventKind.TASK_COMPUTED, EventKind.TASK_COMPLETED
 
 
 class NabbitScheduler:
@@ -93,7 +90,7 @@ class NabbitScheduler:
         default (``NULL_LOG``); pass ``event_log=EventLog()`` to record
         the run's lifecycle.  Every event carries the task key and life
         number, timestamped and worker-attributed by the runtime; the
-        baseline emits the lifecycle subset -- it has no fault path."""
+        baseline records the lifecycle subset -- it has no fault path."""
         # Identity-fast observability guard: NULL_LOG is the one shared
         # disabled log, so `is not NULL_LOG` short-circuits without even a
         # class-attribute read; `enabled` still covers custom disabled logs.
@@ -116,9 +113,11 @@ class NabbitScheduler:
         else:
             self.trace.assume_serial()
         self.log.bind_runtime(runtime)
-        # Lifecycle sites write their records through `log.rec` with these
-        # stamps, bound once: no emit() frame, no kwargs dict per event.
+        # Lifecycle phases stamp the task record with these, bound once,
+        # and a completed incarnation is handed to the sink in one call:
+        # the counting sink, or the log's, which appends it and counts it.
         self._seq, self._now, self._wid = self.log.stamps()
+        self._sink = self.log.record_sink(self.trace.record) if self._obs else self.trace.record
         # Fault injectors and detection-capable stores (repro.detect) emit
         # into an event_log; share ours unless the caller wired their own.
         if self._obs and getattr(self.hooks, "event_log", False) is None:
@@ -145,8 +144,10 @@ class NabbitScheduler:
         default (``NULL_METRICS``); pass ``metrics=MetricsRegistry()`` to
         publish pull-based gauges over the run's trace counters and the
         store's occupancy (read only when sampled: no hot-path cost)."""
-        self._mx = self.metrics is not NULL_METRICS
-        if self._mx:
+        # No `_mx` attribute: gauges are registered once, here.  (An FT
+        # scheduler's 30th instance attribute would leave CPython 3.11's
+        # shared-key layout and slow every `self.` load on the hot path.)
+        if self.metrics is not NULL_METRICS:
             self._register_metrics()
 
     def _register_metrics(self) -> None:
@@ -180,12 +181,16 @@ class NabbitScheduler:
         if not inserted:
             raise SchedulerError("scheduler instances are single-use; create a new one")
         if self._obs:
-            self.log.rec.put(
-                (next(self._seq), self._now(), self._wid(), _TASK_CREATED, skey, life, None)
-            )
-        run = self.runtime.execute(self._root(sink, skey, life))
-        final, _ = self.map.get(skey)
-        status = final.status if final is not None else None  # verify: ok=lock-discipline (post-quiescence read; every worker has drained)
+            sink.created_at = (next(self._seq), self._now(), self._wid())
+        try:
+            run = self.runtime.execute(self._root(sink, skey, life))
+        finally:
+            final, _ = self.map.get(skey)
+            status = final.status if final is not None else None  # verify: ok=lock-discipline (post-quiescence read; every worker has drained)
+            # Incarnations that never completed hand on what they recorded:
+            # the replaced ones, and every one of a run that did not finish.
+            for A in (*self.map.retired, *(() if status is _COMPLETED else self.map.records())):
+                self._hand_part(A)
         if status is not _COMPLETED:
             raise SchedulerError(
                 f"execution quiesced but sink {skey!r} is "
@@ -196,6 +201,21 @@ class NabbitScheduler:
     def _root(self, sink: TaskRecord, skey: Key, life: int) -> Callable[[], None]:
         """The root frame's body: INITANDCOMPUTE on the sink."""
         return lambda: self._init_and_compute(sink, skey)
+
+    def _hand_part(self, A: TaskRecord, began: bool | None = None) -> None:
+        """Hand the sinks what incarnation A recorded since its last
+        handoff without completing (cold: a compute fault, the end of a
+        run); see :meth:`TaskRecord.take_unhanded` for ``began``."""
+        part = A.take_unhanded(began)
+        if part is None:
+            return
+        self.trace.record_part(A.key, *part)
+        if self._obs:
+            stamps = (A.created_at, A.begin_at, A.end_at, A.computed_at, A.srcs)
+            if any(stamps):
+                self.log.put_part(A.key, A.life, stamps)
+                A.created_at = A.begin_at = A.end_at = A.computed_at = None
+                A.srcs = ()
 
     # -- scheduler routines (Figure 2, non-shaded) --------------------------------------
 
@@ -216,9 +236,7 @@ class NabbitScheduler:
         B, _, inserted = self.map.insert_if_absent(pkey)
         if inserted:
             if self._obs:
-                self.log.rec.put(
-                    (next(self._seq), self._now(), self._wid(), _TASK_CREATED, pkey, 1, None)
-                )
+                B.created_at = (next(self._seq), self._now(), self._wid())
             self.runtime.spawn(
                 self._init_and_compute, B, pkey,
                 label=f"init:{pkey!r}" if self._lbl else "",
@@ -239,12 +257,9 @@ class NabbitScheduler:
             A.join -= 1
             val = A.join
             if self._obs:
-                # Under the lock: the notification that releases A must
-                # not be recorded after the compute it releases.
-                self.log.rec.put(
-                    (next(self._seq), self._now(), self._wid(), _NOTIFY, key, 1, {"src": pkey})
-                )
-        self.trace.note(_NOTIFY)
+                # Under the lock: a concurrent notifier's source must not
+                # be lost to this read-modify-write.
+                A.srcs += (pkey,)
         if val < 0:
             raise SchedulerError(f"join counter underflow on {key!r} (notified by {pkey!r})")
         if val == 0:
@@ -254,9 +269,7 @@ class NabbitScheduler:
         """COMPUTEANDNOTIFY: COMPUTE(A), then publish in a spawned frame."""
         self._compute(A, key, 1)
         if self._obs:
-            self.log.rec.put(
-                (next(self._seq), self._now(), self._wid(), _COMPUTE_END, key, 1, None)
-            )
+            A.end_at = (next(self._seq), self._now(), self._wid())
         self.runtime.spawn(
             self._publish, A, key, 1,
             label=f"publish:{key!r}" if self._lbl else "",
@@ -264,12 +277,12 @@ class NabbitScheduler:
 
     def _compute(self, A: TaskRecord, key: Key, life: int) -> None:
         """COMPUTE(A), unguarded: run the user COMPUTE function for
-        incarnation ``life`` of ``key``, in place or off-process."""
-        self.trace.note(_COMPUTE_BEGIN, key)
+        incarnation ``life`` of ``key``, in place or off-process (counted
+        when the incarnation is handed on)."""
         if self._obs:
-            self.log.rec.put(
-                (next(self._seq), self._now(), self._wid(), _COMPUTE_BEGIN, key, life, None)
-            )
+            # The sources so far ride the stamp: a notification that came
+            # after the compute began decodes after it (a premature compute).
+            A.begin_at = (next(self._seq), self._now(), self._wid(), A.srcs)
         self.runtime.charge(float(self.spec.cost(key)) * self._compute_factor)
         fp = self._plans[key].footprint
         ctx = StoreComputeContext(self.spec, self.store, key, self.strict_context, fp)
@@ -282,14 +295,13 @@ class NabbitScheduler:
 
     def _publish(self, A: TaskRecord, key: Key, life: int) -> None:
         """COMPUTEANDNOTIFY's second half, unguarded: publish Computed,
-        drain the notify array until it is stable, mark Completed."""
+        drain the notify array until it is stable, mark Completed, and
+        hand the incarnation to the sink."""
         self.runtime.charge(self._c_atomic)
         with A.lock:
             A.status = _COMPUTED
         if self._obs:
-            self.log.rec.put(
-                (next(self._seq), self._now(), self._wid(), _TASK_COMPUTED, key, life, None)
-            )
+            A.computed_at = (next(self._seq), self._now(), self._wid())
         notified = 0
         while True:
             with A.lock:
@@ -305,10 +317,7 @@ class NabbitScheduler:
                 if len(A.notify_array) == notified:
                     A.status = _COMPLETED
                     break
-        if self._obs:
-            self.log.rec.put(
-                (next(self._seq), self._now(), self._wid(), _TASK_COMPLETED, key, life, None)
-            )
+        self._sink(A)
         if self._hooked:
             self.hooks.on_after_notify(A)
 

@@ -20,6 +20,12 @@ Fields mirror the paper:
   by every subsequent access via :meth:`TaskRecord.check` ("once an error
   is detected, all subsequent accesses ... observe the error").
 
+The rest is the lifecycle record handed to the sink (:mod:`repro.obs.events`):
+``handed``, the notifications of this arming already handed on, and,
+traced runs only, each phase's ``(seq, t, worker)`` stamp and the
+notifying sources in arrival order (``srcs``, a tuple grown per source:
+no call on the hot path, and in-degrees are small).
+
 The bit vector is a plain int bitmask; on CPython all mutations happen
 under the record's lock, standing in for the paper's atomics.
 """
@@ -34,7 +40,7 @@ from repro.exceptions import TaskCorruptionError
 
 # Every task insert and recovery builds a record: read the initial status
 # as a module global, not an Enum member.
-_VISITED = TaskStatus.VISITED
+_VISITED, _COMPLETED = TaskStatus.VISITED, TaskStatus.COMPLETED
 
 
 class TaskRecord:
@@ -51,6 +57,7 @@ class TaskRecord:
         "corrupted",
         "recovery",
         "lock",
+        "handed", "created_at", "begin_at", "end_at", "computed_at", "srcs",
     )
 
     def __init__(self, key: Hashable, n_preds: int, life: int = 1) -> None:
@@ -66,6 +73,9 @@ class TaskRecord:
         self.corrupted = False
         self.recovery = False
         self.lock = threading.Lock()
+        self.handed = 0
+        self.created_at = self.begin_at = self.end_at = self.computed_at = None
+        self.srcs: tuple[Hashable, ...] = ()
 
     # -- fault observation ---------------------------------------------------------
 
@@ -89,6 +99,21 @@ class TaskRecord:
         the predecessor traversal can be replayed from scratch."""
         self.join = self.n_preds + 1
         self.bit_vector = (1 << (self.n_preds + 1)) - 1
+        self.handed = 0
+
+    def take_unhanded(self, began: bool | None = None) -> tuple[int, bool] | None:
+        """``(notifications, began)`` since the last handoff, now marked
+        handed, or ``None`` once completed (handed whole).  ``began``
+        (did COMPUTE run?) defaults to "the join counter was zeroed": its
+        zeroer calls COMPUTE.  Unlocked: taken only where the arming can
+        no longer change (counter zero and every bit clear, or run over)."""
+        if self.status is _COMPLETED:
+            return None
+        notified = self.n_preds + 1 - self.join - self.handed
+        self.handed += notified
+        if began is None:
+            began = self.join <= 0 and notified != 0
+        return notified, began
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -50,7 +50,9 @@ class TaskMap:
         self._n_stripes = n_stripes
         self._locks = tuple(threading.Lock() for _ in range(n_stripes))
         self._inserts = [0] * n_stripes
-        self._replacements = [0] * n_stripes
+        # Replaced incarnations: a dead one may hold lifecycle state that
+        # was never handed on (NabbitScheduler.run sweeps them).
+        self.retired: list[TaskRecord] = []
 
     def insert_if_absent(self, key: Hashable) -> tuple[TaskRecord, int, bool]:
         """INSERTTASKIFABSENT + GETTASK: returns ``(record, life, inserted)``.
@@ -116,8 +118,12 @@ class TaskMap:
             old = self._records[key]
             rec = TaskRecord(key, self._n_preds_of(key), life=old.life + 1)
             self._records[key] = rec
-            self._replacements[stripe] += 1
+            self.retired.append(old)
             return rec, rec.life
+
+    def records(self) -> list[TaskRecord]:
+        """Every live incarnation (a snapshot; for post-run sweeps)."""
+        return list(self._records.values())
 
     def __len__(self) -> int:
         return len(self._records)  # atomic snapshot under the GIL
@@ -135,4 +141,4 @@ class TaskMap:
 
     @property
     def replacements(self) -> int:
-        return sum(self._replacements)
+        return len(self.retired)

@@ -54,7 +54,7 @@ def account_escapes(
 
     ``injector`` is a :class:`~repro.detect.silent.SilentFaultInjector`
     (anything with ``fired``, ``spec``).  Call once, after the run; the
-    emitted SDC_ESCAPED events keep ``replay_summary`` parity with the
+    emitted SDC_ESCAPED events keep the log folding to the
     ``trace`` counters bumped here.
     """
     detected_keys = set()

@@ -14,8 +14,10 @@ One substrate, many views:
   serialization, dispatch round trips, recovery, detection).
 * :mod:`repro.obs.attribution` -- fold events + spans into a wall-clock
   budget: where every worker-second of the makespan went.
-* :mod:`repro.obs.replay` -- derive :class:`ExecutionTrace` counters
-  back out of the log (the one-source-of-truth consistency check).
+* :func:`verify_consistency` / :func:`assert_consistent` (from
+  :mod:`repro.runtime.tracing`) -- fold the log back into
+  :class:`ExecutionTrace` counters and diff them against the live ones
+  (the one-source-of-truth consistency check).
 * :mod:`repro.obs.metrics` -- per-worker steal/park/busy breakdown.
 * :mod:`repro.obs.report` -- per-fault recovery-cascade timelines.
 * :mod:`repro.harness.export` -- Chrome trace-event JSON and JSONL.
@@ -53,9 +55,9 @@ from repro.obs.live import (
     render_prometheus,
 )
 from repro.obs.metrics import WorkerMetrics, format_worker_metrics, worker_metrics
-from repro.obs.replay import assert_consistent, replay_summary, replay_trace, verify_consistency
 from repro.obs.report import RecoveryCascade, format_recovery_timeline, recovery_timeline
 from repro.obs.spans import Span, spans_of, wall_by_phase, wall_by_worker_phase
+from repro.runtime.tracing import assert_consistent, verify_consistency
 
 __all__ = [
     "Event",
@@ -80,8 +82,6 @@ __all__ = [
     "WorkerBudget",
     "attribute_run",
     "format_attribution",
-    "replay_trace",
-    "replay_summary",
     "verify_consistency",
     "assert_consistent",
     "WorkerMetrics",

@@ -7,7 +7,7 @@ verify the numerical result, then
 
 * print the trace summary, the per-worker metrics table, and the
   per-fault recovery timeline;
-* check that the event log replays to the live counters (``--check``,
+* check that the event log folds to the live counters (``--check``,
   on by default for unbounded logs);
 * write a Chrome trace-event JSON (``--chrome``) and/or a JSONL event
   dump (``--jsonl``).
@@ -28,8 +28,8 @@ import sys
 from repro.apps import APP_NAMES, make_app
 from repro.obs.events import EventLog
 from repro.obs.metrics import format_worker_metrics, worker_metrics
-from repro.obs.replay import verify_consistency
 from repro.obs.report import format_recovery_timeline, recovery_timeline
+from repro.runtime.tracing import verify_consistency
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
           f"(P={runtime.workers}, seed={args.seed}, scheduler={sched.name}): "
           f"makespan={result.makespan:.6g}{unit}, verified ok")
     print(f"events recorded: {len(events)}"
-          + (f" (dropped {log.dropped} to the ring buffer)" if log.dropped else ""))
+          + (f" (dropped {log.dropped} records to the ring buffer)" if log.dropped else ""))
 
     print("\n== trace summary ==")
     for name, value in trace.summary().items():
@@ -125,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print("\nconsistency check: event-log-derived counters match the live trace")
     elif log.dropped:
-        print("\nconsistency check skipped: ring buffer dropped events")
+        print("\nconsistency check skipped: ring buffer dropped records")
 
     print("\n== per-worker metrics ==")
     print(format_worker_metrics(worker_metrics(events, run=result.run)))

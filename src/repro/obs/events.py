@@ -15,60 +15,66 @@ Design constraints:
   :data:`NULL_LOG` by default and guard every emission with a cached
   ``log is not NULL_LOG`` identity check, so a fault-free benchmark run
   pays one local boolean test per would-be event.
-* **Cheap when on: the hot path records, the read path decodes.**  An
-  emission appends one fixed-width flat record ``(seq, t, worker, kind,
-  key, life, data-or-None)`` to a list with a single ``list.extend`` --
-  no :class:`Event`, no lock, and for an event without ``data`` no
-  surviving allocation the cyclic collector would have to traverse.
-  ``extend`` is one C-level call, atomic under the GIL, so a reader
-  never sees part of a record.  :class:`Event` objects are built once,
-  incrementally, when the log is *read*: each read decodes only the
-  records appended since the previous one and releases them as it goes.
+* **A task writes one record.**  A task incarnation's lifecycle
+  (TASK_CREATED, a NOTIFY per source, COMPUTE_BEGIN, COMPUTE_END,
+  TASK_COMPUTED, TASK_COMPLETED) rides its
+  :class:`~repro.core.records.TaskRecord`: each phase stores its ``(seq,
+  t, worker)`` stamp there, each notification adds its source under the
+  join lock it holds, and at TASK_COMPLETED the scheduler makes one sink
+  call.  The sink is the choice: with no log,
+  :meth:`~repro.runtime.tracing.ExecutionTrace.record` counts it; with
+  one, :meth:`EventLog.record_sink` appends it as one record, stamped as
+  its TASK_COMPLETED, and counts it.  What an incarnation recorded
+  without completing (replaced, a compute fault, an aborted run) is
+  handed on from that cold path, or at the end of the run, through
+  :meth:`EventLog.put_part`.  Faults, recovery, resets, stale frames and
+  the runtimes' records are emitted as they happen (``emit``/``emit_at``).
+* **Cheap when on: the hot path records, the read path decodes.**  A
+  record is one flat ``(seq, t, worker, kind, key, life, data-or-None)``
+  tuple appended with one ``list.extend`` -- atomic under the GIL, so a
+  reader never sees part of one; a task record has the kind
+  :data:`TASK_RECORD` (or :data:`TASK_PART`) and its stamps as data.  A
+  read decodes what was appended since the last one into
+  :class:`Event` objects, expanding task records (their NOTIFYs placed
+  just before the COMPUTE_BEGIN they released, with its ``t`` and
+  worker; one that arrived after the compute began, just after it),
+  sorts them by stamp and numbers them: ``seq`` is the rank in the
+  merged order, total and gap-free from 0.
 * **One way in: the recorder.**  Every record enters through
   ``log.rec.put(record)``.  For a buffered log ``rec`` is a
-  :class:`threading.local` subclass whose ``__init__`` runs once per
-  thread: it registers a fresh buffer and binds ``put`` to that
-  buffer's ``extend``, so there is no per-event thread lookup.  It is
-  given the buffer registry and the lock, never the log: a
-  ``threading.local`` keeps its constructor arguments, and a log ->
-  recorder -> log cycle would keep each run's decoded events alive
-  until a full collection.  ``emit``/``emit_at`` are one-liners over
-  ``rec.put``; the schedulers' per-task and per-edge sites skip even
-  that frame and its kwargs dict: they bind ``(seq, clock, worker)``
-  from :meth:`EventLog.stamps` once and write the record themselves,
-  the kind a module constant (an ``Enum`` member read costs several
-  global loads) -- four C or Python calls per event instead of five.
-  :meth:`EventLog.seal` swaps in a recorder whose ``put`` raises, so
-  the sealed check costs nothing per event, and :meth:`EventLog.clear`
-  restarts numbering without replacing the counter a site bound.
+  :class:`threading.local` subclass whose ``__init__`` registers a fresh
+  buffer per thread and binds ``put`` to its ``extend``.  It is given
+  the buffer registry and the lock, never the log: a ``threading.local``
+  keeps its constructor arguments, and a log -> recorder -> log cycle
+  would keep each run's decoded events alive until a full collection.
+  :meth:`EventLog.seal` swaps in a recorder whose ``put`` raises, and
+  :meth:`EventLog.clear` restarts numbering without replacing the stamp
+  counter a site bound (:meth:`EventLog.stamps`).
 * **Low contention when on.**  An unbounded log appends to *per-thread
-  buffers*; ordering comes from a shared sequence counter whose
-  ``next()`` is a single GIL-atomic operation.  The buffers are merged
-  back into one totally-ordered sequence -- by that counter, never by
-  timestamp (the simulator emits with non-monotone virtual times) --
-  when the log is read, which analysis and replay only do at
-  quiescence.  The merged order is exactly the order a single-lock log
-  would have recorded: the counter linearizes emissions, and any
-  cross-thread happens-before edge (lock release -> acquire on a task
-  record) orders the corresponding ``next()`` calls.
+  buffers*, ordered by a shared stamp counter whose ``next()`` is one
+  GIL-atomic call; a read merges them by that counter, never by
+  timestamp (the simulator's virtual times are not monotone).  The
+  counter linearizes the stamps, and any cross-thread happens-before
+  edge (lock release -> acquire on a task record) orders the matching
+  ``next()`` calls.  A read returns the records handed in so far --
+  mid-run, the completed incarnations and the cold-path events -- and a
+  record handed in after it decodes after its events.
 * **Worker attribution and timestamps come from the runtime.**  Each
   runtime exposes ``obs_now()`` (virtual time on the simulator,
   wall-clock seconds since ``execute()`` on the threaded runtime,
   accumulated charge inline) and ``obs_worker()``; the log binds to them
-  via :meth:`EventLog.bind_runtime`.
-* **Incarnations are distinguishable.**  Every task-scoped event carries
-  the task key *and* its life number, so a recovered task's second
-  incarnation never aliases its first.
-* **Bounded memory on demand.**  ``EventLog(capacity=n)`` keeps only the
-  most recent ``n`` events in a ring buffer (``dropped`` counts the
-  rest; between reads up to ``n`` undecoded records sit beside the
-  ``n`` decoded events); eviction needs a global view, so capacity logs
-  append their records to one shared ring under a lock.  The default is
-  unbounded, which is what the replay/consistency machinery in
-  :mod:`repro.obs.replay` requires.  ``EventLog(buffered=False)`` forces
-  the single-lock append on an unbounded log -- the reference that the
-  buffered-log parity tests compare against.  All three modes write the
-  same record format and are read through the same decoder.
+  via :meth:`EventLog.bind_runtime`.  Every task-scoped event carries
+  the key *and* the life number: incarnations never alias.
+* **Counts are of records.**  ``len(log)``, ``total_emitted`` and
+  ``dropped`` count records (an emitted event is one, a task
+  incarnation's lifecycle is one), known without decoding.
+* **Bounded memory on demand.**  ``EventLog(capacity=n)`` keeps the most
+  recent ``n`` records in one ring, appended under a lock, and decodes
+  it afresh on a read.  The default is unbounded, which the consistency
+  check (:func:`~repro.runtime.tracing.assert_consistent`) requires;
+  ``EventLog(buffered=False)`` forces the single-lock append on an
+  unbounded log (the parity tests' reference).  All three modes share
+  one record format and one decoder.
 """
 
 from __future__ import annotations
@@ -259,6 +265,7 @@ def _json_key(key: Any) -> Any:
 
 
 _seq_of = operator.attrgetter("seq")
+_set_seq = Event.seq.__set__  # type: ignore[attr-defined]
 _first_slot = operator.itemgetter(0)
 
 #: Slots per raw record: ``(seq, t, worker, kind, key, life, data-or-None)``
@@ -266,43 +273,86 @@ _first_slot = operator.itemgetter(0)
 _WIDTH = 7
 
 
-def _decode(buf: list[Any], todo: int, base: int = 0) -> list[Event]:
-    """Consume the first ``todo`` slots of ``buf`` (whole records) and
-    return them as :class:`Event` objects, in order, their seq counted
-    from ``base``.
+TASK_RECORD = "task_record"
+"""Kind slot of a completed incarnation's record ``(seq, t, worker,
+TASK_RECORD, key, life, task)``: its own stamp is the TASK_COMPLETED,
+and the :class:`~repro.core.records.TaskRecord` ``task`` is read when
+the log is: each phase slot (``created_at`` ...) holds that phase's
+``(seq, t, worker)`` stamp or ``None`` (``begin_at`` adds the sources
+that had arrived when the compute began), ``srcs`` the notifying
+sources in arrival order -- including any that came after completion,
+which only a broken scheduler delivers."""
 
-    Safe on a buffer its owner thread is still extending: only the slots
-    counted before the call are read, and each decoded block leaves the
-    front of the list in one atomic slice deletion.  Decoding in eight
-    blocks keeps at most an eighth of a long buffer alive in both forms
-    at once -- raw records are released as their events come to life,
-    not after."""
-    events: list[Event] = []
-    if base:
-        buf[0:todo:_WIDTH] = [seq - base for seq in itertools.islice(buf, 0, todo, _WIDTH)]
-    block = max(todo // (8 * _WIDTH), 1024) * _WIDTH
-    while todo:
-        n = min(block, todo)
-        slots = itertools.islice(buf, n)
-        events.extend(map(Event, slots, slots, slots, slots, slots, slots, slots))
-        del buf[:n]
-        todo -= n
+TASK_PART = "task_part"
+"""Kind slot of what an incarnation recorded without completing, handed
+on from a cold path: its data is the ``(created, begin, end, computed,
+srcs)`` tuple taken then, its own stamp the handoff's (no event)."""
+
+_TASK_CREATED, _NOTIFY = EventKind.TASK_CREATED, EventKind.NOTIFY
+_COMPUTE_BEGIN, _COMPUTE_END = EventKind.COMPUTE_BEGIN, EventKind.COMPUTE_END
+_TASK_COMPUTED, _TASK_COMPLETED = EventKind.TASK_COMPUTED, EventKind.TASK_COMPLETED
+
+
+def _decode(raw: Iterable[Any], events: list[Event]) -> None:
+    """Append the events of the whole records in ``raw`` to ``events``,
+    each carrying its stamp's counter value as ``seq`` (the caller sorts
+    and ranks them).  A task record expands into its phases.  Its NOTIFYs
+    share the stamp of the COMPUTE_BEGIN (the handoff's, if none began);
+    those that arrived before the compute began -- the sources its stamp
+    carries -- come before it, any later ones after it, and a stable sort
+    keeps them there."""
+    add = events.append
+    slots = iter(raw)
+    for seq, t, worker, kind, key, life, data in zip(slots, slots, slots, slots, slots, slots, slots):
+        if kind is not TASK_RECORD and kind is not TASK_PART:
+            add(Event(seq, t, worker, kind, key, life, data))
+            continue
+        if kind is TASK_RECORD:
+            data = data.created_at, data.begin_at, data.end_at, data.computed_at, data.srcs
+        created, begin, end, computed, srcs = data
+        if created is not None:
+            s, st, sw = created
+            add(Event(s, st, sw, _TASK_CREATED, key, life))
+        if begin is None:
+            for src in srcs:
+                add(Event(seq, t, worker, _NOTIFY, key, life, {"src": src}))
+        else:
+            s, st, sw, released = begin
+            for src in released:
+                add(Event(s, st, sw, _NOTIFY, key, life, {"src": src}))
+            add(Event(s, st, sw, _COMPUTE_BEGIN, key, life))
+            for src in srcs[len(released):]:
+                add(Event(s, st, sw, _NOTIFY, key, life, {"src": src}))
+            if end is not None:
+                s, st, sw = end
+                add(Event(s, st, sw, _COMPUTE_END, key, life))
+                if computed is not None:
+                    s, st, sw = computed
+                    add(Event(s, st, sw, _TASK_COMPUTED, key, life))
+        if kind is TASK_RECORD:
+            add(Event(seq, t, worker, _TASK_COMPLETED, key, life))
+
+
+def _ranked(events: list[Event], start: int) -> list[Event]:
+    """Sort ``events`` by stamp (stable) and number them from ``start``."""
+    events.sort(key=_seq_of)
+    deque(map(_set_seq, events, itertools.count(start)), maxlen=0)
     return events
 
 
 class LateEmitError(RuntimeError):
-    """An emission arrived after the merged total order was already
-    observed *and* would have to be inserted before its end.
+    """A record arrived after the merged order was already observed
+    *and* was stamped before its end.
 
-    The buffered log's merge is only stable if every new event extends
-    the previously drained prefix.  An event whose sequence number falls
-    inside that prefix (a worker thread that kept emitting after
-    quiescence was declared) would silently reorder history for any
-    consumer that drained twice -- so the next drain raises instead."""
+    The buffered log's merge is only stable if every new record extends
+    the previously drained prefix.  A record whose stamp falls inside
+    that prefix (a worker thread that kept emitting after quiescence was
+    declared) would silently reorder history for any consumer that
+    drained twice -- so the next drain raises instead."""
 
 
 class SealedLogError(RuntimeError):
-    """An emission arrived after :meth:`EventLog.seal` closed the log."""
+    """A record arrived after :meth:`EventLog.seal` closed the log."""
 
 
 class _Recorder(threading.local):
@@ -320,9 +370,7 @@ class _Recorder(threading.local):
 
 class _LockedSink:
     """The recorder of a capacity-bounded or ``buffered=False`` log: one
-    shared buffer, extended under the log's lock.  ``put`` renumbers the
-    record's seq in lock order, so readers (and the ring's eviction) see
-    exactly the order in which records landed."""
+    shared buffer, extended under the log's lock."""
 
     __slots__ = ("buf", "lock", "n")
 
@@ -334,12 +382,12 @@ class _LockedSink:
 
     def put(self, record: tuple[Any, ...]) -> None:
         with self.lock:
-            self.buf.extend((self.n, *record[1:]))
+            self.buf.extend(record)
             self.n += 1
 
 
 def _refuse(record: tuple[Any, ...]) -> None:
-    raise SealedLogError(f"emit({record[3].value}) on a sealed EventLog")
+    raise SealedLogError(f"emit({getattr(record[3], 'value', record[3])}) on a sealed EventLog")
 
 
 #: The recorder :meth:`EventLog.seal` swaps in: every ``put`` raises.
@@ -352,13 +400,13 @@ class EventLog:
     Every emission appends one flat record (see the module docstring)
     through :attr:`rec`; :class:`Event` objects exist only once the log
     has been read.  Unbounded logs (the default) are *buffered*: each
-    emitting thread extends its own list, and the only shared state an
-    emission touches is ``next()`` on an :func:`itertools.count` -- a
+    emitting thread extends its own list, and the only shared state a
+    stamp touches is ``next()`` on an :func:`itertools.count` -- a
     single C-level call that is atomic under the GIL and therefore a
-    linearization point.  Merging the buffers by that sequence number at
-    read time reconstructs exactly the total order a single-lock log
-    would have produced.  Capacity-bounded logs and ``buffered=False``
-    extend one shared buffer under the lock instead.
+    linearization point.  Merging the buffers by that counter at read
+    time reconstructs exactly the total order a single-lock log would
+    have produced.  Capacity-bounded logs and ``buffered=False`` extend
+    one shared buffer under the lock instead.
     """
 
     enabled = True
@@ -368,7 +416,7 @@ class EventLog:
 
     rec: Any
     """The recorder: ``rec.put((seq, t, worker, kind, key, life,
-    data-or-None))`` records one event.  Read it off the log at every
+    data-or-None))`` appends one record.  Read it off the log at every
     emission: ``seal`` and ``clear`` replace it."""
 
     def __init__(self, capacity: int | None = None, buffered: bool = True) -> None:
@@ -377,21 +425,24 @@ class EventLog:
         self.capacity = capacity
         self._buffered = buffered and capacity is None
         self._lock = threading.Lock()
-        # One counter for the log's lifetime, so a site that bound it
-        # never strands: ``clear`` restarts numbering by moving ``_base``,
-        # the seq the decoder reads back as 0 (buffered logs only; the
-        # locked sink numbers records itself).
+        # One stamp counter for the log's lifetime, so a site that bound
+        # it never strands; seqs are ranks assigned at decode, so
+        # ``clear`` needs no renumbering.
         self._count = itertools.count()
-        self._base = 0
         # Raw records not yet decoded.  Buffered: one list per emitting
         # thread, registered by the recorder.  Otherwise the one shared
         # buffer -- a ring of ``capacity`` records when bounded.
         self._shared: deque[Any] | list[Any]
         self._shared = deque(maxlen=capacity * _WIDTH) if capacity is not None else []
         self._buffers: list[Any]
-        # Decoded events in emission order; only ``_drain`` appends.
-        self._merged: deque[Event] | list[Event]
-        self._merged = deque(maxlen=capacity) if capacity is not None else []
+        # Decoded events in merged order; only ``_drain`` writes it.  For
+        # a ring it is the decode of the ring as of ``_ring_at`` records.
+        self._merged: list[Event] = []
+        self._ring_at = 0
+        # Records decoded so far, and the highest stamp among their own
+        # (slot 0) stamps: the drained prefix a late record must extend.
+        self._decoded = 0
+        self._high = -1
         self._clock: Callable[[], float] = time.perf_counter
         self._worker: Callable[[], int] = _zero
         self._epoch = time.perf_counter()
@@ -430,11 +481,10 @@ class EventLog:
         return self._clock()
 
     def stamps(self) -> tuple[Iterator[int], Callable[[], float], Callable[[], int]]:
-        """``(seq, clock, worker)`` for a site that writes through
-        :attr:`rec` itself: ``rec.put((next(seq), clock(), worker(),
-        kind, key, life, data))`` records what ``emit`` would.  Bind them
-        after :meth:`bind_runtime`; ``seq`` stays valid across
-        :meth:`clear`."""
+        """``(seq, clock, worker)`` for a site that stamps a task record's
+        phase itself: ``(next(seq), clock(), worker())`` is what ``emit``
+        would record.  Bind them after :meth:`bind_runtime`; ``seq`` stays
+        valid across :meth:`clear`."""
         return self._count, self._clock, self._worker
 
     # -- emission ----------------------------------------------------------------
@@ -464,58 +514,87 @@ class EventLog:
         simulator's driver loop, which acts *for* a virtual worker)."""
         self.rec.put((next(self._count), t, worker, kind, key, life, data or None))
 
+    def record_sink(self, count: Callable[[Any], None]) -> Callable[[Any], None]:
+        """The scheduler's handoff with this log attached: ``sink(rec)``
+        appends completed task incarnation ``rec`` as one record, stamped
+        now as its TASK_COMPLETED, then passes it on to ``count`` (the
+        counting sink).  Bind it after :meth:`bind_runtime`."""
+        seq, clock, worker = self._count, self._clock, self._worker
+
+        def sink(rec: Any) -> None:
+            self.rec.put((next(seq), clock(), worker(), TASK_RECORD, rec.key, rec.life, rec))
+            count(rec)
+
+        return sink
+
+    def put_part(self, key: Hashable, life: int, stamps: tuple[Any, ...]) -> None:
+        """Append what an incarnation recorded without completing:
+        ``stamps`` is ``(created, begin, end, computed, srcs)`` (the cold
+        paths' handoff, a :data:`TASK_PART`)."""
+        self.rec.put((next(self._count), self._clock(), self._worker(), TASK_PART, key, life,
+                      stamps))
+
     # -- inspection ---------------------------------------------------------------
 
-    def _drain(self) -> deque[Event] | list[Event]:
+    def _drain(self) -> list[Event]:
         """Decode whatever was recorded since the last drain onto the end
         of the merged order and return it.  The caller holds ``_lock``.
 
-        A log nobody emitted into since the last drain answers from the
+        A log nobody recorded into since the last drain answers from the
         merged events without copying or sorting anything.  Safe to call
         while workers are still emitting (each buffer is cut at a whole
-        record); the result is simply the events delivered so far."""
+        record); the result is simply the records delivered so far."""
+        if self.capacity is not None:
+            # The ring cannot drop a prefix in place, and it is bounded:
+            # decode all of it, again only when something was put since.
+            if self._ring_at != self._sink.n:
+                self._ring_at = self._sink.n
+                events: list[Event] = []
+                _decode(list(self._shared), events)
+                self._merged = _ranked(events, 0)
+            return self._merged
         merged = self._merged
         pending = [buf for buf in self._buffers if buf]
         if not pending:
             return merged
-        if self.capacity is not None:
-            # The ring cannot drop a prefix in place, and it is bounded.
-            pending = [list(self._shared)]
-            self._shared.clear()
         # Cut every buffer first, decode after: emitters keep running, and
         # the narrower the cut the fewer cross-thread stragglers.
         cuts = [len(buf) for buf in pending]
-        if merged:
-            # Deterministic-merge guard (late worker-span delivery).  New
-            # events must extend the drained order; one whose seq falls
-            # *inside* it would silently rewrite history for anyone who
-            # already read it.  Each buffer is in seq order, so its first
-            # pending record decides -- checked before anything is
-            # consumed, so the offender stays put and every later read
-            # raises too.
-            first = min(pending, key=_first_slot)
-            if first[0] - self._base < merged[-1].seq:
-                raise LateEmitError(
-                    f"{sum(cuts) // _WIDTH} event(s) emitted after the merged "
-                    f"order was observed would reorder the drained prefix "
-                    f"(first offender: {first[3].value} seq={first[0] - self._base}, "
-                    f"drained max seq={merged[-1].seq})"
-                )
-        runs = [_decode(buf, cut, self._base) for buf, cut in zip(pending, cuts)]
-        merged.extend(runs[0] if len(runs) == 1 else sorted(itertools.chain(*runs), key=_seq_of))
+        # Deterministic-merge guard (late worker-span delivery).  New
+        # records must extend the drained order; one stamped *inside* it
+        # would silently rewrite history for anyone who already read it.
+        # Each buffer is in stamp order, so its first pending record
+        # decides -- checked before anything is consumed, so the offender
+        # stays put and every later read raises too.
+        first = min(pending, key=_first_slot)
+        if first[0] < self._high:
+            raise LateEmitError(
+                f"{sum(cuts) // _WIDTH} record(s) put after the merged order was "
+                f"observed would reorder the drained prefix (first offender: "
+                f"{getattr(first[3], 'value', first[3])} stamped {first[0]}, "
+                f"drained up to {self._high})"
+            )
+        events = []
+        for buf, cut in zip(pending, cuts):
+            self._high = max(self._high, buf[cut - _WIDTH])  # its latest own stamp
+            _decode(buf[:cut], events)
+            del buf[:cut]
+        self._decoded += sum(cuts) // _WIDTH
+        merged.extend(_ranked(events, len(merged)))
         return merged
 
     @property
     def events(self) -> list[Event]:
-        """Snapshot of retained events in emission order."""
+        """Snapshot of retained events in merged order."""
         with self._lock:
             return list(self._drain())
 
     @property
     def total_emitted(self) -> int:
+        """Records handed in since the log was opened or cleared."""
         with self._lock:
             if self._buffered:
-                return len(self._merged) + sum(map(len, self._buffers)) // _WIDTH
+                return self._decoded + sum(map(len, self._buffers)) // _WIDTH
             return self._sink.n
 
     @property
@@ -525,13 +604,13 @@ class EventLog:
 
     @property
     def dropped(self) -> int:
-        """Events lost to the ring buffer (0 for an unbounded log)."""
+        """Records lost to the ring buffer (0 for an unbounded log)."""
         if self.capacity is None:
             return 0
         return max(0, self.total_emitted - self.capacity)
 
     def seal(self) -> None:
-        """Close the log: drain once more, then make any further emission
+        """Close the log: drain once more, then make any further record
         raise :class:`SealedLogError` at the *emit site* (instead of a
         :class:`LateEmitError` at the next drain).  Opt-in -- schedulers
         never seal automatically because legitimate post-run emitters
@@ -545,18 +624,19 @@ class EventLog:
         return self.rec is _SEALED
 
     def clear(self) -> None:
-        """Forget every event, unseal, and restart numbering at seq 0."""
+        """Forget every record, unseal, and restart numbering at seq 0."""
         with self._lock:
             for buf in self._buffers:
                 buf.clear()
-            self._merged.clear()
-            if self._buffered:
-                self._base = next(self._count) + 1
+            self._merged = []
+            self._ring_at = self._decoded = 0
+            self._high = -1
         # Outside the lock: a fresh recorder registers this thread's
         # buffer under it.
         self._open()
 
     def __len__(self) -> int:
+        """Records retained (see the module docstring: not events)."""
         return self.total_emitted - self.dropped
 
     def __iter__(self) -> Iterator[Event]:
@@ -586,6 +666,10 @@ class NullEventLog(EventLog):
         self, kind: EventKind, t: float, worker: int, key: Hashable = None, life: int = 0, **data: Any
     ) -> None:
         return None
+
+    def record_sink(self, count: Callable[[Any], None]) -> Callable[[Any], None]:
+        """No log to append to: the counting sink alone."""
+        return count
 
 
 def _zero() -> int:

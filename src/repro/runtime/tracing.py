@@ -5,8 +5,11 @@ task actually executed.  :class:`ExecutionTrace` counts that, and every
 fact the harness and the injection check read, as a fold of the event
 vocabulary: one count per :class:`~repro.obs.events.EventKind`, plus
 per-key counts for the kinds N(A) is stated in.  A live run notes each
-event as it happens; :mod:`repro.obs.replay` folds a recorded log
-through the same :meth:`ExecutionTrace.note`.  Thread-safe.
+cold-path event as it happens, and the scheduler hands each task
+incarnation's lifecycle to :meth:`ExecutionTrace.record` once, when it
+completes (its NOTIFYs and its COMPUTE_BEGIN, folded in one call).  A
+recorded log replays through :meth:`ExecutionTrace.fold`, and
+:func:`verify_consistency` diffs the two.  Thread-safe.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable
 
 from repro.obs.events import EventKind
+
+_NOTIFY = EventKind.NOTIFY
 
 #: Reported counter name -> the event kind it counts, in ``summary()``
 #: order.  Every scalar counter a report, gauge or attribute read names
@@ -92,6 +97,28 @@ class ExecutionTrace:
             if key is not None and kind in self._by_key:
                 self._by_key[kind][key] += 1
 
+    def record(self, rec: Any) -> None:
+        """The counting sink: fold one completed task incarnation -- the
+        notifications its arming counted and did not hand on yet
+        (``n_preds + 1 - join - handed``) and its compute -- into the
+        counts.  The scheduler's one call per task when no log is attached."""
+        if self._serial:
+            self.counts[_NOTIFY] += rec.n_preds + 1 - rec.join - rec.handed
+            self.computes[rec.key] += 1
+            return
+        with self._lock:
+            self.counts[_NOTIFY] += rec.n_preds + 1 - rec.join - rec.handed
+            self.computes[rec.key] += 1
+
+    def record_part(self, key: Hashable, notifications: int, computed: bool) -> None:
+        """Fold what an incarnation that did not complete got through (a
+        compute fault, a replacement, an aborted run): the cold twin of
+        :meth:`record`."""
+        with self._lock:
+            self.counts[_NOTIFY] += notifications
+            if computed:
+                self.computes[key] += 1
+
     def fold(self, events: Iterable[Any]) -> ExecutionTrace:
         """Note every event (anything with ``kind`` and ``key``); returns self."""
         for event in events:
@@ -148,9 +175,54 @@ del _name, _kind
 def note_and_emit(trace: ExecutionTrace | None, log: Any, kind: EventKind,
                   key: Hashable = None, life: int = 0, **data: Any) -> None:
     """Note one event on ``trace`` and emit it into ``log`` if live (either
-    may be ``None``): the fault-path sites.  The per-task and per-edge
-    sites keep two statements, the emit behind the caller's cached guard."""
+    may be ``None``): the fault-path sites.  Lifecycle phases are not
+    events at the site: they ride the task record (:meth:`ExecutionTrace.record`)."""
     if trace is not None:
         trace.note(kind, key)
     if log is not None and log.enabled:
         log.emit(kind, key, life, **data)
+
+
+#: The per-key maps compared key by key (the paper's N(A) and its faults).
+_PER_KEY = ("computes", "compute_failures", "recoveries")
+
+
+def verify_consistency(events: Iterable[Any], trace: ExecutionTrace) -> dict[str, tuple[int, int]]:
+    """Diff the counters a decoded log folds to against a live trace.
+
+    Returns ``{counter: (from_events, from_trace)}`` for every mismatch
+    -- empty means the log and the counters agree exactly.  Every
+    reported counter is compared, and each per-key map key by key: a
+    differing map is reported as ``"map[key]"`` for its first differing
+    key, with that key's two counts.
+    """
+    derived = ExecutionTrace().fold(events)
+    ours, theirs = derived.summary(), trace.summary()
+    diff = {name: (a, theirs[name]) for name, a in ours.items() if a != theirs[name]}
+    for name in _PER_KEY:
+        a, b = getattr(derived, name), getattr(trace, name)
+        for key in (*a, *b):
+            if a[key] != b[key]:
+                diff[f"{name}[{key!r}]"] = (a[key], b[key])
+                break
+    return diff
+
+
+def assert_consistent(log: Any, trace: ExecutionTrace) -> None:
+    """Raise ``AssertionError`` if ``log`` does not fold to ``trace``.
+
+    Accepts an :class:`~repro.obs.events.EventLog` (so it can refuse a
+    lossy ring buffer) or any iterable of events.
+    """
+    dropped = getattr(log, "dropped", 0)
+    if dropped:
+        raise AssertionError(
+            f"event log dropped {dropped} records (ring buffer); counters are not derivable"
+        )
+    events = log.events if hasattr(log, "events") else list(log)
+    diff = verify_consistency(events, trace)
+    if diff:
+        detail = ", ".join(
+            f"{name}: events={a} trace={b}" for name, (a, b) in sorted(diff.items())
+        )
+        raise AssertionError(f"event log and ExecutionTrace disagree: {detail}")

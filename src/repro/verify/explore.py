@@ -394,9 +394,8 @@ class DoubleDecrementScheduler(FTScheduler):
             with A.lock:
                 A.join -= 1  # BUG: the bit under ``mask`` is neither tested nor cleared
                 val = A.join
-            self.trace.note(EventKind.NOTIFY)
-            if self._obs:
-                self.log.emit(EventKind.NOTIFY, key, life, src=pkey)
+                if self._obs:
+                    A.srcs += (pkey,)
             if val == 0:
                 self._compute_and_notify(A, key, life)
         except FaultError as exc:

@@ -296,14 +296,45 @@ def _is_rec_put(call: ast.Call) -> bool:
     )
 
 
+#: A task record's stamp and source slots (:class:`~repro.core.records.TaskRecord`).
+_STAMP_SLOTS = frozenset({"created_at", "begin_at", "end_at", "computed_at", "srcs"})
+
+
+def _stamp_write(node: ast.AST) -> str | None:
+    """What ``node`` does to stamp a task record, if anything: calls a
+    bound stamp (``next(…._seq)``, ``…._now()``, ``…._wid()``) or stores
+    anything but ``None`` or ``()`` into a stamp or source slot."""
+    if isinstance(node, ast.Call):
+        fn, args = node.func, node.args
+        if isinstance(fn, ast.Attribute) and fn.attr in ("_now", "_wid"):
+            return f"{fn.attr}()"
+        if getattr(fn, "id", None) == "next" and args and getattr(args[0], "attr", None) == "_seq":
+            return "next(_seq)"
+        return None
+    if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        return None
+    value = node.value
+    if isinstance(value, ast.Constant) and value.value is None or (
+        isinstance(value, ast.Tuple) and not value.elts
+    ):
+        return None
+    for target in getattr(node, "targets", [getattr(node, "target", None)]):
+        if isinstance(target, ast.Attribute) and target.attr in _STAMP_SLOTS:
+            return f".{target.attr} ="
+    return None
+
+
 class EmitGuardRule(StaticRule):
     """Every telemetry publication in the audited modules sits under a
     cached liveness guard.
 
     The schedulers' fault-free hot path must cost one cached boolean test
     per would-be event or sample, not an attribute chain plus a no-op
-    method call: every ``.emit()``/``.emit_at()``/``.rec.put()`` (event
-    log) and every ``.inc()``/``.observe()`` (push metrics) must be inside an ``if``
+    method call: every ``.emit()``/``.emit_at()``/``.put_part()``/
+    ``.rec.put()`` (event log), every stamp a ``core/`` module writes on a
+    task record (a call to the bound ``_seq``/``_now``/``_wid``, or a
+    store to a stamp or source slot) and every ``.inc()``/``.observe()``
+    (push metrics) must be inside an ``if``
     whose condition references a cached ``_obs`` / ``_mx`` flag (each
     derived from a ``log is not NULL_LOG`` / ``metrics is not
     NULL_METRICS`` identity check) or performs the identity check
@@ -324,7 +355,8 @@ class EmitGuardRule(StaticRule):
         "runtime/procpool.py",
         "runtime/cluster.py",
     )
-    CALLS = frozenset({"emit", "emit_at", "inc", "observe"})
+    CALLS = frozenset({"emit", "emit_at", "put_part", "inc", "observe"})
+    STAMPED = "core/"
 
     def check(self, program: Program) -> list[Finding]:
         findings: list[Finding] = []
@@ -354,6 +386,13 @@ class EmitGuardRule(StaticRule):
                 "flag or NULL_LOG/NULL_METRICS identity check -- "
                 "unconditional per-publication overhead on the "
                 "telemetry-off hot path",
+            ))
+        stamp = None if guarded or not path.startswith(self.STAMPED) else _stamp_write(node)
+        if stamp is not None:
+            findings.append(Finding(
+                self.name, path, node.lineno,
+                f"task-record stamp `{stamp}` not guarded by a cached `_obs` "
+                "flag -- a lifecycle stamp on the telemetry-off hot path",
             ))
         for child in ast.iter_child_nodes(node):
             self._walk(path, child, guarded, findings)
@@ -416,8 +455,9 @@ def _eventkind_constants(program: Program) -> dict[str, dict[str, str]]:
 class EventKindCoverageRule(StaticRule):
     """Every :class:`~repro.obs.events.EventKind` member is emitted
     somewhere in the package -- by ``.emit()``/``.emit_at()``, through
-    :func:`~repro.runtime.tracing.note_and_emit`, or as a record written
-    through ``.rec.put()`` -- named as ``EventKind.X`` or as a module
+    :func:`~repro.runtime.tracing.note_and_emit`, as a record written
+    through ``.rec.put()``, or as an ``Event`` the log's decoder expands
+    a task record into -- named as ``EventKind.X`` or as a module
     constant bound to it: a member nothing emits
     is a promise the event log never keeps.  (Replay needs no such
     check: a trace counts every kind it is handed.)"""
@@ -443,11 +483,13 @@ class EventKindCoverageRule(StaticRule):
         emitted: set[str] = set()
         constants = _eventkind_constants(program)
         for m in program.modules:
+            decoder = m is events_mod
             for node in m.nodes:
                 if isinstance(node, ast.Call) and (
                     (getattr(node.func, "attr", None) or getattr(node.func, "id", None))
                     in self.EMITTERS
                     or _is_rec_put(node)
+                    or (decoder and getattr(node.func, "id", None) == "Event")
                 ):
                     for arg in node.args:
                         emitted |= _eventkind_attrs(arg, constants[m.relpath])

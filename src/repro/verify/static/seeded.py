@@ -435,6 +435,21 @@ SEEDED: tuple[SeededCase, ...] = (
         expect="`.rec.put()` not guarded by a cached `_obs`/`_mx` flag",
     ),
     SeededCase(
+        name="unguarded-stamp",
+        rule="emit-guard",
+        relpath="core/_seed_stamp.py",
+        source="""
+            def f(self, A):
+                if self._obs:
+                    A.end_at = (next(self._seq), self._now(), self._wid())
+                A.begin_at = (next(self._seq), self._now(), self._wid())
+                A.created_at = A.srcs = None
+        """,
+        line=5,
+        expect="task-record stamp `.begin_at =` not guarded by a cached `_obs` flag",
+        spares="`.end_at =`",
+    ),
+    SeededCase(
         name="eventkind-never-emitted",
         rule="eventkind-coverage",
         relpath="obs/events.py",

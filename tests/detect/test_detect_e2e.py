@@ -13,7 +13,7 @@ from repro.detect.silent import SilentFaultInjector, plan_silent_faults
 from repro.memory.allocator import KeepK
 from repro.memory.blockstore import BlockStore
 from repro.obs.events import EventKind, EventLog
-from repro.obs.replay import assert_consistent
+from repro.runtime.tracing import assert_consistent
 from repro.runtime import InlineRuntime, SimulatedRuntime, ThreadedRuntime
 from repro.runtime.tracing import ExecutionTrace
 

@@ -96,15 +96,17 @@ class TestLateMerge:
         assert [e.seq for e in again] == [0, 1, 2]
 
     def test_interleaving_late_emit_raises(self):
-        """A worker that reserved a sequence number before quiescence but
-        delivered its event after a drain would silently rewrite the
-        drained prefix -- the next drain must refuse, and keep refusing."""
+        """A worker that took its stamp before quiescence but delivered
+        its record after a drain would silently rewrite the drained
+        prefix -- the next drain must refuse, and keep refusing.  (A
+        drained event's seq is its rank, so the prefix reads 0, 1 though
+        the stalled record holds the stamp between them.)"""
         log = EventLog()
-        log.emit(EventKind.NOTIFY, "a", 1)  # seq 0
-        with stalled_emit(log):  # a worker reserves seq 1, then stalls
-            log.emit(EventKind.NOTIFY, "b", 1)  # seq 2
-            assert [e.seq for e in log.events] == [0, 2]  # drained prefix
-        # The stalled worker has now delivered seq 1 -- inside the prefix.
+        log.emit(EventKind.NOTIFY, "a", 1)  # stamp 0
+        with stalled_emit(log):  # a worker takes stamp 1, then stalls
+            log.emit(EventKind.NOTIFY, "b", 1)  # stamp 2
+            assert [(e.seq, e.key) for e in log.events] == [(0, "a"), (1, "b")]
+        # The stalled worker has now delivered stamp 1 -- inside the prefix.
         for _ in range(2):
             with pytest.raises(LateEmitError, match="reorder the drained prefix"):
                 _ = log.events

@@ -1,14 +1,21 @@
 """The EventLog's record/decode split: emission appends flat records and
 allocates nothing the collector tracks; reading decodes them into
-:class:`Event` objects exactly once, and a reader racing an emitter
-never sees part of a record."""
+:class:`Event` objects exactly once, a reader racing an emitter never
+sees part of a record, and a read in the middle of a run sees whole
+task incarnations only."""
 
 import gc
 import sys
 import threading
 import time
+from collections import Counter
 
+from repro.core import FTScheduler
+from repro.core.hooks import NullHooks
+from repro.graph.builders import grid_graph
 from repro.obs.events import EventKind, EventLog
+from repro.runtime import InlineRuntime
+from repro.verify.invariants import check_events
 
 
 class TestEmissionAllocatesNoTrackedObjects:
@@ -86,3 +93,42 @@ class TestReaderRacingEmitter:
         assert len(final) == emitted == log.total_emitted
         assert all(a is b for a, b in zip(final, previous))
         assert [e.seq for e in final] == list(range(emitted))
+
+
+class _ReadMidRun(NullHooks):
+    """Reads the log once, from inside the run, after ``after`` tasks
+    completed."""
+
+    def __init__(self, log, after):
+        self.log, self.after, self.snapshot = log, after, None
+
+    def on_after_notify(self, record):
+        self.after -= 1
+        if self.after == 0:
+            self.snapshot = self.log.events
+
+
+class TestMidRunRead:
+    def test_a_mid_run_read_returns_only_completed_incarnations(self):
+        """An incarnation is handed to the log when it completes, so a
+        read from inside the run holds whole lifecycles of the tasks done
+        so far -- none of a task still waiting or computing -- and the
+        final read extends it with the very same Event objects."""
+        spec = grid_graph(6, 6)
+        log = EventLog()
+        hooks = _ReadMidRun(log, after=10)
+        FTScheduler(spec, InlineRuntime(), hooks=hooks, event_log=log).run()
+        mid = hooks.snapshot
+        done = {(e.key, e.life) for e in mid if e.kind is EventKind.TASK_COMPLETED}
+        assert len(done) == 10
+        assert {(e.key, e.life) for e in mid} == done
+        per_task = Counter((e.key, e.kind) for e in mid)
+        for key, _ in done:
+            assert per_task[key, EventKind.COMPUTE_BEGIN] == 1
+            assert per_task[key, EventKind.NOTIFY] == 1 + len(spec.predecessors(key))
+        final = log.events
+        assert all(a is b for a, b in zip(final, mid))
+        assert [e.seq for e in final] == list(range(len(final)))
+        assert len(final) == 36 * 5 + sum(
+            1 + len(spec.predecessors((i, j))) for i in range(6) for j in range(6))
+        assert check_events(final, spec=spec) == []

@@ -1,7 +1,8 @@
-"""The scheduler's seam into the event log: lifecycle sites write their
-records through ``log.rec`` with stamps bound at construction, and must
-record exactly what ``emit`` would -- in every storage mode, under a
-seal, from many threads, and without keeping a finished log alive."""
+"""The scheduler's seam into the event log: lifecycle phases stamp the
+task record with stamps bound at construction, and each incarnation is
+handed to the log once -- one record that decodes to its lifecycle
+events in every storage mode, under a seal, from many threads, and
+without keeping a finished log alive."""
 
 import gc
 import sys
@@ -10,10 +11,11 @@ import weakref
 import pytest
 
 from repro.core import FTScheduler, NabbitScheduler
+from repro.graph.taskspec import BlockRef
 from repro.graph.builders import grid_graph
 from repro.obs.events import EventKind, EventLog, SealedLogError
-from repro.obs.replay import assert_consistent
 from repro.runtime import InlineRuntime, SimulatedRuntime, ThreadedRuntime
+from repro.runtime.tracing import ExecutionTrace, assert_consistent
 from repro.verify.invariants import check_log
 
 
@@ -25,6 +27,18 @@ def _ft_run(log, spec=None, runtime=None):
 
 def _shape(events):
     return [(e.kind, e.key, e.life, e.data) for e in events]
+
+
+_LIFECYCLE = frozenset({
+    EventKind.TASK_CREATED, EventKind.NOTIFY, EventKind.COMPUTE_BEGIN,
+    EventKind.COMPUTE_END, EventKind.TASK_COMPUTED, EventKind.TASK_COMPLETED,
+})
+
+
+def _records_of(events):
+    """The records a fault-free run's events decode from: one per task
+    incarnation (each completes) and one per event of any other kind."""
+    return sum(e.kind is EventKind.TASK_COMPLETED or e.kind not in _LIFECYCLE for e in events)
 
 
 class TestStorageModes:
@@ -84,7 +98,7 @@ class TestReuseAcrossRuntimes:
                 FTScheduler(spec, runtime, event_log=log).run()
                 events = log.events
                 assert [e.seq for e in events] == list(range(len(events))), f"seed {seed}"
-                assert len(events) == log.total_emitted
+                assert _records_of(events) == log.total_emitted
                 assert check_log(log, spec) == [], f"seed {seed}"
                 log.bind_runtime(InlineRuntime())
         finally:
@@ -127,12 +141,14 @@ class TestNotifySource:
 
 class TestSeal:
     def test_a_scheduler_site_raises_once_the_log_is_sealed(self):
+        """The first completed incarnation's handoff is refused at the
+        site, and the aborted run's leftover records are refused too."""
         log = EventLog()
         scheduler = FTScheduler(grid_graph(3, 3), InlineRuntime(), event_log=log)
         log.seal()
-        with pytest.raises(SealedLogError, match="task_created"):
+        with pytest.raises(SealedLogError, match=r"emit\(task_(record|part)\) on a sealed"):
             scheduler.run()
-        assert log.events == []
+        assert log.events == [] and log.total_emitted == 0
 
     def test_clear_reopens_a_sealed_log(self):
         log = EventLog()
@@ -155,18 +171,28 @@ class TestThreads:
 
     @pytest.mark.parametrize("scheduler", [FTScheduler, NabbitScheduler])
     def test_a_releasing_notification_is_recorded_before_the_compute(self, scheduler):
-        """A task's last NOTIFY record precedes its COMPUTE_BEGIN, because
-        the record is written under the join lock.  A short switch
-        interval makes the reversing interleaving common."""
+        """Every NOTIFY decodes immediately before the COMPUTE_BEGIN of
+        its incarnation (the record places it there), and none is lost:
+        the sources are appended under the join lock, so two notifiers
+        racing to the record's first append cannot drop one.  A 1 us
+        switch interval makes such races common; a lost or duplicated
+        source fails ``join-conservation``/``no-double-notify`` and the
+        fold against the live counters."""
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for seed in range(20):
                 spec = grid_graph(8, 8)
-                log = EventLog()
+                log, trace = EventLog(), ExecutionTrace()
                 runtime = ThreadedRuntime(workers=4, seed=seed, event_log=log)
-                scheduler(spec, runtime, event_log=log).run()
+                scheduler(spec, runtime, trace=trace, event_log=log).run()
                 assert check_log(log, spec) == [], f"seed {seed}"
+                assert_consistent(log, trace)
+                events = log.events
+                for e, after in zip(events, events[1:]):
+                    if e.kind is EventKind.NOTIFY:
+                        assert after.kind in (EventKind.NOTIFY, EventKind.COMPUTE_BEGIN), after
+                        assert (after.key, after.life) == (e.key, e.life)
         finally:
             sys.setswitchinterval(interval)
 
@@ -185,3 +211,59 @@ class TestNoCycle:
             assert dead() is None
         finally:
             gc.enable()
+
+
+def _fails_at(bad):
+    def compute(key, ctx):
+        if key == bad:
+            raise RuntimeError(f"kernel failed on {key}")
+        ctx.write(BlockRef(key, 0), 0)
+    return compute
+
+
+class TestAbortedRun:
+    @pytest.mark.parametrize("runtime", [
+        InlineRuntime, lambda: SimulatedRuntime(workers=4, seed=3),
+        lambda: ThreadedRuntime(workers=4, seed=3),
+    ], ids=["inline", "simulated4", "threaded4"])
+    def test_an_aborted_run_hands_on_its_unfinished_incarnations(self, runtime):
+        """A kernel error aborts the run mid-compute.  The incarnations
+        that never completed are handed on at the end of ``run()``: the
+        failed compute is counted (N(A) counts every attempt), its
+        COMPUTE_BEGIN decodes with no COMPUTE_END, traced and untraced
+        runs count alike, and the log folds back to the live counters."""
+        spec = grid_graph(6, 6, compute=_fails_at((3, 3)))
+        summaries = []
+        for log in (None, EventLog()):
+            trace = ExecutionTrace()
+            with pytest.raises(RuntimeError, match="kernel failed"):
+                FTScheduler(spec, runtime(), trace=trace, event_log=log).run()
+            assert trace.computes[(3, 3)] == 1
+            summaries.append(trace.summary())
+        assert summaries[0] == summaries[1]
+        assert_consistent(log, trace)
+        kinds = [e.kind for e in log.events if e.key == (3, 3)]
+        assert EventKind.COMPUTE_BEGIN in kinds and EventKind.COMPUTE_END not in kinds
+        assert check_log(log, spec, partial=True) == []
+
+
+class TestLateNotification:
+    def test_a_notification_after_the_compute_decodes_after_it(self):
+        """A completed incarnation's record is read when the log is, and
+        its COMPUTE_BEGIN stamp carries the sources that had arrived: a
+        source a broken scheduler adds after the compute began (here by
+        hand, after the run) decodes after the COMPUTE_BEGIN, where the
+        checker convicts it."""
+        spec = grid_graph(3, 3)
+        log = EventLog()
+        scheduler = FTScheduler(spec, InlineRuntime(), event_log=log)
+        scheduler.run()
+        rec, _ = scheduler.map.get((1, 1))
+        rec.srcs += ((0, 1),)  # a second notification from (0, 1)
+        events = [e for e in log.events if e.key == (1, 1)]
+        kinds = [e.kind for e in events]
+        begin = kinds.index(EventKind.COMPUTE_BEGIN)
+        assert kinds[begin + 1] is EventKind.NOTIFY and events[begin + 1].data == {"src": (0, 1)}
+        assert kinds[:begin].count(EventKind.NOTIFY) == 1 + len(spec.predecessors((1, 1)))
+        found = {v.invariant for v in check_log(log, spec)}
+        assert "no-double-notify" in found

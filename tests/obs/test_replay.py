@@ -11,7 +11,7 @@ from repro.faults import FaultInjector, plan_faults
 from repro.faults.model import FaultPlan
 from repro.graph.builders import chain_graph, diamond_graph, grid_graph
 from repro.memory.blockstore import BlockStore
-from repro.obs import EventKind, EventLog, assert_consistent, replay_summary, verify_consistency
+from repro.obs import EventKind, EventLog, assert_consistent, verify_consistency
 from repro.runtime import InlineRuntime, SimulatedRuntime, ThreadedRuntime
 from repro.runtime.tracing import ExecutionTrace
 
@@ -29,13 +29,13 @@ def run_ft(spec, runtime, plan=None, store=None):
 class TestReplayMatchesTrace:
     def test_fault_free_inline(self):
         _, trace, log = run_ft(grid_graph(5, 5), InlineRuntime())
-        assert replay_summary(log.events) == trace.summary()
+        assert ExecutionTrace().fold(log.events).summary() == trace.summary()
 
     def test_faulty_inline(self):
         _, trace, log = run_ft(chain_graph(8), InlineRuntime(),
                                plan=FaultPlan.single(3, "after_compute"))
         assert trace.total_recoveries >= 1
-        assert replay_summary(log.events) == trace.summary()
+        assert ExecutionTrace().fold(log.events).summary() == trace.summary()
 
     @pytest.mark.parametrize("phase", ["before_compute", "after_compute", "after_notify"])
     def test_faulty_simulated_all_phases(self, phase):
@@ -57,12 +57,12 @@ class TestReplayMatchesTrace:
     def test_duplicate_recovery_suppression_replayed(self):
         _, trace, log = run_ft(diamond_graph(width=8), SimulatedRuntime(workers=8, seed=1),
                                plan=FaultPlan.single("src", "after_compute"))
-        assert replay_summary(log.events) == trace.summary()
+        assert ExecutionTrace().fold(log.events).summary() == trace.summary()
 
     def test_per_key_executions_checked(self):
         _, trace, log = run_ft(chain_graph(6), InlineRuntime(),
                                plan=FaultPlan.single(2, "after_compute"))
-        derived = replay_summary(log.events)
+        derived = ExecutionTrace().fold(log.events).summary()
         assert derived["max_executions"] == trace.max_executions
         assert derived["reexecutions"] == trace.reexecutions
 
@@ -71,7 +71,7 @@ class TestReplayMatchesTrace:
         trace = ExecutionTrace()
         log = EventLog()
         NabbitScheduler(spec, InlineRuntime(), trace=trace, event_log=log).run()
-        derived = replay_summary(log.events)
+        derived = ExecutionTrace().fold(log.events).summary()
         assert derived["total_computes"] == trace.total_computes
         assert derived["notifications"] == trace.notifications
 

@@ -6,8 +6,7 @@ somewhere."""
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.events import EventKind, EventLog
-from repro.obs.replay import replay_trace, verify_consistency
-from repro.runtime.tracing import ExecutionTrace
+from repro.runtime.tracing import ExecutionTrace, verify_consistency
 
 
 class TestKindPartition:
@@ -27,7 +26,7 @@ class TestReplayConsumesHandledKinds:
         log = EventLog()
         for kind in EventKind:
             log.emit(kind, ("t", 1), 1, src=("t", 0))
-        trace = replay_trace(log.events)
+        trace = ExecutionTrace().fold(log.events)
         assert trace is not None
 
     @given(
@@ -42,7 +41,7 @@ class TestReplayConsumesHandledKinds:
         for kind, key in events:
             live.note(kind, key)
             log.emit(kind, key, 1)
-        folded = replay_trace(log.events)
+        folded = ExecutionTrace().fold(log.events)
         assert folded.counts == live.counts
         for name in ("computes", "compute_failures", "recoveries"):
             assert getattr(folded, name) == getattr(live, name)

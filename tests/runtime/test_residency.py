@@ -32,7 +32,7 @@ from repro.memory.blockstore import BlockStore
 from repro.memory.context import StoreComputeContext
 from repro.memory.shm import ShmDescriptor
 from repro.obs.events import EventKind, EventLog
-from repro.obs.replay import assert_consistent
+from repro.runtime.tracing import assert_consistent
 from repro.runtime import ClusterRuntime, InlineRuntime, ProcessRuntime, WorkerServer
 from repro.runtime.dispatch import ChannelPool, PipelineChannel, stage
 from repro.runtime.tracing import ExecutionTrace

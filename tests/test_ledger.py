@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core import FTScheduler
+from repro.obs.events import EventKind
 from repro.runtime import InlineRuntime
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,8 +33,8 @@ def test_ledger_check_passes():
     assert "ft-nabbit" in proc.stdout
     rows = {line.split("  ")[0]: line.split() for line in proc.stdout.splitlines()}
     for name in ("ft traced", "nabbit traced"):
-        events = float(rows[name][-1])
-        assert 0 < events <= 8.92, f"{name}: {events} events per task"
+        records = float(rows[name][-1])
+        assert 0 < records <= 1.0, f"{name}: {records} records per task"
     for name in ("procpool lcs", "cluster inproc grid"):
         for kind in ("calls", "locks"):
             line = next(line for line in proc.stdout.splitlines()
@@ -100,42 +102,79 @@ def test_one_more_lock_exit_per_job_fails_the_check():
 
 def _table(ledger, overrides=()):
     """A table at the ceilings' safe side, with ``(row, column) -> value`` overrides:
-    untraced rows a call under their ceilings, traced rows at the per-event one."""
-    columns = ("calls", "events", *ledger.COLUMNS)
+    untraced rows a call under their ceilings, traced rows at the surcharge
+    ceiling over them and at one record per task."""
+    columns = ("calls", "records", *ledger.COLUMNS)
     table = {name: dict.fromkeys(columns, 0.0) for name in ledger.ROWS}
     for name in ("ft", "nabbit"):
         table[name]["calls"] = ledger.MAX_CALLS[name] - 1
         traced = table[f"{name} traced"]
-        traced["events"] = ledger.MAX_EVENTS
-        traced["calls"] = table[name]["calls"] + ledger.MAX_PER_EVENT * ledger.MAX_EVENTS
+        traced["records"] = ledger.MAX_RECORDS
+        traced["calls"] = min(table[name]["calls"] + ledger.MAX_SURCHARGE,
+                              ledger.MAX_CALLS[f"{name} traced"])
     for (name, column), value in dict(overrides).items():
         table[name][column] = value
     return table
 
 
-def test_traced_rows_are_gated_on_calls_and_events():
+def test_traced_rows_are_gated_on_calls_records_and_surcharge():
     ledger = _ledger_module()
     assert ledger.over_budget(_table(ledger)) == []
-    over_calls = _table(ledger, {("ft traced", "calls"): 138.91})
+    over_calls = _table(ledger, {("ft traced", "calls"): 116.31})
     assert ledger.over_budget(over_calls) == [
-        "ft traced: 138.91 calls per task > 138.9",
-        "ft traced: 4.12 calls per event > 4.0",
+        "ft traced: 116.31 calls per task > 116.3",
+        "ft traced: 18.01 calls per task over untraced > 17.6",
     ]
-    over_events = _table(ledger, {("nabbit traced", "events"): 8.9201})
-    assert ledger.over_budget(over_events) == [
-        "nabbit traced: 8.9201 events per task > 8.92"
+    over_records = _table(ledger, {("nabbit traced", "records"): 1.0001})
+    assert ledger.over_budget(over_records) == [
+        "nabbit traced: 1.0001 records per task > 1.0"
     ]
 
 
 def test_an_emit_frame_per_event_fails_the_check_under_every_row_ceiling():
-    """Five calls per event (an emit() frame back on the record path) fails
-    even when every row is under its own ceiling."""
+    """The parent's lifecycle -- a record per event, 8.92 per task -- with
+    an emit() frame on each (five calls per event) fails on records and
+    on the surcharge even when every row is under its own ceiling."""
     ledger = _ledger_module()
-    table = _table(ledger)
+    table = _table(ledger, {("ft traced", "records"): 8.92})
     traced = table["ft traced"]
-    table["ft"]["calls"] = traced["calls"] - 5 * traced["events"]
+    table["ft"]["calls"] = traced["calls"] - 5 * traced["records"]
     assert traced["calls"] < ledger.MAX_CALLS["ft traced"]
-    assert ledger.over_budget(table) == ["ft traced: 5.00 calls per event > 4.0"]
+    assert ledger.over_budget(table) == [
+        "ft traced: 8.9200 records per task > 1.0",
+        "ft traced: 44.60 calls per task over untraced > 17.6",
+    ]
+
+
+class _PerEdgeNotify(FTScheduler):
+    """The parent's per-edge NOTIFY: a record of its own through
+    ``rec.put`` for every notification, where the source would ride the
+    task record."""
+
+    def _notify_once(self, A, key, pkey, life, mask):
+        with A.lock:
+            A.bit_vector ^= mask
+            A.join -= 1
+            val = A.join
+            self.log.rec.put((next(self._seq), self._now(), self._wid(),
+                              EventKind.NOTIFY, key, life, {"src": pkey}))
+        if val == 0:
+            self._compute_and_notify(A, key, life)
+
+
+def test_the_parents_per_edge_notify_record_fails_the_traced_ceilings(monkeypatch):
+    ledger = _ledger_module()
+    monkeypatch.setitem(ledger.ROWS, "ft traced", (_PerEdgeNotify, True))
+    spec = ledger.grid_graph(48, 48, compute=ledger._noop)
+    table = {
+        name: ledger.ledger(sched, spec, 48 * 48, timed=False, traced=traced)
+        for name, (sched, traced) in ledger.ROWS.items()
+    }
+    failures = ledger.over_budget(table)
+    assert [line.split(":")[0] for line in failures] == ["ft traced"] * 3
+    assert "calls per task >" in failures[0]
+    assert "records per task" in failures[1] and "over untraced" in failures[2]
+    assert table["ft traced"]["records"] > 4.9
 
 
 class _WrappedFrames(InlineRuntime):
@@ -149,7 +188,8 @@ class _WrappedFrames(InlineRuntime):
 def test_one_more_call_per_frame_fails_the_check_under_every_row_ceiling(monkeypatch):
     """The ceilings sit under one call per spawned frame above the reading:
     the grid spawns 5.92 frames per task, so wrapping each one fails every
-    row, traced or not, while the per-event and FT-NABBIT gates still pass."""
+    row, traced or not, while the record, surcharge and FT-NABBIT gates
+    still pass."""
     ledger = _ledger_module()
     monkeypatch.setattr(ledger, "InlineRuntime", _WrappedFrames)
     spec = ledger.grid_graph(48, 48, compute=ledger._noop)
