@@ -1,6 +1,7 @@
 """Per-task cost ledger, FT vs NABBIT, on the warm no-op 48x48 grid,
-per-tile call counts of the wavefront kernels, and the parent's cost of
-one remote job.
+per-tile call counts of the wavefront kernels, per-operation counts of
+the simulator loop and the telemetry instruments, and the parent's cost
+of one remote job.
 
     PYTHONPATH=src python benchmarks/ledger.py [rows cols]
     PYTHONPATH=src python benchmarks/ledger.py --check
@@ -11,15 +12,26 @@ exact and host-independent (``cProfile`` call counts over one run on
 timing (best of 15 unprofiled runs).  The ``traced`` rows run the same
 schedulers with a live ``EventLog``: the bill for watching, as a count
 of calls and of log records per task (``len(log)``: a task incarnation
-is one record, however many events it decodes to).  The kernel rows profile one
-``lcs_block``/``sw_block`` call on a random b x b tile: the Python-level
-calls it makes, which grow with the number of vectorized sweeps.  The
-remote rows count what the parent's scheduler thread does per remote
-job, from ``compute_dispatch`` down (``sys.setprofile`` on that thread
-only, so the worker's side is not in them): calls and lock exits, split
-into the layers a job passes through.  ``procpool lcs`` is
-``ProcessRuntime(workers=1)`` on the ``lcs_procpool`` graph (LCS n = 88,
-b = 8) over a shared store; ``cluster inproc grid`` is ``ClusterRuntime``
+is one record, however many events it decodes to).  The ``ft cold``
+row runs FT on a fresh spec, so it also counts compiling every task's
+plan (``spec.plans``): the run-once user's cost.  The ``obs/live.py``
+column counts calls into the live-telemetry module; no row enables
+metrics, so it must read 0 (the telemetry-off cost is a cached ``is``
+test, no call).  The kernel rows profile one ``lcs_block``/``sw_block``
+call on a random b x b tile: the Python-level calls it makes, which
+grow with the number of vectorized sweeps.  The per-op rows count
+``SimulatedRuntime(seed=1)`` per frame on a binary spawn tree of trivial
+frames (``sim tree``: depth 14 on 8 workers; ``sim storm``: depth 10 on
+32, a park/unpark and steal-probe storm), and the ``obs.live``
+instruments per operation (``Counter.inc``, ``Histogram.observe``) and
+per sample (``registry.collect`` over 32 counters, 32 callback gauges
+and a histogram).  The remote rows count what the parent's scheduler
+thread does per remote job, from ``compute_dispatch`` down
+(``sys.setprofile`` on that thread only, so the worker's side is not in
+them): calls and lock exits, split into the layers a job passes
+through, and calls into ``obs/live.py`` (which must be 0).  ``procpool
+lcs`` is ``ProcessRuntime(workers=1)`` on the ``lcs_procpool`` graph
+(LCS n = 88, b = 8) over a shared store; ``cluster inproc grid`` is ``ClusterRuntime``
 over an ``inproc://`` worker server on the no-op 48x48 grid.  Point
 PYTHONPATH at another checkout's ``src`` to get that revision's ledger.
 
@@ -41,10 +53,17 @@ import numpy as np
 from repro import BlockRef, BlockStore, EventLog, FTScheduler, NabbitScheduler, grid_graph
 from repro.apps import AppConfig, make_app
 from repro.apps.kernels import lcs_block, sw_block
-from repro.runtime import ClusterRuntime, InlineRuntime, ProcessRuntime, WorkerServer
+from repro.obs.live import MetricsRegistry
+from repro.runtime import (
+    ClusterRuntime, InlineRuntime, ProcessRuntime, SimulatedRuntime, WorkerServer,
+)
+
+#: Calls into this module are the telemetry-on cost; with metrics off
+#: (every row here) they must be 0.
+LIVE = "obs/live.py"
 
 #: Ledger column -> the profiled functions it sums ((file suffix, name);
-#: an empty suffix matches builtins by name).
+#: an empty suffix matches builtins by name, a None name every function).
 COLUMNS = {
     "lock acq": [("", "<method '__exit__' of '_thread.lock' objects>")],
     "spec calls": [("explicit.py", n) for n in ("predecessors", "successors", "producer")]
@@ -52,15 +71,17 @@ COLUMNS = {
     "map.get/_stale": [("taskmap.py", "get"), ("ft.py", "_stale")],
     "bit calls": [("records.py", "try_unset_bit"), ("taskspec.py", "pred_index")],
     "BlockRef()": [("<string>", "<lambda>")],
+    LIVE: [(LIVE, None)],
 }
 
 
-#: Ledger row -> (scheduler, runs with a live EventLog).
+#: Ledger row -> (scheduler, runs with a live EventLog, runs on a fresh spec).
 ROWS = {
-    "ft": (FTScheduler, False),
-    "nabbit": (NabbitScheduler, False),
-    "ft traced": (FTScheduler, True),
-    "nabbit traced": (NabbitScheduler, True),
+    "ft": (FTScheduler, False, False),
+    "nabbit": (NabbitScheduler, False, False),
+    "ft traced": (FTScheduler, True, False),
+    "nabbit traced": (NabbitScheduler, True, False),
+    "ft cold": (FTScheduler, False, True),
 }
 
 #: ``--check`` ceilings, profiled calls per task on the 48x48 grid: each
@@ -77,8 +98,11 @@ ROWS = {
 #: neither scheduler calls back into the spec or the bit helpers).  The
 #: call ceilings sit ~0.6 above the reading (98.72 / 86.12 untraced,
 #: 115.73 / 103.13 traced), so one more Python call per spawned frame
-#: (5.92 per task) fails every row.
-MAX_CALLS = {"ft": 99.3, "nabbit": 86.7, "ft traced": 116.3, "nabbit traced": 103.7}
+#: (5.92 per task) fails every row.  The cold row reads 126.23: building
+#: the plans costs 27.51 calls per task on top of the warm run.
+MAX_CALLS = {
+    "ft": 99.3, "nabbit": 86.7, "ft traced": 116.3, "nabbit traced": 103.7, "ft cold": 126.8,
+}
 MAX_RECORDS = 1.0
 MAX_SURCHARGE = 17.6
 MAX_GAP = 13.1
@@ -93,6 +117,23 @@ KERNELS = {"lcs_block": lcs_block, "sw_block": sw_block}
 MAX_KERNEL_CALLS = {
     ("lcs_block", 8): 16, ("lcs_block", 64): 72, ("sw_block", 8): 22, ("sw_block", 64): 78,
 }
+
+#: Per-op rows: name -> (what one operation is, its reading in profiled
+#: calls per operation).  The ``--check`` ceiling is the reading plus
+#: OP_SLACK, so one more call per frame, instrument call or sample fails.
+OP_READING = {
+    "sim tree": ("frame", 8.56),
+    "sim storm": ("frame", 13.90),
+    "Counter.inc": ("op", 2.00),
+    "Histogram.observe": ("op", 3.00),
+    "registry.collect": ("sample", 5.01),
+}
+OP_SLACK = 0.5
+MAX_OP_CALLS = {name: reading + OP_SLACK for name, (_, reading) in OP_READING.items()}
+#: (depth, workers) of the simulator rows' spawn trees.
+SIM_TREES = {"sim tree": (14, 8), "sim storm": (10, 32)}
+#: Operations per instrument row.
+INSTRUMENT_OPS = 4096
 
 
 #: Remote rows: the layers of one job, in the order it meets them.  A
@@ -113,6 +154,8 @@ LAYERS = {
     "write": "write-back", "peek": "write-back", "put": "write-back",
 }
 LAYER_NAMES = ("gate", "place", "stage", "send", "await", "decode", "write-back", "own")
+#: What the remote rows count per layer: calls, lock exits, calls into LIVE.
+REMOTE_KINDS = ("calls", "locks", "live")
 LOCK_TYPES = (type(threading.Lock()), type(threading.RLock()))
 
 #: Remote rows' reading per job, (calls, lock exits), and the ``--check``
@@ -131,41 +174,124 @@ def _noop(key, ctx):
     ctx.write(BlockRef(key, 0), 0)
 
 
-def ledger(scheduler, spec, tasks: int, timed: bool = True, traced: bool = False) -> dict[str, float]:
-    def run():
+def _profiled(fn, *args):
+    """``fn(*args)`` under cProfile: its result and its pstats table,
+    (file, line, name) -> (cc, nc, tt, ct, callers)."""
+    prof = cProfile.Profile()
+    result = prof.runcall(fn, *args)
+    return result, pstats.Stats(prof).stats
+
+
+def _calls(stats) -> int:
+    return sum(v[1] for v in stats.values())
+
+
+def ledger(scheduler, rows: int, cols: int, timed: bool = True, traced: bool = False,
+           cold: bool = False) -> dict[str, float]:
+    warm = grid_graph(rows, cols, compute=_noop)
+    tasks = rows * cols
+
+    def next_spec():
+        return grid_graph(rows, cols, compute=_noop) if cold else warm
+
+    def run(spec):
         log = EventLog() if traced else None
         scheduler(spec, InlineRuntime(), store=BlockStore(), event_log=log).run()
         return log
 
-    run()  # warm: plans built, caches filled
-    prof = cProfile.Profile()
-    log = prof.runcall(run)
-    stats = pstats.Stats(prof).stats  # (file, line, name) -> (cc, nc, tt, ct, callers)
-    row = {"calls": sum(v[1] for v in stats.values()) / tasks}
+    run(warm)  # warm: plans built, caches filled
+    log, stats = _profiled(run, next_spec())
+    row = {"calls": _calls(stats) / tasks}
     for column, wanted in COLUMNS.items():
         row[column] = sum(
             v[1] for (path, _, name), v in stats.items()
-            if any(path.endswith(suffix) and name == fn for suffix, fn in wanted)
+            if any(path.endswith(suffix) and fn in (None, name) for suffix, fn in wanted)
         ) / tasks
     row["records"] = len(log) / tasks if traced else 0.0
     if timed:
-        row["us"] = min(_timed(run) for _ in range(15)) / tasks * 1e6
+        row["us"] = min(_timed(run, next_spec()) for _ in range(15)) / tasks * 1e6
     return row
 
 
-def _timed(run) -> float:
+def task_rows(rows: int, cols: int, timed: bool = True) -> dict[str, dict[str, float]]:
+    """Every ROWS row on the rows x cols grid."""
+    return {
+        name: ledger(sched, rows, cols, timed=timed, traced=traced, cold=cold)
+        for name, (sched, traced, cold) in ROWS.items()
+    }
+
+
+def _timed(run, spec) -> float:
     t0 = time.perf_counter()
-    run()
+    run(spec)
     return time.perf_counter() - t0
 
 
+def _spawn_tree(runtime, depth: int):
+    """A binary spawn tree of trivial frames: the simulator loop's own
+    cost, with no scheduler or kernel work in it."""
+
+    def node(d):
+        if d > 0:
+            runtime.spawn(node, d - 1)
+            runtime.spawn(node, d - 1)
+
+    return lambda: node(depth)
+
+
+def sim_calls(depth: int, workers: int) -> float:
+    """Profiled calls per frame of one ``SimulatedRuntime`` execution."""
+    runtime = SimulatedRuntime(workers=workers, seed=1)
+    result, stats = _profiled(runtime.execute, _spawn_tree(runtime, depth))
+    return _calls(stats) / result.frames
+
+
+def instrument_calls() -> dict[str, float]:
+    """Profiled calls per ``Counter.inc`` and ``Histogram.observe``, and
+    per sample of one ``registry.collect()``."""
+    instruments = MetricsRegistry()
+    inc = instruments.counter("ledger_total", "probe").inc
+    observe = instruments.histogram("ledger_seconds", "probe").observe
+
+    def repeat(op, *args):
+        for _ in range(INSTRUMENT_OPS):
+            op(*args)
+
+    registry = MetricsRegistry()
+    for i in range(32):
+        registry.counter("ledger_total", "probe", idx=i).inc()
+        registry.callback_gauge("ledger_gauge", lambda: 0.0, "probe", idx=i)
+    registry.histogram("ledger_seconds", "probe").observe(1e-4)
+    samples, stats = _profiled(registry.collect)
+    return {
+        "Counter.inc": _calls(_profiled(repeat, inc)[1]) / INSTRUMENT_OPS,
+        "Histogram.observe": _calls(_profiled(repeat, observe, 1.3e-4)[1]) / INSTRUMENT_OPS,
+        "registry.collect": _calls(stats) / len(samples),
+    }
+
+
+def op_rows() -> dict[str, float]:
+    table = {name: sim_calls(*tree) for name, tree in SIM_TREES.items()}
+    table.update(instrument_calls())
+    return table
+
+
+def ops_over_budget(table: dict[str, float]) -> list[str]:
+    """The per-op rows' ``--check`` verdict: one line per ceiling exceeded."""
+    return [
+        f"{name}: {table[name]:.2f} calls per {OP_READING[name][0]} > {limit}"
+        for name, limit in MAX_OP_CALLS.items() if table[name] > limit
+    ]
+
+
 class _JobProfile:
-    """A ``sys.setprofile`` hook: calls and lock exits per layer of the
-    jobs it sees, one ``compute_dispatch`` call at a time."""
+    """A ``sys.setprofile`` hook: calls, lock exits and calls into LIVE
+    per layer of the jobs it sees, one ``compute_dispatch`` call at a time."""
 
     def __init__(self) -> None:
         self.calls: Counter = Counter()
         self.locks: Counter = Counter()
+        self.live: Counter = Counter()
         self.jobs = 0
         self._stack: list[tuple[str, bool]] = []  # (layer, an OWN_FRAMES frame)
 
@@ -182,6 +308,8 @@ class _JobProfile:
                 entry = (stack[-1][0], False)
             stack.append(entry)
             self.calls[entry[0]] += 1
+            if frame.f_code.co_filename.endswith(LIVE):
+                self.live[entry[0]] += 1
         elif event == "return":
             if stack:
                 stack.pop()
@@ -194,12 +322,12 @@ class _JobProfile:
     def row(self) -> dict[str, dict[str, float]]:
         return {
             kind: {layer: counts[layer] / self.jobs for layer in LAYER_NAMES}
-            for kind, counts in (("calls", self.calls), ("locks", self.locks))
+            for kind, counts in zip(REMOTE_KINDS, (self.calls, self.locks, self.live))
         }
 
 
 def remote_ledger(runtime, spec, make_store) -> dict[str, dict[str, float]]:
-    """Calls and lock exits per job, per layer, on ``runtime``'s
+    """Calls, lock exits and calls into LIVE per job, per layer, on ``runtime``'s
     scheduler thread, over the second of two runs (the first warms)."""
     prof = _JobProfile()
     dispatch = runtime.compute_dispatch
@@ -244,6 +372,9 @@ def remote_over_budget(table: dict[str, dict[str, dict[str, float]]]) -> list[st
             failures.append(f"{name}: {calls:.2f} calls per job > {max_calls}")
         if locks > max_locks:
             failures.append(f"{name}: {locks:.2f} lock exits per job > {max_locks}")
+        live = sum(table[name]["live"].values())
+        if live:
+            failures.append(f"{name}: {live:.2f} calls into {LIVE} per job, not 0")
     return failures
 
 
@@ -252,9 +383,7 @@ def kernel_calls(kernel, b: int) -> int:
     rng = np.random.default_rng(b)
     xs, ys = rng.integers(0, 4, (2, b)).astype(np.int8)
     edge = np.zeros(b, np.int32)
-    prof = cProfile.Profile()
-    prof.runcall(kernel, xs, ys, edge, edge, 0)
-    return sum(v[1] for v in pstats.Stats(prof).stats.values())
+    return _calls(_profiled(kernel, xs, ys, edge, edge, 0)[1])
 
 
 def kernels_over_budget(counts: dict[tuple[str, int], int]) -> list[str]:
@@ -276,6 +405,10 @@ def over_budget(table: dict[str, dict[str, float]]) -> list[str]:
         f"{name}: {row['records']:.4f} records per task > {MAX_RECORDS}"
         for name, row in table.items() if row["records"] > MAX_RECORDS
     ]
+    failures += [
+        f"{name}: {row[LIVE]:.4f} calls into {LIVE} per task, not 0"
+        for name, row in table.items() if row[LIVE]
+    ]
     for name in ("ft", "nabbit"):
         surcharge = round(table[f"{name} traced"]["calls"] - table[name]["calls"], 2)
         if surcharge > MAX_SURCHARGE:
@@ -294,11 +427,7 @@ def over_budget(table: dict[str, dict[str, float]]) -> list[str]:
 def main(argv: list[str]) -> int:
     check = argv == ["--check"]
     rows, cols = (int(argv[0]), int(argv[1])) if len(argv) == 2 else (48, 48)
-    spec = grid_graph(rows, cols, compute=_noop)
-    table = {
-        name: ledger(sched, spec, rows * cols, timed=not check, traced=traced)
-        for name, (sched, traced) in ROWS.items()
-    }
+    table = task_rows(rows, cols, timed=not check)
     table["ft-nabbit"] = {n: v - table["nabbit"][n] for n, v in table["ft"].items()}
     names = list(table["ft"])
     print(f"{'per task':<14}" + "".join(f"{n:>16}" for n in names))
@@ -309,13 +438,17 @@ def main(argv: list[str]) -> int:
     print(f"\n{'per tile':<14}{'calls':>16}")
     for (name, b), calls in counts.items():
         print(f"{f'{name} b={b}':<14}{calls:>16}")
+    ops = op_rows()
+    print(f"\n{'per op':<26}{'calls':>8}")
+    for name, calls in ops.items():
+        print(f"{f'{name} ({OP_READING[name][0]})':<26}{calls:>8.2f}")
     remote = remote_rows(rows, cols)
     print(f"\n{'per job':<26}" + "".join(f"{n:>11}" for n in LAYER_NAMES) + f"{'total':>11}")
     for name, row in remote.items():
         for kind, layers in row.items():
             print(f"{f'{name} {kind}':<26}" + "".join(
                 f"{layers[n]:>11.2f}" for n in LAYER_NAMES) + f"{sum(layers.values()):>11.2f}")
-    failures = (over_budget(table) + kernels_over_budget(counts)
+    failures = (over_budget(table) + kernels_over_budget(counts) + ops_over_budget(ops)
                 + remote_over_budget(remote)) if check else []
     for line in failures:
         print(f"ledger check FAILED: {line}", file=sys.stderr)

@@ -21,12 +21,6 @@ Commands:
   scheduler itself: concurrency lints, the Guarantee 1-4 trace-invariant
   checker, and bounded schedule exploration with seeded-bug mutation
   testing (``python -m repro verify static``; see docs/VERIFICATION.md).
-* ``perf`` -- the statistical micro suite (end-to-end runs are
-  ``benchmarks/e2e``'s): scheduler structure ops, tracing-on/off
-  throughput, simulator events/sec, telemetry and wire costs, the bare
-  dispatch round trip; gates against a committed baseline
-  (``python -m repro perf --baseline BENCH_seed.json``; see
-  docs/PERFORMANCE.md).
 * ``worker`` -- run a :class:`~repro.runtime.cluster.WorkerServer`: a
   compute server a ClusterRuntime parent dispatches task phases to
   (``python -m repro worker --listen tcp://0.0.0.0:7070``; see
@@ -116,10 +110,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.verify.cli import main as verify_main
 
         return verify_main(rest)
-    if cmd == "perf":
-        from repro.perf.cli import main as perf_main
-
-        return perf_main(rest)
     if cmd == "worker":
         from repro.runtime.cluster_cli import worker_main
 
@@ -134,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
         return _about()
     print(
         f"unknown command {cmd!r}; expected "
-        "harness | trace | top | detect | verify | perf | worker | cluster | "
+        "harness | trace | top | detect | verify | worker | cluster | "
         "validate | about"
     )
     return 2

@@ -184,19 +184,32 @@ class NabbitScheduler:
             sink.created_at = (next(self._seq), self._now(), self._wid())
         try:
             run = self.runtime.execute(self._root(sink, skey, life))
-        finally:
-            final, _ = self.map.get(skey)
-            status = final.status if final is not None else None  # verify: ok=lock-discipline (post-quiescence read; every worker has drained)
-            # Incarnations that never completed hand on what they recorded:
-            # the replaced ones, and every one of a run that did not finish.
-            for A in (*self.map.retired, *(() if status is _COMPLETED else self.map.records())):
-                self._hand_part(A)
+        except BaseException as exc:
+            # The handoff still runs, but the run's own error is the one
+            # raised; a handoff error rides it as a note (``add_note`` on 3.11+).
+            try:
+                self._hand_parts(skey)
+            except Exception as handoff:
+                note = f"end-of-run handoff also failed: {handoff!r}"
+                setattr(exc, "__notes__", [*getattr(exc, "__notes__", ()), note])
+            raise
+        status = self._hand_parts(skey)
         if status is not _COMPLETED:
             raise SchedulerError(
                 f"execution quiesced but sink {skey!r} is "
                 f"{status.name if status else 'missing'} -- hung task graph"
             )
         return SchedulerResult(run=run, trace=self.trace, store=self.store, scheduler=self.name)
+
+    def _hand_parts(self, skey: Key) -> TaskStatus | None:
+        """Hand on what never-completed incarnations recorded -- the
+        replaced ones, and every one of a run that did not finish -- and
+        return the sink's final status."""
+        final, _ = self.map.get(skey)
+        status = final.status if final is not None else None  # verify: ok=lock-discipline (post-quiescence read; every worker has drained)
+        for A in (*self.map.retired, *(() if status is _COMPLETED else self.map.records())):
+            self._hand_part(A)
+        return status
 
     def _root(self, sink: TaskRecord, skey: Key, life: int) -> Callable[[], None]:
         """The root frame's body: INITANDCOMPUTE on the sink."""

@@ -1,166 +1,9 @@
-"""Statistical microbenchmark runner.
-
-Timing discipline (the dask/distributed & pyperf folk wisdom, condensed):
-
-* **warmup** -- the first ``warmup`` invocations are discarded: they pay
-  import costs, allocator warmup, and branch-predictor cold starts that
-  steady-state throughput never sees.
-* **min-of-k** -- each retained *sample* is the best of ``k``
-  back-to-back timings of the same freshly-set-up workload.  The minimum
-  is the least-noise estimator for CPU-bound code: every source of
-  interference (GC, scheduler preemption, turbo transitions) only ever
-  adds time.
-* **bootstrap CI** -- the reported median carries a percentile-bootstrap
-  confidence interval over the retained samples, so two BENCH files can
-  be compared without pretending timing noise is Gaussian.
-* **calibration** -- every run also times a fixed pure-Python spin loop.
-  Scores divided by the calibration score are roughly machine-portable,
-  which is what makes a *committed* baseline JSON meaningful on CI
-  hardware that is not the hardware that produced it.
-
-A :class:`Benchmark` is a factory: ``make()`` performs setup and returns
-a zero-argument callable that executes one batch and returns the number
-of operations it performed.  Fresh state per sample keeps single-use
-objects (schedulers) honest and stops cross-sample cache pollution.
-"""
+"""Calibration: the score of a fixed pure-Python spin loop."""
 
 from __future__ import annotations
 
 import math
-import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-
-@dataclass(frozen=True)
-class Benchmark:
-    """One named workload: ``make()`` -> batch callable -> ops performed."""
-
-    name: str
-    group: str
-    make: Callable[[], Callable[[], int]]
-    unit: str = "ops/s"
-    higher_is_better: bool = True
-    description: str = ""
-
-
-@dataclass(frozen=True)
-class RunnerConfig:
-    """Sampling parameters shared by a whole suite run."""
-
-    repeats: int = 5
-    """Retained samples per benchmark."""
-    k: int = 3
-    """Timings per sample; the best (fastest) one is kept."""
-    warmup: int = 1
-    """Leading invocations discarded before sampling starts."""
-    bootstrap: int = 2000
-    """Bootstrap resamples for the confidence interval."""
-    seed: int = 0
-    """Bootstrap RNG seed (determinism of the CI, not of the timings)."""
-
-    def scaled_down(self) -> "RunnerConfig":
-        """The quick/selftest variant: enough to exercise every code
-        path, not enough to produce publishable numbers."""
-        return RunnerConfig(repeats=2, k=1, warmup=1, bootstrap=200, seed=self.seed)
-
-
-@dataclass
-class BenchResult:
-    """Median + CI of one benchmark's throughput samples."""
-
-    name: str
-    group: str
-    unit: str
-    higher_is_better: bool
-    samples: list[float] = field(default_factory=list)
-    median: float = 0.0
-    ci_lo: float = 0.0
-    ci_hi: float = 0.0
-    ops_per_batch: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "unit": self.unit,
-            "higher_is_better": self.higher_is_better,
-            "median": self.median,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-            "samples": self.samples,
-            "ops_per_batch": self.ops_per_batch,
-        }
-
-
-def median(values: Sequence[float]) -> float:
-    xs = sorted(values)
-    n = len(xs)
-    if not n:
-        raise ValueError("empty sample set")
-    mid = n // 2
-    return xs[mid] if n % 2 else 0.5 * (xs[mid - 1] + xs[mid])
-
-
-def bootstrap_ci(
-    samples: Sequence[float],
-    n_boot: int = 2000,
-    alpha: float = 0.05,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Percentile-bootstrap CI for the median of ``samples``.
-
-    Deterministic given ``seed``; degenerates gracefully for tiny sample
-    sets (with one sample the interval collapses onto it).
-    """
-    xs = list(samples)
-    if not xs:
-        raise ValueError("empty sample set")
-    if len(xs) == 1:
-        return xs[0], xs[0]
-    rng = random.Random(seed)
-    n = len(xs)
-    meds = sorted(median([xs[rng.randrange(n)] for _ in range(n)]) for _ in range(n_boot))
-    lo = meds[max(0, int(math.floor(alpha / 2 * n_boot)) - 1)]
-    hi = meds[min(n_boot - 1, int(math.ceil((1 - alpha / 2) * n_boot)) - 1)]
-    return lo, hi
-
-
-def run_benchmark(bench: Benchmark, config: RunnerConfig | None = None) -> BenchResult:
-    """Time ``bench`` under ``config`` and summarize the samples."""
-    cfg = config or RunnerConfig()
-    perf = time.perf_counter
-    samples: list[float] = []
-    ops_per_batch = 0
-    for _ in range(cfg.warmup):
-        batch = bench.make()
-        batch()
-    for _ in range(cfg.repeats):
-        best = math.inf
-        for _ in range(cfg.k):
-            batch = bench.make()
-            t0 = perf()
-            ops = batch()
-            dt = perf() - t0
-            ops_per_batch = ops
-            if dt <= 0.0:  # clock resolution floor; count it as one tick
-                dt = 1e-9
-            per_op = dt / max(1, ops)
-            if per_op < best:
-                best = per_op
-        samples.append(1.0 / best)
-    lo, hi = bootstrap_ci(samples, n_boot=cfg.bootstrap, seed=cfg.seed)
-    return BenchResult(
-        name=bench.name,
-        group=bench.group,
-        unit=bench.unit,
-        higher_is_better=bench.higher_is_better,
-        samples=samples,
-        median=median(samples),
-        ci_lo=lo,
-        ci_hi=hi,
-        ops_per_batch=ops_per_batch,
-    )
 
 
 def calibrate(loops: int = 200_000, k: int = 3) -> float:
@@ -181,19 +24,3 @@ def calibrate(loops: int = 200_000, k: int = 3) -> float:
         dt = perf() - t0
         best = min(best, max(dt, 1e-9))
     return loops / best
-
-
-def run_suite(
-    benches: Sequence[Benchmark],
-    config: RunnerConfig | None = None,
-    progress: Callable[[str, BenchResult], None] | None = None,
-) -> dict[str, BenchResult]:
-    """Run every benchmark and return ``{name: result}`` in suite order."""
-    cfg = config or RunnerConfig()
-    out: dict[str, BenchResult] = {}
-    for bench in benches:
-        result = run_benchmark(bench, cfg)
-        out[bench.name] = result
-        if progress is not None:
-            progress(bench.name, result)
-    return out

@@ -146,9 +146,26 @@ class TestSeal:
         log = EventLog()
         scheduler = FTScheduler(grid_graph(3, 3), InlineRuntime(), event_log=log)
         log.seal()
-        with pytest.raises(SealedLogError, match=r"emit\(task_(record|part)\) on a sealed"):
+        with pytest.raises(SealedLogError, match=r"emit\(task_record\) on a sealed"):
             scheduler.run()
         assert log.events == [] and log.total_emitted == 0
+
+    @pytest.mark.parametrize("scheduler", [FTScheduler, NabbitScheduler])
+    def test_a_kernels_error_survives_the_refused_handoff(self, scheduler):
+        """A kernel that seals the log and raises: the end-of-run handoff
+        is refused too, but the run raises the kernel's error, with the
+        refusal noted on it rather than in its place."""
+        log = EventLog()
+
+        def seal_and_fail(key, ctx):
+            log.seal()
+            raise ValueError(f"kernel {key!r} failed")
+
+        spec = grid_graph(3, 3, compute=seal_and_fail)
+        with pytest.raises(ValueError, match="kernel") as info:
+            scheduler(spec, InlineRuntime(), event_log=log).run()
+        (note,) = info.value.__notes__
+        assert note.startswith("end-of-run handoff also failed: SealedLogError('emit(task_part)")
 
     def test_clear_reopens_a_sealed_log(self):
         log = EventLog()

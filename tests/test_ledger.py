@@ -1,17 +1,20 @@
 """The call ledger as a gate: ``benchmarks/ledger.py --check`` runs as a
-subprocess and must find every per-task and per-tile count under its ceiling."""
+subprocess and must find every per-task, per-tile, per-op and per-job
+count under its ceiling."""
 
 import importlib.util
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
 from repro.core import FTScheduler
 from repro.obs.events import EventKind
-from repro.runtime import InlineRuntime
+from repro.obs.live import Counter, MetricsRegistry
+from repro.runtime import InlineRuntime, SimulatedRuntime
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,6 +43,10 @@ def test_ledger_check_passes():
             line = next(line for line in proc.stdout.splitlines()
                         if line.startswith(f"{name} {kind} "))
             assert float(line.split()[-1]) > 0, line
+    assert float(rows["ft cold"][2]) > float(rows["ft"][1])  # the plans are built
+    for name in ("sim tree (frame)", "sim storm (frame)", "Counter.inc (op)",
+                 "Histogram.observe (op)", "registry.collect (sample)"):
+        assert float(rows[name][-1]) > 0, name
 
 
 #: The parent's side of a remote job before the flusher role and the
@@ -58,18 +65,23 @@ PARENT_REMOTE = {
 
 
 def _remote_table(ledger, rows):
-    """``{row: {kind: [per-layer values]}}`` as the ledger tabulates it."""
+    """``{row: {kind: [per-layer values]}}`` as the ledger tabulates it (a
+    kind not given reads 0 in every layer)."""
+    zero = [0.0] * len(ledger.LAYER_NAMES)
     return {
-        name: {kind: dict(zip(ledger.LAYER_NAMES, values)) for kind, values in kinds.items()}
+        name: {kind: dict(zip(ledger.LAYER_NAMES, kinds.get(kind, zero)))
+               for kind in ledger.REMOTE_KINDS}
         for name, kinds in rows.items()
     }
 
 
-def _at_reading(ledger, extra_locks=0.0):
-    """Each remote row at its committed reading, all in ``own``."""
+def _at_reading(ledger, extra_locks=0.0, live=0.0):
+    """Each remote row at its committed reading, all in ``own``, with
+    ``live`` calls into obs/live.py per job."""
     zero = [0.0] * (len(ledger.LAYER_NAMES) - 1)
     return _remote_table(ledger, {
-        name: {"calls": [*zero, calls], "locks": [*zero, locks + extra_locks]}
+        name: {"calls": [*zero, calls], "locks": [*zero, locks + extra_locks],
+               "live": [*zero, live]}
         for name, (calls, locks) in ledger.REMOTE_READING.items()
     })
 
@@ -164,12 +176,8 @@ class _PerEdgeNotify(FTScheduler):
 
 def test_the_parents_per_edge_notify_record_fails_the_traced_ceilings(monkeypatch):
     ledger = _ledger_module()
-    monkeypatch.setitem(ledger.ROWS, "ft traced", (_PerEdgeNotify, True))
-    spec = ledger.grid_graph(48, 48, compute=ledger._noop)
-    table = {
-        name: ledger.ledger(sched, spec, 48 * 48, timed=False, traced=traced)
-        for name, (sched, traced) in ledger.ROWS.items()
-    }
+    monkeypatch.setitem(ledger.ROWS, "ft traced", (_PerEdgeNotify, True, False))
+    table = ledger.task_rows(48, 48, timed=False)
     failures = ledger.over_budget(table)
     assert [line.split(":")[0] for line in failures] == ["ft traced"] * 3
     assert "calls per task >" in failures[0]
@@ -185,23 +193,83 @@ class _WrappedFrames(InlineRuntime):
         self._stack.append((lambda: fn(*args), ()))
 
 
+class _WrappedSimFrames(SimulatedRuntime):
+    """The simulator with the same closure around every spawned frame."""
+
+    def spawn(self, fn, *args, label=""):
+        self._spawn_buffer.append((lambda: fn(*args), (), label))
+        self._accum += self._spawn_cost
+
+
 def test_one_more_call_per_frame_fails_the_check_under_every_row_ceiling(monkeypatch):
     """The ceilings sit under one call per spawned frame above the reading:
     the grid spawns 5.92 frames per task, so wrapping each one fails every
-    row, traced or not, while the record, surcharge and FT-NABBIT gates
-    still pass."""
+    row, traced, untraced or cold, while the record, surcharge and
+    FT-NABBIT gates still pass; on the simulator it fails both spawn-tree
+    rows and no instrument row."""
     ledger = _ledger_module()
     monkeypatch.setattr(ledger, "InlineRuntime", _WrappedFrames)
-    spec = ledger.grid_graph(48, 48, compute=ledger._noop)
-    table = {
-        name: ledger.ledger(sched, spec, 48 * 48, timed=False, traced=traced)
-        for name, (sched, traced) in ledger.ROWS.items()
-    }
+    monkeypatch.setattr(ledger, "SimulatedRuntime", _WrappedSimFrames)
+    table = ledger.task_rows(48, 48, timed=False)
     failures = ledger.over_budget(table)
     assert [line.split(":")[0] for line in failures] == list(ledger.MAX_CALLS)
     assert all("calls per task" in line for line in failures)
     for name, limit in ledger.MAX_CALLS.items():
         assert limit < table[name]["calls"] - 5
+    failures = ledger.ops_over_budget(ledger.op_rows())
+    assert [line.split(":")[0] for line in failures] == list(ledger.SIM_TREES)
+    assert all("calls per frame" in line for line in failures)
+
+
+class _StampingCounter(Counter):
+    """``Counter.inc`` that also stamps the time of its last increment:
+    one more call per increment."""
+
+    def inc(self, amount=1.0):
+        with self._lock:
+            self._value += amount
+            self._at = time.monotonic()
+
+
+class _StampingRegistry(MetricsRegistry):
+    def counter(self, name, help="", **labels):
+        return self._get(_StampingCounter, name, help, labels)
+
+
+def test_the_per_op_rows_pass_at_their_reading_and_one_more_call_fails_them(monkeypatch):
+    ledger = _ledger_module()
+    reading = {name: calls for name, (_, calls) in ledger.OP_READING.items()}
+    assert ledger.ops_over_budget(reading) == []
+    assert ledger.ops_over_budget({name: calls + 1 for name, calls in reading.items()}) == [
+        f"{name}: {calls + 1:.2f} calls per {ledger.OP_READING[name][0]} > {limit}"
+        for (name, calls), limit in zip(reading.items(), ledger.MAX_OP_CALLS.values())
+    ]
+    monkeypatch.setattr(ledger, "MetricsRegistry", _StampingRegistry)
+    measured = ledger.instrument_calls()
+    assert ledger.ops_over_budget({**reading, **measured}) == [
+        f"Counter.inc: 3.00 calls per op > {ledger.MAX_OP_CALLS['Counter.inc']}"
+    ]
+
+
+class _MeteredOnce(FTScheduler):
+    """FT that asks the (disabled) registry for one counter per run."""
+
+    def run(self):
+        self.metrics.counter("repro_runs_total")
+        return super().run()
+
+
+def test_a_single_call_into_live_metrics_fails_the_telemetry_off_rows():
+    """No ledger row turns metrics on, so one call into obs/live.py per run
+    (1/2304 per task) or per remote job fails it."""
+    ledger = _ledger_module()
+    metered = ledger.ledger(_MeteredOnce, 48, 48, timed=False)
+    assert ledger.over_budget(_table(ledger, {("ft", ledger.LIVE): metered[ledger.LIVE]})) == [
+        f"ft: {1 / 2304:.4f} calls into obs/live.py per task, not 0"
+    ]
+    assert ledger.remote_over_budget(_at_reading(ledger, live=1.0)) == [
+        f"{name}: 1.00 calls into obs/live.py per job, not 0" for name in ledger.REMOTE_READING
+    ]
 
 
 def _anti_diagonal_lcs(xs, ys, top, left, corner):

@@ -14,7 +14,7 @@ class TestTopLevelCLI:
 
     def test_unknown_command(self, capsys):
         # The in-package test programs are gone: their checks are tests.
-        for cmd in ("fnord", "selftest", "procpool"):
+        for cmd in ("fnord", "selftest", "procpool", "perf"):
             assert main([cmd]) == 2
 
     def test_harness_forwarding(self, capsys):
