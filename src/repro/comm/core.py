@@ -27,17 +27,18 @@ Every backend hands out the same two objects:
 backend modules populate on import, so adding a transport is a module +
 one :func:`register_backend` call -- the runtimes never name a backend.
 
-:func:`connect_with_retry` adds the client-side liveness policy: bounded
-attempts with jittered exponential backoff, for workers racing the
-parent's ``listen`` at startup and for the parent re-dialing a
-replacement worker after a crash.
+:func:`retry_rounds` is the client-side backoff policy: bounded rounds
+with jittered exponential backoff between them.  :func:`connect_with_retry`
+dials one address once per round (a client racing a server's ``listen``
+at startup); ``ClusterRuntime`` dials every worker address once per
+round, at pool build and for a lost channel's replacement alike.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 from repro.exceptions import ReproError
 
@@ -198,6 +199,27 @@ def listen(addr: str, handler: Callable[[Comm], None]) -> Listener:
     return backend.listen(parsed.location, handler)
 
 
+def retry_rounds(
+    attempts: int,
+    base_delay: float = 0.05,
+    max_delay: float = 1.0,
+    rng: random.Random | None = None,
+) -> Iterator[int]:
+    """Yield round numbers ``0 .. attempts-1``, sleeping
+    ``min(max_delay, base_delay * 2**i) * uniform(0.5, 1.0)`` after round
+    ``i`` -- full-jitter-style, so a fleet of clients dialing one
+    freshly-bound server does not stampede in lockstep.  The caller
+    leaves the loop on success."""
+    if attempts < 1:
+        raise ValueError("attempts must be >= 1")
+    rng = rng if rng is not None else random.Random()
+    for i in range(attempts):
+        if i:
+            delay = min(max_delay, base_delay * (2.0 ** (i - 1)))
+            time.sleep(delay * (0.5 + 0.5 * rng.random()))
+        yield i
+
+
 def connect_with_retry(
     addr: str,
     attempts: int = 8,
@@ -205,24 +227,12 @@ def connect_with_retry(
     max_delay: float = 1.0,
     rng: random.Random | None = None,
 ) -> Comm:
-    """Dial ``addr`` with jittered exponential backoff between attempts.
-
-    Sleeps ``min(max_delay, base_delay * 2**i) * uniform(0.5, 1.0)``
-    after failed attempt ``i`` -- full-jitter-style, so a fleet of
-    workers dialing one freshly-bound parent does not stampede in
-    lockstep.  Raises the final :class:`CommClosedError` once the
-    attempt budget is spent.
-    """
-    if attempts < 1:
-        raise ValueError("attempts must be >= 1")
-    rng = rng if rng is not None else random.Random()
+    """Dial ``addr`` once per :func:`retry_rounds` round; raises the
+    final :class:`CommClosedError` once the budget is spent."""
     last: Exception | None = None
-    for i in range(attempts):
+    for _ in retry_rounds(attempts, base_delay, max_delay, rng):
         try:
             return connect(addr)
         except (CommClosedError, OSError) as exc:
             last = exc
-            if i + 1 < attempts:
-                delay = min(max_delay, base_delay * (2.0**i))
-                time.sleep(delay * (0.5 + 0.5 * rng.random()))
     raise CommClosedError(f"connect to {addr} failed after {attempts} attempts: {last}")

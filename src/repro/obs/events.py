@@ -155,20 +155,22 @@ class EventKind(str, Enum):
     UNPARK = "unpark"
     """A previously idle worker found work again."""
     WORKER_DOWN = "worker_down"
-    """A compute worker *process* died mid-task (ProcessRuntime); the
-    dispatch surfaces as a WorkerCrashError on the key it was running."""
+    """A remote compute worker was lost mid-task (ProcessRuntime or
+    ClusterRuntime), ``data['reason']`` says how (``closed``, ``died``,
+    ``heartbeat``, ``transport``); the dispatch surfaces as a
+    WorkerCrashError on the key it was running."""
     WORKER_UP = "worker_up"
-    """A replacement compute worker *process* joined the pool
-    (ProcessRuntime); ``data['pid']`` carries the new pid.  Pairs with
+    """A replacement remote compute worker joined the pool;
+    ``data['pid']`` (or ``data['addr']``) names it.  Pairs with
     WORKER_DOWN so pool-health timelines can show both transitions."""
     CONNECT = "connect"
     """A comm channel to a remote worker was established
     (ClusterRuntime); ``data['addr']`` names the peer address."""
     DISCONNECT = "disconnect"
-    """A comm channel to a remote worker was lost -- closed, severed, or
-    heartbeat-silent; ``data['addr']`` names the peer and
-    ``data['reason']`` says how it died.  Usually followed by a
-    WORKER_DOWN for the task the connection was carrying."""
+    """A comm channel to a remote worker was lost -- closed, severed,
+    heartbeat-silent or corrupt -- or released at shutdown;
+    ``data['addr']`` names the peer and ``data['reason']`` says how it
+    ended.  A loss is followed by a WORKER_DOWN."""
     FETCH = "fetch"
     """A block payload crossed the comm to a remote worker
     (ClusterRuntime): ``data['mode']`` is ``"push"`` (it rode the job

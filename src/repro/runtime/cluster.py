@@ -8,12 +8,12 @@ shared :class:`~repro.runtime.worker.WorkerSession`.
 
 What is specific to a dialed channel:
 
-* **Opening and replacing.**  Channels are assigned round-robin over the
-  configured addresses; a connection counts only once the server has
-  answered a ``ping``.  A lost channel's replacement is dialed at the
-  same address first (its server may have survived a mere sever, or a
-  supervisor restarted it), then the others; ``DISCONNECT``/``CONNECT``
-  events bracket the ``WORKER_DOWN``/``WORKER_UP`` pair.
+* **Opening and retiring.**  One dial loop opens every channel, a
+  replacement included: each round pings every address once, from the
+  slot's own round-robin address on, so a severed server gets its
+  channel back and a dead one costs a refused dial, with backoff only
+  between rounds.  ``DISCONNECT`` (with the loss reason, or
+  ``shutdown``) precedes ``WORKER_DOWN``; ``CONNECT`` precedes ``WORKER_UP``.
 * **Silence.**  Workers heartbeat on transports that support it;
   ``heartbeat_timeout`` seconds without a byte from a worker that owes a
   reply is peer loss even when the kernel never delivers an RST.
@@ -40,7 +40,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Hashable, Iterable
 
-from repro.comm.core import Comm, CommClosedError, connect_with_retry, listen
+from repro.comm.core import Comm, CommClosedError, connect, listen, retry_rounds
 from repro.exceptions import SchedulerError
 from repro.obs.events import NULL_LOG, EventKind, EventLog
 from repro.obs.live import NULL_METRICS, MetricsRegistry
@@ -64,6 +64,10 @@ __all__ = [
 #: every HEARTBEAT_INTERVAL_SECONDS (0.25 s), so the default tolerates
 #: ~8 consecutive missed beats; see docs/DISTRIBUTED.md for tuning.
 DEFAULT_HEARTBEAT_TIMEOUT = 2.0
+
+#: Rounds of the dial loop before opening a channel gives up; each tries
+#: every address once, with jittered backoff only between rounds.
+DIAL_ROUNDS = 8
 
 
 class WorkerServer:
@@ -149,8 +153,8 @@ class ClusterRuntime(RemoteRuntime):
     ``addresses``
         Worker-server addresses (``tcp://host:port`` or an
         ``inproc://name`` server in this process).  Channels are
-        assigned round-robin; a lost channel's replacement is dialed
-        starting at the same address, then the others.
+        assigned round-robin; every dial, a lost channel's replacement
+        included, tries its slot's address first, then the others.
     ``die_on``
         Iterable of task keys; the first dispatch of each kills its
         worker (process death on TCP, connection sever on inproc).
@@ -176,7 +180,6 @@ class ClusterRuntime(RemoteRuntime):
         die_on: Iterable[Hashable] | None = None,
         metrics: MetricsRegistry | None = None,
         heartbeat_timeout: float | None = DEFAULT_HEARTBEAT_TIMEOUT,
-        connect_attempts: int = 8,
         channels: int | None = None,
         inflight: int = DEFAULT_INFLIGHT,
     ) -> None:
@@ -185,13 +188,20 @@ class ClusterRuntime(RemoteRuntime):
         if not self._addresses:
             raise ValueError("ClusterRuntime needs at least one worker address")
         self._hb_timeout = heartbeat_timeout
-        self._connect_attempts = connect_attempts
 
     def _open_channel(self, index: int) -> PipelineChannel:
-        return self._dial(self._addresses[index % len(self._addresses)])
+        k = index % len(self._addresses)
+        last: Exception | None = None
+        for _ in retry_rounds(DIAL_ROUNDS):
+            for addr in self._addresses[k:] + self._addresses[:k]:
+                try:
+                    return self._dial(addr)
+                except CommClosedError as exc:
+                    last = exc
+        raise SchedulerError(f"no worker address answered in {DIAL_ROUNDS} rounds: {last}")
 
     def _dial(self, addr: str) -> PipelineChannel:
-        comm = connect_with_retry(addr, attempts=self._connect_attempts)
+        comm = connect(addr)
         # A completed TCP handshake is not proof of a live server: the
         # kernel accepts into a dying process's listen backlog right up
         # to FD teardown.  A connection counts only once a handler
@@ -209,22 +219,10 @@ class ClusterRuntime(RemoteRuntime):
             self._log.emit(EventKind.CONNECT, None, 0, addr=addr)
         return PipelineChannel(comm, addr, addr=addr)
 
-    def _replace_channel(self, dead: PipelineChannel, reason: str) -> PipelineChannel:
-        dead.info["reason"] = reason
-        if self._log is not NULL_LOG:
-            self._log.emit(EventKind.DISCONNECT, None, 0, addr=dead.peer, reason=reason)
-        start = self._addresses.index(dead.peer)
-        last: Exception | None = None
-        for addr in self._addresses[start:] + self._addresses[:start]:
-            try:
-                return self._dial(addr)
-            except CommClosedError as exc:
-                last = exc
-        raise SchedulerError(f"no worker address reachable after losing {dead.peer}: {last}")
-
     def _retire(self, handle: PipelineChannel) -> None:
         if self._log is not NULL_LOG:
-            self._log.emit(EventKind.DISCONNECT, None, 0, addr=handle.peer, reason="shutdown")
+            reason = handle.info.get("reason", "shutdown")
+            self._log.emit(EventKind.DISCONNECT, None, 0, addr=handle.peer, reason=reason)
 
     def _silent_reason(self, handle: PipelineChannel) -> str | None:
         idle_seconds = getattr(handle.comm, "idle_seconds", None)

@@ -41,7 +41,7 @@ replaced channel starts with an empty table.
 :class:`~repro.runtime.procpool.ProcessRuntime` and
 :class:`~repro.runtime.cluster.ClusterRuntime` are this class plus the
 three things that genuinely differ: how a channel is opened and
-replaced, how its silence is judged, and whether its workers share the
+retired, how its silence is judged, and whether its workers share the
 parent's memory (:attr:`RemoteRuntime.SHARES_MEMORY`).
 
 **Dispatch is pipelined.**
@@ -62,17 +62,18 @@ parent's memory (:attr:`RemoteRuntime.SHARES_MEMORY`).
   flusher takes the slot only after its sends: a send blocked on a full
   socket must leave a channel-mate free to drain the worker's replies.
 
-**A lost worker is a detected compute-phase fault**, decided in one
-place (:meth:`RemoteRuntime._channel_lost`): process death, a severed
-connection or heartbeat silence resolves *every* job in flight on the
-channel as crashed; each submitter raises
+**A lost worker is a detected compute-phase fault**, one policy for
+both runtimes (:meth:`RemoteRuntime._channel_lost`): process death or a
+sever (``died``/``closed``), heartbeat silence or a corrupt frame
+(``transport``) logs ``WORKER_DOWN`` with that reason and resolves
+*every* job in flight on the channel as crashed; each submitter raises
 :class:`~repro.exceptions.WorkerCrashError` for its own task and the FT
 scheduler re-executes exactly the unfinished jobs through
 RECOVERTASKONCE -- replies streamed before the loss are never re-run.
-The channel is replaced once per death (one ``WORKER_DOWN``/``WORKER_UP``
-pair, one crash count), keyed by the ``die_on``-flagged job when the
-death was injected.  The baseline Nabbit scheduler has no recovery path,
-and a crash fails the run (faithful to the paper).
+Then the slot's replacement opens (one ``WORKER_DOWN``/``WORKER_UP``
+pair and one crash count per death, keyed by the ``die_on``-flagged job
+when the death was injected).  The baseline Nabbit scheduler has no
+recovery path, and a crash fails the run (faithful to the paper).
 
 The reader of an observed run also computes each job's **queued**
 time: a worker runs its channel's jobs in FIFO order, so job *B*
@@ -151,15 +152,16 @@ class PipelineChannel:
     """
 
     __slots__ = ("comm", "peer", "info", "lock", "cond", "reader", "flushing", "waiting",
-                 "outbox", "pending", "resident", "dead", "spec", "last_reply", "load", "freed")
+                 "outbox", "pending", "resident", "dead", "spec", "last_reply", "load", "freed",
+                 "slot")
 
     def __init__(self, comm: Comm, peer: Any, **info: Any) -> None:
         self.comm = comm
-        #: What the opener judges and replaces the channel by: the worker
+        #: What the runtime judges and retires the channel by: the worker
         #: ``Process`` (pipe runtime) or the dialed address (cluster).
         self.peer = peer
-        #: The worker's identity as WORKER_DOWN/WORKER_UP report it; the
-        #: replacing runtime adds the cause of death.
+        #: The worker's identity as WORKER_DOWN/WORKER_UP report it; a
+        #: loss adds its ``reason`` (and the pipe runtime the exit code).
         self.info = info
         self.lock = threading.Lock()
         self.cond = threading.Condition(self.lock)
@@ -181,6 +183,7 @@ class PipelineChannel:
         #: estimation; None until the first reply).
         self.last_reply: float | None = None
         self.load = self.freed = 0  #: jobs in flight / release stamp (the pool's)
+        self.slot = 0  #: the pool slot it fills; its replacement inherits it
 
 
 class ChannelPool:
@@ -275,11 +278,11 @@ class RemoteRuntime(ThreadedRuntime):
     """Work-stealing thread pool whose compute phases run on remote
     workers, with pipelined batched dispatch.  Subclasses provide:
 
-    * ``_open_channel(index)`` -- open pool channel ``index``;
-    * ``_replace_channel(dead, reason)`` -- record the cause of death in
-      ``dead.info`` and open the replacement;
-    * ``_retire(handle)`` -- runtime-specific farewell at pool shutdown
-      (``stop`` is already sent; the comm is closed afterwards);
+    * ``_open_channel(index)`` -- open a channel for pool slot ``index``,
+      at bring-up and for a lost channel's replacement alike;
+    * ``_retire(handle)`` -- runtime-specific farewell, at pool shutdown
+      (``stop`` is already sent; the comm is closed afterwards) and on
+      loss (``handle.info["reason"]`` says how it was lost);
     * ``_silent_reason(handle)`` -- liveness verdict for a channel that
       owes replies but stays quiet.
 
@@ -343,9 +346,6 @@ class RemoteRuntime(ThreadedRuntime):
     def _open_channel(self, index: int) -> PipelineChannel:
         raise NotImplementedError
 
-    def _replace_channel(self, dead: PipelineChannel, reason: str) -> PipelineChannel:
-        raise NotImplementedError
-
     def _retire(self, handle: PipelineChannel) -> None:
         raise NotImplementedError
 
@@ -365,23 +365,25 @@ class RemoteRuntime(ThreadedRuntime):
             self._shutdown_pool()
 
     def _ensure_pool(self) -> None:
-        if self._pool.channels:
+        # Not the channel list: it is empty while a lone channel is replaced.
+        if self._run_token:
             return
         with self._pool_lock:
-            if self._pool.channels:
+            if self._run_token:
                 return
             self._run_token = f"{os.getpid():x}.{id(self):x}.{time.monotonic_ns():x}"
             handles = [
                 self._open_channel(i)  # verify: ok=blocking-under-lock (cold path: pool is built before any scheduler thread exists to contend)
                 for i in range(self._channels)
             ]
-            for h in handles:
+            for i, h in enumerate(handles):
+                h.slot = i
                 self._pool.add(h)
 
     def _shutdown_pool(self) -> None:
         with self._pool_lock:
             handles, self._pool = self._pool.channels, ChannelPool(self._pool.window)
-            self._spec_pickled = None
+            self._spec_pickled, self._run_token = None, ""
         for h in handles:
             try:
                 h.comm.send(("stop",))
@@ -611,13 +613,16 @@ class RemoteRuntime(ThreadedRuntime):
             except CommClosedError:
                 self._channel_lost(handle, "closed")
                 return
+            except frame.FrameError:  # corrupt framing; a bad pickle is not retried
+                self._channel_lost(handle, "transport")
+                return
             reason = self._silent_reason(handle)
             if reason is not None:
                 try:
                     if comm.poll(0):  # a final reply raced the death
                         self._route_reply(handle, comm.recv())
                         continue
-                except CommClosedError:
+                except (CommClosedError, frame.FrameError):
                     pass
                 self._channel_lost(handle, reason)
                 return
@@ -667,10 +672,10 @@ class RemoteRuntime(ThreadedRuntime):
     # -- channel loss -----------------------------------------------------------
 
     def _channel_lost(self, handle: PipelineChannel, reason: str) -> None:
-        """Exactly-once teardown of a lost channel: replace it in the
-        pool and resolve every in-flight job as crashed so each
-        submitter raises WorkerCrashError for its own task.  One closer:
-        closing under a reader would free its descriptor for the
+        """Exactly-once handling of a lost channel: retire it, log the
+        death, resolve every in-flight job as crashed (recovery starts on
+        the surviving channels), then open its slot's replacement.  One
+        closer: closing under a reader would free its descriptor for the
         replacement, and it would block on a channel not its own."""
         with handle.lock:
             if handle.dead:
@@ -682,29 +687,27 @@ class RemoteRuntime(ThreadedRuntime):
             unread = handle.reader is None
         if unread:  # else the reader closes it as it leaves the slot
             handle.comm.close()
-        # The injected death names its victim.
-        down_key = next((p.key for p in pending if p.die),
-                        pending[0].key if pending else None)
         self._pool.remove(handle)
+        handle.info["reason"] = reason
+        # Outside the pool lock, like the replacement below: reaping a
+        # corpse or dialing can take seconds, and every other thread that
+        # loses a worker meanwhile must not pile up behind it.
+        self._retire(handle)
         with self._pool_lock:
             self._crashes += 1
-        try:
-            # Outside the pool lock: reaping a corpse or dialing can take
-            # seconds, and every other thread that loses a worker
-            # meanwhile must not pile up behind it.
-            fresh = self._replace_channel(handle, reason)
-            # Logged before a crashed submitter resumes (the finally) or
-            # anyone can place a job on ``fresh`` (the pool add).
-            if self._log is not NULL_LOG:
-                self._log.emit(EventKind.WORKER_DOWN, down_key, 0, **handle.info)
-                self._log.emit(EventKind.WORKER_UP, None, 0, **fresh.info)
-        finally:
-            # Resolve even if replacement failed: blocked submitters must
-            # not hang on a channel that will never speak again.
-            with handle.lock:
-                for p in pending:
-                    p.reply = CRASHED
-                handle.cond.notify_all()
-        self._pool.add(fresh)
         if self._mx:
             self._crash_counter.inc()
+        if self._log is not NULL_LOG:  # before a crashed submitter resumes
+            # The injected death names its victim.
+            down_key = next((p.key for p in pending if p.die),
+                            pending[0].key if pending else None)
+            self._log.emit(EventKind.WORKER_DOWN, down_key, 0, **handle.info)
+        with handle.lock:
+            for p in pending:
+                p.reply = CRASHED
+            handle.cond.notify_all()
+        fresh = self._open_channel(handle.slot)
+        fresh.slot = handle.slot
+        if self._log is not NULL_LOG:  # before anyone can place a job on it
+            self._log.emit(EventKind.WORKER_UP, None, 0, **fresh.info)
+        self._pool.add(fresh)

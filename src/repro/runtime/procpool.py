@@ -7,11 +7,12 @@ so kernels execute on real cores with no GIL in the way.
 
 What is specific to a same-host channel:
 
-* **Opening and replacing.**  The pool forks (where available) at the
+* **Opening and retiring.**  The pool forks (where available) at the
   top of ``execute()``, while the calling thread is still the only
-  thread, and is torn down when the run quiesces.  A dead worker is
-  reaped (``WORKER_DOWN`` carries its pid and exit code) and a fresh
-  child forked in its place.  A forked worker first closes its copies
+  thread, and is torn down when the run quiesces.  A retired worker is
+  reaped, at shutdown and on loss alike (``WORKER_DOWN`` carries its pid
+  and exit code); ``RemoteRuntime`` then forks the replacement through
+  ``_open_channel``.  A forked worker first closes its copies
   of every other pipe end the parent held, its own channel's parent
   end included, so the parent's death reaches it as EOF and it exits.
   It inherits the parent's imports: an app's module imports what its
@@ -120,19 +121,17 @@ class ProcessRuntime(RemoteRuntime):
         self._ends.discard(child_comm.connection)
         return PipelineChannel(parent_comm, proc, pid=proc.pid)
 
-    def _replace_channel(self, dead: PipelineChannel, reason: str) -> PipelineChannel:
-        self._ends.discard(dead.comm.connection)
-        dead.peer.join(timeout=1.0)
-        dead.info["exitcode"] = dead.peer.exitcode
-        return self._open_channel()
-
     def _retire(self, handle: PipelineChannel) -> None:
+        # Stopped, dead or dying, a worker exits; behind a corrupt stream it lives on.
         self._ends.discard(handle.comm.connection)
         proc = handle.peer
+        if handle.info.get("reason") == "transport":
+            proc.terminate()
         proc.join(timeout=5.0)
         if proc.is_alive():  # pragma: no cover - stuck worker
             proc.terminate()
             proc.join(timeout=1.0)
+        handle.info["exitcode"] = proc.exitcode
 
     def _silent_reason(self, handle: PipelineChannel) -> str | None:
         return None if handle.peer.is_alive() else "died"

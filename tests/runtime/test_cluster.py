@@ -252,10 +252,6 @@ def spawned(src_env):
 
 
 class TestSpawnedWorkers:
-    # The runtimes that lose a worker dial each address once: by default
-    # a replacement retries the dead address for ~3 s of backoff before
-    # it moves on to the survivor.
-
     def test_cluster_command_parity_with_and_without_faults(self, spawned, capsys):
         # LCS and Cholesky, bit-identical to inline under no plan and
         # under an after-compute plan, with an O(config) spec per channel.
@@ -269,7 +265,7 @@ class TestSpawnedWorkers:
         store = app.make_store(True)
         log = EventLog()
         rt = ClusterRuntime(workers=2, seed=0, addresses=[w.address for w in workers],
-                            die_on=[(1, 1)], event_log=log, connect_attempts=1)
+                            die_on=[(1, 1)], event_log=log)
         sched = FTScheduler(app, rt, store=store, event_log=log)
         sched.run()
         app.verify(store)
@@ -277,6 +273,11 @@ class TestSpawnedWorkers:
         assert sched.trace.total_recoveries >= 1
         downs = [e for e in log.events if e.kind is EventKind.WORKER_DOWN]
         assert len(downs) == 1 and downs[0].key == (1, 1)
+        # The dead server costs one refused dial, not a backoff on its address.
+        (lost,) = [e for e in log.events
+                   if e.kind is EventKind.DISCONNECT and e.data["reason"] != "shutdown"]
+        (up,) = [e for e in log.events if e.kind is EventKind.WORKER_UP]
+        assert up.seq > lost.seq and up.t - lost.t < 1.0
         deadline = time.monotonic() + 10.0
         while all(w.proc.poll() is None for w in workers):
             assert time.monotonic() < deadline, "no worker process exited"
@@ -289,7 +290,7 @@ class TestSpawnedWorkers:
         store = app.make_store(True)
         metrics = MetricsRegistry()
         rt = ClusterRuntime(workers=2, seed=0, addresses=[victim.address, survivor.address],
-                            metrics=metrics, heartbeat_timeout=2.0, connect_attempts=1)
+                            metrics=metrics, heartbeat_timeout=2.0)
         dispatches = metrics.histogram("repro_dispatch_seconds")
         done = threading.Event()
 
@@ -312,6 +313,25 @@ class TestSpawnedWorkers:
         assert victim.proc.wait(timeout=10.0) == -signal.SIGKILL
         assert rt.worker_crashes >= 1
         assert sched.trace.total_recoveries >= 1
+
+    def test_a_dead_server_costs_one_refused_dial(self, spawned):
+        # Slot 0's own address is a server killed before the run: its dial
+        # is refused once and the survivor answers in the same round,
+        # with no backoff spent on the dead address (~2.8 s if it were).
+        dead, live = spawned.live()
+        dead.proc.kill()
+        dead.proc.wait(timeout=10.0)
+        app = make_app("lcs", scale="tiny")
+        want, _ = run_ft(app, InlineRuntime())
+        log = EventLog()
+        rt = ClusterRuntime(workers=2, seed=0, addresses=[dead.address, live.address],
+                            event_log=log)
+        t0 = time.perf_counter()
+        got, _ = run_ft(app, rt)
+        assert time.perf_counter() - t0 < 1.0
+        assert_identical(got, want)
+        connects = [e.data["addr"] for e in log.events if e.kind is EventKind.CONNECT]
+        assert connects == [live.address] * 2
 
     def test_metrics_endpoint_serves_on_the_listen_host(self, src_env):
         worker = SpawnedWorker(src_env, listen="tcp://0.0.0.0:0", metrics=True)

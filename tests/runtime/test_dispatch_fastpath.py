@@ -369,11 +369,45 @@ class _StubRuntime(RemoteRuntime):
     def _open_channel(self, index=0):
         return PipelineChannel(self.comm_kind(), None, worker=next(self._opened))
 
-    def _replace_channel(self, dead, reason):
-        return self._open_channel()
+    def _retire(self, handle):
+        pass
 
     def _silent_reason(self, handle):
         return None
+
+
+class _CorruptComm(_EchoComm):
+    """A stream whose next header the decoder refuses."""
+
+    def poll(self, timeout=0.0):
+        raise frame.OversizedFrameError(1 << 40, frame.MAX_FRAME_BYTES)
+
+
+class _DeadComm(_EchoComm):
+    """A channel whose peer is already gone."""
+
+    def poll(self, timeout=0.0):
+        return True
+
+    def recv(self, timeout=None):
+        raise CommClosedError("peer gone")
+
+
+class _SlowReplacementRuntime(_StubRuntime):
+    """Opens channels of ``comm_kind``; once ``armed``, an open (the
+    replacement) blocks until ``release`` is set."""
+
+    armed = False
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.replacing, self.release = threading.Event(), threading.Event()
+
+    def _open_channel(self, index=0):
+        if self.armed:
+            self.replacing.set()
+            assert self.release.wait(10.0)
+        return super()._open_channel(index)
 
 
 class TestChannelLoss:
@@ -453,6 +487,80 @@ class TestChannelLoss:
         # nobody entering it afterwards.
         assert comm.closes == [(0, None)] and comm.used_after_close == 0
         assert rt.worker_crashes == 1
+
+    def test_a_frame_error_is_a_transport_loss(self):
+        # A header the decoder refuses is corruption (a worker refuses to
+        # send an oversize reply), so it loses the channel, not the run.
+        log = EventLog()
+        rt = _StubRuntime(event_log=log)
+        rt.comm_kind = _CorruptComm
+        rt._ensure_pool()
+        (handle,) = rt._pool.channels
+        job = _CountingJob(1)
+        handle.pending[1] = job
+        assert rt._await_pipelined(handle, job) is CRASHED
+        assert handle.dead and job.sets == 1 and rt.worker_crashes == 1
+        (down,) = [e for e in log.events if e.kind is EventKind.WORKER_DOWN]
+        assert down.key == "k1" and down.data["reason"] == "transport"
+        (fresh,) = rt._pool.channels
+        assert fresh is not handle and fresh.slot == handle.slot
+
+    def test_crashed_jobs_resolve_before_the_replacement_opens(self):
+        # The reader finds the channel dead and blocks opening its
+        # replacement; its channel-mate's submitter must be told at once,
+        # after WORKER_DOWN, and a recovery dispatched meanwhile must wait
+        # for the replacement rather than build a second pool.
+        log = EventLog()
+        rt = _SlowReplacementRuntime(channels=1, inflight=2, event_log=log)
+        rt.comm_kind = _DeadComm
+        rt._ensure_pool()
+        (handle,) = rt._pool.channels
+        rt.armed, rt.comm_kind = True, _EchoComm
+        logged = []  # the log's event kinds when the mate is resolved
+
+        class Witness(_CountingJob):
+            @property
+            def reply(self):
+                return self._reply
+
+            @reply.setter
+            def reply(self, value):
+                if value is not None:
+                    logged.append([e.kind for e in log.events])
+                _CountingJob.reply.fset(self, value)
+
+        reader_job, mate = _CountingJob(1), Witness(2)
+        handle.pending.update({1: reader_job, 2: mate})
+        handle.reader = reader_job
+        got = {}
+
+        def wait(p):
+            got[p.jid] = rt._await_pipelined(handle, p)
+
+        waiter = threading.Thread(target=wait, args=(mate,), daemon=True)
+        reader = threading.Thread(target=wait, args=(reader_job,), daemon=True)
+        waiter.start()
+        reader.start()
+        assert rt.replacing.wait(10.0)
+        waiter.join(10.0)
+        resolved_early = not waiter.is_alive() and not rt.release.is_set()
+        retry = PendingJob(3, "k2", 2, False, {})
+        retried = threading.Thread(
+            target=lambda: got.update({3: rt._dispatch_job(_NoInputSpec(), retry, None)}),
+            daemon=True,
+        )
+        retried.start()
+        retried.join(0.1)
+        parked = retried.is_alive()  # no channel to run on until the replacement joins
+        rt.release.set()  # never leave a thread blocked, pass or fail
+        for t in (reader, retried):
+            t.join(10.0)
+        assert resolved_early and parked
+        assert logged == [[EventKind.WORKER_DOWN]] and mate.sets == 1
+        (fresh,) = rt._pool.channels
+        assert got == {1: CRASHED, 2: CRASHED, 3: (fresh, ("fail", 3, None))}
+        assert fresh.info["worker"] == 2 and next(rt._opened) == 3  # no second pool
+        assert [e.kind for e in log.events] == [EventKind.WORKER_DOWN, EventKind.WORKER_UP]
 
     def test_worker_up_precedes_every_event_on_the_replacement(self):
         # A submitter parked on a full pool gets the replacement's slot
