@@ -2,15 +2,17 @@
 
 One contract (:class:`~repro.comm.core.Comm` /
 :class:`~repro.comm.core.Listener`), one wire format
-(:mod:`repro.comm.frame`'s length-prefixed pickle frames), three
+(:mod:`repro.comm.frame`'s length-prefixed pickle frames), one comm
+(:class:`~repro.comm.tcp.SocketComm`, with heartbeat liveness), three
 transports resolved by address scheme:
 
-* ``inproc://name`` -- loopback queues (tests, the explorer);
+* ``inproc://name`` -- a socketpair met by name in this process (tests,
+  the ledger's in-process cluster);
 * ``pipe://`` -- socketpairs handed to forked children (what
   :class:`~repro.runtime.procpool.ProcessRuntime` dispatches over);
-* ``tcp://host:port`` -- sockets with connect timeout, jittered
-  retry/backoff, and heartbeat liveness (what
-  :class:`~repro.runtime.cluster.ClusterRuntime` runs on).
+* ``tcp://host:port`` -- sockets with connect timeout and jittered
+  retry/backoff (what :class:`~repro.runtime.cluster.ClusterRuntime`
+  runs on).
 
 Peer loss on any transport collapses into
 :class:`~repro.comm.core.CommClosedError`, which the runtimes translate

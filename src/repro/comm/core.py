@@ -2,15 +2,18 @@
 
 An *address* is ``scheme://location``; the scheme picks a backend:
 
-========== ===================================================== ===========
-scheme     transport                                             location
-========== ===================================================== ===========
-inproc     in-process loopback queues (tests, the explorer)      any token
-pipe       socketpair + frame codec (ProcessRuntime)             (unused)
-tcp        sockets + frame codec + heartbeats (ClusterRuntime)   host:port
-========== ===================================================== ===========
+========== ====================================================== ===========
+scheme     transport                                              location
+========== ====================================================== ===========
+inproc     socketpair met by name in this process (tests, ledger) any token
+pipe       socketpair handed to a forked child (ProcessRuntime)   (unused)
+tcp        dialed socket (ClusterRuntime)                         host:port
+========== ====================================================== ===========
 
-Every backend hands out the same two objects:
+Every scheme's channel is one :class:`~repro.comm.tcp.SocketComm`: one
+frame codec, one EOF path, and heartbeats wherever a
+:class:`~repro.runtime.cluster.WorkerServer` serves it.  Every backend
+hands out the same two objects:
 
 * :class:`Comm` -- one bidirectional message channel.  ``send(msg)`` and
   ``recv(timeout=...)`` move whole Python messages (the frame codec is a
@@ -38,9 +41,12 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
 
 from repro.exceptions import ReproError
+
+if TYPE_CHECKING:  # every backend's channel; tcp imports this module
+    from repro.comm.tcp import SocketComm
 
 
 class CommClosedError(ReproError):
@@ -162,8 +168,8 @@ class Listener:
 
 
 class _Backend(NamedTuple):
-    connect: Callable[[str], Comm]
-    listen: Callable[[str, Callable[[Comm], None]], Listener]
+    connect: Callable[[str], SocketComm]
+    listen: Callable[[str, Callable[[SocketComm], None]], Listener]
 
 
 _BACKENDS: dict[str, _Backend] = {}
@@ -171,8 +177,8 @@ _BACKENDS: dict[str, _Backend] = {}
 
 def register_backend(
     scheme: str,
-    connect: Callable[[str], Comm],
-    listen: Callable[[str, Callable[[Comm], None]], Listener],
+    connect: Callable[[str], SocketComm],
+    listen: Callable[[str, Callable[[SocketComm], None]], Listener],
 ) -> None:
     """Install a transport for ``scheme`` (called by backend modules on import)."""
     _BACKENDS[scheme] = _Backend(connect, listen)
@@ -187,13 +193,13 @@ def _backend(addr: str) -> tuple[_Backend, Address]:
         raise ValueError(f"unknown comm scheme {parsed.scheme!r} (known: {known})") from None
 
 
-def connect(addr: str) -> Comm:
+def connect(addr: str) -> SocketComm:
     """Dial ``addr`` once; :class:`CommClosedError` if nobody is listening."""
     backend, parsed = _backend(addr)
     return backend.connect(parsed.location)
 
 
-def listen(addr: str, handler: Callable[[Comm], None]) -> Listener:
+def listen(addr: str, handler: Callable[[SocketComm], None]) -> Listener:
     """Bind ``addr`` and serve inbound connections through ``handler``."""
     backend, parsed = _backend(addr)
     return backend.listen(parsed.location, handler)
@@ -226,7 +232,7 @@ def connect_with_retry(
     base_delay: float = 0.05,
     max_delay: float = 1.0,
     rng: random.Random | None = None,
-) -> Comm:
+) -> SocketComm:
     """Dial ``addr`` once per :func:`retry_rounds` round; raises the
     final :class:`CommClosedError` once the budget is spent."""
     last: Exception | None = None

@@ -1,9 +1,10 @@
-"""Stream-socket backend: ``tcp://host:port``, and the comm ``pipe://`` pairs run on.
+"""Stream-socket backend: ``tcp://host:port``, and the comm every transport runs on.
 
 :class:`SocketComm` drives one connected stream socket -- a TCP
-connection, or one end of the ``socket.socketpair()`` a
-:func:`~repro.comm.pipe.pipe_pair` builds -- so both remote runtimes
-speak one wire format through one set of frame rails:
+connection, or one end of the ``socket.socketpair()`` that
+:func:`~repro.comm.pipe.socket_pair` builds for a ``pipe://`` pair and
+an ``inproc://`` connection -- so every channel speaks one wire format
+through one set of frame rails:
 
 * **Framing.**  A stream has no message boundaries, so every message
   rides the length-prefixed codec from :mod:`repro.comm.frame`; a
@@ -75,8 +76,7 @@ class SocketComm(Comm):
 
     def __init__(self, sock: socket.socket, peer: str) -> None:
         sock.setblocking(True)
-        self._inet = sock.family in (socket.AF_INET, socket.AF_INET6)
-        if self._inet:
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self._poller = select.poll()
@@ -90,6 +90,8 @@ class SocketComm(Comm):
         self._eof = False
         self._last_recv = time.monotonic()
         self._hb_stop: threading.Event | None = None
+        #: Set on the end a pipe hands to its child (see ``close``).
+        self._handed_over = False
         self.peer = peer
 
     # -- sending ------------------------------------------------------------
@@ -274,10 +276,11 @@ class SocketComm(Comm):
         self._closed = True
         if self._hb_stop is not None:
             self._hb_stop.set()
-        if self._inet:
-            # Wakes a thread of ours parked on the socket.  Never on a
-            # socketpair end: a forked child shares that socket, and
-            # shutdown() would sever the child too.
+        if not self._handed_over:
+            # Reaches the peer as EOF even while a forked process holds a
+            # copy of the descriptor, and wakes a thread of ours parked
+            # on the socket.  Never on the end a pipe hands to its
+            # child: the child serves on that very socket.
             try:
                 self._sock.shutdown(socket.SHUT_RDWR)
             except OSError:
@@ -301,7 +304,7 @@ class SocketComm(Comm):
 class TCPListener(Listener):
     """Accept loop on a bound socket; one handler thread per connection."""
 
-    def __init__(self, host: str, port: int, handler: Callable[[Comm], None]) -> None:
+    def __init__(self, host: str, port: int, handler: Callable[[SocketComm], None]) -> None:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((host, port))
@@ -356,7 +359,7 @@ def _parse_hostport(location: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
-def _connect(location: str) -> Comm:
+def _connect(location: str) -> SocketComm:
     host, port = _parse_hostport(location)
     try:
         sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT_SECONDS)
@@ -366,7 +369,7 @@ def _connect(location: str) -> Comm:
     return SocketComm(sock, peer=f"tcp://{host}:{port}")
 
 
-def _listen(location: str, handler: Callable[[Comm], None]) -> Listener:
+def _listen(location: str, handler: Callable[[SocketComm], None]) -> Listener:
     host, port = _parse_hostport(location)
     return TCPListener(host, port, handler)
 

@@ -14,7 +14,7 @@ What is specific to a dialed channel:
   channel back and a dead one costs a refused dial, with backoff only
   between rounds.  ``DISCONNECT`` (with the loss reason, or
   ``shutdown``) precedes ``WORKER_DOWN``; ``CONNECT`` precedes ``WORKER_UP``.
-* **Silence.**  Workers heartbeat on transports that support it;
+* **Silence.**  Every worker server heartbeats, an in-process one too;
   ``heartbeat_timeout`` seconds without a byte from a worker that owes a
   reply is peer loss even when the kernel never delivers an RST.
 * **Staging.**  Exactly the pipe runtime's, minus shared memory: an
@@ -30,17 +30,21 @@ What is specific to a dialed channel:
   parent-side before dispatch, so a stale entry can never be asked for
   a version the store would refuse.
 
-``die_on`` kills the worker *before* it computes: ``os._exit(73)`` on a
-TCP server (genuine process death, indistinguishable from ``kill -9``),
-a connection sever on an in-process server (the yanked-cable case).
+``die_on`` ends the worker's session *before* it computes, closing its
+connection; a server process then exits with ``os._exit(73)`` (genuine
+process death, indistinguishable from ``kill -9``), while an
+``inproc://`` server, which has no process of its own, loses only the
+connection (the yanked-cable case).
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from typing import Any, Hashable, Iterable
 
-from repro.comm.core import Comm, CommClosedError, connect, listen, retry_rounds
+from repro.comm.core import CommClosedError, connect, listen, retry_rounds
+from repro.comm.tcp import SocketComm
 from repro.exceptions import SchedulerError
 from repro.obs.events import NULL_LOG, EventKind, EventLog
 from repro.obs.live import NULL_METRICS, MetricsRegistry
@@ -49,7 +53,7 @@ from repro.runtime.dispatch import (
     PipelineChannel,
     RemoteRuntime,
 )
-from repro.runtime.worker import DEFAULT_CACHE_BYTES, BlockCache, WorkerSession
+from repro.runtime.worker import CRASH_EXIT_CODE, DEFAULT_CACHE_BYTES, BlockCache, WorkerSession
 
 __all__ = [
     "DEFAULT_CACHE_BYTES",
@@ -132,9 +136,12 @@ class WorkerServer:
         """Block until :meth:`close` (the ``repro worker`` CLI's main loop)."""
         self._stopped.wait()
 
-    def _serve_connection(self, comm: Comm) -> None:
-        getattr(comm, "start_heartbeat", lambda: None)()  # the parent watches for these beats
-        WorkerSession(comm, self.cache, self._job_done).serve()
+    def _serve_connection(self, comm: SocketComm) -> None:
+        comm.start_heartbeat()  # the parent watches for these beats
+        died = WorkerSession(comm, self.cache, self._job_done).serve()
+        # An in-process server has no process of its own to lose.
+        if died and not self._listen_addr.startswith("inproc://"):
+            os._exit(CRASH_EXIT_CODE)
 
     def _job_done(self, payloads: int, nbytes: int) -> None:
         if self._mx:
@@ -157,11 +164,11 @@ class ClusterRuntime(RemoteRuntime):
         included, tries its slot's address first, then the others.
     ``die_on``
         Iterable of task keys; the first dispatch of each kills its
-        worker (process death on TCP, connection sever on inproc).
+        worker (process death on TCP, a closed connection on inproc).
         One-shot per key, exactly like ``ProcessRuntime``'s.
     ``heartbeat_timeout``
-        Seconds of byte-silence (on a heartbeating transport) after
-        which a connection owing a reply is declared dead; ``None``
+        Seconds of byte-silence after which a connection owing a
+        reply is declared dead; ``None``
         disables the check and trusts transport-level EOF alone.
     ``channels``
         Connection count; defaults to ``workers`` (one per scheduler
@@ -225,11 +232,6 @@ class ClusterRuntime(RemoteRuntime):
             self._log.emit(EventKind.DISCONNECT, None, 0, addr=handle.peer, reason=reason)
 
     def _silent_reason(self, handle: PipelineChannel) -> str | None:
-        idle_seconds = getattr(handle.comm, "idle_seconds", None)
-        if (
-            idle_seconds is not None
-            and self._hb_timeout is not None
-            and idle_seconds() > self._hb_timeout
-        ):
+        if self._hb_timeout is not None and handle.comm.idle_seconds() > self._hb_timeout:
             return "heartbeat"
         return None

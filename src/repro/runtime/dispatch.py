@@ -64,7 +64,7 @@ parent's memory (:attr:`RemoteRuntime.SHARES_MEMORY`).
 
 **A lost worker is a detected compute-phase fault**, one policy for
 both runtimes (:meth:`RemoteRuntime._channel_lost`): process death or a
-sever (``died``/``closed``), heartbeat silence or a corrupt frame
+closed connection (``died``/``closed``), heartbeat silence or a corrupt frame
 (``transport``) logs ``WORKER_DOWN`` with that reason and resolves
 *every* job in flight on the channel as crashed; each submitter raises
 :class:`~repro.exceptions.WorkerCrashError` for its own task and the FT
@@ -93,7 +93,8 @@ import time
 from typing import Any, Callable, Hashable, Iterable
 
 from repro.comm import frame
-from repro.comm.core import Comm, CommClosedError
+from repro.comm.core import CommClosedError
+from repro.comm.tcp import SocketComm
 from repro.exceptions import SchedulerError, WorkerCrashError
 from repro.graph.taskspec import BlockRef
 from repro.memory.shm import payload_nbytes
@@ -155,7 +156,7 @@ class PipelineChannel:
                  "outbox", "pending", "resident", "dead", "spec", "last_reply", "load", "freed",
                  "slot")
 
-    def __init__(self, comm: Comm, peer: Any, **info: Any) -> None:
+    def __init__(self, comm: SocketComm, peer: Any, **info: Any) -> None:
         self.comm = comm
         #: What the runtime judges and retires the channel by: the worker
         #: ``Process`` (pipe runtime) or the dialed address (cluster).

@@ -34,6 +34,7 @@ What is specific to a same-host channel:
 from __future__ import annotations
 
 import multiprocessing
+import os
 from typing import Any, Hashable, Iterable
 
 from repro.comm.pipe import pipe_pair, wrap_connection
@@ -47,11 +48,13 @@ __all__ = ["CRASH_EXIT_CODE", "DEFAULT_INFLIGHT", "ProcessRuntime"]
 
 def _worker_main(raw_conn: Any, inherited: Iterable[Any]) -> None:
     """Entry point of a worker process: close the other channel ends a
-    fork copied in, then serve the inherited pipe end."""
+    fork copied in, then serve the inherited pipe end; an injected
+    death exits the process."""
     for conn in tuple(inherited):
         if conn is not raw_conn:
             conn.close()
-    WorkerSession(wrap_connection(raw_conn, peer="pipe://parent"), BlockCache()).serve()
+    if WorkerSession(wrap_connection(raw_conn, peer="pipe://parent"), BlockCache()).serve():
+        os._exit(CRASH_EXIT_CODE)
 
 
 class ProcessRuntime(RemoteRuntime):
@@ -100,13 +103,16 @@ class ProcessRuntime(RemoteRuntime):
         #: Both ends of every pipe this runtime holds open.  A forked
         #: worker closes its copies of all but its own child end: while
         #: any process holds a channel's parent end, that channel's
-        #: worker never sees EOF, and would outlive a killed parent.
+        #: worker never sees EOF, and would outlive a killed parent.  A
+        #: parent end leaves the set only once closed (a lost channel's
+        #: reader closes it after its replacement forks).
         self._ends: set[Any] = set()
 
     def _open_channel(self, index: int = 0) -> PipelineChannel:
         parent_comm, child_comm = pipe_pair(self._mp)
-        ends = (parent_comm.connection, child_comm.connection)
-        self._ends.update(ends)
+        # In place: a concurrent replacement's fork reads this very set.
+        self._ends.difference_update([end for end in tuple(self._ends) if end.fileno() < 0])
+        self._ends.update((parent_comm.connection, child_comm.connection))
         forked = self._mp.get_start_method() == "fork"
         proc = self._mp.Process(
             target=_worker_main,
@@ -123,7 +129,6 @@ class ProcessRuntime(RemoteRuntime):
 
     def _retire(self, handle: PipelineChannel) -> None:
         # Stopped, dead or dying, a worker exits; behind a corrupt stream it lives on.
-        self._ends.discard(handle.comm.connection)
         proc = handle.peer
         if handle.info.get("reason") == "transport":
             proc.terminate()

@@ -4,8 +4,9 @@
 (docs/DISTRIBUTED.md has the message table).  It runs unchanged in a
 forked pipe child of ``ProcessRuntime`` and on every connection a
 :class:`~repro.runtime.cluster.WorkerServer` accepts (the server, not
-the session, decides to heartbeat).  An injected death severs a comm
-that offers ``sever`` and otherwise exits the process.
+the session, decides to heartbeat).  An injected death ends the session
+and closes its comm; the session's host decides whether the process
+dies too (:data:`CRASH_EXIT_CODE`).
 
 A job names its inputs as ``(block, version)`` or ``(block, version,
 payload)``.  Every session **keeps** what it is pushed -- a value as its
@@ -20,7 +21,6 @@ footprint there.
 
 from __future__ import annotations
 
-import os
 import pickle
 import threading
 import time
@@ -33,7 +33,7 @@ from repro.exceptions import OverwrittenError, SchedulerError
 from repro.graph.taskspec import BlockRef
 from repro.memory.shm import Attachment, ShmDescriptor, attach_payload, own_payload, payload_nbytes
 
-#: Exit code of a ``die_on``-injected worker death (tests assert on it).
+#: Exit code of a process an injected (``die_on``) death ends (tests assert on it).
 CRASH_EXIT_CODE = 73
 
 #: Default worker-side block-cache budget.
@@ -248,14 +248,17 @@ class WorkerSession:
         #: Shm segments attached for cached views, open until the session ends.
         self._attachments: list[Attachment] = []
 
-    def serve(self) -> None:
+    def serve(self) -> bool:
+        """Serve until ``stop`` or peer loss (False) or an injected death
+        (True: jobs batched behind the dying one are lost with it,
+        exactly like a real crash).  The comm is closed either way."""
         comm = self.comm
         try:
             while True:
                 msg = self.backlog.popleft() if self.backlog else comm.recv()
                 tag = msg[0]
                 if tag == "stop":
-                    return
+                    return False
                 if tag == "ping":
                     comm.send(("pong",))
                 elif tag == "spec":
@@ -264,13 +267,12 @@ class WorkerSession:
                 elif tag == "jobs":
                     for jid, key, inputs, die, _life in msg[1]:
                         if die:
-                            self._die()
-                            return  # a severed connection is done
+                            return True
                         self._run_job(jid, key, inputs)
                 else:
                     comm.send(("fail", None, SchedulerError(f"unknown message tag {tag!r}")))
         except CommClosedError:
-            return  # parent gone; its liveness policy handles the rest
+            return False  # parent gone; its liveness policy handles the rest
         finally:
             self._hold("")
             for attachment in self._attachments:
@@ -285,16 +287,6 @@ class WorkerSession:
             if self.token:
                 self.cache.release(self.token)
             self.token = token
-
-    def _die(self) -> None:
-        """Injected worker death (``die_on``): an impolite sever where the
-        transport can (an in-process server has no process of its own to
-        kill), genuine process death otherwise.  Jobs batched behind the
-        dying one are lost with it, exactly like a real crash."""
-        sever = getattr(self.comm, "sever", None)
-        if sever is None:
-            os._exit(CRASH_EXIT_CODE)
-        sever()
 
     def _receive(self, inputs: list) -> tuple[dict, int, int]:
         """The job's input table, keeping every pushed payload -- a value

@@ -13,6 +13,7 @@ import pytest
 
 from repro import comm
 from repro.comm.pipe import pipe_pair, wrap_connection
+from repro.comm.tcp import SocketComm
 
 _ids = itertools.count()
 
@@ -97,6 +98,13 @@ class TestRoundTrips:
                 c.recv(timeout=0.05)
             c.send("after-timeout")
             assert c.recv(timeout=5) == ("echo", "after-timeout")
+
+    def test_both_inproc_ends_are_socket_comms(self):
+        sender, receiver, cleanup = _pair("inproc")
+        try:
+            assert type(sender) is type(receiver) is SocketComm
+        finally:
+            cleanup()
 
     def test_poll_reflects_pending_data(self, inproc_echo):
         with comm.connect(inproc_echo.address) as c:
@@ -241,12 +249,16 @@ class TestPeerLoss:
         time.sleep(0.05)
         assert not served
 
-    def test_tcp_peer_close_surfaces_on_recv(self):
+    @pytest.mark.parametrize("kind", ("tcp", "inproc"))
+    def test_peer_close_surfaces_on_recv(self, kind):
+        # On inproc this is also how a connection is lost: an injected
+        # death on an in-process server closes the server end.
         def close_handler(c):
             c.recv()
             c.close()
 
-        lis = comm.listen("tcp://127.0.0.1:0", close_handler)
+        addr = "tcp://127.0.0.1:0" if kind == "tcp" else f"inproc://close-{next(_ids)}"
+        lis = comm.listen(addr, close_handler)
         try:
             c = comm.connect(lis.address)
             c.send("bye")
@@ -256,24 +268,24 @@ class TestPeerLoss:
         finally:
             lis.close()
 
-    def test_inproc_sever_is_impolite_loss(self):
-        server_side = []
-
-        def handler(c):
-            server_side.append(c)
-
-        lis = comm.listen(f"inproc://sever-{next(_ids)}", handler)
+    def test_inproc_close_reaches_the_peer_while_a_fork_holds_copies(self):
+        # A forked process inherits every descriptor open at the fork,
+        # inproc ends included (a ProcessRuntime worker forked while an
+        # in-process cluster runs).  A plain descriptor close would leave
+        # the socket open in the fork, and the peer would never see EOF.
+        sender, client, cleanup = _pair("inproc")
+        sleeper = multiprocessing.get_context("fork").Process(
+            target=time.sleep, args=(60,), daemon=True
+        )
+        sleeper.start()
         try:
-            c = comm.connect(lis.address)
-            for _ in range(100):
-                if server_side:
-                    break
-                time.sleep(0.01)
-            server_side[0].sever()
+            sender.close()
             with pytest.raises(comm.CommClosedError):
-                c.recv(timeout=5)
+                client.recv(timeout=5)
         finally:
-            lis.close()
+            sleeper.terminate()
+            sleeper.join(timeout=5)
+            cleanup()
 
     def test_pipe_send_after_peer_close(self):
         a, b = pipe_pair()

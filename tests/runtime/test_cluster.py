@@ -25,6 +25,7 @@ import pytest
 
 from repro import comm
 from repro.apps import AppConfig, make_app
+from repro.apps.lcs import LCSApp
 from repro.comm.core import CommClosedError
 from repro.core import FTScheduler
 from repro.faults import FaultInjector, plan_faults
@@ -125,6 +126,24 @@ class TestParity:
         assert_identical(got, want)
 
 
+#: The sink kernel's length in :class:`_SlowSinkLCS`.
+SLOW_KERNEL_SECONDS = 1.5
+
+
+class _SlowSinkLCS(LCSApp):
+    """LCS whose sink kernel first sleeps :data:`SLOW_KERNEL_SECONDS`, on
+    its first execution in this process only: a run that declares the
+    slow worker dead re-executes the sink at full speed and finishes."""
+
+    slept = threading.Event()
+
+    def compute_full(self, key, ctx):
+        if key == self.sink_key() and not self.slept.is_set():
+            self.slept.set()
+            time.sleep(SLOW_KERNEL_SECONDS)
+        super().compute_full(key, ctx)
+
+
 class TestWorkerDeath:
     def test_severed_connection_recovers_and_verifies(self, server):
         app = make_app("lcs", scale="tiny")
@@ -157,7 +176,8 @@ class TestWorkerDeath:
         app.verify(store)
         assert rt.worker_crashes == 3
 
-    def test_heartbeat_silence_declared_dead(self):
+    @pytest.mark.parametrize("scheme", ("tcp", "inproc"))
+    def test_heartbeat_silence_declared_dead(self, scheme):
         """A worker that owes a reply and stops heartbeating is declared
         dead without any transport-level EOF (the powered-off-node case)."""
         backing = WorkerServer("unused://never-started")
@@ -178,7 +198,8 @@ class TestWorkerDeath:
             else:
                 backing._serve_connection(c)
 
-        lis = comm.listen("tcp://127.0.0.1:0", handler)
+        addr = "tcp://127.0.0.1:0" if scheme == "tcp" else f"inproc://stalled-{next(_ids)}"
+        lis = comm.listen(addr, handler)
         try:
             app = make_app("lcs", scale="tiny")
             store = app.make_store(True)
@@ -194,6 +215,21 @@ class TestWorkerDeath:
             assert [e.data["reason"] for e in downs] == ["heartbeat"]
         finally:
             lis.close()
+
+    def test_a_kernel_longer_than_the_timeout_is_no_death(self, server):
+        # An in-process session beats too: its one worker computes for
+        # twice the timeout while owing the reply, and only the server's
+        # heartbeats keep the parent from declaring it dead.
+        _SlowSinkLCS.slept.clear()
+        app = _SlowSinkLCS(make_app("lcs", scale="tiny").config)
+        store = app.make_store(True)
+        log = EventLog()
+        rt = ClusterRuntime(workers=1, seed=0, addresses=[server.address],
+                            event_log=log, heartbeat_timeout=SLOW_KERNEL_SECONDS / 2)
+        FTScheduler(app, rt, store=store, event_log=log).run()
+        app.verify(store)
+        assert rt.worker_crashes == 0
+        assert not [e for e in log.events if e.kind is EventKind.WORKER_DOWN]
 
 
 class SpawnedWorker:
@@ -362,11 +398,19 @@ class TestSpawnedWorkers:
 SOAK_DEATHS = int(os.environ.get("REPRO_SOAK_DEATHS", "160"))
 
 
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
 def test_die_on_soak_with_two_jobs_in_flight(server):
-    # The sibling of the ProcessRuntime soak: here a death is a sever of
-    # an inproc connection, with no fork and no corpse.  A reader may be
-    # inside the comm when another submitter declares it lost on any
-    # transport; the diagonal die keys kill exactly one worker each.
+    # The sibling of the ProcessRuntime soak: here a death is the close
+    # of an inproc socket, with no fork and no corpse.  A reader may be
+    # inside the comm when another submitter declares it lost, so the
+    # one-closer rule (no close while a reader sits between poll and
+    # recv) is raced in-process on real descriptors; the diagonal die
+    # keys kill exactly one worker each.  Every lost or finished
+    # connection must give its descriptors back.
+    fds = _open_fds() if os.path.isdir("/proc/self/fd") else None
     app = make_app("lcs", config=AppConfig(n=64, block=8, seed=5))
     want = app.reference()
     diagonal = [(i, i) for i in range(app.config.blocks)]
@@ -380,6 +424,11 @@ def test_die_on_soak_with_two_jobs_in_flight(server):
         assert rt.worker_crashes == len(diagonal)
         crashes += rt.worker_crashes
     assert crashes == SOAK_DEATHS
+    if fds is not None:
+        deadline = time.monotonic() + 10.0  # the last sessions end asynchronously
+        while _open_fds() > fds and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _open_fds() <= fds
 
 
 class TestLazyFetchAndCache:

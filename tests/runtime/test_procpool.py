@@ -77,6 +77,31 @@ class TestParity:
         assert_identical(got, want)
 
 
+def _sockets_held(pid):
+    """How many of ``pid``'s descriptors are sockets."""
+    fds = f"/proc/{pid}/fd"
+    return sum(os.readlink(os.path.join(fds, fd)).startswith("socket:") for fd in os.listdir(fds))
+
+
+class _SocketCountingRuntime(ProcessRuntime):
+    """Records worker pids in fork order, and each live worker's socket
+    count as the run quiesces (before ``stop``)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.opened, self.sockets = [], {}
+
+    def _open_channel(self, index=0):
+        handle = super()._open_channel(index)
+        self.opened.append(handle.info["pid"])
+        return handle
+
+    def _shutdown_pool(self):
+        for handle in self._pool.channels:
+            self.sockets[handle.info["pid"]] = _sockets_held(handle.info["pid"])
+        super()._shutdown_pool()
+
+
 class TestWorkerDeath:
     def test_crash_recovers_and_result_verifies(self):
         app = make_app("lcs", scale="tiny")
@@ -107,6 +132,21 @@ class TestWorkerDeath:
         finally:
             store.close()
         assert rt.worker_crashes == len(keys)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc/<pid>/fd")
+    def test_a_replacement_holds_no_more_sockets_than_a_first_worker(self):
+        # A lost channel's reader closes its parent end only after the
+        # replacement is forked; that end must still be among the ends
+        # the new child closes, or the child keeps it open for life.
+        app = make_app("lcs", scale="tiny")
+        store = app.make_store(True)
+        rt = _SocketCountingRuntime(workers=2, seed=0, die_on=[(1, 1)])
+        FTScheduler(app, rt, store=store).run()
+        app.verify(store)
+        assert rt.worker_crashes == 1
+        first_gen, replacement = rt.opened[:2], rt.opened[2]
+        (survivor,) = [pid for pid in rt.sockets if pid in first_gen]
+        assert rt.sockets[replacement] == rt.sockets[survivor]
 
     def test_nabbit_baseline_fails_on_crash(self):
         # The fault-oblivious baseline has no recovery path: a worker
