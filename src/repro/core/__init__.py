@@ -39,7 +39,6 @@ def run_scheduler(
     store: BlockStore | None = None,
     cost_model: CostModel | None = None,
     hooks: SchedulerHooks | None = None,
-    strict_context: bool = True,
 ) -> SchedulerResult:
     """Execute ``spec`` once and return the :class:`SchedulerResult`.
 
@@ -50,18 +49,10 @@ def run_scheduler(
     runtime = runtime or InlineRuntime()
     if fault_tolerant:
         sched: FTScheduler | NabbitScheduler = FTScheduler(
-            spec,
-            runtime,
-            store=store,
-            cost_model=cost_model,
-            hooks=hooks,
-            strict_context=strict_context,
+            spec, runtime, store=store, cost_model=cost_model, hooks=hooks
         )
     else:
-        sched = NabbitScheduler(
-            spec, runtime, store=store, cost_model=cost_model, hooks=hooks,
-            strict_context=strict_context
-        )
+        sched = NabbitScheduler(spec, runtime, store=store, cost_model=cost_model, hooks=hooks)
     return sched.run()
 
 

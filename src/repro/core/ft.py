@@ -2,8 +2,8 @@
 
 :class:`FTScheduler` is :class:`~repro.core.nabbit.NabbitScheduler` plus
 the *shaded* lines of Figures 2 and 3, and nothing else: the constructor
-scaffold, ``run``, the metrics gauges, COMPUTE(A) and the status /
-notify-array loop are inherited.  With no fault (every N(A)=1) what is
+scaffold, ``run``, COMPUTE(A) and the status / notify-array loop are
+inherited.  With no fault (every N(A)=1) what is
 left here is gates that never fire: Section V's reduction to NABBIT, as a
 class hierarchy.  The shaded lines:
 
@@ -71,7 +71,6 @@ from repro.exceptions import (
 from repro.graph.taskspec import BlockRef, TaskGraphSpec
 from repro.memory.blockstore import BlockStore
 from repro.obs.events import EventKind, EventLog
-from repro.obs.live import MetricsRegistry
 from repro.runtime.api import Runtime
 from repro.runtime.costmodel import CostModel
 from repro.runtime.tracing import ExecutionTrace, note_and_emit
@@ -91,14 +90,10 @@ class FTScheduler(NabbitScheduler):
         cost_model: CostModel | None = None,
         hooks: SchedulerHooks | None = None,
         trace: ExecutionTrace | None = None,
-        strict_context: bool = True,
         max_recoveries: int = 1_000_000,
         event_log: EventLog | None = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
-        super().__init__(
-            spec, runtime, store, cost_model, hooks, trace, strict_context, event_log, metrics
-        )
+        super().__init__(spec, runtime, store, cost_model, hooks, trace, event_log)
         self.max_recoveries = max_recoveries
         self.recovery_table = RecoveryTable()
         # One-way flag, set by the first RECOVERTASK or RESETNODE.  Until
@@ -301,7 +296,8 @@ class FTScheduler(NabbitScheduler):
             T, life = self.map.replace(key)
             T.recovery = True
             note_and_emit(self.trace, self.log, EventKind.RECOVERY, key, life)
-            if self.trace.total_recoveries > self.max_recoveries:
+            # The RECOVERY count the trace keeps: O(1), not a sum over keys.
+            if self.trace.counts[EventKind.RECOVERY] > self.max_recoveries:
                 raise SchedulerError(
                     f"recovery budget exceeded ({self.max_recoveries}); "
                     "livelocked recovery cascade"

@@ -44,10 +44,9 @@ from repro.graph.taskspec import TaskGraphSpec
 from repro.memory.blockstore import BlockStore
 from repro.memory.context import StoreComputeContext
 from repro.obs.events import NULL_LOG, EventLog
-from repro.obs.live import NULL_METRICS, MetricsRegistry
 from repro.runtime.api import Runtime
 from repro.runtime.costmodel import CostModel
-from repro.runtime.tracing import COUNTERS, ExecutionTrace
+from repro.runtime.tracing import ExecutionTrace
 
 Key = Hashable
 
@@ -69,9 +68,7 @@ class NabbitScheduler:
         cost_model: CostModel | None = None,
         hooks: SchedulerHooks | None = None,
         trace: ExecutionTrace | None = None,
-        strict_context: bool = True,
         event_log: EventLog | None = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.spec = spec
         self.runtime = runtime
@@ -84,7 +81,6 @@ class NabbitScheduler:
         what an unprotected scheduler lets through, and any corruption a
         hook marks surfaces as an uncaught fault."""
         self.trace = trace or ExecutionTrace()
-        self.strict_context = strict_context
         self.log = event_log if event_log is not None else NULL_LOG
         """Structured observability log (:mod:`repro.obs`), disabled by
         default (``NULL_LOG``); pass ``event_log=EventLog()`` to record
@@ -139,38 +135,6 @@ class NabbitScheduler:
         # paths read on every task out of the attribute chain.
         self._c_lock = self.cost_model.lock_cost
         self._c_atomic = self.cost_model.atomic_cost
-        self.metrics = metrics if metrics is not None else NULL_METRICS
-        """Live metrics registry (:mod:`repro.obs.live`), disabled by
-        default (``NULL_METRICS``); pass ``metrics=MetricsRegistry()`` to
-        publish pull-based gauges over the run's trace counters and the
-        store's occupancy (read only when sampled: no hot-path cost)."""
-        # No `_mx` attribute: gauges are registered once, here.  (An FT
-        # scheduler's 30th instance attribute would leave CPython 3.11's
-        # shared-key layout and slow every `self.` load on the hot path.)
-        if self.metrics is not NULL_METRICS:
-            self._register_metrics()
-
-    def _register_metrics(self) -> None:
-        """Expose the live :class:`ExecutionTrace` counters (and the block
-        store's occupancy) as callback gauges: the counters already exist
-        and already update on the hot path, so live visibility costs one
-        ``getattr`` per counter per collector tick."""
-        trace = self.trace
-        self.metrics.gauge(
-            "repro_scheduler_info", "constant 1, labelled by scheduler", scheduler=self.name
-        ).set(1)
-        aggregates = ("total_computes", "total_recoveries", "tasks_computed")
-        kinds = ("counter", sorted(COUNTERS)), ("aggregate", aggregates)
-        for kind, names in kinds:
-            for name in names:
-                self.metrics.callback_gauge(
-                    f"repro_trace_{name}",
-                    lambda n=name: getattr(trace, n),
-                    f"live ExecutionTrace {kind} {name}",
-                )
-        register = getattr(self.store, "register_metrics", None)
-        if register is not None:
-            register(self.metrics)
 
     # -- public API -------------------------------------------------------------------
 
@@ -298,7 +262,7 @@ class NabbitScheduler:
             A.begin_at = (next(self._seq), self._now(), self._wid(), A.srcs)
         self.runtime.charge(float(self.spec.cost(key)) * self._compute_factor)
         fp = self._plans[key].footprint
-        ctx = StoreComputeContext(self.spec, self.store, key, self.strict_context, fp)
+        ctx = StoreComputeContext(self.spec, self.store, key, fp)
         if self._dispatch is not None:
             self._dispatch(self.spec, key, ctx, life)
         else:

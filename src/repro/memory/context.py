@@ -19,14 +19,13 @@ from repro.memory.blockstore import BlockStore
 class StoreComputeContext:
     """The object handed to ``spec.compute(key, ctx)``."""
 
-    __slots__ = ("spec", "store", "key", "_inputs", "_outputs", "reads", "writes", "strict")
+    __slots__ = ("spec", "store", "key", "_inputs", "_outputs", "reads", "writes")
 
     def __init__(
         self,
         spec: TaskGraphSpec,
         store: BlockStore,
         key: Key,
-        strict: bool = True,
         footprint: tuple[frozenset, frozenset] | None = None,
     ) -> None:
         self.spec = spec
@@ -44,12 +43,11 @@ class StoreComputeContext:
             self._outputs = frozenset(spec.outputs(key))
         self.reads: list[BlockRef] = []
         self.writes: list[BlockRef] = []
-        self.strict = strict
 
     def read(self, ref: BlockRef) -> Any:
         if type(ref) is not BlockRef:
             ref = BlockRef(*ref)
-        if self.strict and ref not in self._inputs:
+        if ref not in self._inputs:
             raise SchedulerError(
                 f"task {self.key!r} read undeclared input {ref!r}; "
                 f"declared inputs: {sorted(self._inputs, key=repr)!r}"
@@ -61,7 +59,7 @@ class StoreComputeContext:
     def write(self, ref: BlockRef, value: Any) -> None:
         if type(ref) is not BlockRef:
             ref = BlockRef(*ref)
-        if self.strict and ref not in self._outputs:
+        if ref not in self._outputs:
             raise SchedulerError(
                 f"task {self.key!r} wrote undeclared output {ref!r}; "
                 f"declared outputs: {sorted(self._outputs, key=repr)!r}"

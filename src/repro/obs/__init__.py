@@ -6,9 +6,9 @@ One substrate, many views:
   low-overhead structured log every scheduler, runtime, and the fault
   injector emit through (``NULL_LOG`` keeps fault-free runs free).
 * :mod:`repro.obs.live` -- the *while-it-runs* side: a thread-safe
-  :class:`MetricsRegistry` (counters / gauges / histograms), a sampling
-  :class:`MetricsCollector`, and a Prometheus-text
-  :class:`MetricsServer` (``NULL_METRICS`` keeps unmetered runs free).
+  :class:`MetricsRegistry` (counters / gauges / histograms) and a
+  Prometheus-text :class:`MetricsServer` (``metrics=None``, the
+  default everywhere, keeps unmetered runs free).
 * :mod:`repro.obs.spans` -- worker-attributed measured intervals
   decoded from ``SPAN`` events (kernel, input attach, lazy fetch,
   serialization, dispatch round trips, recovery, detection).
@@ -46,14 +46,7 @@ from repro.obs.events import (
     SealedLogError,
     events_in_order,
 )
-from repro.obs.live import (
-    NULL_METRICS,
-    MetricsCollector,
-    MetricsRegistry,
-    MetricsServer,
-    NullMetricsRegistry,
-    render_prometheus,
-)
+from repro.obs.live import MetricsRegistry, MetricsServer, render_prometheus
 from repro.obs.metrics import WorkerMetrics, format_worker_metrics, worker_metrics
 from repro.obs.report import RecoveryCascade, format_recovery_timeline, recovery_timeline
 from repro.obs.spans import Span, spans_of, wall_by_phase, wall_by_worker_phase
@@ -69,9 +62,6 @@ __all__ = [
     "SealedLogError",
     "events_in_order",
     "MetricsRegistry",
-    "NullMetricsRegistry",
-    "NULL_METRICS",
-    "MetricsCollector",
     "MetricsServer",
     "render_prometheus",
     "Span",

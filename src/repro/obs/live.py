@@ -1,29 +1,26 @@
-"""Live telemetry: metrics registry, background collector, HTTP endpoint.
+"""Live telemetry: metrics registry and HTTP endpoint.
 
-PR 1 made the system perfectly observable *after* the fact (event log ->
-replay/metrics/report/export); this module makes it observable *while it
-runs*.  Three pieces, deliberately small:
+The event log makes a run observable *after* the fact (replay, metrics,
+report, export); this module makes it observable *while it runs*.  Two
+pieces, deliberately small:
 
 * :class:`MetricsRegistry` -- a thread-safe get-or-create registry of
   counters, gauges (including pull-style callback gauges) and
-  fixed-bucket histograms.  Schedulers, runtimes, block stores and
+  fixed-bucket histograms.  Runtimes, worker servers, block stores and
   :mod:`repro.detect` publish into it; everything it holds can be
-  flattened into ``(name, labels, value)`` samples or rendered in the
-  Prometheus text exposition format.
-* :class:`MetricsCollector` -- a daemon thread that samples the registry
-  into a bounded ring buffer at a fixed interval, giving consumers
-  (``python -m repro top``, rate computations) a time series without the
-  instruments themselves having to retain history.
+  flattened into :class:`Sample` rows (``collect()``) or rendered in the
+  Prometheus text exposition format.  ``python -m repro top`` draws its
+  dashboard from those samples, read on its own redraw tick.
 * :class:`MetricsServer` -- a ``ThreadingHTTPServer`` exposing
   ``GET /metrics`` so any Prometheus-compatible scraper (or ``curl``)
   can watch a run live.
 
 Design constraints mirror :mod:`repro.obs.events`:
 
-* **Free when off.**  Hot paths hold :data:`NULL_METRICS` by default and
-  cache a ``registry is not NULL_METRICS`` identity check (the ``_mx``
-  flag idiom, enforced by the ``emit-guard`` lint) -- a disabled run pays
-  one local boolean test per would-be sample.
+* **Free when off.**  Telemetry off is ``metrics=None``: a layer caches
+  ``metrics is not None`` in an ``_mx`` flag (enforced by the
+  ``emit-guard`` rule) and builds its instruments only when it is set,
+  so a disabled run pays one local boolean test per would-be sample.
 * **Cheap when on.**  Counters and histograms take one small per-
   instrument lock; gauges for *existing* state (trace counters, queue
   depths, block-store occupancy) are **pull-based callback gauges** read
@@ -38,8 +35,6 @@ from __future__ import annotations
 import bisect
 import json
 import threading
-import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -51,10 +46,9 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "Sample",
     "MetricsRegistry",
-    "NullMetricsRegistry",
-    "NULL_METRICS",
-    "MetricsCollector",
     "MetricsServer",
+    "histogram_quantile",
+    "iter_worker_values",
     "render_prometheus",
 ]
 
@@ -167,7 +161,7 @@ class CallbackGauge(_Instrument):
             return float(self._fn())
         except Exception:
             # A callback outliving its subject (store torn down, worker
-            # gone) must never take the collector thread down with it.
+            # gone) must never take a scrape or a redraw down with it.
             return float("nan")
 
     def samples(self) -> list[tuple[str, LabelSet, float]]:
@@ -175,8 +169,9 @@ class CallbackGauge(_Instrument):
 
 
 class Histogram(_Instrument):
-    """Fixed-bucket histogram with cumulative counts, a running sum, and
-    interpolated quantile estimates -- the standard latency instrument."""
+    """Fixed-bucket histogram with cumulative counts and a running sum --
+    the standard latency instrument (quantiles are estimated from its
+    ``_bucket`` samples by the reader)."""
 
     kind = "histogram"
 
@@ -213,32 +208,6 @@ class Histogram(_Instrument):
     def sum(self) -> float:
         with self._lock:
             return self._sum
-
-    def quantile(self, q: float) -> float:
-        """Estimated ``q``-quantile (0..1) by linear interpolation inside
-        the containing bucket; 0.0 when empty.  Overflow observations
-        clamp to the largest finite bound (the estimate is then a lower
-        bound, exactly like Prometheus's ``histogram_quantile``)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        with self._lock:
-            counts = list(self._counts)
-            n = self._n
-        if n == 0:
-            return 0.0
-        rank = q * n
-        cum = 0.0
-        for i, c in enumerate(counts):
-            prev_cum = cum
-            cum += c
-            if cum >= rank and c:
-                if i >= len(self.bounds):  # overflow bucket
-                    return self.bounds[-1]
-                lo = self.bounds[i - 1] if i else 0.0
-                hi = self.bounds[i]
-                frac = (rank - prev_cum) / c
-                return lo + (hi - lo) * min(max(frac, 0.0), 1.0)
-        return self.bounds[-1]
 
     def samples(self) -> list[tuple[str, LabelSet, float]]:
         with self._lock:
@@ -277,11 +246,6 @@ class MetricsRegistry:
     layers can publish into one registry without coordination.  Name
     collisions across instrument *types* raise: one name, one kind.
     """
-
-    enabled = True
-    """Publication guard, mirroring :attr:`EventLog.enabled`: hot paths
-    cache ``registry is not NULL_METRICS`` (the ``_mx`` flag) so a
-    disabled run never builds labels or takes a lock."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -369,79 +333,6 @@ class MetricsRegistry:
         return render_prometheus(self)
 
 
-class NullMetricsRegistry(MetricsRegistry):
-    """The disabled registry: instruments it hands out are inert.
-
-    Layers hold this by default so an uninstrumented run pays only the
-    cached identity check -- and code that *does* call through (cold
-    paths, tests) still works, it just measures nothing."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._null_counter = _NullCounter()
-        self._null_gauge = _NullGauge()
-        self._null_hist = _NullHistogram()
-
-    def counter(self, name: str, help: str = "", **labels: Any) -> Counter:
-        return self._null_counter
-
-    def gauge(self, name: str, help: str = "", **labels: Any) -> Gauge:
-        return self._null_gauge
-
-    def callback_gauge(
-        self, name: str, fn: Callable[[], float], help: str = "", **labels: Any
-    ) -> CallbackGauge:
-        return self._null_gauge  # type: ignore[return-value]
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-        **labels: Any,
-    ) -> Histogram:
-        return self._null_hist
-
-    def collect(self) -> list[Sample]:
-        return []
-
-
-class _NullCounter(Counter):
-    def __init__(self) -> None:
-        super().__init__("null", "", ())
-
-    def inc(self, amount: float = 1.0) -> None:
-        return None
-
-
-class _NullGauge(Gauge):
-    def __init__(self) -> None:
-        super().__init__("null", "", ())
-
-    def set(self, value: float) -> None:
-        return None
-
-    def inc(self, amount: float = 1.0) -> None:
-        return None
-
-    def dec(self, amount: float = 1.0) -> None:
-        return None
-
-
-class _NullHistogram(Histogram):
-    def __init__(self) -> None:
-        super().__init__("null", "", (), buckets=(1.0,))
-
-    def observe(self, value: float) -> None:
-        return None
-
-
-#: Shared disabled registry; identity-comparable (``mx is NULL_METRICS``).
-NULL_METRICS = NullMetricsRegistry()
-
-
 # ---------------------------------------------------------------------------
 # rendering
 
@@ -484,104 +375,6 @@ def render_prometheus(registry: MetricsRegistry) -> str:
                 val = _fmt_float(value) if value == value else "NaN"
                 lines.append(f"{name}{suffix}{labels} {val}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# collector
-
-
-class MetricsCollector:
-    """Samples a registry into a bounded ring buffer on a daemon thread.
-
-    Each tick stores ``(wall_time, {(name, labels): value})``; consumers
-    read :meth:`snapshots` for time series or :meth:`rate` for windowed
-    derivatives of counters.  The collector never blocks publishers --
-    it only ever *reads* instruments.
-    """
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        interval: float = 0.25,
-        capacity: int = 512,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self.registry = registry
-        self.interval = interval
-        self._ring: deque[tuple[float, dict[tuple[str, LabelSet], float]]] = deque(
-            maxlen=capacity
-        )
-        self._stop = threading.Event()  # verify: ok=raw-threading (collector lifecycle flag; obs.live is the telemetry runtime)
-        self._thread: threading.Thread | None = None  # verify: ok=raw-threading (annotation for the sampling daemon handle)
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def start(self) -> "MetricsCollector":
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(  # verify: ok=raw-threading (sampling daemon; never touches scheduler state, reads instruments only)
-            target=self._run, name="repro-metrics-collector", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        t = self._thread
-        if t is not None:
-            t.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "MetricsCollector":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            self.sample_once()
-            self._stop.wait(self.interval)
-
-    # -- sampling ----------------------------------------------------------------
-
-    def sample_once(self) -> dict[tuple[str, LabelSet], float]:
-        """Take one sample synchronously."""
-        tick = {s.key: s.value for s in self.registry.collect()}
-        self._ring.append((time.time(), tick))
-        return tick
-
-    def snapshots(self) -> list[tuple[float, dict[tuple[str, LabelSet], float]]]:
-        return list(self._ring)
-
-    def latest(self) -> dict[tuple[str, LabelSet], float]:
-        ring = self.snapshots()
-        return ring[-1][1] if ring else {}
-
-    def rate(self, name: str, window: float = 2.0, **labels: Any) -> float:
-        """Windowed per-second rate of a counter-like series (0.0 when
-        fewer than two samples cover the window)."""
-        key = (name, _labelset(labels))
-        ring = self.snapshots()
-        if len(ring) < 2:
-            return 0.0
-        t_hi, latest = ring[-1]
-        lo = None
-        for t, tick in reversed(ring[:-1]):
-            lo = (t, tick)
-            if t_hi - t >= window:
-                break
-        if lo is None:
-            return 0.0
-        t_lo, first = lo
-        if t_hi <= t_lo:
-            return 0.0
-        a, b = first.get(key), latest.get(key)
-        if a is None or b is None:
-            return 0.0
-        return max(0.0, (b - a) / (t_hi - t_lo))
 
 
 # ---------------------------------------------------------------------------
@@ -676,3 +469,28 @@ def iter_worker_values(
             except ValueError:
                 continue
     return sorted(out)
+
+
+def histogram_quantile(samples: Iterable[Sample], name: str, q: float) -> float:
+    """Estimated ``q``-quantile (0..1) of histogram ``name`` (a family of
+    one instrument) from its cumulative ``_bucket`` samples, by linear
+    interpolation inside the containing bucket; 0.0 when empty.
+    Overflow observations clamp to the largest finite bound (the
+    estimate is then a lower bound, exactly like Prometheus's
+    ``histogram_quantile``)."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("quantile must be in [0, 1]")
+    buckets = sorted(
+        (float(dict(s.labels)["le"]), s.value) for s in samples if s.name == name + "_bucket"
+    )
+    if not buckets or not buckets[-1][1]:
+        return 0.0
+    rank = q * buckets[-1][1]
+    lo = below = 0.0
+    for bound, cum in buckets:
+        if cum >= rank and cum > below:
+            if bound == float("inf"):
+                break
+            return lo + (bound - lo) * min(max((rank - below) / (cum - below), 0.0), 1.0)
+        lo, below = bound, cum
+    return lo

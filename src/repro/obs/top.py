@@ -28,10 +28,13 @@ Examples::
     python -m repro top fw --serve --port 9200         # scrape /metrics while it runs
     python -m repro top --connect 10.0.0.5:9090        # watch a remote worker
 
-The dashboard reads only *pull-based* state: every value on screen comes
-from ``registry.collect()`` (callback gauges over counters the run
-already maintains), so watching a run does not perturb it beyond the
-collector's sampling tick.
+Both modes draw one dashboard (:func:`render_dashboard`) from flat
+samples: ``registry.collect()`` on the monitor's own redraw tick, or the
+parsed scrape; rates compare each frame with the previous one, and the
+dispatch quantiles come from the ``repro_dispatch_seconds_bucket``
+samples.  Every value on screen is *pull-based* (callback gauges over
+counters the run already maintains), so watching a run does not perturb
+it beyond the redraw's own read.
 """
 
 from __future__ import annotations
@@ -41,29 +44,20 @@ import re
 import sys
 import threading
 import time
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable, Sequence
 
 from repro.obs.events import EventLog
 from repro.obs.live import (
-    Histogram,
-    MetricsCollector,
     MetricsRegistry,
     MetricsServer,
     Sample,
+    histogram_quantile,
     iter_worker_values,
 )
+from repro.runtime.tracing import COUNTERS
 
 #: ANSI: move cursor home + clear to end of screen (redraw without flicker).
 _ANSI_HOME_CLEAR = "\x1b[H\x1b[J"
-
-#: Trace counters surfaced on the dashboard's summary line, in order.
-_SUMMARY_COUNTERS = (
-    ("tasks", "repro_trace_tasks_computed"),
-    ("computes", "repro_trace_total_computes"),
-    ("recoveries", "repro_trace_total_recoveries"),
-    ("sdc", "repro_trace_sdc_detected"),
-    ("faults", "repro_trace_faults_observed"),
-)
 
 
 def graph_keys(app: Any) -> list[Hashable]:
@@ -84,88 +78,28 @@ def graph_keys(app: Any) -> list[Hashable]:
 
 
 # ---------------------------------------------------------------------------
-# dashboard rendering
+# the dashboard: one frame from flat samples, local or scraped
 
 
-def _scalar(samples: list[Sample], name: str, default: float = 0.0) -> float:
-    for s in samples:
-        if s.name == name and not s.labels:
-            return s.value
-    return default
-
-
-def render_dashboard(
-    registry: MetricsRegistry,
-    collector: MetricsCollector,
-    title: str,
-    done: bool = False,
-) -> str:
-    """One frame of the monitor, built purely from registry samples."""
-    samples = registry.collect()
-    elapsed = _scalar(samples, "repro_run_elapsed_seconds")
-    workers = int(_scalar(samples, "repro_workers"))
-    outstanding = int(_scalar(samples, "repro_outstanding_frames"))
-    lines = [
-        f"repro top -- {title}"
-        + (f"  [{'done' if done else 'running'} {elapsed:6.1f}s]"),
-    ]
-
-    counters = []
-    for label, name in _SUMMARY_COUNTERS:
-        v = _scalar(samples, name, float("nan"))
-        if v == v:  # only counters the run actually registered
-            counters.append(f"{label} {int(v)}")
-    rate = collector.rate("repro_trace_total_computes")
-    if rate > 0:
-        counters.append(f"{rate:.0f} tasks/s")
-    crashes = registry.value("repro_worker_crashes_total")
-    if crashes:
-        counters.append(f"worker-crashes {int(crashes)}")
-    if counters:
-        lines.append("  " + "   ".join(counters))
-
-    busy = dict(iter_worker_values(samples, "repro_worker_busy_seconds"))
-    frames = dict(iter_worker_values(samples, "repro_worker_frames"))
-    depth = dict(iter_worker_values(samples, "repro_queue_depth"))
-    if busy:
-        lines.append(f"  {'worker':>6} {'busy(s)':>9} {'util%':>6} {'frames':>8} {'queue':>6}")
-        for w in sorted(busy):
-            b = busy.get(w, 0.0)
-            util = 100.0 * b / elapsed if elapsed > 0 else 0.0
-            lines.append(
-                f"  {w:>6} {b:>9.2f} {min(util, 100.0):>6.1f} "
-                f"{int(frames.get(w, 0)):>8} {int(depth.get(w, 0)):>6}"
+def register_run_metrics(registry: MetricsRegistry, sched: Any) -> None:
+    """Publish ``sched``'s live :class:`ExecutionTrace` counters and its
+    block store's occupancy as callback gauges: both already update on
+    the run's hot path, so watching them costs one ``getattr`` per gauge
+    per read."""
+    trace = sched.trace
+    registry.gauge(
+        "repro_scheduler_info", "constant 1, labelled by scheduler", scheduler=sched.name
+    ).set(1)
+    aggregates = ("total_computes", "total_recoveries", "tasks_computed")
+    for kind, names in (("counter", sorted(COUNTERS)), ("aggregate", aggregates)):
+        for name in names:
+            registry.callback_gauge(
+                f"repro_trace_{name}",
+                lambda n=name: getattr(trace, n),
+                f"live ExecutionTrace {kind} {name}",
             )
-        lines.append(f"  outstanding frames: {outstanding}")
+    sched.store.register_metrics(registry)
 
-    for inst in registry.instruments():
-        if isinstance(inst, Histogram) and inst.name == "repro_dispatch_seconds":
-            n = inst.count
-            if n:
-                lines.append(
-                    f"  dispatch: {n} round trips, "
-                    f"p50 {inst.quantile(0.5) * 1e3:.2f} ms, "
-                    f"p90 {inst.quantile(0.9) * 1e3:.2f} ms, "
-                    f"mean {inst.sum / n * 1e3:.2f} ms"
-                )
-            break
-
-    resident = _scalar(samples, "repro_store_resident_versions", float("nan"))
-    if resident == resident:
-        store_bits = [f"resident {int(resident)}"]
-        for stat in ("writes", "reads", "evictions", "peak_resident"):
-            v = _scalar(samples, f"repro_store_{stat}", float("nan"))
-            if v == v:
-                store_bits.append(f"{stat} {int(v)}")
-        shm = _scalar(samples, "repro_shm_bytes_current", float("nan"))
-        if shm == shm:
-            store_bits.append(f"shm {shm / 1e6:.1f} MB")
-        lines.append("  store: " + "  ".join(store_bits))
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# remote monitor: scrape a /metrics endpoint and render from the text
 
 #: Prometheus text sample line: ``name{labels} value`` or ``name value``.
 _PROM_LINE = re.compile(r"^([A-Za-z_:][A-Za-z0-9_:]*)(?:\{(.*)\})?\s+(\S+)$")
@@ -196,77 +130,124 @@ def parse_prometheus(text: str) -> list[Sample]:
     return samples
 
 
-#: Counter families worth a live rate on the remote dashboard.
-_REMOTE_RATES = (
+#: Unlabelled counts on the summary line, in order, each shown when present.
+_SUMMARY = (
+    ("tasks", "repro_trace_tasks_computed"),
+    ("computes", "repro_trace_total_computes"),
+    ("recoveries", "repro_trace_total_recoveries"),
+    ("sdc", "repro_trace_sdc_detected"),
+    ("faults", "repro_trace_faults_observed"),
+    ("jobs", "repro_worker_jobs_total"),
+    ("payloads", "repro_comm_fetches_total"),
+    ("worker-crashes", "repro_worker_crashes_total"),
+)
+
+#: Counter families worth a live rate, against the previous frame.
+_RATES = (
     ("repro_trace_total_computes", "tasks/s"),
     ("repro_worker_jobs_total", "jobs/s"),
     ("repro_comm_fetches_total", "payloads/s"),
 )
 
 
-def render_remote_dashboard(
+def render_dashboard(
     samples: list[Sample],
     title: str,
-    rates: dict[str, float] | None = None,
+    prev: Sequence[Sample] = (),
+    dt: float = 0.0,
+    state: str = "",
 ) -> str:
-    """One monitor frame built purely from scraped samples."""
+    """One monitor frame built purely from flat samples (``registry.collect()``
+    or a parsed scrape); ``prev`` is the previous frame's, ``dt`` seconds
+    earlier, for rates; ``state`` ("running", "done") heads a local run's."""
+    # NaN is a callback gauge whose subject is gone: not on screen.
+    flat = {s.name: s.value for s in samples if not s.labels and s.value == s.value}
+    before = {s.name: s.value for s in prev if not s.labels}
     lines = [f"repro top -- {title}"]
+    if state:
+        lines[0] += f"  [{state} {flat.get('repro_run_elapsed_seconds', 0.0):6.1f}s]"
 
-    counters = []
-    for label, name in _SUMMARY_COUNTERS:
-        v = _scalar(samples, name, float("nan"))
-        if v == v:
-            counters.append(f"{label} {int(v)}")
-    for name, label in (
-        ("repro_worker_jobs_total", "jobs"),
-        ("repro_comm_fetches_total", "payloads"),
-        ("repro_worker_crashes_total", "worker-crashes"),
-    ):
-        v = _scalar(samples, name, float("nan"))
-        if v == v:
-            counters.append(f"{label} {int(v)}")
-    for name, unit in _REMOTE_RATES:
-        r = (rates or {}).get(name, 0.0)
-        if r > 0:
-            counters.append(f"{r:.0f} {unit}")
+    counters = [f"{label} {int(flat[name])}" for label, name in _SUMMARY if name in flat]
+    for name, unit in _RATES:
+        if dt > 0 and name in flat and name in before:
+            rate = (flat[name] - before[name]) / dt
+            if rate > 0:
+                counters.append(f"{rate:.0f} {unit}")
     if counters:
         lines.append("  " + "   ".join(counters))
 
     busy = dict(iter_worker_values(samples, "repro_worker_busy_seconds"))
     if busy:
-        elapsed = _scalar(samples, "repro_run_elapsed_seconds")
+        elapsed = flat.get("repro_run_elapsed_seconds", 0.0)
         frames = dict(iter_worker_values(samples, "repro_worker_frames"))
-        lines.append(f"  {'worker':>6} {'busy(s)':>9} {'util%':>6} {'frames':>8}")
+        depth = dict(iter_worker_values(samples, "repro_queue_depth"))
+        lines.append(f"  {'worker':>6} {'busy(s)':>9} {'util%':>6} {'frames':>8} {'queue':>6}")
         for w in sorted(busy):
-            b = busy.get(w, 0.0)
-            util = 100.0 * b / elapsed if elapsed > 0 else 0.0
+            util = 100.0 * busy[w] / elapsed if elapsed > 0 else 0.0
             lines.append(
-                f"  {w:>6} {b:>9.2f} {min(util, 100.0):>6.1f} {int(frames.get(w, 0)):>8}"
+                f"  {w:>6} {busy[w]:>9.2f} {min(util, 100.0):>6.1f} "
+                f"{int(frames.get(w, 0)):>8} {int(depth.get(w, 0)):>6}"
             )
+    if "repro_outstanding_frames" in flat:
+        lines.append(f"  outstanding frames: {int(flat['repro_outstanding_frames'])}")
 
-    n = _scalar(samples, "repro_dispatch_seconds_count", float("nan"))
-    s = _scalar(samples, "repro_dispatch_seconds_sum", float("nan"))
-    if n == n and n > 0 and s == s:
-        lines.append(f"  dispatch: {int(n)} round trips, mean {s / n * 1e3:.2f} ms")
-
-    cache_bytes = _scalar(samples, "repro_worker_cache_bytes", float("nan"))
-    if cache_bytes == cache_bytes:
-        entries = int(_scalar(samples, "repro_worker_cache_entries"))
-        shipped = _scalar(samples, "repro_comm_fetch_bytes_total")
+    n = flat.get("repro_dispatch_seconds_count", 0.0)
+    if n > 0:
+        p50, p90 = (histogram_quantile(samples, "repro_dispatch_seconds", q) for q in (0.5, 0.9))
         lines.append(
-            f"  cache: {cache_bytes / 1e6:.1f} MB in {entries} entries, "
-            f"{shipped / 1e6:.1f} MB shipped over comm (pushed + fetched)"
+            f"  dispatch: {int(n)} round trips, p50 {p50 * 1e3:.2f} ms, "
+            f"p90 {p90 * 1e3:.2f} ms, mean {flat['repro_dispatch_seconds_sum'] / n * 1e3:.2f} ms"
         )
-    spec_bytes = _scalar(samples, "repro_comm_spec_bytes_total", float("nan"))
-    if spec_bytes == spec_bytes:
-        lines.append(f"  control: {spec_bytes / 1e3:.1f} kB of spec announced over comm")
+
+    if "repro_store_resident_versions" in flat:
+        store_bits = [f"resident {int(flat['repro_store_resident_versions'])}"]
+        for stat in ("writes", "reads", "evictions", "peak_resident"):
+            if f"repro_store_{stat}" in flat:
+                store_bits.append(f"{stat} {int(flat[f'repro_store_{stat}'])}")
+        if "repro_shm_bytes_current" in flat:
+            store_bits.append(f"shm {flat['repro_shm_bytes_current'] / 1e6:.1f} MB")
+        lines.append("  store: " + "  ".join(store_bits))
+    if "repro_worker_cache_bytes" in flat:
+        lines.append(
+            f"  cache: {flat['repro_worker_cache_bytes'] / 1e6:.1f} MB in "
+            f"{int(flat.get('repro_worker_cache_entries', 0))} entries, "
+            f"{flat.get('repro_comm_fetch_bytes_total', 0.0) / 1e6:.1f} MB shipped over "
+            "comm (pushed + fetched)"
+        )
+    if "repro_comm_spec_bytes_total" in flat:
+        lines.append(
+            f"  control: {flat['repro_comm_spec_bytes_total'] / 1e3:.1f} kB of spec "
+            "announced over comm"
+        )
     return "\n".join(lines)
+
+
+def _redraw(read: Callable[[], list[Sample]], title: str, args: argparse.Namespace,
+            run: threading.Thread | None = None) -> None:  # verify: ok=raw-threading (annotation: the monitored run's thread)
+    """The one monitor loop: a frame every ``--interval`` from ``read()``'s
+    samples (rates against the previous frame's) while ``run`` lives, or,
+    with no run, for ``--frames`` frames (0 = until interrupted)."""
+    prev: list[Sample] = []
+    prev_t = 0.0
+    shown = 0
+    while True:
+        if run is not None:
+            run.join(timeout=args.interval)
+        samples, now = read(), time.monotonic()
+        done = run is not None and not run.is_alive()
+        state = "" if run is None else "done" if done else "running"
+        frame = render_dashboard(samples, title, prev, now - prev_t, state)
+        print(frame if args.plain else _ANSI_HOME_CLEAR + frame, flush=True)
+        prev, prev_t, shown = samples, now, shown + 1
+        if done or (run is None and 0 < args.frames <= shown):
+            return
+        if run is None:
+            time.sleep(args.interval)
 
 
 def run_remote(args: argparse.Namespace) -> int:
     """Attach to ``--connect host:port`` and redraw until interrupted
-    (or for ``--frames`` ticks when bounded, e.g. from CI)."""
-    import urllib.error
+    (or for ``--frames`` frames when bounded, e.g. from CI)."""
     import urllib.request
 
     endpoint = args.connect
@@ -275,42 +256,22 @@ def run_remote(args: argparse.Namespace) -> int:
     if not endpoint.endswith("/metrics"):
         endpoint = endpoint.rstrip("/") + "/metrics"
 
-    prev: dict[str, float] = {}
-    prev_t = 0.0
-    rates: dict[str, float] = {}
-    shown = 0
-    misses = 0
-    try:
-        while args.frames <= 0 or shown < args.frames:
-            t0 = time.time()
+    def scrape() -> list[Sample]:
+        for _ in range(3):  # a scrape may miss twice in a row
             try:
                 body = urllib.request.urlopen(endpoint, timeout=5).read().decode()
-            except (urllib.error.URLError, OSError, TimeoutError) as exc:
-                misses += 1
-                if misses >= 3:
-                    print(f"top: lost {endpoint}: {exc}", file=sys.stderr)
-                    return 1
+            except OSError as exc:  # URLError and timeouts included
+                lost = exc
                 time.sleep(args.interval)
                 continue
-            misses = 0
-            samples = parse_prometheus(body)
-            now = {s.name: s.value for s in samples if not s.labels}
-            if prev_t:
-                dt = t0 - prev_t
-                if dt > 0:
-                    rates = {
-                        name: max(0.0, (now.get(name, 0.0) - prev.get(name, 0.0)) / dt)
-                        for name, _ in _REMOTE_RATES
-                    }
-            prev, prev_t = now, t0
-            frame = render_remote_dashboard(samples, f"remote {args.connect}", rates)
-            if args.plain:
-                print(frame, flush=True)
-            else:
-                print(_ANSI_HOME_CLEAR + frame, flush=True)
-            shown += 1
-            if args.frames <= 0 or shown < args.frames:
-                time.sleep(args.interval)
+            return parse_prometheus(body)
+        raise ConnectionError(f"lost {endpoint}: {lost}")
+
+    try:
+        _redraw(scrape, f"remote {args.connect}", args)
+    except ConnectionError as exc:
+        print(f"top: {exc}", file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         print()
     return 0
@@ -363,8 +324,8 @@ def run_monitored(args: argparse.Namespace) -> int:
         hooks = FaultInjector(plan, app, store)
 
     runtime = _build_runtime(args, log, registry, die_on)
-    sched = FTScheduler(app, runtime, store=store, hooks=hooks,
-                        event_log=log, metrics=registry)
+    sched = FTScheduler(app, runtime, store=store, hooks=hooks, event_log=log)
+    register_run_metrics(registry, sched)
 
     box: dict[str, Any] = {}
 
@@ -377,27 +338,18 @@ def run_monitored(args: argparse.Namespace) -> int:
     server = MetricsServer(registry, port=args.port) if args.serve else None
     title = (f"{args.app}/{args.scale} on {args.runtime}, "
              f"{args.workers} workers, seed {args.seed}")
-    collector = MetricsCollector(registry, interval=min(args.interval, 0.25))
-    thread = threading.Thread(  # verify: ok=raw-threading (monitor harness: the run occupies this thread so the main thread can redraw; joined below)
+    thread = threading.Thread(  # verify: ok=raw-threading (monitor harness: the run occupies this thread so the main thread can redraw; joined by the redraw loop)
         target=_run, name="repro-top-run", daemon=True
     )
     try:
-        collector.start()
         if server is not None:
             print(f"metrics endpoint: {server.url}")
         thread.start()
-        while thread.is_alive():
-            thread.join(timeout=args.interval)
-            frame = render_dashboard(registry, collector, title, done=not thread.is_alive())
-            if args.plain:
-                print(frame, flush=True)
-            else:
-                print(_ANSI_HOME_CLEAR + frame, flush=True)
+        _redraw(registry.collect, title, args, thread)
     except KeyboardInterrupt:
         print("\ninterrupted; abandoning the run", file=sys.stderr)
         return 130
     finally:
-        collector.stop()
         if server is not None:
             server.close()
 

@@ -47,7 +47,7 @@ from repro.comm.core import CommClosedError, connect, listen, retry_rounds
 from repro.comm.tcp import SocketComm
 from repro.exceptions import SchedulerError
 from repro.obs.events import NULL_LOG, EventKind, EventLog
-from repro.obs.live import NULL_METRICS, MetricsRegistry
+from repro.obs.live import MetricsRegistry
 from repro.runtime.dispatch import (
     DEFAULT_INFLIGHT,
     PipelineChannel,
@@ -91,26 +91,25 @@ class WorkerServer:
     ) -> None:
         self._listen_addr = listen_addr
         self.cache = BlockCache(cache_bytes)
-        self._metrics = metrics if metrics is not None else NULL_METRICS
-        self._mx = self._metrics is not NULL_METRICS
-        self._jobs_counter = self._metrics.counter(
-            "repro_worker_jobs_total", "compute phases executed by this worker server"
-        )
-        self._fetch_counter = self._metrics.counter(
-            "repro_comm_fetches_total", "block payloads received, pushed or fetched"
-        )
-        self._fetch_bytes = self._metrics.counter(
-            "repro_comm_fetch_bytes_total", "payload bytes received, pushed or fetched"
-        )
         self._listener: Any = None
         self._stopped = threading.Event()
-        if self._mx:
-            self._metrics.callback_gauge(
+        self._mx = metrics is not None
+        if metrics is not None:
+            self._jobs_counter = metrics.counter(
+                "repro_worker_jobs_total", "compute phases executed by this worker server"
+            )
+            self._fetch_counter = metrics.counter(
+                "repro_comm_fetches_total", "block payloads received, pushed or fetched"
+            )
+            self._fetch_bytes = metrics.counter(
+                "repro_comm_fetch_bytes_total", "payload bytes received, pushed or fetched"
+            )
+            metrics.callback_gauge(
                 "repro_worker_cache_bytes",
                 lambda: float(self.cache.nbytes),
                 "bytes resident in the versioned block cache",
             )
-            self._metrics.callback_gauge(
+            metrics.callback_gauge(
                 "repro_worker_cache_entries",
                 lambda: float(len(self.cache)),
                 "entries resident in the versioned block cache",

@@ -72,8 +72,12 @@ scheduler re-executes exactly the unfinished jobs through
 RECOVERTASKONCE -- replies streamed before the loss are never re-run.
 Then the slot's replacement opens (one ``WORKER_DOWN``/``WORKER_UP``
 pair and one crash count per death, keyed by the ``die_on``-flagged job
-when the death was injected).  The baseline Nabbit scheduler has no
-recovery path, and a crash fails the run (faithful to the paper).
+when the death was injected).  A task in flight on
+:data:`MAX_WORKER_LOSSES` lost channels in one run fails the run with
+:class:`~repro.exceptions.SchedulerError` instead: one that kills every
+worker it runs on is not re-dispatched for ever.  The baseline Nabbit
+scheduler has no recovery path, and a crash fails the run (faithful to
+the paper).
 
 The reader of an observed run also computes each job's **queued**
 time: a worker runs its channel's jobs in FIFO order, so job *B*
@@ -121,6 +125,11 @@ CRASHED = object()
 
 #: Default outstanding-job window per channel.
 DEFAULT_INFLIGHT = 2
+
+#: A run fails once one task has been in flight on this many lost
+#: channels: a task that kills every worker it runs on would otherwise
+#: be re-dispatched for ever.
+MAX_WORKER_LOSSES = 8
 
 
 class PendingJob:
@@ -316,26 +325,29 @@ class RemoteRuntime(ThreadedRuntime):
         #: ``(spec, pickle)``, matched by identity: an ``id()`` is reused.
         self._spec_pickled: tuple[Any, bytes] | None = None
         self._crashes = 0
+        #: key -> channels lost with a job of the key in flight, this run.
+        self._losses: dict[Hashable, int] = {}
         # Scopes worker-side cache entries to one pool (one run): a
         # long-lived worker server must never serve one run's bytes to
         # another run's identically-named block version.
         self._run_token = ""
-        # Pre-built instruments: the dispatch hot path must never pay
-        # registry lookup/label work, only a cached-flag test + observe.
-        self._dispatch_hist = self._metrics.histogram(
-            "repro_dispatch_seconds",
-            "full remote compute round trip (queue wait + ship + kernel + reply)",
-        )
-        self._crash_counter = self._metrics.counter(
-            "repro_worker_crashes_total", "workers lost mid-dispatch and replaced"
-        )
-        self._fetch_counter = self._metrics.counter(
-            "repro_comm_fetches_total", "block payloads shipped, pushed or fetched"
-        )
-        self._fetch_bytes = self._metrics.counter(
-            "repro_comm_fetch_bytes_total", "payload bytes shipped, pushed or fetched"
-        )
-        self._spec_bytes = self._metrics.counter("repro_comm_spec_bytes_total", "spec bytes sent")
+        if metrics is not None:
+            # Pre-built instruments: the dispatch hot path must never pay
+            # registry lookup/label work, only a cached-flag test + observe.
+            self._dispatch_hist = metrics.histogram(
+                "repro_dispatch_seconds",
+                "full remote compute round trip (queue wait + ship + kernel + reply)",
+            )
+            self._crash_counter = metrics.counter(
+                "repro_worker_crashes_total", "workers lost mid-dispatch and replaced"
+            )
+            self._fetch_counter = metrics.counter(
+                "repro_comm_fetches_total", "block payloads shipped, pushed or fetched"
+            )
+            self._fetch_bytes = metrics.counter(
+                "repro_comm_fetch_bytes_total", "payload bytes shipped, pushed or fetched"
+            )
+            self._spec_bytes = metrics.counter("repro_comm_spec_bytes_total", "spec bytes sent")
 
     @property
     def worker_crashes(self) -> int:
@@ -373,6 +385,7 @@ class RemoteRuntime(ThreadedRuntime):
             if self._run_token:
                 return
             self._run_token = f"{os.getpid():x}.{id(self):x}.{time.monotonic_ns():x}"
+            self._losses = {}
             handles = [
                 self._open_channel(i)  # verify: ok=blocking-under-lock (cold path: pool is built before any scheduler thread exists to contend)
                 for i in range(self._channels)
@@ -526,6 +539,11 @@ class RemoteRuntime(ThreadedRuntime):
             finally:
                 self._pool.release(handle)
             if reply is CRASHED:
+                if self._losses.get(me.key, 0) >= MAX_WORKER_LOSSES:
+                    raise SchedulerError(
+                        f"task {me.key!r} lost its worker {MAX_WORKER_LOSSES} times "
+                        "in one run; it is not re-dispatched again"
+                    )
                 raise WorkerCrashError(
                     me.key, pid=handle.info.get("pid"), exitcode=handle.info.get("exitcode")
                 )
@@ -696,6 +714,8 @@ class RemoteRuntime(ThreadedRuntime):
         self._retire(handle)
         with self._pool_lock:
             self._crashes += 1
+            for p in pending:
+                self._losses[p.key] = self._losses.get(p.key, 0) + 1
         if self._mx:
             self._crash_counter.inc()
         if self._log is not NULL_LOG:  # before a crashed submitter resumes

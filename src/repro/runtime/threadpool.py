@@ -21,9 +21,9 @@ bound to it, and always reports per-worker frame/steal/busy breakdowns
 in :class:`~repro.runtime.api.RunResult`.  Pass
 ``metrics=MetricsRegistry()`` for *live* telemetry: the runtime
 registers pull-based gauges (per-worker busy time and frame counts,
-queue depths, outstanding frames) that a
-:class:`~repro.obs.live.MetricsCollector` or the ``/metrics`` endpoint
-samples while the run is in flight.
+queue depths, outstanding frames) that ``registry.collect()`` (the
+``python -m repro top`` redraw) or the ``/metrics`` endpoint samples
+while the run is in flight.
 
 Exceptions escaping a frame are scheduler bugs (detected faults are caught
 inside the scheduler): the pool shuts down and re-raises the first one.
@@ -37,7 +37,7 @@ import time
 from typing import Any, Callable
 
 from repro.obs.events import NULL_LOG, EventKind, EventLog
-from repro.obs.live import NULL_METRICS, MetricsRegistry
+from repro.obs.live import MetricsRegistry
 from repro.runtime.api import RunResult
 from repro.runtime.deque import WorkDeque
 
@@ -66,12 +66,12 @@ class ThreadedRuntime:
         self._workers = workers
         self._seed = seed
         self._log = event_log if event_log is not None else NULL_LOG
-        self._metrics = metrics if metrics is not None else NULL_METRICS
+        #: Live telemetry registry, or None (off): instruments are built
+        #: only when it is set.
+        self._metrics = metrics
         #: Cached publication guard (the metrics twin of the schedulers'
         #: ``_obs``): hot paths test this bool, never the registry.
-        self._mx = self._metrics is not NULL_METRICS
-        self._live_busy: list[float] = []
-        self._live_frames: list[int] = []
+        self._mx = metrics is not None
         self._local = threading.local()
         self._deques: list[WorkDeque[tuple[Callable[..., None], tuple]]] = []
         self._outstanding = 0
@@ -154,10 +154,8 @@ class ThreadedRuntime:
         self._worker_frames = [0] * self._workers
         self._worker_steals = [0] * self._workers
         self._worker_busy = [0.0] * self._workers
-        self._live_busy = [0.0] * self._workers
-        self._live_frames = [0] * self._workers
-        if self._mx:
-            self._register_live_gauges()
+        if self._metrics is not None:
+            self._register_live_gauges(self._metrics)
         self._deques[0].push_bottom((root, ()))
         started = time.perf_counter()
         threads = [
@@ -192,14 +190,14 @@ class ThreadedRuntime:
             parks=self._parks,
         )
 
-    def _register_live_gauges(self) -> None:
+    def _register_live_gauges(self, mxr: MetricsRegistry) -> None:
         """Publish pull-based gauges for state the run already maintains.
 
         Everything here is a :class:`~repro.obs.live.CallbackGauge` read
-        only when the collector (or a scrape) samples it -- the worker
-        loop is never taxed for a value somebody else can read.
+        only when ``registry.collect()`` (a redraw or a scrape) samples
+        it -- the worker loop is never taxed for a value somebody else
+        can read.
         """
-        mxr = self._metrics
         mxr.gauge("repro_workers", "configured pool width").set(self._workers)
         mxr.callback_gauge(
             "repro_outstanding_frames",
@@ -214,13 +212,13 @@ class ThreadedRuntime:
         for w in range(self._workers):
             mxr.callback_gauge(
                 "repro_worker_busy_seconds",
-                lambda w=w: self._live_busy[w],
+                lambda w=w: self._worker_busy[w],
                 "cumulative frame-execution wall time per worker",
                 worker=w,
             )
             mxr.callback_gauge(
                 "repro_worker_frames",
-                lambda w=w: self._live_frames[w],
+                lambda w=w: self._worker_frames[w],
                 "frames executed per worker",
                 worker=w,
             )
@@ -242,8 +240,8 @@ class ThreadedRuntime:
         log = self._log
         obs = log.enabled
         mx = self._mx
-        live_busy = self._live_busy
-        live_frames = self._live_frames
+        worker_busy = self._worker_busy
+        worker_frames = self._worker_frames
         local_frames = 0
         local_steals = 0
         local_parks = 0
@@ -299,9 +297,10 @@ class ThreadedRuntime:
                     local_frames += 1
                     if mx:
                         # Single writer per index; a GIL-atomic list store
-                        # is the whole cost of live per-worker telemetry.
-                        live_busy[wid] = local_busy
-                        live_frames[wid] = local_frames
+                        # is the whole cost of live per-worker telemetry
+                        # (loop exit writes the final values either way).
+                        worker_busy[wid] = local_busy
+                        worker_frames[wid] = local_frames
                     with self._count_lock:
                         self._outstanding -= 1
                         done = self._outstanding == 0

@@ -267,8 +267,7 @@ class ConfinementRule(StaticRule):
 def _is_obs_guard(test: ast.AST) -> bool:
     """True iff ``test`` (an ``if`` condition) establishes that telemetry
     is live: it references a cached ``_obs`` / ``_mx`` flag or performs a
-    ``NULL_LOG`` / ``NULL_METRICS`` identity comparison anywhere in the
-    expression."""
+    ``NULL_LOG`` identity comparison anywhere in the expression."""
     for node in ast.walk(test):
         if isinstance(node, ast.Attribute) and node.attr in ("_obs", "_mx"):
             return True
@@ -279,7 +278,7 @@ def _is_obs_guard(test: ast.AST) -> bool:
         ):
             names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
             names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-            if names & {"NULL_LOG", "NULL_METRICS"}:
+            if "NULL_LOG" in names:
                 return True
     return False
 
@@ -335,10 +334,9 @@ class EmitGuardRule(StaticRule):
     task record (a call to the bound ``_seq``/``_now``/``_wid``, or a
     store to a stamp or source slot) and every ``.inc()``/``.observe()``
     (push metrics) must be inside an ``if``
-    whose condition references a cached ``_obs`` / ``_mx`` flag (each
-    derived from a ``log is not NULL_LOG`` / ``metrics is not
-    NULL_METRICS`` identity check) or performs the identity check
-    directly.  An unguarded publication is a silent per-task slowdown
+    whose condition references a cached ``_obs`` / ``_mx`` flag (derived
+    from a ``log is not NULL_LOG`` identity check / a ``metrics is not
+    None`` test) or performs the log's identity check directly.  An unguarded publication is a silent per-task slowdown
     that no test fails on.  ``.set()`` is deliberately not audited:
     gauges are set at registration time (cold) and the name is too
     generic (``threading.Event.set``) to audit without drowning in
@@ -383,7 +381,7 @@ class EmitGuardRule(StaticRule):
             findings.append(Finding(
                 self.name, path, node.lineno,
                 f"`.{call}()` not guarded by a cached `_obs`/`_mx` "
-                "flag or NULL_LOG/NULL_METRICS identity check -- "
+                "flag or NULL_LOG identity check -- "
                 "unconditional per-publication overhead on the "
                 "telemetry-off hot path",
             ))

@@ -18,6 +18,7 @@ from repro.graph.builders import grid_graph
 from repro.memory.blockstore import BlockStore
 from repro.obs.events import EventLog
 from repro.obs.live import MetricsRegistry
+from repro.obs.top import register_run_metrics
 from repro.runtime import InlineRuntime, SimulatedRuntime
 from repro.runtime.tracing import ExecutionTrace
 
@@ -61,7 +62,7 @@ class TestReductionToNabbit:
 
 
 class TestShape:
-    SHARED = ("run", "_register_metrics", "_compute", "_publish")
+    SHARED = ("run", "_compute", "_publish")
 
     def test_ft_subclasses_the_baseline(self):
         assert issubclass(FTScheduler, NabbitScheduler)
@@ -80,10 +81,7 @@ class TestShape:
 
     def test_constructor_signatures_keep_their_positional_order(self):
         base = list(inspect.signature(NabbitScheduler).parameters)
-        assert base == [
-            "spec", "runtime", "store", "cost_model", "hooks", "trace", "strict_context",
-            "event_log", "metrics",
-        ]
+        assert base == ["spec", "runtime", "store", "cost_model", "hooks", "trace", "event_log"]
         at = base.index("event_log")
         assert list(inspect.signature(FTScheduler).parameters) == (
             base[:at] + ["max_recoveries"] + base[at:]
@@ -95,6 +93,8 @@ def test_a_reused_registry_reads_the_latest_run(scheduler):
     reg = MetricsRegistry()
     for side in (4, 6):
         store = BlockStore()
-        scheduler(grid_graph(side, side), InlineRuntime(), store=store, metrics=reg).run()
+        sched = scheduler(grid_graph(side, side), InlineRuntime(), store=store)
+        register_run_metrics(reg, sched)
+        sched.run()
         assert reg.value("repro_trace_total_computes") == side * side
         assert reg.value("repro_store_writes") == store.stats.writes == side * side

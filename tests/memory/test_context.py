@@ -43,12 +43,6 @@ class TestFootprint:
         with pytest.raises(SchedulerError, match="undeclared output"):
             ctx.write(BlockRef("src", 0), "clobber")
 
-    def test_non_strict_allows_anything(self, setup):
-        spec, store = setup
-        ctx = StoreComputeContext(spec, store, ("mid", 0), strict=False)
-        ctx.write(BlockRef("anything", 7), 1)
-        assert ctx.read(BlockRef("anything", 7)) == 1
-
     def test_plain_tuples_accepted_as_refs(self, setup):
         spec, store = setup
         ctx = StoreComputeContext(spec, store, ("mid", 0))

@@ -1,6 +1,6 @@
 """Unit tests for the live-metrics layer: registry semantics, histogram
-quantiles, Prometheus rendering, the sampling collector, the HTTP
-endpoint, and the inertness of the disabled registry."""
+quantiles read off bucket samples, Prometheus rendering, the HTTP
+endpoint, and telemetry off as ``metrics=None``."""
 
 import json
 import threading
@@ -10,15 +10,13 @@ import pytest
 
 from repro.obs.live import (
     DEFAULT_BUCKETS,
-    NULL_METRICS,
     CallbackGauge,
     Counter,
     Gauge,
     Histogram,
-    MetricsCollector,
     MetricsRegistry,
     MetricsServer,
-    NullMetricsRegistry,
+    histogram_quantile,
     iter_worker_values,
     render_prometheus,
 )
@@ -118,29 +116,32 @@ class TestGauges:
 
 class TestHistogram:
     def test_quantiles_interpolate_within_bucket(self):
-        h = Histogram("h", "", (), buckets=(1.0, 2.0, 4.0))
+        reg = MetricsRegistry()
+        h = reg.histogram("h", buckets=(1.0, 2.0, 4.0))
         for v in (0.5, 1.5, 1.5, 3.0):
             h.observe(v)
         assert h.count == 4
         assert h.sum == pytest.approx(6.5)
+        samples = reg.collect()
         # Median falls in the (1, 2] bucket holding 2 of 4 observations.
-        assert 1.0 <= h.quantile(0.5) <= 2.0
-        assert h.quantile(0.0) == pytest.approx(0.0, abs=1.0)
-        assert h.quantile(1.0) <= 4.0
+        assert 1.0 <= histogram_quantile(samples, "h", 0.5) <= 2.0
+        assert histogram_quantile(samples, "h", 0.0) == pytest.approx(0.0, abs=1.0)
+        assert histogram_quantile(samples, "h", 1.0) <= 4.0
 
     def test_overflow_clamps_to_largest_bound(self):
-        h = Histogram("h", "", (), buckets=(1.0, 2.0))
-        h.observe(50.0)
-        assert h.quantile(0.5) == 2.0
+        reg = MetricsRegistry()
+        reg.histogram("h", buckets=(1.0, 2.0)).observe(50.0)
+        assert histogram_quantile(reg.collect(), "h", 0.5) == 2.0
 
     def test_empty_histogram_quantile_is_zero(self):
-        h = Histogram("h", "", ())
-        assert h.quantile(0.9) == 0.0
+        reg = MetricsRegistry()
+        reg.histogram("h")
+        assert histogram_quantile(reg.collect(), "h", 0.9) == 0.0
+        assert histogram_quantile([], "h", 0.9) == 0.0
 
     def test_quantile_bounds_checked(self):
-        h = Histogram("h", "", ())
         with pytest.raises(ValueError):
-            h.quantile(1.5)
+            histogram_quantile([], "h", 1.5)
 
     def test_samples_are_cumulative_with_inf(self):
         h = Histogram("h", "", (), buckets=(1.0, 2.0))
@@ -184,43 +185,6 @@ class TestPrometheusRender:
         assert r"say \"hi\"\nthere" in text
 
 
-class TestCollector:
-    def test_ring_bounded_and_rate_computed(self):
-        reg = MetricsRegistry()
-        c = reg.counter("ticks")
-        coll = MetricsCollector(reg, interval=0.01, capacity=4)
-        for _ in range(6):
-            c.inc(10)
-            coll.sample_once()
-        assert len(coll.snapshots()) == 4  # ring dropped the oldest
-        assert coll.latest()[("ticks", ())] == 60.0
-        assert coll.rate("ticks", window=60.0) > 0.0
-
-    def test_rate_empty_and_unknown_series(self):
-        reg = MetricsRegistry()
-        coll = MetricsCollector(reg, interval=0.01)
-        assert coll.rate("ticks") == 0.0
-        coll.sample_once()
-        coll.sample_once()
-        assert coll.rate("nope") == 0.0
-
-    def test_background_thread_samples(self):
-        reg = MetricsRegistry()
-        reg.counter("alive").inc()
-        with MetricsCollector(reg, interval=0.01) as coll:
-            deadline = threading.Event()
-            for _ in range(200):
-                if coll.snapshots():
-                    break
-                deadline.wait(0.01)
-        assert coll.snapshots()
-        coll.stop()  # idempotent
-
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(ValueError):
-            MetricsCollector(MetricsRegistry(), interval=0.0)
-
-
 class TestServer:
     def test_scrape_metrics_and_json(self):
         reg = MetricsRegistry()
@@ -244,23 +208,28 @@ class TestServer:
 
 
 class TestNullRegistry:
-    def test_disabled_and_inert(self):
-        assert NULL_METRICS.enabled is False
-        NULL_METRICS.counter("c").inc()
-        NULL_METRICS.gauge("g").set(5)
-        NULL_METRICS.histogram("h").observe(1.0)
-        NULL_METRICS.callback_gauge("cb", fn=lambda: 1.0)
-        assert NULL_METRICS.collect() == []
+    """Telemetry off is ``metrics=None``: each layer caches ``_mx`` and
+    builds no instrument."""
 
-    def test_fresh_instance_also_inert(self):
-        reg = NullMetricsRegistry()
-        reg.counter("c").inc(100)
-        assert reg.collect() == []
+    INSTRUMENTS = ("_dispatch_hist", "_crash_counter", "_fetch_counter", "_fetch_bytes",
+                   "_spec_bytes", "_jobs_counter")
+
+    def test_disabled_and_inert(self):
+        from repro.runtime import ClusterRuntime, WorkerServer
+
+        for off in (WorkerServer("inproc://unstarted"),
+                    ClusterRuntime(workers=1, addresses=["inproc://unused"])):
+            assert [a for a in self.INSTRUMENTS if hasattr(off, a)] == []
 
     def test_identity_guard_idiom(self):
         # The _mx flag every hot path caches.
-        assert (NULL_METRICS is not NULL_METRICS) is False
-        assert MetricsRegistry() is not NULL_METRICS
+        from repro.runtime import ClusterRuntime, ThreadedRuntime, WorkerServer
+
+        for on in (False, True):
+            reg = MetricsRegistry() if on else None
+            assert ThreadedRuntime(workers=1, metrics=reg)._mx is on
+            assert WorkerServer("inproc://unstarted", metrics=reg)._mx is on
+            assert ClusterRuntime(workers=1, addresses=["inproc://u"], metrics=reg)._mx is on
 
 
 class TestIterWorkerValues:

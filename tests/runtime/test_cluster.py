@@ -483,7 +483,7 @@ class TestControlPlaneBytes:
         import pickle
 
         from repro.obs.live import MetricsRegistry
-        from repro.obs.top import parse_prometheus, render_remote_dashboard
+        from repro.obs.top import parse_prometheus, render_dashboard
 
         per_channel = []
         for n in (64, 256):
@@ -497,7 +497,7 @@ class TestControlPlaneBytes:
             assert total in (blob, 2 * blob)  # a channel no job reached got no spec
             per_channel.append(blob)
         assert 0 < per_channel[0] < 4096 and abs(per_channel[1] - per_channel[0]) <= 16
-        frame = render_remote_dashboard(parse_prometheus(metrics.render_prometheus()), "t")
+        frame = render_dashboard(parse_prometheus(metrics.render_prometheus()), "t")
         assert f"control: {total / 1e3:.1f} kB of spec announced over comm" in frame
 
 

@@ -24,8 +24,9 @@ from repro.apps import AppConfig, make_app
 from repro.core import FTScheduler, NabbitScheduler
 from repro.detect.checksum import SharedMemoryChecksumStore
 from repro.detect.silent import SilentFaultInjector, plan_silent_faults
-from repro.exceptions import WorkerCrashError
+from repro.exceptions import SchedulerError, WorkerCrashError
 from repro.faults import FaultInjector, plan_faults
+from repro.graph.builders import grid_graph
 from repro.obs.events import EventKind, EventLog
 from repro.runtime import InlineRuntime, ProcessRuntime, dispatch
 from repro.runtime.tracing import ExecutionTrace
@@ -148,6 +149,17 @@ class TestWorkerDeath:
         (survivor,) = [pid for pid in rt.sockets if pid in first_gen]
         assert rt.sockets[replacement] == rt.sockets[survivor]
 
+    def test_a_task_that_kills_every_worker_fails_the_run(self):
+        # Every execution of the root exits its worker; recovery would
+        # re-dispatch it for ever.  (The recovery budget only turns a
+        # missing bound into a failure with another message.)
+        rt = ProcessRuntime(workers=2, seed=0)
+        sched = FTScheduler(grid_graph(3, 3, compute=_exits_on_the_root), rt,
+                            max_recoveries=4 * dispatch.MAX_WORKER_LOSSES)
+        with pytest.raises(SchedulerError, match=r"task \(0, 0\) lost its worker 8 times"):
+            sched.run()
+        assert rt.worker_crashes == dispatch.MAX_WORKER_LOSSES == 8
+
     def test_nabbit_baseline_fails_on_crash(self):
         # The fault-oblivious baseline has no recovery path: a worker
         # death is terminal, exactly like a flagged fault (faithful to
@@ -158,6 +170,11 @@ class TestWorkerDeath:
         with pytest.raises(WorkerCrashError):
             NabbitScheduler(app, rt, store=store).run()
         store.close()
+
+
+def _exits_on_the_root(key, ctx):
+    if key == (0, 0):
+        os._exit(73)
 
 
 #: Worker deaths the soak injects: a bounded slice in tier-1, the full

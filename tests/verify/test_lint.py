@@ -107,14 +107,6 @@ class TestSeededViolations:
         )
         assert not lint_source(src, "runtime/procpool.py", "emit-guard")
 
-    def test_emit_guard_accepts_null_metrics_identity_guard(self):
-        src = (
-            "def f(self, dt):\n"
-            "    if self.metrics is not NULL_METRICS:\n"
-            "        self.hist.observe(dt)\n"
-        )
-        assert not lint_source(src, "core/seeded.py", "emit-guard")
-
     def test_emit_guard_ignores_gauge_set(self):
         # .set() is not audited: gauges are registered cold, and the name
         # collides with threading.Event.set.
