@@ -19,6 +19,7 @@ from repro.apps import AppConfig, make_app
 from repro.apps.floyd_warshall import FloydWarshallApp
 from repro.apps.smith_waterman import SmithWatermanApp
 from repro.core import FTScheduler
+from repro.exceptions import SchedulerError
 from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultPlan
 from repro.faults.planner import plan_faults
@@ -31,12 +32,12 @@ from repro.runtime import SimulatedRuntime
 from repro.runtime.tracing import ExecutionTrace
 
 
-def run_with(app, store, plan=None, workers=1, seed=0, max_recoveries=1_000_000):
+def run_with(app, store, plan=None, workers=1, seed=0):
     trace = ExecutionTrace()
     hooks = FaultInjector(plan, app, store, trace) if plan else None
     sched = FTScheduler(
         app, SimulatedRuntime(workers=workers, seed=seed), store=store,
-        hooks=hooks, trace=trace, max_recoveries=max_recoveries,
+        hooks=hooks, trace=trace,
     )
     return sched.run()
 
@@ -52,10 +53,9 @@ def test_ablation_retention_policy_sweep(once):
     two versions: the doubled memory is not just an optimization, it is
     what makes localized recovery tractable for FW's all-to-all version
     dependences).  keep >= 2 recovers cheaply; single assignment is the
-    floor.
+    floor.  A diverging run ends when one task reaches its life ceiling
+    (``repro.core.ft.MAX_LIVES``).
     """
-
-    BUDGET = 20_000
 
     def sweep():
         app = make_app("fw", AppConfig(n=96, block=8), light=True)  # B = 12
@@ -74,8 +74,8 @@ def test_ablation_retention_policy_sweep(once):
                 store2 = BlockStore(policy)
                 app.seed_store(store2)
                 try:
-                    res = run_with(app, store2, plan=plan, max_recoveries=BUDGET)
-                except Exception:
+                    res = run_with(app, store2, plan=plan)
+                except SchedulerError:
                     diverged += 1
                     continue
                 reexec.append(res.trace.reexecutions)

@@ -38,7 +38,7 @@ def test_figure5b_percent_loss(once):
         assert after[(app, "5%,v=rand")].overhead.mean > after[(app, "2%,v=rand")].overhead.mean
 
 
-def test_small_constant_losses(once):
+def test_small_constant_loss_counts(once):
     """The paper's companion experiment: "scenarios with only 1, 8, and
     64 task re-executions ... did not observe any statistically
     significant overheads" (figures omitted there for space)."""

@@ -75,6 +75,15 @@ from repro.runtime.api import Runtime
 from repro.runtime.costmodel import CostModel
 from repro.runtime.tracing import ExecutionTrace, note_and_emit
 
+#: The most incarnations one task may have in a run: Section V's N(A),
+#: bounded.  RECOVERTASK fails the run, naming the task, rather than
+#: install life ``MAX_LIVES + 1``.  Converging runs stay far below it (no
+#: bundled app under the tested fault plans passes life 6); a task that
+#: fails on every execution (a kernel that kills each worker it runs on,
+#: a recovery cascade that evicts what it restores) reaches it after
+#: ``MAX_LIVES`` tries, at its own key.
+MAX_LIVES = 32
+
 
 class FTScheduler(NabbitScheduler):
     """Work-stealing task-graph scheduler with selective, localized
@@ -90,11 +99,9 @@ class FTScheduler(NabbitScheduler):
         cost_model: CostModel | None = None,
         hooks: SchedulerHooks | None = None,
         trace: ExecutionTrace | None = None,
-        max_recoveries: int = 1_000_000,
         event_log: EventLog | None = None,
     ) -> None:
         super().__init__(spec, runtime, store, cost_model, hooks, trace, event_log)
-        self.max_recoveries = max_recoveries
         self.recovery_table = RecoveryTable()
         # One-way flag, set by the first RECOVERTASK or RESETNODE.  Until
         # then no record has been replaced or re-armed, so the incarnation
@@ -290,18 +297,17 @@ class FTScheduler(NabbitScheduler):
         """RECOVERTASK: install a new incarnation, rebuild its notify array
         from its successors' bit vectors, and re-execute it as if newly
         created.  Failures during recovery retry with the next incarnation
-        (Guarantee 6)."""
+        (Guarantee 6).  Life ``MAX_LIVES + 1`` fails the run instead."""
         self._disturbed = True
         while True:
             T, life = self.map.replace(key)
+            if life > MAX_LIVES:
+                raise SchedulerError(
+                    f"task {key!r} failed on each of its {MAX_LIVES} lives; "
+                    "it is not recovered again"
+                )
             T.recovery = True
             note_and_emit(self.trace, self.log, EventKind.RECOVERY, key, life)
-            # The RECOVERY count the trace keeps: O(1), not a sum over keys.
-            if self.trace.counts[EventKind.RECOVERY] > self.max_recoveries:
-                raise SchedulerError(
-                    f"recovery budget exceeded ({self.max_recoveries}); "
-                    "livelocked recovery cascade"
-                )
             try:
                 for skey in self.spec.successors(key):
                     note_and_emit(self.trace, self.log, EventKind.REINIT_SCAN, key, life,

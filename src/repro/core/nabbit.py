@@ -255,7 +255,8 @@ class NabbitScheduler:
     def _compute(self, A: TaskRecord, key: Key, life: int) -> None:
         """COMPUTE(A), unguarded: run the user COMPUTE function for
         incarnation ``life`` of ``key``, in place or off-process (counted
-        when the incarnation is handed on)."""
+        when the incarnation is handed on).  A compute that returns with a
+        declared output unwritten fails the run."""
         if self._obs:
             # The sources so far ride the stamp: a notification that came
             # after the compute began decodes after it (a premature compute).
@@ -267,6 +268,13 @@ class NabbitScheduler:
             self._dispatch(self.spec, key, ctx, life)
         else:
             self.spec.compute(key, ctx)
+        if ctx.unwritten:
+            # An application bug, not a fault: re-running the task would
+            # skip the same outputs, so the run fails here, at its key.
+            raise SchedulerError(
+                f"task {key!r} returned without writing its declared "
+                f"outputs {ctx.missing_outputs()!r}"
+            )
         if self._hooked:
             self.hooks.on_after_compute(A)
 

@@ -47,41 +47,33 @@ from repro.detect.policy import DetectionPolicy, ReplicateAll
 from repro.exceptions import FaultError, SchedulerError
 from repro.graph.taskspec import BlockRef, TaskGraphSpec
 from repro.memory.blockstore import BlockStore
+from repro.memory.context import StoreComputeContext
 from repro.obs.events import EventKind, EventLog
 from repro.runtime.tracing import ExecutionTrace, note_and_emit
 
 _MISSING = object()
 
 
-class ReplicaContext:
-    """Compute context for a detector replica: reads the real store,
-    captures writes locally (footprint-checked like the real context)."""
+class _Capture:
+    """A replica's store: reads from the real store, writes into a dict."""
 
-    __slots__ = ("spec", "store", "key", "_inputs", "_outputs", "written")
+    __slots__ = ("read", "write")
+
+    def __init__(self, store: BlockStore, written: dict[BlockRef, Any]) -> None:
+        self.read = store.read
+        self.write = written.__setitem__
+
+
+class ReplicaContext(StoreComputeContext):
+    """Compute context for a detector replica: the real context's
+    footprint checks and output count, over a store that reads the real
+    one and captures writes in :attr:`written` instead of publishing."""
+
+    __slots__ = ("written",)
 
     def __init__(self, spec: TaskGraphSpec, store: BlockStore, key: Hashable) -> None:
-        self.spec = spec
-        self.store = store
-        self.key = key
-        self._inputs = frozenset(BlockRef(*r) for r in spec.inputs(key))
-        self._outputs = frozenset(BlockRef(*r) for r in spec.outputs(key))
         self.written: dict[BlockRef, Any] = {}
-
-    def read(self, ref: BlockRef) -> Any:
-        ref = BlockRef(*ref)
-        if ref not in self._inputs:
-            raise SchedulerError(
-                f"replica of {self.key!r} read undeclared input {ref!r}"
-            )
-        return self.store.read(ref)
-
-    def write(self, ref: BlockRef, value: Any) -> None:
-        ref = BlockRef(*ref)
-        if ref not in self._outputs:
-            raise SchedulerError(
-                f"replica of {self.key!r} wrote undeclared output {ref!r}"
-            )
-        self.written[ref] = value
+        super().__init__(spec, _Capture(store, self.written), key)  # type: ignore[arg-type]
 
 
 class ReplicationDetector:
@@ -191,11 +183,9 @@ class ReplicationDetector:
             return None
         note_and_emit(self.trace, self.event_log, EventKind.REPLICA_RUN, record.key, record.life,
                       replica=index + 1)
-        missing = [ref for ref in self.spec.outputs(record.key)
-                   if BlockRef(*ref) not in ctx.written]
-        if missing:
+        if ctx.unwritten:
             raise SchedulerError(
-                f"replica of {record.key!r} left outputs unwritten: {missing!r}"
+                f"replica of {record.key!r} left outputs unwritten: {ctx.missing_outputs()!r}"
             )
         return {ref: fingerprint(v, self.digest) for ref, v in ctx.written.items()}
 

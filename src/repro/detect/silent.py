@@ -16,26 +16,25 @@ Only the two post-compute phases make sense here (``BEFORE_COMPUTE``
 victims have produced nothing to corrupt); plans containing
 before-compute events are rejected.
 
-The default mutator perturbs every numeric leaf of the payload by one
-unit (bit-flip semantics at value granularity): large enough to survive
-any verification tolerance, silent enough that no consumer crashes.
+The mutation (:func:`default_mutator`) perturbs every numeric leaf of
+the payload by one unit (bit-flip semantics at value granularity): large
+enough to survive any verification tolerance, silent enough that no
+consumer crashes.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Callable, Hashable
+from typing import Any
 
 import numpy as np
 
 from repro.core.records import TaskRecord
+from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultEvent, FaultPhase, FaultPlan
 from repro.graph.taskspec import BlockRef, TaskGraphSpec
 from repro.memory.blockstore import BlockStore
 from repro.obs.events import EventKind, EventLog
 from repro.runtime.tracing import ExecutionTrace, note_and_emit
-
-Mutator = Callable[[Any], Any]
 
 
 def default_mutator(value: Any) -> Any:
@@ -69,16 +68,17 @@ def default_mutator(value: Any) -> Any:
     return ("sdc", value)
 
 
-class SilentFaultInjector:
+class SilentFaultInjector(FaultInjector):
     """SchedulerHooks implementation that mutates block bytes without
-    marking corruption -- faults are caught only if a detector finds them."""
+    marking corruption -- faults are caught only if a detector finds them.
+    The plan-driven firing is :class:`~repro.faults.injector.FaultInjector`'s;
+    only the strike differs."""
 
     def __init__(
         self,
         plan: FaultPlan,
         spec: TaskGraphSpec,
         store: BlockStore,
-        mutator: Mutator | None = None,
         trace: ExecutionTrace | None = None,
         event_log: EventLog | None = None,
     ) -> None:
@@ -89,67 +89,19 @@ class SilentFaultInjector:
                     "before-compute victim has produced nothing to "
                     f"corrupt (event: {event!r})"
                 )
-        self.plan = plan
-        self.spec = spec
-        self.store = store
-        self.mutator = mutator or default_mutator
-        self.trace = trace
-        self.event_log = event_log
-        """Observability log for SDC_INJECTED events (the schedulers
-        share theirs at construction time when left ``None``)."""
-        self._lock = threading.Lock()
-        self._pending: dict[tuple[Hashable, FaultPhase], list[FaultEvent]] = {}
-        for event in plan:
-            self._pending.setdefault((event.key, event.phase), []).append(event)
-        for events in self._pending.values():
-            events.sort(key=lambda e: e.life)
-        self.fired: list[FaultEvent] = []
+        super().__init__(plan, spec, store, trace, event_log)
         self.mutated: dict[FaultEvent, tuple[BlockRef, ...]] = {}
         """Ground truth per fired event: which resident refs were mutated."""
 
-    # -- hook dispatch ---------------------------------------------------------
-
-    def on_task_waiting(self, record: TaskRecord) -> None:
-        return None  # before-compute events are rejected at construction
-
-    def on_after_compute(self, record: TaskRecord) -> None:
-        self._maybe_fire(record, FaultPhase.AFTER_COMPUTE)
-
-    def on_after_notify(self, record: TaskRecord) -> None:
-        self._maybe_fire(record, FaultPhase.AFTER_NOTIFY)
-
-    # -- internals ---------------------------------------------------------------
-
-    def _maybe_fire(self, record: TaskRecord, phase: FaultPhase) -> None:
-        slot = (record.key, phase)
+    def _strike(self, record: TaskRecord, phase: FaultPhase, event: FaultEvent) -> None:
+        hit = tuple(
+            ref for ref in map(BlockRef._make, self.spec.outputs(record.key))
+            if self.store.corrupt_data(ref, default_mutator)
+        )
         with self._lock:
-            events = self._pending.get(slot)
-            if not events or events[0].life != record.life:
-                return
-            event = events.pop(0)
-            if not events:
-                del self._pending[slot]
-            self.fired.append(event)
-        hit: list[BlockRef] = []
-        for raw in self.spec.outputs(record.key):
-            ref = BlockRef(*raw)
-            if self.store.corrupt_data(ref, self.mutator):
-                hit.append(ref)
-        with self._lock:
-            self.mutated[event] = tuple(hit)
+            self.mutated[event] = hit
         note_and_emit(self.trace, self.event_log, EventKind.SDC_INJECTED, record.key, record.life,
                       phase=phase.value, blocks=len(hit))
-
-    # -- verification ---------------------------------------------------------------
-
-    @property
-    def unfired(self) -> list[FaultEvent]:
-        """Planned events whose lifecycle point was never reached."""
-        with self._lock:
-            return [e for events in self._pending.values() for e in events]
-
-    def all_fired(self) -> bool:
-        return not self.unfired
 
 
 def plan_silent_faults(

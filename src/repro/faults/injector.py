@@ -7,9 +7,14 @@ fault, which is then observed by a thread accessing that task."
 
 The injector implements :class:`repro.core.hooks.SchedulerHooks`.  At each
 lifecycle hook it checks whether a planned event matches ``(key, phase,
-life)`` and, if so, sets the record's corruption flag and (for post-
-compute phases) marks the task's output block versions corrupted in the
-store.  Each event fires at most once.
+life)`` and, if so, strikes the task: :func:`flag_fault` sets the
+record's corruption flag and (for post-compute phases) marks the task's
+output block versions corrupted in the store.  Each event fires at most
+once.  The plan-driven firing (the pending table, ``fired``,
+``unfired``) lives here once; a subclass changes only the strike
+(:class:`~repro.detect.silent.SilentFaultInjector` mutates bytes), and
+:class:`~repro.faults.random_injector.RandomInjector` strikes with
+:func:`flag_fault` on its own trigger.
 
 Thread-safe; usable on the threaded runtime.
 """
@@ -17,7 +22,7 @@ Thread-safe; usable on the threaded runtime.
 from __future__ import annotations
 
 import threading
-from typing import Hashable
+from typing import Any, Hashable
 
 from repro.core.records import TaskRecord
 from repro.faults.model import FaultEvent, FaultPhase, FaultPlan
@@ -31,6 +36,23 @@ from repro.runtime.tracing import ExecutionTrace, note_and_emit
 _BEFORE_COMPUTE = FaultPhase.BEFORE_COMPUTE
 _AFTER_COMPUTE = FaultPhase.AFTER_COMPUTE
 _AFTER_NOTIFY = FaultPhase.AFTER_NOTIFY
+
+
+def flag_fault(
+    injector: Any, record: TaskRecord, phase: FaultPhase,
+    descriptor: bool = True, outputs: bool = True,
+) -> None:
+    """The paper's injected fault, struck by ``injector`` (anything with
+    ``spec``, ``store``, ``trace`` and ``event_log``): flag ``record``
+    (``descriptor``), mark its output versions corrupted in the store
+    (``outputs``), and note ``FAULT_INJECTED``."""
+    if descriptor:
+        record.corrupted = True
+    if outputs:
+        for raw in injector.spec.outputs(record.key):
+            injector.store.mark_corrupted(BlockRef(*raw))
+    note_and_emit(injector.trace, injector.event_log, EventKind.FAULT_INJECTED, record.key,
+                  record.life, phase=phase.value)
 
 
 class FaultInjector:
@@ -84,13 +106,11 @@ class FaultInjector:
             if not events:
                 del self._pending[slot]
             self.fired.append(event)
-        if event.corrupt_descriptor:
-            record.corrupted = True
-        if event.corrupt_outputs:
-            for raw in self.spec.outputs(record.key):
-                self.store.mark_corrupted(BlockRef(*raw))
-        note_and_emit(self.trace, self.event_log, EventKind.FAULT_INJECTED, record.key, record.life,
-                      phase=phase.value)
+        self._strike(record, phase, event)
+
+    def _strike(self, record: TaskRecord, phase: FaultPhase, event: FaultEvent) -> None:
+        """What a fired event does to its task (outside the lock)."""
+        flag_fault(self, record, phase, event.corrupt_descriptor, event.corrupt_outputs)
 
     # -- verification -----------------------------------------------------------------------
 

@@ -23,11 +23,12 @@ import threading
 from typing import Hashable
 
 from repro.core.records import TaskRecord
+from repro.faults.injector import flag_fault
 from repro.faults.model import FaultPhase
-from repro.graph.taskspec import BlockRef, TaskGraphSpec
+from repro.graph.taskspec import TaskGraphSpec
 from repro.memory.blockstore import BlockStore
-from repro.obs.events import EventKind, EventLog
-from repro.runtime.tracing import ExecutionTrace, note_and_emit
+from repro.obs.events import EventLog
+from repro.runtime.tracing import ExecutionTrace
 
 
 def _phase_rates(
@@ -96,12 +97,7 @@ class RandomInjector:
             if self.max_faults is not None and len(self.fired) >= self.max_faults:
                 return
             self.fired.append((record.key, record.life, phase))
-        record.corrupted = True
-        if phase is not FaultPhase.BEFORE_COMPUTE:
-            for raw in self.spec.outputs(record.key):
-                self.store.mark_corrupted(BlockRef(*raw))
-        note_and_emit(self.trace, self.event_log, EventKind.FAULT_INJECTED, record.key, record.life,
-                      phase=phase.value)
+        flag_fault(self, record, phase, outputs=phase is not FaultPhase.BEFORE_COMPUTE)
 
     # -- hook surface ----------------------------------------------------------------------
 

@@ -66,8 +66,10 @@ class TaskPlan:
         inputs = tuple([r if type(r) is BlockRef else BlockRef(*r) for r in spec.inputs(key)])
         self.inputs = inputs
         """Consumed block versions, in spec order, as :class:`BlockRef`."""
-        self.footprint = (frozenset(inputs), frozenset(spec.outputs(key)))
-        """``(inputs, outputs)`` for ``StoreComputeContext(footprint=...)``."""
+        outputs = frozenset(spec.outputs(key))
+        self.footprint = (frozenset(inputs), outputs, len(outputs))
+        """``(inputs, outputs, len(outputs))`` for
+        ``StoreComputeContext(footprint=...)``."""
         needs: dict[Key, tuple[BlockRef, ...]] = {}
         producer_of = spec.producer
         for ref in inputs:

@@ -72,12 +72,11 @@ scheduler re-executes exactly the unfinished jobs through
 RECOVERTASKONCE -- replies streamed before the loss are never re-run.
 Then the slot's replacement opens (one ``WORKER_DOWN``/``WORKER_UP``
 pair and one crash count per death, keyed by the ``die_on``-flagged job
-when the death was injected).  A task in flight on
-:data:`MAX_WORKER_LOSSES` lost channels in one run fails the run with
-:class:`~repro.exceptions.SchedulerError` instead: one that kills every
-worker it runs on is not re-dispatched for ever.  The baseline Nabbit
-scheduler has no recovery path, and a crash fails the run (faithful to
-the paper).
+when the death was injected).  A task that kills every worker it runs
+on is bounded by the scheduler, not here: each loss costs it a life,
+and FT fails the run at the task's life ceiling
+(:data:`repro.core.ft.MAX_LIVES`).  The baseline Nabbit scheduler has
+no recovery path, and a crash fails the run (faithful to the paper).
 
 The reader of an observed run also computes each job's **queued**
 time: a worker runs its channel's jobs in FIFO order, so job *B*
@@ -125,12 +124,6 @@ CRASHED = object()
 
 #: Default outstanding-job window per channel.
 DEFAULT_INFLIGHT = 2
-
-#: A run fails once one task has been in flight on this many lost
-#: channels: a task that kills every worker it runs on would otherwise
-#: be re-dispatched for ever.
-MAX_WORKER_LOSSES = 8
-
 
 class PendingJob:
     """One job in flight on a channel: ``reply`` stays ``None`` until the
@@ -325,8 +318,6 @@ class RemoteRuntime(ThreadedRuntime):
         #: ``(spec, pickle)``, matched by identity: an ``id()`` is reused.
         self._spec_pickled: tuple[Any, bytes] | None = None
         self._crashes = 0
-        #: key -> channels lost with a job of the key in flight, this run.
-        self._losses: dict[Hashable, int] = {}
         # Scopes worker-side cache entries to one pool (one run): a
         # long-lived worker server must never serve one run's bytes to
         # another run's identically-named block version.
@@ -385,7 +376,6 @@ class RemoteRuntime(ThreadedRuntime):
             if self._run_token:
                 return
             self._run_token = f"{os.getpid():x}.{id(self):x}.{time.monotonic_ns():x}"
-            self._losses = {}
             handles = [
                 self._open_channel(i)  # verify: ok=blocking-under-lock (cold path: pool is built before any scheduler thread exists to contend)
                 for i in range(self._channels)
@@ -539,11 +529,6 @@ class RemoteRuntime(ThreadedRuntime):
             finally:
                 self._pool.release(handle)
             if reply is CRASHED:
-                if self._losses.get(me.key, 0) >= MAX_WORKER_LOSSES:
-                    raise SchedulerError(
-                        f"task {me.key!r} lost its worker {MAX_WORKER_LOSSES} times "
-                        "in one run; it is not re-dispatched again"
-                    )
                 raise WorkerCrashError(
                     me.key, pid=handle.info.get("pid"), exitcode=handle.info.get("exitcode")
                 )
@@ -714,8 +699,6 @@ class RemoteRuntime(ThreadedRuntime):
         self._retire(handle)
         with self._pool_lock:
             self._crashes += 1
-            for p in pending:
-                self._losses[p.key] = self._losses.get(p.key, 0) + 1
         if self._mx:
             self._crash_counter.inc()
         if self._log is not NULL_LOG:  # before a crashed submitter resumes

@@ -42,7 +42,7 @@ known protocol bugs into subclassed schedulers, and
   the stale-incarnation gate that shields it -- which is what "recovery
   is not deduplicated" means under frame atomicity.  Caught by
   ``justified-recovery`` (a RECOVERY with no fault evidence for the
-  prior life) or by the recovery-budget/hang backstops.
+  prior life) or by the life-ceiling/hang backstops.
 """
 
 from __future__ import annotations
@@ -234,7 +234,6 @@ def run_schedule(
     *,
     plan: FaultPlan | None = None,
     scheduler_cls: type[FTScheduler] = FTScheduler,
-    max_recoveries: int = 2_000,
     strict: bool = True,
 ) -> ScheduleOutcome:
     """Execute ``app`` under one schedule and check its trace."""
@@ -247,14 +246,7 @@ def run_schedule(
         decisions=schedule.decisions,
     )
     injector = FaultInjector(plan, app, store) if plan is not None else None
-    scheduler = scheduler_cls(
-        app,
-        runtime,
-        store=store,
-        hooks=injector,
-        event_log=log,
-        max_recoveries=max_recoveries,
-    )
+    scheduler = scheduler_cls(app, runtime, store=store, hooks=injector, event_log=log)
     error: str | None = None
     verified = False
     try:
@@ -290,7 +282,6 @@ def explore(
     perturbations: int = 2,
     branch_budget: int = 24,
     scheduler_cls: type[FTScheduler] = FTScheduler,
-    max_recoveries: int = 2_000,
     strict: bool = True,
 ) -> ExplorationReport:
     """Sweep the schedule space of one workload, checking every trace.
@@ -319,7 +310,6 @@ def explore(
             schedule,
             plan=plan,
             scheduler_cls=scheduler_cls,
-            max_recoveries=max_recoveries,
             strict=strict,
         )
         report.outcomes.append(outcome)
@@ -433,7 +423,7 @@ MUTATIONS: dict[str, tuple[type[FTScheduler], str]] = {
     ),
     "double_recovery": (
         DoubleRecoveryScheduler,
-        "justified-recovery (or the recovery budget backstop)",
+        "justified-recovery (or the life ceiling)",
     ),
 }
 
@@ -471,14 +461,12 @@ def mutation_study(
     """Run the explorer against each seeded-bug scheduler.
 
     A mutation is *detected* when any explored schedule is suspicious
-    (invariant violation or scheduler error).  The mutant schedulers
-    keep a tight recovery budget so runaway cascades convict quickly.
+    (invariant violation or scheduler error); a runaway cascade ends at
+    a task's life ceiling (:data:`repro.core.ft.MAX_LIVES`).
     """
     results: dict[str, MutationResult] = {}
     for name, (cls, _expected) in (mutations or MUTATIONS).items():
-        kwargs = dict(explore_kwargs)
-        kwargs.setdefault("max_recoveries", 200)
-        report = explore(make_case, scheduler_cls=cls, **kwargs)
+        report = explore(make_case, scheduler_cls=cls, **explore_kwargs)
         counterexamples = report.counterexamples()
         results[name] = MutationResult(
             mutation=name,

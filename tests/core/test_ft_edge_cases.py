@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import FTScheduler, TaskStatus, run_scheduler
+from repro.core import FTScheduler, NabbitScheduler, TaskStatus, run_scheduler
 from repro.exceptions import SchedulerError
 from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultEvent, FaultPhase, FaultPlan
@@ -11,7 +11,7 @@ from repro.graph.explicit import ExplicitTaskGraph
 from repro.graph.taskspec import BlockRef
 from repro.memory.allocator import Reuse
 from repro.memory.blockstore import BlockStore
-from repro.runtime import InlineRuntime, SimulatedRuntime
+from repro.runtime import InlineRuntime, SimulatedRuntime, ThreadedRuntime
 from repro.runtime.tracing import ExecutionTrace
 
 
@@ -116,12 +116,11 @@ class TestOverwrittenInputRecovery:
 
 
 class TestHangDetection:
-    def test_producer_that_never_writes_trips_recovery_budget(self):
+    def test_a_producer_that_never_writes_fails_at_once(self):
         # An application bug -- a task that never writes its declared
-        # output -- turns into an unbounded recover/reset loop (the
-        # consumer keeps observing a missing input, recovery keeps
-        # re-running the broken producer).  The budget converts the
-        # livelock into a diagnosable error.
+        # output -- is no fault: re-running the producer would skip the
+        # same write, and the consumer would observe the missing input
+        # for ever.  The compute seam fails the run at the producer.
         def compute(key, ctx):
             if key == "b":
                 ctx.read(BlockRef("a", 0))  # producer "a" never wrote it
@@ -129,13 +128,25 @@ class TestHangDetection:
             # "a" writes nothing: the bug under test.
 
         spec = ExplicitTaskGraph([("a", "b")], compute=compute)
-        store = BlockStore()
         trace = ExecutionTrace()
-        sched = FTScheduler(
-            spec, InlineRuntime(), store=store, trace=trace, max_recoveries=20
-        )
-        with pytest.raises(SchedulerError, match="recovery budget"):
+        sched = FTScheduler(spec, InlineRuntime(), store=BlockStore(), trace=trace)
+        with pytest.raises(SchedulerError, match=r"task 'a' returned without writing its "
+                                                 r"declared outputs \(BlockRef\(block='a'"):
             sched.run()
+        assert trace.total_recoveries == 0
+
+    @pytest.mark.parametrize("runtime", [InlineRuntime, lambda: ThreadedRuntime(workers=2)],
+                             ids=["inline", "threaded"])
+    @pytest.mark.parametrize("scheduler", [FTScheduler, NabbitScheduler], ids=["ft", "nabbit"])
+    def test_a_grid_that_writes_nothing_fails_at_its_first_task(self, runtime, scheduler):
+        # Without the check, FT on this grid spun through a million
+        # recoveries (about 40 s) before any bound tripped.
+        spec = grid_graph(48, 48, compute=lambda key, ctx: None)
+        trace = ExecutionTrace()
+        sched = scheduler(spec, runtime(), store=BlockStore(), trace=trace)
+        with pytest.raises(SchedulerError, match=r"task \(0, 0\) returned without writing"):
+            sched.run()
+        assert trace.total_recoveries == 0
 
 
 class TestFaultsAtScaleOfWorkers:

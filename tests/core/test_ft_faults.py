@@ -4,6 +4,7 @@ six recovery guarantees (Section IV)."""
 import pytest
 
 from repro.core import FTScheduler, TaskStatus
+from repro.core.ft import MAX_LIVES
 from repro.exceptions import SchedulerError
 from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultEvent, FaultPhase, FaultPlan
@@ -224,15 +225,29 @@ class TestSinkFaults:
         assert res.store.peek(BlockRef(spec.sink_key(), 0)) == expected
 
 
-class TestRecoveryBudget:
-    def test_budget_guard_trips_on_tiny_budget(self):
+class TestLifeCeiling:
+    """A task has at most MAX_LIVES incarnations: Section V's N(A), bounded."""
+
+    def recursive(self, depth):
+        """A 4x4 grid whose task (2, 2) fails at lives 1..depth."""
         spec = grid_graph(4, 4)
         store = BlockStore()
         trace = ExecutionTrace()
-        plan = plan_recursive_faults(spec, (2, 2), depth=5)
+        plan = plan_recursive_faults(spec, (2, 2), depth=depth)
         injector = FaultInjector(plan, spec, store, trace)
-        sched = FTScheduler(
-            spec, InlineRuntime(), store=store, hooks=injector, trace=trace, max_recoveries=2
-        )
-        with pytest.raises(SchedulerError, match="recovery budget"):
+        sched = FTScheduler(spec, InlineRuntime(), store=store, hooks=injector, trace=trace)
+        return spec, store, sched
+
+    def test_one_life_past_the_ceiling_fails_the_run(self):
+        _, _, sched = self.recursive(MAX_LIVES)
+        with pytest.raises(SchedulerError,
+                           match=rf"task \(2, 2\) failed on each of its {MAX_LIVES} lives"):
             sched.run()
+        assert sched.map.get((2, 2))[1] == MAX_LIVES + 1
+
+    def test_one_life_short_of_the_ceiling_recovers(self):
+        spec, store, sched = self.recursive(MAX_LIVES - 1)
+        sched.run()
+        assert sched.map.get((2, 2))[1] == MAX_LIVES
+        assert sched.trace.recoveries[(2, 2)] == MAX_LIVES - 1
+        assert store.peek(BlockRef(spec.sink_key(), 0)) == reference_sink(spec)

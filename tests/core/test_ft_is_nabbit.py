@@ -82,10 +82,7 @@ class TestShape:
     def test_constructor_signatures_keep_their_positional_order(self):
         base = list(inspect.signature(NabbitScheduler).parameters)
         assert base == ["spec", "runtime", "store", "cost_model", "hooks", "trace", "event_log"]
-        at = base.index("event_log")
-        assert list(inspect.signature(FTScheduler).parameters) == (
-            base[:at] + ["max_recoveries"] + base[at:]
-        )
+        assert list(inspect.signature(FTScheduler).parameters) == base
 
 
 @pytest.mark.parametrize("scheduler", [FTScheduler, NabbitScheduler], ids=["ft", "nabbit"])

@@ -56,7 +56,7 @@ class TestTaskPlan:
         plan = TaskPlan(_RawTupleSpec(), "b")
         assert plan.inputs == (BlockRef("a", 0), BlockRef("a", 0), BlockRef("c", 0))
         assert all(type(ref) is BlockRef for ref in plan.inputs)
-        assert plan.footprint == (frozenset({("a", 0), ("c", 0)}), frozenset({("b", 0)}))
+        assert plan.footprint == (frozenset({("a", 0), ("c", 0)}), frozenset({("b", 0)}), 1)
         assert plan.needs == {"a": (BlockRef("a", 0),) * 2, "c": (BlockRef("c", 0),)}
 
     @pytest.mark.parametrize("name", ["lu", "cholesky"])

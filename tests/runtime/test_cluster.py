@@ -28,7 +28,10 @@ from repro.apps import AppConfig, make_app
 from repro.apps.lcs import LCSApp
 from repro.comm.core import CommClosedError
 from repro.core import FTScheduler
+from repro.core.ft import MAX_LIVES
+from repro.exceptions import SchedulerError
 from repro.faults import FaultInjector, plan_faults
+from repro.graph.builders import grid_graph
 from repro.obs.events import EventKind, EventLog
 from repro.runtime import ClusterRuntime, InlineRuntime, WorkerServer
 from repro.obs.live import MetricsRegistry
@@ -230,6 +233,24 @@ class TestWorkerDeath:
         app.verify(store)
         assert rt.worker_crashes == 0
         assert not [e for e in log.events if e.kind is EventKind.WORKER_DOWN]
+
+    def test_a_task_that_kills_every_worker_fails_the_run(self, server):
+        # Every execution of the root severs its connection; recovery
+        # would re-dispatch it for ever.  Each loss costs the root a
+        # life, and the run fails at its ceiling.
+        rt = ClusterRuntime(workers=2, seed=0, addresses=[server.address])
+        sched = FTScheduler(grid_graph(3, 3, compute=_severs_on_the_root), rt)
+        with pytest.raises(SchedulerError,
+                           match=rf"task \(0, 0\) failed on each of its {MAX_LIVES} lives"):
+            sched.run()
+        assert rt.worker_crashes == MAX_LIVES
+
+
+def _severs_on_the_root(key, ctx):
+    # On a worker the context belongs to its session: closing the
+    # session's connection is what a death does to an in-process server.
+    if key == (0, 0):
+        ctx._session.comm.close()
 
 
 class SpawnedWorker:
@@ -702,6 +723,14 @@ class TestRuntimeSurface:
             FTScheduler(app, rt, store=store).run()
             app.verify(store)
 
+    def test_a_kernel_that_writes_nothing_fails_the_run(self, server):
+        # The compute seam's output check covers a remote compute too.
+        rt = ClusterRuntime(workers=1, seed=0, addresses=[server.address])
+        sched = FTScheduler(grid_graph(3, 3, compute=_writes_nothing), rt)
+        with pytest.raises(SchedulerError, match=r"task \(0, 0\) returned without writing"):
+            sched.run()
+        assert sched.trace.total_recoveries == 0
+
     def test_one_server_shared_by_many_channels(self, server):
         # More parent threads than servers: all four channels multiplex
         # onto the single server's handler threads.
@@ -710,3 +739,7 @@ class TestRuntimeSurface:
         rt = ClusterRuntime(workers=4, seed=0, addresses=[server.address])
         got, _ = run_ft(app, rt)
         assert_identical(got, want)
+
+
+def _writes_nothing(key, ctx):
+    pass

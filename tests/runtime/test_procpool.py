@@ -22,6 +22,7 @@ import pytest
 
 from repro.apps import AppConfig, make_app
 from repro.core import FTScheduler, NabbitScheduler
+from repro.core.ft import MAX_LIVES
 from repro.detect.checksum import SharedMemoryChecksumStore
 from repro.detect.silent import SilentFaultInjector, plan_silent_faults
 from repro.exceptions import SchedulerError, WorkerCrashError
@@ -151,14 +152,14 @@ class TestWorkerDeath:
 
     def test_a_task_that_kills_every_worker_fails_the_run(self):
         # Every execution of the root exits its worker; recovery would
-        # re-dispatch it for ever.  (The recovery budget only turns a
-        # missing bound into a failure with another message.)
+        # re-dispatch it for ever.  Each loss costs the root a life, and
+        # the run fails at its ceiling.
         rt = ProcessRuntime(workers=2, seed=0)
-        sched = FTScheduler(grid_graph(3, 3, compute=_exits_on_the_root), rt,
-                            max_recoveries=4 * dispatch.MAX_WORKER_LOSSES)
-        with pytest.raises(SchedulerError, match=r"task \(0, 0\) lost its worker 8 times"):
+        sched = FTScheduler(grid_graph(3, 3, compute=_exits_on_the_root), rt)
+        with pytest.raises(SchedulerError,
+                           match=rf"task \(0, 0\) failed on each of its {MAX_LIVES} lives"):
             sched.run()
-        assert rt.worker_crashes == dispatch.MAX_WORKER_LOSSES == 8
+        assert rt.worker_crashes == MAX_LIVES
 
     def test_nabbit_baseline_fails_on_crash(self):
         # The fault-oblivious baseline has no recovery path: a worker

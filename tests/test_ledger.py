@@ -132,9 +132,9 @@ def _table(ledger, overrides=()):
 def test_traced_rows_are_gated_on_calls_records_and_surcharge():
     ledger = _ledger_module()
     assert ledger.over_budget(_table(ledger)) == []
-    over_calls = _table(ledger, {("ft traced", "calls"): 116.31})
+    over_calls = _table(ledger, {("ft traced", "calls"): 115.31})
     assert ledger.over_budget(over_calls) == [
-        "ft traced: 116.31 calls per task > 116.3",
+        "ft traced: 115.31 calls per task > 115.3",
         "ft traced: 18.01 calls per task over untraced > 17.6",
     ]
     over_records = _table(ledger, {("nabbit traced", "records"): 1.0001})

@@ -135,9 +135,12 @@ class F:
 # benign shapes stay clean
 
 
-class TestNegatives:
-    def test_consistent_lock_order_is_clean(self):
-        src = """
+#: Benign shapes that must analyze clean, relpath -> source.  None
+#: replaces a real module or registers a protocol, so they share one
+#: whole-package build (``negative_findings``), as the shareable seeded
+#: fixtures do; each test still checks only its own path.
+NEGATIVES = {
+    "runtime/_n1.py": """
 import threading
 
 class S:
@@ -154,11 +157,8 @@ class S:
         with self._a:
             with self._b:
                 pass
-"""
-        assert analyze(("runtime/_n1.py", src)) == []
-
-    def test_striped_lock_self_edge_is_not_a_deadlock(self):
-        src = """
+""",
+    "memory/_n2.py": """
 import threading
 
 class Sharded:
@@ -169,11 +169,8 @@ class Sharded:
         with self._locks[a]:
             with self._locks[b]:
                 pass
-"""
-        assert analyze(("memory/_n2.py", src)) == []
-
-    def test_blocking_outside_lock_is_clean(self):
-        src = """
+""",
+    "runtime/_n3.py": """
 import threading
 import time
 
@@ -185,11 +182,8 @@ class P:
         with self._lock:
             x = 1
         time.sleep(0.01)
-"""
-        assert analyze(("runtime/_n3.py", src)) == []
-
-    def test_str_join_and_dict_get_are_not_blocking(self):
-        src = """
+""",
+    "obs/_n4.py": """
 import threading
 
 class Fmt:
@@ -199,11 +193,8 @@ class Fmt:
     def render(self, parts: list, table: dict) -> str:
         with self._lock:
             return ", ".join(parts) + str(table.get("k"))
-"""
-        assert analyze(("obs/_n4.py", src)) == []
-
-    def test_open_closed_in_finally_is_clean(self):
-        src = """
+""",
+    "comm/_n5.py": """
 from repro.comm.tcp import Address, connect
 
 def probe(addr: Address) -> None:
@@ -212,21 +203,15 @@ def probe(addr: Address) -> None:
         c.send(("ping",))
     finally:
         c.close()
-"""
-        assert analyze(("comm/_n5.py", src)) == []
-
-    def test_escaping_open_is_the_callers_problem(self):
-        src = """
+""",
+    "comm/_n6.py": """
 from repro.comm.tcp import Address, connect
 
 def dial(addr: Address):
     c = connect(addr)
     return c
-"""
-        assert analyze(("comm/_n6.py", src)) == []
-
-    def test_exceptions_and_blockref_are_wire_safe(self):
-        src = """
+""",
+    "runtime/_n7.py": """
 from repro.comm.core import Comm
 from repro.exceptions import WorkerCrashError
 from repro.graph.taskspec import BlockRef
@@ -235,11 +220,8 @@ def ship(comm: Comm, key: str) -> None:
     comm.send(("raise", WorkerCrashError(key)))
     comm.send(("ref", BlockRef("b", 0)))
     comm.send(("data", {"k": [1, 2.0, b"x", None]}))
-"""
-        assert analyze(("runtime/_n7.py", src)) == []
-
-    def test_with_acquire_needs_no_finally(self):
-        src = """
+""",
+    "runtime/_n8.py": """
 import threading
 
 LOCK = threading.Lock()
@@ -248,8 +230,41 @@ def update(value: int) -> None:
     with LOCK:
         if value < 0:
             raise ValueError(value)
-"""
-        assert analyze(("runtime/_n8.py", src)) == []
+""",
+}
+
+
+@pytest.fixture(scope="session")
+def negative_findings():
+    """Each negative fixture's findings, from one whole-package build."""
+    findings = analyze(*NEGATIVES.items())
+    return {path: [f for f in findings if f.path == path] for path in NEGATIVES}
+
+
+class TestNegatives:
+    def test_consistent_lock_order_is_clean(self, negative_findings):
+        assert negative_findings["runtime/_n1.py"] == []
+
+    def test_striped_lock_self_edge_is_not_a_deadlock(self, negative_findings):
+        assert negative_findings["memory/_n2.py"] == []
+
+    def test_blocking_outside_lock_is_clean(self, negative_findings):
+        assert negative_findings["runtime/_n3.py"] == []
+
+    def test_str_join_and_dict_get_are_not_blocking(self, negative_findings):
+        assert negative_findings["obs/_n4.py"] == []
+
+    def test_open_closed_in_finally_is_clean(self, negative_findings):
+        assert negative_findings["comm/_n5.py"] == []
+
+    def test_escaping_open_is_the_callers_problem(self, negative_findings):
+        assert negative_findings["comm/_n6.py"] == []
+
+    def test_exceptions_and_blockref_are_wire_safe(self, negative_findings):
+        assert negative_findings["runtime/_n7.py"] == []
+
+    def test_with_acquire_needs_no_finally(self, negative_findings):
+        assert negative_findings["runtime/_n8.py"] == []
 
 
 # ---------------------------------------------------------------------------
