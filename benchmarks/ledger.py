@@ -125,7 +125,7 @@ MAX_KERNEL_CALLS = {
 #: OP_SLACK, so one more call per frame, instrument call or sample fails.
 OP_READING = {
     "sim tree": ("frame", 8.56),
-    "sim storm": ("frame", 13.90),
+    "sim storm": ("frame", 13.89),
     "Counter.inc": ("op", 2.00),
     "Histogram.observe": ("op", 3.00),
     "registry.collect": ("sample", 5.01),

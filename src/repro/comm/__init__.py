@@ -1,10 +1,8 @@
-"""`repro.comm`: pluggable connect/listen communication layer.
+"""`repro.comm`: the connect/listen communication layer.
 
-One contract (:class:`~repro.comm.core.Comm` /
-:class:`~repro.comm.core.Listener`), one wire format
-(:mod:`repro.comm.frame`'s length-prefixed pickle frames), one comm
-(:class:`~repro.comm.tcp.SocketComm`, with heartbeat liveness), three
-transports resolved by address scheme:
+One comm (:class:`~repro.comm.tcp.SocketComm`, with heartbeat liveness),
+one wire format (:mod:`repro.comm.frame`'s length-prefixed pickle
+frames), three transports resolved by address scheme:
 
 * ``inproc://name`` -- a socketpair met by name in this process (tests,
   the ledger's in-process cluster);
@@ -22,14 +20,11 @@ untouched FT recovery path.  See docs/DISTRIBUTED.md.
 
 from repro.comm.core import (
     Address,
-    Comm,
     CommClosedError,
-    Listener,
     connect,
     connect_with_retry,
     listen,
     parse_address,
-    register_backend,
 )
 from repro.comm.frame import (
     MAX_FRAME_BYTES,
@@ -42,23 +37,15 @@ from repro.comm.frame import (
     loads,
     pack_frame,
 )
-
-# Importing the backend modules is what registers their schemes.
-from repro.comm import inproc as _inproc  # noqa: F401,E402
-from repro.comm import pipe as _pipe  # noqa: F401,E402
-from repro.comm import tcp as _tcp  # noqa: F401,E402
 from repro.comm.pipe import pipe_pair, wrap_connection
 
 __all__ = [
     "Address",
-    "Comm",
     "CommClosedError",
-    "Listener",
     "connect",
     "connect_with_retry",
     "listen",
     "parse_address",
-    "register_backend",
     "MAX_FRAME_BYTES",
     "FrameDecoder",
     "FrameError",

@@ -1,34 +1,30 @@
-"""Comm core: the `connect`/`listen` entry points and the `Comm` contract.
+"""Comm core: the `connect`/`listen` entry points and the peer-loss error.
 
-An *address* is ``scheme://location``; the scheme picks a backend:
+An *address* is ``scheme://location``; the scheme picks the transport:
 
 ========== ====================================================== ===========
 scheme     transport                                              location
 ========== ====================================================== ===========
 inproc     socketpair met by name in this process (tests, ledger) any token
-pipe       socketpair handed to a forked child (ProcessRuntime)   (unused)
 tcp        dialed socket (ClusterRuntime)                         host:port
 ========== ====================================================== ===========
 
-Every scheme's channel is one :class:`~repro.comm.tcp.SocketComm`: one
-frame codec, one EOF path, and heartbeats wherever a
-:class:`~repro.runtime.cluster.WorkerServer` serves it.  Every backend
-hands out the same two objects:
+Every channel is one :class:`~repro.comm.tcp.SocketComm`: one frame
+codec, one EOF path, and heartbeats wherever a
+:class:`~repro.runtime.cluster.WorkerServer` serves it.  ``send(msg)``
+and ``recv(timeout=...)`` move whole Python messages; both raise
+:class:`CommClosedError` once the peer is gone, which is the *only*
+failure signal callers handle -- a dead process, a severed socket, and
+a missed heartbeat all collapse into it.  ``send`` and ``recv`` are
+each safe from one thread at a time (one writer, one reader -- the
+pattern every runtime here uses).  A listener (``TCPListener``,
+``InprocListener``) invokes ``handler(comm)`` on its own thread for
+each inbound connection.
 
-* :class:`Comm` -- one bidirectional message channel.  ``send(msg)`` and
-  ``recv(timeout=...)`` move whole Python messages (the frame codec is a
-  transport detail); both raise :class:`CommClosedError` once the peer
-  is gone, which is the *only* failure signal callers handle -- a dead
-  process, a severed socket, and a missed heartbeat all collapse into
-  it.  ``send`` and ``recv`` are each safe from one thread at a time
-  (one writer, one reader -- the pattern every runtime here uses); they
-  need not be safe against concurrent calls to the *same* method.
-* :class:`Listener` -- an accept loop that invokes ``handler(comm)`` on
-  its own thread for each inbound connection.
-
-``connect``/``listen`` resolve the scheme through a registry the three
-backend modules populate on import, so adding a transport is a module +
-one :func:`register_backend` call -- the runtimes never name a backend.
+A ``pipe://`` channel has no address: :func:`~repro.comm.pipe.pipe_pair`
+builds both ends before a fork (what ``ProcessRuntime`` dispatches
+over), so ``connect``/``listen`` refuse the scheme and name it.  A new
+transport is one more branch in :func:`connect` and :func:`listen`.
 
 :func:`retry_rounds` is the client-side backoff policy: bounded rounds
 with jittered exponential backoff between them.  :func:`connect_with_retry`
@@ -41,12 +37,13 @@ from __future__ import annotations
 
 import random
 import time
-from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from repro.exceptions import ReproError
 
-if TYPE_CHECKING:  # every backend's channel; tcp imports this module
-    from repro.comm.tcp import SocketComm
+if TYPE_CHECKING:  # the transports import this module
+    from repro.comm.inproc import InprocListener
+    from repro.comm.tcp import SocketComm, TCPListener
 
 
 class CommClosedError(ReproError):
@@ -80,129 +77,43 @@ def parse_address(addr: str) -> Address:
     return Address(scheme, location)
 
 
-class Comm:
-    """One bidirectional message channel between two endpoints.
-
-    Subclasses implement the five primitives below.  Messages are
-    arbitrary picklable Python objects; delivery is ordered and
-    reliable until the peer is lost, after which every primitive
-    raises :class:`CommClosedError`.
-    """
-
-    #: Human-readable peer address, for telemetry.
-    peer: str = "?"
-
-    def send(self, message: Any) -> None:
-        """Ship one message; raises :class:`CommClosedError` on a dead peer."""
-        raise NotImplementedError
-
-    def send_oob(self, message: Any) -> None:
-        """Ship one message with protocol-5 out-of-band buffer treatment:
-        large contiguous payloads (numpy blocks, pre-encoded
-        ``frame.Encoded`` segments) travel as scattered buffer segments
-        instead of being copied into the pickle stream.
-
-        Semantically identical to :meth:`send` -- same ordering, same
-        failure signal, and the receiver's plain ``recv`` returns the
-        reconstructed message (buffer payloads may arrive as read-only
-        views over a transport buffer; see ``frame.OOBFrame`` for the
-        ownership rule).  The base implementation falls back to plain
-        ``send``: without a ``buffer_callback``, protocol-5 pickling
-        serializes every buffer in-band, which is always correct, just
-        not zero-copy.  Backends override with a vectored path.
-        """
-        self.send(message)
-
-    def recv(self, timeout: float | None = None) -> Any:
-        """The next message.  ``timeout=None`` blocks until a message or
-        peer loss; a finite timeout raises :class:`TimeoutError` if
-        nothing arrives in time (the peer may still be healthy)."""
-        raise NotImplementedError
-
-    def poll(self, timeout: float = 0.0) -> bool:
-        """Whether ``recv`` would return without blocking.  Returns True
-        too when the channel is closed -- the pending "message" is the
-        :class:`CommClosedError` that recv will raise."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release the channel.  Idempotent; never raises for a peer
-        that beat us to it."""
-        raise NotImplementedError
-
-    @property
-    def closed(self) -> bool:
-        raise NotImplementedError
-
-    # context-manager sugar: every test closes comms this way
-    def __enter__(self) -> "Comm":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+#: The schemes :func:`connect` and :func:`listen` resolve.
+SCHEMES = ("inproc", "pipe", "tcp")
 
 
-class Listener:
-    """An accept loop bound to an address.
-
-    ``handler(comm)`` runs on a listener-owned thread per inbound
-    connection.  ``address`` is the concrete bound address (e.g. with
-    the kernel-assigned port filled in), suitable for handing to a
-    worker process as its connect target.
-    """
-
-    address: str = "?"
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-    def __enter__(self) -> "Listener":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-
-# ---------------------------------------------------------------------------
-# scheme registry
-
-
-class _Backend(NamedTuple):
-    connect: Callable[[str], SocketComm]
-    listen: Callable[[str, Callable[[SocketComm], None]], Listener]
-
-
-_BACKENDS: dict[str, _Backend] = {}
-
-
-def register_backend(
-    scheme: str,
-    connect: Callable[[str], SocketComm],
-    listen: Callable[[str, Callable[[SocketComm], None]], Listener],
-) -> None:
-    """Install a transport for ``scheme`` (called by backend modules on import)."""
-    _BACKENDS[scheme] = _Backend(connect, listen)
-
-
-def _backend(addr: str) -> tuple[_Backend, Address]:
+def _route(addr: str) -> Address:
     parsed = parse_address(addr)
-    try:
-        return _BACKENDS[parsed.scheme], parsed
-    except KeyError:
-        known = ", ".join(sorted(_BACKENDS)) or "none registered"
-        raise ValueError(f"unknown comm scheme {parsed.scheme!r} (known: {known})") from None
+    if parsed.scheme == "pipe":
+        raise ValueError("pipe:// has no address space; use repro.comm.pipe.pipe_pair()")
+    if parsed.scheme not in SCHEMES:
+        known = ", ".join(SCHEMES)
+        raise ValueError(f"unknown comm scheme {parsed.scheme!r} (known: {known})")
+    return parsed
 
 
 def connect(addr: str) -> SocketComm:
     """Dial ``addr`` once; :class:`CommClosedError` if nobody is listening."""
-    backend, parsed = _backend(addr)
-    return backend.connect(parsed.location)
+    scheme, location = _route(addr)
+    # The transports import this module, so they are imported at call time.
+    if scheme == "tcp":
+        from repro.comm.tcp import connect_tcp
+
+        return connect_tcp(location)
+    from repro.comm.inproc import connect_inproc
+
+    return connect_inproc(location)
 
 
-def listen(addr: str, handler: Callable[[SocketComm], None]) -> Listener:
+def listen(addr: str, handler: Callable[[SocketComm], None]) -> TCPListener | InprocListener:
     """Bind ``addr`` and serve inbound connections through ``handler``."""
-    backend, parsed = _backend(addr)
-    return backend.listen(parsed.location, handler)
+    scheme, location = _route(addr)
+    if scheme == "tcp":
+        from repro.comm.tcp import listen_tcp
+
+        return listen_tcp(location, handler)
+    from repro.comm.inproc import listen_inproc
+
+    return listen_inproc(location, handler)
 
 
 def retry_rounds(

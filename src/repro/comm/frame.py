@@ -1,11 +1,11 @@
-"""Length-prefixed frame codec: the one wire format every backend speaks.
+"""Length-prefixed frame codec: the one wire format every transport speaks.
 
 A *frame* is ``8-byte little-endian unsigned length`` + ``payload``.  A
 *payload* is a pickled message (protocol ``HIGHEST_PROTOCOL``), produced
-by :func:`dumps` and consumed by :func:`loads`.  Every byte that leaves
-a process -- ``tcp://`` connections and ``pipe://`` socketpairs alike --
-runs the full codec; the in-process loopback moves no bytes and reuses
-only the payload layer, so a message that round-trips on one backend
+by :func:`dumps` and consumed by :func:`loads`.  Every channel --
+``tcp://`` connections, ``pipe://`` socketpairs and ``inproc://``
+socketpairs alike -- is a :class:`~repro.comm.tcp.SocketComm` and runs
+the full codec, so a message that round-trips on one transport
 round-trips bit-identically on all of them -- which is what the
 wire-safety tests in ``tests/comm/`` pin down for the exception
 hierarchy and the shared-memory descriptors.
@@ -173,7 +173,7 @@ class Encoded(NamedTuple):
     another OOB message.
 
     The parent's send-side encoded-block cache stores these: pickling an
-    ``Encoded`` through :meth:`Comm.send_oob` re-emits only the tiny
+    ``Encoded`` through :meth:`SocketComm.send_oob` re-emits only the tiny
     ``meta`` stream -- the buffer segments ride the outer frame's scatter
     list untouched, so a block fetched by W workers is pickled once and
     gathered W times.  On the receive side ``buffers`` rematerialize as

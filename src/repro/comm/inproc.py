@@ -1,9 +1,9 @@
-"""In-process backend: ``inproc://<name>``, a named socketpair rendezvous.
+"""In-process transport: ``inproc://<name>``, a named socketpair rendezvous.
 
 Listeners live in a process-local registry keyed by name.  ``connect``
 builds a socketpair (:func:`repro.comm.pipe.socket_pair`), hands the
 server end to the listener's handler on a thread of its own -- the TCP
-backend's threading shape -- and returns the client end.  Both ends are
+listener's threading shape -- and returns the client end.  Both ends are
 :class:`~repro.comm.tcp.SocketComm`, so an in-process connection runs
 the framing, decoder, EOF and heartbeat path of ``pipe://`` and
 ``tcp://``; only the dial differs.  Losing a connection is closing an
@@ -17,12 +17,14 @@ import itertools
 import threading
 from typing import Callable
 
-from repro.comm.core import CommClosedError, Listener, register_backend
+from repro.comm.core import CommClosedError
 from repro.comm.pipe import socket_pair
 from repro.comm.tcp import SocketComm
 
 
-class InprocListener(Listener):
+class InprocListener:
+    """A name in this process's rendezvous registry until ``close``."""
+
     def __init__(self, name: str, handler: Callable[[SocketComm], None]) -> None:
         self.address = f"inproc://{name}"
         self.handler = handler
@@ -39,7 +41,7 @@ _REGISTRY_LOCK = threading.Lock()
 _ANON = itertools.count()
 
 
-def _listen(location: str, handler: Callable[[SocketComm], None]) -> Listener:
+def listen_inproc(location: str, handler: Callable[[SocketComm], None]) -> InprocListener:
     name = location or f"anon-{next(_ANON)}"
     listener = InprocListener(name, handler)
     with _REGISTRY_LOCK:
@@ -49,7 +51,7 @@ def _listen(location: str, handler: Callable[[SocketComm], None]) -> Listener:
     return listener
 
 
-def _connect(location: str) -> SocketComm:
+def connect_inproc(location: str) -> SocketComm:
     with _REGISTRY_LOCK:
         listener = _REGISTRY.get(location)
     if listener is None:
@@ -59,6 +61,3 @@ def _connect(location: str) -> SocketComm:
         target=listener.handler, args=(server,), daemon=True, name="repro-inproc-serve"
     ).start()
     return client
-
-
-register_backend("inproc", _connect, _listen)

@@ -1,4 +1,4 @@
-"""Pipe backend: ``pipe://``, a socketpair speaking the stream codec.
+"""Pipe transport: ``pipe://``, a socketpair speaking the stream codec.
 
 A pipe is the transport whose two ends are made together: the parent
 builds the pair and a child process inherits one end at fork/spawn, so
@@ -21,9 +21,8 @@ the construction ``pipe_pair`` and an ``inproc://`` connection share.
 from __future__ import annotations
 
 import socket
-from typing import Any, Callable
+from typing import Any
 
-from repro.comm.core import Listener, register_backend
 from repro.comm.tcp import SocketComm
 
 
@@ -47,14 +46,3 @@ def pipe_pair(ctx: Any | None = None) -> tuple[SocketComm, SocketComm]:
     parent, child = socket_pair("pipe://child", "pipe://parent")
     child._handed_over = True
     return parent, child
-
-
-def _no_connect(location: str) -> SocketComm:
-    raise ValueError("pipe:// has no address space; use repro.comm.pipe.pipe_pair()")
-
-
-def _no_listen(location: str, handler: Callable[[SocketComm], None]) -> Listener:
-    raise ValueError("pipe:// has no address space; use repro.comm.pipe.pipe_pair()")
-
-
-register_backend("pipe", _no_connect, _no_listen)

@@ -1,4 +1,4 @@
-"""Stream-socket backend: ``tcp://host:port``, and the comm every transport runs on.
+"""Stream-socket transport: ``tcp://host:port``, and the comm every transport runs on.
 
 :class:`SocketComm` drives one connected stream socket -- a TCP
 connection, or one end of the ``socket.socketpair()`` that
@@ -42,7 +42,7 @@ from collections import deque
 from typing import Any, Callable
 
 from repro.comm import frame
-from repro.comm.core import Comm, CommClosedError, Listener, register_backend
+from repro.comm.core import CommClosedError
 
 #: Bound on one dial attempt (retry policy is connect_with_retry's job).
 CONNECT_TIMEOUT_SECONDS = 5.0
@@ -71,8 +71,13 @@ _MAX_LENT = 64
 _HEARTBEAT = ("__hb__",)
 
 
-class SocketComm(Comm):
-    """A :class:`Comm` over one connected stream socket."""
+class SocketComm:
+    """One bidirectional message channel over one connected stream socket.
+
+    Messages are arbitrary picklable Python objects; delivery is ordered
+    and reliable until the peer is lost, after which ``send`` and
+    ``recv`` raise :class:`~repro.comm.core.CommClosedError`.
+    """
 
     def __init__(self, sock: socket.socket, peer: str) -> None:
         sock.setblocking(True)
@@ -215,6 +220,9 @@ class SocketComm(Comm):
                 wait_ms = (deadline - now) * 1000.0 if now < deadline else 0.0
 
     def recv(self, timeout: float | None = None) -> Any:
+        """The next message.  ``timeout=None`` blocks until a message or
+        peer loss; a finite timeout raises :class:`TimeoutError` if
+        nothing arrives in time (the peer may still be healthy)."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             if self._inbox:
@@ -231,6 +239,8 @@ class SocketComm(Comm):
                     raise TimeoutError(f"no message within {timeout}s from {self.peer}")
 
     def poll(self, timeout: float = 0.0) -> bool:
+        """Whether ``recv`` would return without blocking; True too once
+        the channel is closed (``recv`` then raises)."""
         if self._inbox or self._closed or self._eof:
             return True
         self._pump(timeout)
@@ -271,6 +281,8 @@ class SocketComm(Comm):
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
+        """Release the channel.  Idempotent; never raises for a peer
+        that beat us to it."""
         if self._closed:
             return
         self._closed = True
@@ -300,8 +312,14 @@ class SocketComm(Comm):
         so a child inherits this end (see :func:`repro.comm.pipe.wrap_connection`)."""
         return self._sock
 
+    def __enter__(self) -> "SocketComm":
+        return self
 
-class TCPListener(Listener):
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
+
+
+class TCPListener:
     """Accept loop on a bound socket; one handler thread per connection."""
 
     def __init__(self, host: str, port: int, handler: Callable[[SocketComm], None]) -> None:
@@ -359,7 +377,7 @@ def _parse_hostport(location: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
-def _connect(location: str) -> SocketComm:
+def connect_tcp(location: str) -> SocketComm:
     host, port = _parse_hostport(location)
     try:
         sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT_SECONDS)
@@ -369,9 +387,6 @@ def _connect(location: str) -> SocketComm:
     return SocketComm(sock, peer=f"tcp://{host}:{port}")
 
 
-def _listen(location: str, handler: Callable[[SocketComm], None]) -> Listener:
+def listen_tcp(location: str, handler: Callable[[SocketComm], None]) -> TCPListener:
     host, port = _parse_hostport(location)
     return TCPListener(host, port, handler)
-
-
-register_backend("tcp", _connect, _listen)

@@ -17,7 +17,7 @@ Typical usage::
 from __future__ import annotations
 
 from repro.core.ft import FTScheduler
-from repro.core.hooks import NULL_HOOKS, CompositeHooks, NullHooks, SchedulerHooks
+from repro.core.hooks import CompositeHooks, SchedulerHooks
 from repro.core.nabbit import NabbitScheduler
 from repro.core.records import TaskRecord
 from repro.core.recovery_table import RecoveryTable
@@ -61,9 +61,7 @@ __all__ = [
     "NabbitScheduler",
     "SchedulerResult",
     "SchedulerHooks",
-    "NullHooks",
     "CompositeHooks",
-    "NULL_HOOKS",
     "TaskRecord",
     "TaskMap",
     "TaskStatus",

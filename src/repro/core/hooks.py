@@ -5,8 +5,9 @@ their lifetime where the fault fires; "when a fault is injected, a flag is
 set to mark the fault, which is then observed by a thread accessing that
 task" (Section VI.B).  The scheduler therefore exposes the three lifetime
 points of the paper's taxonomy and calls the bound hook object at each;
-:mod:`repro.faults` provides the real injector, and the default
-:class:`NullHooks` makes fault-free runs zero-cost.
+:mod:`repro.faults` provides the real injector.  Off is ``hooks=None``,
+the default: the schedulers cache ``hooks is not None`` once, so a
+fault-free run pays one local boolean test per hook point.
 
 Hooks only *mark* corruption (record flags, block-store flags); detection
 happens later at access sites, exactly like the paper's methodology.
@@ -34,19 +35,6 @@ class SchedulerHooks(Protocol):
     def on_after_notify(self, record: TaskRecord) -> None:
         """*after notify*: every enqueued successor has been notified."""
         ...
-
-
-class NullHooks:
-    """No-fault default: every hook is a no-op."""
-
-    def on_task_waiting(self, record: TaskRecord) -> None:
-        return None
-
-    def on_after_compute(self, record: TaskRecord) -> None:
-        return None
-
-    def on_after_notify(self, record: TaskRecord) -> None:
-        return None
 
 
 class CompositeHooks:
@@ -111,6 +99,3 @@ class CompositeHooks:
         for h in self.hooks:
             if hasattr(h, "trace") and h.trace is None:
                 h.trace = trace
-
-
-NULL_HOOKS = NullHooks()

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable
 
-from repro.core.hooks import NULL_HOOKS, SchedulerHooks
+from repro.core.hooks import SchedulerHooks
 from repro.core.records import TaskRecord
 from repro.core.result import SchedulerResult
 from repro.core.status import TaskStatus
@@ -43,7 +43,7 @@ from repro.graph.plan import plans_of
 from repro.graph.taskspec import TaskGraphSpec
 from repro.memory.blockstore import BlockStore
 from repro.memory.context import StoreComputeContext
-from repro.obs.events import NULL_LOG, EventLog
+from repro.obs.events import EventLog
 from repro.runtime.api import Runtime
 from repro.runtime.costmodel import CostModel
 from repro.runtime.tracing import ExecutionTrace
@@ -74,27 +74,25 @@ class NabbitScheduler:
         self.runtime = runtime
         self.store = store if store is not None else BlockStore()
         self.cost_model = cost_model or CostModel()
-        self.hooks = hooks if hooks is not None else NULL_HOOKS
-        """Lifecycle hooks (:mod:`repro.core.hooks`).  The baseline has no
-        recovery path, so here they serve *measurement*: a silent-fault
-        injector or detector (:mod:`repro.detect`) can attach to quantify
-        what an unprotected scheduler lets through, and any corruption a
-        hook marks surfaces as an uncaught fault."""
+        self.hooks = hooks
+        """Lifecycle hooks (:mod:`repro.core.hooks`), ``None`` for none.
+        The baseline has no recovery path, so here they serve
+        *measurement*: a silent-fault injector or detector
+        (:mod:`repro.detect`) can attach to quantify what an unprotected
+        scheduler lets through, and any corruption a hook marks surfaces
+        as an uncaught fault."""
         self.trace = trace or ExecutionTrace()
-        self.log = event_log if event_log is not None else NULL_LOG
-        """Structured observability log (:mod:`repro.obs`), disabled by
-        default (``NULL_LOG``); pass ``event_log=EventLog()`` to record
-        the run's lifecycle.  Every event carries the task key and life
-        number, timestamped and worker-attributed by the runtime; the
-        baseline records the lifecycle subset -- it has no fault path."""
-        # Identity-fast observability guard: NULL_LOG is the one shared
-        # disabled log, so `is not NULL_LOG` short-circuits without even a
-        # class-attribute read; `enabled` still covers custom disabled logs.
-        self._obs = self.log is not NULL_LOG and self.log.enabled
-        # Same idiom for hook dispatch (NULL_HOOKS is the shared no-op) and
-        # for frame labels, whose f-strings repr task keys on every spawn
-        # but are only ever read by timeline-recording runtimes.
-        self._hooked = self.hooks is not NULL_HOOKS
+        self.log = event_log
+        """Structured observability log (:mod:`repro.obs`), ``None`` (off)
+        by default; pass ``event_log=EventLog()`` to record the run's
+        lifecycle.  Every event carries the task key and life number,
+        timestamped and worker-attributed by the runtime; the baseline
+        records the lifecycle subset -- it has no fault path."""
+        # The hot paths test these cached flags, never the objects; the
+        # same for frame labels, whose f-strings repr task keys on every
+        # spawn but are only ever read by timeline-recording runtimes.
+        self._obs = event_log is not None
+        self._hooked = hooks is not None
         self._lbl = bool(getattr(runtime, "record_timeline", False))
         # Compute-phase dispatch seam: remote runtimes expose
         # compute_dispatch(spec, key, ctx, life) to run the (pure,
@@ -108,18 +106,21 @@ class NabbitScheduler:
             self.trace.assume_concurrent()
         else:
             self.trace.assume_serial()
-        self.log.bind_runtime(runtime)
-        # Lifecycle phases stamp the task record with these, bound once,
-        # and a completed incarnation is handed to the sink in one call:
-        # the counting sink, or the log's, which appends it and counts it.
-        self._seq, self._now, self._wid = self.log.stamps()
-        self._sink = self.log.record_sink(self.trace.record) if self._obs else self.trace.record
-        # Fault injectors and detection-capable stores (repro.detect) emit
-        # into an event_log; share ours unless the caller wired their own.
-        if self._obs and getattr(self.hooks, "event_log", False) is None:
-            hooks.event_log = self.log
-        if self._obs and getattr(self.store, "event_log", False) is None:
-            self.store.event_log = self.log
+        # A completed incarnation is handed to the sink in one call: the
+        # counting sink, or the log's, which appends it and counts it.
+        self._sink = self.trace.record
+        if event_log is not None:
+            event_log.bind_runtime(runtime)
+            # Lifecycle phases stamp the task record with these, bound once.
+            self._seq, self._now, self._wid = event_log.stamps()
+            self._sink = event_log.record_sink(self.trace.record)
+            # Fault injectors and detection-capable stores (repro.detect)
+            # emit into an event_log; share ours unless the caller wired
+            # their own.
+            if getattr(hooks, "event_log", False) is None:
+                hooks.event_log = event_log
+            if getattr(self.store, "event_log", False) is None:
+                self.store.event_log = event_log
         if getattr(self.store, "trace", False) is None:
             self.store.trace = self.trace
         if getattr(self.hooks, "trace", False) is None:

@@ -133,8 +133,7 @@ class ReplicationDetector:
                 return
             published[ref] = value
         log = self.event_log
-        span = log is not None and log.enabled
-        t0 = log.now() if span else 0.0
+        t0 = log.now() if log is not None else 0.0
         try:
             replica_fps = []
             for i in range(self.votes - 1):
@@ -162,7 +161,7 @@ class ReplicationDetector:
             # Attribution span over the whole detection attempt (replica
             # runs + fingerprint votes), whether it detected, abstained,
             # or cleared the task.
-            if span:
+            if log is not None:
                 log.emit(
                     EventKind.SPAN, key, life, phase="detect",
                     wall=log.now() - t0, t0=t0,

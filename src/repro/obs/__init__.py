@@ -4,7 +4,8 @@ One substrate, many views:
 
 * :class:`EventLog` / :class:`Event` / :class:`EventKind` -- the
   low-overhead structured log every scheduler, runtime, and the fault
-  injector emit through (``NULL_LOG`` keeps fault-free runs free).
+  injector emit through (``event_log=None``, the default everywhere,
+  keeps fault-free runs free).
 * :mod:`repro.obs.live` -- the *while-it-runs* side: a thread-safe
   :class:`MetricsRegistry` (counters / gauges / histograms) and a
   Prometheus-text :class:`MetricsServer` (``metrics=None``, the
@@ -37,12 +38,10 @@ from repro.obs.attribution import (
     format_attribution,
 )
 from repro.obs.events import (
-    NULL_LOG,
     Event,
     EventKind,
     EventLog,
     LateEmitError,
-    NullEventLog,
     SealedLogError,
     events_in_order,
 )
@@ -56,8 +55,6 @@ __all__ = [
     "Event",
     "EventKind",
     "EventLog",
-    "NullEventLog",
-    "NULL_LOG",
     "LateEmitError",
     "SealedLogError",
     "events_in_order",

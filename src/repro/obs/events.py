@@ -11,10 +11,10 @@ from one source of truth.
 
 Design constraints:
 
-* **Low overhead when off.**  Schedulers and runtimes hold a
-  :data:`NULL_LOG` by default and guard every emission with a cached
-  ``log is not NULL_LOG`` identity check, so a fault-free benchmark run
-  pays one local boolean test per would-be event.
+* **Low overhead when off.**  Off is ``event_log=None``: schedulers
+  and runtimes store the log as given and guard every emission with a
+  cached ``log is not None`` check, so a fault-free benchmark run pays
+  one local boolean test per would-be event and no log is shared.
 * **A task writes one record.**  A task incarnation's lifecycle
   (TASK_CREATED, a NOTIFY per source, COMPUTE_BEGIN, COMPUTE_END,
   TASK_COMPUTED, TASK_COMPLETED) rides its
@@ -411,11 +411,6 @@ class EventLog:
     one shared buffer under the lock instead.
     """
 
-    enabled = True
-    """Emission guard: hot paths cache ``log is not NULL_LOG`` (or read
-    this flag) before building an event.  Always True here; the
-    :class:`NullEventLog` overrides it."""
-
     rec: Any
     """The recorder: ``rec.put((seq, t, worker, kind, key, life,
     data-or-None))`` appends one record.  Read it off the log at every
@@ -649,37 +644,8 @@ class EventLog:
         return [e for e in self.events if e.kind in wanted]
 
 
-class NullEventLog(EventLog):
-    """The disabled log: every emission is a no-op.
-
-    Schedulers/runtimes hold this by default so fault-free benchmark runs
-    pay only an identity/flag check (and not even that where call sites
-    cache the check, which all hot paths do)."""
-
-    enabled = False
-
-    def __init__(self) -> None:  # noqa: D107 - trivially inherits
-        super().__init__()
-
-    def emit(self, kind: EventKind, key: Hashable = None, life: int = 0, **data: Any) -> None:
-        return None
-
-    def emit_at(
-        self, kind: EventKind, t: float, worker: int, key: Hashable = None, life: int = 0, **data: Any
-    ) -> None:
-        return None
-
-    def record_sink(self, count: Callable[[Any], None]) -> Callable[[Any], None]:
-        """No log to append to: the counting sink alone."""
-        return count
-
-
 def _zero() -> int:
     return 0
-
-
-#: Shared disabled log; identity-comparable (``log is NULL_LOG``).
-NULL_LOG = NullEventLog()
 
 
 def events_in_order(events: Iterable[Event]) -> list[Event]:

@@ -46,7 +46,7 @@ from typing import Any, Hashable, Iterable
 from repro.comm.core import CommClosedError, connect, listen, retry_rounds
 from repro.comm.tcp import SocketComm
 from repro.exceptions import SchedulerError
-from repro.obs.events import NULL_LOG, EventKind, EventLog
+from repro.obs.events import EventKind, EventLog
 from repro.obs.live import MetricsRegistry
 from repro.runtime.dispatch import (
     DEFAULT_INFLIGHT,
@@ -221,12 +221,12 @@ class ClusterRuntime(RemoteRuntime):
         if reply != ("pong",):  # pragma: no cover - protocol bug
             comm.close()
             raise CommClosedError(f"worker at {addr} answered ping with {reply!r}")
-        if self._log is not NULL_LOG:
+        if self._log is not None:
             self._log.emit(EventKind.CONNECT, None, 0, addr=addr)
         return PipelineChannel(comm, addr, addr=addr)
 
     def _retire(self, handle: PipelineChannel) -> None:
-        if self._log is not NULL_LOG:
+        if self._log is not None:
             reason = handle.info.get("reason", "shutdown")
             self._log.emit(EventKind.DISCONNECT, None, 0, addr=handle.peer, reason=reason)
 

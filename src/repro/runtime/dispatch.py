@@ -101,7 +101,7 @@ from repro.comm.tcp import SocketComm
 from repro.exceptions import SchedulerError, WorkerCrashError
 from repro.graph.taskspec import BlockRef
 from repro.memory.shm import payload_nbytes
-from repro.obs.events import NULL_LOG, EventKind, EventLog
+from repro.obs.events import EventKind, EventLog
 from repro.obs.live import MetricsRegistry
 from repro.runtime.api import RunResult
 from repro.runtime.threadpool import ThreadedRuntime
@@ -409,7 +409,7 @@ class RemoteRuntime(ThreadedRuntime):
         computed -- it only attributes telemetry (SPAN events), never
         scheduling decisions.
         """
-        obs = self._log is not NULL_LOG
+        obs = self._log is not None
         mx = self._mx
         t0 = self._log.now() if obs else (time.perf_counter() if mx else 0.0)
         plans = getattr(spec, "plans", None)
@@ -476,7 +476,7 @@ class RemoteRuntime(ThreadedRuntime):
                  version: int, nbytes: int, mode: str) -> None:
         """Account one payload put on the wire, pushed with its job or
         served to a fetch (absence of a FETCH for a read is the hit)."""
-        if self._log is not NULL_LOG:
+        if self._log is not None:
             self._log.emit(EventKind.FETCH, job.key, job.life, block=block,
                            version=version, nbytes=nbytes, mode=mode, **handle.info)
         if self._mx:
@@ -511,7 +511,7 @@ class RemoteRuntime(ThreadedRuntime):
                     elif handle.reader is None:  # never both roles: see the module doc
                         handle.reader = me
                 try:
-                    if self._mx or self._log is not NULL_LOG:
+                    if self._mx or self._log is not None:
                         for b, v, payload in (i for i in inputs if len(i) == 3):
                             self._shipped(handle, me, b, v, payload_nbytes(payload), "push")
                     if batch is not None:
@@ -541,7 +541,7 @@ class RemoteRuntime(ThreadedRuntime):
         role; the section that finds the outbox empty drops the role and
         takes the reader slot for ``me`` if it is free."""
         while True:
-            now = time.perf_counter() if self._log is not NULL_LOG else 0.0
+            now = time.perf_counter() if self._log is not None else 0.0
             msgs: list[tuple] = []
             try:
                 for spec, job, msg in batch:
@@ -701,7 +701,7 @@ class RemoteRuntime(ThreadedRuntime):
             self._crashes += 1
         if self._mx:
             self._crash_counter.inc()
-        if self._log is not NULL_LOG:  # before a crashed submitter resumes
+        if self._log is not None:  # before a crashed submitter resumes
             # The injected death names its victim.
             down_key = next((p.key for p in pending if p.die),
                             pending[0].key if pending else None)
@@ -712,6 +712,6 @@ class RemoteRuntime(ThreadedRuntime):
             handle.cond.notify_all()
         fresh = self._open_channel(handle.slot)
         fresh.slot = handle.slot
-        if self._log is not NULL_LOG:  # before anyone can place a job on it
+        if self._log is not None:  # before anyone can place a job on it
             self._log.emit(EventKind.WORKER_UP, None, 0, **fresh.info)
         self._pool.add(fresh)

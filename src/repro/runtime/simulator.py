@@ -38,7 +38,7 @@ import random
 from collections import deque
 from typing import Any, Callable
 
-from repro.obs.events import NULL_LOG, EventKind, EventLog
+from repro.obs.events import EventKind, EventLog
 from repro.runtime.api import RunResult
 from repro.runtime.costmodel import CostModel
 
@@ -108,7 +108,7 @@ class SimulatedRuntime:
         longest-deque oracle -- an upper-bound comparator, not
         implementable on real hardware without global state)."""
         self.timeline: list[tuple[float, float, int, str]] = []
-        self._log = event_log if event_log is not None else NULL_LOG
+        self._log = event_log
         self._running = False
         self._accum = 0.0
         self._spawn_buffer: list[tuple] = []  # (fn, args, label)
@@ -169,8 +169,9 @@ class SimulatedRuntime:
         cm = self.cost_model
         P = self._workers
         log = self._log
-        obs = log.enabled
-        log.bind_runtime(self)
+        obs = log is not None
+        if obs:
+            log.bind_runtime(self)
         rng = random.Random(self.seed)
         # Hot bindings: every name the per-frame path touches is a local.
         heappush = heapq.heappush

@@ -36,7 +36,7 @@ import threading
 import time
 from typing import Any, Callable
 
-from repro.obs.events import NULL_LOG, EventKind, EventLog
+from repro.obs.events import EventKind, EventLog
 from repro.obs.live import MetricsRegistry
 from repro.runtime.api import RunResult
 from repro.runtime.deque import WorkDeque
@@ -65,7 +65,7 @@ class ThreadedRuntime:
             raise ValueError("need at least one worker")
         self._workers = workers
         self._seed = seed
-        self._log = event_log if event_log is not None else NULL_LOG
+        self._log = event_log
         #: Live telemetry registry, or None (off): instruments are built
         #: only when it is set.
         self._metrics = metrics
@@ -143,7 +143,8 @@ class ThreadedRuntime:
         if self._running:
             raise RuntimeError("ThreadedRuntime is not reentrant")
         self._running = True
-        self._log.bind_runtime(self)
+        if self._log is not None:
+            self._log.bind_runtime(self)
         self._deques = [WorkDeque() for _ in range(self._workers)]
         self._outstanding = 1
         self._failure = None
@@ -172,8 +173,7 @@ class ThreadedRuntime:
         if self._failure is not None:
             raise self._failure
         makespan = time.perf_counter() - started
-        obs = self._log is not NULL_LOG
-        if obs:
+        if self._log is not None:
             # The run's budget window on the log clock: attribution
             # measures each worker's thread start/stop latency as the gap
             # between this span and its worker_loop span.
@@ -238,7 +238,7 @@ class ThreadedRuntime:
         rng = random.Random(None if self._seed is None else self._seed * 0x9E3779B1 + wid)
         my = self._deques[wid]
         log = self._log
-        obs = log.enabled
+        obs = log is not None
         mx = self._mx
         worker_busy = self._worker_busy
         worker_frames = self._worker_frames

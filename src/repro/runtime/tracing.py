@@ -174,12 +174,12 @@ del _name, _kind
 
 def note_and_emit(trace: ExecutionTrace | None, log: Any, kind: EventKind,
                   key: Hashable = None, life: int = 0, **data: Any) -> None:
-    """Note one event on ``trace`` and emit it into ``log`` if live (either
-    may be ``None``): the fault-path sites.  Lifecycle phases are not
+    """Note one event on ``trace`` and emit it into ``log`` (either may
+    be ``None``): the fault-path sites.  Lifecycle phases are not
     events at the site: they ride the task record (:meth:`ExecutionTrace.record`)."""
     if trace is not None:
         trace.note(kind, key)
-    if log is not None and log.enabled:
+    if log is not None:
         log.emit(kind, key, life, **data)
 
 

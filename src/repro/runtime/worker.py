@@ -28,7 +28,8 @@ from collections import OrderedDict, deque
 from typing import Any, Callable, Hashable
 
 from repro.comm import frame
-from repro.comm.core import Comm, CommClosedError
+from repro.comm.core import CommClosedError
+from repro.comm.tcp import SocketComm
 from repro.exceptions import OverwrittenError, SchedulerError
 from repro.graph.taskspec import BlockRef
 from repro.memory.shm import Attachment, ShmDescriptor, attach_payload, own_payload, payload_nbytes
@@ -234,7 +235,7 @@ class WorkerSession:
 
     def __init__(
         self,
-        comm: Comm,
+        comm: SocketComm,
         cache: BlockCache,
         job_done: Callable[[int, int], None] | None = None,
     ) -> None:

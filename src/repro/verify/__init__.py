@@ -12,7 +12,7 @@ happy paths; this package checks the *rules*:
   process / socket primitives, guarded telemetry, read-only events,
   emitted event kinds) to whole-program ones (lock-order deadlock
   cycles, blocking operations reachable under a held lock, wire-safety
-  of everything sent through a :class:`~repro.comm.core.Comm`,
+  of everything sent through a :class:`~repro.comm.tcp.SocketComm`,
   message-protocol exhaustiveness, lock/resource leaks).
 * :mod:`repro.verify.invariants` -- replays a structured event log
   (:mod:`repro.obs`) and asserts Guarantees 1-4 as trace invariants.

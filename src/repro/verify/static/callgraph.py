@@ -1,7 +1,7 @@
 """Whole-program model: call graph, lock model, light type inference.
 
 :class:`Program` parses every module of the package (the full set is the
-*type universe* -- exception classes, ``BlockRef``, the comm ABCs) and
+*type universe* -- exception classes, ``BlockRef``, ``SocketComm``) and
 analyzes the functions of the concurrency-bearing subsystems
 (:data:`ANALYZED_PREFIXES`).  For each analyzed function it records,
 with the set of locks held at each point:
@@ -24,9 +24,9 @@ only when its target is unambiguous -- same-module functions, imports of
 package modules, ``self.``/``super().`` methods through the class
 hierarchy, and receivers typed by parameter/return annotations or by
 local constructor assignment.  When a receiver resolves to a base class
-(e.g. :class:`~repro.comm.core.Comm`), overrides in analyzed subclasses
-are included, so a lock acquired by a concrete transport is visible at
-an abstract call site.  Anything ambiguous stays unresolved: the
+(e.g. ``RemoteRuntime._open_channel``), overrides in analyzed subclasses
+(``ProcessRuntime``, ``ClusterRuntime``) are included, so a lock
+acquired by a concrete runtime is visible at the base's call site.  Anything ambiguous stays unresolved: the
 analyzer prefers missing an edge to inventing one, which is what keeps a
 clean HEAD meaningful.  Blocking *call names* (``.send``/``.recv``/
 ``.wait``/``.join``/...) are classified at the call site itself, so an

@@ -203,7 +203,7 @@ class ConfinementRule(StaticRule):
       segments but never processes.
     * ``raw-socket`` -- only ``comm/`` touches :mod:`socket`,
       :mod:`select` or :mod:`selectors`.  Every byte that crosses a
-      process or machine boundary rides a :class:`~repro.comm.core.Comm`,
+      process or machine boundary rides a :class:`~repro.comm.tcp.SocketComm`,
       so peer loss always surfaces as ``CommClosedError`` and flows
       through the ``WORKER_DOWN`` recovery path; a raw socket elsewhere is
       a second failure domain the fault model cannot see.  (HTTP helpers
@@ -264,22 +264,34 @@ class ConfinementRule(StaticRule):
 # emit-guard
 
 
+def _is_log_check(node: ast.AST) -> bool:
+    """True iff ``node`` is ``<x> is not None`` with ``<x>`` a bare name
+    or an attribute called ``log`` or ``_log``: the event log's own
+    liveness test (off is ``None``)."""
+    if not (
+        isinstance(node, ast.Compare)
+        and len(node.ops) == 1
+        and isinstance(node.ops[0], ast.IsNot)
+        and isinstance(node.comparators[0], ast.Constant)
+        and node.comparators[0].value is None
+    ):
+        return False
+    left = node.left
+    name = left.id if isinstance(left, ast.Name) else getattr(left, "attr", None)
+    return name in ("log", "_log")
+
+
 def _is_obs_guard(test: ast.AST) -> bool:
     """True iff ``test`` (an ``if`` condition) establishes that telemetry
-    is live: it references a cached ``_obs`` / ``_mx`` flag or performs a
-    ``NULL_LOG`` identity comparison anywhere in the expression."""
+    is live: it references a cached ``_obs`` / ``_mx`` flag or tests the
+    log against ``None`` anywhere in the expression."""
     for node in ast.walk(test):
         if isinstance(node, ast.Attribute) and node.attr in ("_obs", "_mx"):
             return True
         if isinstance(node, ast.Name) and node.id in ("_obs", "obs", "_mx", "mx"):
             return True
-        if isinstance(node, ast.Compare) and any(
-            isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops
-        ):
-            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-            if "NULL_LOG" in names:
-                return True
+        if _is_log_check(node):
+            return True
     return False
 
 
@@ -335,8 +347,9 @@ class EmitGuardRule(StaticRule):
     store to a stamp or source slot) and every ``.inc()``/``.observe()``
     (push metrics) must be inside an ``if``
     whose condition references a cached ``_obs`` / ``_mx`` flag (derived
-    from a ``log is not NULL_LOG`` identity check / a ``metrics is not
-    None`` test) or performs the log's identity check directly.  An unguarded publication is a silent per-task slowdown
+    from a ``log is not None`` / ``metrics is not None`` test) or tests
+    a ``log`` / ``_log`` against ``None`` directly.  An unguarded
+    publication is a silent per-task slowdown
     that no test fails on.  ``.set()`` is deliberately not audited:
     gauges are set at registration time (cold) and the name is too
     generic (``threading.Event.set``) to audit without drowning in
@@ -381,7 +394,7 @@ class EmitGuardRule(StaticRule):
             findings.append(Finding(
                 self.name, path, node.lineno,
                 f"`.{call}()` not guarded by a cached `_obs`/`_mx` "
-                "flag or NULL_LOG identity check -- "
+                "flag or a `log is not None` check -- "
                 "unconditional per-publication overhead on the "
                 "telemetry-off hot path",
             ))

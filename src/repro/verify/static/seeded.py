@@ -147,16 +147,16 @@ SEEDED: tuple[SeededCase, ...] = (
         source="""
             import threading
 
-            from repro.comm.core import Comm
+            from repro.comm.tcp import SocketComm
 
             class Fetcher:
                 def __init__(self) -> None:
                     self._lock = threading.Lock()
 
-                def _pump(self, comm: Comm) -> object:
+                def _pump(self, comm: SocketComm) -> object:
                     return comm.recv()
 
-                def fetch(self, comm: Comm) -> object:
+                def fetch(self, comm: SocketComm) -> object:
                     with self._lock:
                         return self._pump(comm)
         """,
@@ -170,9 +170,9 @@ SEEDED: tuple[SeededCase, ...] = (
         source="""
             import threading
 
-            from repro.comm.core import Comm
+            from repro.comm.tcp import SocketComm
 
-            def ship(comm: Comm) -> None:
+            def ship(comm: SocketComm) -> None:
                 comm.send(("job", threading.Lock()))
         """,
         line=7,
@@ -183,13 +183,13 @@ SEEDED: tuple[SeededCase, ...] = (
         rule="wire-safety",
         relpath="runtime/_seed_w2.py",
         source="""
-            from repro.comm.core import Comm
+            from repro.comm.tcp import SocketComm
 
             class NotWireSafe:
                 def __init__(self) -> None:
                     self.fh = open("/dev/null")
 
-            def ship(comm: Comm) -> None:
+            def ship(comm: SocketComm) -> None:
                 comm.send(("result", NotWireSafe()))
         """,
         line=9,
@@ -213,17 +213,17 @@ SEEDED: tuple[SeededCase, ...] = (
         rule="protocol-exhaustive",
         relpath="runtime/_seed_p1.py",
         source="""
-            from repro.comm.core import Comm
+            from repro.comm.tcp import SocketComm
 
             class SeedClusterRuntime:
-                def evict(self, comm: Comm, key: str) -> None:
+                def evict(self, comm: SocketComm, key: str) -> None:
                     comm.send(("evict", key))
 
-                def ping(self, comm: Comm) -> None:
+                def ping(self, comm: SocketComm) -> None:
                     comm.send(("ping",))
 
             class SeedWorkerServer:
-                def serve(self, comm: Comm) -> None:
+                def serve(self, comm: SocketComm) -> None:
                     while True:
                         msg = comm.recv()
                         tag = msg[0]
@@ -246,10 +246,10 @@ SEEDED: tuple[SeededCase, ...] = (
         rule="protocol-exhaustive",
         relpath="runtime/_seed_p2.py",
         source="""
-            from repro.comm.core import Comm
+            from repro.comm.tcp import SocketComm
 
             class SeedClusterRuntime:
-                def ask(self, comm: Comm) -> object:
+                def ask(self, comm: SocketComm) -> object:
                     comm.send(("ping",))
                     reply = comm.recv()
                     if reply[0] == "pong":
@@ -257,7 +257,7 @@ SEEDED: tuple[SeededCase, ...] = (
                     return None
 
             class SeedWorkerServer:
-                def serve(self, comm: Comm) -> None:
+                def serve(self, comm: SocketComm) -> None:
                     msg = comm.recv()
                     tag = msg[0]
                     if tag == "ping":
@@ -281,17 +281,17 @@ SEEDED: tuple[SeededCase, ...] = (
         rule="protocol-exhaustive",
         relpath="runtime/_seed_p3.py",
         source="""
-            from repro.comm.core import Comm
+            from repro.comm.tcp import SocketComm
 
             class SeedBatchingRuntime:
-                def ship(self, comm: Comm, msgs: list) -> None:
+                def ship(self, comm: SocketComm, msgs: list) -> None:
                     comm.send_oob(("jobs", msgs))
 
-                def ping(self, comm: Comm) -> None:
+                def ping(self, comm: SocketComm) -> None:
                     comm.send(("ping",))
 
             class SeedPerJobWorker:
-                def serve(self, comm: Comm) -> None:
+                def serve(self, comm: SocketComm) -> None:
                     while True:
                         msg = comm.recv()
                         tag = msg[0]
@@ -334,7 +334,7 @@ SEEDED: tuple[SeededCase, ...] = (
         rule="lock-leak",
         relpath="runtime/_seed_l2.py",
         source="""
-            from repro.comm.tcp import Address, connect
+            from repro.comm.core import Address, connect
 
             def probe(addr: Address) -> None:
                 c = connect(addr)
@@ -472,7 +472,7 @@ SEEDED: tuple[SeededCase, ...] = (
             _WRITTEN = EventKind.WRITTEN
 
             def record(log, seq, now, worker):
-                if log is not NULL_LOG:
+                if log is not None:
                     log.rec.put((next(seq), now(), worker(), _WRITTEN, None, 0, None))
         """,
         line=0,

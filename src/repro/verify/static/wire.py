@@ -1,7 +1,7 @@
 """Wire rules: picklable-payload safety and protocol exhaustiveness.
 
 ``wire-safety`` classifies every expression constructed into a
-``Comm.send``/``frame.dumps``/``encode_message`` call against the known
+``SocketComm.send``/``frame.dumps``/``encode_message`` call against the known
 wire set -- plain containers and scalars, the exceptions family,
 :class:`~repro.graph.taskspec.BlockRef`, ``ShmDescriptor`` -- on a
 three-valued lattice (SAFE / UNKNOWN / UNSAFE).  Only provably-UNSAFE
@@ -243,7 +243,7 @@ class WireSafetyRule(StaticRule):
                     "unsafe",
                     f"{cname_builtin}() does not pickle on the plain frame "
                     "path; ship raw buffers through the out-of-band API "
-                    "(Comm.send_oob / frame.dumps_oob)",
+                    "(SocketComm.send_oob / frame.dumps_oob)",
                 )
             return ("unsafe", f"{cname_builtin}() objects do not pickle")
         targets = program._resolve_call_targets(

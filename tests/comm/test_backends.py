@@ -1,4 +1,4 @@
-"""Backend contract tests: every transport speaks the same Comm surface,
+"""Transport contract tests: every transport speaks the same SocketComm surface,
 and peer loss on every transport collapses into CommClosedError."""
 
 import itertools

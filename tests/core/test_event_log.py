@@ -5,7 +5,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultPlan
 from repro.graph.builders import chain_graph, diamond_graph
 from repro.memory.blockstore import BlockStore
-from repro.obs.events import NULL_LOG, EventKind, EventLog
+from repro.obs.events import EventKind, EventLog
 from repro.runtime import InlineRuntime, SimulatedRuntime
 from repro.runtime.tracing import ExecutionTrace
 
@@ -45,8 +45,8 @@ class TestEventLog:
         injector = FaultInjector(FaultPlan.single(2, "after_compute"), spec, store, trace)
         sched = FTScheduler(spec, InlineRuntime(), store=store, hooks=injector, trace=trace)
         sched.run()
-        assert sched.log is NULL_LOG
-        assert sched.log.events == []
+        assert sched.log is None
+        assert not sched._obs
 
     def test_after_notify_narrative(self):
         # The canonical sequence: consumer's compute faults -> consumer

@@ -1,6 +1,6 @@
 """CompositeHooks: fan-out order and log/trace sharing semantics."""
 
-from repro.core.hooks import NULL_HOOKS, CompositeHooks, NullHooks
+from repro.core.hooks import CompositeHooks
 
 
 class Recorder:
@@ -18,6 +18,19 @@ class Recorder:
 
     def on_after_notify(self, record):
         self.calls.append((self.name, "notify", record))
+
+
+class Slotless:
+    """A hook with no ``trace`` or ``event_log`` slot."""
+
+    def on_task_waiting(self, record):
+        return None
+
+    def on_after_compute(self, record):
+        return None
+
+    def on_after_notify(self, record):
+        return None
 
 
 class TestFanOut:
@@ -40,7 +53,7 @@ class TestFanOut:
         assert calls == [("a", "compute", "r")]
 
     def test_hookless_children_tolerated(self):
-        hooks = CompositeHooks(NullHooks())
+        hooks = CompositeHooks(Slotless())
         hooks.on_task_waiting("r")
         assert hooks.trace is None is hooks.event_log
 
@@ -86,6 +99,11 @@ class TestSharing:
         assert a.trace is b.trace is sched.trace
         assert a.event_log is b.event_log is sched.log
 
-    def test_null_hooks_singleton_has_no_slots(self):
-        assert not hasattr(NULL_HOOKS, "trace")
-        assert not hasattr(NULL_HOOKS, "event_log")
+    def test_a_hookless_scheduler_holds_none(self):
+        from repro.core import FTScheduler
+        from repro.graph.builders import chain_graph
+        from repro.runtime import InlineRuntime
+
+        sched = FTScheduler(chain_graph(3), InlineRuntime())
+        assert sched.hooks is None and not sched._hooked
+        sched.run()

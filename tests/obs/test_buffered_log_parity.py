@@ -17,7 +17,7 @@ from repro.core import FTScheduler
 from repro.faults import FaultInjector, plan_faults
 from repro.graph.builders import chain_graph, grid_graph
 from repro.obs import EventLog, verify_consistency
-from repro.obs.events import NULL_LOG, EventKind
+from repro.obs.events import EventKind
 from repro.runtime import InlineRuntime, SimulatedRuntime, ThreadedRuntime
 from repro.runtime.tracing import ExecutionTrace
 from repro.verify.invariants import check_events
@@ -164,8 +164,8 @@ class TestVerifyInvariantsAcceptsBufferedTraces:
         assert check_events(log.events, spec=app, strict=True) == []
 
     def test_null_log_identity_survives(self):
-        """The schedulers' fast no-tracing branch keys off identity with
-        NULL_LOG; buffering must not have changed that sentinel."""
+        """The schedulers' fast no-tracing branch keys off an absent log:
+        off is ``None``, never a stand-in object."""
         sched = FTScheduler(chain_graph(3), InlineRuntime())
-        assert sched.log is NULL_LOG
+        assert sched.log is None
         assert not sched._obs

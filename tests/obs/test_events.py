@@ -1,10 +1,33 @@
 """Unit and stress tests for the structured event log."""
 
+import gc
+import sys
 import threading
+import types
 
 import pytest
 
-from repro.obs.events import NULL_LOG, Event, EventKind, EventLog, NullEventLog, events_in_order
+from repro.core import FTScheduler
+from repro.graph.builders import grid_graph
+from repro.obs import events as events_module
+from repro.obs.events import Event, EventKind, EventLog, events_in_order
+from repro.runtime import InlineRuntime, SimulatedRuntime, ThreadedRuntime
+
+
+def _reachable_from_globals(module):
+    """Every object reachable from ``module``'s globals without entering
+    a module or another module's globals."""
+    module_dicts = {id(vars(m)) for m in list(sys.modules.values()) if hasattr(m, "__dict__")}
+    seen, found = set(module_dicts), []
+    stack = list(vars(module).values())
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, types.ModuleType):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
 
 
 class TestEventLogBasics:
@@ -108,16 +131,19 @@ class TestRingBuffer:
 
 
 class TestNullLog:
-    def test_disabled_and_records_nothing(self):
-        assert NULL_LOG.enabled is False
-        NULL_LOG.emit(EventKind.NOTIFY, "a", 1)
-        NULL_LOG.emit_at(EventKind.STEAL, 1.0, 0)
-        assert len(NULL_LOG) == 0
+    """Off is ``None``: there is no shared disabled log to bind."""
 
-    def test_fresh_instance_also_disabled(self):
-        log = NullEventLog()
-        log.emit(EventKind.PARK)
-        assert log.events == []
+    @pytest.mark.parametrize(
+        "make", [InlineRuntime, lambda: SimulatedRuntime(2), lambda: ThreadedRuntime(2)],
+        ids=["inline", "simulated", "threaded"],
+    )
+    def test_an_untraced_run_leaves_its_runtime_unreachable_from_the_module(self, make):
+        rt = make()
+        sched = FTScheduler(grid_graph(4, 4), rt)
+        sched.run()
+        assert sched.log is None
+        # A method bound to the runtime (a log's clock) would reach it too.
+        assert not any(o is rt for o in _reachable_from_globals(events_module))
 
     def test_event_to_dict_stringifies_tuple_keys(self):
         e = Event(0, 1.5, 2, EventKind.REINIT, key=("upd", 1, 2), life=3,

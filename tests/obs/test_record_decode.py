@@ -11,7 +11,6 @@ import time
 from collections import Counter
 
 from repro.core import FTScheduler
-from repro.core.hooks import NullHooks
 from repro.graph.builders import grid_graph
 from repro.obs.events import EventKind, EventLog
 from repro.runtime import InlineRuntime
@@ -95,12 +94,18 @@ class TestReaderRacingEmitter:
         assert [e.seq for e in final] == list(range(emitted))
 
 
-class _ReadMidRun(NullHooks):
+class _ReadMidRun:
     """Reads the log once, from inside the run, after ``after`` tasks
     completed."""
 
     def __init__(self, log, after):
         self.log, self.after, self.snapshot = log, after, None
+
+    def on_task_waiting(self, record):
+        return None
+
+    def on_after_compute(self, record):
+        return None
 
     def on_after_notify(self, record):
         self.after -= 1

@@ -56,13 +56,30 @@ class TestSeededViolations:
         )
         assert not lint_source(src, "core/seeded.py", "emit-guard")
 
-    def test_emit_guard_accepts_null_log_identity_guard(self):
+    def test_emit_guard_accepts_log_none_guard(self):
         src = (
-            "def f(self, key, life):\n"
-            "    if self.log is not NULL_LOG:\n"
+            "def f(self, log, key, life):\n"
+            "    if self.log is not None:\n"
             "        self.log.emit_at(EventKind.NOTIFY, 0.0, 0, key, life)\n"
+            "    if self._log is not None:\n"
+            "        self._log.emit(EventKind.NOTIFY, key, life)\n"
+            "    if log is not None:\n"
+            "        log.emit(EventKind.NOTIFY, key, life)\n"
         )
         assert not lint_source(src, "core/seeded.py", "emit-guard")
+
+    def test_emit_guard_rejects_none_test_of_another_name(self):
+        src = (
+            "def f(self, other, key, life):\n"
+            "    if other is not None:\n"
+            "        self.log.emit(EventKind.NOTIFY, key, life)\n"
+            "    if self.hooks is not None:\n"
+            "        self.log.emit(EventKind.NOTIFY, key, life)\n"
+            "    if self.log is None:\n"
+            "        self.log.emit(EventKind.NOTIFY, key, life)\n"
+        )
+        findings = lint_source(src, "core/seeded.py", "emit-guard")
+        assert [f.line for f in findings] == [3, 5, 7]
 
     def test_emit_guard_else_branch_is_not_guarded(self):
         src = (

@@ -112,16 +112,16 @@ class T:
         src = """
 import threading
 
-from repro.comm.core import Comm
+from repro.comm.tcp import SocketComm
 
 class F:
     def __init__(self) -> None:
         self._lock = threading.Lock()
 
-    def inner(self, comm: Comm) -> object:
+    def inner(self, comm: SocketComm) -> object:
         return comm.recv()
 
-    def outer(self, comm: Comm) -> object:
+    def outer(self, comm: SocketComm) -> object:
         with self._lock:
             return self.inner(comm)
 """
@@ -195,7 +195,7 @@ class Fmt:
             return ", ".join(parts) + str(table.get("k"))
 """,
     "comm/_n5.py": """
-from repro.comm.tcp import Address, connect
+from repro.comm.core import Address, connect
 
 def probe(addr: Address) -> None:
     c = connect(addr)
@@ -205,18 +205,18 @@ def probe(addr: Address) -> None:
         c.close()
 """,
     "comm/_n6.py": """
-from repro.comm.tcp import Address, connect
+from repro.comm.core import Address, connect
 
 def dial(addr: Address):
     c = connect(addr)
     return c
 """,
     "runtime/_n7.py": """
-from repro.comm.core import Comm
+from repro.comm.tcp import SocketComm
 from repro.exceptions import WorkerCrashError
 from repro.graph.taskspec import BlockRef
 
-def ship(comm: Comm, key: str) -> None:
+def ship(comm: SocketComm, key: str) -> None:
     comm.send(("raise", WorkerCrashError(key)))
     comm.send(("ref", BlockRef("b", 0)))
     comm.send(("data", {"k": [1, 2.0, b"x", None]}))
