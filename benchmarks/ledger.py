@@ -32,11 +32,16 @@ them): calls and lock exits, split into the layers a job passes
 through, and calls into ``obs/live.py`` (which must be 0).  ``procpool
 lcs`` is ``ProcessRuntime(workers=1)`` on the ``lcs_procpool`` graph
 (LCS n = 88, b = 8) over a shared store; ``cluster inproc grid`` is ``ClusterRuntime``
-over an ``inproc://`` worker server on the no-op 48x48 grid.  Point
-PYTHONPATH at another checkout's ``src`` to get that revision's ledger.
+over an ``inproc://`` worker server on the no-op 48x48 grid.  The
+fault row ``ft lu faults`` prices recovery: FT on the ``lu_inline_faults``
+configuration, run clean and faulted, with the difference in calls
+and lock exits divided by the re-executed tasks, and the faulted
+run's recovery counts pinned.  Point PYTHONPATH at another checkout's
+``src`` to get that revision's ledger.
 
 ``--check`` is the gate tier-1 and CI run: counts only (no timing
-column) on the 48x48 grid, exit status 1 if any is over its ceiling.
+column), exit status 1 if any is over its ceiling or a pinned
+recovery count moved.
 """
 
 from __future__ import annotations
@@ -53,10 +58,12 @@ import numpy as np
 from repro import BlockRef, BlockStore, EventLog, FTScheduler, NabbitScheduler, grid_graph
 from repro.apps import AppConfig, make_app
 from repro.apps.kernels import lcs_block, sw_block
+from repro.faults import FaultInjector, plan_faults
 from repro.obs.live import MetricsRegistry
 from repro.runtime import (
     ClusterRuntime, InlineRuntime, ProcessRuntime, SimulatedRuntime, WorkerServer,
 )
+from repro.runtime.tracing import ExecutionTrace
 
 #: Calls into this module are the telemetry-on cost; with metrics off
 #: (every row here) they must be 0.
@@ -172,6 +179,24 @@ MAX_REMOTE = {
 }
 
 
+#: The fault row: FT on the ``lu_inline_faults`` configuration of
+#: benchmarks/e2e (LU n = 224, b = 16, ``plan_faults(after_notify,
+#: v=rand, 0.20)`` at FAULT_SEED, InlineRuntime), warm, run clean and
+#: faulted.  What recovery costs is the difference, per re-executed
+#: task: (faulted - clean) / reexecutions, in profiled calls and in lock
+#: exits, beside the clean run's calls per task.  FAULT_COUNTS are the
+#: recovery counts of the faulted run, pinned at FAULT_READING: a change
+#: that moves one changes what recovery does, not what it costs.
+FAULT_ROW = "ft lu faults"
+FAULT_SEED = 1234
+FAULT_COUNTS = (
+    "reexecutions", "recoveries", "resets", "notify_reinits", "stale_notifications",
+    "stale_frames",
+)
+FAULT_READING = dict(zip(FAULT_COUNTS, (254, 206, 48, 206, 0, 0)))
+MAX_FAULT = {"calls": 170.0, "lock exits": 17.0}
+
+
 def _noop(key, ctx):
     ctx.write(BlockRef(key, 0), 0)
 
@@ -186,6 +211,14 @@ def _profiled(fn, *args):
 
 def _calls(stats) -> int:
     return sum(v[1] for v in stats.values())
+
+
+def _column(stats, column: str) -> int:
+    """The calls of the functions COLUMNS sums for ``column``."""
+    return sum(
+        v[1] for (path, _, name), v in stats.items()
+        if any(path.endswith(suffix) and fn in (None, name) for suffix, fn in COLUMNS[column])
+    )
 
 
 def ledger(scheduler, rows: int, cols: int, timed: bool = True, traced: bool = False,
@@ -204,11 +237,8 @@ def ledger(scheduler, rows: int, cols: int, timed: bool = True, traced: bool = F
     run(warm)  # warm: plans built, caches filled
     log, stats = _profiled(run, next_spec())
     row = {"calls": _calls(stats) / tasks}
-    for column, wanted in COLUMNS.items():
-        row[column] = sum(
-            v[1] for (path, _, name), v in stats.items()
-            if any(path.endswith(suffix) and fn in (None, name) for suffix, fn in wanted)
-        ) / tasks
+    for column in COLUMNS:
+        row[column] = _column(stats, column) / tasks
     row["records"] = len(log) / tasks if traced else 0.0
     if timed:
         row["us"] = min(_timed(run, next_spec()) for _ in range(15)) / tasks * 1e6
@@ -221,6 +251,44 @@ def task_rows(rows: int, cols: int, timed: bool = True) -> dict[str, dict[str, f
         name: ledger(sched, rows, cols, timed=timed, traced=traced, cold=cold)
         for name, (sched, traced, cold) in ROWS.items()
     }
+
+
+def fault_ledger() -> dict[str, float]:
+    """The fault row: calls and lock exits per re-executed task, the
+    clean run's calls per task, and the faulted run's FAULT_COUNTS."""
+    app = make_app("lu", config=AppConfig(n=224, block=16, seed=FAULT_SEED))
+    plan = plan_faults(app, phase="after_notify", task_type="v=rand", fraction=0.20,
+                       seed=FAULT_SEED)
+
+    def profiled(faulted: bool):
+        store, trace = app.make_store(True), ExecutionTrace()
+        hooks = FaultInjector(plan, app, store, trace) if faulted else None
+        _, stats = _profiled(
+            FTScheduler(app, InlineRuntime(), store=store, hooks=hooks, trace=trace).run)
+        return trace.summary(), _calls(stats), _column(stats, "lock acq")
+
+    FTScheduler(app, InlineRuntime(), store=app.make_store(True)).run()  # warm: plans built
+    (clean, calls, locks), (faulted, fcalls, flocks) = profiled(False), profiled(True)
+    reexecuted = faulted["reexecutions"]
+    return {
+        "calls": (fcalls - calls) / reexecuted,
+        "lock exits": (flocks - locks) / reexecuted,
+        "clean calls": calls / clean["tasks_computed"],
+        **{count: faulted[count] for count in FAULT_COUNTS},
+    }
+
+
+def fault_over_budget(row: dict[str, float]) -> list[str]:
+    """The fault row's ``--check`` verdict: one line per ceiling exceeded
+    or recovery count moved."""
+    failures = [
+        f"{FAULT_ROW}: {row[column]:.2f} {column} per re-executed task > {limit}"
+        for column, limit in MAX_FAULT.items() if row[column] > limit
+    ]
+    return failures + [
+        f"{FAULT_ROW}: {count} {row[count]} != {reading}"
+        for count, reading in FAULT_READING.items() if row[count] != reading
+    ]
 
 
 def _timed(run, spec) -> float:
@@ -436,6 +504,11 @@ def main(argv: list[str]) -> int:
     for name, row in table.items():
         print(f"{name:<14}" + "".join(
             f"{row[n]:>16.4f}" if n == "records" else f"{row[n]:>16.2f}" for n in names))
+    fault = fault_ledger()
+    costs = ("calls", "lock exits", "clean calls")
+    print(f"\n{'per re-executed task':<22}" + "".join(f"{n:>13}" for n in costs))
+    print(f"{FAULT_ROW:<22}" + "".join(f"{fault[n]:>13.2f}" for n in costs))
+    print(f"{'recovery counts':<22}" + ", ".join(f"{n} {fault[n]}" for n in FAULT_COUNTS))
     counts = {(name, b): kernel_calls(KERNELS[name], b) for name, b in MAX_KERNEL_CALLS}
     print(f"\n{'per tile':<14}{'calls':>16}")
     for (name, b), calls in counts.items():
@@ -450,8 +523,8 @@ def main(argv: list[str]) -> int:
         for kind, layers in row.items():
             print(f"{f'{name} {kind}':<26}" + "".join(
                 f"{layers[n]:>11.2f}" for n in LAYER_NAMES) + f"{sum(layers.values()):>11.2f}")
-    failures = (over_budget(table) + kernels_over_budget(counts) + ops_over_budget(ops)
-                + remote_over_budget(remote)) if check else []
+    failures = (over_budget(table) + fault_over_budget(fault) + kernels_over_budget(counts)
+                + ops_over_budget(ops) + remote_over_budget(remote)) if check else []
     for line in failures:
         print(f"ledger check FAILED: {line}", file=sys.stderr)
     return 1 if failures else 0

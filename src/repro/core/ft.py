@@ -45,7 +45,8 @@ the ``catch`` blocks  :meth:`FTScheduler._handle_compute_fault`,   G5
                       :meth:`FTScheduler._fault_source`; each
                       notes and emits FAULT_OBSERVED through
                       :func:`~repro.runtime.tracing.note_and_emit`
-dead-frame gate       :meth:`FTScheduler._stale`                   G1
+dead-frame gate       ``A.replaced`` (set by ``TaskMap.replace``), G1
+                      then :meth:`FTScheduler._stale`
 ``B.overwritten``     :meth:`FTScheduler._ensure_outputs_available`
 life-carrying root    :meth:`FTScheduler._root` (and FT state in ``__init__``)
 ====================  ===========================================  ======
@@ -102,12 +103,10 @@ class FTScheduler(NabbitScheduler):
         event_log: EventLog | None = None,
     ) -> None:
         super().__init__(spec, runtime, store, cost_model, hooks, trace, event_log)
+        # No run-global recovery state but the table: the incarnation gates
+        # read their own record (``replaced``, the bit vector), so a fault
+        # costs the frames of the records it reaches (docs/ALGORITHM.md §7).
         self.recovery_table = RecoveryTable()
-        # One-way flag, set by the first RECOVERTASK or RESETNODE.  Until
-        # then no record has been replaced or re-armed, so the incarnation
-        # gates (_stale, the stale-traversal bit read) cannot fire and are
-        # skipped; docs/ALGORITHM.md section 7 has the argument.
-        self._disturbed = False
         cm = self.cost_model
         self._c_init = cm.ft_init_cost
         self._c_notify = cm.atomic_cost + cm.ft_notify_cost
@@ -125,7 +124,7 @@ class FTScheduler(NabbitScheduler):
 
         The *before compute* injection point sits after the traversal is
         issued: the task now waits for notifications (Section VI.B)."""
-        if self._disturbed and self._stale(A, key, life):
+        if A.replaced and self._stale(A, key, life):
             return
         self.runtime.charge(self._c_init)
         plan = self._plans[key]
@@ -142,7 +141,7 @@ class FTScheduler(NabbitScheduler):
         """TRYINITCOMPUTE: visit predecessor ``pkey`` (A's notification bit
         ``mask``); register for notification, notify immediately, or
         detect its failure."""
-        if self._disturbed and self._stale(A, key, life):
+        if A.replaced and self._stale(A, key, life):
             return
         B, blife, inserted = self.map.insert_if_absent(pkey)
         if inserted:
@@ -160,16 +159,11 @@ class FTScheduler(NabbitScheduler):
             # has no outstanding need for B's outputs.  Re-examining B here
             # would misread a *legal* post-consumption overwrite of its
             # outputs as a failure and trigger a spurious recovery cascade.
-            # Until the first recovery or reset only this frame's own
-            # notification can clear the bit: nothing to read (the charge
-            # stays: virtual time must not depend on the flag).
+            # The read is one atomic load; the charge stays for virtual time.
             self.runtime.charge(self._c_lock)
-            if self._disturbed:
-                with A.lock:
-                    waiting = A.bit_vector & mask
-                if not waiting:
-                    note_and_emit(self.trace, self.log, EventKind.NOTIFY_STALE, key, life, src=pkey)
-                    return
+            if not A.bit_vector & mask:  # verify: ok=lock-discipline (one GIL-atomic load: a locked read is as stale once released; docs/ALGORITHM.md §7)
+                note_and_emit(self.trace, self.log, EventKind.NOTIFY_STALE, key, life, src=pkey)
+                return
             # check() raises iff corrupted; testing the flag first keeps
             # the fault-free path to one attribute load per observation.
             if B.corrupted:
@@ -298,7 +292,6 @@ class FTScheduler(NabbitScheduler):
         from its successors' bit vectors, and re-execute it as if newly
         created.  Failures during recovery retry with the next incarnation
         (Guarantee 6).  Life ``MAX_LIVES + 1`` fails the run instead."""
-        self._disturbed = True
         while True:
             T, life = self.map.replace(key)
             if life > MAX_LIVES:
@@ -360,7 +353,6 @@ class FTScheduler(NabbitScheduler):
         """RESETNODE: a fault in one of A's *inputs* was observed while A
         computed; re-arm A's join counter and bit vector and replay its
         traversal, which finds and recovers the failed producer (G5)."""
-        self._disturbed = True
         try:
             A.check()
             self.runtime.charge(self._c_lock)

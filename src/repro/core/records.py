@@ -15,7 +15,7 @@ Fields mirror the paper:
   clearing the corresponding bit, making re-notification by recovered
   predecessors idempotent (Guarantee 3).
 * ``life`` (FT only) -- the incarnation number this record was created
-  with (Guarantee 1).
+  with (Guarantee 1); ``replaced`` -- set once a newer one took its place.
 * ``corrupted`` -- the detected-fault flag: set by the injector, observed
   by every subsequent access via :meth:`TaskRecord.check` ("once an error
   is detected, all subsequent accesses ... observe the error").
@@ -55,7 +55,7 @@ class TaskRecord:
         "notify_array",
         "status",
         "corrupted",
-        "recovery",
+        "recovery", "replaced",
         "lock",
         "handed", "created_at", "begin_at", "end_at", "computed_at", "srcs",
     )
@@ -71,7 +71,7 @@ class TaskRecord:
         self.notify_array: List[Hashable] = []
         self.status = _VISITED
         self.corrupted = False
-        self.recovery = False
+        self.recovery = self.replaced = False
         self.lock = threading.Lock()
         self.handed = 0
         self.created_at = self.begin_at = self.end_at = self.computed_at = None

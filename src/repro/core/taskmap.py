@@ -118,6 +118,7 @@ class TaskMap:
             old = self._records[key]
             rec = TaskRecord(key, self._n_preds_of(key), life=old.life + 1)
             self._records[key] = rec
+            old.replaced = True  # after the store: a frame that sees it finds ``rec``
             self.retired.append(old)
             return rec, rec.life
 

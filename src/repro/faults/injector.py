@@ -10,7 +10,9 @@ lifecycle hook it checks whether a planned event matches ``(key, phase,
 life)`` and, if so, strikes the task: :func:`flag_fault` sets the
 record's corruption flag and (for post-compute phases) marks the task's
 output block versions corrupted in the store.  Each event fires at most
-once.  The plan-driven firing (the pending table, ``fired``,
+once.  The pending events are one ``key -> events by life`` table per
+phase, so a hook on a task with no planned event costs one dict probe
+and no lock.  The plan-driven firing (the pending tables, ``fired``,
 ``unfired``) lives here once; a subclass changes only the strike
 (:class:`~repro.detect.silent.SilentFaultInjector` mutates bytes), and
 :class:`~repro.faults.random_injector.RandomInjector` strikes with
@@ -36,6 +38,9 @@ from repro.runtime.tracing import ExecutionTrace, note_and_emit
 _BEFORE_COMPUTE = FaultPhase.BEFORE_COMPUTE
 _AFTER_COMPUTE = FaultPhase.AFTER_COMPUTE
 _AFTER_NOTIFY = FaultPhase.AFTER_NOTIFY
+
+#: A phase's pending events: key -> the events not fired yet, by life.
+Pending = dict[Hashable, list[FaultEvent]]
 
 
 def flag_fault(
@@ -75,36 +80,50 @@ class FaultInjector:
         the FT scheduler shares its own log at construction time, so
         injected faults land in the same stream as their recoveries."""
         self._lock = threading.Lock()
-        # (key, phase) -> list of pending events ordered by life.
-        self._pending: dict[tuple[Hashable, FaultPhase], list[FaultEvent]] = {}
+        # One pending table per phase, bound once: a hook probes its own.
+        tables: dict[FaultPhase, Pending] = {phase: {} for phase in FaultPhase}
+        # (table, key) in plan order, for ``unfired``.
+        self._slots: list[tuple[Pending, Hashable]] = []
         for event in plan:
-            self._pending.setdefault((event.key, event.phase), []).append(event)
-        for events in self._pending.values():
-            events.sort(key=lambda e: e.life)
+            table = tables[event.phase]
+            if event.key not in table:
+                table[event.key] = []
+                self._slots.append((table, event.key))
+            table[event.key].append(event)
+        for table, key in self._slots:
+            table[key].sort(key=lambda e: e.life)
+        self._waiting = tables[_BEFORE_COMPUTE]
+        self._computed = tables[_AFTER_COMPUTE]
+        self._notified = tables[_AFTER_NOTIFY]
         self.fired: list[FaultEvent] = []
 
     # -- hook dispatch -----------------------------------------------------------------
+    # The membership probe is unlocked: a key leaves its table only once
+    # its last event fired, so a miss is final, and a hit is re-read
+    # under the lock.
 
     def on_task_waiting(self, record: TaskRecord) -> None:
-        self._maybe_fire(record, _BEFORE_COMPUTE)
+        if record.key in self._waiting:
+            self._maybe_fire(record, self._waiting, _BEFORE_COMPUTE)
 
     def on_after_compute(self, record: TaskRecord) -> None:
-        self._maybe_fire(record, _AFTER_COMPUTE)
+        if record.key in self._computed:
+            self._maybe_fire(record, self._computed, _AFTER_COMPUTE)
 
     def on_after_notify(self, record: TaskRecord) -> None:
-        self._maybe_fire(record, _AFTER_NOTIFY)
+        if record.key in self._notified:
+            self._maybe_fire(record, self._notified, _AFTER_NOTIFY)
 
     # -- internals ----------------------------------------------------------------------
 
-    def _maybe_fire(self, record: TaskRecord, phase: FaultPhase) -> None:
-        slot = (record.key, phase)
+    def _maybe_fire(self, record: TaskRecord, table: Pending, phase: FaultPhase) -> None:
         with self._lock:
-            events = self._pending.get(slot)
+            events = table.get(record.key)
             if not events or events[0].life != record.life:
                 return
             event = events.pop(0)
             if not events:
-                del self._pending[slot]
+                del table[record.key]
             self.fired.append(event)
         self._strike(record, phase, event)
 
@@ -121,7 +140,7 @@ class FaultInjector:
         must -- an unfired event means the lifecycle point was not reached,
         which for life=1 plans indicates a planner/scheduler mismatch)."""
         with self._lock:
-            return [e for events in self._pending.values() for e in events]
+            return [e for table, key in self._slots for e in table.get(key, ())]
 
     def all_fired(self) -> bool:
         return not self.unfired

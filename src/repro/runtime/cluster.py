@@ -30,11 +30,11 @@ What is specific to a dialed channel:
   parent-side before dispatch, so a stale entry can never be asked for
   a version the store would refuse.
 
-``die_on`` ends the worker's session *before* it computes, closing its
-connection; a server process then exits with ``os._exit(73)`` (genuine
-process death, indistinguishable from ``kill -9``), while an
-``inproc://`` server, which has no process of its own, loses only the
-connection (the yanked-cable case).
+``die_on`` ends the worker's session *before* it computes; a server
+process then exits with ``os._exit(73)``, which closes the connection
+and the listener together (genuine process death, indistinguishable
+from ``kill -9``), while an ``inproc://`` server, which has no process
+of its own, closes only the connection (the yanked-cable case).
 """
 
 from __future__ import annotations
@@ -137,10 +137,14 @@ class WorkerServer:
 
     def _serve_connection(self, comm: SocketComm) -> None:
         comm.start_heartbeat()  # the parent watches for these beats
-        died = WorkerSession(comm, self.cache, self._job_done).serve()
-        # An in-process server has no process of its own to lose.
-        if died and not self._listen_addr.startswith("inproc://"):
-            os._exit(CRASH_EXIT_CODE)
+        if WorkerSession(comm, self.cache, self._job_done).serve():
+            # The exit closes this connection and the listener together:
+            # closing the connection first would let the parent's redial
+            # reach a server that is about to exit.  An in-process server
+            # has no process of its own to lose, only the connection.
+            if not self._listen_addr.startswith("inproc://"):
+                os._exit(CRASH_EXIT_CODE)
+            comm.close()
 
     def _job_done(self, payloads: int, nbytes: int) -> None:
         if self._mx:

@@ -114,6 +114,11 @@ class ExecutionTrace:
         """Fold what an incarnation that did not complete got through (a
         compute fault, a replacement, an aborted run): the cold twin of
         :meth:`record`."""
+        if self._serial:
+            self.counts[_NOTIFY] += notifications
+            if computed:
+                self.computes[key] += 1
+            return
         with self._lock:
             self.counts[_NOTIFY] += notifications
             if computed:

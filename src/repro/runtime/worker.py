@@ -252,8 +252,12 @@ class WorkerSession:
     def serve(self) -> bool:
         """Serve until ``stop`` or peer loss (False) or an injected death
         (True: jobs batched behind the dying one are lost with it,
-        exactly like a real crash).  The comm is closed either way."""
+        exactly like a real crash).  The comm is closed unless the
+        session died: then the caller ends it, a process by exiting, so
+        that the parent sees the loss only once nothing of the process
+        (a server's listener) can still answer a redial."""
         comm = self.comm
+        died = False
         try:
             while True:
                 msg = self.backlog.popleft() if self.backlog else comm.recv()
@@ -268,6 +272,7 @@ class WorkerSession:
                 elif tag == "jobs":
                     for jid, key, inputs, die, _life in msg[1]:
                         if die:
+                            died = True
                             return True
                         self._run_job(jid, key, inputs)
                 else:
@@ -278,7 +283,8 @@ class WorkerSession:
             self._hold("")
             for attachment in self._attachments:
                 attachment.close()
-            comm.close()
+            if not died:
+                comm.close()
 
     def _hold(self, token: str) -> None:
         """Make ``token`` the session's cache scope (``""``: none)."""

@@ -399,8 +399,10 @@ class DoubleRecoveryScheduler(FTScheduler):
 
     ``_recover_task_once`` ignores the recovery table's CAS verdict, and
     the stale-incarnation gate that masks the CAS under frame atomicity
-    is disabled with it (see the module docstring).  Any observation of
-    a fault -- including one from a frame belonging to a long-replaced
+    is disabled with it (see the module docstring): ``FTScheduler``
+    consults ``_stale`` for every frame whose record is ``replaced``, so
+    the override lets every dead frame act.  Any observation of a fault
+    -- including one from a frame belonging to a long-replaced
     incarnation -- triggers a full recovery of the current incarnation.
     """
 

@@ -1,6 +1,9 @@
-"""Compiled plans and the ``_disturbed`` gate change no observable
-behaviour: a warm spec, a cold spec and the parent commit's schedulers
-produce the same events, counters and virtual time."""
+"""Compiled plans and the per-record incarnation gates change no
+observable behaviour: a warm spec, a cold spec and the parent commit's
+schedulers (gates always armed, as they are again) produce the same
+events, counters and virtual time.  The dead-frame gate is a record's
+``replaced`` slot, set by ``TaskMap.replace`` on the incarnation it
+retires and by nothing else."""
 
 import pytest
 
@@ -63,35 +66,57 @@ class TestWarmColdParity:
         assert first == warm == cold
 
 
-class TestDisturbedFlag:
-    """The incarnation gates are armed by the first replacement or
-    re-arm of a record, never before."""
+def _replaced(sched):
+    """(retired records, live records marked ``replaced``), by identity."""
+    live = [A for A in sched.map.records() if A.replaced]
+    return {id(A) for A in sched.map.retired}, live
+
+
+class TestIncarnationGates:
+    """``replaced`` marks exactly the incarnations a recovery retired:
+    never a live record, never one a reset re-armed."""
 
     @pytest.mark.parametrize(
         "make_runtime",
         [InlineRuntime, RUNTIMES["sim4"], lambda: ThreadedRuntime(workers=4, seed=1)],
         ids=["inline", "sim4", "threaded4"],
     )
-    def test_fault_free_run_never_arms_it(self, make_runtime):
+    def test_fault_free_run_retires_nothing(self, make_runtime):
         sched, _, summary, _ = _run(_app("cholesky"), make_runtime())
-        assert sched._disturbed is False
+        assert sched.map.retired == [] and _replaced(sched)[1] == []
         assert summary["stale_frames"] == summary["stale_notifications"] == 0
         assert summary["recoveries"] == summary["resets"] == 0
 
     @pytest.mark.parametrize("phase", ["before_compute", "after_compute", "after_notify"])
-    def test_any_recovery_arms_it(self, phase):
+    def test_a_recovery_marks_exactly_the_retired(self, phase):
         spec = grid_graph(4, 4)
         trace = ExecutionTrace()
         store = BlockStore()
         hooks = FaultInjector(FaultPlan.single((1, 1), phase), spec, store, trace)
         sched = FTScheduler(spec, InlineRuntime(), store=store, hooks=hooks, trace=trace)
         sched.run()
-        assert trace.total_recoveries == 1 and sched._disturbed is True
+        assert trace.total_recoveries == 1
+        [old] = sched.map.retired
+        assert old.key == (1, 1) and old.replaced and old.life == 1
+        assert _replaced(sched)[1] == []
 
-    def test_a_reset_arms_it(self):
+    def test_a_reset_marks_nothing(self, monkeypatch):
+        reset, rearm = [], FTScheduler._reset_node
+
+        def watched(sched, A, key, life):
+            reset.append(A)
+            rearm(sched, A, key, life)
+
+        monkeypatch.setattr(FTScheduler, "_reset_node", watched)
         app = _app()
         sched, _, summary, _ = _run(app, InlineRuntime(), _plan(app))
-        assert summary["resets"] > 0 and sched._disturbed is True
+        live = {id(A) for A in sched.map.records()}
+        kept = [A for A in reset if id(A) in live]
+        assert summary["resets"] > 0 and kept
+        assert not any(A.replaced for A in kept)
+        retired, marked = _replaced(sched)
+        assert marked == [] and len(retired) == summary["recoveries"]
+        assert all(A.replaced for A in sched.map.retired)
 
 
 #: ExecutionTrace.summary() counters and makespans of the parent commit

@@ -118,3 +118,63 @@ class TestBookkeeping:
         inj, _ = make_injector([FaultEvent((1, 1), FaultPhase.AFTER_COMPUTE)])
         inj.on_after_compute(TaskRecord((1, 1), 3))
         assert [e.key for e in inj.fired] == [(1, 1)]
+
+
+class _CountingLock:
+    """A lock stand-in that counts its acquisitions."""
+
+    def __init__(self):
+        self.taken = 0
+
+    def __enter__(self):
+        self.taken += 1
+
+    def __exit__(self, *exc):
+        return False
+
+
+class TestKeyedHooks:
+    def test_a_key_with_no_pending_event_takes_no_lock(self):
+        inj, _ = make_injector([
+            FaultEvent((1, 1), FaultPhase.AFTER_COMPUTE),
+            FaultEvent((2, 2), FaultPhase.AFTER_NOTIFY),
+        ])
+        inj._lock = lock = _CountingLock()
+        for key in ((0, 0), (2, 2)):
+            rec = TaskRecord(key, 3)
+            inj.on_task_waiting(rec)
+            inj.on_after_compute(rec)
+        inj.on_after_notify(TaskRecord((1, 1), 3))
+        assert lock.taken == 0 and not inj.fired
+        inj.on_after_compute(TaskRecord((1, 1), 3))
+        assert lock.taken == 1 and [e.key for e in inj.fired] == [(1, 1)]
+        # The fired key left its table: the next probe is a miss again.
+        inj.on_after_compute(TaskRecord((1, 1), 3, life=2))
+        assert lock.taken == 1
+
+    def test_a_multi_life_plan_fires_in_life_order_in_every_phase(self):
+        key = (1, 1)
+        events = [
+            FaultEvent(key, phase, life=life)
+            for life in (3, 1, 2) for phase in FaultPhase
+        ]
+        inj, _ = make_injector(events)
+        hooks = {
+            FaultPhase.BEFORE_COMPUTE: inj.on_task_waiting,
+            FaultPhase.AFTER_COMPUTE: inj.on_after_compute,
+            FaultPhase.AFTER_NOTIFY: inj.on_after_notify,
+        }
+        for life in (1, 2):
+            for phase, hook in hooks.items():
+                rec = TaskRecord(key, 3, life=life)
+                hook(rec)
+                assert rec.corrupted
+                assert inj.fired[-1] == FaultEvent(key, phase, life=life)
+        # A life out of order fires nothing: each phase waits for life 3.
+        for hook in hooks.values():
+            hook(TaskRecord(key, 3, life=4))
+        assert len(inj.fired) == 6
+        assert inj.unfired == [FaultEvent(key, phase, life=3) for phase in FaultPhase]
+        for hook in hooks.values():
+            hook(TaskRecord(key, 3, life=3))
+        assert inj.all_fired() and len(inj.fired) == 9

@@ -6,9 +6,11 @@ genuinely nondeterministic here, so these tests sweep seeds and repeat to
 shake out races in the join-counter / bit-vector / recovery protocol.
 """
 
+import sys
+
 import pytest
 
-from repro.apps import make_app
+from repro.apps import AppConfig, make_app
 from repro.core import FTScheduler, run_scheduler
 from repro.faults.injector import FaultInjector
 from repro.faults.planner import plan_faults
@@ -59,6 +61,32 @@ class TestFaultsThreaded:
         )
         sched.run()
         app.verify(store)
+
+    @pytest.mark.parametrize("rep", range(4))
+    def test_incarnation_gates_under_a_short_switch_interval(self, rep):
+        """The stale-traversal gate reads the bit vector unlocked and the
+        dead-frame gate reads ``replaced``: with a thread switch every few
+        bytecodes, a gate that acted on a torn or lost update would
+        corrupt the result, hang the graph or mark a live record."""
+        app = make_app("lu", config=AppConfig(n=128, block=16, seed=rep))
+        plan = plan_faults(app, phase="after_notify", task_type="v=rand", fraction=0.20,
+                           seed=rep)
+        store = app.make_store(True)
+        trace = ExecutionTrace()
+        injector = FaultInjector(plan, app, store, trace)
+        sched = FTScheduler(app, ThreadedRuntime(workers=6, seed=rep), store=store,
+                            hooks=injector, trace=trace)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            sched.run()
+        finally:
+            sys.setswitchinterval(interval)
+        app.verify(store)
+        assert injector.all_fired() and trace.total_recoveries > 0
+        assert len(sched.map.retired) == trace.total_recoveries
+        assert all(A.replaced for A in sched.map.retired)
+        assert not any(A.replaced for A in sched.map.records())
 
     def test_concurrent_recovery_dedup(self):
         # High-fanout victim: many threads observe the same failure.

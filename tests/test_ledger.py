@@ -44,6 +44,7 @@ def test_ledger_check_passes():
                         if line.startswith(f"{name} {kind} "))
             assert float(line.split()[-1]) > 0, line
     assert float(rows["ft cold"][2]) > float(rows["ft"][1])  # the plans are built
+    assert 0 < float(rows["ft lu faults"][3]) <= 170  # calls per re-executed task
     for name in ("sim tree (frame)", "sim storm (frame)", "Counter.inc (op)",
                  "Histogram.observe (op)", "registry.collect (sample)"):
         assert float(rows[name][-1]) > 0, name
@@ -62,6 +63,25 @@ PARENT_REMOTE = {
         "locks": [2.92, 2.00, 2.92, 5.00, 5.00, 0.00, 3.00, 1.00],
     },
 }
+
+
+#: The fault row's costs under the run-global ``_disturbed`` flag and
+#: per-(key, phase) fault hooks (the row's first reading, same counts).
+PARENT_FAULT = {"calls": 303.15, "lock exits": 43.91}
+
+
+def test_the_parents_fault_reading_and_a_moved_count_fail_the_fault_row():
+    ledger = _ledger_module()
+    row = {**ledger.FAULT_READING, "calls": 164.04, "lock exits": 16.39, "clean calls": 125.59}
+    assert ledger.fault_over_budget(row) == []
+    assert ledger.fault_over_budget({**row, **PARENT_FAULT}) == [
+        "ft lu faults: 303.15 calls per re-executed task > 170.0",
+        "ft lu faults: 43.91 lock exits per re-executed task > 17.0",
+    ]
+    resets = ledger.FAULT_READING["resets"]
+    assert ledger.fault_over_budget({**row, "resets": resets - 1}) == [
+        f"ft lu faults: resets {resets - 1} != {resets}"
+    ]
 
 
 def _remote_table(ledger, rows):
