@@ -1,19 +1,18 @@
 """Static analysis and protocol verification for the scheduler itself.
 
 The FT scheduler's correctness rests on four machine-checkable paper
-guarantees (docs/ALGORITHM.md §§1-4) plus two coding disciplines the
-implementation relies on (every ``TaskRecord`` mutation under its lock;
-every lock acquisition accounted in the cost model).  Tests exercise
-happy paths; this package checks the *rules*:
+guarantees (docs/ALGORITHM.md §§1-4) plus the coding disciplines the
+implementation relies on (every ``TaskRecord`` mutation under its lock,
+to name one).  Tests exercise happy paths; this package checks the
+*rules*:
 
 * :mod:`repro.verify.static` -- the static analyzer: one program model
   over ``src/repro`` and one registry of rules, from per-module
-  disciplines (record locking, charged locks, confined threading /
-  process / socket primitives, guarded telemetry, read-only events,
-  emitted event kinds) to whole-program ones (lock-order deadlock
-  cycles, blocking operations reachable under a held lock, wire-safety
-  of everything sent through a :class:`~repro.comm.tcp.SocketComm`,
-  message-protocol exhaustiveness, lock/resource leaks).
+  disciplines (record locking, confined threading / process / socket
+  primitives, guarded telemetry, read-only events, emitted event kinds)
+  to whole-program ones (lock-order deadlock cycles, blocking operations
+  reachable under a held lock, message-protocol exhaustiveness,
+  lock/resource leaks).
 * :mod:`repro.verify.invariants` -- replays a structured event log
   (:mod:`repro.obs`) and asserts Guarantees 1-4 as trace invariants.
 * :mod:`repro.verify.explore` -- bounded schedule exploration on the
@@ -27,7 +26,7 @@ CLI: ``python -m repro verify [static|invariants|explore]``.
 
 from repro.verify.invariants import INVARIANTS, Violation, check_events
 from repro.verify.explore import ExplorationReport, explore, explore_app, mutation_study
-from repro.verify.report import Finding, findings_to_json, github_annotations, sort_findings
+from repro.verify.report import Finding, github_annotations, sort_findings
 from repro.verify.static import STATIC_RULES, run_static
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "mutation_study",
     "STATIC_RULES",
     "run_static",
-    "findings_to_json",
     "github_annotations",
     "sort_findings",
 ]

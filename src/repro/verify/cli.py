@@ -4,11 +4,10 @@ Subcommands:
 
 * ``static`` -- run the static analyzer (:mod:`repro.verify.static`)
   over ``src/repro``: every registered rule, from the per-module
-  disciplines (record locking, charged locks, confined primitives,
-  guarded telemetry) to the whole-program ones (lock-order deadlock
-  cycles, blocking operations under held locks, wire safety, protocol
-  exhaustiveness, lock/resource leaks), plus stale waivers; exit 1 on
-  any finding.  ``--json`` for machine-readable output, ``--annotate``
+  disciplines (record locking, confined primitives, guarded telemetry)
+  to the whole-program ones (lock-order deadlock cycles, blocking
+  operations under held locks, protocol exhaustiveness, lock/resource
+  leaks), plus stale waivers; exit 1 on any finding.  ``--annotate``
   for GitHub Actions annotations.
 * ``invariants`` -- execute one benchmark under fault injection with
   event tracing and assert Guarantees 1-4 on the trace
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from repro.verify.explore import explore_app, make_app_case, mutation_study
 from repro.verify.invariants import (
@@ -34,7 +32,7 @@ from repro.verify.invariants import (
     events_from_jsonl,
     summarize,
 )
-from repro.verify.report import findings_to_json, github_annotations
+from repro.verify.report import github_annotations
 from repro.verify.static import RULE_NAMES, run_static
 
 _BENCHMARKS = ("lcs", "sw", "fw", "lu", "cholesky")
@@ -45,11 +43,7 @@ _BENCHMARKS = ("lcs", "sw", "fw", "lu", "cholesky")
 
 
 def _cmd_static(args: argparse.Namespace) -> int:
-    root = Path(args.root) if args.root else None
-    findings = run_static(root=root)
-    if args.json:
-        print(findings_to_json(findings))
-        return 1 if findings else 0
+    findings = run_static()
     if args.annotate:
         for line in github_annotations(findings):
             print(line)
@@ -151,11 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = ap.add_subparsers(dest="command")
 
     p_static = sub.add_parser(
-        "static", help="static analysis: every rule over src/repro (locks, wire, ...)")
-    p_static.add_argument("--root", type=str, default=None,
-                          help="package root to analyze (default: the imported repro package)")
-    p_static.add_argument("--json", action="store_true",
-                          help="machine-readable findings report on stdout")
+        "static", help="static analysis: every rule over src/repro (locks, protocol, ...)")
     p_static.add_argument("--annotate", action="store_true",
                           help="emit GitHub Actions ::error annotations instead of plain lines")
 

@@ -4,22 +4,20 @@ Every rule of :mod:`repro.verify.static` produces the same currency: a
 :class:`Finding` anchored at a source line, waivable by an inline
 ``# verify: ok=<rule>`` pragma in a comment on that line.  This module
 owns that currency -- the finding type, the parsed-module handle that
-knows its own waivers, deterministic ordering, and the machine-readable
-output formats (``--json`` and GitHub Actions problem-matcher
-annotations) -- so CI diffs are stable across runs.
+knows its own waivers, deterministic ordering, and GitHub Actions
+problem-matcher annotations -- so CI diffs are stable across runs.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import json
 import re
 import tokenize
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 #: Inline waiver pragma: ``# verify: ok=<rule> (reason)``.  A waiver
 #: silences exactly one rule on exactly the line that carries it.
@@ -37,9 +35,6 @@ class Finding:
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
-
-    def to_dict(self) -> dict[str, object]:
-        return asdict(self)
 
 
 def _waivers(source: str) -> dict[int, str]:
@@ -68,31 +63,22 @@ class Module:
     def from_source(cls, source: str, relpath: str) -> "Module":
         return cls(relpath=relpath, tree=ast.parse(source), waivers=_waivers(source))
 
-    @classmethod
-    def from_path(cls, path: Path, root: Path) -> "Module":
-        return cls.from_source(path.read_text(), path.relative_to(root).as_posix())
-
     @cached_property
     def nodes(self) -> list[ast.AST]:
         """Every node of the tree in ``ast.walk`` order, walked once and
         shared by every rule that scans whole modules."""
         return list(ast.walk(self.tree))
 
-    def waived(self, line: int, rule: str) -> bool:
-        """True iff ``line`` carries a pragma waiving ``rule``."""
-        return self.waivers.get(line) == rule
 
-
-def package_root() -> Path:
-    """The ``src/repro`` directory of the imported package."""
+def load_modules() -> list[Module]:
+    """Every module of the imported ``repro`` package, by relpath."""
     import repro
 
-    return Path(repro.__file__).resolve().parent
-
-
-def load_modules(root: Path | None = None) -> list[Module]:
-    root = root or package_root()
-    return [Module.from_path(p, root) for p in sorted(root.rglob("*.py"))]
+    root = Path(repro.__file__).resolve().parent
+    return [
+        Module.from_source(p.read_text(), p.relative_to(root).as_posix())
+        for p in sorted(root.rglob("*.py"))
+    ]
 
 
 def sort_findings(findings: Iterable[Finding]) -> list[Finding]:
@@ -101,21 +87,6 @@ def sort_findings(findings: Iterable[Finding]) -> list[Finding]:
     rules that rediscover the same site along several witness paths)
     always print byte-identical reports."""
     return sorted(set(findings), key=lambda f: (f.path, f.line, f.rule, f.message))
-
-
-def findings_to_json(findings: Sequence[Finding]) -> str:
-    """The ``--json`` wire format: a stable, pretty-printed object with
-    the finding list and a per-rule count summary."""
-    counts: dict[str, int] = {}
-    for f in findings:
-        counts[f.rule] = counts.get(f.rule, 0) + 1
-    payload = {
-        "clean": not findings,
-        "count": len(findings),
-        "by_rule": {k: counts[k] for k in sorted(counts)},
-        "findings": [f.to_dict() for f in sort_findings(findings)],
-    }
-    return json.dumps(payload, indent=2)
 
 
 def github_annotations(

@@ -15,13 +15,11 @@ exists for.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.verify.report import Finding, Module, load_modules, sort_findings
 from repro.verify.static.callgraph import ANALYZED_PREFIXES, Program, StaticRule
 from repro.verify.static.lint import (
-    ChargeDisciplineRule,
     ConfinementRule,
     EmitGuardRule,
     EventImmutableRule,
@@ -33,16 +31,14 @@ from repro.verify.static.locks import (
     DeadlockCycleRule,
     LockLeakRule,
 )
-from repro.verify.static.wire import ProtocolExhaustiveRule, WireSafetyRule
+from repro.verify.static.wire import ProtocolExhaustiveRule
 
 STATIC_RULES: tuple[StaticRule, ...] = (
     DeadlockCycleRule(),
     BlockingUnderLockRule(),
     LockLeakRule(),
-    WireSafetyRule(),
     ProtocolExhaustiveRule(),
     LockDisciplineRule(),
-    ChargeDisciplineRule(),
     ConfinementRule(),
     EmitGuardRule(),
     EventKindCoverageRule(),
@@ -60,7 +56,6 @@ RULE_NAMES: tuple[str, ...] = (
 
 
 def run_static(
-    root: Path | None = None,
     rules: Sequence[StaticRule] = STATIC_RULES,
     modules: Sequence[Module] | None = None,
     prefixes: Iterable[str] = ANALYZED_PREFIXES,
@@ -71,7 +66,7 @@ def run_static(
     or, for a rule that ran, suppresses no finding (the waiver pass always
     runs, so a waiver naming ``stale-waiver`` is itself stale)."""
     if modules is None:
-        modules = load_modules(root)
+        modules = load_modules()
     program = Program.build(modules, prefixes)
     raw = [f for rule in rules for f in rule.check(program)]
     ran = {STALE_WAIVER, *(name for rule in rules for name in rule.names)}

@@ -16,8 +16,8 @@ Two fixpoints then propagate facts over the resolved call graph:
 ``blocking_chain`` (the shortest witness from a function to a blocking
 operation it can reach) and ``reachable_locks`` (the locks a call into
 the function may acquire, each with its shortest witness).  The rules in
-:mod:`repro.verify.static.locks` and :mod:`repro.verify.static.wire`
-read these tables; they never re-walk the AST for interprocedural facts.
+:mod:`repro.verify.static.locks` read these tables; they never re-walk
+the AST for interprocedural facts.
 
 Resolution strategy (deliberately under-approximate): a call is resolved
 only when its target is unambiguous -- same-module functions, imports of
@@ -50,14 +50,6 @@ ANALYZED_PREFIXES: tuple[str, ...] = ("comm/", "core/", "memory/", "obs/", "runt
 PRIMITIVES = frozenset(
     {"bytes", "bytearray", "str", "int", "float", "bool", "complex", "None",
      "NoneType", "Any", "object", "Hashable", "Callable"}
-)
-
-#: Base-class names that mark a class as part of the exceptions family
-#: even when the base itself is not defined in the package.
-_EXC_BASE_NAMES = frozenset(
-    {"Exception", "BaseException", "ValueError", "TypeError", "RuntimeError",
-     "KeyError", "OSError", "IOError", "LookupError", "ArithmeticError",
-     "AssertionError", "ConnectionError"}
 )
 
 #: threading constructors that create (R)Lock objects.
@@ -155,7 +147,6 @@ class ClassInfo:
     methods: dict[str, FunctionInfo] = field(default_factory=dict)
     attr_types: dict[str, tuple[str, ...]] = field(default_factory=dict)
     lock_attrs: set[str] = field(default_factory=set)
-    exceptionish: bool = False
 
     def mro(self) -> list["ClassInfo"]:
         seen: set[int] = set()
@@ -469,22 +460,6 @@ class Program:
                     if base is not None and base is not ci:
                         ci.bases.append(base)
                         base.subclasses.append(ci)
-        # exceptions family: textual bases first, then propagate down.
-        for cands in self.classes.values():
-            for ci in cands:
-                if any(
-                    b in _EXC_BASE_NAMES or b.endswith(("Error", "Exception", "Warning"))
-                    for b in ci.base_names
-                ):
-                    ci.exceptionish = True
-        changed = True
-        while changed:
-            changed = False
-            for cands in self.classes.values():
-                for ci in cands:
-                    if not ci.exceptionish and any(b.exceptionish for b in ci.bases):
-                        ci.exceptionish = True
-                        changed = True
 
     def _collect_class_details(self, module: Module) -> None:
         """Lock attributes and attribute types, from ``self.X = ...`` in

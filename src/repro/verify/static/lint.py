@@ -97,50 +97,6 @@ class LockDisciplineRule(StaticRule):
 
 
 # ---------------------------------------------------------------------------
-# charge-discipline
-
-
-def _is_charge_call(node: ast.AST) -> bool:
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "charge"
-    )
-
-
-class ChargeDisciplineRule(StaticRule):
-    """Every ``with X.lock`` in ``core/`` has an earlier
-    ``runtime.charge(...)`` in the same function, so the virtual-time cost
-    model never silently under-counts a lock acquisition and the
-    simulator's makespans stay honest."""
-
-    name = "charge-discipline"
-    PREFIX = "core/"
-
-    def check(self, program: Program) -> list[Finding]:
-        findings: list[Finding] = []
-        for m in program.modules:
-            if not m.relpath.startswith(self.PREFIX):
-                continue
-            for fn in m.nodes:
-                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                first_charge = min(
-                    (n.lineno for n in ast.walk(fn) if _is_charge_call(n)), default=None
-                )
-                for node in ast.walk(fn):
-                    if not (isinstance(node, ast.With) and _lock_names(node)):
-                        continue
-                    if first_charge is None or first_charge > node.lineno:
-                        findings.append(Finding(
-                            self.name, m.relpath, node.lineno,
-                            f"`with {_lock_names(node)[0]}.lock` in {fn.name}() has "
-                            "no preceding runtime.charge() -- unaccounted lock acquisition",
-                        ))
-        return findings
-
-
-# ---------------------------------------------------------------------------
 # raw-threading / raw-multiprocessing / raw-socket
 
 

@@ -164,51 +164,6 @@ SEEDED: tuple[SeededCase, ...] = (
         expect="`self._pump(...)` can block while holding Fetcher._lock",
     ),
     SeededCase(
-        name="wire-threading-object",
-        rule="wire-safety",
-        relpath="runtime/_seed_w1.py",
-        source="""
-            import threading
-
-            from repro.comm.tcp import SocketComm
-
-            def ship(comm: SocketComm) -> None:
-                comm.send(("job", threading.Lock()))
-        """,
-        line=7,
-        expect="threading.Lock() objects do not pickle",
-    ),
-    SeededCase(
-        name="wire-local-class",
-        rule="wire-safety",
-        relpath="runtime/_seed_w2.py",
-        source="""
-            from repro.comm.tcp import SocketComm
-
-            class NotWireSafe:
-                def __init__(self) -> None:
-                    self.fh = open("/dev/null")
-
-            def ship(comm: SocketComm) -> None:
-                comm.send(("result", NotWireSafe()))
-        """,
-        line=9,
-        expect="constructs NotWireSafe, which is not in the wire set",
-    ),
-    SeededCase(
-        name="wire-raw-buffer-plain-path",
-        rule="wire-safety",
-        relpath="runtime/_seed_w3.py",
-        source="""
-            from repro.comm import frame
-
-            def ship(payload: bytearray) -> bytes:
-                return frame.dumps(("data", memoryview(payload)))
-        """,
-        line=5,
-        expect="ship raw buffers through the out-of-band API",
-    ),
-    SeededCase(
         name="protocol-unhandled-parent-tag",
         rule="protocol-exhaustive",
         relpath="runtime/_seed_p1.py",
@@ -356,18 +311,6 @@ SEEDED: tuple[SeededCase, ...] = (
         """,
         line=4,
         expect="`rec.join` accessed outside `with rec.lock`",
-    ),
-    SeededCase(
-        name="uncharged-lock",
-        rule="charge-discipline",
-        relpath="core/_seed_charge.py",
-        source="""
-            def f(rec):
-                with rec.lock:
-                    pass
-        """,
-        line=3,
-        expect="`with rec.lock` in f() has no preceding runtime.charge()",
     ),
     SeededCase(
         name="thread-outside-runtime",

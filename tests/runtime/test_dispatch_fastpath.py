@@ -10,8 +10,11 @@ Three layers:
   jobs' replies have been sent, a pushed shm descriptor is attached
   once and kept, so bare refs to it read the cache, a bare ref the
   worker does not hold is fetched (and fails the job if the parent
-  cannot serve it), and one job may mix inline payloads with lazily
-  fetched refs;
+  cannot serve it), one job may mix inline payloads with lazily
+  fetched refs, a kernel's error crosses as itself when it survives a
+  pickle round-trip (else as a summary), and an unknown tag or a reply
+  that fails to serialize is answered with a ``fail`` (so every send
+  site runs here);
 * **channel loss** -- one submitter at a time reads a channel, and a
   dead channel's comm is closed once, never under that reader (the
   fd-reuse hang); a replacement's ``WORKER_UP`` precedes any event
@@ -95,6 +98,42 @@ class _MixedSpec:
     def compute(self, key, ctx):
         a, b, c = (ctx.read(BlockRef(name, 0)) for name in "abc")
         ctx.write(BlockRef("out", 0), (float(np.sum(a) + np.sum(b)), c))
+
+
+class _PicklesOnce:
+    """Survives one pickling: the worker's round-trip check of an
+    exception carrying it passes, and the reply that ships it fails."""
+
+    def __init__(self):
+        self.left = 1
+
+    def __reduce__(self):
+        if not self.left:
+            raise TypeError("pickled twice")
+        self.left -= 1
+        return (_PicklesOnce, ())
+
+
+class _NeedsArg(Exception):
+    """Pickles, but fails to unpickle: its constructor wants two args."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+class _RaisingSpec(_NoInputSpec):
+    """Picklable spec whose kernel raises: a ``ValueError`` for key
+    ``plain``, an exception that cannot round-trip for any other key."""
+
+    def compute(self, key, ctx):
+        raise ValueError(key) if key == "plain" else _NeedsArg(key, 0)
+
+
+class _UnshippableErrorSpec(_NoInputSpec):
+    """Picklable spec whose kernel raises an error its reply cannot ship."""
+
+    def compute(self, key, ctx):
+        raise ValueError(_PicklesOnce())
 
 
 class _PipeWorker:
@@ -240,6 +279,32 @@ class TestJobsProtocol:
         self.submit(worker, (2, "k2", inputs))
         reply = worker.comm.recv(timeout=10)
         assert reply[1] == 2 and self.written(reply)[("out", 0)] == want
+
+    def test_an_unknown_tag_is_answered_with_a_fail(self, worker):
+        worker.comm.send(("evict", "k"))
+        reply = worker.comm.recv(timeout=10)
+        assert reply[0] == "fail" and reply[1] is None
+        assert "unknown message tag 'evict'" in str(reply[2])
+
+    def test_a_kernel_error_crosses_as_itself_if_it_round_trips(self, worker):
+        self.start(worker, _RaisingSpec())
+        self.submit(worker, (1, "plain", []), (2, "odd", []))
+        plain, odd = worker.comm.recv(timeout=10), worker.comm.recv(timeout=10)
+        assert plain[:2] == ("fail", 1) and type(plain[2]) is ValueError
+        assert plain[2].args == ("plain",)
+        assert odd[:2] == ("fail", 2) and type(odd[2]) is SchedulerError
+        assert "_NeedsArg: odd" in str(odd[2])
+
+    def test_a_reply_that_fails_to_serialize_is_answered_with_a_fail(self, worker):
+        self.start(worker, _UnshippableErrorSpec())
+        self.submit(worker, (1, "k1", []))
+        reply = worker.comm.recv(timeout=10)
+        assert reply[0] == "fail" and reply[1] == 1
+        assert "failed to serialize" in str(reply[2])
+        # The session survives it.
+        self.start(worker, _NoInputSpec())
+        self.submit(worker, (2, "k2", []))
+        assert self.written(worker.comm.recv(timeout=10))[("out", 0)] == "k2"
 
 
 class TestJobsProtocolOverWorkerServer(TestJobsProtocol):

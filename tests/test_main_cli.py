@@ -40,7 +40,10 @@ class TestTopLevelCLI:
         assert main(["verify", "static"]) == 0
         out = capsys.readouterr().out
         assert "verify static: clean" in out
-        assert "lock-discipline" in out and "stale-waiver" in out
+        for rule in ("deadlock-cycle", "blocking-under-lock", "lock-leak", "protocol-exhaustive",
+                     "lock-discipline", "raw-threading", "raw-multiprocessing", "raw-socket",
+                     "emit-guard", "eventkind-coverage", "event-immutable", "stale-waiver"):
+            assert rule in out
 
     def test_verify_invariants(self, capsys):
         assert main(["verify", "invariants", "--app", "lcs"]) == 0

@@ -31,10 +31,6 @@ class TestSeededViolations:
         src = "def f(rec):\n    rec.join -= 1\n"
         assert not lint_source(src, "apps/seeded.py", "lock-discipline")
 
-    def test_charge_discipline_fires(self):
-        src = "def f(rec):\n    with rec.lock:\n        pass\n"
-        assert lint_source(src, "core/seeded.py", "charge-discipline")
-
     def test_raw_threading_fires(self):
         src = "import threading\nt = threading.Thread(target=print)\n"
         assert lint_source(src, "apps/seeded.py", "raw-threading")
@@ -276,12 +272,10 @@ class TestWaivers:
 
 
 class TestRealPackage:
-    def test_package_is_clean(self):
-        findings = run_static()
-        assert not findings, "\n".join(str(f) for f in findings)
+    def test_package_is_clean(self, package_findings):
+        assert not package_findings, "\n".join(str(f) for f in package_findings)
 
     def test_finding_str_is_greppable(self):
-        src = "def f(rec):\n    with rec.lock:\n        pass\n"
-        (f,) = lint_source(src, "core/seeded.py", "charge-discipline")
+        (f,) = lint_source("import socket\n", "core/seeded.py", "raw-socket")
         assert "core/seeded.py" in str(f)
-        assert "charge-discipline" in str(f)
+        assert "raw-socket" in str(f)

@@ -1,31 +1,12 @@
 """Tests for the shared reporting plumbing (repro.verify.report)."""
 
-import json
-
-from repro.verify.report import (
-    PRAGMA,
-    Finding,
-    Module,
-    findings_to_json,
-    github_annotations,
-    sort_findings,
-)
+from repro.verify.report import PRAGMA, Finding, Module, github_annotations, sort_findings
 
 
 class TestFinding:
     def test_str_format(self):
-        f = Finding("wire-safety", "comm/tcp.py", 12, "boom")
-        assert str(f) == "comm/tcp.py:12: [wire-safety] boom"
-
-    def test_to_dict_round_trips_through_json(self):
-        f = Finding("lock-leak", "runtime/x.py", 3, "leaked")
-        back = json.loads(json.dumps(f.to_dict()))
-        assert back == {
-            "rule": "lock-leak",
-            "path": "runtime/x.py",
-            "line": 3,
-            "message": "leaked",
-        }
+        f = Finding("lock-leak", "comm/tcp.py", 12, "boom")
+        assert str(f) == "comm/tcp.py:12: [lock-leak] boom"
 
 
 class TestPragma:
@@ -34,12 +15,8 @@ class TestPragma:
         assert m is not None and m.group(1) == "deadlock-cycle"
 
     def test_module_waived_is_line_and_rule_scoped(self):
-        src = "a = 1\nb = 2  # verify: ok=wire-safety (test)\n"
-        mod = Module.from_source(src, "comm/x.py")
-        assert mod.waived(2, "wire-safety")
-        assert not mod.waived(2, "lock-leak")
-        assert not mod.waived(1, "wire-safety")
-        assert not mod.waived(99, "wire-safety")
+        src = "a = 1\nb = 2  # verify: ok=lock-leak (test)\n"
+        assert Module.from_source(src, "comm/x.py").waivers == {2: "lock-leak"}
 
     def test_pragma_inside_a_string_literal_is_not_a_waiver(self):
         src = 'import socket; _ = "# verify: ok=raw-socket"\nb = 2  # verify: ok=lock-leak\n'
@@ -66,24 +43,6 @@ class TestSortFindings:
     def test_collapses_exact_duplicates(self):
         f = Finding("r", "p.py", 1, "m")
         assert sort_findings([f, f, f]) == [f]
-
-
-class TestJsonOutput:
-    def test_clean_report(self):
-        payload = json.loads(findings_to_json([]))
-        assert payload == {"clean": True, "count": 0, "by_rule": {}, "findings": []}
-
-    def test_counts_by_rule(self):
-        fs = [
-            Finding("wire-safety", "a.py", 1, "m1"),
-            Finding("wire-safety", "a.py", 2, "m2"),
-            Finding("lock-leak", "b.py", 3, "m3"),
-        ]
-        payload = json.loads(findings_to_json(fs))
-        assert payload["clean"] is False
-        assert payload["count"] == 3
-        assert payload["by_rule"] == {"lock-leak": 1, "wire-safety": 2}
-        assert [f["line"] for f in payload["findings"]] == [1, 2, 3]
 
 
 class TestAnnotations:

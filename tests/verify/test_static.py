@@ -6,26 +6,19 @@ Three layers: the seeded-violation suite must convict every planted bug
 pass -- the same gate CI holds every PR to.
 """
 
-import functools
-
 import pytest
 
-from repro.verify.report import Module, load_modules
-from repro.verify.static import RULE_NAMES, STATIC_RULES, run_static
+from repro.verify.report import Module
+from repro.verify.static import RULE_NAMES, run_static
 from repro.verify.static.seeded import SEEDED, analyze_case
 
 
-@functools.cache
-def package_modules() -> tuple[Module, ...]:
-    return tuple(load_modules())
-
-
-def analyze(*sources: tuple[str, str], rules=STATIC_RULES):
-    """Analyze synthetic modules together with the real package (so
+def analyze(package, *sources: tuple[str, str]):
+    """Analyze synthetic modules together with the real ``package`` (so
     repro imports resolve) and return only the synthetic findings."""
     fixtures = [Module.from_source(src, rel) for rel, src in sources]
     paths = {m.relpath for m in fixtures}
-    findings = run_static(modules=[*package_modules(), *fixtures], rules=rules)
+    findings = run_static(modules=[*package, *fixtures])
     return [f for f in findings if f.path in paths]
 
 
@@ -33,29 +26,29 @@ def analyze(*sources: tuple[str, str], rules=STATIC_RULES):
 # self-conviction: every rule catches the bug it exists for
 
 
-def _shareable(case) -> bool:
+def _shareable(case, package) -> bool:
     """A fixture that replaces no real module and registers no protocol
     leaves the package model as every other such fixture sees it, so all
     of them can be analyzed in one build."""
-    return case.relpath not in {m.relpath for m in package_modules()} and not case.extra_protocols
+    return case.relpath not in {m.relpath for m in package} and not case.extra_protocols
 
 
 @pytest.fixture(scope="session")
-def shared_findings():
+def shared_findings(package_modules):
     """The findings of every shareable fixture, from one whole-package build."""
-    cases = [c for c in SEEDED if _shareable(c)]
+    cases = [c for c in SEEDED if _shareable(c, package_modules)]
     assert len({c.relpath for c in cases}) == len(cases), "fixtures sharing a build share a path"
-    return run_static(modules=[*package_modules(), *(c.module() for c in cases)])
+    return run_static(modules=[*package_modules, *(c.module() for c in cases)])
 
 
 class TestSeededViolations:
     @pytest.mark.parametrize("case", SEEDED, ids=[c.name for c in SEEDED])
-    def test_case_is_convicted(self, case, request):
-        if _shareable(case):
+    def test_case_is_convicted(self, case, package_modules, request):
+        if _shareable(case, package_modules):
             shared = request.getfixturevalue("shared_findings")
             findings = [f for f in shared if f.path == case.relpath]
         else:
-            findings = analyze_case(case, package_modules())
+            findings = analyze_case(case, package_modules)
         assert any(case.convicts(f) for f in findings), (
             f"{case.name}: no [{case.rule}] finding at line {case.line} matching "
             f"{case.expect!r}; got {[str(f) for f in findings]}"
@@ -76,7 +69,7 @@ class TestSeededViolations:
 
 
 class TestWitnessChains:
-    def test_interprocedural_deadlock_witness_names_the_call_chain(self):
+    def test_interprocedural_deadlock_witness_names_the_call_chain(self, package_modules):
         src = """
 import threading
 
@@ -101,14 +94,14 @@ class T:
         with self._y:
             self.take_x()
 """
-        found = analyze(("runtime/_w1.py", src))
+        found = analyze(package_modules, ("runtime/_w1.py", src))
         cycles = [f for f in found if f.rule == "deadlock-cycle"]
         assert len(cycles) == 2  # both directions of the 2-cycle
         msgs = " | ".join(f.message for f in cycles)
         assert "T.take_y" in msgs and "T.take_x" in msgs
         assert "reverse path" in msgs
 
-    def test_transitive_blocking_witness_reaches_the_primitive(self):
+    def test_transitive_blocking_witness_reaches_the_primitive(self, package_modules):
         src = """
 import threading
 
@@ -125,7 +118,7 @@ class F:
         with self._lock:
             return self.inner(comm)
 """
-        found = analyze(("runtime/_w2.py", src))
+        found = analyze(package_modules, ("runtime/_w2.py", src))
         hits = [f for f in found if f.rule == "blocking-under-lock"]
         assert hits and ".recv()" in hits[0].message
         assert "F.inner" in hits[0].message  # the chain names the hop
@@ -211,16 +204,6 @@ def dial(addr: Address):
     c = connect(addr)
     return c
 """,
-    "runtime/_n7.py": """
-from repro.comm.tcp import SocketComm
-from repro.exceptions import WorkerCrashError
-from repro.graph.taskspec import BlockRef
-
-def ship(comm: SocketComm, key: str) -> None:
-    comm.send(("raise", WorkerCrashError(key)))
-    comm.send(("ref", BlockRef("b", 0)))
-    comm.send(("data", {"k": [1, 2.0, b"x", None]}))
-""",
     "runtime/_n8.py": """
 import threading
 
@@ -235,9 +218,9 @@ def update(value: int) -> None:
 
 
 @pytest.fixture(scope="session")
-def negative_findings():
+def negative_findings(package_modules):
     """Each negative fixture's findings, from one whole-package build."""
-    findings = analyze(*NEGATIVES.items())
+    findings = analyze(package_modules, *NEGATIVES.items())
     return {path: [f for f in findings if f.path == path] for path in NEGATIVES}
 
 
@@ -260,9 +243,6 @@ class TestNegatives:
     def test_escaping_open_is_the_callers_problem(self, negative_findings):
         assert negative_findings["comm/_n6.py"] == []
 
-    def test_exceptions_and_blockref_are_wire_safe(self, negative_findings):
-        assert negative_findings["runtime/_n7.py"] == []
-
     def test_with_acquire_needs_no_finally(self, negative_findings):
         assert negative_findings["runtime/_n8.py"] == []
 
@@ -272,7 +252,7 @@ class TestNegatives:
 
 
 class TestWaivers:
-    def test_pragma_silences_exactly_that_rule_on_that_line(self):
+    def test_pragma_silences_exactly_that_rule_on_that_line(self, package_modules):
         src = """
 import threading
 import time
@@ -285,9 +265,9 @@ class P:
         with self._lock:
             time.sleep(0.01)  # verify: ok=blocking-under-lock (test fixture)
 """
-        assert analyze(("runtime/_wv1.py", src)) == []
+        assert analyze(package_modules, ("runtime/_wv1.py", src)) == []
 
-    def test_wrong_rule_pragma_does_not_silence(self):
+    def test_wrong_rule_pragma_does_not_silence(self, package_modules):
         src = """
 import threading
 import time
@@ -298,19 +278,17 @@ class P:
 
     def nap(self) -> None:
         with self._lock:
-            time.sleep(0.01)  # verify: ok=wire-safety (wrong rule)
+            time.sleep(0.01)  # verify: ok=lock-leak (wrong rule)
 """
-        found = analyze(("runtime/_wv2.py", src))
+        found = analyze(package_modules, ("runtime/_wv2.py", src))
         # ...and the misdirected waiver is itself reported.
         assert [f.rule for f in found] == ["blocking-under-lock", "stale-waiver"]
 
 
 class TestDeterminism:
-    def test_repeated_runs_are_byte_identical(self):
-        mods = list(package_modules())
-        a = [str(f) for f in run_static(modules=mods)]
-        b = [str(f) for f in run_static(modules=list(reversed(mods)))]
-        assert a == b
+    def test_repeated_runs_are_byte_identical(self, package_modules, package_findings):
+        again = run_static(modules=list(reversed(package_modules)))
+        assert [str(f) for f in package_findings] == [str(f) for f in again]
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +296,8 @@ class TestDeterminism:
 
 
 class TestRealPackage:
-    def test_head_is_clean(self):
-        findings = run_static()
-        assert findings == [], "\n".join(str(f) for f in findings)
+    def test_head_is_clean(self, package_findings):
+        assert package_findings == [], "\n".join(str(f) for f in package_findings)
 
     def test_rule_names_are_unique_and_kebab(self):
         names = list(RULE_NAMES)
